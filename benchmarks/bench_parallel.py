@@ -1,152 +1,164 @@
-"""Multi-core round execution: measured speedup vs the pipeline model.
+"""Multi-core round execution: does the worker pool pay for itself?
 
-This is the wall-clock companion to ``bench_fig2c_cores.py``: where that
-benchmark sweeps the *simulated* :class:`~repro.sim.pipeline.PipelineModel`
-over worker counts, this one runs real rounds through
-:class:`repro.parallel.WorkerPool` on the machine's actual cores and
-overlays the measured rounds/sec curve on the model's prediction.  Every
-pooled run moves its chunks through shared-memory segments; the report
-also re-measures one pooled point on the legacy pickle pipe so the
-transport win stays visible, and labels a run per crypto backend.
+Runs real rounds through :class:`repro.parallel.WorkerPool` on this
+machine's cores and compares steady-state rounds/sec against the same
+rounds run serially, at the two crypto-heavy round shapes where a pool
+could matter (B=128 and B=250, 4 KiB values — the latter is the
+``batch_4k_read`` round shape of ``benchmarks/e2e``).  Each measurement
+runs one untimed warm-up batch first, so worker spawn and first-segment
+allocation stay out of the figure, then times ``ROUNDS`` rounds; serial
+and pooled runs alternate and the reported speedup is the median of the
+per-pair ratios.
 
 Two families of assertion:
 
-* **Byte identity** (unconditional, any machine): the adversary trace
-  and response digests must be identical for every worker count, every
-  transport, and every backend × worker combination, and the
-  shard-parallel ``PartitionedWaffle`` must match its serial twin per
-  partition.  Parallelism must be invisible to the adversary.
-* **Speedup** (gated on ``os.cpu_count()``): 2 workers ≥ 1.5× and
-  4 workers ≥ 2.5× on a ≥4-core machine; 2 workers ≥ 1.3× when only
-  2–3 cores exist.  A gate the hardware cannot express is reported as a
-  loud SKIPPED line (and ``pytest.skip`` under pytest) — never a silent
-  pass.
+* **Byte identity** (unconditional, any machine): every pooled run must
+  reproduce the serial run's adversary trace and response digests.
+  Parallelism must be invisible to the adversary.
+* **Speedup** (gated on ``os.cpu_count()``): 2 workers must not lose to
+  serial (>= 1.0x) at B=250 on a machine with >= 2 cores — ROADMAP's
+  keep-or-delete line for the pool.  The 4-worker point is measured only
+  where >= 4 cores exist.  A cell the hardware cannot express is a loud
+  SKIPPED line (and ``pytest.skip`` under pytest) — never a silent pass.
 
-Results are published to ``benchmarks/results/parallel.txt`` and, as
-machine-readable JSON, to ``BENCH_parallel.json`` at the repo root.
-Run standalone (``python benchmarks/bench_parallel.py``), optionally
-restricting the backend matrix with ``--backend`` (repeatable), or
-through pytest-benchmark like the other benchmarks.
+Run standalone (``python benchmarks/bench_parallel.py``, prints only) or
+through pytest-benchmark like the other benchmarks (which also publishes
+``benchmarks/results/parallel.{txt,json}``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import hashlib
 import os
-import pathlib
+import statistics
 import sys
+import time
 
-from repro.sim.perf import run_parallel_benchmark
+from repro.core.config import WaffleConfig
+from repro.crypto.keys import KeyChain
+from repro.parallel import WorkerPool, attach_pool
+from repro.testing.identity import (
+    assert_trace_identical,
+    build_proxy,
+    request_stream,
+    trace_digest,
+)
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_parallel.json"
+N = 1024
+SEED = 23
+VALUE_SIZE = 4096
+BATCH_SIZES = (128, 250)
+ROUNDS = 100
+PAIRS = 5
+GATED_B = 250
 
-WORKER_COUNTS = (1, 2, 4, 8)
+
+def round_config(b: int) -> WaffleConfig:
+    """A crypto-heavy round shape: PRF+AEAD over 4 KiB values dominate
+    the round, which is the work the pool parallelizes."""
+    f_d = b // 5
+    return WaffleConfig(n=N, b=b, r=(2 * b) // 5, f_d=f_d, d=4 * f_d,
+                        c=N // 4, value_size=VALUE_SIZE, seed=SEED)
+
+
+def timed_run(config: WaffleConfig, workers: int, rates: list[float]):
+    """A zero-argument run for :func:`assert_trace_identical` that also
+    appends its steady-state rounds/sec to ``rates``.  ``workers=1`` runs
+    fully inline (no pool) — the baseline."""
+    def run() -> tuple[str, str]:
+        proxy = build_proxy(config, KeyChain.from_seed(SEED), record=True)
+        warmup, *batches = request_stream(config, 1 + ROUNDS, SEED)
+        pool = WorkerPool(workers) if workers > 1 else None
+        try:
+            if pool is not None:
+                attach_pool(proxy, pool)
+            responses = hashlib.sha256()
+            proxy.handle_batch(warmup)
+            start = time.perf_counter()
+            for batch in batches:
+                for resp in proxy.handle_batch(batch):
+                    responses.update(resp.key.encode() + b"\x00" + resp.value)
+            rates.append(ROUNDS / (time.perf_counter() - start))
+        finally:
+            if pool is not None:
+                pool.close()
+        return trace_digest(proxy.store.records), responses.hexdigest()
+    return run
+
+
+def run() -> dict:
+    cores = os.cpu_count() or 1
+    worker_counts = (2, 4) if cores >= 4 else (2,)
+    shapes = {}
+    for b in BATCH_SIZES:
+        config = round_config(b)
+        rows = {}
+        for workers in worker_counts:
+            serial: list[float] = []
+            pooled: list[float] = []
+            for pair in range(PAIRS):
+                sides = [timed_run(config, 1, serial),
+                         timed_run(config, workers, pooled)]
+                # Alternate which side runs first so drift (thermal,
+                # page cache) does not favour one of them.
+                first, second = sides if pair % 2 == 0 else sides[::-1]
+                assert_trace_identical(first, second)
+            rows[workers] = {
+                "serial_rounds_per_sec": statistics.median(serial),
+                "pooled_rounds_per_sec": statistics.median(pooled),
+                "speedup": statistics.median(
+                    p / s for p, s in zip(pooled, serial)),
+                "pairs": PAIRS,
+            }
+        shapes[b] = {"r": config.r, "workers": rows}
+    return {"cpu_count": cores, "n": N, "value_size": VALUE_SIZE,
+            "rounds": ROUNDS, "shapes": shapes}
 
 
 def _render(report: dict) -> str:
     lines = [
-        "Multi-core round execution — measured vs modelled (Fig 2c regime)",
+        "Multi-core round execution — pooled vs serial, steady state",
         "",
-        f"machine cores: {report['cpu_count']}",
-        f"round shape: N={report['config']['n']} B={report['config']['b']} "
-        f"R={report['config']['r']} value={report['config']['value_size']}B "
-        f"({report['config']['rounds']} rounds per measurement)",
+        f"cpu_count: {report['cpu_count']}",
+        f"N={report['n']} value={report['value_size']}B, "
+        f"{report['rounds']} timed rounds after 1 warm-up, "
+        f"median of {PAIRS} alternating pairs",
         "",
-        f"{'workers':>7} {'rounds/s':>10} {'us/req':>10} "
-        f"{'measured':>9} {'modelled':>9}",
+        f"{'B':>5} {'workers':>7} {'serial r/s':>11} {'pooled r/s':>11} "
+        f"{'speedup':>8}",
     ]
-    for workers in sorted(report["measured"], key=int):
-        row = report["measured"][workers]
-        modeled = report["modeled_speedup"][workers]
-        lines.append(
-            f"{workers:>7} {row['rounds_per_sec']:>10.2f} "
-            f"{row['us_per_request']:>10.1f} {row['speedup']:>8.2f}x "
-            f"{modeled:>8.2f}x")
-    if report["transports"]:
-        lines += ["", "transport ablation (same pooled point):"]
-        for transport, row in sorted(report["transports"].items()):
+    for b, shape in report["shapes"].items():
+        for workers, row in shape["workers"].items():
+            # A speedup the hardware could not express is not a number.
+            speedup = (f"{row['speedup']:.2f}x"
+                       if report["cpu_count"] >= workers else "n/a")
             lines.append(
-                f"  {transport:>5} @ {row['workers']} workers: "
-                f"{row['rounds_per_sec']:>8.2f} rounds/s "
-                f"({row['speedup']:.2f}x vs serial)")
-    if report["backends"]:
-        lines += ["", "crypto backends (byte-identical; wall clock only):"]
-        for backend, runs in sorted(report["backends"].items()):
-            for workers, row in sorted(runs.items(), key=lambda kv: int(kv[0])):
-                lines.append(
-                    f"  {backend:>8} @ {workers} worker(s): "
-                    f"{row['rounds_per_sec']:>8.2f} rounds/s "
-                    f"({row['speedup']:.2f}x vs serial pure)")
-    shard = report["shard_equivalence"]
-    small = report["small_shape_equivalence"]
-    matrix = report["backend_equivalence"]
-    lines += [
-        "",
-        "byte identity (adversary trace + responses):",
-        f"  across workers/transports/backends  : "
-        + ("IDENTICAL" if report["digests_identical"] else "DIVERGED"),
-        f"  across worker counts (small shape)  : "
-        + ("IDENTICAL" if small["identical"] else "DIVERGED"),
-        f"  backend x worker matrix "
-        f"({len(matrix['combos'])} combos)   : "
-        + ("IDENTICAL" if matrix["identical"] else "DIVERGED"),
-        f"  shard-parallel vs serial partitions : "
-        + ("IDENTICAL" if shard["identical"] else "DIVERGED"),
-    ]
+                f"{b:>5} {workers:>7} {row['serial_rounds_per_sec']:>11.2f} "
+                f"{row['pooled_rounds_per_sec']:>11.2f} {speedup:>8}")
+    lines += ["", "byte identity (adversary trace + responses), every "
+                  "pooled run vs its serial twin: IDENTICAL"]
     return "\n".join(lines)
 
 
 def _check(report: dict) -> list[str]:
-    """The acceptance contract, shared by pytest and standalone runs.
+    """The speedup gate, shared by pytest and standalone runs (identity
+    was already asserted, unconditionally, inside :func:`run`).
 
-    Identity is asserted unconditionally.  Speedup gates the hardware
-    cannot express come back as skip reasons for the caller to surface
-    loudly — ``pytest.skip`` under pytest, printed SKIPPED lines
-    standalone — so an undersized runner can never silently pass.
+    Cells the hardware cannot express come back as skip reasons for the
+    caller to surface loudly, so an undersized runner can never silently
+    pass.
     """
-    # Security first: parallelism must not perturb a single adversary-
-    # visible byte, regardless of how many cores this machine has.
-    assert report["digests_identical"], \
-        "adversary trace diverged across workers/transports/backends"
-    assert report["small_shape_equivalence"]["identical"], \
-        "small-shape trace diverged across worker counts"
-    assert report["backend_equivalence"]["identical"], \
-        "backend x worker matrix diverged from serial pure"
-    assert report["shard_equivalence"]["identical"], \
-        "shard-parallel PartitionedWaffle diverged from serial"
-
-    # Performance, where the hardware can express it.
-    cores = os.cpu_count() or 1
-    measured = report["measured"]
-    skipped: list[str] = []
-    if cores >= 4:
-        if 2 in measured:
-            assert measured[2]["speedup"] >= 1.5, (
-                f"2 workers on {cores} cores: "
-                f"{measured[2]['speedup']:.2f}x < 1.5x")
-        if 4 in measured:
-            assert measured[4]["speedup"] >= 2.5, (
-                f"4 workers on {cores} cores: "
-                f"{measured[4]['speedup']:.2f}x < 2.5x")
-    elif cores >= 2:
-        if 2 in measured:
-            assert measured[2]["speedup"] >= 1.3, (
-                f"2 workers on {cores} cores: "
-                f"{measured[2]['speedup']:.2f}x < 1.3x")
-        skipped.append(
-            f"4-worker >= 2.5x gate needs >= 4 cores, machine has {cores}")
-    else:
-        skipped.append(
-            f"speedup gates (2w >= 1.5x, 4w >= 2.5x) need >= 2 cores, "
-            f"machine has {cores}: byte identity verified, speedup not")
-    return skipped
-
-
-def run(backends: list[str] | None = None) -> dict:
-    return run_parallel_benchmark(worker_counts=WORKER_COUNTS,
-                                  backends=backends)
+    cores = report["cpu_count"]
+    if cores < 2:
+        return [f"2-worker >= 1.0x gate at B={GATED_B} needs >= 2 cores, "
+                f"machine has {cores}: byte identity verified, speedup not"]
+    speedup = report["shapes"][GATED_B]["workers"][2]["speedup"]
+    assert speedup >= 1.0, (
+        f"2 workers on {cores} cores at B={GATED_B}: {speedup:.2f}x < 1.0x "
+        f"— the pool loses to serial (ROADMAP: delete it)")
+    if cores < 4:
+        return [f"4-worker point needs >= 4 cores, machine has {cores}"]
+    return []
 
 
 def test_parallel_rounds(benchmark):
@@ -155,25 +167,15 @@ def test_parallel_rounds(benchmark):
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_result("parallel", _render(report), data=report)
-    JSON_PATH.write_text(json.dumps(report, indent=2, default=str) + "\n")
     skipped = _check(report)
     if skipped:
         pytest.skip("; ".join(skipped))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend", action="append", dest="backends", metavar="NAME",
-        help="crypto backend to include in the matrix (repeatable; "
-             "default: every available backend)")
-    args = parser.parse_args(argv)
-    report = run(backends=args.backends)
+def main() -> int:
+    report = run()
     print(_render(report))
-    JSON_PATH.write_text(json.dumps(report, indent=2, default=str) + "\n")
-    print(f"\nreport -> {JSON_PATH}")
-    skipped = _check(report)
-    for reason in skipped:
+    for reason in _check(report):
         print(f"SKIPPED: {reason}")
     return 0
 

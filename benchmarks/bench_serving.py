@@ -55,7 +55,7 @@ from repro.scaleout.partitioned import PartitionedWaffle
 from repro.serve.frontend import AsyncFrontend
 from repro.serve.policy import make_policy
 from repro.serve.sharded import ShardedFrontend
-from repro.sim.perf import _trace_digest
+from repro.testing.identity import trace_digest
 from repro.testing.episodes import chaos_config
 from repro.testing.oracle import check_timing_channel
 from repro.testing.serving import live_timing_report
@@ -303,8 +303,8 @@ def _shard_identity(seed: int, partitions: int = 2) -> dict:
         "requests": len(keys),
         "rounds_per_partition": [len(rounds) for rounds in captured],
         "trace_identical": [
-            _trace_digest(live.stores[i].recorder.records)
-            == _trace_digest(twin.stores[i].recorder.records)
+            trace_digest(live.stores[i].recorder.records)
+            == trace_digest(twin.stores[i].recorder.records)
             for i in range(partitions)
         ],
     }

@@ -151,28 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--no-shrink", action="store_true",
                        help="skip minimizing failing episodes")
 
-    bench = sub.add_parser(
-        "bench", help="run the wall-clock benchmark harness "
-                      "(sim/perf; real seconds, not simulated)")
-    bench.add_argument("--parallel", action="store_true",
-                       help="sweep the multi-core round engine instead of "
-                            "the scalar-vs-batched kernel comparison")
-    bench.add_argument("--workers", type=_worker_list, default=(1, 2, 4, 8),
-                       metavar="W1,W2,...",
-                       help="worker counts to sweep with --parallel "
-                            "(default 1,2,4,8)")
-    bench.add_argument("--backend", action="append", dest="backends",
-                       metavar="NAME",
-                       help="crypto backend for the --parallel matrix "
-                            "(repeatable; default: every available "
-                            "backend — see REPRO_CRYPTO_BACKEND)")
-    bench.add_argument("--n", type=int, default=None,
-                       help="database size (default: harness default)")
-    bench.add_argument("--rounds", type=int, default=None,
-                       help="batch rounds per measurement")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="additionally write the JSON report to PATH")
-
     serve = sub.add_parser(
         "serve", help="run the asyncio round-coalescing server "
                       "(repro.serve) over TCP")
@@ -465,70 +443,6 @@ def _run_chaos(args) -> int:
     return EXIT_CHAOS
 
 
-def _worker_list(text: str) -> tuple[int, ...]:
-    """Parse ``"1,2,4"`` into worker counts (argparse ``type=``)."""
-    try:
-        counts = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid worker list {text!r}; expected e.g. 1,2,4,8") from None
-    if not counts or any(count < 1 for count in counts):
-        raise argparse.ArgumentTypeError(
-            f"worker counts must be positive integers, got {text!r}")
-    return counts
-
-
-def _run_bench(args) -> int:
-    from repro.sim.perf import run_parallel_benchmark, run_wallclock_benchmark
-
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.rounds is not None:
-        kwargs["rounds"] = args.rounds
-    if args.parallel:
-        report = run_parallel_benchmark(worker_counts=args.workers,
-                                        backends=args.backends, **kwargs)
-        print(f"cpu_count={report['cpu_count']}  "
-              f"digests_identical={report['digests_identical']}  "
-              f"backend_matrix_identical="
-              f"{report['backend_equivalence']['identical']}  "
-              f"shard_identical={report['shard_equivalence']['identical']}")
-        for workers, row in sorted(report["measured"].items()):
-            modeled = report["modeled_speedup"].get(workers)
-            print(f"  workers={workers}: "
-                  f"{row['rounds_per_sec']:.2f} rounds/s "
-                  f"(speedup {row['speedup']:.2f}x, "
-                  f"model {modeled:.2f}x)")
-        for transport, row in sorted(report["transports"].items()):
-            print(f"  transport={transport} @ {row['workers']} workers: "
-                  f"{row['rounds_per_sec']:.2f} rounds/s "
-                  f"(speedup {row['speedup']:.2f}x)")
-        for backend, runs in sorted(report["backends"].items()):
-            for workers, row in sorted(runs.items(), key=lambda kv: int(kv[0])):
-                print(f"  backend={backend} @ {workers} worker(s): "
-                      f"{row['rounds_per_sec']:.2f} rounds/s "
-                      f"(speedup {row['speedup']:.2f}x)")
-    else:
-        report = run_wallclock_benchmark(**kwargs)
-        e2e = report["end_to_end"]
-        print(f"end-to-end speedup "
-              f"{e2e['rounds_per_sec_speedup']:.2f}x "
-              f"(trace identical: "
-              f"{report['trace_equivalence']['identical']})")
-        for name, row in report["kernels"].items():
-            speedup = row.get("speedup") or row.get("encrypt_speedup")
-            print(f"  kernel {name}: {speedup:.2f}x")
-    if args.out:
-        # No sort_keys: the parallel report keys sweep tables by integer
-        # worker count, which does not sort against its string keys.
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, default=str)
-            handle.write("\n")
-        print(f"report -> {args.out}")
-    return 0
-
-
 def _run_serve(args) -> int:
     import asyncio
 
@@ -687,8 +601,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_obs(args)
     if args.command == "chaos":
         return _run_chaos(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "lint":

@@ -13,16 +13,12 @@ from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import SecurityLevel, WaffleConfig
 from repro.core.client import WaffleClient
 from repro.core.datastore import WaffleDatastore
-from repro.core.frontend import ConcurrentFrontend
 from repro.core.multimap import MultiMapWaffle
 from repro.core.proxy import WaffleProxy
-from repro.core.scheduler import BatchScheduler
 
 __all__ = [
-    "BatchScheduler",
     "ClientRequest",
     "ClientResponse",
-    "ConcurrentFrontend",
     "MultiMapWaffle",
     "SecurityLevel",
     "WaffleClient",

@@ -26,8 +26,8 @@ Two invariants the instrumentation must uphold:
 * **trace neutrality when enabled** — recording must not consume rng
   draws or alter the adversary-visible access sequence; histogram
   reservoirs carry a private deterministic rng for exactly this reason,
-  and :func:`repro.sim.perf.compare_obs_traces` pins the property for
-  Waffle and all three baselines on a fixed seed.
+  and ``tests/test_obs_integration.py::TestTraceNeutrality`` pins the
+  property for Waffle and all three baselines on a fixed seed.
 
 Usage::
 

@@ -163,15 +163,6 @@ def render_dashboard(registry: MetricsRegistry, monitor=None,
         lines += _table(
             ["workers", "chunks", "items", "ser-out", "ser-in",
              "wait-mean", "wait-p95", "queue"], rows)
-        stall = None
-        for name, labels, metric in registry:
-            if name == "parallel.pipeline.stall.seconds":
-                stall = metric
-        if stall is not None and stall.count:
-            lines.append(
-                f"  pipeline barrier stalls: {stall.count} "
-                f"(mean {_fmt(stall.mean * 1e3)}ms, "
-                f"p95 {_fmt(stall.percentile(0.95) * 1e3)}ms)")
         lines.append("")
 
     # ---- alpha budget ------------------------------------------------

@@ -15,8 +15,8 @@ per-thread stack, and close it with :meth:`Tracer.close_span`;
 innermost open span automatically.  The round engine uses this to nest
 ``round -> phase.* -> parallel.chunk -> parallel.worker.chunk``, which
 :mod:`repro.obs.profile` re-assembles into a flamegraph-style report.
-The stack is thread-local because pipelined execution overlaps rounds
-across threads.
+The stack is thread-local because shard-parallel partitions run their
+rounds on separate threads.
 
 The tracer buffers records in memory (bounded), optionally streams them
 to a JSONL file, and fans every record out to registered subscribers —
@@ -28,7 +28,7 @@ Trace neutrality: emitting a record reads ``time.perf_counter`` and
 appends to lists; it never draws randomness and never touches system
 state, so an instrumented run is byte-identical to an uninstrumented one
 on the adversary-visible channel (enforced by
-:func:`repro.sim.perf.compare_obs_traces`).
+``tests/test_obs_integration.py::TestTraceNeutrality``).
 """
 
 from __future__ import annotations

@@ -1,19 +1,17 @@
 """``repro.parallel`` — real multi-core round execution.
 
-Three composable mechanisms (DESIGN.md §10):
+Two composable mechanisms (DESIGN.md §10):
 
 * :class:`~repro.parallel.engine.WorkerPool` +
   :func:`~repro.parallel.engine.attach_pool` — spread the
   embarrassingly-parallel kernel phases of a round (PRF id derivation,
   AEAD encrypt/decrypt over the B+D batch) across process workers while
   the serial assembly phase stays on the coordinating thread;
-* :class:`~repro.parallel.pipelined.PipelinedStore` — double-buffered
-  overlap of round k's server I/O with round k+1's crypto;
 * ``shard_workers`` on
   :class:`~repro.scaleout.partitioned.PartitionedWaffle` — independent
   partitions execute their rounds concurrently.
 
-All three preserve the adversary-visible trace byte-for-byte relative
+Both preserve the adversary-visible trace byte-for-byte relative
 to serial execution — the invariant everything in this repository's
 security argument rests on.
 """
@@ -25,12 +23,10 @@ from repro.parallel.engine import (
     attach_pool,
     detach_pool,
 )
-from repro.parallel.pipelined import PipelinedStore
 from repro.parallel.shm import SegmentPool
 from repro.parallel.worker import iter_frames, pack_frames, unpack_frames
 
 __all__ = [
-    "PipelinedStore",
     "PooledCipher",
     "PooledPrf",
     "SegmentPool",

@@ -26,14 +26,12 @@ keychain.  The pooled wrappers reduce to their *inner* kernels on
 pickle — a restored standby starts with plain kernels (byte-identical
 behaviour) and the chaos runner re-attaches the pool after promotion.
 
-Transport: chunks default to shared-memory segments (see
+Transport: chunks travel in shared-memory segments (see
 :mod:`repro.parallel.shm` — the coordinator packs frames into a pooled
 segment, workers read views and write results into a response segment,
-and only segment names cross the pipe), with the PR-5 pickle pipe kept
-as ``transport="pipe"`` for apples-to-apples benchmarking.  Both
-transports carry the crypto backend name in the chunk material, so
-workers always rebuild the coordinator's (byte-identical) kernel
-implementation.
+and only segment names cross the pipe).  The chunk material carries the
+crypto backend name, so workers always rebuild the coordinator's
+(byte-identical) kernel implementation.
 """
 
 from __future__ import annotations
@@ -53,12 +51,9 @@ from repro.parallel.worker import (
     TELEMETRY_ALLOWANCE,
     init_worker,
     iter_frames,
-    pack_frames,
     pack_frames_into,
     packed_size,
-    run_chunk,
     run_chunk_shm,
-    unpack_frames,
 )
 
 __all__ = ["PooledCipher", "PooledPrf", "WorkerPool", "attach_pool",
@@ -93,12 +88,10 @@ class WorkerPool:
         Smallest batch worth offloading; smaller calls run inline.
     chunk_items:
         Target items per chunk (see module docstring).
-    transport:
-        ``"shm"`` (default) moves chunks through pooled
-        :mod:`multiprocessing.shared_memory` segments — one copy in,
-        zero-copy worker reads, one copy out — with only segment names
-        crossing the pipe.  ``"pipe"`` is the PR-5 pickle channel, kept
-        as the comparison baseline the benchmark measures against.
+
+    Chunks move through pooled :mod:`multiprocessing.shared_memory`
+    segments — one copy in, zero-copy worker reads, one copy out — with
+    only segment names crossing the pipe.
 
     The pool is key-agnostic: each chunk carries the key material that
     parameterizes its kernel, and workers cache kernels per material.
@@ -107,19 +100,14 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, min_batch: int = _DEFAULT_MIN_BATCH,
-                 chunk_items: int = _DEFAULT_CHUNK_ITEMS,
-                 transport: str = "shm") -> None:
+                 chunk_items: int = _DEFAULT_CHUNK_ITEMS) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         if min_batch < 1 or chunk_items < 1:
             raise ValueError("min_batch and chunk_items must be positive")
-        if transport not in ("shm", "pipe"):
-            raise ValueError(f"unknown transport {transport!r}; "
-                             "choose 'shm' or 'pipe'")
         self.workers = workers
         self.min_batch = min_batch
         self.chunk_items = chunk_items
-        self.transport = transport
         self._executor: ProcessPoolExecutor | None = None
         self._segments: SegmentPool | None = None
         if workers > 1:
@@ -128,8 +116,7 @@ class WorkerPool:
                 "fork" if "fork" in methods else methods[0])
             self._executor = ProcessPoolExecutor(
                 max_workers=workers, mp_context=ctx, initializer=init_worker)
-            if transport == "shm":
-                self._segments = SegmentPool(workers)
+            self._segments = SegmentPool(workers)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -157,12 +144,8 @@ class WorkerPool:
         observing = OBS.enabled
         if observing:
             start = time.perf_counter()
-        if self._segments is not None:
-            results, out_bytes, in_bytes, chunk_meta = self._run_shm(
-                kind, material, frames, per_chunk, observing)
-        else:
-            results, out_bytes, in_bytes, chunk_meta = self._run_pipe(
-                kind, material, frames, per_chunk, observing)
+        results, out_bytes, in_bytes, chunk_meta = self._run_shm(
+            kind, material, frames, per_chunk, observing)
         if observing:
             labels = {"workers": str(self.workers)}
             reg = OBS.registry
@@ -190,37 +173,6 @@ class WorkerPool:
             OBS.observe_kernel("pooled." + kind,
                                time.perf_counter() - start, len(frames))
         return results
-
-    def _run_pipe(self, kind: str, material: tuple[bytes, ...], frames: list,
-                  per_chunk: int, observing: bool):
-        """Pickle-pipe transport: one bytes payload per chunk, each way."""
-        executor = self._executor
-        assert executor is not None
-        pending = []
-        out_bytes = 0
-        for lo in range(0, len(frames), per_chunk):
-            chunk = frames[lo: lo + per_chunk]
-            payload = pack_frames(chunk)
-            out_bytes += len(payload)
-            pending.append((executor.submit(run_chunk, kind, material,
-                                            payload, observing),
-                            time.perf_counter() if observing else 0.0,
-                            len(chunk)))
-        results: list[bytes] = []
-        in_bytes = 0
-        chunk_meta: list[tuple[float, int, bytes | None]] = []
-        for future, submitted, items in pending:
-            payload = future.result()
-            in_bytes += len(payload)
-            # Kernels map frames 1:1, so the first `items` frames are
-            # data; a single trailing frame is the telemetry delta.
-            out = unpack_frames(payload)
-            results.extend(out[:items])
-            if observing:
-                delta = out[items] if len(out) > items else None
-                chunk_meta.append(
-                    (time.perf_counter() - submitted, items, delta))
-        return results, out_bytes, in_bytes, chunk_meta
 
     def _run_shm(self, kind: str, material: tuple[bytes, ...], frames: list,
                  per_chunk: int, observing: bool):

@@ -2,9 +2,9 @@
 
 PR 5's engine shipped every chunk as a pickled bytes payload through the
 ``multiprocessing`` pipe — one copy into the pickle stream, one through
-the OS pipe, one out of the unpickler, each way.  `BENCH_parallel.json`
-showed the result: pooled speedups of 0.52–0.67x, the transport eating
-more than the crypto it fed.  This module replaces the pipe with
+the OS pipe, one out of the unpickler, each way — pooled speedups of
+0.52–0.67x, the transport eating more than the crypto it fed.  This
+module replaced the pipe with
 :mod:`multiprocessing.shared_memory` ring segments:
 
 * the coordinator packs a chunk's length-prefixed frames straight into a
@@ -74,8 +74,9 @@ class SegmentPool:
         ``parallel.shm.*`` metrics so the dashboard can attribute
         segment traffic per pool size.
 
-    Thread-safe: the pipelined store overlaps rounds on a background
-    thread, so two ``run()`` calls may acquire concurrently.
+    Thread-safe: one pool may serve several proxies (shard-parallel
+    partitions run on threads), so two ``run()`` calls may acquire
+    concurrently.
     """
 
     __slots__ = ("_prefix", "_workers", "_lock", "_free", "_all", "_closed")

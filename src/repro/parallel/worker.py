@@ -2,17 +2,11 @@
 
 The coordinator ships each chunk of kernel work as length-prefixed
 frames plus the key material (backend name + keys) that parameterizes
-the kernel.  Two transports share this module's frame codec:
-
-* **shared memory** (the default): frames live in a
-  ``multiprocessing.shared_memory`` segment owned by the coordinator's
-  :class:`~repro.parallel.shm.SegmentPool`; :func:`run_chunk_shm` maps
-  the segment and iterates zero-copy ``memoryview`` frames, writing its
-  output frames into a response segment.  Only segment names and two
-  integers cross the pipe.
-* **pipe** (fallback, and the comparison baseline the benchmark keeps
-  honest): one contiguous bytes payload per chunk through the
-  ``multiprocessing`` pickle channel — :func:`run_chunk`.
+the kernel.  Frames live in a ``multiprocessing.shared_memory`` segment
+owned by the coordinator's :class:`~repro.parallel.shm.SegmentPool`;
+:func:`run_chunk_shm` maps the segment and iterates zero-copy
+``memoryview`` frames, writing its output frames into a response
+segment.  Only segment names and two integers cross the pipe.
 
 The codec rejects malformed input: a payload that ends inside a 4-byte
 length prefix, or a frame that declares more bytes than follow, raises
@@ -55,7 +49,6 @@ __all__ = [
     "pack_frames",
     "pack_frames_into",
     "packed_size",
-    "run_chunk",
     "run_chunk_shm",
     "unpack_frames",
 ]
@@ -282,27 +275,6 @@ def _drain_telemetry(kind: str, items: int, total_s: float,
     buf.span("parallel.worker.chunk", total_s, kind=kind, items=items,
              compute=compute_s)
     return encode_delta(buf.drain(), str(os.getpid()))
-
-
-def run_chunk(kind: str, material: tuple[bytes, ...], payload: bytes,
-              telemetry: bool = False) -> bytes:
-    """Pipe-transport chunk: packed payload in, packed payload out.
-
-    With ``telemetry`` (the coordinator's ``OBS.enabled`` at dispatch
-    time) the response carries one extra trailing frame — the worker's
-    drained metric/span delta.  Every kind maps input frames to output
-    frames 1:1, so the coordinator splits data from telemetry by count.
-    """
-    if not telemetry:
-        return pack_frames(_compute(kind, material, unpack_frames(payload)))
-    start = time.perf_counter()
-    frames = unpack_frames(payload)
-    compute_start = time.perf_counter()
-    out = _compute(kind, material, frames)
-    compute_s = time.perf_counter() - compute_start
-    total_s = time.perf_counter() - start
-    out.append(_drain_telemetry(kind, len(frames), total_s, compute_s))
-    return pack_frames(out)
 
 
 def run_chunk_shm(kind: str, material: tuple[bytes, ...],

@@ -1,10 +1,9 @@
 """The coalescing core: many awaiting clients, one round dispatcher.
 
-:class:`AsyncFrontend` is the asyncio sibling of
-:class:`repro.core.frontend.ConcurrentFrontend`: clients ``await
-get()``/``put()`` from any task and are resolved when the round carrying
-their request completes.  The differences are what make it a *server*
-core rather than a test harness:
+:class:`AsyncFrontend` serves the paper's "multiple clients accessing
+data concurrently" shape (§3.1): clients ``await get()``/``put()`` from
+any task and are resolved when the round carrying their request
+completes.  What makes it a *server* core:
 
 * **admission control** — a bounded pending queue
   (:class:`~repro.serve.admission.AdmissionController`); offered load

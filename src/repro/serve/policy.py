@@ -10,8 +10,7 @@ that surface an explicit policy object on the serving frontend:
   arrival rate: the leaky baseline the timing attacks invert.
 * :class:`MaxWaitPolicy` — on-fill plus a deadline: a partial batch
   fires once its oldest request has waited ``max_wait_s``.  The
-  deployable latency/overhead compromise (the async sibling of
-  :class:`repro.core.scheduler.BatchScheduler`).
+  deployable latency/overhead compromise.
 * :class:`FixedIntervalPolicy` — fire on a fixed grid regardless of
   arrivals (Cloak-style temporal shaping).  The schedule the policy
   commits to is a constant grid, so the load-inference and onset

@@ -8,12 +8,8 @@ protocol logic and charge calibrated costs (round trips, bytes, server
 ops, crypto, proxy bookkeeping) to a :class:`SimClock`.  DESIGN.md §1 and
 §5 document the substitution and the calibration.
 
-The one deliberate exception is :mod:`repro.sim.perf`, which measures
-*wall-clock* proxy performance (rounds/sec, µs/request, kernel
-breakdown) against a scalar reference implementation — see DESIGN.md
-"Hot path & wall-clock performance".  It is imported lazily
-(``from repro.sim.perf import ...``) because it pulls in the full proxy
-stack.
+Nothing in this package reads a real clock; wall-clock measurement lives
+in ``benchmarks/e2e`` (BENCHMARK.json).
 """
 
 from repro.sim.clock import SimClock

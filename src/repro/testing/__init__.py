@@ -14,7 +14,11 @@ The pieces compose bottom-up:
   semantics, replay-prefix obliviousness, constant batch composition,
   id lifecycle, α/β uniformity;
 * :mod:`repro.testing.shrink` — ddmin minimizer for failing episodes;
-* :mod:`repro.testing.sweep` — seeded many-episode CI sweeps.
+* :mod:`repro.testing.sweep` — seeded many-episode CI sweeps;
+* :mod:`repro.testing.identity` — :func:`trace_digest` and
+  :func:`assert_trace_identical`, the one trace/response identity check;
+* :mod:`repro.testing.reference` — the scalar PRF/AEAD reference kernels
+  the optimized ones are held byte-identical to.
 
 Entry points: ``repro.cli chaos`` and ``tests/test_chaos_*.py``.
 """
@@ -33,7 +37,9 @@ from repro.testing.faults import (
     InjectedFault,
     PassthroughStore,
 )
+from repro.testing.identity import assert_trace_identical, trace_digest
 from repro.testing.oracle import Attempt, Violation
+from repro.testing.reference import ScalarCipher, ScalarPrf, scalar_keychain
 from repro.testing.runner import EpisodeResult, run_episode
 from repro.testing.shrink import ShrinkResult, shrink_episode
 from repro.testing.sweep import DEFAULT_PROFILES, SweepReport, run_sweep
@@ -50,12 +56,17 @@ __all__ = [
     "FaultyTransport",
     "InjectedFault",
     "PassthroughStore",
+    "ScalarCipher",
+    "ScalarPrf",
     "ShrinkResult",
     "SweepReport",
     "Violation",
+    "assert_trace_identical",
     "chaos_config",
     "generate_episode",
     "run_episode",
     "run_sweep",
+    "scalar_keychain",
     "shrink_episode",
+    "trace_digest",
 ]

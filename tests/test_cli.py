@@ -45,81 +45,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "least_recent" in payload and "uniform" in payload
 
-    def _parallel_report(self):
-        return {
-            "schema": "repro.parallel/2",
-            "cpu_count": 4,
-            "config": {"n": 64, "b": 8, "r": 3, "f_d": 1,
-                       "value_size": 64, "rounds": 2},
-            "measured": {
-                1: {"rounds_per_sec": 10.0, "us_per_request": 9.0,
-                    "speedup": 1.0},
-                2: {"rounds_per_sec": 17.0, "us_per_request": 5.0,
-                    "speedup": 1.7},
-            },
-            "modeled_speedup": {1: 1.0, 2: 1.8},
-            "transports": {
-                "pipe": {"workers": 2, "rounds_per_sec": 12.0,
-                         "speedup": 1.2},
-                "shm": {"workers": 2, "rounds_per_sec": 17.0,
-                        "speedup": 1.7},
-            },
-            "backends": {
-                "pure": {"2": {"rounds_per_sec": 17.0, "speedup": 1.7}},
-            },
-            "digests_identical": True,
-            "backend_equivalence": {"identical": True},
-            "shard_equivalence": {"identical": True},
-            "small_shape_equivalence": {"identical": True},
-        }
-
-    def test_bench_parallel_renders_sweep(self, capsys, monkeypatch, tmp_path):
-        import repro.sim.perf as perf
-
-        seen = {}
-
-        def fake(worker_counts, **kwargs):
-            seen["worker_counts"] = worker_counts
-            seen.update(kwargs)
-            return self._parallel_report()
-
-        monkeypatch.setattr(perf, "run_parallel_benchmark", fake)
-        out_path = tmp_path / "parallel.json"
-        assert main(["bench", "--parallel", "--workers", "1,2",
-                     "--n", "64", "--rounds", "2",
-                     "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert seen == {"worker_counts": (1, 2), "n": 64, "rounds": 2,
-                        "backends": None}
-        assert "workers=2" in out
-        assert "transport=shm" in out
-        assert "backend=pure" in out
-        assert "digests_identical=True" in out
-        assert "backend_matrix_identical=True" in out
-        assert json.loads(out_path.read_text())["schema"] == \
-            "repro.parallel/2"
-
-    def test_bench_wallclock_path(self, capsys, monkeypatch):
-        import repro.sim.perf as perf
-
-        report = {
-            "kernels": {"prf": {"speedup": 1.4}},
-            "end_to_end": {"rounds_per_sec_speedup": 2.1},
-            "trace_equivalence": {"identical": True},
-        }
-        monkeypatch.setattr(perf, "run_wallclock_benchmark",
-                            lambda **kwargs: report)
-        assert main(["bench"]) == 0
-        out = capsys.readouterr().out
-        assert "2.10x" in out
-        assert "kernel prf: 1.40x" in out
-
-    def test_bench_bad_worker_list_rejected(self):
-        for bad in ("zero,one", "0,2", ""):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["bench", "--parallel", "--workers", bad])
-            assert excinfo.value.code == EXIT_USAGE
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "figZZ"])

@@ -7,7 +7,7 @@ explicit, reviewed decision instead of an accident.
 
 The batched fast-path kernels (cached-HMAC PRF, big-int-XOR AEAD) are
 additionally held byte-identical to the scalar seed implementations
-preserved in :mod:`repro.sim.perf` — the equivalence that lets the proxy
+preserved in :mod:`repro.testing.reference` — the equivalence that lets the proxy
 swap kernels without the server ever noticing.
 """
 
@@ -16,7 +16,7 @@ import random
 from repro.crypto.aead import AuthenticatedCipher
 from repro.crypto.keys import KeyChain
 from repro.crypto.prf import Prf
-from repro.sim.perf import ScalarCipher, ScalarPrf
+from repro.testing.reference import ScalarCipher, ScalarPrf
 
 
 class TestPrfKnownAnswers:

@@ -7,13 +7,27 @@ neutrality oracle across all four systems, and the three exporters
 ``obs`` subcommand.
 """
 
+import hashlib
 import json
+import random
 
 from repro import obs
+from repro.baselines.pancake.proxy import PancakeProxy
+from repro.baselines.pathoram import PathOram
+from repro.baselines.taostore import TaoStore
 from repro.core.config import WaffleConfig
 from repro.crypto.keys import KeyChain
 from repro.obs.registry import MetricsRegistry
-from repro.sim.perf import _build_proxy, _request_stream
+from repro.storage.memory import InMemoryStore
+from repro.storage.recording import RecordingStore
+from repro.testing.identity import (
+    assert_trace_identical,
+    build_proxy,
+    request_stream,
+    seeded_run,
+    trace_digest,
+)
+from repro.workloads.trace import Operation, TraceRequest
 
 
 class TestProxyInstrumentation:
@@ -21,8 +35,8 @@ class TestProxyInstrumentation:
         config = WaffleConfig.paper_defaults(n=256, seed=11)
         rounds = 5
         with obs.capture() as handle:
-            proxy = _build_proxy(config, KeyChain.from_seed(11))
-            for batch in _request_stream(config, rounds, 11):
+            proxy = build_proxy(config, KeyChain.from_seed(11))
+            for batch in request_stream(config, rounds, 11):
                 proxy.handle_batch(batch)
         snap = handle.registry.snapshot()
         counters = snap["counters"]
@@ -41,8 +55,8 @@ class TestProxyInstrumentation:
         config = WaffleConfig.paper_defaults(n=256, seed=11)
         rounds = 4
         with obs.capture() as handle:
-            proxy = _build_proxy(config, KeyChain.from_seed(11))
-            for batch in _request_stream(config, rounds, 11):
+            proxy = build_proxy(config, KeyChain.from_seed(11))
+            for batch in request_stream(config, rounds, 11):
                 proxy.handle_batch(batch)
         hists = handle.registry.snapshot()["histograms"]
         w = "{system=waffle}"
@@ -99,17 +113,75 @@ class TestProxyInstrumentation:
         assert counters["storage.accesses.total{op=read}"] == 1
 
 
+def _neutrality_runs():
+    """One fixed-seed run per system, each returning the
+    ``(trace, responses)`` digests of its :class:`RecordingStore`."""
+    n, rounds, seed = 64, 3, 5
+    keys = [f"user{i:08d}" for i in range(n)]
+    values = {key: b"v" * 32 for key in keys}
+
+    def digests(store, replies):
+        out = hashlib.sha256()
+        for reply in replies:
+            out.update(repr(reply).encode())
+        return trace_digest(store.records), out.hexdigest()
+
+    waffle = seeded_run(WaffleConfig.paper_defaults(n=n, seed=seed), rounds)
+
+    def pancake():
+        store = RecordingStore(InMemoryStore())
+        proxy = PancakeProxy(keys, values, [1.0 / n] * n, store,
+                             batch_size=32, keychain=KeyChain.from_seed(seed),
+                             seed=seed)
+        rng = random.Random(seed + 1)
+        replies = []
+        for _ in range(rounds):
+            for _ in range(8):
+                proxy.submit(TraceRequest(Operation.READ,
+                                          keys[rng.randrange(n)]))
+            replies.append(proxy.process_batch())
+        return digests(store, replies)
+
+    def pathoram():
+        store = RecordingStore(InMemoryStore())
+        oram = PathOram(values, store, keychain=KeyChain.from_seed(seed),
+                        seed=seed)
+        rng = random.Random(seed + 2)
+        return digests(store, [oram.get(keys[rng.randrange(n)])
+                               for _ in range(rounds * 4)])
+
+    def taostore():
+        store = RecordingStore(InMemoryStore())
+        tao = TaoStore(values, store, keychain=KeyChain.from_seed(seed),
+                       seed=seed)
+        rng = random.Random(seed + 3)
+        replies = []
+        for _ in range(rounds * 4):
+            tao.submit(TraceRequest(Operation.READ, keys[rng.randrange(n)]))
+            replies.append(tao.drain())
+        return digests(store, replies)
+
+    return {"waffle": waffle, "pancake": pancake, "pathoram": pathoram,
+            "taostore": taostore}
+
+
 class TestTraceNeutrality:
     def test_all_four_systems_identical_with_obs_on(self):
-        """ISSUE acceptance: fixed-seed adversary-visible digests are
-        byte-identical with observability fully enabled, for Waffle and
-        all three baselines."""
-        from repro.sim.perf import compare_obs_traces
+        """Fixed-seed adversary-visible digests are byte-identical with
+        observability fully enabled, for Waffle and all three baselines:
+        instrumentation that consumed rng draws or added or perturbed
+        server accesses would show up here as a mismatch."""
+        def observed(run):
+            def wrapped():
+                with obs.capture():
+                    return run()
+            return wrapped
 
-        out = compare_obs_traces(n=64, rounds=3, seed=5)
-        for system in ("waffle", "pancake", "pathoram", "taostore"):
-            assert out[system]["identical"], f"{system} trace diverged"
-        assert out["identical"]
+        for system, run in _neutrality_runs().items():
+            try:
+                assert_trace_identical(run, observed(run))
+            except AssertionError as exc:
+                raise AssertionError(f"{system}: {exc}") from None
         assert not obs.OBS.enabled  # leaves observability off
 
 
@@ -155,10 +227,10 @@ class TestOtherLayers:
         from repro.ha.replicated import HighlyAvailableProxy
 
         config = WaffleConfig.paper_defaults(n=128, seed=5)
-        proxy = _build_proxy(config, KeyChain.from_seed(5))
+        proxy = build_proxy(config, KeyChain.from_seed(5))
         with obs.capture() as handle:
             ha = HighlyAvailableProxy(proxy)
-            for batch in _request_stream(config, 2, 5):
+            for batch in request_stream(config, 2, 5):
                 ha.handle_batch(batch)
             ha.fail_over()
         counters = handle.registry.snapshot()["counters"]
@@ -213,8 +285,8 @@ class TestExporters:
 
         config = WaffleConfig.paper_defaults(n=128, seed=3)
         with obs.capture() as handle:
-            proxy = _build_proxy(config, KeyChain.from_seed(3))
-            for batch in _request_stream(config, 3, 3):
+            proxy = build_proxy(config, KeyChain.from_seed(3))
+            for batch in request_stream(config, 3, 3):
                 proxy.handle_batch(batch)
             monitor = AlphaMonitor(alpha_budget=50, window_rounds=2)
             text = render_dashboard(handle.registry, monitor=monitor)

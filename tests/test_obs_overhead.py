@@ -21,7 +21,7 @@ from repro import obs
 from repro.core.config import WaffleConfig
 from repro.crypto.keys import KeyChain
 from repro.obs.trace import NULL_SPAN
-from repro.sim.perf import _build_proxy, _request_stream
+from repro.testing.identity import build_proxy, request_stream
 
 
 def test_disabled_span_is_shared_singleton():
@@ -36,8 +36,8 @@ def test_disabled_round_records_nothing():
     obs.enable()  # fresh registry/tracer...
     obs.disable()  # ...then off
     config = WaffleConfig.paper_defaults(n=256, seed=7)
-    proxy = _build_proxy(config, KeyChain.from_seed(7))
-    for batch in _request_stream(config, 3, 7):
+    proxy = build_proxy(config, KeyChain.from_seed(7))
+    for batch in request_stream(config, 3, 7):
         proxy.handle_batch(batch)
     assert len(obs.OBS.registry) == 0
     assert obs.OBS.tracer.records == []
@@ -64,9 +64,9 @@ def test_disabled_guard_overhead_under_three_percent():
     per_guard = (time.perf_counter() - start) / reps
 
     config = WaffleConfig.paper_defaults(n=512, seed=13)
-    proxy = _build_proxy(config, KeyChain.from_seed(13))
+    proxy = build_proxy(config, KeyChain.from_seed(13))
     best_round = float("inf")
-    for batch in _request_stream(config, 8, 13):
+    for batch in request_stream(config, 8, 13):
         t0 = time.perf_counter()
         proxy.handle_batch(batch)
         best_round = min(best_round, time.perf_counter() - t0)

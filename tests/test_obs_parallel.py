@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.config import WaffleConfig
 from repro.crypto.keys import KeyChain
 from repro.obs.delta import (
     TelemetryBuffer,
@@ -26,6 +27,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.parallel import PooledCipher, PooledPrf, WorkerPool
 from repro.parallel.worker import init_worker
+from repro.testing.identity import assert_trace_identical, seeded_run
 
 
 @pytest.fixture
@@ -152,12 +154,28 @@ class TestPooledTelemetry:
             if name == "parallel.worker.chunks.total")
         assert chunks_counted == len(worker_spans)
 
-    def test_pipe_transport_ships_telemetry_too(self):
-        with WorkerPool(2, min_batch=1, transport="pipe") as pipe_pool:
+    def test_observed_pooled_run_matches_unobserved_serial(self, pool):
+        """Worker-telemetry neutrality: per-chunk deltas piggybacking on
+        every response frame must leave the adversary trace and the
+        responses byte-identical to a serial, observability-off run —
+        and the telemetry must actually arrive, at least one
+        worker-labelled chunk per round."""
+        config = WaffleConfig(n=256, b=32, r=12, f_d=6, d=24, c=64,
+                              value_size=512, seed=31)
+        rounds = 6
+        pooled = seeded_run(config, rounds, pool=pool)
+
+        def run_observed():
             with obs.capture() as handle:
-                _pooled_derive(pipe_pool)
-        assert any(name == "parallel.worker.chunks.total"
-                   for name, _, _ in handle.registry)
+                digests = pooled()
+                chunks = [(dict(labels).get("worker"), metric.value)
+                          for name, labels, metric in handle.registry
+                          if name == "parallel.worker.chunks.total"]
+            assert sum(count for _, count in chunks) >= rounds
+            assert all(worker for worker, _ in chunks)
+            return digests
+
+        assert_trace_identical(seeded_run(config, rounds), run_observed)
 
     def test_encrypt_and_decrypt_paths_ship_telemetry(self, pool):
         chain = KeyChain.from_seed(6)

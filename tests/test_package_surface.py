@@ -43,7 +43,7 @@ class TestPackageSurface:
         "repro.sim", "repro.workloads", "repro.baselines",
         "repro.analysis", "repro.bench", "repro.ha", "repro.scaleout",
         "repro.net", "repro.cli", "repro.serve", "repro.serve.sharded",
-        "repro.testing",
+        "repro.testing", "repro.parallel", "repro.obs", "repro.lint",
     ])
     def test_subpackage_all_exports_resolve(self, module):
         mod = importlib.import_module(module)

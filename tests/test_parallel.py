@@ -4,9 +4,8 @@ The contract under test is DESIGN.md §10's determinism guarantee:
 parallel execution is a pure wall-clock optimization, byte-invisible on
 the adversary channel and in client responses.  Pooled kernels must
 produce exactly the inline kernels' output (including the AEAD rng
-stream), the pipelined store must present the serial operation order to
-the backend, shard-parallel partitions must match their serial twins,
-and checkpoints must reduce pooled wrappers back to plain kernels.
+stream), shard-parallel partitions must match their serial twins, and
+checkpoints must reduce pooled wrappers back to plain kernels.
 
 A single two-worker pool (``min_batch=1``, forcing even tiny batches
 through the chunked dispatch path) is shared module-wide: forking
@@ -17,18 +16,19 @@ exercises the key-agnostic worker cache across keychains.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pickle
 import random
 
 import pytest
 
 from repro import obs
+from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.crypto.aead import AuthenticatedCipher
 from repro.crypto.keys import KeyChain
 from repro.crypto.prf import Prf
 from repro.parallel import (
-    PipelinedStore,
     PooledCipher,
     PooledPrf,
     WorkerPool,
@@ -36,13 +36,14 @@ from repro.parallel import (
     detach_pool,
 )
 from repro.parallel.worker import pack_frames, unpack_frames
-from repro.sim.perf import (
-    _build_proxy,
-    _request_stream,
-    _trace_digest,
-    compare_shard_traces,
+from repro.scaleout.partitioned import PartitionedWaffle
+from repro.testing.identity import (
+    assert_trace_identical,
+    build_proxy,
+    seeded_run,
+    trace_digest,
 )
-from repro.storage.memory import InMemoryStore
+from repro.workloads.trace import Operation
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +52,49 @@ def pool():
         yield shared
 
 
-def _run_rounds(proxy, rounds: int = 3, seed: int = 11) -> str:
-    responses = hashlib.sha256()
-    config = proxy.config
-    for batch in _request_stream(config, rounds, seed):
-        for resp in proxy.handle_batch(batch):
-            responses.update(resp.key.encode() + b"\x00" + resp.value)
-    return responses.hexdigest()
-
-
 def _small_config(seed: int = 11) -> WaffleConfig:
     return WaffleConfig(n=96, b=16, r=6, f_d=3, d=12, c=24,
                         value_size=128, seed=seed)
+
+
+def _shard_run(shard_workers: int, partitions: int = 2,
+               n_per_partition: int = 96, rounds: int = 3, seed: int = 13):
+    """A zero-argument run for :func:`assert_trace_identical` over a
+    ``PartitionedWaffle``: the trace half of the pair is the
+    per-partition digests, in partition order."""
+    config = WaffleConfig.paper_defaults(n=n_per_partition, seed=seed)
+    keys = PartitionedWaffle.plan_partitions(
+        (f"user{i:08d}" for i in range(64 * n_per_partition)),
+        n_per_partition, partitions, master_seed=seed)
+    items = {key: f"value-of-{key}".encode().ljust(64, b".") for key in keys}
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(rounds):
+        batch = []
+        for _ in range(partitions * config.r):
+            key = keys[rng.randrange(len(keys))]
+            if rng.random() < 0.3:
+                batch.append(ClientRequest(
+                    op=Operation.WRITE, key=key,
+                    value=b"write-%06d" % rng.randrange(10**6)))
+            else:
+                batch.append(ClientRequest(op=Operation.READ, key=key))
+        batches.append(batch)
+
+    def run():
+        store = PartitionedWaffle(config, items, partitions,
+                                  master_seed=seed, record=True,
+                                  shard_workers=shard_workers)
+        try:
+            responses = hashlib.sha256()
+            for resp in itertools.chain.from_iterable(
+                    store.execute_batch(batch) for batch in batches):
+                responses.update(resp.key.encode() + b"\x00" + resp.value)
+            return ([trace_digest(part.recorder.records)
+                     for part in store.stores], responses.hexdigest())
+        finally:
+            store.close()
+    return run
 
 
 class TestFrames:
@@ -142,7 +174,7 @@ class TestPooledKernels:
 
 class TestAttachDetach:
     def test_attach_is_idempotent(self, pool):
-        proxy = _build_proxy(_small_config(), KeyChain.from_seed(11))
+        proxy = build_proxy(_small_config(), KeyChain.from_seed(11))
         plain_prf = proxy.keychain.prf
         plain_cipher = proxy.keychain.cipher
         attach_pool(proxy, pool)
@@ -175,84 +207,22 @@ class TestAttachDetach:
 class TestEndToEndDeterminism:
     def test_proxy_rounds_identical_across_worker_counts(self, pool):
         config = _small_config()
-        serial = _build_proxy(config, KeyChain.from_seed(11), record=True)
-        serial_responses = _run_rounds(serial)
-        pooled = _build_proxy(config, KeyChain.from_seed(11), record=True)
-        attach_pool(pooled, pool)
-        pooled_responses = _run_rounds(pooled)
-        assert pooled_responses == serial_responses
-        assert _trace_digest(pooled.store.records) == \
-            _trace_digest(serial.store.records)
+        assert_trace_identical(seeded_run(config, 3),
+                               seeded_run(config, 3, pool=pool))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_forced_offload_identical_at_every_worker_count(self, workers):
+        # min_batch=1 forces every kernel call through the pool, so even
+        # the small plan-phase PRF batches cross the chunked dispatch path.
+        config = WaffleConfig(n=256, b=32, r=12, f_d=6, d=24, c=64,
+                              value_size=512, seed=31)
+        with WorkerPool(workers, min_batch=1) as forced:
+            assert_trace_identical(seeded_run(config, 6),
+                                   seeded_run(config, 6, pool=forced))
 
     def test_shard_parallel_matches_serial(self):
-        report = compare_shard_traces(partitions=2, shard_workers=2,
-                                      n_per_partition=96, rounds=3)
-        assert report["identical"], report
-
-
-class TestPipelinedStore:
-    def test_trace_identical_to_serial(self):
-        config = _small_config(seed=17)
-        serial = _build_proxy(config, KeyChain.from_seed(17), record=True)
-        serial_responses = _run_rounds(serial, seed=17)
-
-        pipelined = _build_proxy(config, KeyChain.from_seed(17), record=True)
-        recorder = pipelined.store
-        wrapper = PipelinedStore(recorder)
-        pipelined.store = wrapper
-        try:
-            pipelined_responses = _run_rounds(pipelined, seed=17)
-        finally:
-            wrapper.close()
-        assert pipelined_responses == serial_responses
-        assert _trace_digest(recorder.records) == \
-            _trace_digest(serial.store.records)
-
-    def test_error_surfaces_at_barrier(self):
-        class FailingStore(InMemoryStore):
-            def commit_round(self, deletes, puts):
-                raise RuntimeError("server rejected the round")
-
-        store = PipelinedStore(FailingStore())
-        store.commit_round(["id1"], [("id2", b"blob")])
-        with pytest.raises(RuntimeError, match="rejected"):
-            store.barrier()
-        store.close()
-
-    def test_error_surfaces_at_close(self):
-        class FailingStore(InMemoryStore):
-            def commit_round(self, deletes, puts):
-                raise RuntimeError("late failure")
-
-        store = PipelinedStore(FailingStore())
-        store.commit_round([], [])
-        with pytest.raises(RuntimeError, match="late failure"):
-            store.close()
-
-    def test_reads_wait_for_inflight_commits(self):
-        inner = InMemoryStore()
-        store = PipelinedStore(inner)
-        try:
-            store.commit_round([], [("id1", b"payload")])
-            # multi_get barriers first, so the commit must be visible.
-            assert store.multi_get(["id1"]) == [b"payload"]
-            assert "id1" in store
-            assert len(store) == 1
-        finally:
-            store.close()
-
-    def test_rejects_use_after_close(self):
-        store = PipelinedStore(InMemoryStore())
-        store.close()
-        store.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            store.commit_round([], [])
-        with pytest.raises(RuntimeError):
-            store.next_round()
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            PipelinedStore(InMemoryStore(), depth=0)
+        assert_trace_identical(_shard_run(shard_workers=1),
+                               _shard_run(shard_workers=2))
 
 
 class TestObservability:
@@ -272,10 +242,6 @@ class TestObservability:
         before = len(list(obs.OBS.registry))
         prf = PooledPrf(Prf(b"obs-secret-2"), pool)
         prf.derive_many([("k%d" % i, i) for i in range(40)])
-        store = PipelinedStore(InMemoryStore())
-        store.commit_round([], [])
-        store.barrier()
-        store.close()
         assert len(list(obs.OBS.registry)) == before
 
     def test_dashboard_renders_parallel_section(self, pool):

@@ -155,20 +155,15 @@ def _derive_frames(count: int) -> list[bytes]:
 class TestShmTransport:
     MATERIAL = (b"prf", b"pure", b"shm-transport-secret")
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            WorkerPool(2, transport="carrier-pigeon")
-
-    def test_shm_matches_pipe_and_inline(self):
+    def test_shm_matches_inline(self):
         frames = _derive_frames(100)
         oracle = Prf(self.MATERIAL[2])
         expected = [
             oracle.derive_bytes(frame).hex()[:32].encode("ascii")
             for frame in frames
         ]
-        for transport in ("shm", "pipe"):
-            with WorkerPool(2, min_batch=1, transport=transport) as pool:
-                assert pool.run("derive", self.MATERIAL, frames) == expected
+        with WorkerPool(2, min_batch=1) as pool:
+            assert pool.run("derive", self.MATERIAL, frames) == expected
 
     def test_steady_state_allocates_nothing(self):
         """After the first round, chunk traffic rides the free-list."""

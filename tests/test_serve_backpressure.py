@@ -21,7 +21,7 @@ from repro.crypto.keys import KeyChain
 from repro.errors import OverloadedError, is_retryable
 from repro.seeding import seeded_rng
 from repro.serve import AsyncFrontend, OnFillPolicy
-from repro.sim.perf import _trace_digest
+from repro.testing.identity import trace_digest
 from repro.workloads.ycsb import key_name
 
 
@@ -143,8 +143,8 @@ class TestTraceNeutrality:
 
         for batch in partitions:
             serial.execute_batch(batch)
-        assert _trace_digest(concurrent.recorder.records) == \
-            _trace_digest(serial.recorder.records)
+        assert trace_digest(concurrent.recorder.records) == \
+            trace_digest(serial.recorder.records)
 
     def test_shed_requests_never_reach_storage(self):
         """Record count is a function of rounds executed, not offered load."""

@@ -23,7 +23,7 @@ from repro.serve import (
     OnFillPolicy,
     ServeServer,
 )
-from repro.sim.perf import _trace_digest
+from repro.testing.identity import trace_digest
 from repro.workloads.ycsb import key_name
 
 
@@ -75,8 +75,8 @@ class TestFanInEquivalence:
             for req, value in zip(batch, chunk)
         }
         assert concurrent_values == serial_values
-        assert _trace_digest(concurrent.recorder.records) == \
-            _trace_digest(serial.recorder.records)
+        assert trace_digest(concurrent.recorder.records) == \
+            trace_digest(serial.recorder.records)
 
     def test_mixed_read_write_fan_in_matches_serial(self):
         concurrent = _twin_datastore()
@@ -113,8 +113,8 @@ class TestFanInEquivalence:
 
         for batch in partitions:
             serial.execute_batch(batch)
-        assert _trace_digest(concurrent.recorder.records) == \
-            _trace_digest(serial.recorder.records)
+        assert trace_digest(concurrent.recorder.records) == \
+            trace_digest(serial.recorder.records)
 
     def test_interleaved_tcp_clients_match_serial(self):
         """Full stack: many sockets, one coalesced trace, twin-equal."""
@@ -151,8 +151,8 @@ class TestFanInEquivalence:
                               for i in range(6)]
         for batch in partitions:
             serial.execute_batch(batch)
-        assert _trace_digest(concurrent.recorder.records) == \
-            _trace_digest(serial.recorder.records)
+        assert trace_digest(concurrent.recorder.records) == \
+            trace_digest(serial.recorder.records)
 
 
 class TestDegenerateClients:
@@ -259,5 +259,5 @@ class TestDegenerateClients:
         assert [len(batch) for batch in partitions] == [2]
         for batch in partitions:
             serial.execute_batch(batch)
-        assert _trace_digest(concurrent.recorder.records) == \
-            _trace_digest(serial.recorder.records)
+        assert trace_digest(concurrent.recorder.records) == \
+            trace_digest(serial.recorder.records)

@@ -40,7 +40,7 @@ from repro.serve.policy import (
     MaxWaitPolicy,
     make_policy,
 )
-from repro.sim.perf import _trace_digest
+from repro.testing.identity import trace_digest
 from repro.testing.episodes import chaos_config
 
 PARTITIONS = 2
@@ -96,8 +96,8 @@ class TestFanInEquivalence:
             for batch in rounds:
                 twin.stores[index].execute_batch(batch)
         for index in range(PARTITIONS):
-            assert _trace_digest(live.stores[index].recorder.records) == \
-                _trace_digest(twin.stores[index].recorder.records)
+            assert trace_digest(live.stores[index].recorder.records) == \
+                trace_digest(twin.stores[index].recorder.records)
 
     def test_mixed_read_write_fan_in_matches_serial_twin(self):
         _, keys, items, live = _twin_store(record=True, log_ids=True)
@@ -128,8 +128,8 @@ class TestFanInEquivalence:
             for batch in rounds:
                 twin.stores[index].execute_batch(batch)
         for index in range(PARTITIONS):
-            assert _trace_digest(live.stores[index].recorder.records) == \
-                _trace_digest(twin.stores[index].recorder.records)
+            assert trace_digest(live.stores[index].recorder.records) == \
+                trace_digest(twin.stores[index].recorder.records)
 
     def test_requests_route_to_owning_partition(self):
         _, keys, _, store = _twin_store()

@@ -1,4 +1,5 @@
-"""Literal known-answer pin for the adversary-visible trace.
+"""Literal known-answer pin for the adversary-visible trace, plus the
+kernel-independence check and the identity helper's own failure mode.
 
 Every other identity test compares two live twins (serial vs pooled,
 observability off vs on, ...), so a change that moved *both* sides would
@@ -9,11 +10,11 @@ refactor of the proxy, the kernels or the stores.
 
 from __future__ import annotations
 
-import hashlib
+import pytest
 
 from repro.core.config import WaffleConfig
-from repro.crypto.keys import KeyChain
-from repro.sim.perf import _build_proxy, _request_stream, _trace_digest
+from repro.testing.identity import assert_trace_identical, seeded_run
+from repro.testing.reference import scalar_keychain
 
 # The crypto-heavy multi-core round shape: N=1024, B=128, R=51, 4 KiB.
 PINNED_CONFIG = WaffleConfig(n=1024, b=128, r=51, f_d=25, d=100, c=256,
@@ -26,11 +27,21 @@ PINNED_RESPONSES = \
 
 
 def test_serial_run_reproduces_pinned_digests():
-    seed = PINNED_CONFIG.seed
-    proxy = _build_proxy(PINNED_CONFIG, KeyChain.from_seed(seed), record=True)
-    responses = hashlib.sha256()
-    for batch in _request_stream(PINNED_CONFIG, PINNED_ROUNDS, seed):
-        for resp in proxy.handle_batch(batch):
-            responses.update(resp.key.encode() + b"\x00" + resp.value)
-    assert _trace_digest(proxy.store.records) == PINNED_TRACE
-    assert responses.hexdigest() == PINNED_RESPONSES
+    trace, responses = seeded_run(PINNED_CONFIG, PINNED_ROUNDS)()
+    assert trace == PINNED_TRACE
+    assert responses == PINNED_RESPONSES
+
+
+def test_adversary_view_is_kernel_independent():
+    """Scalar and batched kernels must be indistinguishable to the
+    server: identical access traces and identical client responses on a
+    fixed-seed workload."""
+    config = WaffleConfig.paper_defaults(n=256, seed=5)
+    assert_trace_identical(seeded_run(config, 8, keychain=scalar_keychain),
+                           seeded_run(config, 8))
+
+
+def test_helper_rejects_divergent_runs():
+    with pytest.raises(AssertionError, match="diverged"):
+        assert_trace_identical(lambda: ("trace-a", "same"),
+                               lambda: ("trace-b", "same"))
