@@ -10,16 +10,18 @@ allocation stay out of the figure, then times ``ROUNDS`` rounds; serial
 and pooled runs alternate and the reported speedup is the median of the
 per-pair ratios.
 
-Two families of assertion:
+One assertion, one reading:
 
-* **Byte identity** (unconditional, any machine): every pooled run must
-  reproduce the serial run's adversary trace and response digests.
-  Parallelism must be invisible to the adversary.
-* **Speedup** (gated on ``os.cpu_count()``): 2 workers must not lose to
-  serial (>= 1.0x) at B=250 on a machine with >= 2 cores — ROADMAP's
-  keep-or-delete line for the pool.  The 4-worker point is measured only
-  where >= 4 cores exist.  A cell the hardware cannot express is a loud
-  SKIPPED line (and ``pytest.skip`` under pytest) — never a silent pass.
+* **Byte identity** (asserted, unconditional, any machine): every pooled
+  run must reproduce the serial run's adversary trace and response
+  digests.  Parallelism must be invisible to the adversary.
+* **Pooled / serial ratio** (printed, never asserted): each row carries
+  its ratio and a verdict against ROADMAP's 1.0x keep-or-delete line —
+  ``BELOW KEEP LINE`` when the pool loses to serial.  The verdict feeds
+  the measure-or-delete audit; a slow pool is a finding, not a broken
+  build.  The 4-worker point is measured only where >= 4 cores exist,
+  and a cell the hardware cannot express is a loud SKIPPED line (and
+  ``pytest.skip`` under pytest) — never a silent pass.
 
 Run standalone (``python benchmarks/bench_parallel.py``, prints only) or
 through pytest-benchmark like the other benchmarks (which also publishes
@@ -50,7 +52,7 @@ VALUE_SIZE = 4096
 BATCH_SIZES = (128, 250)
 ROUNDS = 100
 PAIRS = 5
-GATED_B = 250
+KEEP_LINE = 1.0
 
 
 def round_config(b: int) -> WaffleConfig:
@@ -125,37 +127,33 @@ def _render(report: dict) -> str:
         f"median of {PAIRS} alternating pairs",
         "",
         f"{'B':>5} {'workers':>7} {'serial r/s':>11} {'pooled r/s':>11} "
-        f"{'speedup':>8}",
+        f"{'ratio':>8}  verdict (keep line {KEEP_LINE:.1f}x)",
     ]
     for b, shape in report["shapes"].items():
         for workers, row in shape["workers"].items():
-            # A speedup the hardware could not express is not a number.
-            speedup = (f"{row['speedup']:.2f}x"
-                       if report["cpu_count"] >= workers else "n/a")
+            # A ratio the hardware could not express is not a number.
+            if report["cpu_count"] < workers:
+                ratio, verdict = "n/a", "not measurable here"
+            else:
+                ratio = f"{row['speedup']:.2f}x"
+                verdict = ("above keep line" if row["speedup"] >= KEEP_LINE
+                           else "BELOW KEEP LINE")
             lines.append(
                 f"{b:>5} {workers:>7} {row['serial_rounds_per_sec']:>11.2f} "
-                f"{row['pooled_rounds_per_sec']:>11.2f} {speedup:>8}")
+                f"{row['pooled_rounds_per_sec']:>11.2f} {ratio:>8}  {verdict}")
     lines += ["", "byte identity (adversary trace + responses), every "
                   "pooled run vs its serial twin: IDENTICAL"]
     return "\n".join(lines)
 
 
-def _check(report: dict) -> list[str]:
-    """The speedup gate, shared by pytest and standalone runs (identity
-    was already asserted, unconditionally, inside :func:`run`).
-
-    Cells the hardware cannot express come back as skip reasons for the
-    caller to surface loudly, so an undersized runner can never silently
-    pass.
-    """
+def _unmeasurable(report: dict) -> list[str]:
+    """Cells this machine cannot express (identity was already asserted,
+    unconditionally, inside :func:`run`), for the caller to surface
+    loudly so an undersized runner never passes for a measurement."""
     cores = report["cpu_count"]
     if cores < 2:
-        return [f"2-worker >= 1.0x gate at B={GATED_B} needs >= 2 cores, "
-                f"machine has {cores}: byte identity verified, speedup not"]
-    speedup = report["shapes"][GATED_B]["workers"][2]["speedup"]
-    assert speedup >= 1.0, (
-        f"2 workers on {cores} cores at B={GATED_B}: {speedup:.2f}x < 1.0x "
-        f"— the pool loses to serial (ROADMAP: delete it)")
+        return [f"the 2-worker ratio needs >= 2 cores, machine has "
+                f"{cores}: byte identity verified, ratio not"]
     if cores < 4:
         return [f"4-worker point needs >= 4 cores, machine has {cores}"]
     return []
@@ -167,7 +165,7 @@ def test_parallel_rounds(benchmark):
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_result("parallel", _render(report), data=report)
-    skipped = _check(report)
+    skipped = _unmeasurable(report)
     if skipped:
         pytest.skip("; ".join(skipped))
 
@@ -175,7 +173,7 @@ def test_parallel_rounds(benchmark):
 def main() -> int:
     report = run()
     print(_render(report))
-    for reason in _check(report):
+    for reason in _unmeasurable(report):
         print(f"SKIPPED: {reason}")
     return 0
 

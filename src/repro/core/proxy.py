@@ -119,8 +119,7 @@ class WaffleProxy:
                  log_ids: bool = False) -> None:
         self.config = config
         self.store = store
-        self.keychain = keychain if keychain is not None else KeyChain(
-            backend=config.crypto_backend)
+        self.keychain = keychain if keychain is not None else KeyChain()
         self._rng = random.Random(config.seed)
         self.cache = LruCache(config.c)
         self.ts = 0

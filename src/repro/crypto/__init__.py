@@ -3,29 +3,16 @@
 Waffle (§3.1) encodes every plaintext key ``k`` as ``prf(k, ts_k)`` — a
 pseudo-random function of the key and its current access timestamp — and
 encrypts values with an authenticated symmetric scheme ``E(v)``.  This
-package provides both primitives using only the standard library
-(:mod:`hashlib`/:mod:`hmac`), which keeps the reproduction dependency-free
-while preserving the properties the protocol relies on: determinism of the
-PRF, pseudo-randomness across distinct inputs, and tamper detection for
+package provides one implementation of each, built on the standard
+library's :mod:`hashlib`/:mod:`hmac` (HMAC-SHA256 ids; SHAKE-256
+keystream + HMAC-SHA256 encrypt-then-MAC values), preserving the
+properties the protocol relies on: determinism of the PRF,
+pseudo-randomness across distinct inputs, and tamper detection for
 ciphertexts.
 """
 
 from repro.crypto.aead import AuthenticatedCipher
-from repro.crypto.backend import (
-    available_backend_names,
-    backend_names,
-    get_backend,
-    resolve_backend_name,
-)
 from repro.crypto.keys import KeyChain
 from repro.crypto.prf import Prf
 
-__all__ = [
-    "AuthenticatedCipher",
-    "KeyChain",
-    "Prf",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
-    "resolve_backend_name",
-]
+__all__ = ["AuthenticatedCipher", "KeyChain", "Prf"]

@@ -1,35 +1,45 @@
 """Authenticated encryption built from the standard library.
 
-The environment offers no third-party crypto package, so we construct an
-encrypt-then-MAC scheme from SHA-256:
+An encrypt-then-MAC scheme over :mod:`hashlib` primitives — chosen over
+a wheel-provided AEAD because importing one grows the serving process's
+resident set past the benchmark's memory bound (ROADMAP, data-plane
+item), so the speed has to come from what the interpreter already loads:
 
-* confidentiality: a per-message random nonce seeds a SHA-256 keystream
-  (CTR-style: ``SHA256(enc_key || nonce || counter)``) XOR-ed with the
-  plaintext;
+* confidentiality: a per-message random nonce seeds a SHAKE-256
+  extendable-output keystream (``SHAKE256(enc_key || nonce)`` squeezed to
+  the plaintext length) XOR-ed with the plaintext;
 * integrity: HMAC-SHA256 under an independent MAC key over
-  ``nonce || ciphertext``; verification is constant-time.
+  ``scheme label || nonce || ciphertext``; verification is constant-time
+  and happens before any keystream is produced.
 
-This is the classical encrypt-then-MAC composition and gives exactly the
-interface and properties Waffle's proxy needs from ``E(v)`` (§3.1):
-randomized ciphertexts (re-encrypting the same value yields a fresh
-ciphertext, so written-back objects are unlinkable) and tamper detection.
-Ciphertext length depends only on plaintext length, matching the paper's
+Blob layout is ``nonce(16) || body || tag(32)``.  This is the classical
+encrypt-then-MAC composition and gives exactly the interface and
+properties Waffle's proxy needs from ``E(v)`` (§3.1): randomized
+ciphertexts (re-encrypting the same value yields a fresh ciphertext, so
+written-back objects are unlinkable) and tamper detection.  Ciphertext
+length depends only on plaintext length, matching the paper's
 equal-length-values assumption.
 
 Hot path: every batch round encrypts and decrypts ``~B`` values of
-``value_size`` bytes, so the kernels avoid per-byte Python:
+``value_size`` bytes, so each object costs a fixed handful of C calls
+whatever its length:
 
-* the keystream XOR is one big-int XOR (``int.from_bytes ^ int.from_bytes``)
-  instead of a byte-at-a-time generator;
-* the keystream's ``enc_key`` prefix is absorbed into a SHA-256 state once
-  per cipher and the ``enc_key || nonce`` prefix once per message, with
-  ``.copy()`` per counter block;
-* the MAC's keyed state is precomputed once and ``.copy()``-ed per message.
+* the whole keystream is one ``digest(length)`` squeeze of a SHAKE-256
+  state that absorbed ``enc_key`` once per cipher (``.copy()`` +
+  ``update(nonce)`` per message);
+* the XOR is one numpy (or, for short values, big-int) operation, in
+  64-bit lanes so that it does not hand the GIL to a serving frontend's
+  event-loop thread once per object;
+* the MAC's keyed state — with the scheme label already absorbed — is
+  precomputed once and ``.copy()``-ed per message.
 
-All three transformations are bit-compatible with the naive forms (pinned
-by the known-answer tests), so ciphertexts written by older builds still
-decrypt.  :meth:`encrypt_many`/:meth:`decrypt_many` amortize per-call
-dispatch across a whole batch.
+These are bit-compatible with the naive forms in
+:class:`repro.testing.reference.ScalarCipher` (pinned by the
+known-answer tests).  The scheme label in the MAC input makes blobs
+sealed by the earlier SHA256-CTR keystream fail authentication instead
+of decrypting to garbage under restored keys.
+:meth:`encrypt_many`/:meth:`decrypt_many` amortize per-call dispatch
+across a whole batch.
 """
 
 from __future__ import annotations
@@ -58,33 +68,37 @@ class RandomSource(Protocol):
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
-_BLOCK_LEN = 32  # SHA-256 output size drives the keystream block size
+
+#: Absorbed into the keyed MAC state ahead of every message: a blob
+#: sealed under another keystream construction must not authenticate.
+_SCHEME_LABEL = b"repro.aead/shake256\x00"
 
 #: Big-int XOR wins below this length (numpy's fixed call overhead), the
 #: vectorized byte XOR above it.
 _NP_XOR_CUTOFF = 128
 
-#: Lazily grown table of pre-encoded keystream counters (shared: counter
-#: encoding is key/nonce independent).
-_COUNTER_BYTES: list[bytes] = [i.to_bytes(8, "big") for i in range(64)]
-
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """XOR two equal-length byte strings without a per-byte Python loop."""
     if _np is not None and len(data) >= _NP_XOR_CUTOFF:
+        # 64-bit lanes where the length allows, for the sake of the
+        # thread next door, not of speed: numpy drops the GIL around any
+        # element-wise loop over more than 500 elements, which in byte
+        # lanes is every value past 500 bytes.  Under repro.serve each
+        # drop wakes the event-loop thread waiting for the GIL on another
+        # CPU: 2B futile wake-ups a round, ~10k context switches a
+        # second, for a microsecond of XOR.  In 64-bit lanes a value
+        # under 4000 bytes stays below that count and the round thread
+        # keeps the GIL until the interpreter's switch interval says
+        # otherwise, as it does everywhere else in the round.
+        lane = _np.uint8 if len(data) & 7 else _np.uint64
         return (
-            _np.frombuffer(data, dtype=_np.uint8)
-            ^ _np.frombuffer(stream, dtype=_np.uint8)
+            _np.frombuffer(data, dtype=lane)
+            ^ _np.frombuffer(stream, dtype=lane)
         ).tobytes()
     return (
         int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     ).to_bytes(len(data), "big")
-
-
-def _counters(count: int) -> list[bytes]:
-    while len(_COUNTER_BYTES) < count:
-        _COUNTER_BYTES.append(len(_COUNTER_BYTES).to_bytes(8, "big"))
-    return _COUNTER_BYTES[:count]
 
 
 class AuthenticatedCipher:
@@ -103,8 +117,8 @@ class AuthenticatedCipher:
 
     __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_stream_root", "_mac_keyed")
 
-    #: Registry name of the implementation (native subclasses override;
-    #: see :mod:`repro.crypto.backend`).  All backends are byte-identical.
+    #: Name the wall-clock benchmark records for the implementation it
+    #: measured; there is exactly one.
     backend_name = "pure"
 
     def __init__(self, enc_key: bytes, mac_key: bytes,
@@ -116,10 +130,15 @@ class AuthenticatedCipher:
         self._enc_key = bytes(enc_key)
         self._mac_key = bytes(mac_key)
         self._randbytes = rng.randbytes if rng is not None else os.urandom
-        # SHA-256 state with enc_key already absorbed; copied per message.
-        self._stream_root = hashlib.sha256(self._enc_key)
-        # Keyed-but-empty HMAC state; copied per message (skips re-keying).
-        self._mac_keyed = hmac.new(self._mac_key, None, hashlib.sha256)
+        self._init_states()
+
+    def _init_states(self) -> None:
+        # SHAKE-256 state with enc_key already absorbed; copied per message.
+        self._stream_root = hashlib.shake_256(self._enc_key)
+        # Keyed HMAC state holding the scheme label; copied per message
+        # (skips re-keying, and the label costs nothing per message).
+        self._mac_keyed = hmac.new(self._mac_key, _SCHEME_LABEL,
+                                   hashlib.sha256)
 
     def __getstate__(self) -> tuple[bytes, bytes, Callable[[int], bytes]]:
         # The cached digest states are C objects and cannot pickle; the
@@ -129,23 +148,12 @@ class AuthenticatedCipher:
     def __setstate__(self, state: tuple[bytes, bytes,
                                         Callable[[int], bytes]]) -> None:
         self._enc_key, self._mac_key, self._randbytes = state
-        self._stream_root = hashlib.sha256(self._enc_key)
-        self._mac_keyed = hmac.new(self._mac_key, None, hashlib.sha256)
+        self._init_states()
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        if length <= 0:
-            return b""
-        prefix = self._stream_root.copy()
-        prefix.update(nonce)
-        copy = prefix.copy
-        blocks = []
-        append = blocks.append
-        for counter in _counters((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
-            block = copy()
-            block.update(counter)
-            append(block.digest())
-        stream = b"".join(blocks)
-        return stream if len(stream) == length else stream[:length]
+        stream = self._stream_root.copy()
+        stream.update(nonce)
+        return stream.digest(length)
 
     def _tag(self, nonce: bytes, body: bytes) -> bytes:
         mac = self._mac_keyed.copy()

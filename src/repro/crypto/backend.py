@@ -1,453 +1,14 @@
-"""Pluggable crypto backends behind the ``Prf``/``AuthenticatedCipher`` surface.
+"""The names the wall-clock benchmark records the crypto kernels under.
 
-The kernel interface the rest of the system consumes is fixed:
-HMAC-SHA256 storage-id derivation (:class:`~repro.crypto.prf.Prf`) and the
-SHA256-CTR + HMAC-SHA256 encrypt-then-MAC value cipher
-(:class:`~repro.crypto.aead.AuthenticatedCipher`).  This module makes the
-*implementation* of those kernels pluggable: a registry of named backends
-each producing kernels that are **byte-identical** to the pure-Python
-reference — same storage ids, same ciphertext layout, same tag-failure
-behaviour — so swapping a backend can never perturb the adversary-visible
-trace, stored ciphertexts, or checkpoint replay.
-
-Three backends:
-
-* ``pure`` — the :mod:`hashlib`/:mod:`hmac` implementation that has been
-  here since the seed.  Always available; it is the reference oracle the
-  known-answer parity tests hold every other backend to.
-* ``openssl`` — the same scheme computed through the ``cryptography``
-  package's OpenSSL EVP primitives (the pattern of SNIPPETS.md Snippet 1,
-  which seals external-store records with a wheel-provided AEAD rather
-  than hand-rolled Python).
-* ``nacl`` — the same scheme over PyNaCl's libsodium SHA-256 binding,
-  with HMAC built from the standard ipad/opad construction (libsodium's
-  ``crypto_auth`` is keyed differently, so composing from the bare hash
-  is what keeps the bytes identical).
-
-Because CPython's ``hashlib`` is itself OpenSSL-backed, the native
-backends buy pluggability and an escape hatch for environments with
-hardware-accelerated providers more than a guaranteed speedup; the
-benchmark suite labels every run with its backend so the claim stays
-measured, never assumed.
-
-Selection: :func:`get_backend` resolves an explicit name, else the
-``REPRO_CRYPTO_BACKEND`` environment variable, else ``pure``.  ``auto``
-picks the first available of ``openssl``, ``nacl``, ``pure``.  A known
-backend whose wheel is absent falls back to ``pure`` (byte-identical, so
-always safe) with a warning and a ``crypto.backend.fallbacks.total``
-metric; pass ``strict=True`` to raise instead.  Native imports live only
-in this module — oblint's OBL305 keeps them out of every other layer.
+There is one implementation of the PRF and of the value cipher
+(:mod:`repro.crypto.prf`, :mod:`repro.crypto.aead`).  ``benchmarks/e2e``
+stamps every result with ``AuthenticatedCipher.backend_name`` and
+refuses to measure anything but :data:`DEFAULT_BACKEND`; :data:`ENV_VAR`
+is the variable it clears from child environments.  Nothing reads the
+variable any more.
 """
 
-from __future__ import annotations
-
-import os
-import threading
-import warnings
-from typing import Callable, Iterable
-
-from repro.crypto.aead import AuthenticatedCipher, RandomSource
-from repro.crypto.aead import _counters as _keystream_counters
-from repro.crypto.prf import _DIGEST_HEX_LEN, Prf
-from repro.errors import ConfigurationError
-from repro.obs import OBS
-
-__all__ = [
-    "AUTO_BACKEND",
-    "CryptoBackend",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
-    "make_cipher",
-    "make_prf",
-    "resolve_backend_name",
-]
-
-#: Environment variable consulted when no explicit backend is requested.
-ENV_VAR = "REPRO_CRYPTO_BACKEND"
+__all__ = ["DEFAULT_BACKEND", "ENV_VAR"]
 
 DEFAULT_BACKEND = "pure"
-AUTO_BACKEND = "auto"
-
-#: Registry order; ``auto`` prefers native backends over ``pure``.
-_NAMES: tuple[str, ...] = ("pure", "nacl", "openssl")
-_AUTO_ORDER: tuple[str, ...] = ("openssl", "nacl", "pure")
-
-_SHA256_BLOCK = 64
-
-
-class CryptoBackend:
-    """One registered backend: named factories for the two kernels.
-
-    Instances are immutable descriptors; ``available`` is probed once at
-    first lookup (import success of the native wheel) and cached.
-    """
-
-    __slots__ = ("name", "available", "reason", "_prf", "_cipher")
-
-    def __init__(self, name: str, available: bool, reason: str | None,
-                 prf: Callable[[bytes], Prf] | None,
-                 cipher: Callable[[bytes, bytes, RandomSource | None],
-                                  AuthenticatedCipher] | None) -> None:
-        self.name = name
-        self.available = available
-        self.reason = reason
-        self._prf = prf
-        self._cipher = cipher
-
-    def make_prf(self, secret: bytes) -> Prf:
-        """Construct this backend's PRF kernel (byte-identical to pure)."""
-        if self._prf is None:
-            raise ConfigurationError(
-                f"crypto backend {self.name!r} unavailable: {self.reason}")
-        return self._prf(secret)
-
-    def make_cipher(self, enc_key: bytes, mac_key: bytes,
-                    rng: RandomSource | None = None) -> AuthenticatedCipher:
-        """Construct this backend's AEAD kernel (byte-identical to pure)."""
-        if self._cipher is None:
-            raise ConfigurationError(
-                f"crypto backend {self.name!r} unavailable: {self.reason}")
-        return self._cipher(enc_key, mac_key, rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "available" if self.available else f"unavailable: {self.reason}"
-        return f"CryptoBackend({self.name!r}, {state})"
-
-
-# ----------------------------------------------------------------------
-# module-level factories (the kernels' __reduce__ targets: a checkpoint
-# taken with a native backend must restore on a box without the wheel,
-# falling back to the byte-identical pure kernel)
-# ----------------------------------------------------------------------
-def make_prf(backend: str, secret: bytes) -> Prf:
-    """Build ``backend``'s PRF, falling back to ``pure`` if absent."""
-    return get_backend(backend).make_prf(secret)
-
-
-def make_cipher(backend: str, enc_key: bytes, mac_key: bytes,
-                randbytes: Callable[[int], bytes] | None = None
-                ) -> AuthenticatedCipher:
-    """Build ``backend``'s cipher, falling back to ``pure`` if absent.
-
-    ``randbytes`` restores the nonce source captured by ``__getstate__``
-    (checkpoint round-trips must keep consuming the same rng stream).
-    """
-    cipher = get_backend(backend).make_cipher(enc_key, mac_key, rng=None)
-    if randbytes is not None:
-        cipher._randbytes = randbytes
-    return cipher
-
-
-def _hmac_pads(key: bytes) -> tuple[bytes, bytes]:
-    """RFC 2104 inner/outer pad keys for a SHA-256 HMAC of ``key``."""
-    import hashlib
-
-    if len(key) > _SHA256_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_SHA256_BLOCK, b"\x00")
-    return (bytes(b ^ 0x36 for b in key), bytes(b ^ 0x5C for b in key))
-
-
-# ----------------------------------------------------------------------
-# backend constructors (native imports stay inside these probes; the
-# classes close over the imported modules, and pickling always routes
-# through make_prf/make_cipher so function-local classes are safe)
-# ----------------------------------------------------------------------
-def _build_pure() -> CryptoBackend:
-    def prf(secret: bytes) -> Prf:
-        return Prf(secret)
-
-    def cipher(enc_key: bytes, mac_key: bytes,
-               rng: RandomSource | None) -> AuthenticatedCipher:
-        return AuthenticatedCipher(enc_key, mac_key, rng=rng)
-
-    return CryptoBackend("pure", True, None, prf, cipher)
-
-
-def _build_openssl() -> CryptoBackend:
-    try:
-        from cryptography.hazmat.primitives import hashes as c_hashes
-        from cryptography.hazmat.primitives import hmac as c_hmac
-    except ImportError as error:
-        return CryptoBackend("openssl", False, str(error), None, None)
-
-    class OpensslPrf(Prf):
-        """HMAC-SHA256 PRF over OpenSSL EVP; bytes equal to pure."""
-
-        __slots__ = ("_native",)
-
-        backend_name = "openssl"
-
-        def __init__(self, secret: bytes) -> None:
-            super().__init__(secret)
-            self._native = c_hmac.HMAC(self._secret, c_hashes.SHA256())
-
-        def derive(self, key: str, timestamp: int) -> str:
-            mac = self._native.copy()
-            mac.update(
-                key.encode("utf-8") + b"\x00" + str(int(timestamp)).encode())
-            return mac.finalize().hex()[:_DIGEST_HEX_LEN]
-
-        def derive_bytes(self, data: bytes) -> bytes:
-            mac = self._native.copy()
-            mac.update(data)
-            return mac.finalize()
-
-        def _derive_many(self,
-                         pairs: Iterable[tuple[str, int]]) -> list[str]:
-            keyed = self._native
-            cut = _DIGEST_HEX_LEN
-            out = []
-            append = out.append
-            for key, timestamp in pairs:
-                mac = keyed.copy()
-                mac.update(key.encode("utf-8") + b"\x00"
-                           + str(int(timestamp)).encode())
-                append(mac.finalize().hex()[:cut])
-            return out
-
-        def __reduce__(self) -> tuple[object, ...]:
-            return (make_prf, (self.backend_name, self._secret))
-
-    class OpensslCipher(AuthenticatedCipher):
-        """SHA256-CTR + HMAC-SHA256 over OpenSSL EVP; bytes equal to pure."""
-
-        __slots__ = ("_native_root", "_native_mac")
-
-        backend_name = "openssl"
-
-        def __init__(self, enc_key: bytes, mac_key: bytes,
-                     rng: RandomSource | None = None) -> None:
-            super().__init__(enc_key, mac_key, rng=rng)
-            self._init_native()
-
-        def _init_native(self) -> None:
-            root = c_hashes.Hash(c_hashes.SHA256())
-            root.update(self._enc_key)
-            self._native_root = root
-            self._native_mac = c_hmac.HMAC(self._mac_key, c_hashes.SHA256())
-
-        def _keystream(self, nonce: bytes, length: int) -> bytes:
-            if length <= 0:
-                return b""
-            prefix = self._native_root.copy()
-            prefix.update(nonce)
-            copy = prefix.copy
-            blocks = []
-            append = blocks.append
-            for counter in _keystream_counters((length + 31) // 32):
-                block = copy()
-                block.update(counter)
-                append(block.finalize())
-            stream = b"".join(blocks)
-            return stream if len(stream) == length else stream[:length]
-
-        def _tag(self, nonce: bytes, body: bytes) -> bytes:
-            mac = self._native_mac.copy()
-            mac.update(nonce)
-            mac.update(body)
-            return mac.finalize()
-
-        def __setstate__(self, state: tuple[bytes, bytes,
-                                            Callable[[int], bytes]]) -> None:
-            super().__setstate__(state)
-            self._init_native()
-
-        def __reduce__(self) -> tuple[object, ...]:
-            return (make_cipher, (self.backend_name, self._enc_key,
-                                  self._mac_key, self._randbytes))
-
-    def prf(secret: bytes) -> Prf:
-        return OpensslPrf(secret)
-
-    def cipher(enc_key: bytes, mac_key: bytes,
-               rng: RandomSource | None) -> AuthenticatedCipher:
-        return OpensslCipher(enc_key, mac_key, rng=rng)
-
-    return CryptoBackend("openssl", True, None, prf, cipher)
-
-
-def _build_nacl() -> CryptoBackend:
-    try:
-        from nacl.bindings import crypto_hash_sha256
-    except ImportError as error:
-        return CryptoBackend("nacl", False, str(error), None, None)
-
-    class NaclPrf(Prf):
-        """HMAC-SHA256 PRF composed from libsodium SHA-256.
-
-        libsodium has no arbitrary-key HMAC-SHA256 entry point with the
-        incremental-copy shape the pure kernel uses, so the RFC 2104
-        composition is applied directly — two native hashes per
-        derivation, byte-identical output.
-        """
-
-        __slots__ = ("_ipad", "_opad")
-
-        backend_name = "nacl"
-
-        def __init__(self, secret: bytes) -> None:
-            super().__init__(secret)
-            self._ipad, self._opad = _hmac_pads(self._secret)
-
-        def derive_bytes(self, data: bytes) -> bytes:
-            inner = crypto_hash_sha256(self._ipad + bytes(data))
-            return crypto_hash_sha256(self._opad + inner)
-
-        def derive(self, key: str, timestamp: int) -> str:
-            message = (key.encode("utf-8") + b"\x00"
-                       + str(int(timestamp)).encode())
-            return self.derive_bytes(message).hex()[:_DIGEST_HEX_LEN]
-
-        def _derive_many(self,
-                         pairs: Iterable[tuple[str, int]]) -> list[str]:
-            ipad = self._ipad
-            opad = self._opad
-            sha = crypto_hash_sha256
-            cut = _DIGEST_HEX_LEN
-            out = []
-            append = out.append
-            for key, timestamp in pairs:
-                message = (key.encode("utf-8") + b"\x00"
-                           + str(int(timestamp)).encode())
-                append(sha(opad + sha(ipad + message)).hex()[:cut])
-            return out
-
-        def __reduce__(self) -> tuple[object, ...]:
-            return (make_prf, (self.backend_name, self._secret))
-
-    class NaclCipher(AuthenticatedCipher):
-        """SHA256-CTR + HMAC-SHA256 over libsodium; bytes equal to pure."""
-
-        __slots__ = ("_stream_prefix", "_mac_ipad", "_mac_opad")
-
-        backend_name = "nacl"
-
-        def __init__(self, enc_key: bytes, mac_key: bytes,
-                     rng: RandomSource | None = None) -> None:
-            super().__init__(enc_key, mac_key, rng=rng)
-            self._init_native()
-
-        def _init_native(self) -> None:
-            self._stream_prefix = self._enc_key
-            self._mac_ipad, self._mac_opad = _hmac_pads(self._mac_key)
-
-        def _keystream(self, nonce: bytes, length: int) -> bytes:
-            if length <= 0:
-                return b""
-            prefix = self._stream_prefix + bytes(nonce)
-            sha = crypto_hash_sha256
-            blocks = []
-            append = blocks.append
-            for counter in _keystream_counters((length + 31) // 32):
-                append(sha(prefix + counter))
-            stream = b"".join(blocks)
-            return stream if len(stream) == length else stream[:length]
-
-        def _tag(self, nonce: bytes, body: bytes) -> bytes:
-            sha = crypto_hash_sha256
-            inner = sha(self._mac_ipad + bytes(nonce) + bytes(body))
-            return sha(self._mac_opad + inner)
-
-        def __setstate__(self, state: tuple[bytes, bytes,
-                                            Callable[[int], bytes]]) -> None:
-            super().__setstate__(state)
-            self._init_native()
-
-        def __reduce__(self) -> tuple[object, ...]:
-            return (make_cipher, (self.backend_name, self._enc_key,
-                                  self._mac_key, self._randbytes))
-
-    def prf(secret: bytes) -> Prf:
-        return NaclPrf(secret)
-
-    def cipher(enc_key: bytes, mac_key: bytes,
-               rng: RandomSource | None) -> AuthenticatedCipher:
-        return NaclCipher(enc_key, mac_key, rng=rng)
-
-    return CryptoBackend("nacl", True, None, prf, cipher)
-
-
-_BUILDERS: dict[str, Callable[[], CryptoBackend]] = {
-    "pure": _build_pure,
-    "openssl": _build_openssl,
-    "nacl": _build_nacl,
-}
-
-_REGISTRY: dict[str, CryptoBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-_WARNED: set[str] = set()
-
-
-def _load(name: str) -> CryptoBackend:
-    with _REGISTRY_LOCK:
-        backend = _REGISTRY.get(name)
-        if backend is None:
-            backend = _REGISTRY[name] = _BUILDERS[name]()
-        return backend
-
-
-# ----------------------------------------------------------------------
-# public resolution API
-# ----------------------------------------------------------------------
-def backend_names() -> tuple[str, ...]:
-    """Every registered backend name, in registry order."""
-    return _NAMES
-
-
-def available_backend_names() -> tuple[str, ...]:
-    """Names whose wheels import on this interpreter (always has pure)."""
-    return tuple(name for name in _NAMES if _load(name).available)
-
-
-def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve a request (explicit, env, or default) to a registry name.
-
-    ``auto`` resolves to the first *available* of openssl, nacl, pure.
-    Unknown names raise :class:`ConfigurationError` — misspelling a
-    backend must never silently run a different one.
-    """
-    requested = name if name is not None else os.environ.get(
-        ENV_VAR, DEFAULT_BACKEND)
-    requested = requested.strip().lower() or DEFAULT_BACKEND
-    if requested == AUTO_BACKEND:
-        for candidate in _AUTO_ORDER:
-            if _load(candidate).available:
-                return candidate
-        return DEFAULT_BACKEND
-    if requested not in _NAMES:
-        raise ConfigurationError(
-            f"unknown crypto backend {requested!r}; "
-            f"choose from {', '.join(_NAMES)} or {AUTO_BACKEND!r}")
-    return requested
-
-
-def get_backend(name: str | None = None, strict: bool = False
-                ) -> CryptoBackend:
-    """The backend for ``name`` (or env/default), ready to build kernels.
-
-    A known backend whose native wheel is missing falls back to ``pure``
-    — every backend is byte-identical, so the fallback changes wall
-    clock, never bytes.  ``strict=True`` raises instead (CI's
-    native-crypto job uses it so a broken wheel fails loudly).
-    """
-    resolved = resolve_backend_name(name)
-    backend = _load(resolved)
-    if backend.available:
-        return backend
-    if strict:
-        raise ConfigurationError(
-            f"crypto backend {resolved!r} unavailable: {backend.reason}")
-    if resolved not in _WARNED:
-        _WARNED.add(resolved)
-        warnings.warn(
-            f"crypto backend {resolved!r} unavailable "
-            f"({backend.reason}); falling back to byte-identical "
-            f"{DEFAULT_BACKEND!r}", RuntimeWarning, stacklevel=2)
-    if OBS.enabled:
-        OBS.registry.counter("crypto.backend.fallbacks.total",
-                             requested=resolved).inc()
-    return _load(DEFAULT_BACKEND)
+ENV_VAR = "REPRO_CRYPTO_BACKEND"

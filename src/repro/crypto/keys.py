@@ -13,8 +13,8 @@ import hmac
 import hashlib
 import os
 
-from repro.crypto.aead import RandomSource
-from repro.crypto.backend import get_backend
+from repro.crypto.aead import AuthenticatedCipher, RandomSource
+from repro.crypto.prf import Prf
 
 __all__ = ["KeyChain"]
 
@@ -32,24 +32,17 @@ class KeyChain:
         Master secret.  ``None`` draws a fresh random secret.
     rng:
         Optional deterministic RNG forwarded to the value cipher (tests).
-    backend:
-        Crypto backend name (see :mod:`repro.crypto.backend`); ``None``
-        defers to ``REPRO_CRYPTO_BACKEND`` / ``pure``.  Every backend is
-        byte-identical, so the choice never affects derived ids,
-        ciphertexts, or checkpoint replay.
     """
 
     __slots__ = ("_master", "prf", "cipher")
 
     def __init__(self, master: bytes | None = None,
-                 rng: RandomSource | None = None,
-                 backend: str | None = None) -> None:
+                 rng: RandomSource | None = None) -> None:
         self._master = bytes(master) if master is not None else os.urandom(32)
         if not self._master:
             raise ValueError("master key must be non-empty")
-        kernels = get_backend(backend)
-        self.prf = kernels.make_prf(_derive(self._master, b"prf"))
-        self.cipher = kernels.make_cipher(
+        self.prf = Prf(_derive(self._master, b"prf"))
+        self.cipher = AuthenticatedCipher(
             enc_key=_derive(self._master, b"enc"),
             mac_key=_derive(self._master, b"mac"),
             rng=rng,
@@ -57,11 +50,9 @@ class KeyChain:
 
     @classmethod
     def from_seed(cls, seed: int,
-                  rng: RandomSource | None = None,
-                  backend: str | None = None) -> "KeyChain":
+                  rng: RandomSource | None = None) -> "KeyChain":
         """Deterministic keychain for reproducible experiments."""
-        return cls(seed.to_bytes(16, "big", signed=True), rng=rng,
-                   backend=backend)
+        return cls(seed.to_bytes(16, "big", signed=True), rng=rng)
 
     def seal_many(self, pairs: list[tuple[str, int]],
                   values: list[bytes]) -> tuple[list[str], list[bytes]]:

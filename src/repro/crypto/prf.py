@@ -46,10 +46,6 @@ class Prf:
 
     __slots__ = ("_secret", "_keyed")
 
-    #: Registry name of the implementation (native subclasses override;
-    #: see :mod:`repro.crypto.backend`).  All backends are byte-identical.
-    backend_name = "pure"
-
     def __init__(self, secret: bytes) -> None:
         if not secret:
             raise ValueError("PRF secret must be non-empty")

@@ -26,7 +26,7 @@ OBL301   concrete backend constructed inside core/ha
 OBL302   socket use outside net/
 OBL303   print() outside cli.py / dashboard
 OBL304   store delete bypassing the commit_round contract
-OBL305   native crypto wheel (nacl/cryptography) imported outside crypto/
+OBL305   native crypto wheel (nacl/cryptography) imported anywhere
 OBL401   lock-owning class mutates shared state without its lock
 OBL501   missing annotations in the mypy-strict gated packages
 =======  ==========================================================

@@ -16,6 +16,7 @@ from repro.errors import (
     PartialReplyError,
     StorageTimeoutError,
 )
+from repro.net import protocol
 from repro.net.protocol import (
     _WireError,
     decode_message,
@@ -26,6 +27,10 @@ from repro.net.protocol import (
 from repro.storage.base import StorageBackend
 
 __all__ = ["RemoteStore"]
+
+#: Encoded size of ``["SET", key, value]`` beyond the key and value bytes
+#: (list header 5, ``S"SET"`` 8, string header 5, bytes header 5).
+_SET_OVERHEAD = 23
 
 
 class RemoteStore(StorageBackend):
@@ -103,7 +108,21 @@ class RemoteStore(StorageBackend):
         return replies
 
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        commands = [["SET", key, bytes(value)] for key, value in items]
+        # An initial load ships all N+D-C objects through here, which can
+        # exceed the frame cap: cut a new PIPELINE frame whenever the next
+        # SET would push the payload past three quarters of the cap.  A
+        # load that fits goes as one frame; unlike commit_round, a load
+        # that does not is not atomic across its frames.
+        budget = protocol._MAX_FRAME * 3 // 4
+        commands: list[list] = []
+        size = 0
+        for key, value in items:
+            cost = _SET_OVERHEAD + len(key.encode("utf-8")) + len(value)
+            if commands and size + cost > budget:
+                self._call(["PIPELINE", *commands])
+                commands, size = [], 0
+            commands.append(["SET", key, bytes(value)])
+            size += cost
         if commands:
             self._call(["PIPELINE", *commands])
 

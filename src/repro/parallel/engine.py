@@ -29,9 +29,7 @@ behaviour) and the chaos runner re-attaches the pool after promotion.
 Transport: chunks travel in shared-memory segments (see
 :mod:`repro.parallel.shm` — the coordinator packs frames into a pooled
 segment, workers read views and write results into a response segment,
-and only segment names cross the pipe).  The chunk material carries the
-crypto backend name, so workers always rebuild the coordinator's
-(byte-identical) kernel implementation.
+and only segment names cross the pipe).
 """
 
 from __future__ import annotations
@@ -271,10 +269,7 @@ class PooledPrf:
     def __init__(self, inner: Prf, pool: WorkerPool) -> None:
         self._inner = inner
         self._pool = pool
-        # Material carries the backend name so workers rebuild the same
-        # (byte-identical) kernel implementation the coordinator runs.
-        self._material = (b"prf", inner.backend_name.encode("ascii"),
-                         inner.__getstate__())
+        self._material = (b"prf", inner.__getstate__())
 
     @property
     def inner(self) -> Prf:
@@ -312,8 +307,7 @@ class PooledCipher:
         self._inner = inner
         self._pool = pool
         enc_key, mac_key, _ = inner.__getstate__()
-        self._material = (b"aead", inner.backend_name.encode("ascii"),
-                         enc_key, mac_key)
+        self._material = (b"aead", enc_key, mac_key)
 
     @property
     def inner(self) -> AuthenticatedCipher:

@@ -1,9 +1,9 @@
 """Process-worker side of the parallel round engine.
 
 The coordinator ships each chunk of kernel work as length-prefixed
-frames plus the key material (backend name + keys) that parameterizes
-the kernel.  Frames live in a ``multiprocessing.shared_memory`` segment
-owned by the coordinator's :class:`~repro.parallel.shm.SegmentPool`;
+frames plus the key material that parameterizes the kernel.  Frames
+live in a ``multiprocessing.shared_memory`` segment owned by the
+coordinator's :class:`~repro.parallel.shm.SegmentPool`;
 :func:`run_chunk_shm` maps the segment and iterates zero-copy
 ``memoryview`` frames, writing its output frames into a response
 segment.  Only segment names and two integers cross the pipe.
@@ -21,10 +21,9 @@ keys, and every chaos episode reseeds) without respawn.
 
 Everything here is a pure function of its inputs: PRF derivation is
 deterministic, AEAD encryption receives its nonces from the coordinator
-(drawn serially, in input order, from the proxy cipher's own rng), and
-every crypto backend is byte-identical — so pooled output matches
-inline execution exactly, which the determinism tests pin across worker
-counts and backends.
+(drawn serially, in input order, from the proxy cipher's own rng) — so
+pooled output matches inline execution exactly, which the determinism
+tests pin across worker counts.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import Iterator
 
 from repro.crypto.aead import AuthenticatedCipher
-from repro.crypto.backend import make_cipher, make_prf
 from repro.crypto.prf import Prf
 from repro.errors import FrameError
 from repro.obs.delta import TelemetryBuffer, encode_delta
@@ -181,16 +179,15 @@ def init_worker() -> None:
 def _prf(material: tuple[bytes, ...]) -> Prf:
     kernel = _KERNELS.get(material)
     if kernel is None:
-        kernel = _KERNELS[material] = make_prf(
-            material[1].decode("ascii"), material[2])
+        kernel = _KERNELS[material] = Prf(material[1])
     return kernel  # type: ignore[return-value]
 
 
 def _cipher(material: tuple[bytes, ...]) -> AuthenticatedCipher:
     kernel = _KERNELS.get(material)
     if kernel is None:
-        kernel = _KERNELS[material] = make_cipher(
-            material[1].decode("ascii"), material[2], material[3])
+        kernel = _KERNELS[material] = AuthenticatedCipher(
+            material[1], material[2])
     return kernel  # type: ignore[return-value]
 
 

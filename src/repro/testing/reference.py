@@ -1,8 +1,10 @@
 """Scalar reference kernels: the one-call-at-a-time PRF and AEAD.
 
-:class:`ScalarPrf` and :class:`ScalarCipher` preserve the original
-implementations (fresh ``hmac.new`` per derivation, per-byte generator
-XOR).  They are bit-compatible with the optimized kernels in
+:class:`ScalarPrf` and :class:`ScalarCipher` are the naive forms of the
+scheme (fresh ``hmac.new`` per derivation, one-shot
+``shake_256(enc_key + nonce)`` keystream, per-byte generator XOR, no
+cached digest states).  They are bit-compatible with the optimized
+kernels in
 :mod:`repro.crypto` and expose the same ``derive_many`` /
 ``encrypt_many`` / ``decrypt_many`` surface, so an unmodified
 :class:`~repro.core.proxy.WaffleProxy` runs on either — which makes them
@@ -25,8 +27,8 @@ __all__ = ["ScalarCipher", "ScalarPrf", "scalar_keychain"]
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
-_BLOCK_LEN = 32
 _DIGEST_HEX_LEN = 32
+_SCHEME_LABEL = b"repro.aead/shake256\x00"
 
 
 class ScalarPrf:
@@ -55,8 +57,9 @@ class ScalarPrf:
 
 
 class ScalarCipher:
-    """The original AEAD: per-block ``sha256(key||nonce||ctr)`` with a
-    per-byte generator XOR.  Bit-compatible with
+    """The naive AEAD: ``shake_256(key||nonce)`` squeezed to the message
+    length, per-byte generator XOR, fresh ``hmac.new`` over
+    ``label||nonce||body``.  Bit-compatible with
     :class:`repro.crypto.aead.AuthenticatedCipher`."""
 
     __slots__ = ("_enc_key", "_mac_key", "_randbytes")
@@ -72,18 +75,17 @@ class ScalarCipher:
         self._randbytes = rng.randbytes if rng is not None else os.urandom
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        for counter in range((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
-            block_input = self._enc_key + nonce + counter.to_bytes(8, "big")
-            blocks.append(hashlib.sha256(block_input).digest())
-        return b"".join(blocks)[:length]
+        return hashlib.shake_256(self._enc_key + nonce).digest(length)
+
+    def _tag(self, nonce: bytes, body: bytes) -> bytes:
+        return hmac.new(self._mac_key, _SCHEME_LABEL + nonce + body,
+                        hashlib.sha256).digest()
 
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = self._randbytes(_NONCE_LEN)
         stream = self._keystream(nonce, len(plaintext))
         body = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        return nonce + body + tag
+        return nonce + body + self._tag(nonce, body)
 
     def decrypt(self, blob: bytes) -> bytes:
         if len(blob) < _NONCE_LEN + _TAG_LEN:
@@ -91,8 +93,7 @@ class ScalarCipher:
         nonce = blob[:_NONCE_LEN]
         body = blob[_NONCE_LEN:-_TAG_LEN]
         tag = blob[-_TAG_LEN:]
-        expected = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expected):
+        if not hmac.compare_digest(tag, self._tag(nonce, body)):
             raise IntegrityError("authentication tag mismatch")
         stream = self._keystream(nonce, len(body))
         return bytes(c ^ s for c, s in zip(body, stream))

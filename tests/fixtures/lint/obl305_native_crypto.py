@@ -1,9 +1,10 @@
-"""Known-bad fixture: native crypto import outside ``crypto/`` (OBL305).
+"""Known-bad fixture: native crypto import, even inside ``crypto/`` (OBL305).
 
-Native wheels are optional; only ``repro.crypto.backend`` may import
-them, so the availability probe, the graceful pure fallback, and the
-known-answer parity oracle always apply.
+The package has exactly one PRF and one cipher, both built on
+``hashlib``; no module — the crypto package included — may import a
+native wheel.
 """
+# oblint-fixture-path: repro/crypto/planted.py
 
 from cryptography.hazmat.primitives import hashes
 

@@ -3,16 +3,14 @@
 The chaos harness already pins that a fixed episode is deterministic
 (same faults, same trace, same responses) when run twice.  This suite
 pins the stronger property DESIGN.md §10 claims for the parallel
-engine: neither the *worker count* nor the *crypto backend* is an
-input — the same episodes, run with the batched crypto routed through
-pools of different sizes (``min_batch=1``, so even chaos-sized batches
-cross the process boundary) and through every importable backend, must
-produce identical oracles, identical collapsed traces, and identical
-fault/failover accounting.  Failovers matter here: promotion restores
-a checkpoint whose unpickling reduced the pooled kernels to plain
-ones (and, for a native backend, re-resolved it through the registry),
-and the runner re-attaches the pool — byte equality across worker
-counts and backends proves that round trip is lossless.
+engine: the *worker count* is not an input — the same episodes, run
+with the batched crypto routed through pools of different sizes
+(``min_batch=1``, so even chaos-sized batches cross the process
+boundary), must produce identical oracles, identical collapsed traces,
+and identical fault/failover accounting.  Failovers matter here:
+promotion restores a checkpoint whose unpickling reduced the pooled
+kernels to plain ones, and the runner re-attaches the pool — byte
+equality across worker counts proves that round trip is lossless.
 
 A small deterministic slice runs in tier-1; the 50-episode sweep
 carries the ``chaos`` marker for CI's dedicated step (or locally via
@@ -25,7 +23,6 @@ import pathlib
 
 import pytest
 
-from repro.crypto.backend import available_backend_names
 from repro.parallel import WorkerPool
 from repro.testing import generate_episode, run_episode
 
@@ -78,20 +75,18 @@ def test_pooled_failover_episode_is_clean():
     assert result.failovers > 0
 
 
-@pytest.mark.parametrize("backend", available_backend_names())
-def test_backend_times_workers_matches_inline_pure(backend):
-    """The backend x worker matrix: every importable backend, serial and
-    pooled, reproduces the serial-pure signature byte for byte — an
-    adverse episode exercises faults and failover, so the equality also
-    covers checkpoint restore re-resolving a native backend."""
+def test_pooled_workers_match_unpooled_run():
+    """Serial with no pool attached is the reference: 1 and 2 workers
+    reproduce its signature byte for byte — an adverse episode
+    exercises faults and failover, so the equality also covers the
+    checkpoint restore that strips and re-attaches the pool."""
     episode = generate_episode(seed=77, ha_mode="replicated", **ADVERSE)
-    reference = _signature(run_episode(episode, crypto_backend="pure"))
+    reference = _signature(run_episode(episode))
     assert reference["violations"] == []
     for workers in (1, 2):
         with WorkerPool(workers, min_batch=1) as pool:
-            signature = _signature(run_episode(
-                episode, parallel_pool=pool, crypto_backend=backend))
-        assert signature == reference, f"{backend} x {workers} diverged"
+            signature = _signature(run_episode(episode, parallel_pool=pool))
+        assert signature == reference, f"{workers} workers diverged"
 
 
 def test_pooled_episodes_leave_no_shm():

@@ -1,5 +1,8 @@
 """Unit and property tests for the authenticated cipher."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,3 +115,72 @@ class TestAeadProperties:
         blob[position] ^= bit
         with pytest.raises(IntegrityError):
             cipher.decrypt(bytes(blob))
+
+
+#: Around the empty message, a 32-byte block and the 4 KiB object the
+#: benchmark's crypto-bound workload moves.
+_EDGE_LENGTHS = (0, 1, 31, 32, 33, 4095, 4096, 4097)
+
+_edge_plaintexts = st.builds(
+    lambda length, seed: random.Random(seed).randbytes(length),
+    st.sampled_from(_EDGE_LENGTHS), st.integers(0, 2**32))
+
+
+def _seeded(seed: int) -> AuthenticatedCipher:
+    return AuthenticatedCipher(enc_key=b"e-enc", mac_key=b"e-mac",
+                               rng=random.Random(seed))
+
+
+class TestAeadEdgeLengths:
+    @given(_edge_plaintexts)
+    def test_roundtrip_and_fixed_overhead(self, plaintext):
+        cipher = _seeded(1)
+        blob = cipher.encrypt(plaintext)
+        assert len(blob) == len(plaintext) + 48
+        assert cipher.decrypt(blob) == plaintext
+        assert cipher.decrypt_many([blob]) == [plaintext]
+
+    @given(_edge_plaintexts, st.integers(0, 10**9), st.integers(1, 255))
+    def test_any_flipped_byte_is_rejected(self, plaintext, where, mask):
+        """Nonce, body and tag are all covered by the MAC."""
+        cipher = _seeded(2)
+        blob = bytearray(cipher.encrypt(plaintext))
+        blob[where % len(blob)] ^= mask
+        with pytest.raises(IntegrityError):
+            cipher.decrypt(bytes(blob))
+        with pytest.raises(IntegrityError):
+            cipher.decrypt_many([bytes(blob)])
+
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    def test_each_region_is_authenticated(self, cipher, length):
+        blob = cipher.encrypt(b"\xa5" * length)
+        positions = [0, len(blob) - 1]  # nonce, tag
+        if length:
+            positions.append(16 + length // 2)  # body
+        for position in positions:
+            tampered = bytearray(blob)
+            tampered[position] ^= 0x80
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(bytes(tampered))
+
+    @given(st.lists(_edge_plaintexts, max_size=6), st.integers(0, 2**32))
+    def test_batch_forms_equal_looped_encrypt(self, plaintexts, seed):
+        """Same rng stream in, same blobs out: nonces are drawn 16 bytes
+        at a time in input order by every entry point."""
+        looped = _seeded(seed)
+        expected = [looped.encrypt(plaintext) for plaintext in plaintexts]
+        assert _seeded(seed).encrypt_many(plaintexts) == expected
+        split = _seeded(seed)
+        nonces = split.draw_nonces(len(plaintexts))
+        assert split.encrypt_with_nonces(plaintexts, nonces) == expected
+        assert [blob[:16] for blob in expected] == nonces
+
+    @given(_edge_plaintexts, st.integers(0, 2**32))
+    def test_pickle_round_trip_keeps_rng_stream(self, plaintext, seed):
+        """A restored cipher (HA checkpoint) continues the nonce stream
+        exactly where the original stood and opens the original's blobs."""
+        original = _seeded(seed)
+        first = original.encrypt(plaintext)
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone.decrypt(first) == plaintext
+        assert clone.encrypt(plaintext) == original.encrypt(plaintext)

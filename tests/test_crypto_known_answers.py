@@ -5,17 +5,20 @@ change silently altered derivations, every outsourced object would
 become unreachable on upgrade.  These pins make such a change an
 explicit, reviewed decision instead of an accident.
 
-The batched fast-path kernels (cached-HMAC PRF, big-int-XOR AEAD) are
-additionally held byte-identical to the scalar seed implementations
-preserved in :mod:`repro.testing.reference` — the equivalence that lets the proxy
+The batched fast-path kernels (cached-HMAC PRF, one-squeeze SHAKE-256
+AEAD) are additionally held byte-identical to the naive scalar forms in
+:mod:`repro.testing.reference` — the equivalence that lets the proxy
 swap kernels without the server ever noticing.
 """
 
 import random
 
+import pytest
+
 from repro.crypto.aead import AuthenticatedCipher
 from repro.crypto.keys import KeyChain
 from repro.crypto.prf import Prf
+from repro.errors import IntegrityError
 from repro.testing.reference import ScalarCipher, ScalarPrf
 
 
@@ -48,14 +51,19 @@ class TestPrfKnownAnswers:
         assert fresh.cipher.decrypt(blob) == b"archived-value"
 
 
-#: Plaintext shapes that exercise the keystream edge cases: empty, below
-#: one SHA-256 block, exactly one block, block-aligned, and ragged tails.
+#: Plaintext shapes around the XOR-path cutoff and the SHAKE-256 rate
+#: (136 bytes): empty, short, either side of both, and ragged tails.
+#: Lengths that are a multiple of 8 XOR in 64-bit lanes, the rest in
+#: byte lanes; both appear on either side of 1 KiB and 4 KiB.
 _SHAPE_VECTORS = [b"", b"x", b"short", b"a" * 31, b"b" * 32, b"c" * 33,
-                  b"d" * 64, b"e" * 100, b"f" * 1024, bytes(range(256)) * 5]
+                  b"d" * 64, b"e" * 127, b"f" * 128, b"g" * 135, b"h" * 136,
+                  b"i" * 137, b"j" * 1024, bytes(range(256)) * 5,
+                  bytes(range(251)) * 4, bytes(range(256)) * 16,
+                  bytes(range(241)) * 17]
 
 
 class TestScalarBatchedEquivalence:
-    """Optimized kernels vs the seed scalar implementations, byte for byte."""
+    """Optimized kernels vs the naive scalar forms, byte for byte."""
 
     def test_prf_paths_agree_on_fixed_vectors(self):
         secret = b"known-answer-secret"
@@ -101,11 +109,33 @@ class TestScalarBatchedEquivalence:
 
     def test_aead_ciphertext_pin(self):
         """Full ciphertext bytes under a fixed nonce rng: any keystream,
-        XOR or MAC change breaks decryption of already-stored data."""
-        cipher = AuthenticatedCipher(enc_key=b"pin-enc", mac_key=b"pin-mac",
-                                     rng=random.Random(0))
-        assert cipher.encrypt(b"fixed").hex() == (
+        XOR or MAC change breaks decryption of already-stored data.
+        The literal was produced by :class:`ScalarCipher`."""
+        pin = (
             "cd072cd8be6f9f62ac4c09c28206e7e3"  # nonce (random.Random(0))
-            "346852021f"                        # body
-            "e784245ca0437d0f7183cbcc6a3d47d8"  # tag
+            "7ef3268cd5"                        # body
+            "c1ec544f4d0407f02fd946536c010a7e"  # tag
+            "dc78fd79b2c59770ad43bfa4d7e79f5e")
+        for kernel in (ScalarCipher, AuthenticatedCipher):
+            cipher = kernel(enc_key=b"pin-enc", mac_key=b"pin-mac",
+                            rng=random.Random(0))
+            assert cipher.encrypt(b"fixed").hex() == pin
+            assert cipher.decrypt(bytes.fromhex(pin)) == b"fixed"
+
+    def test_sha256_ctr_era_blob_fails_closed(self):
+        """The blob this file pinned while the keystream was SHA256-CTR,
+        same keys.  Its HMAC covered ``nonce || body`` with no scheme
+        label, so it must fail authentication — never verify and decrypt
+        to garbage under keys restored from an old snapshot."""
+        old_blob = bytes.fromhex(
+            "cd072cd8be6f9f62ac4c09c28206e7e3"
+            "346852021f"
+            "e784245ca0437d0f7183cbcc6a3d47d8"
             "9cdfb81bc88c2cd6bed2d1eed541a7e0")
+        for kernel in (ScalarCipher, AuthenticatedCipher):
+            cipher = kernel(enc_key=b"pin-enc", mac_key=b"pin-mac")
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(old_blob)
+        with pytest.raises(IntegrityError):
+            AuthenticatedCipher(enc_key=b"pin-enc", mac_key=b"pin-mac"
+                                ).decrypt_many([old_blob])

@@ -98,6 +98,40 @@ class TestRemoteStore:
         remote.multi_put([])
         remote.multi_delete([])
 
+    def test_large_load_is_split_below_the_frame_cap(self, remote,
+                                                     monkeypatch):
+        """An initial load larger than one frame (N=2^16 x 1 KiB against
+        the 64 MiB cap; here the cap is lowered instead) goes out as
+        several PIPELINE frames, each under the cap, in input order."""
+        from repro.net import client, protocol
+
+        monkeypatch.setattr(protocol, "_MAX_FRAME", 16 * 1024)
+        frames = []
+        write_frame = client.write_frame
+
+        def recording_write_frame(sock, payload):
+            frames.append(payload)
+            write_frame(sock, payload)
+
+        monkeypatch.setattr(client, "write_frame", recording_write_frame)
+        items = [(f"id{i:04d}", bytes([i % 256]) * 1000) for i in range(200)]
+        remote.multi_put(iter(items))
+        assert len(frames) > 200 * 1000 // (16 * 1024)
+        assert all(len(frame) <= 12 * 1024 + 18 for frame in frames)
+        sent = [tuple(command[1:]) for frame in frames
+                for command in decode_message(frame)[1:]]
+        assert sent == items
+        # A load under the budget is still a single frame, and a round
+        # commit is never split: it is offered as one frame and refused.
+        frames.clear()
+        remote.multi_put(items[:10])
+        assert len(frames) == 1
+        frames.clear()
+        with pytest.raises(ProtocolError):
+            remote.commit_round([], [(f"r{i}", b"x" * 1000)
+                                     for i in range(20)])
+        assert len(frames) == 1
+
     def test_binary_safety(self, remote):
         payload = bytes(range(256)) * 4
         remote.put("bin", payload)

@@ -50,6 +50,36 @@ class TestPackageSurface:
         for name in getattr(mod, "__all__", []):
             assert getattr(mod, name) is not None, f"{module}.{name}"
 
+    def test_crypto_surface_is_the_three_kernels(self):
+        import repro.crypto
+        import repro.crypto.backend as names
+
+        assert sorted(repro.crypto.__all__) == [
+            "AuthenticatedCipher", "KeyChain", "Prf"]
+        # What benchmarks/e2e imports to label and police its runs.
+        assert names.__all__ == ["DEFAULT_BACKEND", "ENV_VAR"]
+        assert repro.crypto.AuthenticatedCipher.backend_name == \
+            names.DEFAULT_BACKEND == "pure"
+
+    def test_serving_stack_imports_no_native_crypto_wheel(self):
+        """The wheels cost resident memory in every process (the
+        benchmark's ``peak_rss_mb`` bound); a fresh interpreter that
+        imported the whole serving stack must not have loaded them."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = ("import sys, repro.serve, repro.parallel, repro.net; "
+                 "print(sorted({m.split('.')[0] for m in sys.modules} "
+                 "& {'cryptography', 'nacl'}))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_every_public_module_has_docstring(self):
         import pathlib
         root = pathlib.Path(repro.__file__).parent
