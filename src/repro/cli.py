@@ -120,12 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stream the JSONL trace to this file")
     obs_p.add_argument("--prom-out", default=None,
                        help="write a Prometheus text snapshot to this file")
-    obs_p.add_argument("--workers", type=int, default=1,
-                       help="run the batched crypto on a worker pool "
-                            "(telemetry merges back per worker)")
     obs_p.add_argument("--profile", action="store_true",
-                       help="render the span-tree profile (per-phase and "
-                            "per-worker time decomposition)")
+                       help="render the span-tree profile (per-phase "
+                            "time decomposition)")
     obs_p.add_argument("--profile-out", default=None, metavar="PATH",
                        help="write the profile snapshot as JSON to PATH")
 
@@ -339,24 +336,12 @@ def _run_obs(args) -> int:
     items = dict(workload.initial_records())
     datastore = WaffleDatastore(config, items,
                                 keychain=KeyChain.from_seed(1))
-    pool = None
-    if args.workers > 1:
-        from repro.parallel import WorkerPool, attach_pool
-
-        # min_batch=1 so even the dashboard-sized round shape exercises
-        # the pool (paper-default batches are small).
-        pool = WorkerPool(args.workers, min_batch=1)
-        attach_pool(datastore.proxy, pool)
-    try:
-        trace = workload.trace(config.r * args.rounds)
-        for i in range(args.rounds):
-            chunk = trace[i * config.r:(i + 1) * config.r]
-            datastore.execute_batch([
-                ClientRequest(op=req.op, key=req.key, value=req.value)
-                for req in chunk])
-    finally:
-        if pool is not None:
-            pool.close()
+    trace = workload.trace(config.r * args.rounds)
+    for i in range(args.rounds):
+        chunk = trace[i * config.r:(i + 1) * config.r]
+        datastore.execute_batch([
+            ClientRequest(op=req.op, key=req.key, value=req.value)
+            for req in chunk])
 
     print(render_dashboard(handle.registry, monitor=monitor))
     if args.profile:

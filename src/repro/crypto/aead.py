@@ -204,39 +204,6 @@ class AuthenticatedCipher:
             append(nonce + body + tag(nonce, body))
         return out
 
-    def draw_nonces(self, count: int) -> list[bytes]:
-        """Draw ``count`` nonces from this cipher's rng, in order.
-
-        Split out of :meth:`encrypt_many` for the parallel engine: the
-        coordinator draws all nonces serially (keeping the rng stream
-        identical to inline execution draw-for-draw) and ships them to
-        workers alongside the plaintexts.
-        """
-        randbytes = self._randbytes
-        return [randbytes(_NONCE_LEN) for _ in range(count)]
-
-    def encrypt_with_nonces(self, plaintexts: Sequence[bytes],
-                            nonces: Sequence[bytes]) -> list[bytes]:
-        """Batched encryption under caller-supplied nonces.
-
-        ``encrypt_with_nonces(pts, draw_nonces(len(pts)))`` is
-        byte-identical to :meth:`encrypt_many` on ``pts`` — the split
-        lets the nonce draws happen on a coordinating thread while the
-        keystream/MAC work runs on pool workers.
-        """
-        if len(plaintexts) != len(nonces):
-            raise ValueError("plaintexts and nonces must pair up")
-        keystream = self._keystream
-        tag = self._tag
-        out = []
-        append = out.append
-        for plaintext, nonce in zip(plaintexts, nonces):
-            if len(nonce) != _NONCE_LEN:
-                raise ValueError(f"nonces must be {_NONCE_LEN} bytes")
-            body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
-            append(nonce + body + tag(nonce, body))
-        return out
-
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         """Batched :meth:`decrypt`; raises on the first tampered blob."""
         if OBS.enabled:

@@ -59,10 +59,10 @@ class KeyChain:
         """Derive storage ids for ``pairs`` and encrypt ``values``.
 
         The proxy's write phase funnels through this single entry point
-        so that alternative kernel sets (scalar references, pooled
-        parallel kernels) slot in by swapping ``prf``/``cipher`` without
-        touching the protocol code.  Output order matches input order;
-        nonce draws happen in ``values`` order, exactly as separate
-        ``derive_many`` + ``encrypt_many`` calls would.
+        so that an alternative kernel set (the scalar references) slots
+        in by swapping ``prf``/``cipher`` without touching the protocol
+        code.  Output order matches input order; nonce draws happen in
+        ``values`` order, exactly as separate ``derive_many`` +
+        ``encrypt_many`` calls would.
         """
         return self.prf.derive_many(pairs), self.cipher.encrypt_many(values)

@@ -98,17 +98,6 @@ class ProtocolError(ReproError):
     """A protocol-level invariant was violated (e.g. malformed batch)."""
 
 
-class FrameError(ProtocolError):
-    """A length-prefixed frame payload was malformed or truncated.
-
-    Raised by the parallel engine's frame codec when a payload ends
-    inside a 4-byte length prefix or declares a frame longer than the
-    bytes that follow.  Fatal rather than transient: a short frame means
-    the producer or the transport corrupted the batch, and guessing at
-    frame boundaries would hand workers misaligned crypto inputs.
-    """
-
-
 class PartialReplyError(ProtocolError):
     """A pipelined reply carried fewer entries than the request batch.
 

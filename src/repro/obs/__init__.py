@@ -49,7 +49,6 @@ from contextlib import contextmanager
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
-    SUB_MS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -66,7 +65,6 @@ __all__ = [
     "NULL_SPAN",
     "OBS",
     "Observability",
-    "SUB_MS_BUCKETS",
     "Span",
     "Tracer",
     "capture",

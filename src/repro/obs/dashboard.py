@@ -124,47 +124,6 @@ def render_dashboard(registry: MetricsRegistry, monitor=None,
         lines += _table(["kernel", "calls", "mean", "p95"], kernel_rows)
         lines.append("")
 
-    # ---- parallel engine --------------------------------------------
-    # One row per pool size (the ``workers`` label), showing where
-    # parallel time goes: chunk count, items, serialized bytes each way,
-    # and the submit-to-result wait distribution.
-    pool_sizes: dict[str, dict] = {}
-    for name, labels, metric in registry:
-        if not name.startswith("parallel."):
-            continue
-        label_map = dict(labels)
-        workers = label_map.get("workers")
-        if workers is None:
-            continue
-        row = pool_sizes.setdefault(workers, {})
-        if name == "parallel.serialized.bytes.total":
-            row["bytes." + label_map.get("dir", "-")] = metric.value
-        else:
-            row[name] = metric
-    if pool_sizes:
-        rows = []
-        for workers in sorted(pool_sizes, key=int):
-            row = pool_sizes[workers]
-            chunks = row.get("parallel.chunks.total")
-            items = row.get("parallel.items.total")
-            wait = row.get("parallel.chunk.wait.seconds")
-            depth = row.get("parallel.pool.queue.depth")
-            rows.append([
-                workers,
-                str(chunks.value) if chunks else "-",
-                str(items.value) if items else "-",
-                _fmt(row.get("bytes.out", 0) / 1024.0) + "KiB",
-                _fmt(row.get("bytes.in", 0) / 1024.0) + "KiB",
-                _fmt(wait.mean * 1e3) + "ms" if wait else "-",
-                _fmt(wait.percentile(0.95) * 1e3) + "ms" if wait else "-",
-                str(int(depth.value)) if depth else "0",
-            ])
-        lines += ["parallel engine (per pool size)", ""]
-        lines += _table(
-            ["workers", "chunks", "items", "ser-out", "ser-in",
-             "wait-mean", "wait-p95", "queue"], rows)
-        lines.append("")
-
     # ---- alpha budget ------------------------------------------------
     if monitor is not None:
         reports = monitor.reports

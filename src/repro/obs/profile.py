@@ -6,22 +6,17 @@ those records back into an aggregate tree — spans with the same name at
 the same tree position merge, accumulating count and inclusive seconds —
 and renders it as an indented, bar-annotated report::
 
-    round                          25x   0.812s  100.0%  |##########|
-      phase.plan                   25x   0.203s   25.0%  |##        |
-        parallel.chunk             50x   0.190s   23.4%  |##        |
-          parallel.worker.chunk    50x   0.151s   18.6%  |#         |
+    round                          10x   0.0089s  100.0%  |##########|
+      phase.server_io              20x   0.0024s   26.7%  |###       |
+      phase.plan                   10x   0.0022s   25.1%  |###       |
+      (untracked)                          0.0002s    2.7%  |          |
 
 ``(untracked)`` rows are a node's inclusive time minus its children's —
-the coordinator-side time no child span covers (serialization, segment
-packing, scheduling).  Worker-side spans arrive through the telemetry
-piggyback (:mod:`repro.obs.delta`), so the tree decomposes a pooled
-round across the process boundary.
+the time no child span covers.
 
 The report's second half derives per-phase p50/p99 latency from the
-``<phase>.seconds`` histograms and tabulates the merged
-``parallel.worker.*`` metrics per worker, giving ``repro.cli obs
---profile`` everything the acceptance criteria ask of a profile: where
-each round's time goes, per phase and per worker.
+``<phase>.seconds`` histograms, so ``repro.cli obs --profile`` shows
+where each round's time goes, per phase.
 """
 
 from __future__ import annotations
@@ -134,32 +129,6 @@ def _phase_rows(registry: MetricsRegistry) -> list[list[str]]:
     return rows
 
 
-def _worker_rows(registry: MetricsRegistry) -> list[list[str]]:
-    per_worker: dict[str, dict] = {}
-    for name, labels, metric in registry:
-        if not name.startswith("parallel.worker."):
-            continue
-        worker = dict(labels).get("worker")
-        if worker is None:
-            continue
-        row = per_worker.setdefault(
-            worker, {"chunks": 0.0, "items": 0.0, "busy": 0.0, "count": 0})
-        if name == "parallel.worker.chunks.total":
-            row["chunks"] += metric.value
-        elif name == "parallel.worker.items.total":
-            row["items"] += metric.value
-        elif name == "parallel.worker.chunk.seconds":
-            row["busy"] += metric.total
-            row["count"] += metric.count
-    rows = []
-    for worker in sorted(per_worker):
-        row = per_worker[worker]
-        mean = row["busy"] / row["count"] if row["count"] else 0.0
-        rows.append([worker, str(int(row["chunks"])), str(int(row["items"])),
-                     f"{row['busy']:.4f}s", f"{mean * 1e6:.1f}us"])
-    return rows
-
-
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -175,7 +144,7 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_profile(registry: MetricsRegistry, records,
                    title: str = "span-tree profile") -> str:
-    """Render the full profile report (tree + phase and worker tables)."""
+    """Render the full profile report (span tree + per-phase table)."""
     lines = [title, "=" * len(title), ""]
     root = build_profile(records)
     if root.children:
@@ -191,13 +160,6 @@ def render_profile(registry: MetricsRegistry, records,
     if phase_rows:
         lines += ["per-phase latency (from the .seconds histograms)", ""]
         lines += _table(["phase", "count", "mean", "p50", "p99"], phase_rows)
-        lines.append("")
-
-    worker_rows = _worker_rows(registry)
-    if worker_rows:
-        lines += ["worker telemetry (merged parallel.worker.* deltas)", ""]
-        lines += _table(["worker", "chunks", "items", "busy", "mean-chunk"],
-                        worker_rows)
         lines.append("")
     return "\n".join(lines)
 
@@ -216,22 +178,9 @@ def profile_snapshot(registry: MetricsRegistry, records) -> dict:
         if "dir" in label_map:
             key += "." + label_map["dir"]
         phases[key] = metric.snapshot()
-    workers: dict[str, dict] = {}
-    for name, labels, metric in registry:
-        if not name.startswith("parallel.worker."):
-            continue
-        label_map = dict(labels)
-        worker = label_map.get("worker")
-        if worker is None:
-            continue
-        key = name + (f"[{label_map['kind']}]" if "kind" in label_map else "")
-        workers.setdefault(worker, {})[key] = (
-            metric.snapshot() if metric.kind == "histogram"
-            else metric.value)
     return {
-        "schema": "repro.profile/1",
+        "schema": "repro.profile/2",
         "tree": {name: node.to_dict()
                  for name, node in sorted(root.children.items())},
         "phases": phases,
-        "workers": workers,
     }

@@ -39,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SUB_MS_BUCKETS",
 ]
 
 #: Default reservoir capacity; enough for stable p99 estimates.
@@ -48,16 +47,6 @@ _DEFAULT_RESERVOIR = 1024
 #: Default buckets (seconds-flavoured, spanning µs to minutes).
 DEFAULT_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
-)
-
-#: Sub-millisecond preset for worker-chunk latencies: DEFAULT_BUCKETS
-#: jumps a decade at a time below 1 ms, which collapses the entire
-#: pooled-kernel regime (tens of µs to a few ms per chunk) into two
-#: buckets.  This 1-2-5 ladder resolves that range; the new
-#: ``parallel.worker.*`` timings record against it.
-SUB_MS_BUCKETS = (
-    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
-    1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.5, 1.0,
 )
 
 

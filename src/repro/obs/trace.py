@@ -13,8 +13,8 @@ open a region with :meth:`Tracer.open_span`, which pushes it on a
 per-thread stack, and close it with :meth:`Tracer.close_span`;
 :meth:`Tracer.record_span` (the one-shot form) parents itself under the
 innermost open span automatically.  The round engine uses this to nest
-``round -> phase.* -> parallel.chunk -> parallel.worker.chunk``, which
-:mod:`repro.obs.profile` re-assembles into a flamegraph-style report.
+``round -> phase.*``, which :mod:`repro.obs.profile` re-assembles into a
+flamegraph-style report.
 The stack is thread-local because shard-parallel partitions run their
 rounds on separate threads.
 
@@ -228,8 +228,7 @@ class Tracer:
         Hot paths that already hold ``perf_counter`` boundaries use this
         directly and skip the context-manager object entirely.  The span
         parents under this thread's innermost open span unless ``parent``
-        names one explicitly (the engine uses that to hang worker-side
-        chunk spans under the coordinator-side chunk span).
+        names one explicitly.
         """
         span_id = self._alloc_span_id()
         if parent is None:

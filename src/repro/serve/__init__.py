@@ -1,8 +1,8 @@
 """``repro.serve`` — the asyncio serving frontend.
 
-Everything below the proxy already scales (batched kernels, worker
-pools, sharded partitions); this package is the piece that faces the
-*clients*: a long-lived asyncio server that accepts thousands of
+Everything below the proxy already scales (batched kernels, sharded
+partitions); this package is the piece that faces the *clients*: a
+long-lived asyncio server that accepts thousands of
 concurrent connections, coalesces arriving get/put requests into Waffle
 rounds, and applies an explicit admission/backpressure policy so that
 overload degrades into retryable shedding instead of unbounded queueing.

@@ -25,11 +25,6 @@ not even that: every partition commits to the *same* fixed grid, so the
 merged release schedule deduplicates to a single constant-gap series
 and the load-inference attack scores exactly 0.0 against it.
 
-Throughput composition: shard-parallelism here multiplies with the
-PR-5/6 worker-pool crypto (attach a pool per partition's proxy) — the
-two mechanisms parallelize different axes (partitions, crypto lanes
-within a round).
-
 Shed semantics under per-partition admission: a request is shed by the
 queue of the one partition that owns its key.  A flash crowd on keys
 hashing to partition 3 overloads (and sheds from) partition 3 only;

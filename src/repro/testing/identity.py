@@ -1,9 +1,9 @@
 """Trace-identity helper: one way to say "these two runs look the same".
 
 The adversary sees the storage access sequence (``op:id:round:seq``);
-clients see the responses.  A refactor, a kernel swap, a worker pool or
-observability is *invisible* exactly when both digests are unchanged, so
-every such claim in the test suite and the benchmarks is one call to
+clients see the responses.  A refactor, a kernel swap or observability
+is *invisible* exactly when both digests are unchanged, so every such
+claim in the test suite and the benchmarks is one call to
 :func:`assert_trace_identical` with two zero-argument runs, each
 returning ``(trace_digest, response_digest)``.
 
@@ -110,17 +110,12 @@ def run_rounds(proxy: WaffleProxy,
 
 
 def seeded_run(config: WaffleConfig, rounds: int,
-               keychain: Callable[[int], KeyChain] = KeyChain.from_seed,
-               pool: Any = None) -> Callable[[], tuple[str, str]]:
+               keychain: Callable[[int], KeyChain] = KeyChain.from_seed
+               ) -> Callable[[], tuple[str, str]]:
     """A zero-argument run for :func:`assert_trace_identical`: a fresh
-    recorded proxy keyed by ``keychain(config.seed)`` — its batched
-    crypto routed through ``pool`` when one is given — driven through
+    recorded proxy keyed by ``keychain(config.seed)``, driven through
     ``rounds`` batches of the ``config.seed`` request stream."""
     def run() -> tuple[str, str]:
         proxy = build_proxy(config, keychain(config.seed), record=True)
-        if pool is not None:
-            from repro.parallel import attach_pool
-
-            attach_pool(proxy, pool)
         return run_rounds(proxy, request_stream(config, rounds, config.seed))
     return run

@@ -9,7 +9,7 @@ kernels in
 ``encrypt_many`` / ``decrypt_many`` surface, so an unmodified
 :class:`~repro.core.proxy.WaffleProxy` runs on either — which makes them
 the equivalence oracle the fast path is held against
-(``tests/test_crypto_known_answers.py``, ``tests/test_parallel.py``).
+(``tests/test_crypto_known_answers.py``, ``tests/test_trace_pin.py``).
 """
 
 from __future__ import annotations

@@ -100,17 +100,8 @@ def _initial_items(episode: Episode) -> dict[str, bytes]:
 
 
 def run_episode(episode: Episode,
-                wrap_store: StoreWrapper | None = None,
-                parallel_pool=None) -> EpisodeResult:
-    """Execute ``episode`` end to end and judge it against the oracle.
-
-    ``parallel_pool`` optionally routes the proxy's batched crypto
-    through a :class:`repro.parallel.WorkerPool` — the determinism-
-    under-parallelism suite runs the same episodes with and without a
-    pool and asserts identical oracles and traces.  Checkpoint restores
-    reduce the pooled kernel wrappers back to plain kernels (they are
-    byte-identical), so the pool is re-attached after every failover.
-    """
+                wrap_store: StoreWrapper | None = None) -> EpisodeResult:
+    """Execute ``episode`` end to end and judge it against the oracle."""
     result = EpisodeResult(episode=episode)
     cfg = episode.build_config()
     value_size = cfg.value_size
@@ -124,10 +115,6 @@ def run_episode(episode: Episode,
     items = _initial_items(episode)
     proxy.initialize(
         {key: pad_value(value, value_size) for key, value in items.items()})
-    if parallel_pool is not None:
-        from repro.parallel import attach_pool
-
-        attach_pool(proxy, parallel_pool)
     init_end_seq = len(recorder.records)
     # Faults are spliced in only after initialization: the episode's
     # fault plan indexes steady-state operations, and the HA snapshot
@@ -159,12 +146,6 @@ def run_episode(episode: Episode,
     def fail_over() -> None:
         ha.fail_over()
         result.failovers += 1
-        if parallel_pool is not None:
-            # The promoted standby was restored from a pickle, which
-            # reduced the pooled kernels to their plain inners.
-            from repro.parallel import attach_pool
-
-            attach_pool(ha.proxy, parallel_pool)
         # Re-submit client mutations the promoted snapshot may predate.
         # Idempotent: a snapshot taken after the enqueue (e.g. shipped to
         # a standby restored mid-episode) already carries the mutation.

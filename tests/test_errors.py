@@ -16,7 +16,6 @@ from repro.errors import (
     ConfigurationError,
     ConnectionDroppedError,
     DuplicateKeyError,
-    FrameError,
     IntegrityError,
     KeyNotFoundError,
     NetworkError,
@@ -31,9 +30,9 @@ from repro.errors import (
 
 ALL_ERRORS = [
     BackendUnavailableError, ClosedError, ConfigurationError,
-    ConnectionDroppedError, DuplicateKeyError, FrameError, IntegrityError,
-    KeyNotFoundError, NetworkError, PartialReplyError, ProtocolError,
-    StorageError, StorageTimeoutError, TransientError,
+    ConnectionDroppedError, DuplicateKeyError, IntegrityError, KeyNotFoundError,
+    NetworkError, PartialReplyError, ProtocolError, StorageError,
+    StorageTimeoutError, TransientError,
 ]
 
 
@@ -78,13 +77,6 @@ class TestHierarchy:
         # blind resend is unsafe, recovery goes through failover-replay.
         assert issubclass(PartialReplyError, ProtocolError)
         assert not issubclass(PartialReplyError, TransientError)
-
-    def test_frame_error_is_protocol_not_transient(self):
-        # A truncated chunk frame means the transport or producer
-        # corrupted the batch; retrying would re-feed garbage to the
-        # crypto kernels.
-        assert issubclass(FrameError, ProtocolError)
-        assert not issubclass(FrameError, TransientError)
 
 
 class TestPayloads:

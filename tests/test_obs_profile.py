@@ -24,7 +24,7 @@ class TestBuildProfile:
         for _ in range(3):
             round_tok = tracer.open_span("round", root=True)
             plan = tracer.open_span("phase.plan")
-            tracer.record_span("parallel.chunk", 0.01)
+            tracer.record_span("kernel.batch", 0.01)
             tracer.close_span(plan, 0.03)
             tracer.close_span(round_tok, 0.05)
         root = build_profile(_records_from(tracer))
@@ -34,9 +34,9 @@ class TestBuildProfile:
         assert round_node.total == pytest.approx(0.15)
         plan_node = round_node.children["phase.plan"]
         assert plan_node.count == 3
-        chunk_node = plan_node.children["parallel.chunk"]
-        assert chunk_node.count == 3
-        assert chunk_node.total == pytest.approx(0.03)
+        batch_node = plan_node.children["kernel.batch"]
+        assert batch_node.count == 3
+        assert batch_node.total == pytest.approx(0.03)
 
     def test_same_name_at_different_positions_stays_separate(self):
         tracer = Tracer()
@@ -103,11 +103,12 @@ class TestRenderAndSnapshot:
         handle = self._traced_run()
         snap = profile_snapshot(handle.registry, handle.tracer.records)
         restored = json.loads(json.dumps(snap))
-        assert restored["schema"] == "repro.profile/1"
+        assert restored["schema"] == "repro.profile/2"
         assert restored["tree"]["round"]["children"]["phase.plan"]["count"] \
             == 1
         assert restored["phases"]["round"]["count"] == 1
         assert restored["phases"]["phase.plan"]["count"] == 1
+        assert set(restored) == {"schema", "tree", "phases"}
 
 
 class TestProxyIntegration:

@@ -158,32 +158,3 @@ class TestMetricsRegistry:
     def test_render_name(self):
         assert render_name("plain", ()) == "plain"
         assert render_name("x", (("a", "1"),)) == "x{a=1}"
-
-
-class TestSubMillisecondBuckets:
-    """The fixed bucket preset the worker-telemetry merge uses."""
-
-    def test_strictly_ascending(self):
-        from repro.obs.registry import SUB_MS_BUCKETS
-
-        assert list(SUB_MS_BUCKETS) == sorted(SUB_MS_BUCKETS)
-        assert len(set(SUB_MS_BUCKETS)) == len(SUB_MS_BUCKETS)
-
-    def test_covers_microseconds_to_seconds(self):
-        from repro.obs.registry import SUB_MS_BUCKETS
-
-        assert SUB_MS_BUCKETS[0] <= 1e-6
-        assert SUB_MS_BUCKETS[-1] >= 1.0
-        # Sub-millisecond resolution: at least 8 bounds under 1 ms, so
-        # worker chunk timings (tens to hundreds of µs) do not all land
-        # in one bucket the way DEFAULT_BUCKETS would put them.
-        assert sum(1 for b in SUB_MS_BUCKETS if b < 1e-3) >= 8
-
-    def test_resolves_worker_chunk_scale_timings(self):
-        from repro.obs.registry import SUB_MS_BUCKETS
-
-        hist = Histogram(mode="buckets", buckets=SUB_MS_BUCKETS)
-        for value in (50e-6, 200e-6, 900e-6):
-            hist.observe(value)
-        assert hist.count == 3
-        assert 0 < hist.percentile(0.5) < 1e-3

@@ -89,14 +89,14 @@ class TestSpanTree:
     def test_record_span_parents_under_innermost_open(self):
         tracer = Tracer()
         round_tok = tracer.open_span("round", root=True)
-        inner = tracer.record_span("parallel.chunk", 0.005)
-        explicit = tracer.record_span("parallel.worker.chunk", 0.004,
+        inner = tracer.record_span("kernel.batch", 0.005)
+        explicit = tracer.record_span("kernel.inner", 0.004,
                                       parent=inner)
         tracer.close_span(round_tok, 0.01)
-        (chunk,) = tracer.spans("parallel.chunk")
-        (worker,) = tracer.spans("parallel.worker.chunk")
-        assert chunk["parent"] == round_tok
-        assert worker["parent"] == inner
+        (batch,) = tracer.spans("kernel.batch")
+        (nested,) = tracer.spans("kernel.inner")
+        assert batch["parent"] == round_tok
+        assert nested["parent"] == inner
         assert explicit != inner
 
     def test_close_pops_orphans_left_by_exceptions(self):

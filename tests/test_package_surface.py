@@ -43,7 +43,7 @@ class TestPackageSurface:
         "repro.sim", "repro.workloads", "repro.baselines",
         "repro.analysis", "repro.bench", "repro.ha", "repro.scaleout",
         "repro.net", "repro.cli", "repro.serve", "repro.serve.sharded",
-        "repro.testing", "repro.parallel", "repro.obs", "repro.lint",
+        "repro.testing", "repro.obs", "repro.lint",
     ])
     def test_subpackage_all_exports_resolve(self, module):
         mod = importlib.import_module(module)
@@ -64,16 +64,19 @@ class TestPackageSurface:
     def test_serving_stack_imports_no_native_crypto_wheel(self):
         """The wheels cost resident memory in every process (the
         benchmark's ``peak_rss_mb`` bound); a fresh interpreter that
-        imported the whole serving stack must not have loaded them."""
+        imported the whole serving stack must not have loaded them.  Nor
+        ``_posixshmem``, the C module behind the stdlib's shared-memory
+        segments: crypto runs on the round thread, and nothing below the
+        serving frontend hands buffers to another process."""
         import os
         import pathlib
         import subprocess
         import sys
 
         src = pathlib.Path(repro.__file__).resolve().parents[1]
-        probe = ("import sys, repro.serve, repro.parallel, repro.net; "
+        probe = ("import sys, repro.serve, repro.net, repro.core, repro.obs; "
                  "print(sorted({m.split('.')[0] for m in sys.modules} "
-                 "& {'cryptography', 'nacl'}))")
+                 "& {'cryptography', 'nacl', '_posixshmem'}))")
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             timeout=60, env={**os.environ, "PYTHONPATH": str(src)})

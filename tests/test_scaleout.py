@@ -1,5 +1,7 @@
 """Tests for the partitioned (scale-out) Waffle composition."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.errors import ConfigurationError
 from repro.scaleout import PartitionedWaffle
+from repro.testing.identity import assert_trace_identical, trace_digest
 from repro.workloads.trace import Operation
 
 
@@ -25,6 +28,46 @@ def build(record: bool = False, log_ids: bool = False) -> PartitionedWaffle:
     items = {key: b"val-" + key.encode() for key in keys}
     return PartitionedWaffle(CONFIG, items, PARTITIONS, master_seed=9,
                              record=record, log_ids=log_ids)
+
+
+def _shard_run(shard_workers: int, partitions: int = 2,
+               n_per_partition: int = 96, rounds: int = 3, seed: int = 13):
+    """A zero-argument run for :func:`assert_trace_identical` over a
+    ``PartitionedWaffle``: the trace half of the pair is the
+    per-partition digests, in partition order."""
+    config = WaffleConfig.paper_defaults(n=n_per_partition, seed=seed)
+    keys = PartitionedWaffle.plan_partitions(
+        (f"user{i:08d}" for i in range(64 * n_per_partition)),
+        n_per_partition, partitions, master_seed=seed)
+    items = {key: f"value-of-{key}".encode().ljust(64, b".") for key in keys}
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(rounds):
+        batch = []
+        for _ in range(partitions * config.r):
+            key = keys[rng.randrange(len(keys))]
+            if rng.random() < 0.3:
+                batch.append(ClientRequest(
+                    op=Operation.WRITE, key=key,
+                    value=b"write-%06d" % rng.randrange(10**6)))
+            else:
+                batch.append(ClientRequest(op=Operation.READ, key=key))
+        batches.append(batch)
+
+    def run():
+        store = PartitionedWaffle(config, items, partitions,
+                                  master_seed=seed, record=True,
+                                  shard_workers=shard_workers)
+        try:
+            responses = hashlib.sha256()
+            for resp in itertools.chain.from_iterable(
+                    store.execute_batch(batch) for batch in batches):
+                responses.update(resp.key.encode() + b"\x00" + resp.value)
+            return ([trace_digest(part.recorder.records)
+                     for part in store.stores], responses.hexdigest())
+        finally:
+            store.close()
+    return run
 
 
 class TestConstruction:
@@ -116,6 +159,10 @@ class TestExecution:
                     expected.append(value)
             responses = store.execute_batch(batch)
             assert [r.value for r in responses] == expected
+
+    def test_shard_parallel_matches_serial(self):
+        assert_trace_identical(_shard_run(shard_workers=1),
+                               _shard_run(shard_workers=2))
 
     def test_mutations_route_to_owner(self):
         store = build()
