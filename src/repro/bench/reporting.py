@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 __all__ = ["format_table", "format_series"]
 
 
@@ -56,7 +54,3 @@ def format_series(rows: list[dict], x: str, y: str,
                      f"{_format_cell(value)}")
     return "\n".join(lines)
 
-
-def print_rows(rows: Iterable[dict], **kwargs) -> None:  # pragma: no cover
-    from repro.obs.export import emit_text
-    emit_text(format_table(list(rows), **kwargs))

@@ -169,10 +169,6 @@ class WaffleConfig:
         """Constant bandwidth overhead (f_D + f_R)/R per real request (§6.2)."""
         return (self.f_d + self.f_r_min) / self.r
 
-    def cache_turnover_per_round(self) -> int:
-        """Cache recency updates per round: B - f_D + R (Theorem 7.2 proof)."""
-        return self.b - self.f_d + self.r
-
     # ------------------------------------------------------------------
     # presets
     # ------------------------------------------------------------------

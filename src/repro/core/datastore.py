@@ -129,7 +129,8 @@ class WaffleDatastore:
     # ------------------------------------------------------------------
     @property
     def server_size(self) -> int:
-        """Objects currently outsourced (bounded by N + D)."""
+        """Objects currently outsourced: N + D - C between rounds (the C
+        cached real objects have no server copy)."""
         return len(self.proxy.store)
 
     def current_bounds(self) -> tuple[int, int]:

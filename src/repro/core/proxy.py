@@ -1,36 +1,13 @@
 """The Waffle proxy: Algorithm 1 plus initialization (§6).
 
-The proxy is the trusted, stateful component.  Per batch round it:
-
-1. **Read phase** — serves cache hits locally; deduplicates misses;
-   appends ``f_D`` fake queries on dummy objects and
-   ``f_R = B - (r + f_D)`` fake queries on least-recently-accessed real
-   objects; derives each storage id as ``prf(k, ts_k)`` *before* bumping
-   ``ts_k`` to the current round; reads the ``B`` ids in one pipelined
-   batch and then deletes them (each id is read at most once, Challenge 4).
-2. **Write phase** — answers deduplicated requests from the fetched
-   values; caches every fetched real object; evicts the cache back down to
-   ``C``, writing each evicted object back under its *new* id
-   ``prf(k, ts'_k)``; re-encrypts and rewrites the ``f_D`` dummies under
-   their new ids.  Every round therefore reads exactly ``B`` ids and
-   writes exactly ``B`` ids.
-
-Two deliberate deviations from the pseudocode-as-printed, both discussed
-in the paper's prose:
-
-* Algorithm 1 line 10 as printed would enqueue a server fetch even for a
-  write whose key is cached — but a cached key has no server copy (an
-  object "either only resides in the cache or at the server", Challenge 4),
-  so the fetch would fail; cache-hit writes are served purely locally.
-* the "background thread" that deletes read ids runs synchronously here
-  ("deleting these objects has no security implications", §6.2).
-
-Small-cache regime: Algorithm 1 assumes ``C >= B - f_D + R``.  Below
-that (the paper's "re-write the objects fetched" fallback, §6.2) a
-write-miss key can be evicted back to the server before its fetched
-server copy is processed; the stale copy is then discarded rather than
-resurrected, so such rounds write slightly fewer than ``B`` objects.
-In the standard regime every round writes exactly ``B``.
+The proxy is the trusted, stateful component.  One batch round is
+:meth:`WaffleProxy.handle_batch` running the ``_PHASES`` table at the
+bottom of this module — plan, read, answer, write, commit — top to bottom
+over a round-local :class:`RoundPlan`; each phase is one method whose
+docstring says what it does and where it deviates from the pseudocode as
+printed (DESIGN.md §6 maps phases to the paper's lines and to span names).
+Every round reads exactly ``B`` ids, each derived as ``prf(k, ts_k)``, and
+writes exactly ``B`` ids, whatever the requests were.
 
 Insert/delete support (§6.2 end) swaps dummy objects for real objects and
 vice versa; see :mod:`repro.core.mutations`.
@@ -41,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.obs import OBS
 
@@ -83,14 +61,44 @@ class RoundStats:
 
 
 @dataclass(slots=True)
+class RoundPlan:
+    """One round's working set, handed from phase to phase.
+
+    Built by :meth:`WaffleProxy.handle_batch` and dropped when it returns:
+    nothing here outlives the round, so a checkpoint — or a crash — sees
+    only the proxy's own attributes.
+    """
+
+    requests: list[ClientRequest]
+    stats: RoundStats
+    #: request id -> response value
+    cli_resp: dict[int, bytes] = field(default_factory=dict)
+    #: missed key -> [(request id, wants the fetched value)]
+    dedup: dict[str, list[tuple[int, bool]]] = field(default_factory=dict)
+    #: storage id -> plaintext key: the B ids this round reads
+    read_batch: dict[str, str] = field(default_factory=dict)
+    #: deleted keys fetched only to clear their ids, and their replacements
+    dropped_reads: set[str] = field(default_factory=set)
+    newborn_dummies: list[str] = field(default_factory=list)
+    #: ``sorted(read_batch)``, what the server returned for it, and the
+    #: decrypted real objects among that (in ``sids`` order)
+    sids: list[str] = field(default_factory=list)
+    blobs: list[bytes] = field(default_factory=list)
+    plaintexts: list[bytes] = field(default_factory=list)
+    #: ``(key, id timestamp, plaintext)`` in emission order, the keys evicted
+    #: so far, and the sealed ``(id, ciphertext)`` batch
+    write_plan: list[tuple[str, int, bytes]] = field(default_factory=list)
+    evicted: set[str] = field(default_factory=set)
+    write_batch: list[tuple[str, bytes]] = field(default_factory=list)
+
+
+@dataclass(slots=True)
 class ProxyTotals:
     """Lifetime aggregates across all rounds."""
 
     rounds: int = 0
     requests: int = 0
     cache_hits: int = 0
-    server_reads: int = 0
-    server_writes: int = 0
     max_transient_cache: int = 0
     stats_by_round: list = field(default_factory=list)
 
@@ -126,8 +134,9 @@ class WaffleProxy:
         self.totals = ProxyTotals()
         self._keep_round_stats = keep_round_stats
         self.mutations = MutationQueue()
-        self._real_index: RealObjectIndex | None = None
-        self._dummy_index: DummyObjectIndex | None = None
+        # Empty until initialize() loads the dataset.
+        self._real_index = RealObjectIndex(())
+        self._dummy_index = DummyObjectIndex(())
         self._initialized = False
         self._last_stats: RoundStats | None = None
         #: Optional storage-id provenance (sid -> plaintext key): the
@@ -183,89 +192,132 @@ class WaffleProxy:
     # ------------------------------------------------------------------
     # crypto helpers
     # ------------------------------------------------------------------
-    def _encode_id(self, key: str, ts: int) -> str:
-        sid = self.keychain.prf.derive(key, ts)
-        if self.id_log is not None:
-            self.id_log[sid] = key
-        return sid
-
     def _encode_ids(self, pairs: list[tuple[str, int]]) -> list[str]:
-        """Batched :meth:`_encode_id` over ``(key, timestamp)`` pairs."""
+        """GetIndex over ``(key, timestamp)`` pairs: ``prf(k, ts_k)`` each."""
         sids = self.keychain.prf.derive_many(pairs)
         if self.id_log is not None:
-            for sid, (key, _) in zip(sids, pairs):
-                self.id_log[sid] = key
+            self.id_log.update(zip(sids, [key for key, _ in pairs]))
         return sids
-
-    def _encrypt(self, value: bytes) -> bytes:
-        return self.keychain.cipher.encrypt(value)
-
-    def _decrypt(self, blob: bytes) -> bytes:
-        return self.keychain.cipher.decrypt(blob)
 
     def _dummy_payload(self) -> bytes:
         return self._rng.randbytes(self.config.value_size)
 
-    def _get_index(self, key: str) -> str:
-        """GetIndex(k): prf(k, BST.getTimestamp(k))."""
-        if key.startswith(_DUMMY_PREFIX):
-            return self._encode_id(key, self._dummy_index.stored_timestamp(key))
-        return self._encode_id(key, self._real_index.timestamp(key))
-
-    def _is_dummy(self, key: str) -> bool:
-        return key.startswith(_DUMMY_PREFIX)
+    def _new_dummy_key(self) -> str:
+        return f"{_DUMMY_PREFIX}n{self._rng.randrange(2**63):015x}"
 
     # ------------------------------------------------------------------
-    # Algorithm 1
+    # Algorithm 1: the driver
     # ------------------------------------------------------------------
     def handle_batch(self, requests: list[ClientRequest]) -> list[ClientResponse]:
         """Process one batch of up to R client requests; returns responses."""
         if not self._initialized:
             raise ProtocolError("proxy not initialized")
-        cfg = self.config
-        if len(requests) > cfg.r:
+        if len(requests) > self.config.r:
             raise ProtocolError(
-                f"batch carries {len(requests)} requests, R={cfg.r}"
-            )
-        real_index = self._real_index
-        dummy_index = self._dummy_index
+                f"batch carries {len(requests)} requests, R={self.config.r}")
         self.ts += 1
-        stats = RoundStats(round=self.ts, requests=len(requests))
         # Duck-typed so fault-injection and other wrappers stacked above a
         # RecordingStore can forward the round boundary.
         next_round = getattr(self.store, "next_round", None)
         if next_round is not None:
             next_round()
-        # Observability: phase boundaries are perf_counter readings taken
-        # only when enabled; the disabled path costs one branch per phase
-        # (the zero-cost contract pinned by tests/test_obs_overhead.py).
-        # Phases form a span tree under the round: open_span(root=True)
-        # resets the thread's span stack, so a chaos-injected mid-round
-        # exception cannot corrupt the parentage of later rounds.
-        obs = OBS
-        observing = obs.enabled
-        if observing:
-            _pc = time.perf_counter
-            _round_tok = obs.open_span("round", root=True)
-            _tok = obs.open_span("phase.plan")
-            _t0 = _pc()
+        plan = RoundPlan(requests,
+                         RoundStats(round=self.ts, requests=len(requests)))
+        if OBS.enabled:
+            self._run_observed(plan)
+        else:  # the zero-cost contract: one branch per round when off
+            for _span, _labels, run, _sized in _PHASES:
+                run(self, plan)
+            self._account(plan)
+        cli_resp = plan.cli_resp
+        return [
+            ClientResponse(request_id=request.request_id, key=request.key,
+                           value=cli_resp[request.request_id])
+            for request in requests
+        ]
 
-        cli_resp: dict[int, bytes] = {}
-        dedup: dict[str, list[tuple[int, bool]]] = {}
+    def _run_observed(self, plan: RoundPlan) -> None:
+        """The same pipeline under the span tree: a ``round`` root with one
+        child per phase.  ``open_span(root=True)`` resets the thread's span
+        stack, so a chaos-injected mid-round exception cannot corrupt the
+        parentage of later rounds."""
+        obs, clock = OBS, time.perf_counter
+        round_tok = obs.open_span("round", root=True)
+        start = mark = clock()
+        for span, labels, run, sized in _PHASES:
+            tok = obs.open_span(span)
+            run(self, plan)
+            now = clock()
+            attrs = {sized[0]: len(getattr(plan, sized[1]))} if sized else {}
+            obs.close_span(tok, now - mark, labels=labels, round=self.ts,
+                           **attrs)
+            mark = now
+        self._account(plan)
+        stats, reg = plan.stats, obs.registry
+        reg.counter("rounds.total", **_LABELS).inc()
+        reg.counter("requests.total", **_LABELS).inc(stats.requests)
+        reg.counter("cache.hits.total", **_LABELS).inc(stats.cache_hits)
+        reg.counter("server.reads.total", **_LABELS).inc(stats.server_reads)
+        reg.counter("server.writes.total", **_LABELS).inc(stats.server_writes)
+        reg.counter("batch.real.total", **_LABELS).inc(stats.unique_real_reads)
+        reg.counter("batch.fake_real.total", **_LABELS).inc(stats.fake_real_reads)
+        reg.counter("batch.fake_dummy.total", **_LABELS).inc(stats.fake_dummy_reads)
+        reg.gauge("cache.size", **_LABELS).set(len(self.cache))
+        obs.close_span(round_tok, clock() - start, labels=_LABELS,
+                       round=self.ts, requests=stats.requests,
+                       real=stats.unique_real_reads,
+                       fake_real=stats.fake_real_reads,
+                       fake_dummy=stats.fake_dummy_reads,
+                       cache_hits=stats.cache_hits)
 
-        inserts, deletes = self.mutations.drain(
-            insert_limit=min(cfg.f_d, len(dummy_index)),
-            delete_limit=cfg.f_r_min,
-        )
+    def _account(self, plan: RoundPlan) -> None:
+        """Round counters, each the size of something the plan holds."""
+        stats = plan.stats
+        reads, writes = len(plan.sids), len(plan.write_plan)
+        evictions = len(plan.evicted)
+        forced = len(plan.dropped_reads)
+        stats.decryptions = reals = len(plan.plaintexts)  # all but the dummies
+        stats.unique_real_reads = r = len(plan.dedup)
+        stats.fake_real_reads = f_r = reals - r
+        stats.fake_dummy_reads = f_d = reads - reals
+        stats.server_reads = stats.server_deletes = reads
+        stats.server_writes = len(plan.write_batch)
+        stats.encryptions = writes
+        stats.prf_evals = reads + writes
+        stats.cache_ops += evictions
+        # Two tree operations per real selected (restamp + detach), one per
+        # dummy, forced read and eviction.
+        stats.index_ops = 2 * (r + f_r) - forced + f_d + evictions
+        totals = self.totals
+        totals.rounds += 1
+        totals.requests += stats.requests
+        totals.cache_hits += stats.cache_hits
+        if self._keep_round_stats:
+            totals.stats_by_round.append(stats)
+        self._last_stats = stats
 
-        # -------------------- read phase --------------------
-        # Consecutive READ requests probe the cache through one bulk
-        # get_if_present_many call (a pure READ run performs no cache
-        # mutations, so batching the probes cannot reorder anything:
-        # recency bumps land hit-by-hit in request order, exactly as the
-        # scalar loop produced them).  WRITE requests mutate the cache
-        # and therefore stay scalar, bounding each run at the next write.
-        index = 0
+    # ------------------------------------------------------------------
+    # Algorithm 1: the phases
+    # ------------------------------------------------------------------
+    def _serve_from_cache(self, plan: RoundPlan) -> None:
+        """The request loop: answer what the cache holds, deduplicate the rest.
+
+        Deviation from the pseudocode as printed: line 10 would enqueue a
+        server fetch even for a write whose key is cached — but a cached
+        key has no server copy (an object "either only resides in the cache
+        or at the server", Challenge 4), so the fetch would fail;
+        cache-hit writes are served purely locally.
+
+        A run of consecutive READs probes the cache in one bulk call: it
+        mutates nothing, so recency bumps still land hit-by-hit in request
+        order.  WRITEs mutate the cache, stay scalar and end the run.
+        """
+        requests, cache, real_index = plan.requests, self.cache, self._real_index
+        cli_resp, dedup = plan.cli_resp, plan.dedup
+        for request in requests:
+            if request.key not in real_index:
+                raise ProtocolError(f"request for unknown key: {request.key!r}")
+        hits = ops = index = 0
         total = len(requests)
         while index < total:
             request = requests[index]
@@ -275,49 +327,52 @@ class WaffleProxy:
                        and requests[run_end].op is Operation.READ):
                     run_end += 1
                 run = requests[index:run_end]
-                values = self.cache.get_if_present_many(
+                values = cache.get_if_present_many(
                     [req.key for req in run], _MISS)
                 for req, value in zip(run, values):
-                    key = req.key
-                    if key not in real_index:
-                        raise ProtocolError(
-                            f"request for unknown key: {key!r}")
                     if value is not _MISS:
                         cli_resp[req.request_id] = value
-                        stats.cache_hits += 1
-                        stats.cache_ops += 1
+                        hits += 1
+                        ops += 1
                     else:
-                        dedup.setdefault(key, []).append(
+                        dedup.setdefault(req.key, []).append(
                             (req.request_id, True))
                 index = run_end
             else:  # WRITE
                 key = request.key
-                if key not in real_index:
-                    raise ProtocolError(f"request for unknown key: {key!r}")
-                if key in self.cache:
-                    self.cache.put(key, request.value)
-                    stats.cache_hits += 1
+                if key in cache:
+                    hits += 1
                 else:
                     dedup.setdefault(key, []).append((request.request_id, False))
-                    self.cache.put(key, request.value)
-                stats.cache_ops += 1
+                cache.put(key, request.value)
+                ops += 1
                 cli_resp[request.request_id] = request.value
                 index += 1
+        plan.stats.cache_hits = hits
+        plan.stats.cache_ops = ops
 
-        read_batch: dict[str, str] = {}  # storage id -> plaintext key
+    def _plan(self, plan: RoundPlan) -> None:
+        """Read phase: choose the B ids this round reads — the ``r``
+        deduplicated misses, ``f_D`` dummies and ``f_R = B - (r + f_D)``
+        least-recently-accessed reals — each derived as ``prf(k, ts_k)``
+        *before* ``ts_k`` is bumped to this round."""
+        cfg, ts = self.config, self.ts
+        real_index, dummy_index = self._real_index, self._dummy_index
+        read_batch = plan.read_batch
+        inserts, deletes = self.mutations.drain(
+            insert_limit=min(cfg.f_d, len(dummy_index)), delete_limit=cfg.f_r_min)
+        self._serve_from_cache(plan)
+
+        dedup = plan.dedup
         dedup_pairs = [(key, real_index.timestamp(key)) for key in dedup]
         for key in dedup:
-            real_index.set_timestamp(key, self.ts)
+            real_index.set_timestamp(key, ts)
             real_index.mark_cached(key)
-        for sid, key in zip(self._encode_ids(dedup_pairs), dedup):
-            read_batch[sid] = key
-        stats.prf_evals += len(dedup)
-        stats.index_ops += 2 * len(dedup)
+        read_batch.update(zip(self._encode_ids(dedup_pairs), dedup))
 
-        # Deleted server-resident keys are force-read this round so their
-        # ids leave the server (they consume fake-real slots below).
+        # Deletes (§6.2): a cached key just goes, a server-resident one is
+        # force-read below so its id leaves the server; a dummy replaces it.
         forced_reads: list[str] = []
-        newborn_dummies: list[str] = []
         for key in deletes:
             if key in dedup:
                 # The key is being fetched for a client in this very round;
@@ -329,258 +384,162 @@ class WaffleProxy:
                 real_index.drop_key(key)
             else:
                 forced_reads.append(key)
-            newborn_dummies.append(self._new_dummy_key())
+            plan.newborn_dummies.append(self._new_dummy_key())
 
-        # Fake queries on dummy objects (lines 20-23).  Retiring dummies
-        # (freeing slots for inserts) are read but will not be rewritten.
-        # The f_D least-recently-read dummies are detached from the
-        # selection tree in one batched descent; ids derive from their
-        # still-stored timestamps in one PRF pass.
-        dummy_budget = min(cfg.f_d, len(dummy_index))
-        dummy_sel = dummy_index.take_min_keys(dummy_budget)
+        # Fake queries on dummy objects (lines 20-23): the f_D least-
+        # recently-read dummies leave the selection tree in one descent; ids
+        # derive from their still-stored timestamps.  The first len(inserts)
+        # retire: read but not rewritten, their slots go to the inserts.
+        dummy_sel = dummy_index.take_min_keys(min(cfg.f_d, len(dummy_index)))
         if len(inserts) > len(dummy_sel):
             raise ProtocolError("insert queue exceeded available dummy reads")
-        dummy_pairs = [
-            (key, dummy_index.stored_timestamp(key)) for key in dummy_sel
-        ]
-        for sid, key in zip(self._encode_ids(dummy_pairs), dummy_sel):
-            read_batch[sid] = key
-        retired_dummies = set(dummy_sel[: len(inserts)])
+        dummy_pairs = [(key, dummy_index.stored_timestamp(key)) for key in dummy_sel]
+        read_batch.update(zip(self._encode_ids(dummy_pairs), dummy_sel))
         for key in dummy_sel[: len(inserts)]:
             dummy_index.retire(key)
-        dummy_index.record_access_many(dummy_sel[len(inserts):], self.ts)
-        stats.prf_evals += len(dummy_sel)
-        stats.index_ops += len(dummy_sel)
-        stats.fake_dummy_reads += len(dummy_sel)
+        dummy_index.record_access_many(dummy_sel[len(inserts):], ts)
         for key, value in inserts:
-            real_index.add_key(key, self.ts, server_resident=False)
+            real_index.add_key(key, ts)
             self.cache.put(key, value)
-            stats.cache_ops += 1
+        plan.stats.cache_ops += len(inserts)
 
-        # Fake queries on real objects (lines 24-28): least-recently
-        # accessed server-resident keys, preceded by any forced deletes.
-        r = len(dedup)
-        f_r = cfg.b - (r + stats.fake_dummy_reads)
+        # Fake queries on real objects (lines 24-28).  Forced deletes
+        # consume fake-real slots first, taken from the end of the list.
+        f_r = cfg.b - (len(dedup) + len(dummy_sel))
         if f_r < 0:
             raise ProtocolError("batch overflow: r + f_D exceeds B")
-        dropped_reads: set[str] = set()
-        # Forced deletes consume fake-real slots first (the scalar loop
-        # popped them from the end of the list, one per slot).
         forced_sel = [forced_reads.pop() for _ in range(min(len(forced_reads), f_r))]
-        forced_pairs = [(key, real_index.timestamp(key)) for key in forced_sel]
-        for sid, key in zip(self._encode_ids(forced_pairs), forced_sel):
-            read_batch[sid] = key
-            real_index.drop_key(key)
-            dropped_reads.add(key)
-        stats.prf_evals += len(forced_sel)
-        stats.index_ops += len(forced_sel)
-
-        remaining = f_r - len(forced_sel)
-        if remaining and cfg.fake_real_policy == "least_recent":
-            if remaining > real_index.server_resident_count:
-                raise ProtocolError(
-                    "no server-resident real objects left for fake queries; "
-                    "N - C is too small for this configuration"
-                )
-            fake_pairs = real_index.pop_min_keys(remaining, self.ts)
-            for sid, (key, _) in zip(self._encode_ids(fake_pairs), fake_pairs):
-                read_batch[sid] = key
-            stats.prf_evals += remaining
-            stats.index_ops += 2 * remaining
-        elif remaining:  # "uniform": the Challenge-2 ablation draws one
-            for _ in range(remaining):  # rng value per pick, so stays scalar
-                if real_index.server_resident_count == 0:
-                    raise ProtocolError(
-                        "no server-resident real objects left for fake queries; "
-                        "N - C is too small for this configuration"
-                    )
-                key = real_index.random_resident_key(self._rng)
-                read_batch[self._get_index(key)] = key
-                real_index.set_timestamp(key, self.ts)
-                real_index.mark_cached(key)
-                stats.prf_evals += 1
-                stats.index_ops += 2
         if forced_reads:
             raise ProtocolError("delete queue exceeded fake-real budget")
-        stats.unique_real_reads = r
-        stats.fake_real_reads = f_r
-        if observing:
-            _t1 = _pc()
-            obs.close_span(_tok, _t1 - _t0,
-                           labels={"system": "waffle"}, round=self.ts)
-            _tok = obs.open_span("phase.server_io")
+        forced_pairs = [(key, real_index.timestamp(key)) for key in forced_sel]
+        read_batch.update(zip(self._encode_ids(forced_pairs), forced_sel))
+        for key in forced_sel:
+            real_index.drop_key(key)
+        plan.dropped_reads.update(forced_sel)
 
-        # One pipelined read of B ids.  Their deletion (read-once ids) is
-        # deferred into the end-of-round commit_round so that a crash
-        # anywhere in the round leaves the server untouched by it — the
-        # property snapshot-based failover recovery relies on.  The
-        # adversary-visible trace is unchanged: reads, then deletes, then
-        # writes, once per round.
-        sids = sorted(read_batch)
-        blobs = self.store.multi_get(sids)
-        stats.server_reads = len(sids)
-        stats.server_deletes = len(sids)
-        if observing:
-            _t2 = _pc()
-            obs.close_span(_tok, _t2 - _t1,
-                           labels={"system": "waffle", "dir": "read"},
-                           round=self.ts, ids=len(sids))
-            _tok = obs.open_span("phase.decrypt")
-
-        # -------------------- write phase --------------------
-        # "The algorithm first evicts an object from the cache before
-        # adding a new object" (lines 37-41): interleaving eviction with
-        # insertion keeps the transient cache at C + R, never C + B.
-        #
-        # Crypto is deferred: the loop plans (key, id_timestamp, plaintext)
-        # triples in emission order, then one derive_many + encrypt_many
-        # pass produces the actual write batch.  Dummy payloads are still
-        # drawn at plan time so the proxy rng stream matches the scalar
-        # path draw-for-draw (the recorded trace is identical).
-        write_plan: list[tuple[str, int, bytes]] = []
-        written_this_phase: set[str] = set()
-
-        def evict_one() -> None:
-            evicted_key, evicted_value = self.cache.evict()
-            real_index.mark_server_resident(evicted_key)
-            written_this_phase.add(evicted_key)
-            write_plan.append(
-                (evicted_key, real_index.timestamp(evicted_key), evicted_value)
+        remaining = f_r - len(forced_sel)
+        if remaining > real_index.server_resident_count:
+            raise ProtocolError(
+                "no server-resident real objects left for fake queries; "
+                "N - C is too small for this configuration"
             )
-            stats.prf_evals += 1
-            stats.encryptions += 1
-            stats.cache_ops += 1
-            stats.index_ops += 1
+        if cfg.fake_real_policy == "least_recent":
+            fake_pairs = real_index.pop_min_keys(remaining, ts)
+        else:  # "uniform": the Challenge-2 ablation draws one rng value per
+            fake_pairs = []  # pick, so the selection stays scalar
+            for _ in range(remaining):
+                key = real_index.random_resident_key(self._rng)
+                fake_pairs.append((key, real_index.timestamp(key)))
+                real_index.set_timestamp(key, ts)
+                real_index.mark_cached(key)
+        read_batch.update(zip(self._encode_ids(fake_pairs),
+                              [key for key, _ in fake_pairs]))
 
-        # Every fetched real object decrypts in one batched kernel pass
-        # (dummy payloads are random bytes and never inspected).
-        real_positions = [
-            pos for pos, sid in enumerate(sids)
-            if not self._is_dummy(read_batch[sid])
-        ]
-        plaintexts = self.keychain.cipher.decrypt_many(
-            [blobs[pos] for pos in real_positions]
-        )
-        decrypted = dict(zip(real_positions, plaintexts))
-        stats.decryptions += len(real_positions)
-        if observing:
-            _t3 = _pc()
-            obs.close_span(_tok, _t3 - _t2,
-                           labels={"system": "waffle"}, round=self.ts,
-                           values=len(real_positions))
-            _tok = obs.open_span("phase.cache")
+    def _read(self, plan: RoundPlan) -> None:
+        """One pipelined read of the B ids, in sorted order.
 
-        for pos, sid in enumerate(sids):
+        Deviation from the pseudocode: the "background thread" that deletes
+        the ids just read ("deleting these objects has no security
+        implications", §6.2) is the delete half of :meth:`_commit`, so a
+        crash anywhere in the round leaves the server untouched by it — the
+        property snapshot-based failover relies on.  The adversary still
+        sees reads, then deletes, then writes, once per round.
+        """
+        plan.sids = sorted(plan.read_batch)
+        plan.blobs = self.store.multi_get(plan.sids)
+
+    def _decrypt(self, plan: RoundPlan) -> None:
+        """Every fetched real object decrypts in one batched kernel pass
+        (dummy payloads are random bytes and never inspected)."""
+        read_batch = plan.read_batch
+        plan.plaintexts = self.keychain.cipher.decrypt_many([
+            blob for sid, blob in zip(plan.sids, plan.blobs)
+            if not read_batch[sid].startswith(_DUMMY_PREFIX)
+        ])
+
+    def _answer(self, plan: RoundPlan) -> None:
+        """Write phase: answer the deduplicated requests from the fetched
+        values, cache every fetched real object, plan the dummy rewrites.
+
+        "The algorithm first evicts an object from the cache before adding
+        a new object" (lines 37-41): interleaving eviction with insertion
+        keeps the transient cache at C + R, never C + B.
+
+        Crypto is deferred: the loop plans ``(key, id_timestamp,
+        plaintext)`` in emission order and :meth:`_seal` makes one pass over
+        it.  Dummy payloads are still drawn here, in sid order, so the rng
+        stream is the scalar algorithm's draw for draw.
+
+        Small-cache regime: Algorithm 1 assumes ``C >= B - f_D + R``.  Below
+        that (the paper's "re-write the objects fetched" fallback, §6.2) a
+        write-miss key can be evicted before its fetched copy comes up here;
+        the stale copy is discarded, not resurrected — the eviction already
+        wrote the newer value, so the round still writes exactly ``B``.
+        """
+        capacity, cache, dummy_index = self.config.c, self.cache, self._dummy_index
+        read_batch, dedup, cli_resp = plan.read_batch, plan.dedup, plan.cli_resp
+        dropped = plan.dropped_reads
+        evicted, write_plan = plan.evicted, plan.write_plan
+        plaintexts = iter(plan.plaintexts)
+        kept = 0
+        for sid in plan.sids:
             key = read_batch[sid]
-            if self._is_dummy(key):
-                if key in retired_dummies:
-                    continue  # slot freed for an inserted real object
-                write_plan.append(
-                    (key, dummy_index.stored_timestamp(key), self._dummy_payload())
-                )
-                stats.prf_evals += 1
-                stats.encryptions += 1
+            if key.startswith(_DUMMY_PREFIX):
+                if key in dummy_index:  # else retired: its slot went to an insert
+                    write_plan.append((key, dummy_index.stored_timestamp(key),
+                                       self._dummy_payload()))
                 continue
-            value = decrypted[pos]
-            if key in dropped_reads:
+            value = next(plaintexts)
+            if key in dropped:
                 continue  # deleted key: fetched only to clear its id
             for request_id, need_resp in dedup.get(key, ()):
                 if need_resp:
                     cli_resp[request_id] = value
-            if key in written_this_phase:
-                # A write-miss key whose (newer) cached value was already
-                # evicted back to the server earlier in this phase; do not
-                # resurrect the stale fetched copy.
-                continue
-            if not self.cache.touch_if_present(key):
+            if key in evicted:
+                continue  # small-cache regime: the stale copy
+            if not cache.touch_if_present(key):
                 # touch_if_present: a hit means the key was written this
                 # batch and the cached value wins; recency still bumps.
-                if len(self.cache) >= cfg.c:
-                    evict_one()
-                self.cache.put(key, value)
-            stats.cache_ops += 1
-
-        for key in newborn_dummies:
+                if len(cache) >= capacity:
+                    self._evict_one(plan)
+                cache.put(key, value)
+            kept += 1
+        for key in plan.newborn_dummies:
             dummy_index.swap_in(key, self.ts)
             write_plan.append((key, self.ts, self._dummy_payload()))
-            stats.prf_evals += 1
-            stats.encryptions += 1
+        plan.stats.cache_ops += kept
 
-        self.totals.max_transient_cache = max(
-            self.totals.max_transient_cache, len(self.cache)
-        )
-        if observing:
-            _t4 = _pc()
-            obs.close_span(_tok, _t4 - _t3,
-                           labels={"system": "waffle"}, round=self.ts)
-            _tok = obs.open_span("phase.evict")
-        # Drain the write-miss overage (the C + R transient) back to C.
-        while self.cache.over_capacity():
-            evict_one()
-        if observing:
-            _t5 = _pc()
-            obs.close_span(_tok, _t5 - _t4,
-                           labels={"system": "waffle"}, round=self.ts)
-            _tok = obs.open_span("phase.derive")
+    def _evict_one(self, plan: RoundPlan) -> None:
+        """The LRU entry goes back to the server under its *new* id
+        ``prf(k, ts'_k)`` and becomes a fake-query candidate again."""
+        key, value = self.cache.evict()
+        real_index = self._real_index
+        real_index.mark_server_resident(key)
+        plan.evicted.add(key)
+        plan.write_plan.append((key, real_index.timestamp(key), value))
 
-        write_ids, ciphertexts = self.keychain.seal_many(
-            [(key, ts) for key, ts, _ in write_plan],
-            [value for _, _, value in write_plan],
-        )
-        if self.id_log is not None:
-            for sid, (key, _, _) in zip(write_ids, write_plan):
-                self.id_log[sid] = key
-        write_batch = list(zip(write_ids, ciphertexts))
-        if observing:
-            _t6 = _pc()
-            obs.close_span(_tok, _t6 - _t5,
-                           labels={"system": "waffle"}, round=self.ts,
-                           writes=len(write_batch))
-            _tok = obs.open_span("phase.server_io")
-        self.store.commit_round(sids, write_batch)
-        stats.server_writes = len(write_batch)
-        dummy_index.end_round(self.ts)
-        if observing:
-            _t7 = _pc()
-            obs.close_span(_tok, _t7 - _t6,
-                           labels={"system": "waffle", "dir": "write"},
-                           round=self.ts, ids=len(write_batch))
-
-        # -------------------- bookkeeping --------------------
+    def _evict(self, plan: RoundPlan) -> None:
+        """Drain the write-miss overage (the C + R transient) back to C."""
         totals = self.totals
-        totals.rounds += 1
-        totals.requests += stats.requests
-        totals.cache_hits += stats.cache_hits
-        totals.server_reads += stats.server_reads
-        totals.server_writes += stats.server_writes
-        if self._keep_round_stats:
-            totals.stats_by_round.append(stats)
-        self._last_stats = stats
+        totals.max_transient_cache = max(totals.max_transient_cache,
+                                         len(self.cache))
+        while self.cache.over_capacity():
+            self._evict_one(plan)
 
-        if observing:
-            labels = {"system": "waffle"}
-            reg = obs.registry
-            reg.counter("rounds.total", **labels).inc()
-            reg.counter("requests.total", **labels).inc(stats.requests)
-            reg.counter("cache.hits.total", **labels).inc(stats.cache_hits)
-            reg.counter("server.reads.total", **labels).inc(stats.server_reads)
-            reg.counter("server.writes.total", **labels).inc(stats.server_writes)
-            reg.counter("batch.real.total", **labels).inc(stats.unique_real_reads)
-            reg.counter("batch.fake_real.total", **labels).inc(stats.fake_real_reads)
-            reg.counter("batch.fake_dummy.total", **labels).inc(stats.fake_dummy_reads)
-            reg.gauge("cache.size", **labels).set(len(self.cache))
-            obs.close_span(_round_tok, _pc() - _t0, labels=labels,
-                           round=self.ts, requests=stats.requests,
-                           real=stats.unique_real_reads,
-                           fake_real=stats.fake_real_reads,
-                           fake_dummy=stats.fake_dummy_reads,
-                           cache_hits=stats.cache_hits)
+    def _seal(self, plan: RoundPlan) -> None:
+        """One ``derive_many`` + one ``encrypt_many`` pass over the write
+        plan; nonces are drawn in plan order."""
+        write_plan = plan.write_plan
+        write_ids = self._encode_ids([(key, ts) for key, ts, _ in write_plan])
+        ciphertexts = self.keychain.cipher.encrypt_many(
+            [value for _, _, value in write_plan])
+        plan.write_batch = list(zip(write_ids, ciphertexts))
 
-        return [
-            ClientResponse(request_id=request.request_id, key=request.key,
-                           value=cli_resp[request.request_id])
-            for request in requests
-        ]
+    def _commit(self, plan: RoundPlan) -> None:
+        """Delete the B ids read (each id is read at most once, Challenge 4)
+        and write the B new ones, atomically."""
+        self.store.commit_round(plan.sids, plan.write_batch)
+        self._dummy_index.end_round(self.ts)
 
     # ------------------------------------------------------------------
     # introspection
@@ -592,15 +551,70 @@ class WaffleProxy:
     @property
     def real_count(self) -> int:
         """Current N (changes under inserts/deletes)."""
-        return len(self._real_index) if self._real_index else 0
+        return len(self._real_index)
 
     @property
     def dummy_count(self) -> int:
         """Current D (changes under inserts/deletes)."""
-        return len(self._dummy_index) if self._dummy_index else 0
+        return len(self._dummy_index)
 
     def contains_key(self, key: str) -> bool:
-        return self._real_index is not None and key in self._real_index
+        return key in self._real_index
 
-    def _new_dummy_key(self) -> str:
-        return f"{_DUMMY_PREFIX}n{self._rng.randrange(2**63):015x}"
+    def check_invariants(self) -> None:
+        """The proxy's structural self-check; raises :class:`ProtocolError`
+        naming the first breach.
+
+        What §6.1 sets up and every committed round must preserve.  Safety
+        code for tests and the chaos runner, valid between rounds; it costs
+        one PRF call and one server probe per outsourced object, so the
+        serving path never runs it.
+        """
+        real_index, dummy_index, cache = self._real_index, self._dummy_index, self.cache
+        reals, dummies = list(real_index.items()), list(dummy_index.items())
+        resident = [pair for pair in reals if real_index.is_server_resident(pair[0])]
+        outsourced = resident + dummies
+        sids = self.keychain.prf.derive_many(outsourced)
+        pending = self.mutations.pending_inserts
+        breaches = {
+            f"cache holds {len(cache)} > C={self.config.c}":
+                len(cache) > self.config.c,
+            "real keys not in exactly one of cache and server index":
+                [key for key, _ in reals
+                 if real_index.is_server_resident(key) == (key in cache)],
+            "cache holds keys the index does not know":
+                len(cache) + len(resident) != len(reals),
+            f"server holds {len(self.store)} objects, not {len(resident)} "
+            f"resident reals + {len(dummies)} dummies (N + D - C)":
+                len(self.store) != len(outsourced),
+            f"timestamps beyond round {self.ts}":
+                [key for key, ts in reals + dummies if ts > self.ts],
+            "prf(key, timestamp) not on the server":
+                [pair for sid, pair in zip(sids, outsourced) if sid not in self.store],
+            f"{pending} pending inserts exceed the {len(dummies)} dummies left":
+                pending > len(dummies),
+        }
+        for message, breach in breaches.items():
+            if breach:
+                detail = f": {breach[:3]}" if isinstance(breach, list) else ""
+                raise ProtocolError(f"invariant: {message}{detail}")
+
+
+_LABELS = {"system": "waffle"}
+
+#: Algorithm 1, run top to bottom by :meth:`WaffleProxy.handle_batch`.  Each
+#: row: the span (and labels) the phase is timed under in the ``round`` span
+#: tree, the phase, and the span attribute sized by a ``RoundPlan`` field.
+_PHASES: tuple[tuple[str, dict[str, str],
+                     Callable[[WaffleProxy, RoundPlan], None],
+                     tuple[str, str] | None], ...] = (
+    ("phase.plan", _LABELS, WaffleProxy._plan, None),
+    ("phase.server_io", {**_LABELS, "dir": "read"}, WaffleProxy._read,
+     ("ids", "sids")),
+    ("phase.decrypt", _LABELS, WaffleProxy._decrypt, ("values", "plaintexts")),
+    ("phase.cache", _LABELS, WaffleProxy._answer, None),
+    ("phase.evict", _LABELS, WaffleProxy._evict, None),
+    ("phase.derive", _LABELS, WaffleProxy._seal, ("writes", "write_batch")),
+    ("phase.server_io", {**_LABELS, "dir": "write"}, WaffleProxy._commit,
+     ("ids", "write_batch")),
+)

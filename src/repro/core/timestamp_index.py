@@ -24,7 +24,7 @@ treap substrate with Waffle's specific semantics:
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import ItemsView, Iterable
 
 from repro.ds.treap import Treap
 from repro.seeding import derive_seed, seeded_rng
@@ -45,11 +45,9 @@ class RealObjectIndex:
 
     def __init__(self, keys: Iterable[str],
                  seed: int | None = None) -> None:
-        self._timestamps: dict[str, int] = {}
+        self._timestamps: dict[str, int] = dict.fromkeys(keys, 0)
         self._tree = Treap(seed=seed)
         self._arrivals = 0
-        for key in keys:
-            self._timestamps[key] = 0
 
     def __len__(self) -> int:
         return len(self._timestamps)
@@ -64,6 +62,13 @@ class RealObjectIndex:
     def timestamp(self, key: str) -> int:
         """Current access timestamp of ``key`` (BST.getTimestamp)."""
         return self._timestamps[key]
+
+    def items(self) -> ItemsView[str, int]:
+        """``(key, timestamp)`` of every real key, cached or not."""
+        return self._timestamps.items()
+
+    def is_server_resident(self, key: str) -> bool:
+        return key in self._tree
 
     def _next_arrival(self) -> int:
         self._arrivals += 1
@@ -88,18 +93,13 @@ class RealObjectIndex:
         if key in self._tree:
             self._tree.remove(key)
 
-    def min_timestamp_key(self) -> str:
-        """BST.getMinTimestampObj(real): least-recently-accessed resident key."""
-        _, key = self._tree.min()
-        return key
-
     def pop_min_keys(self, count: int, ts: int) -> list[tuple[str, int]]:
         """Batched fake-query selection: take the ``count`` least-recently-
         accessed resident keys, stamp each with ``ts`` and mark it cached.
 
         Returns ``(key, previous_timestamp)`` pairs in selection order —
         the previous timestamp is what ``GetIndex`` must feed the PRF.
-        Equivalent to ``count`` rounds of :meth:`min_timestamp_key` +
+        Equivalent to ``count`` rounds of BST.getMinTimestampObj +
         :meth:`set_timestamp` + :meth:`mark_cached` (including the arrival
         counter, so eviction FIFO tiebreaks are unchanged), but the tree
         is descended once instead of ``3·count`` times.
@@ -117,13 +117,12 @@ class RealObjectIndex:
         _, key = self._tree.select(rng.randrange(len(self._tree)))
         return key
 
-    def add_key(self, key: str, ts: int, server_resident: bool) -> None:
-        """Register a brand-new real key (insert support, §6.2)."""
+    def add_key(self, key: str, ts: int) -> None:
+        """Register a brand-new real key, born in the cache (insert
+        support, §6.2)."""
         if key in self._timestamps:
             raise KeyError(f"key already tracked: {key}")
         self._timestamps[key] = ts
-        if server_resident:
-            self._tree.insert(key, (ts, self._next_arrival(), key))
 
     def drop_key(self, key: str) -> None:
         """Forget a real key entirely (delete support, §6.2)."""
@@ -160,10 +159,9 @@ class DummyObjectIndex:
         """Timestamp embedded in the dummy's current storage id."""
         return self._stored_ts[key]
 
-    def min_timestamp_key(self) -> str:
-        """BST.getMinTimestampObj(dummy)."""
-        _, key = self._tree.min()
-        return key
+    def items(self) -> ItemsView[str, int]:
+        """``(key, stored timestamp)`` of every dummy."""
+        return self._stored_ts.items()
 
     def take_min_keys(self, count: int) -> list[str]:
         """Batched BST.getMinTimestampObj: detach the ``count`` least keys.
@@ -177,9 +175,14 @@ class DummyObjectIndex:
         return [key for _, key in self._tree.pop_min_many(count)]
 
     def record_access_many(self, keys: Iterable[str], ts: int) -> None:
-        """Batched :meth:`record_access` over keys already detached by
-        :meth:`take_min_keys`; tiebreak draws happen in ``keys`` order, so
-        the selection sequence matches the one-at-a-time path exactly."""
+        """The dummies ``keys``, detached by :meth:`take_min_keys`, were just
+        read: their next storage ids embed ``ts``, and they rejoin the
+        selection tree (tiebreak draws in ``keys`` order).
+
+        Once every dummy has been accessed (``D`` accesses) all selection
+        positions are reshuffled — the paper's epoch reset — while stored
+        timestamps advance normally; :meth:`end_round` applies the reset,
+        after the round's write phase has written the new ids."""
         for key in keys:
             self._stored_ts[key] = ts
             self._tree.insert(key, (ts, self._rng.random(), key))
@@ -189,20 +192,6 @@ class DummyObjectIndex:
         """Forget a dummy already detached by :meth:`take_min_keys` (insert
         support swaps it for a real key); returns its stored timestamp."""
         return self._stored_ts.pop(key)
-
-    def record_access(self, key: str, ts: int) -> None:
-        """The dummy was just read; its next storage id embeds ``ts``.
-
-        Once every dummy has been accessed (``D`` accesses), all selection
-        positions are reshuffled — the paper's epoch reset — while the
-        stored timestamps, which storage ids depend on, advance normally.
-        The reshuffle is deferred to :meth:`end_round` so a dummy cannot
-        be selected twice within one batch (its new id is only written in
-        the round's write phase).
-        """
-        self._stored_ts[key] = ts
-        self._tree.insert(key, (ts, self._rng.random(), key))
-        self._accessed_since_reset += 1
 
     def end_round(self, ts: int) -> None:
         """Apply the epoch reset if every dummy has been accessed."""
@@ -223,21 +212,9 @@ class DummyObjectIndex:
             fresh.insert(key, (ts, self._rng.random(), key))
         self._tree = fresh
 
-    def swap_out(self, key: str) -> int:
-        """Remove a dummy (insert support swaps it for a real key); returns
-        the timestamp baked into its current storage id."""
-        ts = self._stored_ts.pop(key)
-        self._tree.remove(key)
-        return ts
-
     def swap_in(self, key: str, ts: int) -> None:
         """Add a dummy (delete support swaps a real key for a dummy)."""
         if key in self._stored_ts:
             raise KeyError(f"dummy already tracked: {key}")
         self._stored_ts[key] = ts
         self._tree.insert(key, (ts, self._rng.random(), key))
-
-    def any_key(self) -> str:
-        """An arbitrary dummy key (used by insert's swap)."""
-        _, key = self._tree.min()
-        return key

@@ -53,16 +53,3 @@ class KeyChain:
                   rng: RandomSource | None = None) -> "KeyChain":
         """Deterministic keychain for reproducible experiments."""
         return cls(seed.to_bytes(16, "big", signed=True), rng=rng)
-
-    def seal_many(self, pairs: list[tuple[str, int]],
-                  values: list[bytes]) -> tuple[list[str], list[bytes]]:
-        """Derive storage ids for ``pairs`` and encrypt ``values``.
-
-        The proxy's write phase funnels through this single entry point
-        so that an alternative kernel set (the scalar references) slots
-        in by swapping ``prf``/``cipher`` without touching the protocol
-        code.  Output order matches input order; nonce draws happen in
-        ``values`` order, exactly as separate ``derive_many`` +
-        ``encrypt_many`` calls would.
-        """
-        return self.prf.derive_many(pairs), self.cipher.encrypt_many(values)

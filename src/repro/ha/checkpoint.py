@@ -18,6 +18,7 @@ should use.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 from repro.core.proxy import WaffleProxy
@@ -54,15 +55,7 @@ def capture_proxy(proxy: WaffleProxy) -> bytes:
     if not proxy._initialized:
         raise ProtocolError("cannot checkpoint an uninitialized proxy")
     state = {name: getattr(proxy, name) for name in _STATE_ATTRIBUTES}
-    totals = state["totals"]
-    slim = type(totals)(
-        rounds=totals.rounds, requests=totals.requests,
-        cache_hits=totals.cache_hits, server_reads=totals.server_reads,
-        server_writes=totals.server_writes,
-        max_transient_cache=totals.max_transient_cache,
-        stats_by_round=[],
-    )
-    state["totals"] = slim
+    state["totals"] = dataclasses.replace(state["totals"], stats_by_round=[])
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 

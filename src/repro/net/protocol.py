@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _MAX_FRAME = 64 * 1024 * 1024  # defensive cap: 64 MiB per frame
+#: Deepest list nesting a message may carry (real traffic reaches 3): the
+#: decoder recurses per level, so a hostile frame must not choose the depth.
+_MAX_DEPTH = 32
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +82,7 @@ def _take(buffer: io.BytesIO, count: int) -> bytes:
     return data
 
 
-def _decode_value(buffer: io.BytesIO):
+def _decode_value(buffer: io.BytesIO, depth: int = 0):
     tag = _take(buffer, 1)
     if tag == b"N":
         return None
@@ -93,8 +96,10 @@ def _decode_value(buffer: io.BytesIO):
         (value,) = struct.unpack(">q", _take(buffer, 8))
         return value
     if tag == b"L":
+        if depth >= _MAX_DEPTH:
+            raise ProtocolError("list nesting exceeds depth cap")
         (count,) = struct.unpack(">I", _take(buffer, 4))
-        return [_decode_value(buffer) for _ in range(count)]
+        return [_decode_value(buffer, depth + 1) for _ in range(count)]
     if tag == b"E":
         (length,) = struct.unpack(">I", _take(buffer, 4))
         return _WireError(_take(buffer, length).decode("utf-8"))
@@ -138,9 +143,13 @@ def encode_message(value) -> bytes:
 
 
 def decode_message(payload: bytes):
-    """Decode payload bytes back into a value tree."""
+    """Decode payload bytes back into a value tree; whatever is wrong with
+    a malformed payload, it raises :class:`~repro.errors.ProtocolError`."""
     buffer = io.BytesIO(payload)
-    value = _decode_value(buffer)
+    try:
+        value = _decode_value(buffer)
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"malformed UTF-8 in message: {error}") from error
     if buffer.read(1):
         raise ProtocolError("trailing bytes after message")
     return value

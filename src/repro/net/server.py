@@ -11,6 +11,7 @@ import socket
 import threading
 import time
 
+from repro.errors import ProtocolError
 from repro.obs import OBS
 from repro.net.protocol import (
     decode_message,
@@ -93,6 +94,14 @@ class StorageServer:
             while not self._stop.is_set():
                 try:
                     request = decode_message(read_frame(conn))
+                except ProtocolError as error:
+                    # Undecodable or over the size cap: say so and drop this
+                    # peer.  Nothing reaches the backend; others carry on.
+                    try:
+                        write_frame(conn, encode_message(error))
+                    except (ConnectionError, OSError):
+                        pass
+                    return
                 except (ConnectionError, OSError):
                     return
                 reply = self._dispatch(request)

@@ -9,7 +9,7 @@ from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
 from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.errors import ConfigurationError
 
 __all__ = ["PartitionedWaffle"]
 
@@ -196,9 +196,3 @@ class PartitionedWaffle:
     def rounds_per_partition(self) -> list[int]:
         return [store.proxy.totals.rounds for store in self.stores]
 
-
-def lookup_partition(store: PartitionedWaffle, key: str) -> WaffleDatastore:
-    """The datastore currently responsible for ``key``."""
-    if not store.contains_key(key):
-        raise KeyNotFoundError(key)
-    return store.stores[store.partition_of(key)]

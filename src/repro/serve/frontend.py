@@ -151,8 +151,10 @@ class AsyncFrontend:
         #: the series the timing adversary consumes.
         self.release_times: list[float] = []
         self.rounds_dispatched = 0
-        #: Requests carried by each dispatched round (0 = all-fake).
-        self.round_sizes: list[int] = []
+        #: Requests the dispatched rounds carried, and how many carried
+        #: none (all-fake rounds).
+        self.real_requests = 0
+        self.empty_rounds = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -249,7 +251,8 @@ class AsyncFrontend:
         self.policy.mark_release(release_time)
         self.release_times.append(release_time)
         self.rounds_dispatched += 1
-        self.round_sizes.append(len(take))
+        self.real_requests += len(take)
+        self.empty_rounds += not take
         requests = [waiter.request for waiter in take]
         observing = OBS.enabled
         if observing:
@@ -322,8 +325,8 @@ class AsyncFrontend:
         row.update(
             policy=self.policy.name,
             rounds=self.rounds_dispatched,
-            real_requests=sum(self.round_sizes),
-            empty_rounds=sum(1 for size in self.round_sizes if size == 0),
+            real_requests=self.real_requests,
+            empty_rounds=self.empty_rounds,
         )
         if self.shard is not None:
             row["shard"] = self.shard

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.errors import ClosedError
+from repro.errors import ProtocolError
 from repro.net.protocol import (
     decode_message,
     encode_message,
@@ -120,6 +120,14 @@ class ServeServer:
             while True:
                 try:
                     request = decode_message(await read_frame_async(reader))
+                except ProtocolError as error:
+                    # Undecodable or over the size cap: say so and drop this
+                    # peer.  Nothing reaches the frontend; others carry on.
+                    try:
+                        await write_frame_async(writer, encode_message(error))
+                    except (ConnectionError, OSError):
+                        pass
+                    return
                 except (ConnectionError, asyncio.CancelledError, OSError):
                     return
                 reply = await self._dispatch(request)
@@ -165,7 +173,5 @@ class ServeServer:
                          row["high_water"], row["rounds"]]
                         for row in rows]
             return ValueError(f"unknown command {name!r}")
-        except ClosedError as error:
-            return error
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error

@@ -66,7 +66,9 @@ class Violation:
     not a prefix of its retry), ``shape`` (batch composition broken),
     ``lifecycle`` (write-once/read-once violated), ``alpha`` / ``beta``
     (uniformity bound exceeded), ``timing`` (shaped round schedule
-    leaks as much as — or more than — the on-fill schedule).
+    leaks as much as — or more than — the on-fill schedule),
+    ``invariant`` (``WaffleProxy.check_invariants`` failed after a
+    committed batch).
     """
 
     kind: str

@@ -194,6 +194,12 @@ def run_episode(episode: Episode,
                 batch_index, attempt_index, start_seq,
                 len(recorder.records), ok=True))
             result.rounds_committed += 1
+            # The proxy's own structural self-check, after every commit.
+            try:
+                ha.proxy.check_invariants()
+            except ProtocolError as error:
+                result.violations.append(Violation(
+                    "invariant", f"after batch {batch_index}: {error}"))
             # Differential check, in request order (read-your-writes).
             by_id = {resp.request_id: resp for resp in responses}
             for request, spec in zip(prepared, op["requests"]):

@@ -361,6 +361,8 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
         return [ClientResponse(request_id=req.request_id, key=req.key,
                                value=b"") for req in requests]
 
+    policy = make_policy(policy_name, r, max_wait_s=interval_s,
+                         interval_s=interval_s)
     release_times: list[float] = []
     anchor = 0.0
 
@@ -370,10 +372,7 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
         # Warm the default executor so the first round does not pay
         # thread-pool spin-up inside a measured gap.
         await loop.run_in_executor(None, lambda: None)
-        frontend = AsyncFrontend(
-            execute=execute, r=r,
-            policy=make_policy(policy_name, r, max_wait_s=interval_s,
-                               interval_s=interval_s))
+        frontend = AsyncFrontend(execute=execute, r=r, policy=policy)
         start = frontend._clock()
         anchor = start
         await frontend.start()
@@ -406,13 +405,20 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
     gaps = list(zip(release_times, release_times[1:]))
     true_rates = [workload.rate_at((a + b) / 2.0 - anchor) for a, b in gaps]
     attack = load_inference_attack(release_times, true_rates, r)
-    return {
+    report = {
         "policy": policy_name,
         "rounds": len(release_times),
         "leakage_score": attack["leakage_score"],
         "onset_gap": detect_onset(release_times),
         "seed": seed,
     }
+    if policy.fires_empty:
+        # Distinct committed gaps in ticks.  A grid policy commits to whole
+        # ticks: [1.0], plus 2.0, 3.0, ... only where the host stalled
+        # across a tick (the only way its score leaves 0.0).
+        report["gap_ticks"] = sorted({round((b - a) / interval_s, 6)
+                                      for a, b in gaps})
+    return report
 
 
 def live_timing_report(seed: int = 0, *, rate: float = 600.0,
@@ -425,7 +431,8 @@ def live_timing_report(seed: int = 0, *, rate: float = 600.0,
     schedule scored is the one each policy *committed to*: on-fill
     commits to "now" (workload-shaped, leaky), fixed-interval commits to
     grid ticks (constant gaps, leakage exactly 0.0 — sub-tick dispatch
-    jitter is host noise below the adversary's sampling resolution).
+    jitter is host noise below the adversary's sampling resolution; a
+    host stall longer than a tick skips it and shows in ``gap_ticks``).
     """
     report = {
         "seed": seed,

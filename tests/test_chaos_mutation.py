@@ -60,6 +60,26 @@ class SkipOneDelete(PassthroughStore):
         self._inner.commit_round(deletes, puts)
 
 
+class MisfileFirstWrite(PassthroughStore):
+    """Stores the first written object of the first round under a wrong id.
+
+    The round still reads B and writes B and every response is still
+    right; the trace-side oracle notices nothing until the object is due
+    to be read, up to alpha rounds later, and then only as a crash."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.armed = True
+
+    def commit_round(self, deletes, puts):
+        puts = list(puts)
+        if self.armed and puts:
+            sid, blob = puts[0]
+            puts[0] = (sid[::-1], blob)
+            self.armed = False
+        self._inner.commit_round(deletes, puts)
+
+
 @pytest.fixture
 def episode():
     return generate_episode(seed=7, ha_mode="replicated",
@@ -82,6 +102,16 @@ def test_detects_skipped_delete(episode):
     result = run_episode(episode, wrap_store=SkipOneDelete)
     assert not result.ok
     assert any(v.kind == "shape" for v in result.violations)
+
+
+def test_proxy_self_check_catches_misfiled_write(episode):
+    """``check_invariants`` runs after every committed batch and has teeth:
+    it names the object whose id is not on the server."""
+    result = run_episode(episode, wrap_store=MisfileFirstWrite)
+    first = result.violations[0]
+    assert first.kind == "invariant"
+    assert first.detail.startswith("after batch 0:")
+    assert "not on the server" in first.detail
 
 
 def test_planted_bug_shrinks_to_small_reproducer(episode):

@@ -45,6 +45,7 @@ class TestPolicyGrid:
                 else:
                     batch.append(ClientRequest(op=Operation.READ, key=key))
             datastore.execute_batch(batch)
+            datastore.proxy.check_invariants()
         return config, datastore
 
     def test_storage_invariants(self, dummy_policy, fake_policy):
@@ -75,6 +76,7 @@ class TestPolicyGrid:
                     expected.append(reference[key])
             responses = datastore.execute_batch(batch)
             assert [r.value for r in responses] == expected
+            datastore.proxy.check_invariants()
 
     def test_alpha_guarantee_matches_policy(self, dummy_policy, fake_policy):
         config, datastore = self.run(dummy_policy, fake_policy)

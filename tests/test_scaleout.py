@@ -202,7 +202,7 @@ class TestSecurityComposition:
     def test_partitions_use_distinct_keychains(self):
         store = build()
         ids = {
-            datastore.proxy._encode_id("same-key", 0)
+            datastore.proxy._encode_ids([("same-key", 0)])[0]
             for datastore in store.stores
         }
         assert len(ids) == PARTITIONS

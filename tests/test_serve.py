@@ -363,7 +363,9 @@ class TestAsyncFrontend:
 
         values, frontend = asyncio.run(scenario())
         assert values == [b"value-0", b"value-1", b"value-2"]
-        assert frontend.round_sizes == [3]
+        stats = frontend.stats()
+        assert (stats["rounds"], stats["real_requests"],
+                stats["empty_rounds"]) == (1, 3, 0)
 
     def test_submit_after_close_raises(self, small_datastore):
         async def scenario():
@@ -388,6 +390,20 @@ class TestAsyncFrontend:
         assert stats["rounds"] == 1
         assert stats["real_requests"] == 8
         assert stats["policy"] == "on_fill"
+
+    def test_stats_count_all_fake_rounds(self, small_datastore):
+        async def scenario():
+            async with AsyncFrontend(
+                    small_datastore,
+                    policy=FixedIntervalPolicy(0.005)) as frontend:
+                while frontend.rounds_dispatched < 2:  # idle grid ticks
+                    await asyncio.sleep(0.005)
+                await frontend.get(key_name(1))
+            return frontend.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["real_requests"] == 1
+        assert stats["empty_rounds"] == stats["rounds"] - 1 >= 2
 
     def test_owns_and_shuts_down_its_dedicated_executor(self,
                                                         small_datastore):
