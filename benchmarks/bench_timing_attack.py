@@ -18,7 +18,7 @@ Assertions (oracle-backed, machine independent — pure simulation on
   on-fill (``check_timing_channel`` returns no violations).
 
 Results are published to ``benchmarks/results/timing_attack.txt`` and,
-as machine-readable JSON, to ``BENCH_timing.json`` at the repo root.
+as machine-readable JSON, to ``benchmarks/results/timing.json``.
 Run standalone (``python benchmarks/bench_timing_attack.py``) or
 through pytest-benchmark like the other benchmarks.
 """
@@ -33,8 +33,7 @@ import sys
 from repro.analysis.timing import timing_attack_benchmark
 from repro.testing.oracle import check_timing_channel
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_timing.json"
+JSON_PATH = pathlib.Path(__file__).resolve().parent / "results" / "timing.json"
 
 
 def _render(report: dict) -> str:

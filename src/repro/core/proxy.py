@@ -25,7 +25,8 @@ from repro.obs import OBS
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.mutations import MutationQueue
-from repro.core.timestamp_index import DummyObjectIndex, RealObjectIndex
+from repro.core.timestamp_index import (DummyObjectIndex, RealObjectIndex,
+                                        raise_first_breach)
 from repro.crypto.keys import KeyChain
 from repro.ds.lru import LruCache
 from repro.errors import ConfigurationError, ProtocolError
@@ -148,7 +149,7 @@ class WaffleProxy:
     # initialization (§6.1)
     # ------------------------------------------------------------------
     def initialize(self, items: dict[str, bytes]) -> None:
-        """Load the initial dataset: seed the cache, BSTs and the server."""
+        """Load the initial dataset: seed the cache, indexes and the server."""
         if self._initialized:
             raise ProtocolError("proxy already initialized")
         if len(items) != self.config.n:
@@ -160,7 +161,7 @@ class WaffleProxy:
 
         cfg = self.config
         seed_base = self._rng.randrange(2**63)
-        self._real_index = RealObjectIndex(items.keys(), seed=seed_base)
+        self._real_index = RealObjectIndex(items.keys())
         dummy_keys = [f"{_DUMMY_PREFIX}{i:012d}" for i in range(cfg.d)]
         self._dummy_index = DummyObjectIndex(
             dummy_keys, seed=seed_base + 17,
@@ -285,8 +286,9 @@ class WaffleProxy:
         stats.encryptions = writes
         stats.prf_evals = reads + writes
         stats.cache_ops += evictions
-        # Two tree operations per real selected (restamp + detach), one per
-        # dummy, forced read and eviction.
+        # The paper's BST operations (what the cost model charges): two per
+        # real selected (restamp + detach), one per dummy, forced read and
+        # eviction.
         stats.index_ops = 2 * (r + f_r) - forced + f_d + evictions
         totals = self.totals
         totals.rounds += 1
@@ -366,8 +368,8 @@ class WaffleProxy:
         dedup = plan.dedup
         dedup_pairs = [(key, real_index.timestamp(key)) for key in dedup]
         for key in dedup:
-            real_index.set_timestamp(key, ts)
             real_index.mark_cached(key)
+            real_index.set_timestamp(key, ts)
         read_batch.update(zip(self._encode_ids(dedup_pairs), dedup))
 
         # Deletes (§6.2): a cached key just goes, a server-resident one is
@@ -387,7 +389,7 @@ class WaffleProxy:
             plan.newborn_dummies.append(self._new_dummy_key())
 
         # Fake queries on dummy objects (lines 20-23): the f_D least-
-        # recently-read dummies leave the selection tree in one descent; ids
+        # recently-read dummies leave the selection heap together; ids
         # derive from their still-stored timestamps.  The first len(inserts)
         # retire: read but not rewritten, their slots go to the inserts.
         dummy_sel = dummy_index.take_min_keys(min(cfg.f_d, len(dummy_index)))
@@ -430,8 +432,8 @@ class WaffleProxy:
             for _ in range(remaining):
                 key = real_index.random_resident_key(self._rng)
                 fake_pairs.append((key, real_index.timestamp(key)))
-                real_index.set_timestamp(key, ts)
                 real_index.mark_cached(key)
+                real_index.set_timestamp(key, ts)
         read_batch.update(zip(self._encode_ids(fake_pairs),
                               [key for key, _ in fake_pairs]))
 
@@ -571,6 +573,8 @@ class WaffleProxy:
         serving path never runs it.
         """
         real_index, dummy_index, cache = self._real_index, self._dummy_index, self.cache
+        real_index.check_invariants()
+        dummy_index.check_invariants()
         reals, dummies = list(real_index.items()), list(dummy_index.items())
         resident = [pair for pair in reals if real_index.is_server_resident(pair[0])]
         outsourced = resident + dummies
@@ -594,10 +598,7 @@ class WaffleProxy:
             f"{pending} pending inserts exceed the {len(dummies)} dummies left":
                 pending > len(dummies),
         }
-        for message, breach in breaches.items():
-            if breach:
-                detail = f": {breach[:3]}" if isinstance(breach, list) else ""
-                raise ProtocolError(f"invariant: {message}{detail}")
+        raise_first_breach(breaches)
 
 
 _LABELS = {"system": "waffle"}

@@ -1,12 +1,11 @@
-"""Data-structure substrate: the balanced BST and LRU cache Waffle relies on.
+"""Data-structure substrate: the LRU cache Waffle relies on.
 
-§4 (Challenge 2) requires a balanced binary search tree ordered on
-``(timestamp, key)`` supporting minimum lookup and timestamp updates in
-``O(log n)``; §4 (Challenge 3) requires a bounded least-recently-used
-cache.  Both are implemented from scratch here.
+§4 (Challenge 3) requires a bounded least-recently-used cache; it is
+implemented from scratch here.  The ordered timestamp index of §4
+(Challenge 2), a balanced BST in the paper, needs no substrate of its own:
+``repro.core.timestamp_index`` builds it from dicts and ``heapq``.
 """
 
 from repro.ds.lru import LruCache
-from repro.ds.treap import Treap
 
-__all__ = ["LruCache", "Treap"]
+__all__ = ["LruCache"]

@@ -39,13 +39,17 @@ class StorageServer:
     def __init__(self, backend: StorageBackend | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.backend = backend if backend is not None else RedisSim()
+        # A backend that speaks the command language (RedisSim) takes the
+        # tuple as is; generic ones get the core commands translated.
+        self._execute = getattr(self.backend, "execute", self._translate)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen()
         self.address: tuple[str, int] = self._listener.getsockname()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        # Live connection threads only: each removes itself on return.
+        self._threads: set[threading.Thread] = set()
         self._accept_thread = threading.Thread(target=self._accept_loop,
                                                daemon=True)
         self._lock = threading.Lock()
@@ -85,11 +89,18 @@ class StorageServer:
                 return
             thread = threading.Thread(target=self._serve_connection,
                                       args=(conn,), daemon=True)
-            with self._lock:
-                self._threads.append(thread)
-            thread.start()
+            with self._lock:  # stop() must only ever see started threads
+                self._threads.add(thread)
+                thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        try:
+            self._serve_frames(conn)
+        finally:
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+
+    def _serve_frames(self, conn: socket.socket) -> None:
         with conn:
             while not self._stop.is_set():
                 try:
@@ -140,10 +151,8 @@ class StorageServer:
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error
 
-    def _execute(self, command: tuple):
-        if hasattr(self.backend, "execute"):
-            return self.backend.execute(command)
-        # Generic backends: translate the core commands.
+    def _translate(self, command: tuple):
+        """The core commands, on a backend without ``execute``."""
         name = command[0].upper()
         if name == "GET":
             return self.backend.get(command[1])

@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import random
 
-__all__ = ["DEFAULT_SEED", "derive_seed", "seeded_rng"]
+__all__ = ["DEFAULT_SEED", "seeded_rng"]
 
 #: The documented fallback seed used whenever a caller omits ``seed``.
 DEFAULT_SEED = 0x0B5E55ED
 
 
-def derive_seed(seed: int | None, stream: int = 0) -> int:
-    """An integer seed, never None: ``seed`` (or the default) plus stream."""
-    base = DEFAULT_SEED if seed is None else seed
-    return base + stream
-
-
 def seeded_rng(seed: int | None, stream: int = 0) -> random.Random:
-    """A ``random.Random`` that is always deterministically seeded."""
-    return random.Random(derive_seed(seed, stream))
+    """A ``random.Random`` that is always deterministically seeded:
+    ``seed`` (or the default, never None) plus ``stream``."""
+    base = DEFAULT_SEED if seed is None else seed
+    return random.Random(base + stream)

@@ -67,7 +67,9 @@ class CostModel:
     #: LRU bookkeeping: base + log-factor (see module docstring).
     lru_base_s: float = 0.5e-6
     lru_log_s: float = 0.3e-6
-    #: Ordered-index (treap) operation: charged per log2(n) factor.
+    #: Ordered-index operation, charged per log2(n) factor: this models the
+    #: *paper's* balanced BST, not this repo's O(1) buckets-and-heap index
+    #: (``core/timestamp_index.py``).
     index_log_s: float = 0.1e-6
     #: Client-side per-request overhead for unproxied (insecure) access.
     client_overhead_s: float = 295e-6
@@ -129,7 +131,7 @@ class CostModel:
         return self.lru_base_s + self.lru_log_s * math.log2(cache_size + 2)
 
     def index_op_s(self, index_size: int) -> float:
-        """One ordered-index (BST) operation."""
+        """One operation on the paper's ordered index (a balanced BST)."""
         return self.index_log_s * math.log2(index_size + 2)
 
     def pipelined_round_trip_s(self, n_ops: int, value_kib: float) -> float:

@@ -1,13 +1,18 @@
 """Tests for the real/dummy timestamp indexes."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.timestamp_index import DummyObjectIndex, RealObjectIndex
+from repro.errors import ProtocolError
+from repro.seeding import seeded_rng
 
 
 class TestRealObjectIndex:
     def make(self, n=10):
-        return RealObjectIndex([f"k{i}" for i in range(n)], seed=1)
+        return RealObjectIndex([f"k{i}" for i in range(n)])
 
     def test_all_keys_start_at_zero(self):
         index = self.make()
@@ -76,8 +81,82 @@ class TestRealObjectIndex:
         assert "new" not in index
         assert index.server_resident_count == 0
 
+    def test_restamped_resident_key_queues_behind_earlier_arrivals(self):
+        index = self.make(4)
+        for key in ("k0", "k1", "k2"):
+            index.mark_server_resident(key)
+        index.set_timestamp("k1", 3)
+        index.set_timestamp("k2", 3)
+        index.set_timestamp("k0", 3)  # first to arrive at 0, last at 3
+        assert index.pop_min_keys(3, ts=4) == [("k1", 3), ("k2", 3), ("k0", 3)]
+
+    def test_key_evicted_below_the_minimum_is_selected_first(self):
+        """A cached key keeps the timestamp of its last read; evicted after
+        selection has moved on, it is older than every resident key."""
+        index = self.make(4)
+        index.set_timestamp("k0", 1)  # read in round 1, cached since
+        for key, ts in (("k1", 2), ("k2", 2), ("k3", 5)):
+            index.set_timestamp(key, ts)
+            index.mark_server_resident(key)
+        assert index.pop_min_keys(1, ts=6) == [("k1", 2)]
+        index.mark_server_resident("k0")
+        assert index.pop_min_keys(2, ts=7) == [("k0", 1), ("k2", 2)]
+        index.check_invariants()
+
+    def test_emptied_bucket_is_not_revisited(self):
+        index = self.make(4)
+        for key, ts in (("k0", 1), ("k1", 1), ("k2", 4)):
+            index.set_timestamp(key, ts)
+            index.mark_server_resident(key)
+        index.mark_cached("k0")
+        index.mark_cached("k1")  # bucket 1 empties away from selection
+        index.check_invariants()
+        assert index.pop_min_keys(1, ts=5) == [("k2", 4)]
+        assert index.pop_min_keys(1, ts=6) == []
+        # The same timestamp can fill again later, and drains again.
+        index.set_timestamp("k3", 1)
+        index.mark_server_resident("k3")
+        assert index.pop_min_keys(2, ts=7) == [("k3", 1)]
+        assert index.server_resident_count == 0
+        index.check_invariants()
+
+    def test_count_beyond_the_resident_set_returns_what_there_is(self):
+        index = self.make(5)
+        for key in ("k0", "k1", "k2"):
+            index.mark_server_resident(key)
+        index.set_timestamp("k1", 2)
+        assert index.pop_min_keys(10, ts=3) == [("k0", 0), ("k2", 0), ("k1", 2)]
+        assert index.pop_min_keys(10, ts=4) == []
+        assert index.pop_min_keys(0, ts=4) == index.pop_min_keys(-1, ts=4) == []
+
+    def test_heap_stays_bounded_when_nothing_is_ever_selected(self):
+        """The ``uniform`` policy never calls ``pop_min_keys``, the one
+        place emptied buckets' heap entries are discarded."""
+        index = self.make(4)
+        index.mark_server_resident("k0")
+        for ts in range(1, 2000):
+            index.set_timestamp("k0", ts)
+        index.check_invariants()
+        assert len(index._heap) < 100
+        assert index.pop_min_keys(1, ts=2000) == [("k0", 1999)]
+
+    def test_check_invariants_has_teeth(self):
+        index = self.make(3)
+        index.mark_server_resident("k0")
+        index.check_invariants()
+        index._timestamps["k0"] = 9  # restamped behind the buckets' back
+        with pytest.raises(ProtocolError, match="not its own"):
+            index.check_invariants()
+        index._timestamps["k0"] = 0
+        index._resident = 2
+        with pytest.raises(ProtocolError, match="counts 2 resident"):
+            index.check_invariants()
+        index._resident = 1
+        index._heap.clear()
+        with pytest.raises(ProtocolError, match="missing from the real index"):
+            index.check_invariants()
+
     def test_random_resident_key(self):
-        import random
         index = self.make(20)
         for i in range(20):
             index.mark_server_resident(f"k{i}")
@@ -163,3 +242,143 @@ class TestDummyObjectIndex:
         # older dummies.
         assert sorted(self.epoch(index, 10))[-1] == "fresh"
         assert key not in self.epoch(index, 20)
+
+    def test_check_invariants_has_teeth(self):
+        index = self.make(d=4)
+        index.check_invariants()
+        (key,) = index.take_min_keys(1)
+        with pytest.raises(ProtocolError, match="different keys"):
+            index.check_invariants()  # taken, neither recorded nor retired
+        index.record_access_many([key], 3)
+        index.check_invariants()
+        index._stored_ts[key] = 5  # the id moved on, the queue did not
+        with pytest.raises(ProtocolError, match="ahead of its stored"):
+            index.check_invariants()
+
+
+KEYS = [f"k{i}" for i in range(8)]
+key_st = st.sampled_from(KEYS)
+ts_st = st.integers(0, 5)  # few values, so buckets are shared
+
+real_ops = st.lists(st.one_of(
+    st.tuples(st.just("resident"), key_st),
+    st.tuples(st.just("cached"), key_st),
+    st.tuples(st.just("stamp"), key_st, ts_st),
+    st.tuples(st.just("drop"), key_st),
+    st.tuples(st.just("add"), key_st, ts_st),
+    st.tuples(st.just("pop"), st.integers(0, 4), ts_st),
+    st.tuples(st.just("random"), st.integers(0, 2**16)),
+), max_size=60)
+
+
+class TestRealIndexAgainstModel:
+    @given(real_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_selects_like_a_sorted_reference(self, ops):
+        """Under any mix of operations the index selects what brute force
+        does: ``sorted(resident, key=(ts, arrival))``."""
+        index = RealObjectIndex(KEYS[:5])
+        timestamps = dict.fromkeys(KEYS[:5], 0)
+        arrival_of: dict[str, int] = {}  # resident keys only
+        arrivals = 0
+
+        def in_order():
+            return sorted(arrival_of,
+                          key=lambda k: (timestamps[k], arrival_of[k]))
+
+        for op, *args in ops:
+            key = args[0]
+            if op == "pop":
+                count, ts = args
+                expected = [(k, timestamps[k]) for k in in_order()[:count]]
+                assert index.pop_min_keys(count, ts) == expected
+                for k, _ in expected:
+                    timestamps[k] = ts
+                    del arrival_of[k]
+            elif op == "random":
+                if arrival_of:
+                    rank = random.Random(args[0]).randrange(len(arrival_of))
+                    picked = index.random_resident_key(random.Random(args[0]))
+                    assert picked == in_order()[rank]
+            elif op == "add":
+                if key not in timestamps:
+                    index.add_key(key, args[1])
+                    timestamps[key] = args[1]
+            elif key not in timestamps:
+                with pytest.raises(KeyError):
+                    index.set_timestamp(key, 0)
+            elif op == "resident":
+                index.mark_server_resident(key)
+                arrivals += 1
+                arrival_of[key] = arrivals
+            elif op == "cached":
+                index.mark_cached(key)
+                arrival_of.pop(key, None)
+            elif op == "stamp":
+                index.set_timestamp(key, args[1])
+                timestamps[key] = args[1]
+                if key in arrival_of:
+                    arrivals += 1
+                    arrival_of[key] = arrivals
+            elif op == "drop":
+                index.drop_key(key)
+                del timestamps[key]
+                arrival_of.pop(key, None)
+            index.check_invariants()
+            assert dict(index.items()) == timestamps
+            assert index.server_resident_count == len(arrival_of)
+            assert all(index.is_server_resident(k) == (k in arrival_of)
+                       for k in KEYS)
+
+
+# One round: take ``count`` dummies, retire the first ``retired`` of them,
+# record the rest, swap ``born`` new dummies in, end the round.
+dummy_rounds = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 2)),
+    max_size=40)
+
+
+class TestDummyIndexAgainstModel:
+    @given(dummy_rounds, st.booleans())
+    @example([(3, 0, 0)] * 6, True)  # two epoch resets
+    @example([(4, 1, 2)] * 8, True)  # resets while D changes
+    @settings(max_examples=200, deadline=None)
+    def test_selects_like_a_sorted_reference(self, rounds, reshuffle):
+        """Selection is ``sorted(dummies, key=(ts, tiebreak, key))`` with
+        one rng draw per dummy in a fixed order: constructor, recorded keys
+        in order, swap-ins, and an epoch reset's shuffle then redraws."""
+        keys = [f"d{i}" for i in range(6)]
+        index = DummyObjectIndex(keys, seed=4, reshuffle=reshuffle)
+        rng = seeded_rng(4)
+        stored = dict.fromkeys(keys, 0)
+        queued = {key: (0, rng.random()) for key in keys}
+        accessed = born_total = 0
+
+        for ts, (count, retired, born) in enumerate(rounds, start=1):
+            expected = sorted(queued, key=lambda k: (*queued[k], k))[:count]
+            taken = index.take_min_keys(count)
+            assert taken == expected
+            for key in taken:
+                del queued[key]
+            for key in taken[:retired]:
+                assert index.retire(key) == stored.pop(key)
+            rewritten = taken[retired:]
+            index.record_access_many(rewritten, ts)
+            for key in rewritten:
+                stored[key] = ts
+                queued[key] = (ts, rng.random())
+            accessed += len(rewritten)
+            for _ in range(born):
+                key = f"born{born_total}"
+                born_total += 1
+                index.swap_in(key, ts)
+                stored[key] = ts
+                queued[key] = (ts, rng.random())
+            index.end_round(ts)
+            if reshuffle and stored and accessed >= len(stored):
+                order = list(stored)
+                rng.shuffle(order)
+                queued = {key: (ts, rng.random()) for key in order}
+                accessed = 0
+            index.check_invariants()
+            assert dict(index.items()) == stored

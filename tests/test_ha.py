@@ -75,6 +75,35 @@ class TestCheckpoint:
         ids_b = [r.storage_id for r in twin_store.records]
         assert ids_a[-200:] == ids_b[-200:]
 
+    def test_indexes_pickled_mid_run_keep_selecting_identically(self):
+        """Both timestamp indexes survive a pickle round trip mid-epoch:
+        the copies pick the same reals and dummies as the originals,
+        across dummy epoch resets (D / f_D = 15 rounds)."""
+        import pickle
+
+        proxy, _ = build_proxy()
+        rng = random.Random(12)
+        for _ in range(10):
+            proxy.handle_batch(random_batch(rng))
+        originals = proxy._real_index, proxy._dummy_index
+        copies = pickle.loads(pickle.dumps(originals))
+
+        def drive(real, dummy):
+            log = []
+            for ts in range(proxy.ts + 1, proxy.ts + 41):
+                picked = real.pop_min_keys(5, ts)
+                for key, _ in picked[:3]:  # evicted again under the new ts
+                    real.mark_server_resident(key)
+                dummies = dummy.take_min_keys(CONFIG.f_d)
+                dummy.record_access_many(dummies, ts)
+                dummy.end_round(ts)
+                real.check_invariants()
+                dummy.check_invariants()
+                log.append((picked, dummies))
+            return log
+
+        assert drive(*copies) == drive(*originals)
+
     def test_checkpoint_excludes_server(self):
         # At realistic value sizes the blob (cache + metadata) is far
         # smaller than the outsourced data, because the server is not

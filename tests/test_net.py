@@ -143,6 +143,22 @@ class TestRemoteStore:
             a.put("shared", b"from-a")
             assert b.get("shared") == b"from-a"
 
+    def test_finished_connection_threads_are_forgotten(self, server):
+        """A long-lived server keeps one thread per *live* connection, not
+        one per connection it has ever accepted."""
+        import time
+
+        with RemoteStore(server.address) as held:
+            for i in range(50):
+                with RemoteStore(server.address) as remote:
+                    remote.put(f"k{i}", b"v")
+            # Each serving thread notices its peer's close on its own time.
+            deadline = time.monotonic() + 5
+            while len(server._threads) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server._threads) == 1
+            assert len(held) == 50  # the live connection still serves
+
 
 class TestWaffleOverTheWire:
     def test_waffle_runs_against_remote_server(self):

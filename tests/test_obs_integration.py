@@ -75,7 +75,6 @@ class TestProxyInstrumentation:
     def test_kernel_profiling_hooks(self):
         from repro.crypto.aead import AuthenticatedCipher
         from repro.crypto.prf import Prf
-        from repro.ds.treap import Treap
 
         with obs.capture() as handle:
             prf = Prf(b"kernel-test-secret")
@@ -84,16 +83,15 @@ class TestProxyInstrumentation:
                                          mac_key=b"mac-key-kernel")
             blobs = cipher.encrypt_many([b"a", b"b", b"c"])
             cipher.decrypt_many(blobs)
-            tree = Treap(seed=1)
-            for i in range(8):
-                tree.insert(f"k{i}", (i, i, f"k{i}"))
-            tree.pop_min_many(4)
         counters = handle.registry.snapshot()["counters"]
         assert counters["kernel.prf.derive_many.calls.total"] == 1
         assert counters["kernel.prf.derive_many.items.total"] == 2
         assert counters["kernel.aead.encrypt_many.items.total"] == 3
         assert counters["kernel.aead.decrypt_many.items.total"] == 3
-        assert counters["kernel.treap.pop_min_many.items.total"] == 4
+        # Index selection is O(count) dict work on the round thread, not a
+        # kernel: prf and aead are the only kernel hooks.
+        assert {name.split(".")[1] for name in counters
+                if name.startswith("kernel.")} == {"prf", "aead"}
         hists = handle.registry.snapshot()["histograms"]
         assert hists["kernel.aead.encrypt_many.seconds"]["count"] == 1
 
