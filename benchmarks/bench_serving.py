@@ -19,16 +19,15 @@ the serving stack's headline security property: fixed-interval release
 scores **exactly 0.0** leakage (its committed schedule is a constant
 grid) while on-fill visibly leaks the offered-load curve.
 
-The shard-scaling section measures the sharded multi-proxy frontend
+The sharding section reports the sharded multi-proxy frontend
 (:mod:`repro.serve.sharded`): served throughput and p50/p99 vs
-partition count under a saturating open-loop stream, plus the two
-security invariants the scale-out must keep — per-partition adversary
+partition count under a saturating open-loop stream — a report, not a
+gate: every partition's rounds run on one thread, so partitions are
+routing and isolation, not throughput (DESIGN.md §14) — and asserts the
+two security invariants partitioning must keep: per-partition adversary
 traces byte-identical to a serial replay on an identically-seeded twin,
 and the *merged* epoch-aligned fixed-interval schedule scoring exactly
-0.0 on the load-inference attack.  The 2-partition speedup gate
-(>= 1.5x single-proxy) is cpu-gated: on hosts below
-``SHARD_GATE_MIN_CORES`` cores it reports a loud SKIPPED instead of a
-meaningless pass/fail; the identity and leakage checks always run.
+0.0 on the load-inference attack.
 
 Results go to ``benchmarks/results/serving.{txt,json}`` and, as
 machine-readable JSON, ``BENCH_serving.json`` at the repo root.  Run
@@ -68,11 +67,6 @@ JSON_PATH = REPO_ROOT / "BENCH_serving.json"
 
 POLICIES = ("on_fill", "max_wait", "fixed_interval")
 WORKLOADS = ("poisson", "flash_crowd")
-
-#: The 2-partition >= 1.5x speedup gate only means anything with real
-#: parallel hardware: P partition rounds + the event loop need cores.
-SHARD_GATE_MIN_CORES = 4
-SHARD_GATE_SPEEDUP = 1.5
 
 
 def _build_arrivals(workload: str, rate: float, duration_s: float,
@@ -243,7 +237,6 @@ def _run_shard_cell(partitions: int, rate: float, *, duration_s: float,
 
     return {
         "partitions": partitions,
-        "shard_workers": cell_stats.get("shard_workers", partitions),
         "offered_load": rate,
         "offered_requests": len(arrivals),
         "duration_s": duration_s,
@@ -270,8 +263,8 @@ def _shard_identity(seed: int, partitions: int = 2) -> dict:
     over a recording :class:`PartitionedWaffle`; the captured round
     partitions replay serially on an identically-seeded twin.  The
     per-partition adversary tapes (storage access records, compared by
-    digest) must match byte-for-byte — shard concurrency may reorder
-    events only *between* tapes.
+    digest) must match byte-for-byte — interleaving partitions may
+    reorder events only *between* tapes.
     """
     cfg = chaos_config(seed)
     keys, items = _plan_sharded(cfg, partitions, seed)
@@ -461,17 +454,17 @@ def _render(report: dict) -> str:
     base = sharding["cells"][0]["throughput"]
     lines += [
         "",
-        f"shard scaling ({sharding['cpu_count']} cores, offered "
-        f"{sharding['cells'][0]['offered_load']:.0f}/s):",
+        f"partition count, one round thread ({sharding['cpu_count']} "
+        f"cores, offered {sharding['cells'][0]['offered_load']:.0f}/s):",
         f"{'parts':>7} {'done':>6} {'shed':>5} {'thru':>7} "
-        f"{'speedup':>8} {'p50 ms':>8} {'p99 ms':>8}",
+        f"{'vs P=1':>8} {'p50 ms':>8} {'p99 ms':>8}",
     ]
     for cell in sharding["cells"]:
-        speedup = cell["throughput"] / base if base > 0 else 0.0
+        ratio = cell["throughput"] / base if base > 0 else 0.0
         lines.append(
             f"{cell['partitions']:>7} {cell['completed']:>6} "
             f"{cell['shed']:>5} {cell['throughput']:>7.0f} "
-            f"{speedup:>7.2f}x {cell['p50']['value_ms']:>8.2f} "
+            f"{ratio:>7.2f}x {cell['p50']['value_ms']:>8.2f} "
             f"{cell['p99']['value_ms']:>8.2f}")
     identity = sharding["identity"]
     grid = sharding["grid"]
@@ -494,8 +487,8 @@ def _render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _check(report: dict) -> list[str]:
-    """Assert every unconditional invariant; return cpu-gate skips."""
+def _check(report: dict) -> None:
+    """Assert every invariant of the report."""
     for cell in report["curves"]:
         where = (f"{cell['policy']}/{cell['workload']}"
                  f"@{cell['offered_load']:.0f}")
@@ -534,35 +527,15 @@ def _check(report: dict) -> list[str]:
         f"{grid['merged_rounds']} merged from "
         f"{grid['per_partition_rounds']}")
 
-    skips: list[str] = []
-    cores = sharding["cpu_count"]
-    if cores < SHARD_GATE_MIN_CORES:
-        skips.append(
-            f"shard speedup gate needs >= {SHARD_GATE_MIN_CORES} cores "
-            f"(host has {cores}); identity and leakage checks still ran")
-        return skips
-    by_partitions = {cell["partitions"]: cell
-                     for cell in sharding["cells"]}
-    base = by_partitions[1]["throughput"]
-    two = by_partitions[2]["throughput"]
-    assert two >= SHARD_GATE_SPEEDUP * base, (
-        f"2 partitions served {two:.0f}/s, need >= "
-        f"{SHARD_GATE_SPEEDUP}x single-proxy {base:.0f}/s")
-    return skips
-
 
 def test_serving(benchmark):
-    import pytest
-
     from conftest import emit_result
 
     report = benchmark.pedantic(run, kwargs={"quick": True},
                                 rounds=1, iterations=1)
     emit_result("serving", _render(report), data=report)
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    skips = _check(report)
-    if skips:
-        pytest.skip("; ".join(skips))
+    _check(report)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -575,8 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     print(_render(report))
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nreport -> {JSON_PATH}")
-    for skip in _check(report):
-        print(f"SKIPPED: {skip}")
+    _check(report)
     return 0
 
 

@@ -174,9 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="serve a hash-partitioned deployment with "
                             "this many independent proxies "
                             "(DESIGN.md §14; --n is per partition)")
-    serve.add_argument("--shard-workers", type=int, default=None,
-                       help="threads executing partition rounds "
-                            "concurrently (default: one per partition)")
     serve.add_argument("--queue-cap", type=int, default=1024,
                        help="admission cap on pending requests "
                             "(past it requests are shed as Overloaded)")
@@ -473,8 +470,7 @@ def _run_serve(args) -> int:
                                   master_seed=args.seed)
         frontend = ShardedFrontend(store,
                                    policy_factory=lambda i: build_policy(),
-                                   queue_cap=args.queue_cap,
-                                   shard_workers=args.shard_workers)
+                                   queue_cap=args.queue_cap)
         demo_keys = keys
     else:
         workload = YcsbWorkload(args.n, read_proportion=0.5, theta=0.99,

@@ -15,8 +15,8 @@ per-thread stack, and close it with :meth:`Tracer.close_span`;
 innermost open span automatically.  The round engine uses this to nest
 ``round -> phase.*``, which :mod:`repro.obs.profile` re-assembles into a
 flamegraph-style report.
-The stack is thread-local because shard-parallel partitions run their
-rounds on separate threads.
+The stack is thread-local because a served round runs on the round
+thread while the event loop thread records its own spans.
 
 The tracer buffers records in memory (bounded), optionally streams them
 to a JSONL file, and fans every record out to registered subscribers —

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
@@ -12,6 +11,19 @@ from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError
 
 __all__ = ["PartitionedWaffle"]
+
+
+def _router(master_seed: int) -> tuple[bytes, hashlib.blake2s]:
+    """The routing key and a blake2s hasher pre-keyed with it: copying it
+    per key skips key-block setup on the serving hot path."""
+    route_key = hashlib.sha256(b"route:%d" % master_seed).digest()[:8]
+    return route_key, hashlib.blake2s(key=route_key, digest_size=8)
+
+
+def _owner(hasher_proto: hashlib.blake2s, key: str, partitions: int) -> int:
+    hasher = hasher_proto.copy()
+    hasher.update(key.encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "big") % partitions
 
 
 class PartitionedWaffle:
@@ -35,17 +47,11 @@ class PartitionedWaffle:
 
     def __init__(self, config: WaffleConfig, items: dict[str, bytes],
                  partitions: int, master_seed: int = 0,
-                 record: bool = False, log_ids: bool = False,
-                 shard_workers: int = 1) -> None:
+                 record: bool = False, log_ids: bool = False) -> None:
         if partitions < 1:
             raise ConfigurationError("need at least one partition")
-        if shard_workers < 1:
-            raise ConfigurationError("need at least one shard worker")
         self.partitions = partitions
-        self._route_key = hashlib.sha256(
-            b"route:%d" % master_seed).digest()[:8]
-        self._hasher_proto = hashlib.blake2s(key=self._route_key,
-                                             digest_size=8)
+        self._route_key, self._hasher_proto = _router(master_seed)
         grouped: list[dict[str, bytes]] = [{} for _ in range(partitions)]
         for key, value in items.items():
             grouped[self.partition_of(key)][key] = value
@@ -65,61 +71,24 @@ class PartitionedWaffle:
             for index in range(partitions)
         ]
         self.config = config
-        #: Shard-parallel dispatch: partitions are fully independent
-        #: deployments (disjoint proxies, keychains, servers, recorders),
-        #: so their rounds may run concurrently.  The merge below is
-        #: deterministic and each partition's adversary trace is the
-        #: byte-identical sequence serial execution produces — only the
-        #: interleaving *between* partitions (which the per-partition
-        #: adversary never sees) changes.
-        self._executor: ThreadPoolExecutor | None = None
-        if shard_workers > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(shard_workers, partitions),
-                thread_name_prefix="shard")
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def partition_of(self, key: str) -> int:
-        # Copying a pre-keyed hasher skips blake2s key-block setup per
-        # call — this is the serving hot path (every routed get/put).
-        hasher = self._hasher_proto.copy()
-        hasher.update(key.encode("utf-8"))
-        return int.from_bytes(hasher.digest(), "big") % self.partitions
+        return _owner(self._hasher_proto, key, self.partitions)
 
-    def partition_of_many(self, keys) -> list[int]:
-        """Bulk router: one pass, no per-key attribute lookups.
-
-        Byte-identical to calling :meth:`partition_of` per key — the
-        batched request path and dataset construction route through
-        here so the hasher-copy fast path is exercised everywhere.
-        """
-        proto = self._hasher_proto
-        partitions = self.partitions
-        out = []
-        for key in keys:
-            hasher = proto.copy()
-            hasher.update(key.encode("utf-8"))
-            out.append(int.from_bytes(hasher.digest(), "big") % partitions)
-        return out
-
-    @classmethod
-    def plan_partitions(cls, candidate_keys, per_partition: int,
+    @staticmethod
+    def plan_partitions(candidate_keys, per_partition: int,
                         partitions: int, master_seed: int = 0) -> list[str]:
         """Select keys from ``candidate_keys`` so each partition receives
         exactly ``per_partition`` of them (callers generate values for the
         returned keys).  Raises if the candidates cannot fill the plan.
         """
-        planner = cls.__new__(cls)
-        planner.partitions = partitions
-        planner._route_key = hashlib.sha256(
-            b"route:%d" % master_seed).digest()[:8]
-        planner._hasher_proto = hashlib.blake2s(key=planner._route_key,
-                                                digest_size=8)
+        _, hasher_proto = _router(master_seed)
         buckets: list[list[str]] = [[] for _ in range(partitions)]
         for key in candidate_keys:
-            index = planner.partition_of(key)
+            index = _owner(hasher_proto, key, partitions)
             if len(buckets[index]) < per_partition:
                 buckets[index].append(key)
             if all(len(b) >= per_partition for b in buckets):
@@ -135,40 +104,24 @@ class PartitionedWaffle:
     # ------------------------------------------------------------------
     def execute_batch(self, requests: list[ClientRequest],
                       ) -> list[ClientResponse]:
-        """Route a batch: each partition executes its share (≤ R each).
+        """Route a batch: each partition executes its share (≤ R each),
+        one share after another in first-appearance partition order.
 
         Responses return in the order of ``requests``.
         """
         shares: dict[int, list[ClientRequest]] = {}
-        owners = self.partition_of_many(request.key for request in requests)
-        for request, owner in zip(requests, owners):
-            shares.setdefault(owner, []).append(request)
+        for request in requests:
+            shares.setdefault(self.partition_of(request.key),
+                              []).append(request)
         by_id: dict[int, ClientResponse] = {}
         r = self.config.r
-
-        def run_share(index: int,
-                      share: list[ClientRequest]) -> list[ClientResponse]:
+        for index, share in shares.items():
             # A partition accepts at most R requests per round; larger
             # shares run as consecutive rounds.
-            responses: list[ClientResponse] = []
+            execute = self.stores[index].execute_batch
             for start in range(0, len(share), r):
-                responses.extend(
-                    self.stores[index].execute_batch(share[start: start + r]))
-            return responses
-
-        if self._executor is None:
-            share_results = [run_share(index, share)
-                             for index, share in shares.items()]
-        else:
-            # Deterministic merge: futures are gathered in fixed partition
-            # order regardless of completion order, and responses key by
-            # request_id, so the output is identical to serial execution.
-            futures = [self._executor.submit(run_share, index, share)
-                       for index, share in sorted(shares.items())]
-            share_results = [future.result() for future in futures]
-        for responses in share_results:
-            for response in responses:
-                by_id[response.request_id] = response
+                for response in execute(share[start: start + r]):
+                    by_id[response.request_id] = response
         return [by_id[request.request_id] for request in requests]
 
     def insert(self, key: str, value: bytes) -> None:
@@ -179,12 +132,6 @@ class PartitionedWaffle:
 
     def contains_key(self, key: str) -> bool:
         return self.stores[self.partition_of(key)].proxy.contains_key(key)
-
-    def close(self) -> None:
-        """Shut down the shard executor (no-op for serial dispatch)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     # introspection

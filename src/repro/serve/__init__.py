@@ -1,11 +1,11 @@
 """``repro.serve`` — the asyncio serving frontend.
 
-Everything below the proxy already scales (batched kernels, sharded
-partitions); this package is the piece that faces the *clients*: a
-long-lived asyncio server that accepts thousands of
-concurrent connections, coalesces arriving get/put requests into Waffle
-rounds, and applies an explicit admission/backpressure policy so that
-overload degrades into retryable shedding instead of unbounded queueing.
+The proxy below runs one batched round at a time; this package is the
+piece that faces the *clients*: a long-lived asyncio server that
+accepts thousands of concurrent connections, coalesces arriving get/put
+requests into Waffle rounds, and applies an explicit
+admission/backpressure policy so that overload degrades into retryable
+shedding instead of unbounded queueing.
 
 Three layers (DESIGN.md §13):
 
@@ -21,10 +21,10 @@ Three layers (DESIGN.md §13):
   :class:`ServeServer` speaking the :mod:`repro.net.protocol` framing
   over asyncio streams, and :class:`AsyncServeClient`, its stub.
 * :mod:`repro.serve.sharded` — :class:`ShardedFrontend`, the
-  multi-proxy scale-out: key-hash routing to P per-partition frontends
-  over a :class:`~repro.scaleout.PartitionedWaffle`, rounds running
-  concurrently across partitions on a shared sized executor
-  (DESIGN.md §14).
+  multi-proxy composition: key-hash routing to P per-partition
+  frontends over a :class:`~repro.scaleout.PartitionedWaffle` — own
+  queue, schedule and fault domain each — with every partition's
+  rounds on the process's one round thread (DESIGN.md §14).
 
 The security posture of every release policy is *observable*: the
 frontend records the release instant each policy commits to, and the

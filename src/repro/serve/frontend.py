@@ -15,13 +15,12 @@ completes.  What makes it a *server* core:
   release instant in :attr:`release_times` so the PR-7 timing
   observatory can score the live schedule;
 * **off-loop execution** — rounds run one at a time on a *dedicated*
-  executor, so the event loop keeps accepting connections and arrivals
-  while Algorithm 1 grinds (the proxy stays single-threaded per round,
-  exactly like the paper's per-batch critical section).  The frontend
-  owns a single-thread pool by default; a sharded deployment
-  (:mod:`repro.serve.sharded`) passes one sized executor so P
-  frontends' rounds run concurrently without fighting the event loop's
-  default pool (or each other's unrelated ``run_in_executor`` work).
+  round thread, so the event loop keeps accepting connections and
+  arrivals while Algorithm 1 grinds (the proxy stays single-threaded
+  per round, exactly like the paper's per-batch critical section).  The
+  frontend owns a single-thread pool by default; a sharded deployment
+  (:mod:`repro.serve.sharded`) passes all P frontends the same one — a
+  second round thread measured 0.56–0.69x (DESIGN.md §10–11).
 
 Determinism: the pending queue is FIFO and asyncio is single-threaded,
 so the requests of each round are exactly the admission order — an
@@ -46,7 +45,13 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Callable
 
 from repro.core.batch import ClientRequest, ClientResponse
-from repro.errors import ClosedError, ConfigurationError, is_retryable
+from repro.core.datastore import pad_value
+from repro.errors import (
+    ClosedError,
+    ConfigurationError,
+    KeyNotFoundError,
+    is_retryable,
+)
 from repro.obs import OBS
 from repro.serve.admission import AdmissionController
 from repro.serve.policy import OnFillPolicy, ReleasePolicy
@@ -99,13 +104,13 @@ class AsyncFrontend:
         rounds are strictly sequential, so one thread is exactly
         enough, and round execution can never be starved by unrelated
         work on the loop's default pool.  A sharded deployment passes
-        one shared sized executor so partitions' rounds run
-        concurrently; a shared executor is never shut down here.
+        the one round thread all its partitions share; a shared
+        executor is never shut down here.
     shard:
-        Partition label for a sharded deployment.  When set, the
-        ``serve.shard.*`` per-partition metrics are emitted and every
-        ``serve.round`` span/metric carries a ``shard`` label so the
-        profiler decomposes round time per partition.
+        Partition label for a sharded deployment.  When set, every
+        ``serve.*`` metric and ``serve.round`` span of this frontend
+        carries a ``shard`` label, so one metric family decomposes per
+        partition.
     """
 
     def __init__(self, datastore=None, *,
@@ -131,14 +136,12 @@ class AsyncFrontend:
         self.max_round_retries = max_round_retries
         self.on_retry = on_retry
         self.shard = shard
-        self._round_labels = ({"policy": self.policy.name} if shard is None
-                              else {"policy": self.policy.name,
-                                    "shard": shard})
+        self._shard_labels = {} if shard is None else {"shard": shard}
+        self._round_labels = {"policy": self.policy.name,
+                              **self._shard_labels}
         if executor is None:
             self._executor: Executor = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix="serve-round" if shard is None
-                else f"serve-round-{shard}")
+                max_workers=1, thread_name_prefix="serve-round")
             self._owns_executor = True
         else:
             self._executor = executor
@@ -191,24 +194,34 @@ class AsyncFrontend:
             ClientRequest(op=Operation.WRITE, key=key, value=value))
 
     async def submit(self, request: ClientRequest) -> bytes:
+        """Queue ``request`` for a round and await its value.
+
+        A round fails as a whole, so a request the datastore's proxy
+        would refuse is refused here, alone and before admission
+        (counted neither admitted nor shed): ``KeyNotFoundError`` for an
+        unknown key, ``pad_value``'s ``ConfigurationError`` for an
+        oversize value.  Residual: a key can still vanish between here
+        and its round through ``datastore.delete()``, which no wire
+        command exposes; that round fails for all its waiters.
+        """
         if self._closed:
             raise ClosedError("serving frontend is closed")
+        datastore = self.datastore
+        if datastore is not None:
+            if not datastore.proxy.contains_key(request.key):
+                raise KeyNotFoundError(request.key)
+            if request.value is not None:  # raises if it cannot be padded
+                pad_value(request.value, datastore.config.value_size)
         # Admission before enqueue: the pending queue can never exceed
         # its cap, and a shed request leaves no trace anywhere below.
         self.admission.admit()  # raises OverloadedError at the cap
         if OBS.enabled:
             OBS.registry.counter("serve.requests.total",
-                                 op=request.op.value).inc()
-            if self.shard is None:
-                OBS.registry.gauge("serve.pending.depth").set(
-                    self.admission.depth)
-            else:
-                OBS.registry.counter("serve.shard.requests.total",
-                                     shard=self.shard,
-                                     op=request.op.value).inc()
-                OBS.registry.gauge("serve.shard.pending.depth",
-                                   shard=self.shard).set(
-                    self.admission.depth)
+                                 op=request.op.value,
+                                 **self._shard_labels).inc()
+            OBS.registry.gauge("serve.pending.depth",
+                               **self._shard_labels).set(
+                self.admission.depth)
         waiter = _Waiter(request, asyncio.get_running_loop().create_future(),
                          self._clock())
         self._pending.append(waiter)
@@ -261,13 +274,9 @@ class AsyncFrontend:
                 OBS.registry.histogram("serve.wait.seconds",
                                        **self._round_labels).observe(
                     max(0.0, now - waiter.enqueued_at))
-            if self.shard is None:
-                OBS.registry.gauge("serve.pending.depth").set(
-                    self.admission.depth)
-            else:
-                OBS.registry.gauge("serve.shard.pending.depth",
-                                   shard=self.shard).set(
-                    self.admission.depth)
+            OBS.registry.gauge("serve.pending.depth",
+                               **self._shard_labels).set(
+                self.admission.depth)
         loop = asyncio.get_running_loop()
         try:
             responses = await loop.run_in_executor(
@@ -288,9 +297,6 @@ class AsyncFrontend:
         if observing:
             OBS.registry.counter("serve.rounds.total",
                                  **self._round_labels).inc()
-            if self.shard is not None:
-                OBS.registry.counter("serve.shard.rounds.total",
-                                     shard=self.shard).inc()
             OBS.observe_span("serve.round", time.perf_counter() - start,
                              labels=self._round_labels,
                              requests=len(take), error=False)

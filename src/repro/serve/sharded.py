@@ -1,7 +1,7 @@
-"""Sharded serving: one coalescing frontend per partition, rounds in
-parallel.
+"""Sharded serving: one coalescing frontend per partition, one round
+thread for all of them.
 
-:class:`ShardedFrontend` is the multi-proxy scale-out of
+:class:`ShardedFrontend` is the multi-proxy composition of
 :class:`~repro.serve.frontend.AsyncFrontend`: live get/put traffic is
 key-hash-routed (via :meth:`PartitionedWaffle.partition_of`, the same
 keyed-blake2s router the batch path uses) to P *independent* frontends,
@@ -9,14 +9,21 @@ one per :class:`~repro.scaleout.PartitionedWaffle` partition.  Each
 partition frontend owns its release policy instance, its clock reads,
 its bounded admission queue, and drives its own Waffle datastore (own
 proxy, keychain, server) — nothing is shared across partitions except
-the executor threads their rounds run on.
+the one thread their rounds run on.
 
-Why this is allowed to be parallel (DESIGN.md §14): partitions are
+One thread, not P: a round is pure Python under the GIL and every
+partition's server is in-process, so a second round thread only convoys
+on the lock (0.56–0.69x of one, DESIGN.md §10–11).  In one process
+partitions are routing and isolation, not throughput.  Each frontend
+has at most one round in flight, so the thread's FIFO queue
+round-robins the busy partitions.
+
+Why interleaving partitions is allowed (DESIGN.md §14): partitions are
 fully disjoint oblivious deployments.  A per-partition adversary — one
 tape per partition's server — sees exactly the round sequence that
 partition's frontend committed, and each frontend is the PR-8 frontend
 verbatim, so each tape is byte-identical to a serial single-proxy
-deployment over that partition's keys.  Concurrency reorders events
+deployment over that partition's keys.  Interleaving reorders events
 only *between* tapes, which no per-partition adversary observes.  The
 cross-partition observer additionally learns per-partition round counts
 and timing — the same (documented) multinomial leakage the batched
@@ -30,7 +37,9 @@ queue of the one partition that owns its key.  A flash crowd on keys
 hashing to partition 3 overloads (and sheds from) partition 3 only;
 other partitions keep admitting — and because a shed request never
 reaches any proxy, the per-partition traces stay byte-identical to a
-run that was offered only the admitted requests.
+run that was offered only the admitted requests.  Likewise a request
+the owner would refuse (unknown key, oversize value): each frontend has
+its partition's datastore, so ``submit`` refuses it alone.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.core.batch import ClientRequest
-from repro.errors import ConfigurationError
 from repro.scaleout.partitioned import PartitionedWaffle
 from repro.serve.frontend import AsyncFrontend, RoundExecutor
 from repro.serve.policy import OnFillPolicy, ReleasePolicy
@@ -74,10 +82,6 @@ class ShardedFrontend:
     queue_cap:
         Per-partition admission cap (total pending capacity is
         ``P * queue_cap``; shedding is per owning partition).
-    shard_workers:
-        Threads on the shared round executor — the concurrency across
-        partition rounds.  Defaults to one per partition, clamped to
-        the partition count (more could never run).
     clock:
         Timestamp source handed to every partition frontend.
     max_round_retries / on_retry:
@@ -91,22 +95,15 @@ class ShardedFrontend:
     def __init__(self, partitioned: PartitionedWaffle, *,
                  policy_factory: PolicyFactory | None = None,
                  queue_cap: int = 1024,
-                 shard_workers: int | None = None,
                  clock: Callable[[], float] = time.perf_counter,
                  max_round_retries: int = 0,
                  on_retry: Callable[[], None] | None = None,
                  wrap_execute: ExecuteWrapper | None = None) -> None:
-        partitions = partitioned.partitions
-        workers = partitions if shard_workers is None else shard_workers
-        if workers < 1:
-            raise ConfigurationError("need at least one shard worker")
         self.partitioned = partitioned
-        self.partitions = partitions
-        self.shard_workers = min(workers, partitions)
+        self.partitions = partitioned.partitions
         self._clock = clock
         self._executor = ThreadPoolExecutor(
-            max_workers=self.shard_workers,
-            thread_name_prefix="shard-round")
+            max_workers=1, thread_name_prefix="serve-round")
         if policy_factory is None:
             def policy_factory(index: int) -> ReleasePolicy:
                 return OnFillPolicy(partitioned.config.r)
@@ -116,7 +113,7 @@ class ShardedFrontend:
             if wrap_execute is not None:
                 execute = wrap_execute(index, execute)
             self.frontends.append(AsyncFrontend(
-                execute=execute, r=partitioned.config.r,
+                store, execute=execute,
                 policy=policy_factory(index), queue_cap=queue_cap,
                 clock=clock, max_round_retries=max_round_retries,
                 on_retry=on_retry, executor=self._executor,
@@ -146,9 +143,16 @@ class ShardedFrontend:
         return self
 
     async def close(self) -> None:
-        """Drain every partition's stragglers, then stop the executor."""
-        await asyncio.gather(*(f.close() for f in self.frontends))
-        self._executor.shutdown(wait=True)
+        """Drain every partition's stragglers, then stop the round thread
+        — also when a partition's ``close()`` raises (re-raised after)."""
+        try:
+            outcomes = await asyncio.gather(
+                *(f.close() for f in self.frontends), return_exceptions=True)
+        finally:
+            self._executor.shutdown(wait=True)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
 
     async def __aenter__(self) -> "ShardedFrontend":
         return await self.start()
@@ -213,6 +217,5 @@ class ShardedFrontend:
             "real_requests": sum(row["real_requests"] for row in rows),
             "empty_rounds": sum(row["empty_rounds"] for row in rows),
             "partitions": self.partitions,
-            "shard_workers": self.shard_workers,
         }
         return aggregate

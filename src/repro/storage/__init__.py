@@ -2,9 +2,8 @@
 
 The paper's testbed runs Redis on a separate machine.  This package
 provides a Redis-like in-process server (:class:`RedisSim`) behind a small
-backend interface, an access-recording wrapper that captures exactly what a
-passive persistent adversary observes, and a hash-sharded composite store
-used by the scalability ablations.
+backend interface, and an access-recording wrapper that captures exactly
+what a passive persistent adversary observes.
 """
 
 from repro.storage.base import StorageBackend
@@ -12,7 +11,6 @@ from repro.storage.memory import InMemoryStore
 from repro.storage.persistent import PersistentStore
 from repro.storage.recording import AccessRecord, RecordingStore
 from repro.storage.redis_sim import RedisSim
-from repro.storage.sharded import ShardedStore
 
 __all__ = [
     "AccessRecord",
@@ -20,6 +18,5 @@ __all__ = [
     "PersistentStore",
     "RecordingStore",
     "RedisSim",
-    "ShardedStore",
     "StorageBackend",
 ]

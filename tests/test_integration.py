@@ -18,8 +18,6 @@ from repro.bench.harness import run_waffle
 from repro.core.batch import ClientRequest, request_from_trace
 from repro.crypto.keys import KeyChain
 from repro.sim.costmodel import CostModel
-from repro.storage.memory import InMemoryStore
-from repro.storage.sharded import ShardedStore
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import workload_a, workload_c
 from tests.conftest import make_items
@@ -96,20 +94,6 @@ class TestFullStackSoak:
             datastore.execute_batch([])  # drain pending mutations
         verify_storage_invariants(datastore.recorder.records)
         assert datastore.proxy.real_count == len(live)
-
-    def test_sharded_backend_transparent(self):
-        """Waffle over a 4-shard server behaves identically."""
-        n = 200
-        config = WaffleConfig(n=n, b=20, r=8, f_d=4, d=50, c=30,
-                              value_size=64, seed=41)
-        items = make_items(n)
-        sharded = ShardedStore([InMemoryStore(write_once=True)
-                                for _ in range(4)])
-        datastore = WaffleDatastore(config, items, store=sharded,
-                                    keychain=KeyChain.from_seed(42))
-        client = WaffleClient(datastore)
-        for i in range(0, 50):
-            assert client.get_now(f"user{i:08d}") == items[f"user{i:08d}"]
 
     def test_multimap_over_long_run(self):
         items = {f"row{i:04d}": (b"a%d" % i, b"b%d" % i) for i in range(40)}

@@ -1,7 +1,6 @@
 """Tests for the partitioned (scale-out) Waffle composition."""
 
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.errors import ConfigurationError
 from repro.scaleout import PartitionedWaffle
-from repro.testing.identity import assert_trace_identical, trace_digest
 from repro.workloads.trace import Operation
 
 
@@ -21,53 +19,23 @@ CONFIG = WaffleConfig(n=PER_PARTITION, b=16, r=6, f_d=4, d=40, c=20,
                       value_size=64, seed=3)
 
 
-def build(record: bool = False, log_ids: bool = False) -> PartitionedWaffle:
+def _planned_items() -> dict[str, bytes]:
     candidates = (f"key{i:08d}" for i in range(100_000))
     keys = PartitionedWaffle.plan_partitions(candidates, PER_PARTITION,
                                              PARTITIONS, master_seed=9)
-    items = {key: b"val-" + key.encode() for key in keys}
-    return PartitionedWaffle(CONFIG, items, PARTITIONS, master_seed=9,
-                             record=record, log_ids=log_ids)
+    return {key: b"val-" + key.encode() for key in keys}
 
 
-def _shard_run(shard_workers: int, partitions: int = 2,
-               n_per_partition: int = 96, rounds: int = 3, seed: int = 13):
-    """A zero-argument run for :func:`assert_trace_identical` over a
-    ``PartitionedWaffle``: the trace half of the pair is the
-    per-partition digests, in partition order."""
-    config = WaffleConfig.paper_defaults(n=n_per_partition, seed=seed)
-    keys = PartitionedWaffle.plan_partitions(
-        (f"user{i:08d}" for i in range(64 * n_per_partition)),
-        n_per_partition, partitions, master_seed=seed)
-    items = {key: f"value-of-{key}".encode().ljust(64, b".") for key in keys}
-    rng = random.Random(seed)
-    batches = []
-    for _ in range(rounds):
-        batch = []
-        for _ in range(partitions * config.r):
-            key = keys[rng.randrange(len(keys))]
-            if rng.random() < 0.3:
-                batch.append(ClientRequest(
-                    op=Operation.WRITE, key=key,
-                    value=b"write-%06d" % rng.randrange(10**6)))
-            else:
-                batch.append(ClientRequest(op=Operation.READ, key=key))
-        batches.append(batch)
+def build(record: bool = False, log_ids: bool = False) -> PartitionedWaffle:
+    return PartitionedWaffle(CONFIG, _planned_items(), PARTITIONS,
+                             master_seed=9, record=record, log_ids=log_ids)
 
-    def run():
-        store = PartitionedWaffle(config, items, partitions,
-                                  master_seed=seed, record=True,
-                                  shard_workers=shard_workers)
-        try:
-            responses = hashlib.sha256()
-            for resp in itertools.chain.from_iterable(
-                    store.execute_batch(batch) for batch in batches):
-                responses.update(resp.key.encode() + b"\x00" + resp.value)
-            return ([trace_digest(part.recorder.records)
-                     for part in store.stores], responses.hexdigest())
-        finally:
-            store.close()
-    return run
+
+def build_partitioned():
+    """A deployment plus its keys, in planned (partition-major) order."""
+    items = _planned_items()
+    return PartitionedWaffle(CONFIG, items, PARTITIONS,
+                             master_seed=9), list(items)
 
 
 class TestConstruction:
@@ -97,16 +65,6 @@ class TestConstruction:
         first = [store.partition_of(key) for key in keys]
         assert first == [store.partition_of(key) for key in keys]
         assert len(set(first)) == PARTITIONS
-
-    def test_bulk_router_matches_scalar_router(self):
-        store = build()
-        keys = [f"probe{i}" for i in range(500)]
-        assert store.partition_of_many(keys) == \
-            [store.partition_of(key) for key in keys]
-        # Accepts any iterable, not just sequences.
-        assert store.partition_of_many(iter(keys[:10])) == \
-            [store.partition_of(key) for key in keys[:10]]
-        assert store.partition_of_many([]) == []
 
     def test_routing_unchanged_by_hasher_hoist(self):
         """The precomputed-hasher fast path is the same keyed blake2s
@@ -160,10 +118,6 @@ class TestExecution:
             responses = store.execute_batch(batch)
             assert [r.value for r in responses] == expected
 
-    def test_shard_parallel_matches_serial(self):
-        assert_trace_identical(_shard_run(shard_workers=1),
-                               _shard_run(shard_workers=2))
-
     def test_mutations_route_to_owner(self):
         store = build()
         store.insert("fresh-key-001", b"hello")
@@ -176,6 +130,65 @@ class TestExecution:
         store.delete("fresh-key-001")
         store.stores[owner].execute_batch([])
         assert not store.contains_key("fresh-key-001")
+
+
+class TestPartitionedBatchOrdering:
+    def test_interleaved_partitions_return_in_request_order(self):
+        store, _ = build_partitioned()
+        by_partition: dict[int, list[str]] = {}
+        for datastore in store.stores:
+            for key in datastore.proxy.cache.keys():
+                by_partition.setdefault(store.partition_of(key),
+                                        []).append(key)
+        # Alternate partitions position by position.
+        sample = []
+        for depth in range(3):
+            for index in range(PARTITIONS):
+                sample.append(by_partition[index][depth])
+        responses = store.execute_batch([
+            ClientRequest(op=Operation.READ, key=key) for key in sample])
+        assert [r.key for r in responses] == sample
+        assert [r.value for r in responses] \
+            == [b"val-" + k.encode() for k in sample]
+
+    def test_share_larger_than_r_chunks_into_rounds(self):
+        store, keys = build_partitioned()
+        target = store.partition_of(keys[0])
+        owned = [k for k in keys if store.partition_of(k) == target]
+        sample = owned[: CONFIG.r * 2 + 1]  # forces three rounds
+        assert len(sample) > CONFIG.r
+        before = store.rounds_per_partition()[target]
+        responses = store.execute_batch([
+            ClientRequest(op=Operation.READ, key=key) for key in sample])
+        assert [r.key for r in responses] == sample
+        assert store.rounds_per_partition()[target] == before + 3
+
+    def test_mixed_read_write_batch_read_your_writes(self):
+        store, keys = build_partitioned()
+        sample = [k for k in keys][:6]
+        batch, expected = [], []
+        for i, key in enumerate(sample):
+            value = b"new-%02d" % i
+            batch.append(ClientRequest(op=Operation.WRITE, key=key,
+                                       value=value))
+            expected.append(value)
+            batch.append(ClientRequest(op=Operation.READ, key=key))
+            expected.append(value)
+        responses = store.execute_batch(batch)
+        assert [r.value for r in responses] == expected
+
+    def test_routing_matches_fresh_router_instance(self):
+        store, keys = build_partitioned()
+        rebuilt, _ = build_partitioned()
+        assert [store.partition_of(k) for k in keys] \
+            == [rebuilt.partition_of(k) for k in keys]
+        other = PartitionedWaffle.__new__(PartitionedWaffle)
+        other.partitions = PARTITIONS
+        other._route_key = store._route_key
+        other._hasher_proto = hashlib.blake2s(key=store._route_key,
+                                              digest_size=8)
+        assert [other.partition_of(k) for k in keys] \
+            == [store.partition_of(k) for k in keys]
 
 
 class TestSecurityComposition:

@@ -13,10 +13,13 @@ import asyncio
 import pytest
 
 from repro.core.batch import ClientRequest, ClientResponse
+from repro.core.datastore import WaffleDatastore
+from repro.crypto.keys import KeyChain
 from repro.errors import (
     BackendUnavailableError,
     ClosedError,
     ConfigurationError,
+    KeyNotFoundError,
     OverloadedError,
     ProtocolError,
     StorageError,
@@ -34,6 +37,7 @@ from repro.serve import (
     make_policy,
 )
 from repro.sim.clock import SimClock
+from repro.testing.identity import trace_digest
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name
 
@@ -580,6 +584,90 @@ class TestServeServer:
         stats = asyncio.run(scenario())
         assert stats["admitted"] == 4
         assert stats["rounds"] >= 1
+
+
+# ----------------------------------------------------------------------
+# a request the proxy must refuse is refused alone
+# ----------------------------------------------------------------------
+class TestRefusedAlone:
+    """An unknown key or an oversize value fails its own caller at
+    ``submit`` — not the clients batched with it — and leaves the storage
+    trace of a run that was offered only the valid requests."""
+
+    @staticmethod
+    def _valid_only_digest(small_config, small_items) -> str:
+        """Trace digest of ``small_datastore``'s twin after the one round
+        both tests' valid requests make: get key 1, get key 2."""
+        twin = WaffleDatastore(small_config, small_items,
+                               keychain=KeyChain.from_seed(7), log_ids=True)
+
+        async def scenario():
+            async with AsyncFrontend(twin, policy=OnFillPolicy(2)) as frontend:
+                await asyncio.gather(frontend.get(key_name(1)),
+                                     frontend.get(key_name(2)))
+
+        asyncio.run(scenario())
+        return trace_digest(twin.recorder.records)
+
+    def test_in_process(self, small_datastore, small_config, small_items):
+        oversize = b"x" * (small_config.value_size - 3)
+
+        async def scenario():
+            # Max-wait only so that a regression drains instead of
+            # hanging; the one round here fills and fires at once.
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(2, 0.005))
+            async with frontend:
+                outcomes = await asyncio.gather(
+                    frontend.get(key_name(1)),
+                    frontend.get("nope"),
+                    frontend.put(key_name(3), oversize),
+                    frontend.get(key_name(2)),
+                    return_exceptions=True)
+                return outcomes, frontend.stats()
+
+        (first, unknown, too_big, second), stats = asyncio.run(scenario())
+        assert (first, second) == (b"value-1", b"value-2")
+        assert isinstance(unknown, KeyNotFoundError)
+        assert unknown.key == "nope"
+        assert isinstance(too_big, ConfigurationError)
+        # Refused before admission: neither admitted nor shed.
+        assert (stats["admitted"], stats["shed"], stats["rounds"],
+                stats["real_requests"]) == (2, 0, 1, 2)
+        assert trace_digest(small_datastore.recorder.records) == \
+            self._valid_only_digest(small_config, small_items)
+
+    def test_over_the_wire(self, small_datastore, small_config, small_items):
+        oversize = b"x" * (small_config.value_size - 3)
+
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(2, 0.5))
+            async with ServeServer(frontend) as server:
+                host, port = server.address
+                victim, offender, other = (AsyncServeClient(host, port)
+                                           for _ in range(3))
+                for client in (victim, offender, other):
+                    await client.connect()
+                try:
+                    pending = asyncio.ensure_future(victim.get(key_name(1)))
+                    await asyncio.sleep(0.05)  # now waiting for a round
+                    # Refused at once, while the victim is still queued.
+                    with pytest.raises(KeyNotFoundError) as unknown:
+                        await offender.get("nope")
+                    with pytest.raises(StorageError,
+                                       match="exceeds padded size"):
+                        await offender.put(key_name(3), oversize)
+                    assert not pending.done()
+                    second = await other.get(key_name(2))  # fills the round
+                    return await pending, second, unknown.value.key
+                finally:
+                    for client in (victim, offender, other):
+                        await client.close()
+
+        assert asyncio.run(scenario()) == (b"value-1", b"value-2", "nope")
+        assert trace_digest(small_datastore.recorder.records) == \
+            self._valid_only_digest(small_config, small_items)
 
 
 class TestOperationMapping:

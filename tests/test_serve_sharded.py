@@ -9,8 +9,10 @@ The core claims of the multi-proxy scale-out (DESIGN.md §14):
   events only *between* per-partition tapes;
 * faults are contained per partition: a retryable fault recovers through
   the partition's own retry budget, a fatal partition fails only its own
-  keys' requests, and shedding sheds only from the owning partition's
-  queue;
+  keys' requests, shedding sheds only from the owning partition's
+  queue, and a request the owning proxy would refuse is refused alone;
+* every partition's rounds run on one round thread, which ``close()``
+  always stops;
 * the §8 uniformity oracle (α/β bounds, id invariants) holds per
   partition when driven through the sharded frontend;
 * epoch-aligned grid policies commit to float-identical schedules, so
@@ -21,9 +23,11 @@ The core claims of the multi-proxy scale-out (DESIGN.md §14):
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
+from repro import obs
 from repro.analysis.timing import load_inference_attack
 from repro.analysis.uniformity import full_report, verify_storage_invariants
 from repro.core.batch import ClientResponse
@@ -31,6 +35,7 @@ from repro.errors import (
     BackendUnavailableError,
     ConfigurationError,
     IntegrityError,
+    KeyNotFoundError,
     OverloadedError,
 )
 from repro.scaleout import PartitionedWaffle
@@ -343,22 +348,114 @@ class TestGridAlignment:
         assert attack["leakage_score"] == 0.0
 
 
+class TestRefusedAlone:
+    def test_owner_refuses_alone_and_traces_match_a_valid_only_run(self):
+        """An unknown key and an oversize value fail their own callers;
+        the requests batched around them are served, and each partition's
+        tape equals a twin's that was offered only the valid requests."""
+        cfg, keys, items, live = _twin_store(record=True)
+        _, _, _, twin = _twin_store(record=True)
+        by_owner = [[k for k in keys if live.partition_of(k) == index][:cfg.r]
+                    for index in range(PARTITIONS)]
+        valid = by_owner[0] + by_owner[1]  # one full round per partition
+
+        async def offer(store, offenders: bool):
+            # Max-wait only so that a regression drains instead of
+            # hanging; every round here fills and fires at once.
+            async with ShardedFrontend(
+                    store, policy_factory=lambda i: MaxWaitPolicy(
+                        cfg.r, 0.005)) as frontend:
+                calls = [frontend.get(key) for key in valid]
+                if offenders:
+                    calls.insert(1, frontend.get("no-such-key"))
+                    calls.insert(cfg.r + 2, frontend.put(
+                        by_owner[1][0], b"x" * cfg.value_size))
+                outcomes = await asyncio.gather(*calls,
+                                                return_exceptions=True)
+                return outcomes, frontend.stats()
+
+        outcomes, stats = asyncio.run(offer(live, offenders=True))
+        oversize = outcomes.pop(cfg.r + 2)
+        unknown = outcomes.pop(1)
+        assert isinstance(unknown, KeyNotFoundError)
+        assert isinstance(oversize, ConfigurationError)
+        assert outcomes == [items[key] for key in valid]
+        # Refused before admission: neither admitted nor shed.
+        assert (stats["admitted"], stats["shed"], stats["rounds"]) == \
+            (len(valid), 0, PARTITIONS)
+
+        asyncio.run(offer(twin, offenders=False))
+        for index in range(PARTITIONS):
+            assert trace_digest(live.stores[index].recorder.records) == \
+                trace_digest(twin.stores[index].recorder.records)
+
+
 class TestExecutorSizing:
-    def test_workers_clamped_to_partition_count(self):
+    def test_one_thread_runs_every_partitions_rounds(self):
+        """P=2 with several rounds queued on each partition: one round
+        thread ran them all, and it is not the event loop's thread."""
+        _, keys, items, store = _twin_store()
+        ran_on: list[set[int]] = [set() for _ in range(PARTITIONS)]
+
+        def wrap(index, execute):
+            def spy(requests):
+                ran_on[index].add(threading.get_ident())
+                return execute(requests)
+            return spy
+
+        async def scenario():
+            async with ShardedFrontend(store, wrap_execute=wrap) as frontend:
+                values = await asyncio.gather(
+                    *(frontend.get(key) for key in keys))
+            return values, threading.get_ident()
+
+        values, loop_thread = asyncio.run(scenario())
+        assert values == [items[key] for key in keys]
+        assert all(ran_on)  # every partition ran rounds
+        round_threads = set().union(*ran_on)
+        assert len(round_threads) == 1
+        assert loop_thread not in round_threads
+
+    def test_close_stops_the_round_thread_when_a_partition_close_raises(self):
+        cfg, keys, _, store = _twin_store()
+        round_threads: set[threading.Thread] = set()
+
+        def wrap(index, execute):
+            def spy(requests):
+                round_threads.add(threading.current_thread())
+                return execute(requests)
+            return spy
+
+        async def scenario():
+            frontend = ShardedFrontend(store, wrap_execute=wrap)
+            await frontend.start()
+            await asyncio.gather(
+                *(frontend.get(key) for key in keys[:cfg.r]))
+            real_close = frontend.frontends[0].close
+
+            async def broken_close():
+                await real_close()
+                raise RuntimeError("injected close failure")
+
+            frontend.frontends[0].close = broken_close
+            with pytest.raises(RuntimeError, match="injected"):
+                await frontend.close()
+
+        asyncio.run(scenario())
+        assert round_threads
+        for thread in round_threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+    def test_partitions_share_the_round_executor(self):
         _, _, _, store = _twin_store()
-        frontend = ShardedFrontend(store, shard_workers=8)
-        assert frontend.shard_workers == PARTITIONS
+        frontend = ShardedFrontend(store)
         # One shared executor across all partition frontends, not owned
         # by any of them.
         for partition_frontend in frontend.frontends:
             assert partition_frontend._executor is frontend._executor
             assert not partition_frontend._owns_executor
         frontend._executor.shutdown(wait=False)
-
-    def test_rejects_zero_workers(self):
-        _, _, _, store = _twin_store()
-        with pytest.raises(ConfigurationError):
-            ShardedFrontend(store, shard_workers=0)
 
     def test_stats_aggregate_and_per_partition(self):
         _, keys, _, store = _twin_store()
@@ -371,12 +468,39 @@ class TestExecutorSizing:
 
         stats, rows = asyncio.run(scenario())
         assert stats["partitions"] == PARTITIONS
-        assert stats["shard_workers"] == PARTITIONS
+        # The single-frontend row plus the partition count, nothing else.
+        assert set(stats) == {"cap", "depth", "admitted", "shed",
+                              "high_water", "policy", "rounds",
+                              "real_requests", "empty_rounds", "partitions"}
         assert len(rows) == PARTITIONS
         assert [row["shard"] for row in rows] == \
             [str(i) for i in range(PARTITIONS)]
         assert sum(row["admitted"] for row in rows) == stats["admitted"]
         assert sum(row["rounds"] for row in rows) == stats["rounds"]
+
+
+class TestMetrics:
+    def test_one_serve_family_labelled_by_shard(self):
+        """Sharded frontends emit the ``serve.*`` names every frontend
+        emits, with a ``shard`` label — not a second, parallel family."""
+        cfg, keys, _, store = _twin_store()
+        sample = keys[:cfg.r] + keys[-cfg.r:]  # one round per partition
+
+        async def scenario():
+            async with ShardedFrontend(store) as frontend:
+                await asyncio.gather(*(frontend.get(key) for key in sample))
+
+        with obs.capture() as handle:
+            asyncio.run(scenario())
+            snap = handle.registry.snapshot()
+        names = set(snap["counters"]) | set(snap["gauges"])
+        for shard in ("0", "1"):
+            assert snap["counters"][
+                f"serve.requests.total{{op=read,shard={shard}}}"] == cfg.r
+            assert f"serve.pending.depth{{shard={shard}}}" in names
+            assert snap["counters"][
+                f"serve.rounds.total{{policy=on_fill,shard={shard}}}"] == 1
+        assert not [name for name in names if name.startswith("serve.shard.")]
 
 
 class TestServerIntegration:

@@ -1,16 +1,10 @@
-"""Tests for the storage substrate: memory store, RedisSim, recorder,
-sharded store."""
+"""Tests for the storage substrate: memory store, RedisSim, recorder."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
-from repro.storage import (
-    InMemoryStore,
-    RecordingStore,
-    RedisSim,
-    ShardedStore,
-)
+from repro.storage import InMemoryStore, RecordingStore, RedisSim
 
 
 @pytest.fixture(params=["memory", "redis"])
@@ -154,49 +148,6 @@ class TestRecordingStore:
         _ = "a" in recorder
         _ = len(recorder)
         assert len(recorder.records) == 1
-
-
-class TestShardedStore:
-    def test_requires_shards(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            ShardedStore([])
-
-    def test_routing_is_stable(self):
-        store = ShardedStore([InMemoryStore() for _ in range(4)])
-        assert store.shard_index("key-1") == store.shard_index("key-1")
-
-    def test_operations_span_shards(self):
-        shards = [InMemoryStore() for _ in range(4)]
-        store = ShardedStore(shards)
-        items = [(f"k{i}", b"v%d" % i) for i in range(100)]
-        store.multi_put(items)
-        assert len(store) == 100
-        assert sum(len(s) > 0 for s in shards) > 1  # actually distributed
-        assert store.multi_get([k for k, _ in items]) == [v for _, v in items]
-        store.multi_delete([k for k, _ in items[:50]])
-        assert len(store) == 50
-
-    def test_single_key_operations(self):
-        store = ShardedStore([InMemoryStore(), InMemoryStore()])
-        store.put("x", b"1")
-        assert store.get("x") == b"1"
-        assert "x" in store
-        store.delete("x")
-        assert "x" not in store
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(st.text(min_size=1, max_size=8),
-                           st.binary(max_size=16), max_size=40))
-    def test_sharded_equals_flat(self, items):
-        """A sharded store is observably identical to a flat store."""
-        flat = InMemoryStore()
-        sharded = ShardedStore([InMemoryStore() for _ in range(3)])
-        flat.multi_put(items.items())
-        sharded.multi_put(items.items())
-        keys = list(items)
-        assert sharded.multi_get(keys) == flat.multi_get(keys)
-        assert len(sharded) == len(flat)
 
 
 class TestStorageHypothesis:
