@@ -1,7 +1,7 @@
 """Typing-completeness rule for the mypy-strict-gated packages.
 
-CI runs ``mypy --strict`` on ``crypto/``, ``core/``, ``ds/`` and
-``storage/``; this rule is the local, dependency-free proxy for the two
+CI runs ``mypy --strict`` on ``crypto/``, ``core/``, ``ds/``,
+``storage/`` and ``net/``; this rule is the local, dependency-free proxy for the two
 strict flags that catch the most regressions — ``disallow_untyped_defs``
 and ``disallow_incomplete_defs`` — so a missing annotation fails
 ``repro.cli lint`` on the developer's machine even when mypy is not
@@ -17,14 +17,15 @@ from repro.lint.engine import Finding, Module, Rule
 
 __all__ = ["TypingCompletenessRule"]
 
-_GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/")
+_GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
+          "repro/net/")
 
 
 class TypingCompletenessRule(Rule):
     id = "OBL501"
     name = "typing-completeness"
     description = ("every def in the mypy-strict gated packages "
-                   "(crypto/, core/, ds/, storage/) must annotate all "
+                   "(crypto/, core/, ds/, storage/, net/) must annotate all "
                    "parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:

@@ -8,102 +8,181 @@ Frame layout (all integers big-endian):
 A payload encodes one *message*: a type tag byte followed by typed
 fields.  Commands and replies reuse one recursive value encoding:
 
-=========  ==============================================
+=========  ==========================================================
 tag        meaning
-=========  ==============================================
+=========  ==========================================================
 ``S``      UTF-8 string (4-byte length + bytes)
 ``B``      raw bytes (4-byte length + bytes)
 ``I``      signed 64-bit integer
 ``L``      list (4-byte count + encoded items)
 ``N``      none/nil
 ``E``      error (4-byte length + UTF-8 message)
-=========  ==============================================
+``s``      packed list of strings: 4-byte count ``n``, a table of ``n``
+           4-byte lengths, then the ``n`` UTF-8 payloads end to end
+``b``      packed list of bytes, same layout
+=========  ==========================================================
 
-A request payload is a list: ``[command_name, arg, ...]`` — exactly the
-command tuples :meth:`RedisSim.execute` accepts, so the server is a thin
-shim.  A pipeline request is ``["PIPELINE", [cmd...], [cmd...]]`` and
-its reply is the list of per-command replies.
+**The packing rule.**  The encoder alone decides, from the value: a
+non-empty list (or tuple) whose items are all exactly ``str`` goes out as
+``s``, all exactly ``bytes`` as ``b``, anything else as ``L``.  A packed
+list decodes to a plain list, so ``decode_message(encode_message(v)) ==
+v`` whichever tag carried it; what changes is the cost per item — a slice
+at each end instead of a tagged value — which is what lets a Waffle round
+move its ``B`` ids and ``B`` ciphertexts as arrays.
+
+A request payload is a list ``[command_name, arg, ...]``.  Single
+commands (``GET key``, ``SET key value``, ``DEL key``, ``EXISTS key``,
+``DBSIZE``) are the tuples :meth:`RedisSim.execute` accepts.  The round's
+two storage calls have shapes of their own:
+
+* ``["MGET", id, ...]`` is one ``s`` array; the reply is the values in
+  order (one ``b`` array), or an error if any id is missing.
+* ``["COMMIT", deletes, ids, values]`` is an ``L`` of the name and three
+  packed arrays: delete every id in ``deletes``, then store ``values[i]``
+  under ``ids[i]``, all or nothing.  The reply is the number of ids
+  moved (one ``I``), or an error with nothing applied.
 """
 
 from __future__ import annotations
 
-import io
 import socket
 import struct
+from itertools import accumulate
+from typing import TYPE_CHECKING, Sequence, Union, cast
+
+if TYPE_CHECKING:
+    import asyncio
 
 from repro.errors import ProtocolError
 
 __all__ = [
+    "WireValue",
     "decode_message",
+    "encode_frame",
     "encode_message",
     "read_frame",
     "read_frame_async",
-    "write_frame",
     "write_frame_async",
 ]
 
 _MAX_FRAME = 64 * 1024 * 1024  # defensive cap: 64 MiB per frame
-#: Deepest list nesting a message may carry (real traffic reaches 3): the
+#: Deepest list nesting a message may carry (real traffic reaches 2): the
 #: decoder recurses per level, so a hostile frame must not choose the depth.
 _MAX_DEPTH = 32
+
+#: Anything a message is made of.  Decoding gives ``bytes`` for either
+#: bytes type, a ``list`` for either sequence type and a
+#: :class:`_WireError` for an exception.
+WireValue = Union[None, str, bytes, bytearray, int, Sequence["WireValue"],
+                  Exception, "_WireError"]
+
+_Buffer = Union[bytes, bytearray]
+
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_TAG_U32 = struct.Struct(">cI")
+_TAG_I64 = struct.Struct(">cq")
 
 
 # ----------------------------------------------------------------------
 # value encoding
 # ----------------------------------------------------------------------
-def _encode_value(buffer: io.BytesIO, value) -> None:
+def _encode_value(parts: list[_Buffer], value: WireValue) -> None:
+    """Append ``value``'s encoding to ``parts``.  Payloads are appended as
+    they are, so nothing is copied before the one join that makes the
+    message."""
     if value is None:
-        buffer.write(b"N")
+        parts.append(b"N")
     elif isinstance(value, bool):  # bools are ints; reject explicitly
         raise ProtocolError("booleans are not wire values")
     elif isinstance(value, str):
         data = value.encode("utf-8")
-        buffer.write(b"S" + struct.pack(">I", len(data)) + data)
+        parts += (_TAG_U32.pack(b"S", len(data)), data)
     elif isinstance(value, (bytes, bytearray)):
-        buffer.write(b"B" + struct.pack(">I", len(value)) + bytes(value))
+        parts += (_TAG_U32.pack(b"B", len(value)), value)
     elif isinstance(value, int):
-        buffer.write(b"I" + struct.pack(">q", value))
+        parts.append(_TAG_I64.pack(b"I", value))
     elif isinstance(value, (list, tuple)):
-        buffer.write(b"L" + struct.pack(">I", len(value)))
-        for item in value:
-            _encode_value(buffer, item)
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            _encode_packed(parts, b"s", list(map(
+                str.encode, cast("Sequence[str]", value))))
+        elif kinds == {bytes}:
+            _encode_packed(parts, b"b", cast("Sequence[bytes]", value))
+        else:
+            parts.append(_TAG_U32.pack(b"L", len(value)))
+            for item in value:
+                _encode_value(parts, item)
     elif isinstance(value, Exception):
-        message = f"{type(value).__name__}:{value}"
-        data = message.encode("utf-8")
-        buffer.write(b"E" + struct.pack(">I", len(data)) + data)
+        data = f"{type(value).__name__}:{value}".encode("utf-8")
+        parts += (_TAG_U32.pack(b"E", len(data)), data)
     else:
         raise ProtocolError(f"cannot encode {type(value).__name__}")
 
 
-def _take(buffer: io.BytesIO, count: int) -> bytes:
-    data = buffer.read(count)
-    if len(data) != count:
+def _encode_packed(parts: list[_Buffer], tag: bytes,
+                   payloads: Sequence[bytes]) -> None:
+    count = len(payloads)
+    parts.append(struct.pack(f">cI{count}I", tag, count,
+                             *map(len, payloads)))
+    parts += payloads
+
+
+def _encode_parts(value: WireValue) -> list[_Buffer]:
+    parts: list[_Buffer] = []
+    try:
+        _encode_value(parts, value)
+    except struct.error as error:  # an integer or a count out of range
+        raise ProtocolError(f"value does not fit the wire: {error}") from error
+    return parts
+
+
+def _end(view: memoryview, pos: int, length: int) -> int:
+    """Where ``length`` bytes starting at ``pos`` end; they must be there."""
+    end = pos + length
+    if end > len(view):
         raise ProtocolError("truncated message")
-    return data
+    return end
 
 
-def _decode_value(buffer: io.BytesIO, depth: int = 0):
-    tag = _take(buffer, 1)
-    if tag == b"N":
-        return None
-    if tag == b"S":
-        (length,) = struct.unpack(">I", _take(buffer, 4))
-        return _take(buffer, length).decode("utf-8")
-    if tag == b"B":
-        (length,) = struct.unpack(">I", _take(buffer, 4))
-        return _take(buffer, length)
-    if tag == b"I":
-        (value,) = struct.unpack(">q", _take(buffer, 8))
-        return value
-    if tag == b"L":
+def _decode_value(view: memoryview, pos: int,
+                  depth: int) -> tuple[WireValue, int]:
+    """Decode the value at ``pos``: the value and the position after it."""
+    head = _end(view, pos, 1)
+    tag = chr(view[pos])
+    if tag == "N":
+        return None, head
+    if tag == "I":
+        end = _end(view, head, 8)
+        return _I64.unpack_from(view, head)[0], end
+    if tag not in "SBELsb":
+        raise ProtocolError(f"unknown wire tag {tag!r}")
+    body = _end(view, head, 4)
+    (size,) = _U32.unpack_from(view, head)
+    if tag == "L":
         if depth >= _MAX_DEPTH:
             raise ProtocolError("list nesting exceeds depth cap")
-        (count,) = struct.unpack(">I", _take(buffer, 4))
-        return [_decode_value(buffer, depth + 1) for _ in range(count)]
-    if tag == b"E":
-        (length,) = struct.unpack(">I", _take(buffer, 4))
-        return _WireError(_take(buffer, length).decode("utf-8"))
-    raise ProtocolError(f"unknown wire tag {tag!r}")
+        items: list[WireValue] = []
+        for _ in range(size):
+            item, body = _decode_value(view, body, depth + 1)
+            items.append(item)
+        return items, body
+    if tag in "sb":
+        # The length table must be there before its format is built: a
+        # hostile count does not get to size an allocation.
+        first = _end(view, body, 4 * size)
+        ends = list(accumulate(struct.unpack_from(f">{size}I", view, body),
+                               initial=first))
+        end = _end(view, ends[-1], 0)  # the lengths may not sum past it
+        spans = zip(ends, ends[1:])
+        if tag == "s":
+            return [str(view[a:b], "utf-8") for a, b in spans], end
+        return [view[a:b].tobytes() for a, b in spans], end
+    end = _end(view, body, size)
+    if tag == "B":
+        return view[body:end].tobytes(), end
+    text = str(view[body:end], "utf-8")
+    return (text if tag == "S" else _WireError(text)), end
 
 
 class _WireError:
@@ -135,22 +214,31 @@ class _WireError:
         raise StorageError(self.message)
 
 
-def encode_message(value) -> bytes:
+def encode_message(value: WireValue) -> bytes:
     """Encode one message (a value tree) to payload bytes."""
-    buffer = io.BytesIO()
-    _encode_value(buffer, value)
-    return buffer.getvalue()
+    return b"".join(_encode_parts(value))
 
 
-def decode_message(payload: bytes):
+def encode_frame(value: WireValue) -> bytes:
+    """Encode one message as a whole frame, header included, ready for a
+    single ``sendall``.  A message over the size cap is refused here,
+    before any of it can reach a socket."""
+    parts = _encode_parts(value)
+    size = sum(map(len, parts))
+    if size > _MAX_FRAME:
+        raise ProtocolError("frame exceeds size cap")
+    return b"".join([_U32.pack(size), *parts])
+
+
+def decode_message(payload: _Buffer) -> WireValue:
     """Decode payload bytes back into a value tree; whatever is wrong with
     a malformed payload, it raises :class:`~repro.errors.ProtocolError`."""
-    buffer = io.BytesIO(payload)
+    view = memoryview(payload)
     try:
-        value = _decode_value(buffer)
+        value, end = _decode_value(view, 0, 0)
     except UnicodeDecodeError as error:
         raise ProtocolError(f"malformed UTF-8 in message: {error}") from error
-    if buffer.read(1):
+    if end != len(view):
         raise ProtocolError("trailing bytes after message")
     return value
 
@@ -158,28 +246,27 @@ def decode_message(payload: bytes):
 # ----------------------------------------------------------------------
 # framing over a socket
 # ----------------------------------------------------------------------
-def write_frame(sock: socket.socket, payload: bytes) -> None:
-    """Send one length-prefixed frame."""
-    if len(payload) > _MAX_FRAME:
-        raise ProtocolError("frame exceeds size cap")
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def _read_exact(sock: socket.socket, count: int) -> _Buffer:
+    """Exactly ``count`` bytes: the one ``recv`` when it brings them all,
+    otherwise one buffer of the final size that the rest is received into."""
+    data = sock.recv(count)
+    if len(data) == count:
+        return data
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    view[:len(data)] = data
+    filled = received = len(data)
+    while received and filled < count:
+        received = sock.recv_into(view[filled:])
+        filled += received
+    if filled < count:
+        raise ConnectionError("peer closed the connection")
+    return buffer
 
 
-def _read_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> bytes:
+def read_frame(sock: socket.socket) -> _Buffer:
     """Receive one length-prefixed frame."""
-    (length,) = struct.unpack(">I", _read_exact(sock, 4))
+    (length,) = _U32.unpack(_read_exact(sock, 4))
     if length > _MAX_FRAME:
         raise ProtocolError("frame exceeds size cap")
     return _read_exact(sock, length)
@@ -188,15 +275,18 @@ def read_frame(sock: socket.socket) -> bytes:
 # ----------------------------------------------------------------------
 # framing over asyncio streams (the serving frontend's transport)
 # ----------------------------------------------------------------------
-async def write_frame_async(writer, payload: bytes) -> None:
+async def write_frame_async(writer: "asyncio.StreamWriter",
+                            payload: bytes) -> None:
     """Send one length-prefixed frame on an ``asyncio.StreamWriter``."""
     if len(payload) > _MAX_FRAME:
         raise ProtocolError("frame exceeds size cap")
-    writer.write(struct.pack(">I", len(payload)) + payload)
+    # One call into the transport: a gathered send where asyncio has one
+    # (3.12+), otherwise its own join; never a header in a segment alone.
+    writer.writelines((_U32.pack(len(payload)), payload))
     await writer.drain()
 
 
-async def read_frame_async(reader) -> bytes:
+async def read_frame_async(reader: "asyncio.StreamReader") -> bytes:
     """Receive one length-prefixed frame from an ``asyncio.StreamReader``.
 
     Raises ``ConnectionError`` on a peer that closes cleanly between
@@ -211,7 +301,7 @@ async def read_frame_async(reader) -> bytes:
         header = await reader.readexactly(4)
     except asyncio.IncompleteReadError as error:
         raise ConnectionError("peer closed the connection") from error
-    (length,) = struct.unpack(">I", header)
+    (length,) = _U32.unpack(header)
     if length > _MAX_FRAME:
         raise ProtocolError("frame exceeds size cap")
     try:

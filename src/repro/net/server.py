@@ -2,7 +2,10 @@
 
 One thread per connection; each connection processes framed requests
 sequentially (matching Redis's per-connection ordering guarantee, which
-the pipelined batch semantics rely on).
+the batched round semantics rely on).  The round's two bulk commands go
+straight to :meth:`StorageBackend.multi_get` and
+:meth:`StorageBackend.commit_round`; single commands go through the
+backend's ``execute`` (or a translation onto the interface).
 """
 
 from __future__ import annotations
@@ -10,14 +13,15 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from typing import Any
 
 from repro.errors import ProtocolError
 from repro.obs import OBS
 from repro.net.protocol import (
+    WireValue,
     decode_message,
-    encode_message,
+    encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.storage.base import StorageBackend
 from repro.storage.redis_sim import RedisSim
@@ -75,7 +79,7 @@ class StorageServer:
     def __enter__(self) -> "StorageServer":
         return self.start()
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.stop()
 
     # ------------------------------------------------------------------
@@ -109,35 +113,38 @@ class StorageServer:
                     # Undecodable or over the size cap: say so and drop this
                     # peer.  Nothing reaches the backend; others carry on.
                     try:
-                        write_frame(conn, encode_message(error))
+                        conn.sendall(encode_frame(error))
                     except (ConnectionError, OSError):
                         pass
                     return
                 except (ConnectionError, OSError):
                     return
-                reply = self._dispatch(request)
                 try:
-                    write_frame(conn, encode_message(reply))
+                    frame = encode_frame(self._dispatch(request))
+                except ProtocolError as error:  # a reply over the size cap
+                    frame = encode_frame(error)
+                try:
+                    conn.sendall(frame)
                 except (ConnectionError, OSError):  # pragma: no cover
                     return
 
-    def _dispatch(self, request):
+    def _dispatch(self, request: WireValue) -> WireValue:
         if OBS.enabled:
             start = time.perf_counter()
             command = request[0] if isinstance(request, list) and request \
                 else "malformed"
             reply = self._dispatch_inner(request)
             duration = time.perf_counter() - start
-            size = len(request) - 1 if command == "PIPELINE" else 1
             OBS.registry.counter("net.requests.total",
                                  command=str(command)).inc()
             OBS.observe_span("net.request", duration,
-                             labels={"command": str(command)}, commands=size,
+                             labels={"command": str(command)},
+                             commands=_ids_moved(request),
                              error=isinstance(reply, Exception))
             return reply
         return self._dispatch_inner(request)
 
-    def _dispatch_inner(self, request):
+    def _dispatch_inner(self, request: WireValue) -> WireValue:
         if not isinstance(request, list) or not request:
             return ValueError("malformed request")
         name = request[0]
@@ -145,13 +152,29 @@ class StorageServer:
             # Commands execute under a lock: RedisSim is single-threaded
             # just like Redis's command loop.
             with self._lock:
-                if name == "PIPELINE":
-                    return [self._execute(tuple(cmd)) for cmd in request[1:]]
+                if name == "MGET":
+                    return self.backend.multi_get(request[1:])
+                if name == "COMMIT":
+                    return self._commit(*request[1:])
                 return self._execute(tuple(request))
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error
 
-    def _translate(self, command: tuple):
+    def _commit(self, *arrays: Any) -> int:
+        """One round commit, refused whole unless it is three lists:
+        ``str`` deletes, ``str`` ids and one ``bytes`` value for each id."""
+        if len(arrays) != 3 or not all(isinstance(a, list) for a in arrays):
+            raise ProtocolError("COMMIT takes deletes, ids and values")
+        deletes, ids, values = arrays
+        if (len(ids) != len(values)
+                or not set(map(type, deletes + ids)) <= {str}
+                or not set(map(type, values)) <= {bytes}):
+            raise ProtocolError("COMMIT takes str ids and one bytes value "
+                                "for each id it stores")
+        self.backend.commit_round(deletes, list(zip(ids, values)))
+        return len(deletes) + len(ids)
+
+    def _translate(self, command: tuple[Any, ...]) -> WireValue:
         """The core commands, on a backend without ``execute``."""
         name = command[0].upper()
         if name == "GET":
@@ -167,3 +190,14 @@ class StorageServer:
         if name == "DBSIZE":
             return len(self.backend)
         raise ValueError(f"unknown command {name!r}")
+
+
+def _ids_moved(request: WireValue) -> int:
+    """How many storage ids a request moves: its span's ``commands=``."""
+    if isinstance(request, list) and request:
+        if request[0] == "MGET":
+            return len(request) - 1
+        if request[0] == "COMMIT":
+            return sum(len(part) for part in request[1:3]
+                       if isinstance(part, list))
+    return 1

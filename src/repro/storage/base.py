@@ -20,9 +20,31 @@ replicas) use ``write_once=False`` and overwrite freely via :meth:`put`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
-__all__ = ["StorageBackend"]
+from repro.errors import DuplicateKeyError, KeyNotFoundError
+
+__all__ = ["StorageBackend", "check_commit"]
+
+
+def check_commit(present: Container[str], write_once: bool,
+                 deletes: Iterable[str], put_ids: Iterable[str]) -> None:
+    """Raise what deleting ``deletes`` and then writing ``put_ids`` would
+    raise part-way through, while nothing has been applied yet: a delete
+    of an id that is missing or named twice, and on a write-once store a
+    write of an id that is present (and not being deleted) or named twice.
+    """
+    gone: set[str] = set()
+    for key in deletes:
+        if key in gone or key not in present:
+            raise KeyNotFoundError(key)
+        gone.add(key)
+    if write_once:
+        taken: set[str] = set()
+        for key in put_ids:
+            if key in taken or (key in present and key not in gone):
+                raise DuplicateKeyError(key)
+            taken.add(key)
 
 
 class StorageBackend(ABC):
@@ -50,8 +72,8 @@ class StorageBackend(ABC):
 
     # ------------------------------------------------------------------
     # Batched operations.  Defaults loop over the single-key primitives;
-    # RedisSim overrides them with pipelined implementations so the cost
-    # model can charge one round trip per batch.
+    # RedisSim and RemoteStore override them with one call per batch, so
+    # the cost model can charge one round trip per batch.
     # ------------------------------------------------------------------
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         """Return values for ``keys`` in order."""
@@ -77,9 +99,12 @@ class StorageBackend(ABC):
         effect — the property snapshot-based failover recovery relies on
         (a recovered proxy deterministically replays the round, which is
         only safe if the aborted attempt consumed no read-once ids and
-        wrote no write-once ids).  The default composes the batched
-        primitives; transactional backends (or network stubs that ship
-        the round as one pipeline) override it.
+        wrote no write-once ids).  That covers a *refused* round too: a
+        commit that raises (missing delete, write-once collision) must
+        leave the store as it found it.  The default composes the batched
+        primitives and gives neither guarantee; the in-memory backends
+        validate with :func:`check_commit` before applying, and the
+        network stub ships the round as one frame.
         """
         self.multi_delete(deletes)
         self.multi_put(puts)

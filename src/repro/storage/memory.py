@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError
-from repro.storage.base import StorageBackend
+from repro.storage.base import StorageBackend, check_commit
 
 __all__ = ["InMemoryStore"]
 
@@ -60,3 +60,13 @@ class InMemoryStore(StorageBackend):
     def multi_delete(self, keys: Sequence[str]) -> None:
         for key in keys:
             self.delete(key)
+
+    def commit_round(self, deletes: Sequence[str],
+                     puts: Sequence[tuple[str, bytes]]) -> None:
+        # All or nothing: a commit that would fail part-way is refused
+        # before its first delete.
+        check_commit(self._data, self._write_once, deletes,
+                     (key for key, _ in puts))
+        for key in deletes:
+            del self._data[key]
+        self._data.update(puts)

@@ -1,17 +1,19 @@
 """A Redis-like in-process key-value server.
 
 The paper's backend is Redis (§8).  ``RedisSim`` reproduces the slice of
-Redis the systems use — string GET/SET/DEL/EXISTS/DBSIZE plus MGET/MSET and
-command pipelines — behind a textual command interface, so the proxies in
-this repository interact with storage the way the paper's proxies interact
-with Redis: by issuing commands, optionally pipelined into one round trip.
+Redis the systems use — string GET/SET/DEL/EXISTS/DBSIZE plus MGET/MSET —
+behind a textual command interface, so the proxies in this repository
+interact with storage the way the paper's proxies interact with Redis: by
+issuing commands, batched into one round trip.
 
 Two layers are exposed:
 
 * :meth:`execute` — a command dispatcher (``("SET", key, value)`` etc.),
-  the "wire protocol" level, used by :class:`Pipeline`;
-* the :class:`~repro.storage.base.StorageBackend` methods — typed
-  convenience wrappers over :meth:`execute`.
+  the "wire protocol" level for single commands;
+* the :class:`~repro.storage.base.StorageBackend` methods — the single-key
+  ones are typed wrappers over :meth:`execute`; the batched ones work on
+  the dictionary directly (one pass per batch, a whole batch of mutations
+  validated before any is applied) and count one command per id.
 
 Unlike real Redis, ``GET`` on a missing key raises instead of returning
 nil: every system in this repository treats a miss as a protocol bug and
@@ -25,13 +27,13 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
 from repro.obs import OBS
-from repro.storage.base import StorageBackend
+from repro.storage.base import StorageBackend, check_commit
 
-__all__ = ["Pipeline", "RedisSim"]
+__all__ = ["RedisSim"]
 
 
 class RedisSim(StorageBackend):
-    """In-process Redis stand-in with command dispatch and pipelines.
+    """In-process Redis stand-in with command dispatch and batched calls.
 
     Parameters
     ----------
@@ -56,11 +58,8 @@ class RedisSim(StorageBackend):
         Supported commands: ``GET key``, ``SET key value``, ``DEL key``,
         ``EXISTS key``, ``DBSIZE``, ``MGET key...``, ``MSET key value ...``.
         """
-        self.command_count += 1
         name = command[0].upper()
-        if OBS.enabled:
-            OBS.registry.counter("storage.commands.total",
-                                 backend="redis_sim", command=name).inc()
+        self._count(name, 1)
         if name == "GET":
             (key,) = command[1:]
             try:
@@ -96,9 +95,11 @@ class RedisSim(StorageBackend):
             return b"OK"
         raise ProtocolError(f"unknown command: {name}")
 
-    def pipeline(self) -> "Pipeline":
-        """Start a command pipeline (one logical round trip)."""
-        return Pipeline(self)
+    def _count(self, name: str, commands: int) -> None:
+        self.command_count += commands
+        if OBS.enabled and commands:
+            OBS.registry.counter("storage.commands.total", backend="redis_sim",
+                                 command=name).inc(commands)
 
     # ------------------------------------------------------------------
     # StorageBackend interface
@@ -119,55 +120,29 @@ class RedisSim(StorageBackend):
         return self.execute(("DBSIZE",))
 
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
-        pipe = self.pipeline()
-        for key in keys:
-            pipe.enqueue(("GET", key))
-        return pipe.flush()
+        self._count("GET", len(keys))
+        data = self._data
+        try:
+            return [data[key] for key in keys]
+        except KeyError as error:
+            raise KeyNotFoundError(error.args[0]) from None
 
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        pipe = self.pipeline()
-        for key, value in items:
-            pipe.enqueue(("SET", key, value))
-        pipe.flush()
+        self.commit_round((), list(items))
 
     def multi_delete(self, keys: Sequence[str]) -> None:
-        pipe = self.pipeline()
-        for key in keys:
-            pipe.enqueue(("DEL", key))
-        pipe.flush()
+        self.commit_round(keys, ())
 
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:
-        # One pipeline = one round trip for the whole round commit.
-        pipe = self.pipeline()
+        # All or nothing: a batch that would fail part-way is refused
+        # before its first delete.
+        self._count("DEL", len(deletes))
+        self._count("SET", len(puts))
+        data = self._data
+        check_commit(data, self._write_once, deletes,
+                     (key for key, _ in puts))
         for key in deletes:
-            pipe.enqueue(("DEL", key))
+            del data[key]
         for key, value in puts:
-            pipe.enqueue(("SET", key, value))
-        pipe.flush()
-
-
-class Pipeline:
-    """Buffers commands and executes them in one flush.
-
-    Mirrors redis-py's pipeline object: commands queue locally and
-    :meth:`flush` returns the list of replies in order.
-    """
-
-    __slots__ = ("_server", "_commands")
-
-    def __init__(self, server: RedisSim) -> None:
-        self._server = server
-        self._commands: list[tuple] = []
-
-    def enqueue(self, command: tuple) -> "Pipeline":
-        self._commands.append(command)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._commands)
-
-    def flush(self) -> list:
-        replies = [self._server.execute(cmd) for cmd in self._commands]
-        self._commands = []
-        return replies
+            data[key] = bytes(value)

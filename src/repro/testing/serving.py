@@ -69,6 +69,7 @@ from repro.workloads.ycsb import key_name
 __all__ = [
     "ServingEpisode",
     "ServingResult",
+    "gap_ticks",
     "live_timing_report",
     "run_serving_episode",
     "run_serving_sweep",
@@ -413,12 +414,19 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
         "seed": seed,
     }
     if policy.fires_empty:
-        # Distinct committed gaps in ticks.  A grid policy commits to whole
-        # ticks: [1.0], plus 2.0, 3.0, ... only where the host stalled
-        # across a tick (the only way its score leaves 0.0).
-        report["gap_ticks"] = sorted({round((b - a) / interval_s, 6)
-                                      for a, b in gaps})
+        report["gap_ticks"] = gap_ticks(release_times, interval_s)
     return report
+
+
+def gap_ticks(release_times: list[float], interval_s: float) -> list[float]:
+    """Distinct gaps between committed release instants, in ticks.
+
+    A grid policy commits to whole ticks: ``[1.0]``, plus 2.0, 3.0, ...
+    only where the host stalled across a tick (the only way its score
+    leaves 0.0).
+    """
+    return sorted({round((b - a) / interval_s, 6)
+                   for a, b in zip(release_times, release_times[1:])})
 
 
 def live_timing_report(seed: int = 0, *, rate: float = 600.0,

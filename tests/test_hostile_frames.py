@@ -34,23 +34,78 @@ def _framed(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
-#: What goes on the socket, whole: three payloads the decoder must refuse
-#: (unknown tag, invalid UTF-8, nesting deep enough to exhaust the
-#: interpreter stack) and a length header above the frame cap.
-HOSTILE = {
-    "unknown-tag": _framed(b"Z"),
-    "bad-utf8": _framed(b"S\x00\x00\x00\x01\xff"),
-    "deep-nesting": _framed(b"L\x00\x00\x00\x01" * 5000 + b"N"),
-    "oversize-header": struct.pack(">I", _MAX_FRAME + 1),
+def _packed(tag: bytes, count: int, lengths: list[int], body: bytes) -> bytes:
+    """A packed-array payload with whatever count and table it is told."""
+    return tag + struct.pack(f">I{len(lengths)}I", count, *lengths) + body
+
+
+#: Payloads the decoder must refuse: unknown tag, invalid UTF-8, nesting
+#: deep enough to exhaust the interpreter stack, and for each packed-array
+#: tag a count the payload cannot hold (one of them the largest there is),
+#: a length table that sums past the end, and a cut in the middle.
+REFUSED = {
+    "unknown-tag": b"Z",
+    "bad-utf8": b"S\x00\x00\x00\x01\xff",
+    "deep-nesting": b"L\x00\x00\x00\x01" * 5000 + b"N",
+    "packed-bad-utf8": _packed(b"s", 3, [2, 1, 2], b"ok\xffok"),
+}
+for _tag in (b"s", b"b"):
+    _name = _tag.decode()
+    REFUSED |= {
+        f"packed-{_name}-count-over": _packed(_tag, 3, [1, 1], b"ab"),
+        f"packed-{_name}-count-max": _packed(_tag, 0xFFFFFFFF, [1], b"a"),
+        f"packed-{_name}-lengths-past-end": _packed(_tag, 2, [1, 9], b"abcd"),
+        f"packed-{_name}-length-max": _packed(
+            _tag, 2, [1, 0xFFFFFFFF], b"abcd"),
+        f"packed-{_name}-cut": _packed(_tag, 2, [2, 2], b"abc"),
+    }
+
+#: What goes on the socket, whole: each refused payload in a frame, and a
+#: length header above the frame cap.
+HOSTILE = {name: _framed(payload) for name, payload in REFUSED.items()}
+HOSTILE["oversize-header"] = struct.pack(">I", _MAX_FRAME + 1)
+
+#: The two frames a round is made of, as ``RemoteStore`` sends them.
+ROUND_MESSAGES = {
+    "MGET": ["MGET", "id-one", "id-2", "", "id-fo\u00fcr"],
+    "COMMIT": ["COMMIT", ["old-1", "old-2"], ["new-1", "new-2", "n3"],
+               [b"value-1", b"", b"\x00\xff" * 9]],
 }
 
 
-@pytest.mark.parametrize("payload", [
-    b"Z", b"S\x00\x00\x00\x01\xff", b"L\x00\x00\x00\x01" * 5000 + b"N",
-], ids=["unknown-tag", "bad-utf8", "deep-nesting"])
-def test_decoder_refuses_with_protocol_error(payload):
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_decoder_refuses_with_protocol_error(name):
     with pytest.raises(ProtocolError):
-        decode_message(payload)
+        decode_message(REFUSED[name])
+
+
+def test_a_hostile_count_sizes_no_allocation():
+    """``0xFFFFFFFF`` entries would be a 16 GiB length table: the decoder
+    has to see that they are not there before it builds anything."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for tag in "sb":
+            with pytest.raises(ProtocolError):
+                decode_message(REFUSED[f"packed-{tag}-count-max"])
+            with pytest.raises(ProtocolError):
+                decode_message(REFUSED[f"packed-{tag}-length-max"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_MESSAGES))
+def test_every_truncation_of_a_round_frame_is_refused(command):
+    payload = encode_message(ROUND_MESSAGES[command])
+    assert decode_message(payload) == ROUND_MESSAGES[command]
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError):
+            decode_message(payload[:cut])
+    with pytest.raises(ProtocolError):
+        decode_message(payload + b"\x00")
 
 
 def test_nesting_up_to_the_cap_still_decodes():
@@ -88,6 +143,61 @@ def test_storage_server_drops_only_the_hostile_peer(name):
             assert fresh.get("after") == b"2"
 
 
+@pytest.mark.parametrize("command", sorted(ROUND_MESSAGES))
+def test_storage_server_refuses_every_truncated_round_frame(command):
+    """The same cuts, each as a well-framed request on a connection of its
+    own; the last connection sends the frame whole and is served."""
+    backend = InMemoryStore()
+    backend.multi_put([("old-1", b"1"), ("old-2", b"2"), ("id-one", b"a"),
+                       ("id-2", b"b"), ("", b"c"), ("id-fo\u00fcr", b"d")])
+    payload = encode_message(ROUND_MESSAGES[command])
+    with StorageServer(backend) as server:
+        for cut in range(len(payload)):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(_framed(payload[:cut]))
+                _expect_rejection(sock)
+        assert len(backend) == 6 and "new-1" not in backend
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_framed(payload))
+            reply = decode_message(read_frame(sock))
+        assert reply == {"MGET": [b"a", b"b", b"c", b"d"], "COMMIT": 5}[command]
+
+
+@pytest.mark.parametrize("request_, complaint", [
+    (["COMMIT"], "deletes, ids and values"),
+    (["COMMIT", ["old"], ["new"]], "deletes, ids and values"),
+    (["COMMIT", ["old"], ["new"], [b"v"], []], "deletes, ids and values"),
+    (["COMMIT", "old", ["new"], [b"v"]], "deletes, ids and values"),
+    (["COMMIT", ["old"], ["new", "new-2"], [b"v"]], "one bytes value"),
+    (["COMMIT", ["old"], ["new"], [b"v", b"w"]], "one bytes value"),
+    (["COMMIT", ["old"], ["new", 7], [b"v", b"w"]], "str ids"),
+    (["COMMIT", ["old", None], ["new"], [b"v"]], "str ids"),
+    (["COMMIT", ["old"], ["new"], ["v"]], "one bytes value"),
+    (["COMMIT", ["old"], ["new", "new-2"], [b"v", 2]], "one bytes value"),
+], ids=["no-arrays", "two-arrays", "four-arrays", "deletes-not-a-list",
+        "fewer-values", "more-values", "int-id", "nil-delete", "str-value",
+        "int-value"])
+def test_malformed_commit_is_a_wire_error_and_applies_nothing(request_,
+                                                              complaint):
+    """Decodable, so the peer keeps its connection, but refused whole."""
+    backend = InMemoryStore()
+    backend.put("old", b"1")
+    with StorageServer(backend) as server:
+        with RemoteStore(server.address) as bystander, \
+                socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_framed(encode_message(request_)))
+            reply = decode_message(read_frame(sock))
+            assert isinstance(reply, _WireError)
+            assert reply.message.startswith("ProtocolError:")
+            assert complaint in reply.message
+            assert len(backend) == 1 and backend.get("old") == b"1"
+            # Still in step on the same connection, and next to it.
+            sock.sendall(_framed(encode_message(
+                ["COMMIT", ["old"], ["new"], [b"v"]])))
+            assert decode_message(read_frame(sock)) == 2
+            assert bystander.multi_get(["new"]) == [b"v"]
+
+
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_serve_server_drops_only_the_hostile_peer(name, small_datastore):
     async def scenario():
@@ -110,6 +220,35 @@ def test_serve_server_drops_only_the_hostile_peer(name, small_datastore):
                 await writer.wait_closed()
                 # Nothing reached the frontend; the bystander is served.
                 assert frontend.stats()["admitted"] == 0
+                assert await bystander.get(key_name(3)) == b"value-3"
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_MESSAGES))
+def test_serve_server_refuses_every_truncated_round_frame(command,
+                                                          small_datastore):
+    payload = encode_message(ROUND_MESSAGES[command])
+
+    async def scenario():
+        frontend = AsyncFrontend(small_datastore,
+                                 policy=MaxWaitPolicy(8, 0.005))
+        async with ServeServer(frontend) as server:
+            host, port = server.address
+            for cut in range(len(payload)):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(_framed(payload[:cut]))
+                await writer.drain()
+                header = await asyncio.wait_for(reader.readexactly(4), 5)
+                (length,) = struct.unpack(">I", header)
+                reply = decode_message(await reader.readexactly(length))
+                assert isinstance(reply, _WireError)
+                assert reply.message.startswith("ProtocolError:")
+                assert await asyncio.wait_for(reader.read(1), 5) == b""
+                writer.close()
+                await writer.wait_closed()
+            assert frontend.stats()["admitted"] == 0
+            async with AsyncServeClient(host, port) as bystander:
                 assert await bystander.get(key_name(3)) == b"value-3"
 
     asyncio.run(scenario())

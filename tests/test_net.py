@@ -22,7 +22,9 @@ class TestProtocolEncoding:
         2**40,
         [],
         ["GET", "key"],
-        ["PIPELINE", ["SET", "k", b"v"], ["GET", "k"]],
+        ["MGET", "id-1", "id-2"],
+        ["COMMIT", ["old"], ["new-1", "new-2"], [b"v1", b""]],
+        ["COMMIT", [], ["new"], [bytearray(b"v")]],
         [b"a", 1, None, ["nested", [b"deep"]]],
     ])
     def test_roundtrip(self, value):
@@ -49,7 +51,7 @@ class TestProtocolEncoding:
             decode_message(encode_message(1) + b"x")
 
     def test_truncated_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ProtocolError):
             decode_message(encode_message("hello")[:-2])
 
 
@@ -98,39 +100,59 @@ class TestRemoteStore:
         remote.multi_put([])
         remote.multi_delete([])
 
-    def test_large_load_is_split_below_the_frame_cap(self, remote,
+    def test_large_load_is_split_below_the_frame_cap(self, server, remote,
                                                      monkeypatch):
         """An initial load larger than one frame (N=2^16 x 1 KiB against
         the 64 MiB cap; here the cap is lowered instead) goes out as
-        several PIPELINE frames, each under the cap, in input order."""
+        several COMMIT frames, each under the cap, in input order."""
         from repro.net import client, protocol
 
         monkeypatch.setattr(protocol, "_MAX_FRAME", 16 * 1024)
-        frames = []
-        write_frame = client.write_frame
+        offered, frames = [], []
+        encode_frame = client.encode_frame
 
-        def recording_write_frame(sock, payload):
-            frames.append(payload)
-            write_frame(sock, payload)
+        def recording_encode_frame(message):
+            offered.append(message)
+            frames.append(encode_frame(message))
+            return frames[-1]
 
-        monkeypatch.setattr(client, "write_frame", recording_write_frame)
+        monkeypatch.setattr(client, "encode_frame", recording_encode_frame)
         items = [(f"id{i:04d}", bytes([i % 256]) * 1000) for i in range(200)]
         remote.multi_put(iter(items))
         assert len(frames) > 200 * 1000 // (16 * 1024)
-        assert all(len(frame) <= 12 * 1024 + 18 for frame in frames)
-        sent = [tuple(command[1:]) for frame in frames
-                for command in decode_message(frame)[1:]]
+        assert all(len(frame) <= 12 * 1024 + 35 for frame in frames)
+        sent = []
+        for frame in frames:
+            name, deletes, ids, values = decode_message(frame[4:])
+            assert (name, deletes) == ("COMMIT", [])
+            sent += zip(ids, values)
         assert sent == items
+        assert list(server.backend._data.items()) == items
         # A load under the budget is still a single frame, and a round
-        # commit is never split: it is offered as one frame and refused.
-        frames.clear()
-        remote.multi_put(items[:10])
+        # commit is never split: it is offered as one frame and refused,
+        # with nothing sent and the connection still in step.
+        del offered[:], frames[:]
+        remote.multi_put([(f"again{i}", b"x") for i in range(10)])
         assert len(frames) == 1
-        frames.clear()
+        del offered[:], frames[:]
         with pytest.raises(ProtocolError):
             remote.commit_round([], [(f"r{i}", b"x" * 1000)
                                      for i in range(20)])
-        assert len(frames) == 1
+        assert len(offered) == 1 and not frames
+        assert len(remote) == 210
+
+    def test_reply_over_the_frame_cap_comes_back_as_an_error(
+            self, remote, monkeypatch):
+        """The server cannot frame the reply: the caller is told so, and
+        the connection (and the thread serving it) carries on."""
+        from repro.errors import StorageError
+        from repro.net import protocol
+
+        remote.multi_put([(f"k{i}", b"x" * 1000) for i in range(20)])
+        monkeypatch.setattr(protocol, "_MAX_FRAME", 16 * 1024)
+        with pytest.raises(StorageError, match="size cap"):
+            remote.multi_get([f"k{i}" for i in range(20)])
+        assert remote.multi_get(["k0", "k19"]) == [b"x" * 1000] * 2
 
     def test_binary_safety(self, remote):
         payload = bytes(range(256)) * 4
@@ -158,6 +180,73 @@ class TestRemoteStore:
                 time.sleep(0.01)
             assert len(server._threads) == 1
             assert len(held) == 50  # the live connection still serves
+
+
+class TestBrokenConnectionStaysBroken:
+    def test_late_reply_is_never_handed_to_the_next_caller(self):
+        """A reply that misses the client's timeout arrives later on the
+        same socket.  Replies carry no request id, so the connection has
+        to die with the request: the next call must not read it."""
+        import threading
+        import time
+
+        from repro.errors import ConnectionDroppedError, StorageTimeoutError
+        from repro.storage.memory import InMemoryStore
+
+        gate = threading.Event()
+
+        class SlowOnA(InMemoryStore):
+            def get(self, key):
+                if key == "a":
+                    gate.wait(5)
+                return super().get(key)
+
+        backend = SlowOnA()
+        backend.multi_put([("a", b"value-of-a"), ("b", b"value-of-b")])
+        with StorageServer(backend) as server:
+            with RemoteStore(server.address, timeout_s=0.1) as remote:
+                with pytest.raises(StorageTimeoutError):
+                    remote.get("a")
+                gate.set()
+                time.sleep(0.3)  # the late reply is on its way
+                with pytest.raises(ConnectionDroppedError):
+                    remote.get("b")
+                with pytest.raises(ConnectionDroppedError):
+                    remote.multi_get(["a", "b"])
+            with RemoteStore(server.address) as fresh:
+                assert fresh.get("b") == b"value-of-b"
+                assert fresh.get("a") == b"value-of-a"
+
+    def test_undecodable_reply_closes_the_connection(self):
+        """A reply the decoder refuses, from a peer that would go on to
+        answer the next request properly: it does not get the chance."""
+        import socket
+        import threading
+
+        from repro.errors import ConnectionDroppedError
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one_bad_reply():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b"\x00\x00\x00\x02Z!")
+                if conn.recv(4096):
+                    conn.sendall(b"\x00\x00\x00\x06B\x00\x00\x00\x01v")
+
+        thread = threading.Thread(target=serve_one_bad_reply, daemon=True)
+        thread.start()
+        try:
+            with RemoteStore(listener.getsockname()) as remote:
+                with pytest.raises(ProtocolError):
+                    remote.get("a")
+                with pytest.raises(ConnectionDroppedError):
+                    remote.get("a")
+        finally:
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestWaffleOverTheWire:
@@ -205,36 +294,187 @@ class TestWaffleOverTheWire:
         verify_storage_invariants(server_side.records)
         reads = [r for r in server_side.records if r.op == "read"]
         assert len(reads) == 10 * config.b
+        # After the load, every round is B reads, B deletes, B writes, in
+        # that order: MGET and COMMIT reach the backend as the recorder's
+        # multi_get and commit_round.
+        loaded = len(server_side.records) - 10 * 3 * config.b
+        assert {r.op for r in server_side.records[:loaded]} == {"write"}
+        assert [r.op for r in server_side.records[loaded:]] == 10 * (
+            ["read"] * config.b + ["delete"] * config.b
+            + ["write"] * config.b)
+
+    def test_the_link_adversary_sees_one_shape(self):
+        """Whoever watches the proxy-storage link sees frame lengths.  Ids
+        are fixed-length PRF outputs and ciphertexts fixed-length, so a
+        round is four frames whose lengths follow from (B, id length,
+        ciphertext length) alone: the same in every round of every
+        workload, and nothing the codec does (packing included) may let
+        the batch's composition show."""
+        from repro.core.batch import ClientRequest
+        from repro.core.config import WaffleConfig
+        from repro.core.datastore import WaffleDatastore
+        from repro.crypto.keys import KeyChain
+        from repro.workloads.trace import Operation
+        from tests.conftest import make_items
+
+        n, rounds = 120, 8
+        config = WaffleConfig(n=n, b=16, r=6, f_d=4, d=40, c=20,
+                              value_size=64, seed=31)
+
+        class Tap:
+            """The client's socket, noting (direction, bytes) per frame."""
+
+            def __init__(self, sock):
+                self._sock = sock
+                self.frames = []
+
+            def sendall(self, data):
+                self.frames.append(["out", len(data)])
+                self._sock.sendall(data)
+
+            def _received(self, count):
+                if self.frames[-1][0] == "out":
+                    self.frames.append(["in", 0])
+                self.frames[-1][1] += count
+                return count
+
+            def recv(self, count):
+                data = self._sock.recv(count)
+                self._received(len(data))
+                return data
+
+            def recv_into(self, buffer):
+                return self._received(self._sock.recv_into(buffer))
+
+            def close(self):
+                self._sock.close()
+
+        def all_gets_of_one_key(datastore, rng, round_):
+            return [ClientRequest(op=Operation.READ, key="user00000007")
+                    for _ in range(config.r)]
+
+        def uniform_puts(datastore, rng, round_):
+            return [ClientRequest(op=Operation.WRITE,
+                                  key=f"user{rng.randrange(n):08d}",
+                                  value=b"w%d" % rng.randrange(10**6))
+                    for _ in range(config.r)]
+
+        def inserts_and_deletes(datastore, rng, round_):
+            datastore.insert(f"fresh{round_:04d}", b"new-%d" % round_)
+            datastore.delete(f"user{100 + round_:08d}")
+            return [ClientRequest(op=Operation.READ,
+                                  key=f"user{rng.randrange(100):08d}")
+                    for _ in range(config.r // 2)]
+
+        def frames_of(traffic):
+            with StorageServer(RedisSim(write_once=True)) as server, \
+                    RemoteStore(server.address) as remote:
+                datastore = WaffleDatastore(config, make_items(n),
+                                            store=remote, record=False,
+                                            keychain=KeyChain.from_seed(32))
+                tap = remote._sock = Tap(remote._sock)
+                rng = random.Random(34)
+                for round_ in range(rounds):
+                    datastore.execute_batch(traffic(datastore, rng, round_))
+                overhead = datastore.proxy.keychain.cipher \
+                    .ciphertext_overhead()
+            return [tuple(frame) for frame in tap.frames], overhead
+
+        seen = {traffic.__name__: frames_of(traffic) for traffic in (
+            all_gets_of_one_key, uniform_puts, inserts_and_deletes)}
+        b, id_len = config.b, 32
+        blob = config.value_size + seen["uniform_puts"][1]
+
+        def packed(count, size):  # tag, count, length table, payloads
+            return 1 + 4 + 4 * count + count * size
+
+        one_round = [
+            ("out", 4 + packed(b + 1, 0) + len("MGET") + b * id_len),
+            ("in", 4 + packed(b, blob)),
+            ("out", 4 + (1 + 4) + (1 + 4 + len("COMMIT"))
+             + 2 * packed(b, id_len) + packed(b, blob)),
+            ("in", 4 + 1 + 8),
+        ]
+        for name, (frames, _) in seen.items():
+            assert frames == rounds * one_round, name
 
 
 from hypothesis import given, settings, strategies as st
 
+_short_bytes = st.binary(max_size=8)
 wire_values = st.recursive(
     st.none() | st.text(max_size=20) | st.binary(max_size=40)
-    | st.integers(-(2**62), 2**62),
-    lambda children: st.lists(children, max_size=6),
+    | _short_bytes.map(bytearray) | st.integers(-(2**62), 2**62),
+    # Lists of anything, and lists the encoder packs: all str (any
+    # alphabet, empty strings too) or all bytes; a bytearray among the
+    # bytes keeps a list on the generic tag.
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(st.text(max_size=8), max_size=6)
+    | st.lists(_short_bytes, max_size=6)
+    | st.lists(_short_bytes | _short_bytes.map(bytearray), max_size=6)
+    | st.lists(children, max_size=4).map(tuple),
     max_leaves=20,
 )
 
 
+def _as_decoded(value):
+    """What a value comes back as: sequences as lists, buffers as bytes."""
+    if isinstance(value, (list, tuple)):
+        return [_as_decoded(item) for item in value]
+    return bytes(value) if isinstance(value, bytearray) else value
+
+
 class TestProtocolProperties:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(wire_values)
     def test_any_value_tree_roundtrips(self, value):
-        from repro.net.protocol import decode_message, encode_message
-        assert decode_message(encode_message(value)) == value
+        decoded = decode_message(encode_message(value))
+        # repr tells list from tuple and bytes from bytearray; == does not.
+        assert repr(decoded) == repr(_as_decoded(value))
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("value, tag", [
+        (["MGET", "a", ""], b"s"),
+        (["\u00e9t\u00e9", "\U0001f9c7"], b"s"),
+        (("a", "b"), b"s"),
+        ([b"", b"x"], b"b"),
+        ([], b"L"),
+        ([b"x", bytearray(b"y")], b"L"),
+        (["a", b"b"], b"L"),
+        (["a", None], b"L"),
+        ([["a"], ["b"]], b"L"),
+    ])
+    def test_the_encoder_packs_exactly_the_homogeneous_lists(self, value,
+                                                             tag):
+        payload = encode_message(value)
+        assert payload[:1] == tag
+        assert decode_message(payload) == _as_decoded(value)
+        if tag != b"L":  # 4-byte count, 4 bytes a length, no tag per item
+            sizes = [len(item.encode() if tag == b"s" else item)
+                     for item in value]
+            assert len(payload) == 5 + 4 * len(value) + sum(sizes)
+
+    @settings(max_examples=200, deadline=None)
     @given(st.binary(min_size=1, max_size=80))
     def test_random_bytes_never_crash_decoder(self, noise):
         """Garbage input raises a clean ProtocolError (or decodes to a
         value if it happens to be well-formed) — never an unhandled
-        struct/index error."""
-        from repro.errors import ProtocolError
-        from repro.net.protocol import decode_message
+        struct, index or Unicode error."""
         try:
             decode_message(noise)
         except ProtocolError:
             pass
-        except UnicodeDecodeError:
-            pass  # valid frame shape, invalid UTF-8 payload: acceptable
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire_values, st.data())
+    def test_a_damaged_message_never_crashes_decoder(self, value, data):
+        """The same, starting from a well-formed message: one byte
+        changed, or cut short."""
+        payload = bytearray(encode_message(value))
+        position = data.draw(st.integers(0, len(payload) - 1))
+        payload[position] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, len(payload)))
+        for damaged in (payload, payload[:cut]):
+            try:
+                decode_message(damaged)
+            except ProtocolError:
+                pass

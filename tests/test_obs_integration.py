@@ -191,17 +191,23 @@ class TestOtherLayers:
         try:
             with obs.capture() as handle:
                 server._dispatch(["DBSIZE"])
-                server._dispatch(["PIPELINE", ["SET", "k", b"v"],
-                                  ["GET", "k"]])
+                assert server._dispatch(
+                    ["COMMIT", [], ["k", "l"], [b"v", b"w"]]) == 2
+                assert server._dispatch(
+                    ["COMMIT", ["k"], ["m"], [b"x"]]) == 2
+                assert server._dispatch(["MGET", "l", "m"]) == [b"w", b"x"]
             counters = handle.registry.snapshot()["counters"]
             assert counters["net.requests.total{command=DBSIZE}"] == 1
-            assert counters["net.requests.total{command=PIPELINE}"] == 1
-            # The RedisSim behind the server counts per-command too.
-            assert counters[
-                "storage.commands.total{backend=redis_sim,command=SET}"] == 1
+            assert counters["net.requests.total{command=COMMIT}"] == 2
+            assert counters["net.requests.total{command=MGET}"] == 1
+            # The RedisSim behind the server counts one command per id.
+            redis = "storage.commands.total{backend=redis_sim,command=%s}"
+            assert [counters[redis % name]
+                    for name in ("SET", "DEL", "GET")] == [3, 1, 2]
             spans = handle.tracer.spans("net.request")
-            assert len(spans) == 2
-            assert spans[1]["attrs"]["commands"] == 2
+            # ``commands`` is the number of storage ids the request moved.
+            assert [span["attrs"]["commands"] for span in spans] == \
+                [1, 2, 2, 2]
         finally:
             server.stop()
 

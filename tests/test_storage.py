@@ -85,19 +85,86 @@ class TestRedisCommands:
         with pytest.raises(ProtocolError):
             RedisSim().execute(("FLUSHALL",))
 
-    def test_pipeline_returns_replies_in_order(self):
-        redis = RedisSim()
-        pipe = redis.pipeline()
-        pipe.enqueue(("SET", "a", b"1")).enqueue(("GET", "a"))
-        pipe.enqueue(("EXISTS", "b"))
-        assert pipe.flush() == [b"OK", b"1", 0]
-        assert len(pipe) == 0
-
     def test_command_count(self):
         redis = RedisSim()
         redis.put("a", b"1")
         redis.get("a")
         assert redis.command_count == 2
+
+    def test_batched_calls_count_one_command_per_id(self):
+        from repro import obs
+
+        redis = RedisSim()
+        with obs.capture() as handle:
+            redis.multi_put([("a", b"1"), ("b", b"2"), ("c", b"3")])
+            assert redis.multi_get(["a", "b"]) == [b"1", b"2"]
+            redis.commit_round(["a", "b"], [("d", b"4")])
+            redis.multi_delete(["c"])
+        assert redis.command_count == 3 + 2 + 3 + 1
+        counters = handle.registry.snapshot()["counters"]
+        name = "storage.commands.total{backend=redis_sim,command=%s}"
+        assert {command: counters[name % command]
+                for command in ("SET", "GET", "DEL")} == \
+            {"SET": 4, "GET": 2, "DEL": 3}
+
+
+@pytest.fixture(params=["memory", "redis", "memory-tcp", "redis-tcp"])
+def write_once_pair(request):
+    """A write-once store holding three ids, in process and as seen
+    through a ``StorageServer``: (the handle a proxy would hold, the
+    dictionary behind it)."""
+    from repro.net import RemoteStore, StorageServer
+
+    kind, _, wire = request.param.partition("-")
+    backing = (InMemoryStore if kind == "memory" else RedisSim)(
+        write_once=True)
+    backing.multi_put([("old1", b"1"), ("old2", b"2"), ("taken", b"t")])
+    if not wire:
+        yield backing, backing
+        return
+    with StorageServer(backing) as server, \
+            RemoteStore(server.address) as remote:
+        yield remote, backing
+
+
+class TestRefusedCommit:
+    """``commit_round`` is all or nothing (DESIGN §8): a commit the store
+    refuses leaves every id exactly as it was."""
+
+    @pytest.mark.parametrize("deletes, puts, error", [
+        (["old1", "ghost"], [("new1", b"n")], KeyNotFoundError),
+        (["old1", "old2"], [("new1", b"n"), ("taken", b"x")],
+         DuplicateKeyError),
+        (["old1", "old1"], [("new1", b"n")], KeyNotFoundError),
+        (["old1"], [("new1", b"n"), ("new1", b"m")], DuplicateKeyError),
+    ], ids=["missing-delete", "colliding-put", "repeated-delete",
+            "repeated-put"])
+    def test_refused_commit_applies_nothing(self, write_once_pair, deletes,
+                                            puts, error):
+        store, backing = write_once_pair
+        with pytest.raises(error):
+            store.commit_round(deletes, puts)
+        assert len(backing) == len(store) == 3
+        assert store.multi_get(["old1", "old2", "taken"]) == \
+            [b"1", b"2", b"t"]
+        assert "new1" not in backing
+
+    def test_commit_may_rewrite_an_id_it_deletes(self, write_once_pair):
+        """Deletes come first, as when the two batches went one by one."""
+        store, backing = write_once_pair
+        store.commit_round(["old1", "old2"], [("old1", b"again")])
+        assert len(backing) == 2
+        assert store.multi_get(["old1", "taken"]) == [b"again", b"t"]
+
+    def test_redis_batches_are_all_or_nothing_too(self):
+        redis = RedisSim(write_once=True)
+        redis.multi_put([("a", b"1"), ("b", b"2")])
+        with pytest.raises(DuplicateKeyError):
+            redis.multi_put([("c", b"3"), ("a", b"x")])
+        with pytest.raises(KeyNotFoundError):
+            redis.multi_delete(["a", "ghost"])
+        assert len(redis) == 2
+        assert redis.multi_get(["a", "b"]) == [b"1", b"2"]
 
 
 class TestRecordingStore:
