@@ -71,9 +71,13 @@ def main() -> None:
             print(f"25 batches ({25 * config.r} requests) served over "
                   "the wire, all linearizable")
 
-    # What did the server-side adversary capture?  Over the wire there
-    # are no round markers, but the read/delete/write burst structure
-    # gives the rounds away — infer them as the adversary would.
+    # What did the server-side adversary capture?  (A round's COMMIT is
+    # handed over and acknowledged one call later; leaving the ``with
+    # RemoteStore`` block collected the last acknowledgement, so the
+    # recorder is complete.  Code that looks behind the server while the
+    # connection is open calls ``remote.flush()`` first.)  Over the wire
+    # there are no round markers, but the read/delete/write burst
+    # structure gives the rounds away — infer them as the adversary would.
     trace = infer_rounds(server_view.records)
     verify_storage_invariants(trace)
     report = measure_alpha(trace)

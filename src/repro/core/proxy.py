@@ -539,7 +539,20 @@ class WaffleProxy:
 
     def _commit(self, plan: RoundPlan) -> None:
         """Delete the B ids read (each id is read at most once, Challenge 4)
-        and write the B new ones, atomically."""
+        and write the B new ones, atomically.
+
+        The round is handed to the store, not waited for: over
+        :class:`~repro.net.client.RemoteStore` the server applies round r
+        behind this round's responses and the next round's planning, and
+        its acknowledgement is collected no later than round r + 1's read —
+        which raises, before sending anything, if the server refused.  The
+        proxy never flushes, because clients lose nothing by it: a GET's
+        value was authenticated when it was decrypted, and a PUT to a
+        cached key was already acknowledged without touching the server
+        (:meth:`_serve_from_cache`), so "a PUT is as durable as the next
+        checkpoint" held before.  Whoever needs the stronger statement says
+        so: :func:`repro.ha.checkpoint.capture_proxy` flushes first.
+        """
         self.store.commit_round(plan.sids, plan.write_batch)
         self._dummy_index.end_round(self.ts)
 

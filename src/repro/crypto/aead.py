@@ -30,8 +30,11 @@ whatever its length:
 * the XOR is one numpy (or, for short values, big-int) operation, in
   64-bit lanes so that it does not hand the GIL to a serving frontend's
   event-loop thread once per object;
-* the MAC's keyed state — with the scheme label already absorbed — is
-  precomputed once and ``.copy()``-ed per message.
+* the MAC's two keyed SHA-256 states (:mod:`repro.crypto.mac`) — the
+  inner one with the scheme label already absorbed — are precomputed once
+  and ``.copy()``-ed per message;
+* a batch draws its nonces in one call to the entropy source (one
+  ``getrandom`` a round under ``os.urandom``, not one an object).
 
 These are bit-compatible with the naive forms in
 :class:`repro.testing.reference.ScalarCipher` (pinned by the
@@ -50,6 +53,7 @@ import os
 import time
 from typing import Callable, Iterable, Protocol, Sequence
 
+from repro.crypto.mac import hmac_sha256_states
 from repro.errors import IntegrityError
 from repro.obs import OBS
 
@@ -115,7 +119,8 @@ class AuthenticatedCipher:
         by tests for deterministic nonces.  Defaults to ``os.urandom``.
     """
 
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_stream_root", "_mac_keyed")
+    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_stream_root",
+                 "_mac_inner", "_mac_outer")
 
     #: Name the wall-clock benchmark records for the implementation it
     #: measured; there is exactly one.
@@ -135,10 +140,11 @@ class AuthenticatedCipher:
     def _init_states(self) -> None:
         # SHAKE-256 state with enc_key already absorbed; copied per message.
         self._stream_root = hashlib.shake_256(self._enc_key)
-        # Keyed HMAC state holding the scheme label; copied per message
-        # (skips re-keying, and the label costs nothing per message).
-        self._mac_keyed = hmac.new(self._mac_key, _SCHEME_LABEL,
-                                   hashlib.sha256)
+        # Keyed MAC states, the inner one holding the scheme label; copied
+        # per message (skips re-keying, and the label costs nothing per
+        # message).
+        self._mac_inner, self._mac_outer = hmac_sha256_states(
+            self._mac_key, _SCHEME_LABEL)
 
     def __getstate__(self) -> tuple[bytes, bytes, Callable[[int], bytes]]:
         # The cached digest states are C objects and cannot pickle; the
@@ -156,10 +162,12 @@ class AuthenticatedCipher:
         return stream.digest(length)
 
     def _tag(self, nonce: bytes, body: bytes) -> bytes:
-        mac = self._mac_keyed.copy()
-        mac.update(nonce)
-        mac.update(body)
-        return mac.digest()
+        inner = self._mac_inner.copy()
+        inner.update(nonce)
+        inner.update(body)
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for ``plaintext``."""
@@ -181,8 +189,12 @@ class AuthenticatedCipher:
     def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         """Batched :meth:`encrypt`; blob ``i`` encrypts ``plaintexts[i]``.
 
-        Nonces are drawn in input order, so under a deterministic rng the
-        batch form is byte-identical to looping :meth:`encrypt`.
+        The batch's nonces are one draw of ``16 * len(plaintexts)`` bytes,
+        cut in input order.  ``random.Random.randbytes`` takes whole 32-bit
+        words off its stream, so that one draw is the same bytes (and
+        leaves the same generator state) as one 16-byte draw per object:
+        under a deterministic rng the batch form is byte-identical to
+        looping :meth:`encrypt`.
         """
         if OBS.enabled:
             start = time.perf_counter()
@@ -193,13 +205,15 @@ class AuthenticatedCipher:
         return self._encrypt_many(plaintexts)
 
     def _encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
-        randbytes = self._randbytes
+        plaintexts = list(plaintexts)
+        nonces = self._randbytes(_NONCE_LEN * len(plaintexts))
         keystream = self._keystream
         tag = self._tag
         out = []
         append = out.append
-        for plaintext in plaintexts:
-            nonce = randbytes(_NONCE_LEN)
+        for start, plaintext in zip(range(0, len(nonces), _NONCE_LEN),
+                                    plaintexts):
+            nonce = nonces[start:start + _NONCE_LEN]
             body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
             append(nonce + body + tag(nonce, body))
         return out

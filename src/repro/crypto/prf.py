@@ -9,22 +9,20 @@ Storage identifiers are rendered as fixed-width hex strings so that every
 identifier has identical length — the server learns nothing from id sizes.
 
 Hot path: every batch round derives ``2B`` identifiers (B reads + B
-writes), so the naive ``hmac.new(secret, msg)`` per call — which re-keys
-the HMAC inner/outer pads every time — is measurable.  The keyed digest
-state is instead computed once at construction and ``.copy()``-ed per
-derivation, and :meth:`derive_many` amortizes the remaining per-call
-dispatch across a whole batch.  Outputs are bit-identical to the naive
-form (``hmac.copy`` resumes the exact same state), which the known-answer
-tests pin.
+writes), so the naive fresh :class:`hmac.HMAC` per call — which re-keys
+the inner/outer pads every time — is measurable.  The two keyed
+SHA-256 states (:mod:`repro.crypto.mac`) are instead computed once at
+construction and ``.copy()``-ed per derivation, and :meth:`derive_many`
+amortizes the remaining per-call dispatch across a whole batch.  Outputs
+are bit-identical to the naive form, which the known-answer tests pin.
 """
 
 from __future__ import annotations
 
-import hmac
-import hashlib
 import time
 from typing import Iterable
 
+from repro.crypto.mac import hmac_sha256_states
 from repro.obs import OBS
 
 __all__ = ["Prf"]
@@ -44,15 +42,15 @@ class Prf:
         identical outputs, which lets tests replay derivations.
     """
 
-    __slots__ = ("_secret", "_keyed")
+    __slots__ = ("_secret", "_inner", "_outer")
 
     def __init__(self, secret: bytes) -> None:
         if not secret:
             raise ValueError("PRF secret must be non-empty")
         self._secret = bytes(secret)
-        # Keyed-but-empty HMAC state: copying it restores the state right
-        # after the inner pad was absorbed, skipping the re-keying work.
-        self._keyed = hmac.new(self._secret, None, hashlib.sha256)
+        # Copying these restores the state right after each pad was
+        # absorbed, skipping the re-keying work.
+        self._inner, self._outer = hmac_sha256_states(self._secret)
 
     def derive(self, key: str, timestamp: int) -> str:
         """Return the storage identifier for ``key`` at ``timestamp``.
@@ -61,9 +59,8 @@ class Prf:
         separator so that ``("k1", 2)`` and ("k12", ...) style prefix
         collisions cannot produce equal inputs.
         """
-        mac = self._keyed.copy()
-        mac.update(key.encode("utf-8") + b"\x00" + str(int(timestamp)).encode())
-        return mac.hexdigest()[:_DIGEST_HEX_LEN]
+        message = key.encode("utf-8") + b"\x00" + str(int(timestamp)).encode()
+        return self.derive_bytes(message).hex()[:_DIGEST_HEX_LEN]
 
     def derive_many(self, pairs: Iterable[tuple[str, int]]) -> list[str]:
         """Batched :meth:`derive` over ``(key, timestamp)`` pairs.
@@ -80,19 +77,21 @@ class Prf:
         return self._derive_many(pairs)
 
     def _derive_many(self, pairs: Iterable[tuple[str, int]]) -> list[str]:
-        keyed = self._keyed
+        keyed_inner, keyed_outer = self._inner.copy, self._outer.copy
         cut = _DIGEST_HEX_LEN
         out = []
         append = out.append
         for key, timestamp in pairs:
-            mac = keyed.copy()
-            mac.update(key.encode("utf-8") + b"\x00" + str(int(timestamp)).encode())
-            append(mac.hexdigest()[:cut])
+            inner = keyed_inner()
+            inner.update(key.encode("utf-8") + b"\x00" + str(int(timestamp)).encode())
+            outer = keyed_outer()
+            outer.update(inner.digest())
+            append(outer.hexdigest()[:cut])
         return out
 
     def __getstate__(self) -> bytes:
-        # The cached HMAC state is a C object and cannot pickle; the
-        # secret fully determines it (checkpoint shipping, ha/).
+        # The cached digest states are C objects and cannot pickle; the
+        # secret fully determines them (checkpoint shipping, ha/).
         return self._secret
 
     def __setstate__(self, state: bytes) -> None:
@@ -100,9 +99,11 @@ class Prf:
 
     def derive_bytes(self, data: bytes) -> bytes:
         """Raw HMAC over arbitrary bytes; used for subkey derivation."""
-        mac = self._keyed.copy()
-        mac.update(data)
-        return mac.digest()
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Prf(secret=<{len(self._secret)} bytes>)"

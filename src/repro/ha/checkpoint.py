@@ -51,9 +51,16 @@ def capture_proxy(proxy: WaffleProxy) -> bytes:
     Per-round statistics are telemetry, not behaviour: they are dropped
     from the snapshot (they would otherwise grow without bound and
     dominate shipping cost on long-lived proxies).
+
+    The store is flushed first: a networked store hands a round's commit
+    over without waiting for the server's answer, and a checkpoint must
+    never describe a round the server has not acknowledged — a replica
+    restored from it re-derives every id it needs from this state.  What
+    the server refused is raised here, and no blob is made.
     """
     if not proxy._initialized:
         raise ProtocolError("cannot checkpoint an uninitialized proxy")
+    proxy.store.flush()
     state = {name: getattr(proxy, name) for name in _STATE_ATTRIBUTES}
     state["totals"] = dataclasses.replace(state["totals"], stats_by_round=[])
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)

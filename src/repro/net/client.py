@@ -45,9 +45,24 @@ class RemoteStore(StorageBackend):
     Thread-safe: one in-flight request at a time per connection, guarded
     by a lock (matching the synchronous proxy's usage).
 
+    **A round commit is handed over, not waited for.**
+    :meth:`commit_round` returns once its ``COMMIT`` frame is written; the
+    acknowledgement is *owed*, and the next call on the connection —
+    whatever it is, :meth:`flush` and :meth:`close` included — reads and
+    checks it before sending anything of its own.  The storage server
+    applies round r while the proxy answers its clients and plans round
+    r + 1 (the paper's background write-back, §6.2), and on the wire
+    nothing moves: ``COMMIT r``, its ack, ``MGET r+1``, in that order, at
+    most one ack outstanding.  A round the server refused therefore
+    surfaces one call late, from a call that has sent nothing, with the
+    connection still in step and — the server checks a round whole before
+    touching anything — nothing of the round applied.  A caller that must
+    know the round is in calls :meth:`flush`.
+
     A request that fails anywhere between its first byte sent and its
-    reply's last byte read closes the connection, and every later call
-    raises :class:`~repro.errors.ConnectionDroppedError`: replies carry no
+    reply's last byte read — a deferred acknowledgement included — closes
+    the connection, and every later call raises
+    :class:`~repro.errors.ConnectionDroppedError`: replies carry no
     request id, so a reply that shows up late would otherwise be handed
     to the next caller.  Recovery is a new ``RemoteStore``.
     """
@@ -57,8 +72,29 @@ class RemoteStore(StorageBackend):
         self._sock = socket.create_connection(address, timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
+        #: How many ids the one unacknowledged ``COMMIT`` moved (what its
+        #: ack has to say), or ``None`` when nothing is owed.
+        self._owed: int | None = None
+        #: Set by the first failure on the wire; what makes the drop sticky
+        #: for a call that would not touch the socket (a flush, nothing owed).
+        self._dropped = False
+
+    def flush(self) -> None:
+        """Return once the server has acknowledged the last round handed
+        to :meth:`commit_round`, raising what it refused."""
+        self._exchange(None)
 
     def close(self) -> None:
+        """Collect the last acknowledgement, then close the socket; what
+        the server refused is raised once the socket is closed.  A dropped
+        connection has said what went wrong already and closes quietly."""
+        try:
+            if not self._dropped:
+                self.flush()
+        finally:
+            self._drop()
+
+    def _drop(self) -> None:
         try:
             self._sock.close()
         except OSError:  # pragma: no cover
@@ -73,20 +109,46 @@ class RemoteStore(StorageBackend):
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
-    def _call(self, message: WireValue) -> WireValue:
-        # A message the codec refuses (over the frame cap, unencodable)
-        # fails here with nothing sent and the connection intact.
-        frame = encode_frame(message)
-        # Socket failures map onto the library taxonomy so callers can
-        # tell retryable transport faults from fatal protocol breaks.
+    def _exchange(self, frame: bytes | None,
+                  ack: int | None = None) -> WireValue:
+        """Every use of the socket, in the one order they all keep: collect
+        the acknowledgement the last ``COMMIT`` is owed, send ``frame``,
+        read its reply.  A ``COMMIT`` passes ``ack``, the count its
+        acknowledgement must state, and leaves that owed instead of
+        reading it; ``frame=None`` sends nothing (a flush).
+        """
         with self._lock:
+            owed, self._owed = self._owed, None
             try:
+                if self._dropped:
+                    raise ConnectionError("an earlier failure dropped "
+                                          "this connection")
+                if owed is not None:
+                    reply = decode_message(read_frame(self._sock))
+                    if isinstance(reply, _WireError):
+                        # The server refused the round: nothing applied,
+                        # nothing sent here, both ends in step.  Not a
+                        # transport failure, so the connection is kept.
+                        reply.raise_()
+                    if reply != owed:  # b"OK", a list, another round's count
+                        raise ProtocolError(f"COMMIT of {owed} ids "
+                                            f"acknowledged with {reply!r}")
+                if frame is None:
+                    return None
                 self._sock.sendall(frame)
-                reply = decode_message(read_frame(self._sock))
+                if ack is not None:
+                    self._owed = ack
+                    return None
+                return decode_message(read_frame(self._sock))
             except (OSError, ProtocolError) as error:
                 # Requests and replies no longer line up on this socket.
-                # Closed, it fails every later send: the drop is sticky.
-                self.close()
+                # Closed, it fails every later send: the drop is sticky,
+                # and a reply still on its way is never read.  Socket
+                # failures map onto the library taxonomy so callers can
+                # tell retryable transport faults from fatal protocol
+                # breaks.
+                self._dropped = True
+                self._drop()
                 if isinstance(error, ProtocolError):
                     raise
                 if isinstance(error, TimeoutError):
@@ -94,14 +156,21 @@ class RemoteStore(StorageBackend):
                         f"no reply within {self._sock.gettimeout()}s"
                     ) from error
                 raise ConnectionDroppedError(str(error)) from error
+
+    def _call(self, message: WireValue) -> WireValue:
+        # A message the codec refuses (over the frame cap, unencodable)
+        # fails here with nothing sent and the connection intact.
+        reply = self._exchange(encode_frame(message))
         if isinstance(reply, _WireError):
             reply.raise_()
         return reply
 
     def _commit(self, deletes: list[str], ids: list[str],
                 values: list[bytes]) -> None:
+        """Hand one ``COMMIT`` over: written on return, not yet answered."""
         if deletes or ids:
-            self._call(["COMMIT", deletes, ids, values])
+            self._exchange(encode_frame(["COMMIT", deletes, ids, values]),
+                           ack=len(deletes) + len(ids))
 
     # ------------------------------------------------------------------
     # StorageBackend interface
@@ -135,7 +204,8 @@ class RemoteStore(StorageBackend):
         # object (id, value and their two length-table entries) would push
         # the payload past three quarters of the cap.  A load that fits
         # goes as one frame; unlike commit_round, a load that does not is
-        # not atomic across its frames.
+        # not atomic across its frames.  Each frame is acknowledged before
+        # the next leaves, so the load is in when this returns.
         budget = protocol._MAX_FRAME * 3 // 4
         ids: list[str] = []
         values: list[bytes] = []
@@ -144,20 +214,24 @@ class RemoteStore(StorageBackend):
             cost = 8 + len(key.encode("utf-8")) + len(value)
             if ids and size + cost > budget:
                 self._commit([], ids, values)
+                self.flush()
                 ids, values, size = [], [], 0
             ids.append(key)
             values.append(value)
             size += cost
         self._commit([], ids, values)
+        self.flush()
 
     def multi_delete(self, keys: Sequence[str]) -> None:
         self._commit(list(keys), [], [])
+        self.flush()
 
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:
         # The whole round commit is one frame, applied by the server in a
         # single dispatch or not at all: a frame over the cap is refused
         # here, and a connection lost before it is sent leaves the round
-        # entirely unapplied.
+        # entirely unapplied.  Not waited for: the next call collects the
+        # server's verdict (class docstring).
         self._commit(list(deletes), [key for key, _ in puts],
                      [value for _, value in puts])

@@ -31,9 +31,17 @@ digests).
 
 Round failures follow the library taxonomy: a retryable error
 (`is_retryable`) is retried up to ``max_round_retries`` times — invoking
-``on_retry`` first, e.g. to reconnect a dropped transport — because
-deterministic replay re-issues the identical access pattern and leaks
-nothing new; a fatal error is delivered to every waiter of the round.
+``on_retry`` first — because deterministic replay re-issues the identical
+access pattern and leaks nothing new; a fatal error is delivered to every
+waiter of the round.  ``on_retry`` is a hook, not a recovery, and nothing
+that ships wires it to one: ``reconnect`` exists only on the test double
+:class:`~repro.testing.faults.FaultyTransport`.  A real
+:class:`~repro.net.client.RemoteStore` has none — once a request, or a
+round's deferred acknowledgement, fails on the wire it raises
+``ConnectionDroppedError`` from every later call, retries included, until
+the deployment builds a new store and restores the proxy onto it (ROADMAP
+item 3b); until then a retry helps only against faults that leave the
+store usable.
 """
 
 from __future__ import annotations
@@ -97,7 +105,8 @@ class AsyncFrontend:
         (``time.perf_counter`` by default; tests inject a SimClock read).
     max_round_retries / on_retry:
         Retry budget for retryable round failures, and the hook invoked
-        before each retry (e.g. ``transport.reconnect``).
+        before each retry (module docstring: what it can and cannot
+        recover today).
     executor:
         Where rounds run.  ``None`` (default) creates a dedicated
         single-thread pool owned (and shut down) by this frontend —

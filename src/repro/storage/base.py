@@ -105,6 +105,21 @@ class StorageBackend(ABC):
         primitives and gives neither guarantee; the in-memory backends
         validate with :func:`check_commit` before applying, and the
         network stub ships the round as one frame.
+
+        On return the round has been *handed over*, which need not mean
+        applied: the network stub returns once the frame is written and
+        lets the server apply it behind the caller's next piece of work.
+        A refusal is raised here or by the next call on the store,
+        whichever it is, and in both cases nothing was applied.  A caller
+        that needs "applied" calls :meth:`flush`.
         """
         self.multi_delete(deletes)
         self.multi_put(puts)
+
+    def flush(self) -> None:
+        """Return once every round handed to :meth:`commit_round` has been
+        applied, raising what the store refused.
+
+        A no-op wherever ``commit_round`` applies before it returns, which
+        is every in-process backend; wrappers forward it.
+        """

@@ -121,6 +121,9 @@ class RecordingStore(StorageBackend):
             self._record("write", key)
         self._inner.commit_round(deletes, puts)
 
+    def flush(self) -> None:
+        self._inner.flush()
+
     def clear_records(self) -> None:
         """Drop the trace collected so far (keeps round/seq counters)."""
         self.records = []

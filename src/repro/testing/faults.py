@@ -190,6 +190,9 @@ class PassthroughStore(StorageBackend):
                      puts: Sequence[tuple[str, bytes]]) -> None:
         self._inner.commit_round(deletes, puts)
 
+    def flush(self) -> None:
+        self._inner.flush()
+
 
 class FaultyStorage(PassthroughStore):
     """Client-side storage stub that fails operations per a fault plan.

@@ -1,13 +1,22 @@
 """Tests for the network substrate: protocol, server, remote store, and
 Waffle over a real socket."""
 
+import contextlib
 import random
+import socket
+import threading
 
 import pytest
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
 from repro.net import RemoteStore, StorageServer
-from repro.net.protocol import decode_message, encode_message
+from repro.net.protocol import (
+    decode_message,
+    encode_frame,
+    encode_message,
+    read_frame,
+)
+from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 
@@ -247,6 +256,316 @@ class TestBrokenConnectionStaysBroken:
             thread.join(5)
             listener.close()
         assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def scripted_peer(script):
+    """A listener that serves one connection with ``script(conn)`` on a
+    thread, which has to finish (cleanly) within 5 s of the block's end."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    failures = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            try:
+                script(conn)
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(5)
+        listener.close()
+    assert not thread.is_alive() and not failures
+
+
+class GatedStore(InMemoryStore):
+    """Once armed, ``commit_round`` announces itself and then waits (5 s at
+    most) to be released before it applies anything."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def commit_round(self, deletes, puts):
+        if self.armed:
+            self.entered.set()
+            self.release.wait(5)
+        super().commit_round(deletes, puts)
+
+
+def _on_a_thread(target):
+    """Start ``target`` on a thread: (thread, [what it returned or raised])."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(target())
+        except Exception as error:  # noqa: BLE001 - handed to the test
+            outcome.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestDeferredAcknowledgement:
+    """``commit_round`` hands a round over; the next call on the connection
+    collects the server's answer before sending anything (RemoteStore
+    docstring).  Every wait here is bounded: a hang is a failure."""
+
+    def test_commit_round_returns_while_the_server_is_still_applying(self):
+        backend = GatedStore()
+        backend.multi_put([("old", b"1"), ("kept", b"k")])
+        backend.armed = True
+        with StorageServer(backend) as server, \
+                RemoteStore(server.address, timeout_s=5) as remote:
+            remote.commit_round(["old"], [("new", b"2")])
+            assert backend.entered.wait(5)
+            assert "new" not in backend and "old" in backend
+            # flush() is the wait commit_round no longer does.
+            flusher, outcome = _on_a_thread(remote.flush)
+            flusher.join(0.2)
+            assert flusher.is_alive()
+            backend.release.set()
+            flusher.join(5)
+            assert not flusher.is_alive() and outcome == [None]
+            with RemoteStore(server.address, timeout_s=5) as second:
+                assert second.multi_get(["new", "kept"]) == [b"2", b"k"]
+                assert "old" not in second
+
+    def test_a_refused_round_surfaces_at_the_next_call_which_sent_nothing(
+            self):
+        backing = InMemoryStore(write_once=True)
+        backing.multi_put([("old1", b"1"), ("old2", b"2"), ("taken", b"t")])
+        server_side = RecordingStore(backing)
+        with StorageServer(server_side) as server, \
+                RemoteStore(server.address, timeout_s=5) as remote:
+            remote.commit_round(["old1", "old2"],
+                                [("new1", b"n"), ("taken", b"x")])
+            with pytest.raises(DuplicateKeyError):
+                remote.multi_get(["old1"])
+            # The refusal came with the ack, so the server is done with
+            # the round: nothing applied, and no MGET ever arrived.
+            assert "read" not in {r.op for r in server_side.records}
+            assert len(backing) == 3 and "new1" not in backing
+            assert backing.multi_get(["old1", "old2", "taken"]) == \
+                [b"1", b"2", b"t"]
+            # Said once; the connection is in step and carries on.
+            remote.flush()
+            assert remote.multi_get(["old1", "taken"]) == [b"1", b"t"]
+            remote.commit_round(["old1"], [("new1", b"n")])
+            assert remote.multi_get(["new1"]) == [b"n"]
+
+    def test_a_peer_gone_after_the_commit_is_a_drop_at_the_next_call(self):
+        from repro.errors import ConnectionDroppedError
+
+        with scripted_peer(read_frame) as address, \
+                RemoteStore(address, timeout_s=5) as remote:
+            remote.commit_round(["a"], [("b", b"1")])
+            with pytest.raises(ConnectionDroppedError):
+                remote.multi_get(["b"])
+            for later_call in (remote.flush, lambda: remote.get("b"),
+                               lambda: remote.commit_round(["b"], [])):
+                with pytest.raises(ConnectionDroppedError):
+                    later_call()
+
+    def test_a_late_ack_is_a_timeout_and_is_never_handed_on(self):
+        """``TestBrokenConnectionStaysBroken``, one call later; and item
+        3b's hard case: the proxy cannot tell that this round went in."""
+        import time
+
+        from repro.errors import ConnectionDroppedError, StorageTimeoutError
+
+        backend = GatedStore()
+        backend.multi_put([("a", b"value-of-a"), ("b", b"value-of-b")])
+        backend.armed = True
+        with StorageServer(backend) as server:
+            with RemoteStore(server.address, timeout_s=0.1) as remote:
+                remote.commit_round(["a"], [("c", b"value-of-c")])
+                with pytest.raises(StorageTimeoutError):
+                    remote.get("b")
+                backend.release.set()
+                time.sleep(0.3)  # the late ack (an int) is on its way
+                for later_call in (lambda: remote.get("b"), remote.flush):
+                    with pytest.raises(ConnectionDroppedError):
+                        later_call()
+            with RemoteStore(server.address, timeout_s=5) as fresh:
+                assert fresh.get("b") == b"value-of-b"
+                assert fresh.get("c") == b"value-of-c" and "a" not in fresh
+
+    def test_a_second_commit_leaves_only_after_the_first_ack(self):
+        """At most one acknowledgement is ever outstanding, so on the wire
+        nothing moved: COMMIT, ack, COMMIT, ack."""
+        seen = []
+
+        def script(conn):
+            seen.append(decode_message(read_frame(conn))[0])
+            conn.settimeout(0.2)
+            try:
+                seen.append(conn.recv(1))
+            except TimeoutError:
+                seen.append("nothing until the ack")
+            conn.settimeout(5)
+            conn.sendall(encode_frame(2))
+            seen.append(decode_message(read_frame(conn))[0])
+            conn.sendall(encode_frame(3))
+
+        with scripted_peer(script) as address, \
+                RemoteStore(address, timeout_s=5) as remote:
+            remote.commit_round(["a"], [("b", b"1")])
+            remote.commit_round(["b"], [("c", b"2"), ("d", b"3")])
+        assert seen == ["COMMIT", "nothing until the ack", "COMMIT"]
+
+    @pytest.mark.parametrize("ack", [1, b"OK", [2], None],
+                             ids=["count-minus-1", "ok", "list", "nil"])
+    def test_an_ack_that_is_not_the_rounds_count_drops_the_connection(
+            self, ack):
+        """The reply to COMMIT is checked: with acks read one call late it
+        is also the only evidence that requests and replies still pair up.
+        The peer would have served the next request properly."""
+        from repro.errors import ConnectionDroppedError
+
+        got_more = []
+
+        def script(conn):
+            read_frame(conn)
+            conn.sendall(encode_frame(ack))
+            if conn.recv(4096):
+                got_more.append(True)
+                conn.sendall(encode_frame(b"v"))
+
+        with scripted_peer(script) as address, \
+                RemoteStore(address, timeout_s=5) as remote:
+            remote.commit_round(["a"], [("b", b"1")])
+            with pytest.raises(ProtocolError, match="acknowledged"):
+                remote.get("b")
+            with pytest.raises(ConnectionDroppedError):
+                remote.get("b")
+        assert not got_more
+
+
+class TestCheckpointAndRecoveryOverTheWire:
+    """A checkpoint never describes a round the server has not
+    acknowledged, and a refused round is recovered by replaying it."""
+
+    @staticmethod
+    def _deployment(store):
+        from repro.core.config import WaffleConfig
+        from repro.core.datastore import pad_value
+        from repro.core.proxy import WaffleProxy
+        from repro.crypto.keys import KeyChain
+        from tests.conftest import make_items
+
+        config = WaffleConfig(n=120, b=16, r=6, f_d=4, d=40, c=20,
+                              value_size=64, seed=31)
+        proxy = WaffleProxy(config, store=store,
+                            keychain=KeyChain.from_seed(32))
+        proxy.initialize({key: pad_value(value, config.value_size)
+                          for key, value in make_items(config.n).items()})
+        return config, proxy
+
+    @staticmethod
+    def _batches(config, count):
+        from repro.core.batch import ClientRequest
+        from repro.workloads.trace import Operation
+
+        rng = random.Random(33)
+        return [[ClientRequest(op=Operation.WRITE, key=key,
+                               value=b"w%d" % rng.randrange(10**6))
+                 if rng.random() < 0.5 else
+                 ClientRequest(op=Operation.READ, key=key)
+                 for key in (f"user{rng.randrange(config.n):08d}"
+                             for _ in range(config.r))]
+                for _ in range(count)]
+
+    def test_capture_proxy_waits_for_the_acknowledgement(self):
+        from repro.ha import capture_proxy
+
+        backend = GatedStore(write_once=True)
+        with StorageServer(backend) as server, \
+                RemoteStore(server.address, timeout_s=5) as remote:
+            config, proxy = self._deployment(remote)
+            backend.armed = True
+            proxy.handle_batch(self._batches(config, 1)[0])
+            assert backend.entered.wait(5)
+            capturer, outcome = _on_a_thread(lambda: capture_proxy(proxy))
+            capturer.join(0.2)
+            assert capturer.is_alive()
+            backend.release.set()
+            capturer.join(5)
+            assert not capturer.is_alive()
+            assert isinstance(outcome[0], bytes)
+
+    def test_a_refused_round_is_replayed_from_the_last_checkpoint(self):
+        """One recovery episode end to end.  The server refuses round k (a
+        squatter sits on an id the round writes); nobody hears of it until
+        the checkpoint after round k flushes.  The proxy is restored from
+        the round k-1 blob onto a fresh connection and replays round k,
+        which reads exactly the ids the refused attempt read (the oracle's
+        replay-prefix axis) and answers as an unfaulted twin does."""
+        from repro.ha import capture_proxy, restore_proxy
+        from repro.testing.oracle import Attempt, check_replay_prefix
+
+        rounds, k = 6, 3
+        twin_store = RecordingStore(RedisSim(write_once=True))
+        config, twin = self._deployment(twin_store)
+        batches = self._batches(config, rounds)
+        loaded = len(twin_store.records)
+        expected = [[r.value for r in twin.handle_batch(batch)]
+                    for batch in batches]
+        squatted = twin_store.records[loaded + 3 * config.b * k
+                                      + 2 * config.b]
+        assert squatted.op == "write"
+
+        backing = RedisSim(write_once=True)
+        server_side = RecordingStore(backing)
+        attempts = []
+        with StorageServer(server_side) as server:
+            remote = RemoteStore(server.address, timeout_s=5)
+            _, proxy = self._deployment(remote)
+            blob = capture_proxy(proxy)
+            for index, batch in enumerate(batches):
+                if index == k:
+                    backing.put(squatted.storage_id, b"squatter")
+                for attempt in range(2):
+                    start = len(server_side.records)
+                    responses = proxy.handle_batch(batch)
+                    assert [r.value for r in responses] == expected[index]
+                    try:
+                        blob = capture_proxy(proxy)
+                        ok = True
+                    except DuplicateKeyError:
+                        ok = False
+                    attempts.append(Attempt(index, attempt, start,
+                                            len(server_side.records), ok))
+                    if ok:
+                        break
+                    # No blob was made: `blob` is still round k-1's.
+                    backing.delete(squatted.storage_id)
+                    remote.close()
+                    remote = RemoteStore(server.address, timeout_s=5)
+                    proxy = restore_proxy(blob, remote)
+                proxy.check_invariants()
+            remote.close()
+        assert [(a.batch_index, a.ok) for a in attempts] == \
+            [(0, True), (1, True), (2, True), (3, False), (3, True),
+             (4, True), (5, True)]
+        assert check_replay_prefix(server_side.records, attempts) == []
+        # Past the load, the rounds that went in are the twin's, id for id.
+        refused = attempts[k]
+        went_in = (server_side.records[:refused.start_seq]
+                   + server_side.records[refused.end_seq:])
+        steady = went_in[-3 * config.b * rounds:]
+        assert [(r.op, r.storage_id) for r in steady] == \
+            [(r.op, r.storage_id) for r in twin_store.records[loaded:]]
 
 
 class TestWaffleOverTheWire:

@@ -144,6 +144,7 @@ class TestRefusedCommit:
         store, backing = write_once_pair
         with pytest.raises(error):
             store.commit_round(deletes, puts)
+            store.flush()  # over TCP the refusal arrives with the ack
         assert len(backing) == len(store) == 3
         assert store.multi_get(["old1", "old2", "taken"]) == \
             [b"1", b"2", b"t"]
@@ -153,6 +154,7 @@ class TestRefusedCommit:
         """Deletes come first, as when the two batches went one by one."""
         store, backing = write_once_pair
         store.commit_round(["old1", "old2"], [("old1", b"again")])
+        store.flush()
         assert len(backing) == 2
         assert store.multi_get(["old1", "taken"]) == [b"again", b"t"]
 
