@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark regenerates one paper table/figure (DESIGN.md §3) at the
-scaled N, prints the paper-vs-measured comparison, and persists it under
-``benchmarks/results/`` so the numbers survive pytest's stdout capture.
+``bench_figures.py`` regenerates every experiment row (DESIGN.md §3)
+through :func:`publish` — text only, so it writes nothing that is not
+tracked under ``benchmarks/results/``; ``bench_serving.py`` (wall-clock)
+uses :func:`emit_result` for its text + JSON pair.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ def emit_result(name: str, text: str, data=None) -> None:
 
     The rendered ``text`` goes through :func:`publish` (stdout +
     ``results/<name>.txt``); ``data`` — plus a metrics snapshot when the
-    observability layer is live — lands in ``results/<name>.json``.  The
-    benches used to hand-roll this pair of sinks each in their own way.
+    observability layer is live — lands in ``results/<name>.json``.
     """
     publish(name, text)
     from repro.obs import OBS

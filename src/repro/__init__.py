@@ -21,14 +21,12 @@ Quickstart::
 from repro.core.client import WaffleClient
 from repro.core.config import SecurityLevel, WaffleConfig
 from repro.core.datastore import WaffleDatastore
-from repro.core.multimap import MultiMapWaffle
 from repro.core.proxy import WaffleProxy
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "MultiMapWaffle",
     "ReproError",
     "SecurityLevel",
     "WaffleClient",

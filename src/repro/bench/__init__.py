@@ -3,11 +3,14 @@
 * :mod:`repro.bench.harness` — runs each system's real protocol over a
   workload trace and converts its operation counts into simulated-time
   throughput/latency via the cost model;
-* :mod:`repro.bench.experiments` — one entry point per paper table/figure
-  (the per-experiment index lives in DESIGN.md §3);
+* :mod:`repro.bench.experiments` — :data:`EXPERIMENTS`, the one table of
+  experiments (run / paper claim / render / check per row, in DESIGN.md
+  §3's order), with :mod:`repro.bench.ablations` for the rows beyond the
+  paper's figures;
 * :mod:`repro.bench.reporting` — paper-style table/series rendering.
 """
 
+from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.harness import (
     Measurement,
     run_insecure,
@@ -18,6 +21,8 @@ from repro.bench.harness import (
 )
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "Measurement",
     "run_insecure",
     "run_pancake",

@@ -1,0 +1,383 @@
+"""The rows of :data:`repro.bench.experiments.EXPERIMENTS` beyond the
+paper's figures: each ``run`` with its ``check`` (and its ``render`` when
+the text is more than one table).  Simulated time over seeded runs, like
+the figures.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from repro.analysis.leakage import leakage_summary
+from repro.analysis.timing import timing_attack_benchmark
+from repro.baselines.insecure import InsecureStore
+from repro.baselines.pancake import PancakeProxy
+from repro.bench.harness import (
+    run_waffle,
+    run_waffle_with_inserts,
+    waffle_round_time,
+)
+from repro.bench.reporting import format_table
+from repro.core.batch import ClientRequest
+from repro.core.config import WaffleConfig
+from repro.core.datastore import pad_value
+from repro.core.proxy import WaffleProxy
+from repro.crypto.keys import KeyChain
+from repro.ha import capture_proxy
+from repro.scaleout import PartitionedWaffle
+from repro.sim.closedloop import simulate_closed_loop
+from repro.sim.costmodel import CostModel
+from repro.storage.recording import RecordingStore
+from repro.storage.redis_sim import RedisSim
+from repro.testing.oracle import check_timing_channel
+from repro.workloads import ycsb
+from repro.workloads.trace import Operation
+
+def _run_partitions(config: WaffleConfig, partitions: int, requests: int,
+                    uniform: bool) -> dict:
+    candidates = (f"user{i:08d}" for i in range(10_000_000))
+    keys = PartitionedWaffle.plan_partitions(candidates, config.n,
+                                             partitions, master_seed=11)
+    items = {key: b"v" * 256 for key in keys}
+    store = PartitionedWaffle(config, items, partitions, master_seed=11)
+    cost = CostModel(cores=4)
+
+    # Zipf workload over the union of keys (sample indices, map to the
+    # partition-planned key names).
+    workload = ycsb.workload_c(len(keys), seed=7, value_size=256,
+                               uniform=uniform)
+    key_list = sorted(items)
+    trace = [
+        ClientRequest(op=Operation.READ,
+                      key=key_list[int(req.key[4:]) % len(key_list)])
+        for req in workload.trace(requests)
+    ]
+
+    # Route in R-sized waves; each partition's simulated time accrues
+    # independently (separate proxy machines run in parallel).
+    wave = config.r * partitions * 10  # amortize partial final rounds
+    for start in range(0, len(trace), wave):
+        store.execute_batch(trace[start: start + wave])
+    makespan = max(
+        sum(waffle_round_time(stats, config, cost)
+            for stats in datastore.proxy.totals.stats_by_round)
+        for datastore in store.stores)
+    return {
+        "partitions": partitions,
+        "workload": "uniform" if uniform else "zipf-0.99",
+        "throughput_ops": len(trace) / makespan if makespan else 0.0,
+        "slowest_partition_s": makespan,
+    }
+
+
+def scaleout(n: int = 2048, requests: int = 6000) -> list[dict]:
+    """Scale-out (§10 future work): throughput of 1, 2 and 4 partitions of
+    ``n`` keys each.
+
+    Partitions are independent Waffle instances on disjoint key ranges,
+    so they run in parallel on separate proxy machines (per-partition
+    α/β guarantees are verified in tests/test_scaleout.py).  The last
+    row is the skewed contrast: Zipf load imbalance caps the speedup —
+    the scaling cost the paper's future-work section would have to face.
+    """
+    config = WaffleConfig.paper_defaults(n=n, seed=3)
+    rows = [_run_partitions(config, partitions, requests, uniform=True)
+            for partitions in (1, 2, 4)]
+    rows.append(_run_partitions(config, 4, requests, uniform=False))
+    for row in rows:
+        row["speedup"] = row["throughput_ops"] / rows[0]["throughput_ops"]
+    return rows
+
+
+def check_scaleout(rows: list[dict]) -> None:
+    by = {(row["partitions"], row["workload"]): row for row in rows}
+    assert by[(2, "uniform")]["speedup"] > 1.6
+    assert by[(4, "uniform")]["speedup"] > 2.8
+    # Skew costs scaling: the Zipf run trails the uniform 4-way run.
+    assert by[(4, "zipf-0.99")]["throughput_ops"] < \
+        by[(4, "uniform")]["throughput_ops"]
+
+
+def latency_closedloop(n: int = 2**13, rounds: int = 30) -> list[dict]:
+    """Latency percentiles under closed-loop load (the paper reports means).
+
+    Waffle's round time comes from a real protocol run (cost model); the
+    queueing simulator then drives client populations of 2 .. 16·R
+    through it.  Under saturation latency grows with the population
+    (batches queue); under light load the round timeout dominates —
+    what an operator sizing R against their offered load needs to see.
+    """
+    config = WaffleConfig.paper_defaults(n=n, seed=3)
+    workload = ycsb.workload_c(n, seed=5, value_size=1000)
+    items = dict(workload.initial_records())
+    cost = CostModel(cores=4)
+    measurement, _ = run_waffle(config, items,
+                                workload.trace(config.r * rounds), cost)
+    round_time = measurement.sim_seconds / measurement.rounds
+
+    rows = []
+    for clients in (2, config.r, 4 * config.r, 16 * config.r):
+        result = simulate_closed_loop(
+            round_time_s=round_time, batch_capacity=config.r,
+            clients=clients, duration_s=20.0,
+            think_time_s=round_time / 2, exponential_think=True, seed=17,
+        )
+        rows.append({
+            "clients": clients,
+            "throughput_ops": result.throughput_ops,
+            "p50_ms": result.latency.p50 * 1e3,
+            "p95_ms": result.latency.p95 * 1e3,
+            "p99_ms": result.latency.p99 * 1e3,
+            "timeout_dispatches": result.timeout_dispatches,
+        })
+    return rows
+
+
+def check_latency_closedloop(rows: list[dict]) -> None:
+    by = {row["clients"]: row for row in rows}
+    populations = sorted(by)
+    # Throughput saturates; tail latency keeps growing with queueing.
+    assert by[populations[-1]]["p99_ms"] > by[populations[1]]["p99_ms"]
+    assert by[populations[-1]]["throughput_ops"] == \
+        max(row["throughput_ops"] for row in rows)
+    # Underload (2 clients < R) is served via timeout dispatches.
+    assert by[2]["timeout_dispatches"] > 0
+    # Percentile sanity.
+    for row in rows:
+        assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
+
+
+def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:
+    """Leakage profile: an auditing adversary's first-pass statistics.
+
+    Complements the α/β analysis with the classic toolkit (per-id
+    frequency entropy, KL divergence from uniform, χ² uniformity test,
+    per-round load variance), applied to the recorded traces of the
+    insecure baseline, Pancake and Waffle under one Zipf-0.99 workload.
+    """
+    def row(system: str, summary) -> dict:
+        return {
+            "system": system,
+            "norm_entropy": summary.normalized_entropy,
+            "kl_bits": summary.kl_divergence_bits,
+            "chi2_p": summary.chi_square_p,
+            "read_cv": summary.read_cv,
+        }
+
+    workload = ycsb.workload_c(n, seed=9, value_size=256)
+    items = dict(workload.initial_records())
+    trace = workload.trace(requests)
+    rows = []
+
+    recorder = RecordingStore(RedisSim())
+    insecure = InsecureStore(recorder, dict(items))
+    for request in trace:
+        insecure.execute(request)
+    rows.append(row("insecure", leakage_summary(recorder.records)))
+
+    recorder = RecordingStore(RedisSim())
+    pi = ycsb.workload_c(n, seed=9, value_size=256) \
+        ._sampler.probabilities_by_index()
+    pancake = PancakeProxy([ycsb.key_name(i) for i in range(n)], dict(items),
+                           pi, recorder, batch_size=50, seed=9,
+                           keychain=KeyChain.from_seed(9))
+    for request in trace:
+        pancake.submit(request)
+    while pancake.pending():
+        pancake.process_batch()
+    rows.append(row("pancake", leakage_summary(recorder.records)))
+
+    config = WaffleConfig.paper_defaults(n=n, seed=9)
+    _, datastore = run_waffle(config, items, trace, CostModel(),
+                              record=True)
+    rows.append(row("waffle",
+                    leakage_summary(datastore.recorder.records,
+                                    steady_state_from_round=1)))
+    return rows
+
+
+def check_leakage_profile(rows: list[dict]) -> None:
+    by = {row["system"]: row for row in rows}
+    # Waffle: perfectly flat on every metric.
+    assert by["waffle"]["norm_entropy"] == 1.0
+    assert by["waffle"]["kl_bits"] < 1e-9
+    assert by["waffle"]["chi2_p"] > 0.99
+    # Pancake: smoothed frequencies (uniformity not rejected) but its
+    # static ids repeat — entropy high, yet the co-occurrence channel of
+    # the `attack` experiment remains.
+    assert by["pancake"]["chi2_p"] > 0.01
+    assert by["pancake"]["norm_entropy"] > 0.98
+    # Insecure: the query skew is fully visible.
+    assert by["insecure"]["kl_bits"] > 0.3
+    assert by["insecure"]["chi2_p"] < 0.01
+    assert by["insecure"]["norm_entropy"] < by["waffle"]["norm_entropy"]
+
+
+def _snapshot_size(n: int, cache_fraction: float) -> dict:
+    config = replace(WaffleConfig.paper_defaults(n=n, seed=3),
+                     c=max(1, round(cache_fraction * n)))
+    proxy = WaffleProxy(config, store=RedisSim(write_once=True),
+                        keychain=KeyChain.from_seed(4))
+    workload = ycsb.workload_a(n, seed=5, value_size=1000)
+    proxy.initialize({k: pad_value(v, config.value_size)
+                      for k, v in workload.initial_records()})
+    blob = capture_proxy(proxy)
+    cost = CostModel()
+    return {
+        "cache_pct": round(100 * cache_fraction),
+        "snapshot_kib": len(blob) / 1024,
+        "ship_time_ms": len(blob) / 1024 * cost.transfer_per_kib_s * 1e3
+        + cost.rtt_s * 1e3,
+    }
+
+
+def ha_overhead(n: int = 2**12, rounds: int = 60) -> dict:
+    """HA: what the §3.1 availability assumption costs.
+
+    Snapshot size as a function of cache size (the checkpoint carries
+    the cache and the timestamp indexes, not the outsourced data), and
+    the per-batch replication time at different checkpoint intervals,
+    charged as wire transfer at the cost model's line rate.
+    """
+    sizes = [_snapshot_size(n, fraction)
+             for fraction in (0.01, 0.02, 0.08, 0.32)]
+
+    config = WaffleConfig.paper_defaults(n=n, seed=3)
+    workload = ycsb.workload_a(n, seed=5, value_size=1000)
+    items = dict(workload.initial_records())
+    cost = CostModel(cores=4)
+    measurement, datastore = run_waffle(
+        config, items, workload.trace(config.r * rounds), cost)
+    # Average round time without replication:
+    base_round = measurement.sim_seconds / measurement.rounds
+    blob = capture_proxy(datastore.proxy)
+    ship = (len(blob) / 1024 * cost.transfer_per_kib_s + cost.rtt_s)
+    intervals = []
+    for interval in (1, 4, 16):
+        effective_round = base_round + ship / interval
+        intervals.append({
+            "checkpoint_interval": interval,
+            "throughput_ops": config.r / effective_round,
+            "overhead_pct": 100 * (effective_round / base_round - 1),
+        })
+    return {"sizes": sizes, "intervals": intervals}
+
+
+def render_ha_overhead(out: dict, params: dict) -> str:
+    return "\n".join([
+        format_table(out["sizes"],
+                     title=f"HA snapshot size vs cache (N={params['n']})"),
+        format_table(out["intervals"],
+                     title="Replication overhead vs checkpoint interval"),
+    ])
+
+
+def check_ha_overhead(out: dict) -> None:
+    sizes = [row["snapshot_kib"] for row in out["sizes"]]
+    assert sizes == sorted(sizes)  # snapshot grows with the cache
+    overheads = [row["overhead_pct"] for row in out["intervals"]]
+    assert overheads == sorted(overheads, reverse=True)
+    # Full-snapshot synchronous shipping is visibly expensive at this
+    # small round time (at the paper's 90 ms rounds it is ~20%); the
+    # interval knob amortizes it away — the trade fail_over(allow_stale)
+    # guards.
+    assert overheads[0] < 150
+    assert overheads[-1] < 15
+
+
+def workload_d(n: int = 2**12, rounds: int = 150) -> list[dict]:
+    """YCSB workload D (read-latest + inserts): the mutation path under load.
+
+    Not a paper figure — the paper only sketches insert/delete support
+    (§6.2 end).  D is 95% reads of recent records and 5% inserts through
+    the dummy-swap path; the rows carry its throughput against the same
+    datastore on read-only workload C, and the dummy budget the inserts
+    leave.
+    """
+    cost = CostModel(cores=4)
+    config = WaffleConfig.paper_defaults(n=n, seed=3)
+
+    base = ycsb.workload_c(n, seed=5, value_size=256)
+    measurement, _ = run_waffle(config, dict(base.initial_records()),
+                                base.trace(config.r * rounds), cost)
+    latest = ycsb.workload_d(n, seed=5, value_size=200)
+    measurement_d, _ = run_waffle_with_inserts(
+        config, dict(latest.initial_records()),
+        latest.trace(config.r * rounds), cost)
+    return [
+        {
+            "workload": "C (read only)",
+            "throughput_ops": measurement.throughput_ops,
+            "inserted": 0,
+            "dummies_left": config.d,
+        },
+        {
+            "workload": "D (read latest + 5% inserts)",
+            "throughput_ops": measurement_d.throughput_ops,
+            "inserted": measurement_d.extra["inserted"],
+            "dummies_left": measurement_d.extra["dummies_left"],
+        },
+    ]
+
+
+def check_workload_d(rows: list[dict]) -> None:
+    by = {row["workload"].split(" ")[0]: row for row in rows}
+    assert by["D"]["inserted"] > 0
+    # Inserts consume dummies one-for-one (C's row carries the full D).
+    assert by["D"]["dummies_left"] == \
+        by["C"]["dummies_left"] - by["D"]["inserted"]
+    # The mutation path costs something but stays the same order.
+    assert by["D"]["throughput_ops"] > 0.4 * by["C"]["throughput_ops"]
+
+
+def timing_attack(rounds: int = 64, seed: int = 7) -> dict:
+    """Timing-leakage observatory: inference attacks on round-release times.
+
+    The adversary model everywhere else looks at *which* storage ids a
+    round touches; this one looks at *when* rounds are released.  Under
+    on-fill batching the inter-round gaps are ``r / rate`` in
+    expectation, so an observer who only sees release instants recovers
+    the offered load by inverting gaps and localises a flash-crowd onset
+    with a mean-shift scan; a fixed-interval schedule decouples release
+    times from arrivals (Cloak's argument, PAPERS.md).  Pure simulation
+    on :class:`repro.sim.clock.SimClock`; ``--json`` is the full report.
+    """
+    return timing_attack_benchmark(rounds=rounds, seed=seed)
+
+
+def render_timing_attack(report: dict, params: dict) -> str:
+    onset = report["rounds"] // 2
+    lines = [
+        "Timing-leakage observatory — round-release inference attacks",
+        "",
+        f"workload: {report['rounds']} rounds, r={report['r']}, "
+        f"base rate {report['base_rate']:.0f} req/s with a "
+        f"{report['hot_factor']:.0f}x flash crowd at round {onset} "
+        f"(seed {report['seed']})",
+        "",
+        f"{'schedule':>10} {'load corr':>10} {'onset':>8} {'leakage':>9}",
+    ]
+    for name in ("on_fill", "fixed"):
+        side = report[name]
+        detected = side["onset_detected"]
+        lines.append(
+            f"{name:>10} {side['load_attack']['correlation']:>10.3f} "
+            f"{str(detected if detected is not None else '-'):>8} "
+            f"{side['leakage_score']:>9.3f}")
+    lines += [
+        "",
+        f"leakage drop from shaping: {report['leakage_drop']:.3f}",
+        "paper framing: batching hides which ids are hot, but on-fill "
+        "release times still encode the offered load; fixed-interval "
+        "shaping closes the channel",
+    ]
+    return "\n".join(lines)
+
+
+def check_timing_attack(report: dict) -> None:
+    violations = check_timing_channel(report)
+    assert not violations, "; ".join(v.detail for v in violations)
+    assert report["shaped_leaks_less"] is True
+    assert report["on_fill"]["leakage_score"] > 0.5, (
+        "on-fill schedule should leak visibly: "
+        f"{report['on_fill']['leakage_score']:.3f}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table", "format_series", "titled_table"]
 
 
 def _format_cell(value) -> str:
@@ -38,6 +38,19 @@ def format_table(rows: list[dict], columns: list[str] | None = None,
         lines.append(" | ".join(cell.rjust(width)
                                 for cell, width in zip(row, widths)))
     return "\n".join(lines)
+
+
+def titled_table(title: str, hide: tuple[str, ...] = ()):
+    """A ``render(rows, params)`` for a result that is one table.
+
+    ``title`` is formatted with the run's parameters (``"... (N={n})"``);
+    columns named in ``hide`` stay in the rows but out of the text.
+    """
+    def render(rows: list[dict], params: dict) -> str:
+        columns = [column for column in rows[0] if column not in hide]
+        return format_table(rows, columns=columns,
+                            title=title.format(**params))
+    return render
 
 
 def format_series(rows: list[dict], x: str, y: str,

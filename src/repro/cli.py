@@ -5,11 +5,13 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig2ab --n 4096 --rounds 40
     python -m repro.cli run table2
+    python -m repro.cli run timing-attack --json
     python -m repro.cli bounds --n 1048576 --level high
     python -m repro.cli lint
 
-``run`` executes one experiment from :mod:`repro.bench.experiments` and
-prints the paper-style table; ``bounds`` evaluates the Theorem 7.1/7.2
+``run`` executes one row of :data:`repro.bench.EXPERIMENTS` and prints
+its rendered text — with no flags, exactly the file committed under
+``benchmarks/results/``; ``bounds`` evaluates the Theorem 7.1/7.2
 bounds for a preset without running anything; ``lint`` runs the oblint
 static-analysis suite (DESIGN.md §9).
 
@@ -25,15 +27,15 @@ them, and ``tests/test_cli.py`` pins them):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import NoReturn
 
-from repro.bench import experiments
-from repro.bench.reporting import format_table
+from repro.bench import EXPERIMENTS
 from repro.core.config import SecurityLevel, WaffleConfig
 
-__all__ = ["EXIT_CHAOS", "EXIT_LINT", "EXIT_USAGE", "EXPERIMENTS", "main"]
+__all__ = ["EXIT_CHAOS", "EXIT_LINT", "EXIT_USAGE", "main"]
 
 #: Lint findings (or failed audit) — "the code is wrong".
 EXIT_LINT = 1
@@ -55,26 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-#: CLI name -> (callable, kwargs it accepts from the CLI).
-EXPERIMENTS = {
-    "fig2ab": (experiments.fig2ab_baselines, ("n", "rounds")),
-    "fig2c": (experiments.fig2c_cores, ("n", "rounds")),
-    "fig2d": (experiments.fig2d_cache, ("n", "rounds")),
-    "fig3a": (experiments.fig3a_batch_size, ("n", "rounds")),
-    "fig3b": (experiments.fig3b_real_fraction, ("n", "rounds")),
-    "fig3c": (experiments.fig3c_fake_dummy, ("n", "rounds")),
-    "fig3d": (experiments.fig3d_num_dummies, ("n", "rounds")),
-    "table2": (experiments.table2_security_levels, ("n", "rounds")),
-    "fig5": (experiments.fig5_correlated, ("n",)),
-    "fig6": (experiments.fig6_tradeoff, ("n", "rounds")),
-    "attack": (experiments.attack_correlated, ("n",)),
-    "ablation-fake-policy": (experiments.ablation_fake_policy,
-                             ("n", "rounds")),
-    "attack-frequency": (experiments.frequency_attack_comparison, ("n",)),
-    "low-security-leak": (experiments.low_security_distinguisher,
-                          ("n", "rounds")),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -85,16 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run.add_argument("experiment", choices=list(EXPERIMENTS))
     run.add_argument("--n", type=int, default=None,
-                     help="scaled database size (default: experiment's)")
+                     help="scaled database size (default: the committed "
+                          "figure's; ignored by rows that take none)")
     run.add_argument("--rounds", type=int, default=None,
-                     help="batch rounds per data point")
+                     help="batch rounds per data point (likewise)")
     run.add_argument("--json", action="store_true",
-                     help="emit raw rows as JSON instead of a table")
-    run.add_argument("--chart", action="store_true",
-                     help="additionally render an ASCII chart when the "
-                          "experiment produces an (x, y) series")
+                     help="emit the raw result as JSON instead of the "
+                          "rendered text")
 
     bounds = sub.add_parser("bounds", help="evaluate Theorem 7.1/7.2 bounds")
     bounds.add_argument("--n", type=int, default=10**6)
@@ -206,69 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiment(args) -> int:
-    func, accepted = EXPERIMENTS[args.experiment]
-    kwargs = {}
-    if args.n is not None and "n" in accepted:
-        kwargs["n"] = args.n
-    if args.rounds is not None and "rounds" in accepted:
-        kwargs["rounds"] = args.rounds
-    result = func(**kwargs)
-    if isinstance(result, dict):
-        print(json.dumps(_jsonable(result), indent=2))
-        return 0
+    experiment = EXPERIMENTS[args.experiment]
+    params = experiment.parameters(n=args.n, rounds=args.rounds)
+    result = experiment.run(**params)
     if args.json:
-        print(json.dumps(_jsonable(result), indent=2))
+        print(json.dumps(result, indent=2, default=dataclasses.asdict))
     else:
-        rows = [{k: v for k, v in row.items() if not isinstance(v, dict)}
-                for row in result]
-        print(format_table(rows, title=args.experiment))
-        if getattr(args, "chart", False):
-            chart = _maybe_chart(args.experiment, rows)
-            if chart:
-                print()
-                print(chart)
+        print(experiment.render(result, params))
     return 0
-
-
-#: experiment -> (x column, y column) for the --chart rendering.
-_CHART_AXES = {
-    "fig2c": ("cores", "throughput_ops"),
-    "fig2d": ("cache_pct", "throughput_ops"),
-    "fig3a": ("batch_size", "throughput_ops"),
-    "fig3b": ("real_pct", "throughput_ops"),
-    "fig3c": ("fake_dummy_pct", "throughput_ops"),
-    "fig3d": ("dummies_pct_of_n", "throughput_ops"),
-    "fig6": ("alpha_theory", "throughput_ops"),
-}
-
-
-def _maybe_chart(experiment: str, rows: list[dict]) -> str | None:
-    from repro.analysis.visualize import line_chart
-
-    axes = _CHART_AXES.get(experiment)
-    if not axes or not rows:
-        return None
-    x, y = axes
-    if x not in rows[0] or y not in rows[0]:
-        return None
-    points = [(float(row[x]), float(row[y])) for row in rows]
-    return line_chart({y: points}, title=experiment, x_label=x, y_label=y)
-
-
-def _jsonable(value):
-    from collections import Counter
-
-    if isinstance(value, Counter):
-        return {str(k): v for k, v in value.items()}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "__dict__") and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in vars(value).items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def _show_bounds(args) -> int:
@@ -569,10 +495,8 @@ def _run_lint(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            func, _ = EXPERIMENTS[name]
-            doc = (func.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:22s} {doc}")
+        for name, experiment in EXPERIMENTS.items():
+            print(f"{name:22s} {experiment.paper.splitlines()[0]}")
         return 0
     if args.command == "run":
         return _run_experiment(args)

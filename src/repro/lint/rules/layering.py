@@ -27,7 +27,7 @@ __all__ = [
 
 #: Concrete backends; layered code receives a StorageBackend, it never
 #: constructs one (construction lives in datastore wiring and tests).
-_BACKENDS = {"RedisSim", "InMemoryStore", "PersistentStore"}
+_BACKENDS = {"RedisSim", "InMemoryStore"}
 
 _CORE_SCOPES = ("repro/core/", "repro/ha/")
 _WIRING_FILES = {"repro/core/datastore.py"}

@@ -8,14 +8,12 @@ what a passive persistent adversary observes.
 
 from repro.storage.base import StorageBackend
 from repro.storage.memory import InMemoryStore
-from repro.storage.persistent import PersistentStore
 from repro.storage.recording import AccessRecord, RecordingStore
 from repro.storage.redis_sim import RedisSim
 
 __all__ = [
     "AccessRecord",
     "InMemoryStore",
-    "PersistentStore",
     "RecordingStore",
     "RedisSim",
     "StorageBackend",

@@ -5,7 +5,8 @@ import types
 
 import pytest
 
-from repro.cli import EXIT_CHAOS, EXIT_LINT, EXIT_USAGE, EXPERIMENTS, main
+from repro.bench import EXPERIMENTS
+from repro.cli import EXIT_CHAOS, EXIT_LINT, EXIT_USAGE, main
 
 
 class TestCli:
@@ -41,7 +42,7 @@ class TestCli:
 
     def test_run_dict_experiment(self, capsys):
         assert main(["run", "ablation-fake-policy", "--n", "512",
-                     "--rounds", "120"]) == 0
+                     "--rounds", "120", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "least_recent" in payload and "uniform" in payload
 
@@ -151,19 +152,3 @@ class TestExitCodes:
         reproducer.write_text("{}")
         assert main(["chaos", "--replay", str(reproducer)]) == 0
         assert "OK" in capsys.readouterr().out
-
-
-class TestCliChart:
-    def test_chart_rendered_for_series_experiment(self, capsys):
-        from repro.cli import main
-        assert main(["run", "fig2c", "--n", "1024", "--rounds", "5",
-                     "--chart"]) == 0
-        out = capsys.readouterr().out
-        assert "[throughput_ops vs cores]" in out
-
-    def test_chart_flag_harmless_for_table_experiment(self, capsys):
-        from repro.cli import main
-        assert main(["run", "table2", "--n", "2048", "--rounds", "30",
-                     "--chart"]) == 0
-        out = capsys.readouterr().out
-        assert "alpha_theory" in out

@@ -14,7 +14,6 @@ import pytest
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
 from repro.baselines.pathoram import PathOram
-from repro.baselines.pathoram_recursive import RecursivePathOram
 from repro.baselines.taostore import TaoStore
 from repro.core.config import WaffleConfig
 from repro.core.client import WaffleClient
@@ -55,10 +54,6 @@ class _Adapter:
             oram = PathOram(dict(ITEMS), RedisSim(), seed=seed,
                             keychain=KeyChain.from_seed(seed))
             self.get, self.put = oram.get, oram.put
-        elif name == "pathoram-recursive":
-            oram = RecursivePathOram(dict(ITEMS), RedisSim(), seed=seed,
-                                     keychain=KeyChain.from_seed(seed))
-            self.get, self.put = oram.get, oram.put
         elif name == "taostore":
             tao = TaoStore(dict(ITEMS), RedisSim(), seed=seed,
                            keychain=KeyChain.from_seed(seed))
@@ -68,8 +63,7 @@ class _Adapter:
             self.get, self.put = store.get, store.put
 
 
-SYSTEMS = ["insecure", "waffle", "pancake", "pathoram",
-           "pathoram-recursive", "taostore"]
+SYSTEMS = ["insecure", "waffle", "pancake", "pathoram", "taostore"]
 
 
 @pytest.fixture(params=SYSTEMS)

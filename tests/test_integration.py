@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
-    MultiMapWaffle,
     SecurityLevel,
     WaffleClient,
     WaffleConfig,
@@ -94,23 +93,6 @@ class TestFullStackSoak:
             datastore.execute_batch([])  # drain pending mutations
         verify_storage_invariants(datastore.recorder.records)
         assert datastore.proxy.real_count == len(live)
-
-    def test_multimap_over_long_run(self):
-        items = {f"row{i:04d}": (b"a%d" % i, b"b%d" % i) for i in range(40)}
-        config = WaffleConfig(n=80, b=12, r=4, f_d=2, d=30, c=10,
-                              value_size=64, seed=51)
-        mm = MultiMapWaffle(config, items, slots=2,
-                            keychain=KeyChain.from_seed(52))
-        rng = random.Random(53)
-        reference = dict(items)
-        for step in range(120):
-            key = f"row{rng.randrange(40):04d}"
-            if rng.random() < 0.5:
-                assert mm.get(key) == reference[key]
-            else:
-                values = (b"x%d" % step, b"y%d" % step)
-                mm.put(key, values)
-                reference[key] = values
 
 
 class TestObliviousnessEndToEnd:
