@@ -10,6 +10,8 @@ get/put calls into R-request batches.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.proxy import WaffleProxy
@@ -24,13 +26,17 @@ __all__ = ["WaffleDatastore", "pad_value", "unpad_value"]
 _LENGTH_HEADER = 4
 
 
-def pad_value(value: bytes, padded_size: int) -> bytes:
-    """Length-prefix and zero-pad ``value`` to exactly ``padded_size``."""
+def _refuse_oversize(value: bytes, padded_size: int) -> None:
     if len(value) > padded_size - _LENGTH_HEADER:
         raise ConfigurationError(
             f"value of {len(value)} bytes exceeds padded size "
             f"{padded_size} - {_LENGTH_HEADER} header bytes"
         )
+
+
+def pad_value(value: bytes, padded_size: int) -> bytes:
+    """Length-prefix and zero-pad ``value`` to exactly ``padded_size``."""
+    _refuse_oversize(value, padded_size)
     header = len(value).to_bytes(_LENGTH_HEADER, "big")
     return header + value + b"\x00" * (padded_size - _LENGTH_HEADER - len(value))
 
@@ -39,6 +45,33 @@ def unpad_value(padded: bytes) -> bytes:
     """Inverse of :func:`pad_value`."""
     length = int.from_bytes(padded[:_LENGTH_HEADER], "big")
     return padded[_LENGTH_HEADER: _LENGTH_HEADER + length]
+
+
+class _PaddedItems(Mapping[str, bytes]):
+    """The caller's items, each padded when it is looked up.
+
+    What :meth:`WaffleProxy.initialize` walks instead of a second, padded
+    copy of the dataset.  Lengths are checked here, in one scan, so an
+    oversize value is refused before the load ships its first byte and no
+    lookup can fail half-way through it.
+    """
+
+    __slots__ = ("_items", "_padded_size")
+
+    def __init__(self, items: Mapping[str, bytes], padded_size: int) -> None:
+        _refuse_oversize(max(items.values(), key=len, default=b""),
+                         padded_size)
+        self._items = items
+        self._padded_size = padded_size
+
+    def __getitem__(self, key: str) -> bytes:
+        return pad_value(self._items[key], self._padded_size)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 class WaffleDatastore:
@@ -73,10 +106,7 @@ class WaffleDatastore:
             backing = self.recorder
         self.proxy = WaffleProxy(config, store=backing, keychain=keychain,
                                  log_ids=log_ids)
-        padded = {
-            key: pad_value(value, config.value_size) for key, value in items.items()
-        }
-        self.proxy.initialize(padded)
+        self.proxy.initialize(_PaddedItems(items, config.value_size))
 
     # ------------------------------------------------------------------
     # request path

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Mapping
 
 from repro.obs import OBS
 
@@ -36,6 +36,10 @@ from repro.workloads.trace import Operation
 __all__ = ["RoundStats", "WaffleProxy"]
 
 _DUMMY_PREFIX = "\x00dummy:"
+
+#: Objects sealed per step of the initial load: what it holds in plaintext
+#: and ciphertext at once, beyond what the store has already taken.
+_LOAD_CHUNK = 256
 
 #: Cache-miss sentinel for single-lookup reads (values may be any bytes).
 _MISS = object()
@@ -148,8 +152,14 @@ class WaffleProxy:
     # ------------------------------------------------------------------
     # initialization (§6.1)
     # ------------------------------------------------------------------
-    def initialize(self, items: dict[str, bytes]) -> None:
-        """Load the initial dataset: seed the cache, indexes and the server."""
+    def initialize(self, items: Mapping[str, bytes]) -> None:
+        """Load the initial dataset: seed the cache, indexes and the server.
+
+        ``items`` is read, never copied: each value is looked up once, when
+        it is cached or sealed, so a mapping that builds its values on
+        lookup (:class:`~repro.core.datastore.WaffleDatastore` pads there)
+        costs one value at a time.
+        """
         if self._initialized:
             raise ProtocolError("proxy already initialized")
         if len(items) != self.config.n:
@@ -176,19 +186,40 @@ class WaffleProxy:
         for key in cached_keys:
             self.cache.put(key, items[key])
 
-        # Remaining reals and all dummies, shuffled, encoded, loaded.  Ids
-        # and ciphertexts are produced by the batched crypto kernels in one
-        # pass each over the N - C + D outsourced objects.
+        # Remaining reals and all dummies go out shuffled.  The order is
+        # drawn first — shuffling positions consumes the rng exactly as
+        # shuffling the N - C + D finished (id, ciphertext) pairs would —
+        # and the load is then sealed in that order a chunk at a time, as
+        # the store pulls it.  The D dummy payloads are drawn before the
+        # order, where the rng stream has always had them, and held until
+        # the walk reaches them: the one O(D) buffer of the load.
         for key in server_keys:
             self._real_index.mark_server_resident(key)
         load_keys = server_keys + dummy_keys
-        values = [items[key] for key in server_keys]
-        values.extend(self._dummy_payload() for _ in dummy_keys)
-        sids = self._encode_ids([(key, 0) for key in load_keys])
-        outsourced = list(zip(sids, self.keychain.cipher.encrypt_many(values)))
-        self._rng.shuffle(outsourced)
-        self.store.multi_put(outsourced)
+        payloads = [self._dummy_payload() for _ in dummy_keys]
+        order = list(range(len(load_keys)))
+        self._rng.shuffle(order)
+        self.store.multi_put(self._seal_load(items, load_keys, payloads, order))
         self._initialized = True
+
+    def _seal_load(self, items: Mapping[str, bytes], load_keys: list[str],
+                   payloads: list[bytes],
+                   order: list[int]) -> Iterator[tuple[str, bytes]]:
+        """The initial load as ``(id, ciphertext)`` pairs in ``order``, sealed
+        ``_LOAD_CHUNK`` objects at a time: one ``derive_many`` and one
+        ``encrypt_many`` call a chunk, nonces drawn in load order.
+
+        A real and a dummy take the same steps — one lookup, one value —
+        so the time between two frames of the load says how many objects
+        a frame carries, not which of them are dummies.
+        """
+        reals = len(load_keys) - len(payloads)
+        for start in range(0, len(order), _LOAD_CHUNK):
+            chunk = order[start:start + _LOAD_CHUNK]
+            sids = self._encode_ids([(load_keys[i], 0) for i in chunk])
+            values = [items[load_keys[i]] if i < reals else payloads[i - reals]
+                      for i in chunk]
+            yield from zip(sids, self.keychain.cipher.encrypt_many(values))
 
     # ------------------------------------------------------------------
     # crypto helpers

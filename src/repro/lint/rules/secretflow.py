@@ -55,7 +55,7 @@ _SOURCE_CALLS = {"decrypt", "decrypt_many"}
 _SANITIZERS = {
     "derive", "derive_many", "derive_bytes", "derive_batch",
     "encrypt", "encrypt_many", "seal", "seal_many",
-    "_encode_id", "_encode_ids", "_get_index",
+    "_encode_id", "_encode_ids", "_get_index", "_seal_load",
     "hexdigest", "digest", "hash_key",
 }
 

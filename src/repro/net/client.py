@@ -31,6 +31,11 @@ __all__ = ["RemoteStore"]
 
 _T = TypeVar("_T")
 
+#: Payload bytes per frame of a ``multi_put`` load: small enough that the
+#: producer and the server each hold about a megabyte of it at a time,
+#: large enough that the per-frame round of syscalls is noise.
+_LOAD_FRAME = 1024 * 1024
+
 
 def _expect(reply: WireValue, kind: type[_T]) -> _T:
     if not isinstance(reply, kind):
@@ -58,6 +63,10 @@ class RemoteStore(StorageBackend):
     connection still in step and — the server checks a round whole before
     touching anything — nothing of the round applied.  A caller that must
     know the round is in calls :meth:`flush`.
+
+    :meth:`multi_put` streams a load the same way: frames of about a
+    megabyte, each one's acknowledgement collected by the next one's send,
+    one :meth:`flush` after the last, so the load is in when it returns.
 
     A request that fails anywhere between its first byte sent and its
     reply's last byte read — a deferred acknowledgement included — closes
@@ -199,14 +208,19 @@ class RemoteStore(StorageBackend):
         return replies
 
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        # An initial load ships all N+D-C objects through here, which can
-        # exceed the frame cap: cut a new COMMIT frame whenever the next
-        # object (id, value and their two length-table entries) would push
-        # the payload past three quarters of the cap.  A load that fits
-        # goes as one frame; unlike commit_round, a load that does not is
-        # not atomic across its frames.  Each frame is acknowledged before
-        # the next leaves, so the load is in when this returns.
-        budget = protocol._MAX_FRAME * 3 // 4
+        # An initial load streams all N+D-C objects through here: they are
+        # pulled from ``items`` one frame's worth at a time, and a COMMIT
+        # frame is cut whenever the next object (id, value and their two
+        # length-table entries) would push the payload past the budget.
+        # No frame waits for its acknowledgement: the next frame's send
+        # collects it (class docstring), so the server ingests frame k
+        # while the caller's iterator produces frame k + 1, and the one
+        # flush at the end means the load is in when this returns.  A
+        # frame the server refuses is raised by the send that would have
+        # followed it, or by that flush: nothing after it is sent, the
+        # connection stays in step, and the frames before it stay applied
+        # — unlike commit_round, a load of several frames is not atomic.
+        budget = min(_LOAD_FRAME, protocol._MAX_FRAME * 3 // 4)
         ids: list[str] = []
         values: list[bytes] = []
         size = 0
@@ -214,7 +228,6 @@ class RemoteStore(StorageBackend):
             cost = 8 + len(key.encode("utf-8")) + len(value)
             if ids and size + cost > budget:
                 self._commit([], ids, values)
-                self.flush()
                 ids, values, size = [], [], 0
             ids.append(key)
             values.append(value)

@@ -18,7 +18,7 @@ operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.obs import OBS
 from repro.storage.base import StorageBackend
@@ -74,7 +74,8 @@ class RecordingStore(StorageBackend):
             OBS.registry.counter("storage.accesses.total", op=op).inc()
 
     # ------------------------------------------------------------------
-    # StorageBackend interface (every path records before delegating)
+    # StorageBackend interface (an access is recorded before the backend
+    # sees it)
     # ------------------------------------------------------------------
     def get(self, key: str) -> bytes:
         self._record("read", key)
@@ -100,10 +101,17 @@ class RecordingStore(StorageBackend):
         return self._inner.multi_get(keys)
 
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        items = list(items)
-        for key, _ in items:
-            self._record("write", key)
-        self._inner.multi_put(items)
+        # Recorded as the backend pulls it: an initial load is a stream
+        # (WaffleProxy.initialize), and the recorder must not be the one
+        # place that holds all of it.
+        self._inner.multi_put(self._recording_writes(items))
+
+    def _recording_writes(
+            self, items: Iterable[tuple[str, bytes]],
+    ) -> Iterator[tuple[str, bytes]]:
+        for item in items:
+            self._record("write", item[0])
+            yield item
 
     def multi_delete(self, keys: Sequence[str]) -> None:
         for key in keys:

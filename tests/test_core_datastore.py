@@ -8,6 +8,7 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value, unpad_value
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.storage.memory import InMemoryStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 
@@ -161,3 +162,56 @@ class TestInsertDelete:
         store = self.make_store()
         assert store.server_size == (store.config.n - store.config.c
                                      + store.config.d)
+
+
+class _Sink(InMemoryStore):
+    """A server that counts what a load hands it and keeps none of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def multi_put(self, items):
+        for _ in items:
+            self.count += 1
+
+
+class TestTheLoadIsAStream:
+    """Set-up holds the caller's items, the cache seed, the D dummy
+    payloads and a chunk of the load — not a padded copy of the dataset,
+    a sealed copy and a list of both (the parent commit peaked above
+    ``2 * N * value_size`` here)."""
+
+    N, D, C, VALUE_SIZE = 4096, 256, 64, 1024
+
+    def peak_of_set_up(self, record):
+        import tracemalloc
+
+        from repro.core.proxy import _LOAD_CHUNK
+
+        config = WaffleConfig(n=self.N, b=16, r=6, f_d=4, d=self.D, c=self.C,
+                              value_size=self.VALUE_SIZE, seed=5)
+        items = {f"user{i:08d}": bytes([i % 251]) * (self.VALUE_SIZE - 4)
+                 for i in range(self.N)}
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            WaffleDatastore(config, items, store=sink, record=record,
+                            keychain=KeyChain.from_seed(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.count == self.N + self.D - self.C
+        held = (self.D + self.C + 4 * _LOAD_CHUNK) * self.VALUE_SIZE + 2**20
+        return peak, min(held, self.N * self.VALUE_SIZE // 2)
+
+    def test_set_up_memory_does_not_grow_with_the_dataset(self):
+        peak, ceiling = self.peak_of_set_up(record=False)
+        assert peak < ceiling
+
+    def test_nor_under_the_recorder(self):
+        """The trace is the recorder's product and grows with the load
+        (an id and an ``AccessRecord`` a write); the load itself still
+        passes through."""
+        peak, ceiling = self.peak_of_set_up(record=True)
+        assert peak < ceiling + 256 * (self.N + self.D - self.C)

@@ -74,6 +74,45 @@ class TestInitialization:
         writes = [r for r in recorder.records if r.op == "write"]
         assert len(writes) == small_config.n - small_config.c + small_config.d
 
+    @pytest.mark.parametrize("config", [
+        WaffleConfig(n=200, b=20, r=8, f_d=4, d=50, c=30, value_size=64,
+                     seed=101),
+        WaffleConfig(n=90, b=12, r=4, f_d=3, d=25, c=10, value_size=61,
+                     seed=7, dummy_policy="round_robin"),
+        # N - C + D = 820 objects: the load is sealed in several chunks.
+        WaffleConfig(n=700, b=30, r=10, f_d=6, d=180, c=60, value_size=40,
+                     seed=2024, fake_real_policy="uniform"),
+    ], ids=["small", "value-size-61", "several-chunks"])
+    def test_the_streamed_load_is_the_old_shuffle(self, config):
+        """``initialize`` draws the load order before it seals anything.
+        What the adversary sees in round 0 — and which plaintext sits
+        under which id — is what sealing everything and shuffling the
+        finished pairs produced (the reference below is that code, as it
+        stood in ``initialize``), and the rng is left where that left it."""
+        items = {key: pad_value(value, config.value_size)
+                 for key, value in make_items(config.n).items()}
+        keychain = KeyChain.from_seed(3)
+        rng = random.Random(config.seed)
+        rng.randrange(2**63)
+        all_keys = list(items)
+        rng.shuffle(all_keys)
+        server_keys = all_keys[config.c:]
+        dummy_keys = [f"\x00dummy:{i:012d}" for i in range(config.d)]
+        load_keys = server_keys + dummy_keys
+        values = [items[key] for key in server_keys]
+        values.extend(rng.randbytes(config.value_size) for _ in dummy_keys)
+        sids = keychain.prf.derive_many([(key, 0) for key in load_keys])
+        outsourced = list(zip(sids, values))
+        rng.shuffle(outsourced)
+
+        proxy, recorder = build_proxy(config)
+        assert [(r.op, r.storage_id, r.round) for r in recorder.records] == \
+            [("write", sid, 0) for sid, _ in outsourced]
+        assert proxy.keychain.cipher.decrypt_many(
+            proxy.store.multi_get([sid for sid, _ in outsourced])
+        ) == [value for _, value in outsourced]
+        assert proxy._rng.getstate() == rng.getstate()
+
 
 class TestBatchShape:
     def test_every_round_reads_and_writes_exactly_b(self, small_config):

@@ -452,6 +452,129 @@ class TestDeferredAcknowledgement:
         assert not got_more
 
 
+class SentFrames:
+    """The client's socket, noting the length of every frame it sends."""
+
+    def __init__(self, remote):
+        self._sock = remote._sock
+        self.sent = []
+        remote._sock = self
+
+    def sendall(self, data):
+        self.sent.append(len(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _load_frame(count, id_len, blob):
+    """Length of a ``["COMMIT", [], ids, values]`` frame of ``count``
+    fixed-length objects: header, list, name, empty list, two arrays."""
+    def packed(size):
+        return 1 + 4 + 4 * count + count * size
+    return (4 + (1 + 4) + (1 + 4 + len("COMMIT")) + (1 + 4)
+            + packed(id_len) + packed(blob))
+
+
+class TestStreamedLoad:
+    """``multi_put`` pulls a load a frame at a time and never waits for a
+    frame's acknowledgement before building the next (RemoteStore
+    docstring); one flush ends it."""
+
+    @staticmethod
+    def five_frames():
+        # 8 + 6 + 65,522 = 64 KiB an object: sixteen fill the budget.
+        return [(f"id{i:04d}", bytes([i]) * 65522) for i in range(80)]
+
+    def test_the_load_is_pulled_a_frame_at_a_time(self, server, remote,
+                                                  monkeypatch):
+        from repro.net import client
+
+        pulled, framed = [], []
+        encode_frame = client.encode_frame
+
+        def noting_encode_frame(message):
+            if message[0] == "COMMIT":
+                framed.append(len(message[2]))
+                # Everything in the frames so far, and the one object
+                # that did not fit: nothing else has been produced yet.
+                assert len(pulled) <= sum(framed) + 1
+            return encode_frame(message)
+
+        def load():
+            for item in self.five_frames():
+                pulled.append(item[0])
+                yield item
+
+        monkeypatch.setattr(client, "encode_frame", noting_encode_frame)
+        remote.multi_put(load())
+        assert framed == [16] * 5
+        assert list(server.backend._data.items()) == self.five_frames()
+
+    def test_a_frame_leaves_only_after_the_ack_of_the_one_before(self):
+        """At most one acknowledgement is owed at any time, so no socket
+        buffer can fill with them, and the load ends flushed."""
+        seen = []
+
+        def script(conn):
+            for _ in range(5):
+                name, deletes, ids, _ = decode_message(read_frame(conn))
+                seen.append((name, deletes, len(ids)))
+                conn.settimeout(0.1)
+                try:
+                    seen.append(conn.recv(1))
+                except TimeoutError:
+                    seen.append("nothing until the ack")
+                conn.settimeout(5)
+                conn.sendall(encode_frame(len(ids)))
+
+        with scripted_peer(script) as address, \
+                RemoteStore(address, timeout_s=5) as remote:
+            remote.multi_put(iter(self.five_frames()))
+            assert remote._owed is None
+        assert seen == [("COMMIT", [], 16), "nothing until the ack"] * 5
+
+    def test_every_ack_of_a_load_is_checked(self):
+        from repro.errors import ConnectionDroppedError
+
+        frames = []
+
+        def script(conn):
+            for ack in (16, 15):
+                frames.append(len(decode_message(read_frame(conn))[2]))
+                conn.sendall(encode_frame(ack))
+            if conn.recv(4096):
+                frames.append("a third frame")
+
+        with scripted_peer(script) as address, \
+                RemoteStore(address, timeout_s=5) as remote:
+            with pytest.raises(ProtocolError, match="acknowledged"):
+                remote.multi_put(iter(self.five_frames()))
+            with pytest.raises(ConnectionDroppedError):
+                remote.flush()
+        assert frames == [16, 16]
+
+    def test_a_refused_frame_stops_the_load_and_keeps_the_connection(self):
+        """Frame 2 of 5 collides on a write-once server: ``multi_put``
+        raises it from the send that would have followed, frames 3-5 never
+        reach the socket, the connection is in step, and — a load of
+        several frames is not atomic — frame 1 stays."""
+        load = self.five_frames()
+        backing = InMemoryStore(write_once=True)
+        backing.put(load[20][0], b"taken")
+        with StorageServer(backing) as server, \
+                RemoteStore(server.address, timeout_s=5) as remote:
+            wire = SentFrames(remote)
+            with pytest.raises(DuplicateKeyError):
+                remote.multi_put(iter(load))
+            assert len(wire.sent) == 2
+            assert len(remote) == 16 + 1
+            assert backing.get(load[20][0]) == b"taken"
+            assert backing.multi_get([key for key, _ in load[:16]]) == \
+                [value for _, value in load[:16]]
+
+
 class TestCheckpointAndRecoveryOverTheWire:
     """A checkpoint never describes a round the server has not
     acknowledged, and a refused round is recovered by replaying it."""
@@ -716,6 +839,79 @@ class TestWaffleOverTheWire:
         ]
         for name, (frames, _) in seen.items():
             assert frames == rounds * one_round, name
+
+    @staticmethod
+    def _paged_config(seed):
+        # N - C + D = 1,260 objects of 1 KiB: a load of two frames.
+        from repro.core.config import WaffleConfig
+
+        return WaffleConfig(n=1200, b=16, r=6, f_d=4, d=100, c=40,
+                            value_size=1024, seed=seed)
+
+    def test_the_load_on_the_link_is_a_function_of_its_size(self):
+        """The other thing the link shows: the initial load.  Its frames
+        follow from (N - C + D, id length, ciphertext length, the frame
+        budget) alone — not from the keys, the values, the seed, or where
+        in the load the dummies are."""
+        from repro.core.datastore import WaffleDatastore
+        from repro.crypto.keys import KeyChain
+        from repro.net.client import _LOAD_FRAME
+        from tests.conftest import make_items
+
+        def load_frames(seed, items):
+            with StorageServer(RedisSim(write_once=True)) as server, \
+                    RemoteStore(server.address) as remote:
+                wire = SentFrames(remote)
+                WaffleDatastore(self._paged_config(seed), items,
+                                store=remote, record=False,
+                                keychain=KeyChain.from_seed(seed + 1))
+                return wire.sent
+
+        id_len, blob = 32, 1024 + 48
+        per_frame = _LOAD_FRAME // (8 + id_len + blob)
+        total = 1200 - 40 + 100
+        expected = [_load_frame(per_frame, id_len, blob),
+                    _load_frame(total - per_frame, id_len, blob)]
+        assert load_frames(31, make_items(1200)) == expected
+        assert load_frames(77, {f"another-key-{i}": bytes([i % 256]) * (i % 900)
+                                for i in range(1200)}) == expected
+
+    def test_initialize_returns_with_the_load_acknowledged(self):
+        """Looked at behind the server the moment ``initialize`` returns:
+        all N + D - C objects are in, nothing is owed."""
+        from repro.core.datastore import WaffleDatastore
+        from repro.crypto.keys import KeyChain
+        from tests.conftest import make_items
+
+        backing = RedisSim(write_once=True)
+        with StorageServer(backing) as server, \
+                RemoteStore(server.address) as remote:
+            datastore = WaffleDatastore(self._paged_config(31),
+                                        make_items(1200), store=remote,
+                                        record=False,
+                                        keychain=KeyChain.from_seed(32))
+            assert remote._owed is None
+            assert len(backing._data) == 1200 + 100 - 40
+            datastore.proxy.check_invariants()
+
+    def test_an_oversize_initial_value_is_refused_before_the_first_byte(self):
+        """Values are padded as the load reaches them, but their lengths
+        are checked before it starts: a bad value late in the dataset
+        cannot leave a frame of it on the server."""
+        from repro.core.datastore import WaffleDatastore
+        from repro.errors import ConfigurationError
+        from tests.conftest import make_items
+
+        items = make_items(1200)
+        items[list(items)[-1]] = b"x" * 1021
+        backing = RedisSim(write_once=True)
+        with StorageServer(backing) as server, \
+                RemoteStore(server.address) as remote:
+            wire = SentFrames(remote)
+            with pytest.raises(ConfigurationError, match="1021 bytes"):
+                WaffleDatastore(self._paged_config(31), items, store=remote,
+                                record=False)
+            assert wire.sent == [] and len(backing._data) == 0
 
 
 from hypothesis import given, settings, strategies as st

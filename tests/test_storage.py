@@ -179,6 +179,28 @@ class TestRecordingStore:
             ("write", "a"), ("read", "a"), ("delete", "a"),
         ]
 
+    def test_a_load_is_recorded_as_the_backend_pulls_it(self):
+        """``multi_put`` takes a stream (the initial load is one) and the
+        recorder must not be where all of it is held: each write is
+        recorded when the backend reaches it, in the order — and with the
+        sequence numbers — the backend alone would have stored it."""
+        seen_by_the_backend = []
+
+        class Watching(InMemoryStore):
+            def put(self, key, value):
+                seen_by_the_backend.append((key, len(recorder.records)))
+                super().put(key, value)
+
+        load = [(f"id{i:03d}", b"v%d" % i) for i in range(40)]
+        unrecorded = InMemoryStore()
+        unrecorded.multi_put(iter(load))
+        recorder = RecordingStore(Watching())
+        recorder.multi_put(iter(load))
+        assert [(r.op, r.storage_id, r.seq) for r in recorder.records] == \
+            [("write", key, seq) for seq, key in enumerate(unrecorded._data)]
+        assert seen_by_the_backend == [
+            (key, position + 1) for position, (key, _) in enumerate(load)]
+
     def test_rounds_advance(self):
         recorder = RecordingStore(RedisSim())
         recorder.put("a", b"1")
