@@ -27,7 +27,8 @@ __all__ = [
 
 #: Concrete backends; layered code receives a StorageBackend, it never
 #: constructs one (construction lives in datastore wiring and tests).
-_BACKENDS = {"RedisSim", "InMemoryStore"}
+#: RedisSim is the one in-process store.
+_BACKENDS = {"RedisSim"}
 
 _CORE_SCOPES = ("repro/core/", "repro/ha/")
 _WIRING_FILES = {"repro/core/datastore.py"}

@@ -31,9 +31,10 @@ at each end instead of a tagged value — which is what lets a Waffle round
 move its ``B`` ids and ``B`` ciphertexts as arrays.
 
 A request payload is a list ``[command_name, arg, ...]``.  Single
-commands (``GET key``, ``SET key value``, ``DEL key``, ``EXISTS key``,
-``DBSIZE``) are the tuples :meth:`RedisSim.execute` accepts.  The round's
-two storage calls have shapes of their own:
+commands are ``GET key``, ``SET key value``, ``DEL key``, ``EXISTS key``
+and ``DBSIZE``, with ``str`` keys and a ``bytes`` value; the server
+refuses any other shape.  The round's two storage calls have shapes of
+their own:
 
 * ``["MGET", id, ...]`` is one ``s`` array; the reply is the values in
   order (one ``b`` array), or an error if any id is missing.

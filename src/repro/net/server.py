@@ -2,10 +2,13 @@
 
 One thread per connection; each connection processes framed requests
 sequentially (matching Redis's per-connection ordering guarantee, which
-the batched round semantics rely on).  The round's two bulk commands go
+the batched round semantics rely on).  Every command is served through
+the :class:`StorageBackend` methods: the round's two bulk commands go
 straight to :meth:`StorageBackend.multi_get` and
-:meth:`StorageBackend.commit_round`; single commands go through the
-backend's ``execute`` (or a translation onto the interface).
+:meth:`StorageBackend.commit_round`, and the single commands
+GET / SET / DEL / EXISTS / DBSIZE to the single-key methods.  A decodable
+command with the wrong arity or argument types is refused whole with a
+``ProtocolError`` wire error, and the connection is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from repro.storage.redis_sim import RedisSim
 
 __all__ = ["StorageServer"]
 
+#: The single commands and the argument types each one takes.
+_SINGLE: dict[str, tuple[type, ...]] = {
+    "GET": (str,), "SET": (str, bytes), "DEL": (str,), "EXISTS": (str,),
+    "DBSIZE": (),
+}
+
 
 class StorageServer:
     """Serve a :class:`StorageBackend` over TCP.
@@ -43,9 +52,6 @@ class StorageServer:
     def __init__(self, backend: StorageBackend | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.backend = backend if backend is not None else RedisSim()
-        # A backend that speaks the command language (RedisSim) takes the
-        # tuple as is; generic ones get the core commands translated.
-        self._execute = getattr(self.backend, "execute", self._translate)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -156,7 +162,7 @@ class StorageServer:
                     return self.backend.multi_get(request[1:])
                 if name == "COMMIT":
                     return self._commit(*request[1:])
-                return self._execute(tuple(request))
+                return self._single(name, *request[1:])
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error
 
@@ -174,22 +180,28 @@ class StorageServer:
         self.backend.commit_round(deletes, list(zip(ids, values)))
         return len(deletes) + len(ids)
 
-    def _translate(self, command: tuple[Any, ...]) -> WireValue:
-        """The core commands, on a backend without ``execute``."""
-        name = command[0].upper()
+    def _single(self, name: Any, *args: Any) -> WireValue:
+        """One single-key command, refused whole unless its arguments are
+        what :data:`_SINGLE` says: ``str`` keys and a ``bytes`` value."""
+        types = _SINGLE.get(name) if isinstance(name, str) else None
+        if types is None:
+            raise ProtocolError(f"unknown command {name!r}")
+        if len(args) != len(types) or any(
+                type(arg) is not kind for arg, kind in zip(args, types)):
+            raise ProtocolError(f"{name} takes " + (", ".join(
+                kind.__name__ for kind in types) or "no arguments"))
+        backend = self.backend
         if name == "GET":
-            return self.backend.get(command[1])
+            return backend.get(args[0])
         if name == "SET":
-            self.backend.put(command[1], command[2])
+            backend.put(args[0], args[1])
             return b"OK"
         if name == "DEL":
-            self.backend.delete(command[1])
+            backend.delete(args[0])
             return 1
         if name == "EXISTS":
-            return int(command[1] in self.backend)
-        if name == "DBSIZE":
-            return len(self.backend)
-        raise ValueError(f"unknown command {name!r}")
+            return int(args[0] in backend)
+        return len(backend)
 
 
 def _ids_moved(request: WireValue) -> int:

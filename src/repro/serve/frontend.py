@@ -35,13 +35,12 @@ Round failures follow the library taxonomy: a retryable error
 access pattern and leaks nothing new; a fatal error is delivered to every
 waiter of the round.  ``on_retry`` is a hook, not a recovery, and nothing
 that ships wires it to one: ``reconnect`` exists only on the test double
-:class:`~repro.testing.faults.FaultyTransport`.  A real
+:class:`~repro.testing.faults.FaultyStorage`.  A real
 :class:`~repro.net.client.RemoteStore` has none — once a request, or a
 round's deferred acknowledgement, fails on the wire it raises
 ``ConnectionDroppedError`` from every later call, retries included, until
-the deployment builds a new store and restores the proxy onto it (ROADMAP
-item 3b); until then a retry helps only against faults that leave the
-store usable.
+the deployment builds a new store and restores the proxy onto it; until
+then a retry helps only against faults that leave the store usable.
 """
 
 from __future__ import annotations

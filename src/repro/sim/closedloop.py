@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.obs import OBS
 from repro.seeding import seeded_rng
-from repro.sim.metrics import LatencyRecorder
+from repro.sim.metrics import LatencyRecorder, LatencySummary
 
 __all__ = ["ClosedLoopResult", "simulate_closed_loop"]
 
@@ -39,12 +39,8 @@ class ClosedLoopResult:
     rounds: int
     duration_s: float
     throughput_ops: float
-    latency: "LatencySummaryLike"
+    latency: LatencySummary
     timeout_dispatches: int
-
-
-class LatencySummaryLike:  # pragma: no cover - satisfied by LatencySummary
-    pass
 
 
 def simulate_closed_loop(round_time_s: float, batch_capacity: int,

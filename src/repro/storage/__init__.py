@@ -7,13 +7,11 @@ what a passive persistent adversary observes.
 """
 
 from repro.storage.base import StorageBackend
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import AccessRecord, RecordingStore
 from repro.storage.redis_sim import RedisSim
 
 __all__ = [
     "AccessRecord",
-    "InMemoryStore",
     "RecordingStore",
     "RedisSim",
     "StorageBackend",

@@ -71,24 +71,24 @@ class StorageBackend(ABC):
         """Number of stored keys."""
 
     # ------------------------------------------------------------------
-    # Batched operations.  Defaults loop over the single-key primitives;
-    # RedisSim and RemoteStore override them with one call per batch, so
-    # the cost model can charge one round trip per batch.
+    # Batched operations: one call per batch, so the cost model can charge
+    # one round trip per batch.  Abstract, because composing them from the
+    # single-key primitives would give up the all-or-nothing contract of
+    # commit_round below.
     # ------------------------------------------------------------------
+    @abstractmethod
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         """Return values for ``keys`` in order."""
-        return [self.get(key) for key in keys]
 
+    @abstractmethod
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
         """Store every ``(key, value)`` pair."""
-        for key, value in items:
-            self.put(key, value)
 
+    @abstractmethod
     def multi_delete(self, keys: Sequence[str]) -> None:
         """Delete every key in ``keys``."""
-        for key in keys:
-            self.delete(key)
 
+    @abstractmethod
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:
         """Apply one batch round's mutations: deletes, then writes.
@@ -101,10 +101,10 @@ class StorageBackend(ABC):
         only safe if the aborted attempt consumed no read-once ids and
         wrote no write-once ids).  That covers a *refused* round too: a
         commit that raises (missing delete, write-once collision) must
-        leave the store as it found it.  The default composes the batched
-        primitives and gives neither guarantee; the in-memory backends
-        validate with :func:`check_commit` before applying, and the
-        network stub ships the round as one frame.
+        leave the store as it found it.
+        :class:`~repro.storage.redis_sim.RedisSim` validates with
+        :func:`check_commit` before applying, and the network stub ships
+        the round as one frame.
 
         On return the round has been *handed over*, which need not mean
         applied: the network stub returns once the frame is written and
@@ -113,8 +113,6 @@ class StorageBackend(ABC):
         whichever it is, and in both cases nothing was applied.  A caller
         that needs "applied" calls :meth:`flush`.
         """
-        self.multi_delete(deletes)
-        self.multi_put(puts)
 
     def flush(self) -> None:
         """Return once every round handed to :meth:`commit_round` has been

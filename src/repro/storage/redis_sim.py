@@ -1,19 +1,13 @@
 """A Redis-like in-process key-value server.
 
-The paper's backend is Redis (§8).  ``RedisSim`` reproduces the slice of
-Redis the systems use — string GET/SET/DEL/EXISTS/DBSIZE plus MGET/MSET —
-behind a textual command interface, so the proxies in this repository
-interact with storage the way the paper's proxies interact with Redis: by
-issuing commands, batched into one round trip.
-
-Two layers are exposed:
-
-* :meth:`execute` — a command dispatcher (``("SET", key, value)`` etc.),
-  the "wire protocol" level for single commands;
-* the :class:`~repro.storage.base.StorageBackend` methods — the single-key
-  ones are typed wrappers over :meth:`execute`; the batched ones work on
-  the dictionary directly (one pass per batch, a whole batch of mutations
-  validated before any is applied) and count one command per id.
+The paper's backend is Redis (§8).  ``RedisSim`` is the one in-process
+store: the slice of Redis the systems use — GET/SET/DEL/EXISTS/DBSIZE
+and the batched calls a round is made of — as the
+:class:`~repro.storage.base.StorageBackend` methods over one dictionary.
+Over TCP, :class:`~repro.net.server.StorageServer` serves the same
+methods.  The batched ones take one pass per batch, validate a whole
+batch of mutations before applying any (all or nothing, through
+:func:`~repro.storage.base.check_commit`), and count one command per id.
 
 Unlike real Redis, ``GET`` on a missing key raises instead of returning
 nil: every system in this repository treats a miss as a protocol bug and
@@ -23,9 +17,9 @@ runs the store in ``write_once`` mode.)
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
+from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.obs import OBS
 from repro.storage.base import StorageBackend, check_commit
 
@@ -33,7 +27,7 @@ __all__ = ["RedisSim"]
 
 
 class RedisSim(StorageBackend):
-    """In-process Redis stand-in with command dispatch and batched calls.
+    """In-process Redis stand-in.
 
     Parameters
     ----------
@@ -41,83 +35,45 @@ class RedisSim(StorageBackend):
         Reject ``SET`` on existing keys (Waffle's server mode).
     """
 
-    __slots__ = ("_data", "_write_once", "command_count")
+    __slots__ = ("_data", "_write_once")
 
     def __init__(self, write_once: bool = False) -> None:
         self._data: dict[str, bytes] = {}
         self._write_once = write_once
-        #: Total commands executed, for tests and cost accounting.
-        self.command_count = 0
 
-    # ------------------------------------------------------------------
-    # command interface
-    # ------------------------------------------------------------------
-    def execute(self, command: tuple[Any, ...]) -> Any:
-        """Execute one command tuple and return its reply.
-
-        Supported commands: ``GET key``, ``SET key value``, ``DEL key``,
-        ``EXISTS key``, ``DBSIZE``, ``MGET key...``, ``MSET key value ...``.
-        """
-        name = command[0].upper()
-        self._count(name, 1)
-        if name == "GET":
-            (key,) = command[1:]
-            try:
-                return self._data[key]
-            except KeyError:
-                raise KeyNotFoundError(key) from None
-        if name == "SET":
-            key, value = command[1:]
-            if self._write_once and key in self._data:
-                raise DuplicateKeyError(key)
-            self._data[key] = bytes(value)
-            return b"OK"
-        if name == "DEL":
-            (key,) = command[1:]
-            try:
-                del self._data[key]
-            except KeyError:
-                raise KeyNotFoundError(key) from None
-            return 1
-        if name == "EXISTS":
-            (key,) = command[1:]
-            return int(key in self._data)
-        if name == "DBSIZE":
-            return len(self._data)
-        if name == "MGET":
-            return [self.execute(("GET", key)) for key in command[1:]]
-        if name == "MSET":
-            args = command[1:]
-            if len(args) % 2:
-                raise ProtocolError("MSET requires key/value pairs")
-            for i in range(0, len(args), 2):
-                self.execute(("SET", args[i], args[i + 1]))
-            return b"OK"
-        raise ProtocolError(f"unknown command: {name}")
-
-    def _count(self, name: str, commands: int) -> None:
-        self.command_count += commands
+    @staticmethod
+    def _count(name: str, commands: int = 1) -> None:
         if OBS.enabled and commands:
             OBS.registry.counter("storage.commands.total", backend="redis_sim",
                                  command=name).inc(commands)
 
-    # ------------------------------------------------------------------
-    # StorageBackend interface
-    # ------------------------------------------------------------------
     def get(self, key: str) -> bytes:
-        return self.execute(("GET", key))
+        self._count("GET")
+        try:
+            return self._data[key]
+        except KeyError:
+            raise KeyNotFoundError(key) from None
 
     def put(self, key: str, value: bytes) -> None:
-        self.execute(("SET", key, value))
+        self._count("SET")
+        if self._write_once and key in self._data:
+            raise DuplicateKeyError(key)
+        self._data[key] = bytes(value)
 
     def delete(self, key: str) -> None:
-        self.execute(("DEL", key))
+        self._count("DEL")
+        try:
+            del self._data[key]
+        except KeyError:
+            raise KeyNotFoundError(key) from None
 
     def __contains__(self, key: str) -> bool:
-        return bool(self.execute(("EXISTS", key)))
+        self._count("EXISTS")
+        return key in self._data
 
     def __len__(self) -> int:
-        return self.execute(("DBSIZE",))
+        self._count("DBSIZE")
+        return len(self._data)
 
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         self._count("GET", len(keys))

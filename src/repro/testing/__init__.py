@@ -4,12 +4,13 @@ differential oracle over Waffle's correctness *and* obliviousness.
 The pieces compose bottom-up:
 
 * :mod:`repro.testing.faults` — seeded :class:`FaultPlan` schedules and
-  the :class:`FaultyStorage`/:class:`FaultyTransport` wrappers that
-  execute them;
+  the one :class:`FaultyStorage` wrapper that executes them (a drop
+  stays down until ``reconnect()``);
 * :mod:`repro.testing.episodes` — randomized, validated, serializable
   chaos scenarios (:class:`Episode`, :func:`generate_episode`);
 * :mod:`repro.testing.runner` — executes an episode against the real
-  stack with HA failover recovery (:func:`run_episode`);
+  stack with HA failover recovery (:func:`run_episode`); its ``deploy``
+  and ``judge`` steps are shared with :mod:`repro.testing.serving`;
 * :mod:`repro.testing.oracle` — the invariants: differential KV
   semantics, replay-prefix obliviousness, constant batch composition,
   id lifecycle, α/β uniformity;
@@ -33,7 +34,6 @@ from repro.testing.faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultyStorage,
-    FaultyTransport,
     InjectedFault,
     PassthroughStore,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyStorage",
-    "FaultyTransport",
     "InjectedFault",
     "PassthroughStore",
     "ScalarCipher",

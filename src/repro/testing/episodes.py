@@ -49,7 +49,7 @@ DEFAULT_CONFIG = {
 }
 
 
-def chaos_config(seed: int, **overrides) -> WaffleConfig:
+def chaos_config(seed: int, **overrides: int) -> WaffleConfig:
     """The episode's WaffleConfig (DEFAULT_CONFIG + overrides)."""
     params = dict(DEFAULT_CONFIG)
     params.update(overrides)

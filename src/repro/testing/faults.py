@@ -24,10 +24,11 @@ can tell planned adversity apart from genuine bugs: any *other*
 exception escaping the system under test fails the episode.
 
 :class:`FaultyStorage` injects per-operation faults from a
-:class:`FaultPlan` (stateless: the next operation proceeds normally).
-:class:`FaultyTransport` models a *stateful* connection: after an
-injected drop, every subsequent operation fails with
-:class:`~repro.errors.ConnectionDroppedError` until :meth:`reconnect`.
+:class:`FaultPlan`.  An error, timeout or partial reply fails one
+operation and the next proceeds; a drop is sticky, as a real
+:class:`~repro.net.client.RemoteStore` socket's is: every later operation
+fails with :class:`~repro.errors.ConnectionDroppedError` until
+:meth:`FaultyStorage.reconnect`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyStorage",
-    "FaultyTransport",
     "InjectedFault",
     "PassthroughStore",
 ]
@@ -200,22 +200,31 @@ class FaultyStorage(PassthroughStore):
     Only *operations* consume plan indices — ``__contains__``/``__len__``
     are introspection and never fault.  A faulted operation raises before
     delegating, so the inner backend (and any recorder below it) never
-    observes it.
+    observes it.  After a planned ``drop`` the connection is down: every
+    operation raises :class:`InjectedDrop` without consuming a plan index
+    until :meth:`reconnect`.
     """
 
     def __init__(self, inner: StorageBackend, plan: FaultPlan) -> None:
         super().__init__(inner)
         self.plan = plan
-        #: Operations attempted so far (the plan's index space).
+        #: Operations attempted while connected (the plan's index space).
         self.ops = 0
-        #: Faults actually raised, by kind (telemetry for sweep reports).
+        #: Planned faults raised, by kind (telemetry for sweep reports).
         self.injected: dict[str, int] = {}
+        self.connected = True
+
+    def reconnect(self) -> None:
+        self.connected = True
 
     def _admit(self, op: str, size: int = 1) -> None:
+        if not self.connected:
+            raise InjectedDrop(f"connection is down (op {op})")
         index = self.ops
         self.ops += 1
         kind = self.plan.take(index)
         if kind is not None:
+            self.connected = kind != "drop"
             self.injected[kind] = self.injected.get(kind, 0) + 1
             raise _FAULT_FACTORIES[kind](op, size)
 
@@ -248,68 +257,5 @@ class FaultyStorage(PassthroughStore):
                      puts: Sequence[tuple[str, bytes]]) -> None:
         # One plan index for the whole commit: it either fails before the
         # server sees anything or applies in full (atomic fault point).
-        self._admit("commit_round", len(deletes) + len(puts))
-        self._inner.commit_round(deletes, puts)
-
-
-class FaultyTransport(PassthroughStore):
-    """A stateful faulty connection in front of a (possibly remote) store.
-
-    Unlike :class:`FaultyStorage`, a ``drop`` is sticky: once the
-    connection drops, every operation raises
-    :class:`~repro.errors.ConnectionDroppedError` until the client calls
-    :meth:`reconnect` — the shape real socket failures take in
-    :class:`repro.net.client.RemoteStore`.
-    """
-
-    def __init__(self, inner: StorageBackend, plan: FaultPlan) -> None:
-        super().__init__(inner)
-        self.plan = plan
-        self.ops = 0
-        self.connected = True
-        self.reconnects = 0
-
-    def reconnect(self) -> None:
-        self.connected = True
-        self.reconnects += 1
-
-    def _admit(self, op: str, size: int = 1) -> None:
-        if not self.connected:
-            raise InjectedDrop(f"connection is down (op {op})")
-        index = self.ops
-        self.ops += 1
-        kind = self.plan.take(index)
-        if kind == "drop":
-            self.connected = False
-        if kind is not None:
-            raise _FAULT_FACTORIES[kind](op, size)
-
-    def get(self, key: str) -> bytes:
-        self._admit("get")
-        return self._inner.get(key)
-
-    def put(self, key: str, value: bytes) -> None:
-        self._admit("put")
-        self._inner.put(key, value)
-
-    def delete(self, key: str) -> None:
-        self._admit("delete")
-        self._inner.delete(key)
-
-    def multi_get(self, keys: Sequence[str]) -> list[bytes]:
-        self._admit("multi_get", len(keys))
-        return self._inner.multi_get(keys)
-
-    def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        items = list(items)
-        self._admit("multi_put", len(items))
-        self._inner.multi_put(items)
-
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        self._admit("multi_delete", len(keys))
-        self._inner.multi_delete(keys)
-
-    def commit_round(self, deletes: Sequence[str],
-                     puts: Sequence[tuple[str, bytes]]) -> None:
         self._admit("commit_round", len(deletes) + len(puts))
         self._inner.commit_round(deletes, puts)

@@ -23,8 +23,8 @@ from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
+from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation
 
 __all__ = [
@@ -63,9 +63,9 @@ def assert_trace_identical(run_a: Callable[[], Digests],
 
 def build_proxy(config: WaffleConfig, keychain: KeyChain,
                 record: bool = False) -> WaffleProxy:
-    """An initialized proxy over a write-once in-memory store holding
+    """An initialized proxy over a write-once :class:`RedisSim` holding
     ``user%08d`` keys; ``record=True`` interposes a :class:`RecordingStore`."""
-    inner = InMemoryStore(write_once=True)
+    inner = RedisSim(write_once=True)
     store = RecordingStore(inner) if record else inner
     proxy = WaffleProxy(config, store, keychain=keychain,
                         keep_round_stats=False)

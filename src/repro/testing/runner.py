@@ -10,7 +10,8 @@ script through it, and recovers from every injected fault the way a real
 client-facing deployment would:
 
 1. the failed batch's exception discards the (possibly mid-round,
-   corrupted) primary;
+   corrupted) primary, and the storage connection is re-opened (a
+   dropped one stays down until then);
 2. the HA layer promotes the standby snapshot (synchronous shipping, so
    it is exactly the pre-batch state) attached to the same server;
 3. mutations the client enqueued after that snapshot are re-submitted
@@ -31,6 +32,10 @@ Alongside the real system the runner executes the episode against an
 :class:`~repro.baselines.insecure.InsecureStore` *in request order* —
 the differential model.  Every Waffle response must match it, within
 batches (read-your-writes) and across failovers (durability).
+
+:func:`deploy` and :func:`judge` are the steps this runner shares with
+the serving runner (:mod:`repro.testing.serving`): the same stack under
+the same fault wrapper, and the same oracle over its trace.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Callable
 from repro.analysis.uniformity import UniformityReport
 from repro.baselines.insecure import InsecureStore
 from repro.core.batch import ClientRequest
+from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
@@ -48,11 +54,10 @@ from repro.errors import ProtocolError
 from repro.ha.quorum import QuorumReplicatedProxy
 from repro.ha.replicated import HighlyAvailableProxy
 from repro.storage.base import StorageBackend
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import AccessRecord, RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.testing.episodes import Episode
-from repro.testing.faults import FaultyStorage, InjectedFault
+from repro.testing.faults import FaultPlan, FaultyStorage, InjectedFault
 from repro.testing.oracle import (
     Attempt,
     Violation,
@@ -64,7 +69,7 @@ from repro.testing.oracle import (
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name
 
-__all__ = ["EpisodeResult", "run_episode"]
+__all__ = ["Deployment", "EpisodeResult", "deploy", "judge", "run_episode"]
 
 #: Optional storage mutator for self-tests: wraps the fault-injecting
 #: store and may corrupt traffic (the mutation smoke test plants bugs
@@ -91,12 +96,64 @@ class EpisodeResult:
         return not self.violations
 
 
-def _initial_items(episode: Episode) -> dict[str, bytes]:
-    """The episode's deterministic initial dataset (plaintext values)."""
-    return {
-        key_name(i): f"init-{episode.seed}-{i}".encode()
-        for i in range(episode.config["n"])
-    }
+@dataclass(slots=True)
+class Deployment:
+    """One chaos run's system under test and its differential model."""
+
+    #: The adversary's eye, directly above the server.
+    recorder: RecordingStore
+    proxy: WaffleProxy
+    #: The proxy's store: the fault wrapper over ``recorder``.
+    faulty: FaultyStorage
+    #: The plaintext model, holding the initial items.
+    baseline: InsecureStore
+    #: Records up to here are the initial load.
+    init_end_seq: int
+
+
+def deploy(config: WaffleConfig, seed: int, items: dict[str, bytes],
+           plan: FaultPlan) -> Deployment:
+    """``WaffleProxy -> FaultyStorage -> RecordingStore ->
+    RedisSim(write_once)``, loaded with ``items`` padded to the value size.
+
+    The fault wrapper is spliced in only after the load: a plan indexes
+    steady-state operations, and an HA snapshot of the proxy must capture
+    a cleanly initialized one.
+    """
+    recorder = RecordingStore(RedisSim(write_once=True))
+    proxy = WaffleProxy(config, store=recorder,
+                        keychain=KeyChain.from_seed(seed), log_ids=True)
+    proxy.initialize({key: pad_value(value, config.value_size)
+                      for key, value in items.items()})
+    faulty = FaultyStorage(recorder, plan)
+    proxy.store = faulty
+    return Deployment(recorder, proxy, faulty,
+                      InsecureStore(RedisSim(), items),
+                      len(recorder.records))
+
+
+def judge(deployment: Deployment, attempts: list[Attempt],
+          config: WaffleConfig, id_log: dict[str, str] | None,
+          uniformity: bool = True, inserts_total: int = 0,
+          deletes_total: int = 0,
+          ) -> tuple[list[Violation], list[AccessRecord],
+                     UniformityReport | None]:
+    """The oracle over one run's trace: replay prefixes, the collapsed
+    trace's batch shape and, when ``uniformity``, its lifecycle and α/β
+    (the insert / delete totals move the bounds).
+
+    Returns the violations, the collapsed trace and the uniformity report.
+    """
+    records = deployment.recorder.records
+    violations = check_replay_prefix(records, attempts)
+    collapsed = collapse_trace(records, attempts, deployment.init_end_seq)
+    violations.extend(check_batch_shape(collapsed, config.b))
+    report = None
+    if uniformity:
+        found, report = check_uniformity(collapsed, id_log, config,
+                                         inserts_total, deletes_total)
+        violations.extend(found)
+    return violations, collapsed, report
 
 
 def run_episode(episode: Episode,
@@ -107,23 +164,13 @@ def run_episode(episode: Episode,
     value_size = cfg.value_size
 
     # ---- deploy the stack ------------------------------------------------
-    server = RedisSim(write_once=True)
-    recorder = RecordingStore(server)
-    proxy = WaffleProxy(cfg, store=recorder,
-                        keychain=KeyChain.from_seed(episode.seed),
-                        log_ids=True)
-    items = _initial_items(episode)
-    proxy.initialize(
-        {key: pad_value(value, value_size) for key, value in items.items()})
-    init_end_seq = len(recorder.records)
-    # Faults are spliced in only after initialization: the episode's
-    # fault plan indexes steady-state operations, and the HA snapshot
-    # below must capture a cleanly initialized proxy.
-    chain: StorageBackend = FaultyStorage(recorder, episode.faults)
-    faulty = chain
+    items = {key_name(i): f"init-{episode.seed}-{i}".encode()
+             for i in range(cfg.n)}
+    deployment = deploy(cfg, episode.seed, items, episode.faults)
+    recorder, proxy, baseline = \
+        deployment.recorder, deployment.proxy, deployment.baseline
     if wrap_store is not None:
-        chain = wrap_store(chain)
-    proxy.store = chain
+        proxy.store = wrap_store(proxy.store)
 
     if episode.ha_mode == "quorum":
         ha: HighlyAvailableProxy | QuorumReplicatedProxy = \
@@ -131,9 +178,6 @@ def run_episode(episode: Episode,
                                   quorum=episode.quorum)
     else:
         ha = HighlyAvailableProxy(proxy)
-
-    # ---- the insecure differential model ---------------------------------
-    baseline = InsecureStore(InMemoryStore(), items)
 
     #: Client-side mutations not yet drained by a committed batch.  The
     #: HA snapshot predates them, so after every failover the client
@@ -144,6 +188,7 @@ def run_episode(episode: Episode,
     batch_index = 0
 
     def fail_over() -> None:
+        deployment.faulty.reconnect()
         ha.fail_over()
         result.failovers += 1
         # Re-submit client mutations the promoted snapshot may predate.
@@ -266,17 +311,10 @@ def run_episode(episode: Episode,
             break
 
     # ---- judge -----------------------------------------------------------
-    records = recorder.records
-    result.violations.extend(check_replay_prefix(records, result.attempts))
-    result.collapsed_records = collapse_trace(records, result.attempts,
-                                              init_end_seq)
-    result.violations.extend(
-        check_batch_shape(result.collapsed_records, cfg.b))
-    if not aborted:
-        uniformity_violations, report = check_uniformity(
-            result.collapsed_records, ha.proxy.id_log, cfg,
-            inserts_total=inserts_total, deletes_total=deletes_total)
-        result.violations.extend(uniformity_violations)
-        result.report = report
-    result.faults_injected = dict(faulty.injected)
+    violations, result.collapsed_records, result.report = judge(
+        deployment, result.attempts, cfg, ha.proxy.id_log,
+        uniformity=not aborted, inserts_total=inserts_total,
+        deletes_total=deletes_total)
+    result.violations.extend(violations)
+    result.faults_injected = dict(deployment.faulty.injected)
     return result

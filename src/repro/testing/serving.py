@@ -3,16 +3,17 @@
 The batch-level chaos harness (:mod:`repro.testing.runner`) drives one
 scripted batch at a time; this module drives the *serving* path — an
 :class:`~repro.serve.frontend.AsyncFrontend` fed by an open-loop arrival
-stream, with a stateful :class:`~repro.testing.faults.FaultyTransport`
-spliced between the proxy and the recorded server so connection drops,
-timeouts and partial replies land mid-connection, while the round is in
-flight.
+stream, with the same :class:`~repro.testing.faults.FaultyStorage`
+spliced between the proxy and the recorded server (one shared deploy
+step, :func:`repro.testing.runner.deploy`) so connection drops, timeouts
+and partial replies land mid-connection, while the round is in flight.
 
 Recovery is the production shape: the frontend's round executor retries
-an injected fault by reconnecting the transport and failing over to the
-HA standby snapshot (deterministic replay — the aborted attempt is a
-byte prefix of the retry), and the same differential oracle as the
-batch harness judges the result:
+an injected fault by reconnecting the fault wrapper and failing over to
+the HA standby snapshot (deterministic replay — the aborted attempt is a
+byte prefix of the retry), and the same differential oracle
+(:func:`repro.testing.runner.judge`) as the batch harness judges the
+result:
 
 * every response matches an insecure in-order model (read-your-writes
   in round order, durability across failovers);
@@ -36,30 +37,20 @@ from dataclasses import dataclass, field
 
 from repro.analysis.timing import detect_onset, load_inference_attack
 from repro.analysis.uniformity import UniformityReport
-from repro.baselines.insecure import InsecureStore
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
-from repro.core.proxy import WaffleProxy
-from repro.crypto.keys import KeyChain
 from repro.errors import BackendUnavailableError, OverloadedError
 from repro.ha.replicated import HighlyAvailableProxy
 from repro.serve.frontend import AsyncFrontend
 from repro.serve.policy import make_policy
-from repro.storage.memory import InMemoryStore
-from repro.storage.recording import AccessRecord, RecordingStore
-from repro.storage.redis_sim import RedisSim
+from repro.storage.recording import AccessRecord
 from repro.testing.episodes import DEFAULT_CONFIG
-from repro.testing.faults import FaultPlan, FaultyTransport, InjectedFault
-from repro.testing.oracle import (
-    Attempt,
-    Violation,
-    check_batch_shape,
-    check_replay_prefix,
-    check_uniformity,
-    collapse_trace,
-)
+from repro.testing.faults import FaultPlan, InjectedFault
+from repro.testing.oracle import Attempt, Violation
+from repro.testing.runner import deploy, judge
 from repro.workloads.openloop import (
+    Arrival,
     FlashCrowdArrivals,
     PoissonArrivals,
 )
@@ -100,7 +91,7 @@ class ServingEpisode:
     def build_config(self) -> WaffleConfig:
         return WaffleConfig(seed=self.seed, **self.config)
 
-    def build_arrivals(self):
+    def build_arrivals(self) -> PoissonArrivals | FlashCrowdArrivals:
         """The episode's arrival stream (ops drawn from the same seed)."""
         n_keys = self.config["n"]
         read_fraction = 1.0 - self.write_fraction
@@ -145,24 +136,14 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     cfg = episode.build_config()
     value_size = cfg.value_size
 
-    # ---- deploy: proxy -> FaultyTransport -> recorder -> server ---------
-    server = RedisSim(write_once=True)
-    recorder = RecordingStore(server)
-    proxy = WaffleProxy(cfg, store=recorder,
-                        keychain=KeyChain.from_seed(episode.seed),
-                        log_ids=True)
+    # ---- deploy: proxy -> FaultyStorage -> recorder -> server -----------
     items = {key_name(i): f"serve-{episode.seed}-{i}".encode()
              for i in range(cfg.n)}
-    proxy.initialize(
-        {key: pad_value(value, value_size) for key, value in items.items()})
-    init_end_seq = len(recorder.records)
-    transport = FaultyTransport(
-        recorder,
-        FaultPlan.generate(episode.seed ^ 0x5E12FE, 6 * episode.requests + 8,
-                           rate=episode.fault_rate))
-    proxy.store = transport
-    ha = HighlyAvailableProxy(proxy)
-    baseline = InsecureStore(InMemoryStore(), items)
+    deployment = deploy(cfg, episode.seed, items, FaultPlan.generate(
+        episode.seed ^ 0x5E12FE, 6 * episode.requests + 8,
+        rate=episode.fault_rate))
+    recorder, baseline = deployment.recorder, deployment.baseline
+    ha = HighlyAvailableProxy(deployment.proxy)
     batch_counter = 0
 
     def execute(requests: list[ClientRequest]) -> list[ClientResponse]:
@@ -191,7 +172,7 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
                     len(recorder.records), ok=False,
                     error=type(error).__name__))
                 result.aborted_attempts += 1
-                transport.reconnect()
+                deployment.faulty.reconnect()
                 result.reconnects += 1
                 ha.fail_over()
                 result.failovers += 1
@@ -235,7 +216,7 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
             queue_cap=episode.queue_cap)
         await frontend.start()
 
-        async def one(arrival):
+        async def one(arrival: Arrival) -> bytes:
             if arrival.op is Operation.WRITE:
                 value = f"w-{arrival.key}-{arrival.at:.6f}".encode()
                 return await frontend.put(arrival.key, value)
@@ -265,16 +246,9 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     asyncio.run(drive())
 
     # ---- judge -----------------------------------------------------------
-    records = recorder.records
-    result.violations.extend(check_replay_prefix(records, result.attempts))
-    result.collapsed_records = collapse_trace(records, result.attempts,
-                                              init_end_seq)
-    result.violations.extend(check_batch_shape(result.collapsed_records,
-                                               cfg.b))
-    uniformity_violations, report = check_uniformity(
-        result.collapsed_records, ha.proxy.id_log, cfg)
-    result.violations.extend(uniformity_violations)
-    result.report = report
+    violations, result.collapsed_records, result.report = judge(
+        deployment, result.attempts, cfg, ha.proxy.id_log)
+    result.violations.extend(violations)
     return result
 
 
@@ -380,7 +354,7 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
         submitted = 0
         all_submitted = asyncio.Event()
 
-        async def one(arrival):
+        async def one(arrival: Arrival) -> bytes:
             nonlocal submitted
             await asyncio.sleep(max(0.0, arrival.at
                                     - (frontend._clock() - start)))

@@ -15,14 +15,13 @@ from repro.errors import (
     ConnectionDroppedError,
     is_retryable,
 )
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
+from repro.storage.redis_sim import RedisSim
 from repro.testing import (
     FAULT_KINDS,
     Episode,
     FaultPlan,
     FaultyStorage,
-    FaultyTransport,
     InjectedFault,
     PassthroughStore,
     generate_episode,
@@ -64,8 +63,8 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 # FaultyStorage
 # ---------------------------------------------------------------------------
-def _loaded_store() -> InMemoryStore:
-    store = InMemoryStore()
+def _loaded_store() -> RedisSim:
+    store = RedisSim()
     store.multi_put((f"k{i}", b"v%d" % i) for i in range(10))
     return store
 
@@ -88,7 +87,10 @@ class TestFaultyStorage:
         # failover-replay instead (which handles all four uniformly).
         assert is_retryable(info.value) == (kind != "partial")
         assert faulty.injected == {kind: 1}
-        # The plan is positional: the next operation proceeds.
+        # The plan is positional: the next operation proceeds (after a
+        # drop, on the re-opened connection).
+        if kind == "drop":
+            faulty.reconnect()
         assert faulty.get("k0") == b"v0"
 
     def test_faulted_op_never_reaches_inner(self):
@@ -122,31 +124,45 @@ class TestFaultyStorage:
         assert faulty.ops == 0  # introspection consumed no plan index
 
 
-class TestFaultyTransport:
     def test_drop_is_sticky_until_reconnect(self):
-        transport = FaultyTransport(_loaded_store(),
-                                    FaultPlan(faults={1: "drop"}))
-        assert transport.get("k0") == b"v0"
+        faulty = FaultyStorage(_loaded_store(), FaultPlan(faults={1: "drop"}))
+        assert faulty.get("k0") == b"v0"
         with pytest.raises(ConnectionDroppedError):
-            transport.get("k1")
-        # Every operation fails while down, without consuming plan indices.
-        ops_before = transport.ops
+            faulty.get("k1")
+        assert not faulty.connected
+        # Every operation fails while down, without consuming plan indices
+        # and without counting as a planned fault; introspection still
+        # answers.
+        ops_before = faulty.ops
         with pytest.raises(ConnectionDroppedError):
-            transport.multi_get(["k1"])
+            faulty.multi_get(["k1"])
         with pytest.raises(ConnectionDroppedError):
-            transport.commit_round(["k1"], [])
-        assert transport.ops == ops_before
-        transport.reconnect()
-        assert transport.get("k1") == b"v1"
-        assert transport.reconnects == 1
+            faulty.commit_round(["k1"], [])
+        assert faulty.ops == ops_before
+        assert faulty.injected == {"drop": 1}
+        assert "k1" in faulty and len(faulty) == 10
+        faulty.reconnect()
+        assert faulty.connected
+        assert faulty.get("k1") == b"v1"
+        assert faulty.ops == ops_before + 1
 
     def test_non_drop_faults_do_not_stick(self):
-        transport = FaultyTransport(_loaded_store(),
-                                    FaultPlan(faults={0: "timeout"}))
-        with pytest.raises(InjectedFault):
-            transport.get("k0")
-        assert transport.connected
-        assert transport.get("k0") == b"v0"
+        faulty = FaultyStorage(_loaded_store(),
+                               FaultPlan(faults={0: "timeout", 1: "error"}))
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                faulty.get("k0")
+            assert faulty.connected
+        assert faulty.get("k0") == b"v0"
+        assert faulty.injected == {"timeout": 1, "error": 1}
+
+    def test_reconnect_on_a_live_connection_changes_nothing(self):
+        faulty = FaultyStorage(_loaded_store(), FaultPlan(faults={1: "drop"}))
+        faulty.reconnect()
+        assert faulty.get("k0") == b"v0"
+        with pytest.raises(ConnectionDroppedError):
+            faulty.get("k0")
+        assert faulty.ops == 2 and faulty.injected == {"drop": 1}
 
 
 class TestPassthroughStore:

@@ -8,7 +8,7 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value, unpad_value
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.storage.memory import InMemoryStore
+from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 
@@ -164,7 +164,7 @@ class TestInsertDelete:
                                      + store.config.d)
 
 
-class _Sink(InMemoryStore):
+class _Sink(RedisSim):
     """A server that counts what a load hands it and keeps none of it."""
 
     def __init__(self):

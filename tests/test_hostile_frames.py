@@ -26,7 +26,7 @@ from repro.net.protocol import (
     read_frame,
 )
 from repro.serve import AsyncFrontend, AsyncServeClient, MaxWaitPolicy, ServeServer
-from repro.storage.memory import InMemoryStore
+from repro.storage.redis_sim import RedisSim
 from repro.workloads.ycsb import key_name
 
 
@@ -127,7 +127,7 @@ def _expect_rejection(sock: socket.socket) -> None:
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_storage_server_drops_only_the_hostile_peer(name):
-    backend = InMemoryStore()
+    backend = RedisSim()
     with StorageServer(backend) as server:
         with RemoteStore(server.address) as bystander:
             bystander.put("before", b"1")
@@ -147,7 +147,7 @@ def test_storage_server_drops_only_the_hostile_peer(name):
 def test_storage_server_refuses_every_truncated_round_frame(command):
     """The same cuts, each as a well-framed request on a connection of its
     own; the last connection sends the frame whole and is served."""
-    backend = InMemoryStore()
+    backend = RedisSim()
     backend.multi_put([("old-1", b"1"), ("old-2", b"2"), ("id-one", b"a"),
                        ("id-2", b"b"), ("", b"c"), ("id-fo\u00fcr", b"d")])
     payload = encode_message(ROUND_MESSAGES[command])
@@ -180,7 +180,36 @@ def test_storage_server_refuses_every_truncated_round_frame(command):
 def test_malformed_commit_is_a_wire_error_and_applies_nothing(request_,
                                                               complaint):
     """Decodable, so the peer keeps its connection, but refused whole."""
-    backend = InMemoryStore()
+    _assert_refused_whole(request_, complaint)
+
+
+@pytest.mark.parametrize("request_, complaint", [
+    (["SET", "k", 10**8], "SET takes str, bytes"),
+    (["SET", 7, b"v"], "SET takes str, bytes"),
+    (["SET", "k", "v"], "SET takes str, bytes"),
+    (["SET", "k"], "SET takes str, bytes"),
+    (["SET", "k", b"v", b"w"], "SET takes str, bytes"),
+    (["GET", 7], "GET takes str"),
+    (["GET"], "GET takes str"),
+    (["DEL", None], "DEL takes str"),
+    (["EXISTS", b"old"], "EXISTS takes str"),
+    (["DBSIZE", "old"], "DBSIZE takes no arguments"),
+    (["FLUSHALL"], "unknown command 'FLUSHALL'"),
+    ([7, "old"], "unknown command 7"),
+], ids=["set-int-value", "set-int-key", "set-str-value", "set-no-value",
+        "set-extra-value", "get-int-key", "get-no-key", "del-nil-key",
+        "exists-bytes-key", "dbsize-argument", "unknown-command",
+        "int-command"])
+def test_malformed_single_command_is_a_wire_error_and_applies_nothing(
+        request_, complaint):
+    """The single commands are checked the way ``COMMIT`` is: a 17-byte
+    ``SET`` of an int value must not make the server allocate that many
+    bytes, and a non-``str`` key must not reach the dictionary."""
+    _assert_refused_whole(request_, complaint)
+
+
+def _assert_refused_whole(request_, complaint):
+    backend = RedisSim()
     backend.put("old", b"1")
     with StorageServer(backend) as server:
         with RemoteStore(server.address) as bystander, \
@@ -190,7 +219,7 @@ def test_malformed_commit_is_a_wire_error_and_applies_nothing(request_,
             assert isinstance(reply, _WireError)
             assert reply.message.startswith("ProtocolError:")
             assert complaint in reply.message
-            assert len(backend) == 1 and backend.get("old") == b"1"
+            assert backend._data == {"old": b"1"}
             # Still in step on the same connection, and next to it.
             sock.sendall(_framed(encode_message(
                 ["COMMIT", ["old"], ["new"], [b"v"]])))

@@ -16,7 +16,6 @@ from repro.net.protocol import (
     encode_message,
     read_frame,
 )
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 
@@ -200,11 +199,10 @@ class TestBrokenConnectionStaysBroken:
         import time
 
         from repro.errors import ConnectionDroppedError, StorageTimeoutError
-        from repro.storage.memory import InMemoryStore
 
         gate = threading.Event()
 
-        class SlowOnA(InMemoryStore):
+        class SlowOnA(RedisSim):
             def get(self, key):
                 if key == "a":
                     gate.wait(5)
@@ -284,7 +282,7 @@ def scripted_peer(script):
     assert not thread.is_alive() and not failures
 
 
-class GatedStore(InMemoryStore):
+class GatedStore(RedisSim):
     """Once armed, ``commit_round`` announces itself and then waits (5 s at
     most) to be released before it applies anything."""
 
@@ -343,7 +341,7 @@ class TestDeferredAcknowledgement:
 
     def test_a_refused_round_surfaces_at_the_next_call_which_sent_nothing(
             self):
-        backing = InMemoryStore(write_once=True)
+        backing = RedisSim(write_once=True)
         backing.multi_put([("old1", b"1"), ("old2", b"2"), ("taken", b"t")])
         server_side = RecordingStore(backing)
         with StorageServer(server_side) as server, \
@@ -561,7 +559,7 @@ class TestStreamedLoad:
         reach the socket, the connection is in step, and — a load of
         several frames is not atomic — frame 1 stays."""
         load = self.five_frames()
-        backing = InMemoryStore(write_once=True)
+        backing = RedisSim(write_once=True)
         backing.put(load[20][0], b"taken")
         with StorageServer(backing) as server, \
                 RemoteStore(server.address, timeout_s=5) as remote:

@@ -18,8 +18,8 @@ from repro.baselines.taostore import TaoStore
 from repro.core.config import WaffleConfig
 from repro.crypto.keys import KeyChain
 from repro.obs.registry import MetricsRegistry
-from repro.storage.memory import InMemoryStore
 from repro.storage.recording import RecordingStore
+from repro.storage.redis_sim import RedisSim
 from repro.testing.identity import (
     assert_trace_identical,
     build_proxy,
@@ -96,11 +96,10 @@ class TestProxyInstrumentation:
         assert hists["kernel.aead.encrypt_many.seconds"]["count"] == 1
 
     def test_storage_access_events_stream(self):
-        from repro.storage.memory import InMemoryStore
         from repro.storage.recording import RecordingStore
 
         with obs.capture() as handle:
-            store = RecordingStore(InMemoryStore())
+            store = RecordingStore(RedisSim())
             store.put("a", b"1")
             store.get("a")
             store.delete("a")
@@ -127,7 +126,7 @@ def _neutrality_runs():
     waffle = seeded_run(WaffleConfig.paper_defaults(n=n, seed=seed), rounds)
 
     def pancake():
-        store = RecordingStore(InMemoryStore())
+        store = RecordingStore(RedisSim())
         proxy = PancakeProxy(keys, values, [1.0 / n] * n, store,
                              batch_size=32, keychain=KeyChain.from_seed(seed),
                              seed=seed)
@@ -141,7 +140,7 @@ def _neutrality_runs():
         return digests(store, replies)
 
     def pathoram():
-        store = RecordingStore(InMemoryStore())
+        store = RecordingStore(RedisSim())
         oram = PathOram(values, store, keychain=KeyChain.from_seed(seed),
                         seed=seed)
         rng = random.Random(seed + 2)
@@ -149,7 +148,7 @@ def _neutrality_runs():
                                for _ in range(rounds * 4)])
 
     def taostore():
-        store = RecordingStore(InMemoryStore())
+        store = RecordingStore(RedisSim())
         tao = TaoStore(values, store, keychain=KeyChain.from_seed(seed),
                        seed=seed)
         rng = random.Random(seed + 3)

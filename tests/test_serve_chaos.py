@@ -1,6 +1,6 @@
 """Chaos coverage for the serving stack: faults, oracles, live timing.
 
-The serving episode family splices a :class:`FaultyTransport` under the
+The serving episode family splices a :class:`FaultyStorage` under the
 async frontend's datastore and drives it with seeded open-loop
 arrivals; the differential oracle then judges the committed trace
 exactly like the batch-mode chaos harness does — replay prefixes,

@@ -1,17 +1,25 @@
-"""Tests for the storage substrate: memory store, RedisSim, recorder."""
+"""Tests for the storage substrate: RedisSim and the recorder."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
-from repro.storage import InMemoryStore, RecordingStore, RedisSim
+from repro.errors import DuplicateKeyError, KeyNotFoundError
+from repro.storage import RecordingStore, RedisSim
+from repro.storage.base import StorageBackend
 
 
-@pytest.fixture(params=["memory", "redis"])
+@pytest.fixture(params=["redis", "redis-tcp"])
 def store(request):
-    if request.param == "memory":
-        return InMemoryStore()
-    return RedisSim()
+    """A fresh RedisSim, in process and as seen through a StorageServer
+    (whose single commands go through the same backend methods)."""
+    from repro.net import RemoteStore, StorageServer
+
+    if request.param == "redis":
+        yield RedisSim()
+        return
+    with StorageServer(RedisSim()) as server, \
+            RemoteStore(server.address) as remote:
+        yield remote
 
 
 class TestBackendContract:
@@ -48,13 +56,36 @@ class TestBackendContract:
         assert len(store) == 10
 
 
+class TestTheBatchedCallsAreTheContract:
+    def test_a_backend_without_commit_round_cannot_be_built(self):
+        """No inherited delete-then-put: a backend states its own atomic
+        round commit or it is not a backend."""
+
+        class NoRoundCommit(StorageBackend):
+            # Everything RedisSim states, except the round commit.
+            get, put, delete = RedisSim.get, RedisSim.put, RedisSim.delete
+            __contains__, __len__ = RedisSim.__contains__, RedisSim.__len__
+            multi_get, multi_put = RedisSim.multi_get, RedisSim.multi_put
+            multi_delete = RedisSim.multi_delete
+
+        with pytest.raises(TypeError, match="commit_round"):
+            NoRoundCommit()
+
+
 class TestWriteOnceMode:
-    @pytest.mark.parametrize("factory", [InMemoryStore, RedisSim])
-    def test_duplicate_write_rejected(self, factory):
-        store = factory(write_once=True)
-        store.put("k", b"v")
-        with pytest.raises(DuplicateKeyError):
-            store.put("k", b"v2")
+    @pytest.mark.parametrize("wire", [False, True],
+                             ids=["RedisSim", "RemoteStore"])
+    def test_duplicate_write_rejected(self, wire):
+        from repro.net import RemoteStore, StorageServer
+
+        backing = RedisSim(write_once=True)
+        with StorageServer(backing) as server, \
+                RemoteStore(server.address) as remote:
+            store = remote if wire else backing
+            store.put("k", b"v")
+            with pytest.raises(DuplicateKeyError):
+                store.put("k", b"v2")
+            assert backing.get("k") == b"v"
 
     def test_rewrite_allowed_after_delete(self):
         store = RedisSim(write_once=True)
@@ -65,31 +96,24 @@ class TestWriteOnceMode:
 
 
 class TestRedisCommands:
-    def test_exists_and_dbsize(self):
-        redis = RedisSim()
-        assert redis.execute(("EXISTS", "k")) == 0
-        redis.execute(("SET", "k", b"v"))
-        assert redis.execute(("EXISTS", "k")) == 1
-        assert redis.execute(("DBSIZE",)) == 1
+    """Every RedisSim call counts as Redis commands, one per id, in
+    ``storage.commands.total{backend=redis_sim,command=...}``."""
 
-    def test_mget_mset(self):
-        redis = RedisSim()
-        redis.execute(("MSET", "a", b"1", "b", b"2"))
-        assert redis.execute(("MGET", "a", "b")) == [b"1", b"2"]
-
-    def test_mset_odd_args_rejected(self):
-        with pytest.raises(ProtocolError):
-            RedisSim().execute(("MSET", "a"))
-
-    def test_unknown_command_rejected(self):
-        with pytest.raises(ProtocolError):
-            RedisSim().execute(("FLUSHALL",))
+    name = "storage.commands.total{backend=redis_sim,command=%s}"
 
     def test_command_count(self):
+        from repro import obs
+
         redis = RedisSim()
-        redis.put("a", b"1")
-        redis.get("a")
-        assert redis.command_count == 2
+        with obs.capture() as handle:
+            redis.put("a", b"1")
+            assert redis.get("a") == b"1"
+            assert "a" in redis and len(redis) == 1
+            redis.delete("a")
+        counters = handle.registry.snapshot()["counters"]
+        assert {command: counters[self.name % command]
+                for command in ("SET", "GET", "EXISTS", "DBSIZE", "DEL")} \
+            == dict.fromkeys(("SET", "GET", "EXISTS", "DBSIZE", "DEL"), 1)
 
     def test_batched_calls_count_one_command_per_id(self):
         from repro import obs
@@ -100,26 +124,22 @@ class TestRedisCommands:
             assert redis.multi_get(["a", "b"]) == [b"1", b"2"]
             redis.commit_round(["a", "b"], [("d", b"4")])
             redis.multi_delete(["c"])
-        assert redis.command_count == 3 + 2 + 3 + 1
         counters = handle.registry.snapshot()["counters"]
-        name = "storage.commands.total{backend=redis_sim,command=%s}"
-        assert {command: counters[name % command]
+        assert {command: counters[self.name % command]
                 for command in ("SET", "GET", "DEL")} == \
             {"SET": 4, "GET": 2, "DEL": 3}
 
 
-@pytest.fixture(params=["memory", "redis", "memory-tcp", "redis-tcp"])
+@pytest.fixture(params=["redis", "redis-tcp"])
 def write_once_pair(request):
     """A write-once store holding three ids, in process and as seen
     through a ``StorageServer``: (the handle a proxy would hold, the
     dictionary behind it)."""
     from repro.net import RemoteStore, StorageServer
 
-    kind, _, wire = request.param.partition("-")
-    backing = (InMemoryStore if kind == "memory" else RedisSim)(
-        write_once=True)
+    backing = RedisSim(write_once=True)
     backing.multi_put([("old1", b"1"), ("old2", b"2"), ("taken", b"t")])
-    if not wire:
+    if request.param == "redis":
         yield backing, backing
         return
     with StorageServer(backing) as server, \
@@ -186,13 +206,14 @@ class TestRecordingStore:
         sequence numbers — the backend alone would have stored it."""
         seen_by_the_backend = []
 
-        class Watching(InMemoryStore):
-            def put(self, key, value):
-                seen_by_the_backend.append((key, len(recorder.records)))
-                super().put(key, value)
+        class Watching(RedisSim):
+            def multi_put(self, items):
+                for key, value in items:
+                    seen_by_the_backend.append((key, len(recorder.records)))
+                    self.put(key, value)
 
         load = [(f"id{i:03d}", b"v%d" % i) for i in range(40)]
-        unrecorded = InMemoryStore()
+        unrecorded = RedisSim()
         unrecorded.multi_put(iter(load))
         recorder = RecordingStore(Watching())
         recorder.multi_put(iter(load))
