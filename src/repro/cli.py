@@ -139,22 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="database size")
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--policy",
-                       choices=["on-fill", "max-wait", "fixed-interval",
-                                "randomized-interval"],
+                       choices=["on-fill", "max-wait", "fixed-interval"],
                        default="max-wait",
-                       help="round-release policy (DESIGN.md §13/§14)")
+                       help="round-release policy (DESIGN.md §13)")
     serve.add_argument("--max-wait", type=float, default=0.01,
                        help="max-wait straggler deadline in seconds")
     serve.add_argument("--interval", type=float, default=0.02,
-                       help="fixed/randomized-interval base period in "
-                            "seconds")
-    serve.add_argument("--jitter", type=float, default=None,
-                       help="randomized-interval jitter half-width in "
-                            "seconds (default interval/2)")
-    serve.add_argument("--partitions", type=int, default=1,
-                       help="serve a hash-partitioned deployment with "
-                            "this many independent proxies "
-                            "(DESIGN.md §14; --n is per partition)")
+                       help="fixed-interval period in seconds")
     serve.add_argument("--queue-cap", type=int, default=1024,
                        help="admission cap on pending requests "
                             "(past it requests are shed as Overloaded)")
@@ -356,62 +347,30 @@ def _run_serve(args) -> int:
 
     from repro.core.datastore import WaffleDatastore
     from repro.errors import OverloadedError
-    from repro.scaleout import PartitionedWaffle
-    from repro.serve import (
-        AsyncFrontend,
-        AsyncServeClient,
-        ServeServer,
-        ShardedFrontend,
-    )
+    from repro.serve import AsyncFrontend, AsyncServeClient, ServeServer
     from repro.serve.policy import make_policy
     from repro.workloads.openloop import PoissonArrivals
     from repro.workloads.trace import Operation
-    from repro.workloads.ycsb import YcsbWorkload, key_name
+    from repro.workloads.ycsb import YcsbWorkload
 
     if args.demo_load > 0 and args.duration <= 0:
         print("--demo-load requires a positive --duration", file=sys.stderr)
         return EXIT_USAGE
-    if args.partitions < 1:
-        print("--partitions must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
 
     config = WaffleConfig.paper_defaults(n=args.n, seed=args.seed)
-
-    def build_policy():
-        # Each partition needs its own policy instance (schedules are
-        # stateful); the same seed keeps randomized grids identical
-        # across partitions so the merged schedule stays single-proxy.
-        return make_policy(args.policy, config.r, max_wait_s=args.max_wait,
-                           interval_s=args.interval, jitter_s=args.jitter,
-                           seed=args.seed)
-
-    if args.partitions > 1:
-        # --n keys per partition, hash-balanced by the shared router.
-        candidates = (key_name(i)
-                      for i in range(64 * args.n * args.partitions + 4096))
-        keys = PartitionedWaffle.plan_partitions(
-            candidates, args.n, args.partitions, master_seed=args.seed)
-        items = {key: b"serve-" + key.encode() for key in keys}
-        store = PartitionedWaffle(config, items, args.partitions,
-                                  master_seed=args.seed)
-        frontend = ShardedFrontend(store,
-                                   policy_factory=lambda i: build_policy(),
-                                   queue_cap=args.queue_cap)
-        demo_keys = keys
-    else:
-        workload = YcsbWorkload(args.n, read_proportion=0.5, theta=0.99,
-                                value_size=128, seed=args.seed)
-        datastore = WaffleDatastore(config, dict(workload.initial_records()),
-                                    record=False)
-        frontend = AsyncFrontend(datastore, policy=build_policy(),
-                                 queue_cap=args.queue_cap)
-        demo_keys = [key_name(i) for i in range(args.n)]
+    workload = YcsbWorkload(args.n, read_proportion=0.5, theta=0.99,
+                            value_size=128, seed=args.seed)
+    datastore = WaffleDatastore(config, dict(workload.initial_records()),
+                                record=False)
+    frontend = AsyncFrontend(
+        datastore,
+        policy=make_policy(args.policy, config.r, max_wait_s=args.max_wait,
+                           interval_s=args.interval),
+        queue_cap=args.queue_cap)
 
     async def demo_client(host: str, port: int) -> dict:
-        stream = PoissonArrivals(args.demo_load, len(demo_keys),
-                                 seed=args.seed)
+        stream = PoissonArrivals(args.demo_load, args.n, seed=args.seed)
         arrivals = stream.generate(args.duration)
-        key_map = {key_name(i): key for i, key in enumerate(demo_keys)}
         workers = 8
         shares = [arrivals[i::workers] for i in range(workers)]
         counts = {"completed": 0, "shed": 0}
@@ -419,12 +378,11 @@ def _run_serve(args) -> int:
         async def worker(share) -> None:
             async with AsyncServeClient(host, port) as client:
                 for arrival in share:
-                    key = key_map[arrival.key]
                     try:
                         if arrival.op is Operation.WRITE:
-                            await client.put(key, b"demo-write")
+                            await client.put(arrival.key, b"demo-write")
                         else:
-                            await client.get(key)
+                            await client.get(arrival.key)
                     except OverloadedError:
                         counts["shed"] += 1
                     else:
@@ -436,11 +394,9 @@ def _run_serve(args) -> int:
     async def run_server() -> dict:
         async with ServeServer(frontend, args.host, args.port) as server:
             host, port = server.address
-            sharding = (f", partitions={args.partitions}"
-                        if args.partitions > 1 else "")
             print(f"serving on {host}:{port} "
                   f"(policy {args.policy.replace('-', '_')}, R={config.r}, "
-                  f"queue cap {args.queue_cap}{sharding})")
+                  f"queue cap {args.queue_cap})")
             demo: dict = {}
             if args.demo_load > 0:
                 demo = await demo_client(host, port)

@@ -4,9 +4,10 @@ CI runs ``mypy --strict`` on ``crypto/``, ``core/``, ``ds/``,
 ``storage/`` and ``net/``; this rule is the local, dependency-free proxy
 for the two strict flags that catch the most regressions —
 ``disallow_untyped_defs`` and ``disallow_incomplete_defs`` — over those
-packages and ``testing/`` (the chaos harness, whose fault wrapper sits on
-the storage path), so a missing annotation fails ``repro.cli lint`` on
-the developer's machine even when mypy is not installed.
+packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
+the storage path), ``serve/`` (the client-facing sockets), ``ha/`` and
+``scaleout/``, so a missing annotation fails ``repro.cli lint`` on the
+developer's machine even when mypy is not installed.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from repro.lint.engine import Finding, Module, Rule
 __all__ = ["TypingCompletenessRule"]
 
 _GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
-          "repro/net/", "repro/testing/")
+          "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
+          "repro/scaleout/")
 
 
 class TypingCompletenessRule(Rule):
     id = "OBL501"
     name = "typing-completeness"
     description = ("every def in the typing-gated packages (crypto/, "
-                   "core/, ds/, storage/, net/, testing/) must annotate "
-                   "all parameters and its return type")
+                   "core/, ds/, storage/, net/, testing/, serve/, ha/, "
+                   "scaleout/) must annotate all parameters and its "
+                   "return type")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.relpath.startswith(_GATED):

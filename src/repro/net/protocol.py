@@ -49,7 +49,7 @@ from __future__ import annotations
 import socket
 import struct
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence, Union, cast
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union, cast
 
 if TYPE_CHECKING:
     import asyncio
@@ -58,6 +58,7 @@ from repro.errors import ProtocolError
 
 __all__ = [
     "WireValue",
+    "check_command",
     "decode_message",
     "encode_frame",
     "encode_message",
@@ -213,6 +214,20 @@ class _WireError:
             # reached the proxy (is_retryable() returns True).
             raise OverloadedError(detail.strip() or "server overloaded")
         raise StorageError(self.message)
+
+
+def check_command(commands: Mapping[str, tuple[type, ...]], name: Any,
+                  args: Sequence[Any]) -> None:
+    """Refuse, with a :class:`~repro.errors.ProtocolError`, a command that
+    ``commands`` does not name or whose arguments are not exactly the
+    types it lists for that name."""
+    types = commands.get(name) if isinstance(name, str) else None
+    if types is None:
+        raise ProtocolError(f"unknown command {name!r}")
+    if len(args) != len(types) or any(
+            type(arg) is not kind for arg, kind in zip(args, types)):
+        raise ProtocolError(f"{name} takes " + (", ".join(
+            kind.__name__ for kind in types) or "no arguments"))
 
 
 def encode_message(value: WireValue) -> bytes:

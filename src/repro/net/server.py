@@ -22,6 +22,7 @@ from repro.errors import ProtocolError
 from repro.obs import OBS
 from repro.net.protocol import (
     WireValue,
+    check_command,
     decode_message,
     encode_frame,
     read_frame,
@@ -183,13 +184,7 @@ class StorageServer:
     def _single(self, name: Any, *args: Any) -> WireValue:
         """One single-key command, refused whole unless its arguments are
         what :data:`_SINGLE` says: ``str`` keys and a ``bytes`` value."""
-        types = _SINGLE.get(name) if isinstance(name, str) else None
-        if types is None:
-            raise ProtocolError(f"unknown command {name!r}")
-        if len(args) != len(types) or any(
-                type(arg) is not kind for arg, kind in zip(args, types)):
-            raise ProtocolError(f"{name} takes " + (", ".join(
-                kind.__name__ for kind in types) or "no arguments"))
+        check_command(_SINGLE, name, args)
         backend = self.backend
         if name == "GET":
             return backend.get(args[0])

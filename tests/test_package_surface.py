@@ -42,8 +42,8 @@ class TestPackageSurface:
         "repro.core", "repro.crypto", "repro.ds", "repro.storage",
         "repro.sim", "repro.workloads", "repro.baselines",
         "repro.analysis", "repro.bench", "repro.ha", "repro.scaleout",
-        "repro.net", "repro.cli", "repro.serve", "repro.serve.sharded",
-        "repro.testing", "repro.obs", "repro.lint",
+        "repro.net", "repro.cli", "repro.serve", "repro.testing",
+        "repro.obs", "repro.lint",
     ])
     def test_subpackage_all_exports_resolve(self, module):
         mod = importlib.import_module(module)

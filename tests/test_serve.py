@@ -32,7 +32,6 @@ from repro.serve import (
     FixedIntervalPolicy,
     MaxWaitPolicy,
     OnFillPolicy,
-    RandomizedIntervalPolicy,
     ServeServer,
     make_policy,
 )
@@ -143,138 +142,11 @@ class TestFixedIntervalPolicy:
             FixedIntervalPolicy(0.0)
 
 
-class TestRandomizedIntervalPolicy:
-    def test_identically_seeded_schedules_are_float_identical(self):
-        """Same (interval, jitter, seed, epoch) => same committed ticks —
-        the property sharded epoch alignment relies on."""
-        releases = []
-        for _ in range(2):
-            policy = RandomizedIntervalPolicy(0.05, 0.02, seed=9)
-            policy.align(100.0)
-            committed = []
-            now = 100.0
-            for _ in range(20):
-                now = policy.next_deadline(0, None, now)
-                release = policy.release_time(now)
-                policy.mark_release(release)
-                committed.append(release)
-            releases.append(committed)
-        assert releases[0] == releases[1]
-
-    def test_gaps_stay_inside_the_jitter_band(self):
-        policy = RandomizedIntervalPolicy(0.05, 0.02, seed=3)
-        policy.align(0.0)
-        committed = []
-        now = 0.0
-        for _ in range(50):
-            now = policy.next_deadline(0, None, now)
-            release = policy.release_time(now)
-            policy.mark_release(release)
-            committed.append(release)
-        gaps = [b - a for a, b in zip(committed, committed[1:])]
-        assert all(0.03 <= gap <= 0.07 for gap in gaps)
-        # Jitter is real: the gaps are not a constant grid.
-        assert len({round(gap, 9) for gap in gaps}) > 1
-
-    def test_overrun_merges_ticks_and_stays_on_schedule(self):
-        """A late dispatch commits to the latest pre-drawn tick; the
-        committed instants are a subsequence of the seeded schedule."""
-        import random as random_module
-
-        policy = RandomizedIntervalPolicy(0.05, 0.02, seed=4)
-        policy.align(0.0)
-        # Twin of the policy's private rng: the full pre-drawn schedule.
-        rng = random_module.Random(4)
-        ticks, t = [], 0.0
-        for _ in range(40):
-            t += 0.05 + rng.uniform(-0.02, 0.02)
-            ticks.append(t)
-        # Dispatch extremely late, past several scheduled ticks.
-        release = policy.release_time(ticks[5] + 0.001)
-        policy.mark_release(release)
-        assert release == pytest.approx(ticks[5], abs=1e-12)
-        assert policy.next_deadline(0, None, release) == \
-            pytest.approx(ticks[6], abs=1e-12)
-
-    def test_zero_jitter_degenerates_to_the_fixed_grid(self):
-        policy = RandomizedIntervalPolicy(0.05, 0.0, seed=8)
-        policy.align(0.0)
-        committed = []
-        now = 0.0
-        for _ in range(10):
-            now = policy.next_deadline(0, None, now)
-            release = policy.release_time(now)
-            policy.mark_release(release)
-            committed.append(release)
-        gaps = [b - a for a, b in zip(committed, committed[1:])]
-        assert all(gap == pytest.approx(0.05) for gap in gaps)
-
-    def test_fires_empty_and_realign_rejected(self):
-        policy = RandomizedIntervalPolicy(0.05, 0.01)
-        assert policy.fires_empty is True
-        policy.align(1.0)
-        with pytest.raises(ConfigurationError):
-            policy.align(2.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            RandomizedIntervalPolicy(0.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            RandomizedIntervalPolicy(0.05, -0.01)
-        with pytest.raises(ConfigurationError):
-            RandomizedIntervalPolicy(0.05, 0.05)  # gap could hit zero
-
-    def test_randomized_schedule_bounds_timing_leakage(self):
-        """The seeded schedule is workload-independent: the attack score
-        stays under the oracle's shaped-schedule ceiling (0.35) and far
-        below the on-fill baseline on the same flash crowd."""
-        from repro.analysis.timing import load_inference_attack
-        from repro.workloads.openloop import FlashCrowdArrivals
-
-        duration, r = 4.0, 4
-        workload = FlashCrowdArrivals(
-            200.0, 64, spike_factor=5.0, burst_start=1.6,
-            burst_duration=1.2, hot_keys=4, seed=5, read_fraction=1.0)
-        arrivals = workload.generate(duration)
-
-        policy = RandomizedIntervalPolicy(0.05, 0.02, seed=5)
-        policy.align(0.0)
-        shaped, now = [], 0.0
-        while now < duration:
-            now = policy.next_deadline(0, None, now)
-            release = policy.release_time(now)
-            policy.mark_release(release)
-            shaped.append(release)
-
-        def score(timestamps):
-            rates = [workload.rate_at((a + b) / 2.0)
-                     for a, b in zip(timestamps, timestamps[1:])]
-            return load_inference_attack(timestamps, rates,
-                                         r)["leakage_score"]
-
-        on_fill = [arrivals[i].at
-                   for i in range(r - 1, len(arrivals), r)]
-        assert score(shaped) < 0.35  # check_timing_channel's ceiling
-        assert score(shaped) < score(on_fill)
-
-
 class TestMakePolicy:
     def test_hyphenated_and_underscored_names(self):
-        assert isinstance(make_policy("on-fill", 4), OnFillPolicy)
-        assert isinstance(make_policy("max_wait", 4), MaxWaitPolicy)
-        assert isinstance(make_policy("fixed-interval", 4),
-                          FixedIntervalPolicy)
-        assert isinstance(make_policy("randomized-interval", 4),
-                          RandomizedIntervalPolicy)
-
-    def test_randomized_defaults_jitter_to_half_interval(self):
-        policy = make_policy("randomized_interval", 4, interval_s=0.04,
-                             seed=6)
-        assert policy.jitter_s == pytest.approx(0.02)
-        assert policy.seed == 6
-        explicit = make_policy("randomized_interval", 4, interval_s=0.04,
-                               jitter_s=0.001)
-        assert explicit.jitter_s == pytest.approx(0.001)
+        for kind in (OnFillPolicy, MaxWaitPolicy, FixedIntervalPolicy):
+            for name in (kind.name, kind.name.replace("_", "-")):
+                assert isinstance(make_policy(name, 4), kind)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -413,7 +285,6 @@ class TestAsyncFrontend:
                                                         small_datastore):
         async def scenario():
             frontend = AsyncFrontend(small_datastore)
-            assert frontend._owns_executor
             await frontend.start()
             await asyncio.gather(*(frontend.get(key_name(i))
                                    for i in range(8)))
@@ -423,24 +294,6 @@ class TestAsyncFrontend:
         frontend = asyncio.run(scenario())
         with pytest.raises(RuntimeError):
             frontend._executor.submit(lambda: None)  # pool is shut down
-
-    def test_shared_executor_is_never_shut_down(self, small_datastore):
-        from concurrent.futures import ThreadPoolExecutor
-
-        shared = ThreadPoolExecutor(max_workers=1)
-        try:
-            async def scenario():
-                frontend = AsyncFrontend(small_datastore, executor=shared)
-                assert not frontend._owns_executor
-                async with frontend:
-                    await asyncio.gather(*(frontend.get(key_name(i))
-                                           for i in range(8)))
-
-            asyncio.run(scenario())
-            # Still alive after the frontend closed: the owner decides.
-            assert shared.submit(lambda: 42).result() == 42
-        finally:
-            shared.shutdown(wait=True)
 
     def test_release_times_recorded_per_round(self, small_datastore):
         async def scenario():
