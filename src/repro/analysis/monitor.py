@@ -17,8 +17,13 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
+    from repro.storage.recording import AccessRecord
 
 __all__ = ["AlphaMonitor", "WindowReport", "attach_monitor"]
 
@@ -116,7 +121,7 @@ class AlphaMonitor:
     def outstanding_ids(self) -> int:
         return len(self._write_round)
 
-    def feed_records(self, records) -> None:
+    def feed_records(self, records: Iterable[AccessRecord]) -> None:
         """Convenience: replay a recorded trace through the monitor."""
         for record in records:
             if record.op == "write":
@@ -125,7 +130,8 @@ class AlphaMonitor:
                 self.observe_read(record.storage_id, record.round)
 
 
-def attach_monitor(tracer, monitor: AlphaMonitor):
+def attach_monitor(tracer: Tracer,
+                   monitor: AlphaMonitor) -> Callable[[dict], None]:
     """Feed ``monitor`` live from a tracer's ``storage.access`` events.
 
     Subscribes to the tracer (``repro.obs.Tracer``) and routes each

@@ -38,8 +38,12 @@ from __future__ import annotations
 
 import math
 import random
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.clock import SimClock
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
 
 __all__ = [
     "TimingObserver",
@@ -99,7 +103,9 @@ class TimingObserver:
         }
 
 
-def attach_timing_observer(tracer, observer: TimingObserver, clock=None):
+def attach_timing_observer(tracer: Tracer, observer: TimingObserver,
+                           clock: Callable[[], float] | None = None,
+                           ) -> Callable[[dict], None]:
     """Stamp each round's first ``storage.access`` into ``observer``.
 
     Mirrors :func:`repro.analysis.monitor.attach_monitor`: subscribes to

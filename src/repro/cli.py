@@ -114,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of episodes to sweep (default 100)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed; episode i uses seed + i")
-    chaos.add_argument("--ha", choices=["both", "replicated", "quorum"],
-                       default="both", help="HA modes to alternate through")
     chaos.add_argument("--steps", type=int, default=16,
                        help="scheduling slots per episode")
     chaos.add_argument("--json", action="store_true",
@@ -301,16 +299,15 @@ def _run_chaos(args) -> int:
                 "violations": [vars(v) for v in result.violations],
             }, indent=2))
         else:
-            print(f"episode seed {episode.seed} ({episode.ha_mode}): "
+            print(f"episode seed {episode.seed} "
+                  f"(standbys={episode.standbys}): "
                   + ("OK" if result.ok else "FAILED"))
             for violation in result.violations:
                 print(f"  {violation}")
         return 0 if result.ok else EXIT_CHAOS
 
-    modes = (("replicated", "quorum") if args.ha == "both"
-             else (args.ha,))
     report = run_sweep(episodes=args.episodes, base_seed=args.seed,
-                       ha_modes=modes, steps=args.steps)
+                       steps=args.steps)
     if args.json:
         print(json.dumps({
             "episodes": report.episodes,
@@ -319,7 +316,7 @@ def _run_chaos(args) -> int:
             "aborted_attempts": report.aborted_attempts,
             "faults_injected": report.faults_injected,
             "failures": [
-                {"seed": episode.seed, "ha_mode": episode.ha_mode,
+                {"seed": episode.seed, "standbys": episode.standbys,
                  "violations": [vars(v) for v in violations]}
                 for episode, violations in report.failures
             ],

@@ -1,4 +1,4 @@
-"""Proxy high availability: checkpointing and primary-secondary failover.
+"""Proxy high availability: checkpointing and replicated failover.
 
 The paper assumes "a stateful entity assumed to be highly available
 (which can be ensured with techniques such as a primary-secondary
@@ -8,9 +8,11 @@ as future work (§10).  This package supplies that substrate:
 * :mod:`repro.ha.checkpoint` — capture/restore the proxy's complete
   trusted state (timestamp indexes, cache, RNG, mutation queue, secrets)
   such that a restored proxy is behaviourally identical;
-* :mod:`repro.ha.replicated` — a primary-secondary wrapper that ships a
-  state snapshot to the standby at every batch boundary and fails over
-  without violating linearizability or any storage-id invariant.
+* :mod:`repro.ha.replicated` — :class:`ReplicatedProxy`, a primary with
+  ``standbys`` replicas (one standby is primary-secondary, more is a
+  quorum group) that ships a state snapshot to every live standby at
+  every batch boundary and fails over without violating linearizability
+  or any storage-id invariant.
 
 Crash granularity is the batch boundary: a batch is the proxy's atomic
 unit of work against the server (Algorithm 1 runs one batch at a time),
@@ -20,12 +22,10 @@ machinery, which is orthogonal here.
 """
 
 from repro.ha.checkpoint import capture_proxy, restore_proxy
-from repro.ha.quorum import QuorumReplicatedProxy
-from repro.ha.replicated import HighlyAvailableProxy
+from repro.ha.replicated import ReplicatedProxy
 
 __all__ = [
-    "HighlyAvailableProxy",
-    "QuorumReplicatedProxy",
+    "ReplicatedProxy",
     "capture_proxy",
     "restore_proxy",
 ]

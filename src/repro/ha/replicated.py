@@ -1,17 +1,24 @@
-"""Primary-secondary replicated proxy.
+"""Replicated proxy: a primary and a group of standbys.
 
-The primary executes every batch; at each batch boundary a full state
-snapshot ships to the standby (state shipping rather than command
+§3.1: proxy availability "can be ensured with techniques such as a
+primary-secondary replication or a quorum replication".  Both are one
+class here — primary-secondary is the group with one standby.
+
+The primary executes every batch; at each batch boundary one full state
+snapshot ships to every live standby (state shipping rather than command
 replay, because replaying Algorithm 1 would re-issue server I/O whose
-storage ids have already been consumed — each id is read-once).  On
-:meth:`fail_over`, the standby's snapshot becomes the new primary,
-attached to the same untrusted server, and processing continues with no
-client-visible difference: linearizability, the write-once/read-once id
-lifecycle and the α/β bounds all carry across (verified by the tests).
+storage ids have already been consumed — each id is read-once).  A batch
+is acknowledged only once a write quorum (majority by default; the
+primary counts) holds it, so promoting any live standby never resumes
+from a state older than the last acknowledged batch.  On
+:meth:`ReplicatedProxy.fail_over` the promoted snapshot attaches to the
+same untrusted server and processing continues with no client-visible
+difference: linearizability, the write-once/read-once id lifecycle and
+the α/β bounds all carry across (verified by the tests).
 
-The paper's availability assumption (§3.1) is exactly this shape; a
-quorum variant would ship the same blob to multiple standbys and is a
-policy layer above :class:`HighlyAvailableProxy`.
+Standby failures are simulated with :meth:`ReplicatedProxy.fail_standby`;
+the group refuses new batches once fewer than ``quorum - 1`` standbys
+remain.
 """
 
 from __future__ import annotations
@@ -25,94 +32,113 @@ from repro.ha.checkpoint import capture_proxy, restore_proxy
 from repro.obs import OBS
 from repro.storage.base import StorageBackend
 
-__all__ = ["HighlyAvailableProxy"]
+__all__ = ["ReplicatedProxy"]
 
 
-class HighlyAvailableProxy:
-    """A proxy with a warm standby snapshot and batch-boundary shipping.
+class ReplicatedProxy:
+    """A proxy replica group with synchronous batch-boundary shipping.
 
     Parameters
     ----------
     primary:
         The initialized proxy doing the work.
-    checkpoint_interval:
-        Ship a snapshot every this many batches (1 = synchronous
-        replication, the default; larger intervals trade recovery
-        currency for shipping cost, and :meth:`fail_over` then refuses
-        unless ``allow_stale`` acknowledges the gap).
+    standbys:
+        Number of standby replicas (group = standbys + 1); one standby
+        is primary-secondary replication.
+    quorum:
+        Members (including the primary) that must hold a snapshot before
+        a batch acknowledges; defaults to a majority of the group.
     """
 
-    def __init__(self, primary: WaffleProxy,
-                 checkpoint_interval: int = 1) -> None:
-        if checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint interval must be >= 1")
+    def __init__(self, primary: WaffleProxy, standbys: int = 1,
+                 quorum: int | None = None) -> None:
+        if standbys < 1:
+            raise ConfigurationError("need at least one standby")
+        group_size = standbys + 1
+        self.quorum = quorum if quorum is not None else group_size // 2 + 1
+        if not 1 <= self.quorum <= group_size:
+            raise ConfigurationError(
+                f"quorum must lie in [1, {group_size}]"
+            )
         self._primary = primary
-        self._interval = checkpoint_interval
-        self._standby_blob: bytes = capture_proxy(primary)
-        self._batches_since_ship = 0
+        #: standby id -> latest acknowledged snapshot (None once failed)
+        self._standbys: list[bytes | None] = \
+            [capture_proxy(primary)] * standbys
         self.failovers = 0
-        self.snapshots_shipped = 1
+        self.acknowledged_batches = 0
 
+    # ------------------------------------------------------------------
+    # membership
+    # ------------------------------------------------------------------
     @property
     def proxy(self) -> WaffleProxy:
         """The current primary (changes after fail-over)."""
         return self._primary
 
     @property
-    def standby_lag_batches(self) -> int:
-        """Batches executed since the standby's snapshot."""
-        return self._batches_since_ship
+    def alive_standbys(self) -> int:
+        return sum(blob is not None for blob in self._standbys)
 
+    def _member(self, standby_id: int) -> int:
+        if not 0 <= standby_id < len(self._standbys):
+            raise ProtocolError(
+                f"no standby {standby_id} in a group of "
+                f"{len(self._standbys)}")
+        return standby_id
+
+    def fail_standby(self, standby_id: int) -> None:
+        """A standby machine dies (its snapshot is lost with it)."""
+        if self._standbys[self._member(standby_id)] is None:
+            raise ProtocolError(f"standby {standby_id} already failed")
+        self._standbys[standby_id] = None
+
+    def restore_standby(self, standby_id: int) -> None:
+        """A replacement standby joins and receives the current state."""
+        self._standbys[self._member(standby_id)] = \
+            capture_proxy(self._primary)
+
+    # ------------------------------------------------------------------
+    # request path
+    # ------------------------------------------------------------------
     def handle_batch(self, requests: list[ClientRequest],
                      ) -> list[ClientResponse]:
-        """Execute one batch on the primary, then replicate."""
+        """Execute one batch, then replicate to a quorum before acking."""
+        if 1 + self.alive_standbys < self.quorum:
+            raise ProtocolError(
+                f"quorum lost: {1 + self.alive_standbys} of "
+                f"{self.quorum} required members alive"
+            )
         responses = self._primary.handle_batch(requests)
-        self._batches_since_ship += 1
-        if self._batches_since_ship >= self._interval:
-            if OBS.enabled:
-                start = time.perf_counter()
-                self._standby_blob = capture_proxy(self._primary)
-                OBS.observe_span("ha.checkpoint",
-                                 time.perf_counter() - start,
-                                 bytes=len(self._standby_blob))
-                OBS.registry.counter("ha.snapshots.total").inc()
-            else:
-                self._standby_blob = capture_proxy(self._primary)
-            self.snapshots_shipped += 1
-            self._batches_since_ship = 0
         if OBS.enabled:
-            OBS.registry.gauge("ha.standby_lag.batches").set(
-                self._batches_since_ship)
+            start = time.perf_counter()
+            blob = capture_proxy(self._primary)
+            OBS.observe_span("ha.checkpoint", time.perf_counter() - start,
+                             bytes=len(blob))
+            OBS.registry.counter("ha.snapshots.total").inc()
+        else:
+            blob = capture_proxy(self._primary)
+        self._standbys = [blob if held is not None else None
+                          for held in self._standbys]
+        self.acknowledged_batches += 1
         return responses
 
-    def fail_over(self, store: StorageBackend | None = None,
-                  allow_stale: bool = False) -> WaffleProxy:
-        """Promote the standby snapshot to primary.
+    # ------------------------------------------------------------------
+    # promotion
+    # ------------------------------------------------------------------
+    def fail_over(self, store: StorageBackend | None = None) -> WaffleProxy:
+        """The primary dies; promote the first live standby's snapshot.
 
-        Parameters
-        ----------
-        store:
-            Server handle for the new primary; defaults to the old
-            primary's (the server survived, the proxy did not).
-        allow_stale:
-            With ``checkpoint_interval > 1`` the snapshot may lag the
-            server by up to ``interval - 1`` batches; resuming from it
-            would re-derive already-consumed storage ids.  Synchronous
-            replication (interval 1, the default) never lags; a lagging
-            snapshot is refused unless the caller explicitly accepts
-            that the affected batches must be recovered by other means.
+        ``store`` is the new primary's server handle; it defaults to the
+        old primary's (the server survived, the proxy did not).
         """
-        if self._batches_since_ship and not allow_stale:
-            raise ProtocolError(
-                f"standby lags primary by {self._batches_since_ship} "
-                "batches; pass allow_stale=True to promote anyway"
-            )
+        blob = next((held for held in self._standbys if held is not None),
+                    None)
+        if blob is None:
+            raise ProtocolError("no alive standby to promote")
         target_store = store if store is not None else self._primary.store
-        self._primary = restore_proxy(self._standby_blob, target_store)
-        self._batches_since_ship = 0
+        self._primary = restore_proxy(blob, target_store)
         self.failovers += 1
         if OBS.enabled:
             OBS.registry.counter("ha.failovers.total").inc()
-            OBS.event("ha.failover", round=self._primary.ts,
-                      stale=allow_stale)
+            OBS.event("ha.failover", round=self._primary.ts)
         return self._primary

@@ -5,9 +5,11 @@ CI runs ``mypy --strict`` on ``crypto/``, ``core/``, ``ds/``,
 for the two strict flags that catch the most regressions —
 ``disallow_untyped_defs`` and ``disallow_incomplete_defs`` — over those
 packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
-the storage path), ``serve/`` (the client-facing sockets), ``ha/`` and
-``scaleout/``, so a missing annotation fails ``repro.cli lint`` on the
-developer's machine even when mypy is not installed.
+the storage path), ``serve/`` (the client-facing sockets), ``ha/``,
+``scaleout/``, ``analysis/`` (the α/β and timing oracles the harness
+judges with) and ``sim/``, so a missing annotation fails
+``repro.cli lint`` on the developer's machine even when mypy is not
+installed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ __all__ = ["TypingCompletenessRule"]
 
 _GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
           "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
-          "repro/scaleout/")
+          "repro/scaleout/", "repro/analysis/", "repro/sim/")
 
 
 class TypingCompletenessRule(Rule):
@@ -29,8 +31,8 @@ class TypingCompletenessRule(Rule):
     name = "typing-completeness"
     description = ("every def in the typing-gated packages (crypto/, "
                    "core/, ds/, storage/, net/, testing/, serve/, ha/, "
-                   "scaleout/) must annotate all parameters and its "
-                   "return type")
+                   "scaleout/, analysis/, sim/) must annotate all "
+                   "parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.relpath.startswith(_GATED):

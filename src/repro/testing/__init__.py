@@ -9,8 +9,10 @@ The pieces compose bottom-up:
 * :mod:`repro.testing.episodes` — randomized, validated, serializable
   chaos scenarios (:class:`Episode`, :func:`generate_episode`);
 * :mod:`repro.testing.runner` — executes an episode against the real
-  stack with HA failover recovery (:func:`run_episode`); its ``deploy``
-  and ``judge`` steps are shared with :mod:`repro.testing.serving`;
+  stack wrapped in a :class:`~repro.ha.ReplicatedProxy` group of the
+  episode's ``standbys`` (:func:`run_episode`); its ``deploy``,
+  ``retry_round`` (attempt, fail over, retry, self-check) and ``judge``
+  steps are shared with :mod:`repro.testing.serving`;
 * :mod:`repro.testing.oracle` — the invariants: differential KV
   semantics, replay-prefix obliviousness, constant batch composition,
   id lifecycle, α/β uniformity;

@@ -1,7 +1,8 @@
 """Randomized chaos episodes: generation, validation, serialization.
 
 An :class:`Episode` is a fully explicit description of one chaos run —
-the Waffle configuration, the HA mode, the ordered list of client-level
+the Waffle configuration, the HA group's standby count (one is
+primary-secondary replication), the ordered list of client-level
 operations (request batches, proxy crashes, standby failures, inserts,
 deletes) and the :class:`~repro.testing.faults.FaultPlan` of storage
 faults.  Episodes are:
@@ -64,8 +65,8 @@ class Episode:
 
     * ``{"type": "batch", "requests": [["read", key] | ["write", key, value], ...]}``
     * ``{"type": "crash"}`` — primary dies at a batch boundary; failover.
-    * ``{"type": "fail_standby", "standby": i}`` (quorum mode)
-    * ``{"type": "restore_standby", "standby": i}`` (quorum mode)
+    * ``{"type": "fail_standby", "standby": i}`` (never below quorum)
+    * ``{"type": "restore_standby", "standby": i}``
     * ``{"type": "insert", "key": k, "value": v}`` — mutation path
     * ``{"type": "delete", "key": k}`` — mutation path
 
@@ -73,17 +74,12 @@ class Episode:
     """
 
     seed: int
-    ha_mode: str = "replicated"  # "replicated" | "quorum"
-    standbys: int = 2
+    standbys: int = 1
     quorum: int | None = None
     config: dict = field(default_factory=lambda: dict(DEFAULT_CONFIG))
     ops: list[dict] = field(default_factory=list)
     faults: FaultPlan = field(default_factory=FaultPlan)
     max_attempts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.ha_mode not in ("replicated", "quorum"):
-            raise ConfigurationError(f"unknown ha mode {self.ha_mode!r}")
 
     # ------------------------------------------------------------------
     # derived views
@@ -138,7 +134,7 @@ class Episode:
                         return f"{where}: unknown request {request[0]!r}"
                     if request[1] not in live:
                         return f"{where}: key {request[1]!r} not live"
-                if self.ha_mode == "quorum" and 1 + sum(alive) < quorum:
+                if 1 + sum(alive) < quorum:
                     return f"{where}: batch below quorum"
                 # The batch drains the queue: pending mutations durable.
                 live.update(pending_inserts)
@@ -147,7 +143,7 @@ class Episode:
                 pending_inserts.clear()
                 pending_deletes.clear()
             elif kind == "crash":
-                if self.ha_mode == "quorum" and sum(alive) < 1:
+                if sum(alive) < 1:
                     return f"{where}: no standby to promote"
                 # Unacknowledged mutations survive only because the
                 # runner (acting as the client) re-submits them; keys
@@ -181,9 +177,6 @@ class Episode:
                 pending_deletes.append(key)
             else:
                 return f"{where}: unknown op type {kind!r}"
-            if self.ha_mode != "quorum" and kind in ("fail_standby",
-                                                     "restore_standby"):
-                return f"{where}: standby ops require quorum mode"
         return None
 
     # ------------------------------------------------------------------
@@ -192,7 +185,6 @@ class Episode:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "ha_mode": self.ha_mode,
             "standbys": self.standbys,
             "quorum": self.quorum,
             "config": dict(self.config),
@@ -205,8 +197,7 @@ class Episode:
     def from_dict(cls, data: dict) -> "Episode":
         return cls(
             seed=data["seed"],
-            ha_mode=data.get("ha_mode", "replicated"),
-            standbys=data.get("standbys", 2),
+            standbys=data.get("standbys", 1),
             quorum=data.get("quorum"),
             config=dict(data.get("config", DEFAULT_CONFIG)),
             ops=[dict(op) for op in data["ops"]],
@@ -233,7 +224,7 @@ class Episode:
         return cls.from_dict(json.loads(text))
 
 
-def generate_episode(seed: int, ha_mode: str = "replicated",
+def generate_episode(seed: int, standbys: int = 1,
                      steps: int = 16, fault_rate: float = 0.06,
                      crash_rate: float = 0.06, mutation_rate: float = 0.08,
                      standby_churn_rate: float = 0.06,
@@ -243,19 +234,21 @@ def generate_episode(seed: int, ha_mode: str = "replicated",
 
     ``steps`` counts *scheduling slots*: most become request batches, the
     rest crashes, standby churn or mutations according to the rates.
-    The generated episode always passes :meth:`Episode.validate`.
+    Standby churn needs a group that can lose a standby and keep its
+    quorum (``standbys > 1``); otherwise its slot falls through.  The
+    generated episode always passes :meth:`Episode.validate`.
     """
     rng = random.Random(seed ^ 0x5EED_C4A0)
     config = dict(DEFAULT_CONFIG)
     if config_overrides:
         config.update(config_overrides)
-    episode = Episode(seed=seed, ha_mode=ha_mode, config=config, ops=[])
+    episode = Episode(seed=seed, standbys=standbys, config=config, ops=[])
 
     live = [key_name(i) for i in range(config["n"])]
     pending_inserts: list[str] = []
     dummies = config["d"]
-    alive = [True] * episode.standbys
-    quorum = episode.standbys // 2 + 1  # group default used by the runner
+    alive = [True] * standbys
+    quorum = (standbys + 1) // 2 + 1  # the group's majority default
     fresh_counter = 0
     value_counter = 0
     inserts_left = min(8, config["d"] // 3)
@@ -279,9 +272,10 @@ def generate_episode(seed: int, ha_mode: str = "replicated",
         if step == 0 or step == steps - 1:
             op = None  # force a batch first (baseline) and last (drain)
         elif roll < crash_rate:
-            if ha_mode != "quorum" or sum(alive) >= 1:
+            if sum(alive) >= 1:
                 op = {"type": "crash"}
-        elif roll < crash_rate + standby_churn_rate and ha_mode == "quorum":
+        elif roll < crash_rate + standby_churn_rate and standbys >= quorum:
+            # Only a group that can lose a standby and keep its quorum.
             dead = [i for i, ok in enumerate(alive) if not ok]
             can_fail = [i for i, ok in enumerate(alive)
                         if ok and 1 + sum(alive) - 1 >= quorum]

@@ -5,14 +5,15 @@ The runner deploys the full Waffle stack —
     WaffleProxy -> [test mutator] -> FaultyStorage -> RecordingStore
                 -> RedisSim(write_once)
 
-— wrapped in the episode's HA scheme, drives the episode's operation
-script through it, and recovers from every injected fault the way a real
+— wrapped in a :class:`~repro.ha.replicated.ReplicatedProxy` group of
+the episode's ``standbys``, drives the episode's operation script
+through it, and recovers from every injected fault the way a real
 client-facing deployment would:
 
 1. the failed batch's exception discards the (possibly mid-round,
    corrupted) primary, and the storage connection is re-opened (a
    dropped one stays down until then);
-2. the HA layer promotes the standby snapshot (synchronous shipping, so
+2. the HA layer promotes a standby snapshot (synchronous shipping, so
    it is exactly the pre-batch state) attached to the same server;
 3. mutations the client enqueued after that snapshot are re-submitted
    (they live in proxy memory until a batch drains them, so the
@@ -33,26 +34,27 @@ Alongside the real system the runner executes the episode against an
 the differential model.  Every Waffle response must match it, within
 batches (read-your-writes) and across failovers (durability).
 
-:func:`deploy` and :func:`judge` are the steps this runner shares with
-the serving runner (:mod:`repro.testing.serving`): the same stack under
-the same fault wrapper, and the same oracle over its trace.
+:func:`deploy`, :func:`retry_round` and :func:`judge` are the steps
+this runner shares with the serving runner (:mod:`repro.testing.serving`):
+the same stack under the same fault wrapper, steps 1–4 above plus the
+proxy's ``check_invariants()`` after every commit, and the same oracle
+over its trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 from repro.analysis.uniformity import UniformityReport
 from repro.baselines.insecure import InsecureStore
-from repro.core.batch import ClientRequest
+from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.errors import ProtocolError
-from repro.ha.quorum import QuorumReplicatedProxy
-from repro.ha.replicated import HighlyAvailableProxy
+from repro.ha.replicated import ReplicatedProxy
 from repro.storage.base import StorageBackend
 from repro.storage.recording import AccessRecord, RecordingStore
 from repro.storage.redis_sim import RedisSim
@@ -69,7 +71,8 @@ from repro.testing.oracle import (
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name
 
-__all__ = ["Deployment", "EpisodeResult", "deploy", "judge", "run_episode"]
+__all__ = ["Deployment", "EpisodeResult", "RoundLog", "deploy", "judge",
+           "retry_round", "run_episode"]
 
 #: Optional storage mutator for self-tests: wraps the fault-injecting
 #: store and may corrupt traffic (the mutation smoke test plants bugs
@@ -132,6 +135,65 @@ def deploy(config: WaffleConfig, seed: int, items: dict[str, bytes],
                       len(recorder.records))
 
 
+class RoundLog(Protocol):
+    """The tallies :func:`retry_round` keeps; both runners' results."""
+
+    violations: list[Violation]
+    rounds_committed: int
+    failovers: int
+    aborted_attempts: int
+    attempts: list[Attempt]
+
+
+def fail_over(deployment: Deployment, ha: ReplicatedProxy, log: RoundLog,
+              resubmit: Callable[[], None] | None = None) -> None:
+    """Steps 1–3: reconnect, promote a standby, re-submit mutations."""
+    deployment.faulty.reconnect()
+    ha.fail_over()
+    log.failovers += 1
+    if resubmit is not None:
+        resubmit()
+
+
+def retry_round(deployment: Deployment, ha: ReplicatedProxy, log: RoundLog,
+                requests: list[ClientRequest], batch_index: int,
+                max_attempts: int,
+                resubmit: Callable[[], None] | None = None,
+                ) -> list[ClientResponse] | None:
+    """One round to commit, retried verbatim through :func:`fail_over`.
+
+    Every attempt is logged as an :class:`Attempt`; after the commit the
+    proxy's structural self-check runs and a breach is logged as an
+    ``invariant`` violation.  Returns the committed responses, or None
+    once ``max_attempts`` attempts all failed (the caller decides what
+    exhaustion means).  A non-injected exception propagates.
+    """
+    recorder = deployment.recorder
+    for attempt_index in range(max_attempts):
+        start_seq = len(recorder.records)
+        try:
+            responses = ha.handle_batch(requests)
+        except InjectedFault as error:
+            log.attempts.append(Attempt(
+                batch_index, attempt_index, start_seq,
+                len(recorder.records), ok=False,
+                error=type(error).__name__))
+            log.aborted_attempts += 1
+            fail_over(deployment, ha, log, resubmit)
+            continue
+        log.attempts.append(Attempt(
+            batch_index, attempt_index, start_seq,
+            len(recorder.records), ok=True))
+        log.rounds_committed += 1
+        try:
+            ha.proxy.check_invariants()
+        except ProtocolError as error:
+            log.violations.append(Violation(
+                "invariant", f"after batch {batch_index}: {error}"))
+        return responses
+    return None
+
+
 def judge(deployment: Deployment, attempts: list[Attempt],
           config: WaffleConfig, id_log: dict[str, str] | None,
           uniformity: bool = True, inserts_total: int = 0,
@@ -167,17 +229,11 @@ def run_episode(episode: Episode,
     items = {key_name(i): f"init-{episode.seed}-{i}".encode()
              for i in range(cfg.n)}
     deployment = deploy(cfg, episode.seed, items, episode.faults)
-    recorder, proxy, baseline = \
-        deployment.recorder, deployment.proxy, deployment.baseline
+    proxy, baseline = deployment.proxy, deployment.baseline
     if wrap_store is not None:
         proxy.store = wrap_store(proxy.store)
-
-    if episode.ha_mode == "quorum":
-        ha: HighlyAvailableProxy | QuorumReplicatedProxy = \
-            QuorumReplicatedProxy(proxy, standbys=episode.standbys,
-                                  quorum=episode.quorum)
-    else:
-        ha = HighlyAvailableProxy(proxy)
+    ha = ReplicatedProxy(proxy, standbys=episode.standbys,
+                         quorum=episode.quorum)
 
     #: Client-side mutations not yet drained by a committed batch.  The
     #: HA snapshot predates them, so after every failover the client
@@ -187,13 +243,12 @@ def run_episode(episode: Episode,
     deletes_total = 0
     batch_index = 0
 
-    def fail_over() -> None:
-        deployment.faulty.reconnect()
-        ha.fail_over()
-        result.failovers += 1
-        # Re-submit client mutations the promoted snapshot may predate.
-        # Idempotent: a snapshot taken after the enqueue (e.g. shipped to
-        # a standby restored mid-episode) already carries the mutation.
+    def resubmit() -> None:
+        """Re-submit client mutations the promoted snapshot may predate.
+
+        Idempotent: a snapshot taken after the enqueue (e.g. shipped to a
+        standby restored mid-episode) already carries the mutation.
+        """
         mutations = ha.proxy.mutations
         for op in outstanding:
             if op["type"] == "insert":
@@ -205,7 +260,7 @@ def run_episode(episode: Episode,
                 mutations.enqueue_delete(op["key"])
 
     def run_batch(op: dict) -> bool:
-        """One batch to commit, retrying through failovers.  False = abort."""
+        """One batch to commit through :func:`retry_round`.  False = abort."""
         nonlocal batch_index
         prepared = []
         for request in op["requests"]:
@@ -217,61 +272,36 @@ def run_episode(episode: Episode,
                     ClientRequest(op=Operation.WRITE, key=request[1],
                                   value=pad_value(request[2].encode(),
                                                   value_size)))
-        for attempt_index in range(episode.max_attempts):
-            start_seq = len(recorder.records)
-            try:
-                responses = ha.handle_batch(prepared)
-            except InjectedFault as error:
-                result.attempts.append(Attempt(
-                    batch_index, attempt_index, start_seq,
-                    len(recorder.records), ok=False,
-                    error=type(error).__name__))
-                result.aborted_attempts += 1
-                fail_over()
-                continue
-            except Exception as error:  # noqa: BLE001 - the whole point
+        responses = retry_round(deployment, ha, result, prepared,
+                                batch_index, episode.max_attempts, resubmit)
+        if responses is None:
+            result.violations.append(Violation(
+                "unrecoverable",
+                f"batch {batch_index} still failing after "
+                f"{episode.max_attempts} attempts"))
+            return False
+        # Differential check, in request order (read-your-writes).
+        by_id = {resp.request_id: resp for resp in responses}
+        for request, spec in zip(prepared, op["requests"]):
+            if spec[0] == "write":
+                baseline.put(request.key, spec[2].encode())
+                expected = spec[2].encode()
+            else:
+                expected = baseline.get(request.key)
+            got = unpad_value(by_id[request.request_id].value)
+            if got != expected:
                 result.violations.append(Violation(
-                    "crash",
-                    f"batch {batch_index} raised non-injected "
-                    f"{type(error).__name__}: {error}"))
-                return False
-            result.attempts.append(Attempt(
-                batch_index, attempt_index, start_seq,
-                len(recorder.records), ok=True))
-            result.rounds_committed += 1
-            # The proxy's own structural self-check, after every commit.
-            try:
-                ha.proxy.check_invariants()
-            except ProtocolError as error:
-                result.violations.append(Violation(
-                    "invariant", f"after batch {batch_index}: {error}"))
-            # Differential check, in request order (read-your-writes).
-            by_id = {resp.request_id: resp for resp in responses}
-            for request, spec in zip(prepared, op["requests"]):
-                if spec[0] == "write":
-                    baseline.put(request.key, spec[2].encode())
-                    expected = spec[2].encode()
-                else:
-                    expected = baseline.get(request.key)
-                got = unpad_value(by_id[request.request_id].value)
-                if got != expected:
-                    result.violations.append(Violation(
-                        "semantics",
-                        f"batch {batch_index} {spec[0]} of "
-                        f"{request.key!r} returned {got!r}, expected "
-                        f"{expected!r}"))
-            # A committed batch drains every pending mutation (the chaos
-            # generator keeps at most one of each kind in flight, within
-            # the per-round drain budget); stragglers the proxy deferred
-            # internally now live in its snapshotted queue.
-            outstanding.clear()
-            batch_index += 1
-            return True
-        result.violations.append(Violation(
-            "unrecoverable",
-            f"batch {batch_index} still failing after "
-            f"{episode.max_attempts} attempts"))
-        return False
+                    "semantics",
+                    f"batch {batch_index} {spec[0]} of "
+                    f"{request.key!r} returned {got!r}, expected "
+                    f"{expected!r}"))
+        # A committed batch drains every pending mutation (the chaos
+        # generator keeps at most one of each kind in flight, within the
+        # per-round drain budget); stragglers the proxy deferred
+        # internally now live in its snapshotted queue.
+        outstanding.clear()
+        batch_index += 1
+        return True
 
     # ---- drive the script ------------------------------------------------
     aborted = False
@@ -283,7 +313,7 @@ def run_episode(episode: Episode,
                     aborted = True
                     break
             elif kind == "crash":
-                fail_over()
+                fail_over(deployment, ha, result, resubmit)
             elif kind == "fail_standby":
                 ha.fail_standby(op["standby"])
             elif kind == "restore_standby":

@@ -8,12 +8,14 @@ spliced between the proxy and the recorded server (one shared deploy
 step, :func:`repro.testing.runner.deploy`) so connection drops, timeouts
 and partial replies land mid-connection, while the round is in flight.
 
-Recovery is the production shape: the frontend's round executor retries
-an injected fault by reconnecting the fault wrapper and failing over to
-the HA standby snapshot (deterministic replay — the aborted attempt is a
-byte prefix of the retry), and the same differential oracle
-(:func:`repro.testing.runner.judge`) as the batch harness judges the
-result:
+Recovery is the production shape and the batch harness's own step
+(:func:`repro.testing.runner.retry_round`): the frontend's round
+executor retries an injected fault by reconnecting the fault wrapper and
+failing over to the HA standby snapshot (deterministic replay — the
+aborted attempt is a byte prefix of the retry), runs the proxy's
+``check_invariants()`` after every commit, and the same differential
+oracle (:func:`repro.testing.runner.judge`) as the batch harness judges
+the result:
 
 * every response matches an insecure in-order model (read-your-writes
   in round order, durability across failovers);
@@ -41,14 +43,14 @@ from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
 from repro.errors import BackendUnavailableError, OverloadedError
-from repro.ha.replicated import HighlyAvailableProxy
+from repro.ha.replicated import ReplicatedProxy
 from repro.serve.frontend import AsyncFrontend
 from repro.serve.policy import make_policy
 from repro.storage.recording import AccessRecord
 from repro.testing.episodes import DEFAULT_CONFIG
-from repro.testing.faults import FaultPlan, InjectedFault
+from repro.testing.faults import FaultPlan
 from repro.testing.oracle import Attempt, Violation
-from repro.testing.runner import deploy, judge
+from repro.testing.runner import deploy, judge, retry_round
 from repro.workloads.openloop import (
     Arrival,
     FlashCrowdArrivals,
@@ -116,7 +118,6 @@ class ServingResult:
     violations: list[Violation] = field(default_factory=list)
     rounds_committed: int = 0
     aborted_attempts: int = 0
-    reconnects: int = 0
     failovers: int = 0
     shed: int = 0
     completed: int = 0
@@ -128,6 +129,11 @@ class ServingResult:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def reconnects(self) -> int:
+        """Every failover re-opens the storage connection first."""
+        return self.failovers
 
 
 def run_serving_episode(episode: ServingEpisode) -> ServingResult:
@@ -142,12 +148,12 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     deployment = deploy(cfg, episode.seed, items, FaultPlan.generate(
         episode.seed ^ 0x5E12FE, 6 * episode.requests + 8,
         rate=episode.fault_rate))
-    recorder, baseline = deployment.recorder, deployment.baseline
-    ha = HighlyAvailableProxy(deployment.proxy)
+    baseline = deployment.baseline
+    ha = ReplicatedProxy(deployment.proxy)
     batch_counter = 0
 
     def execute(requests: list[ClientRequest]) -> list[ClientResponse]:
-        """One round, retried through reconnect + failover on faults.
+        """One round through :func:`~repro.testing.runner.retry_round`.
 
         Runs in the frontend's executor thread; rounds are strictly
         sequential, so the HA object and the baseline see ordered use.
@@ -162,48 +168,32 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
             if req.value is not None else req
             for req in requests
         ]
-        for attempt_index in range(episode.max_attempts):
-            start_seq = len(recorder.records)
-            try:
-                responses = ha.handle_batch(prepared)
-            except InjectedFault as error:
-                result.attempts.append(Attempt(
-                    batch_index, attempt_index, start_seq,
-                    len(recorder.records), ok=False,
-                    error=type(error).__name__))
-                result.aborted_attempts += 1
-                deployment.faulty.reconnect()
-                result.reconnects += 1
-                ha.fail_over()
-                result.failovers += 1
-                continue
-            result.attempts.append(Attempt(
-                batch_index, attempt_index, start_seq,
-                len(recorder.records), ok=True))
-            result.rounds_committed += 1
-            # Differential model, in round order (= admission order).
-            by_id = {resp.request_id: resp for resp in responses}
-            for request in requests:
-                if request.op is Operation.WRITE:
-                    baseline.put(request.key, request.value)
-                    expected = request.value
-                else:
-                    expected = baseline.get(request.key)
-                got = unpad_value(by_id[request.request_id].value)
-                if got != expected:
-                    result.violations.append(Violation(
-                        "semantics",
-                        f"round {batch_index} {request.op.value} of "
-                        f"{request.key!r} returned {got!r}, expected "
-                        f"{expected!r}"))
-            return [
-                ClientResponse(request_id=resp.request_id, key=resp.key,
-                               value=unpad_value(resp.value))
-                for resp in responses
-            ]
-        raise BackendUnavailableError(
-            f"round {batch_index} still failing after "
-            f"{episode.max_attempts} attempts")
+        responses = retry_round(deployment, ha, result, prepared,
+                                batch_index, episode.max_attempts)
+        if responses is None:
+            raise BackendUnavailableError(
+                f"round {batch_index} still failing after "
+                f"{episode.max_attempts} attempts")
+        # Differential model, in round order (= admission order).
+        by_id = {resp.request_id: resp for resp in responses}
+        for request in requests:
+            if request.op is Operation.WRITE:
+                baseline.put(request.key, request.value)
+                expected = request.value
+            else:
+                expected = baseline.get(request.key)
+            got = unpad_value(by_id[request.request_id].value)
+            if got != expected:
+                result.violations.append(Violation(
+                    "semantics",
+                    f"round {batch_index} {request.op.value} of "
+                    f"{request.key!r} returned {got!r}, expected "
+                    f"{expected!r}"))
+        return [
+            ClientResponse(request_id=resp.request_id, key=resp.key,
+                           value=unpad_value(resp.value))
+            for resp in responses
+        ]
 
     # ---- drive the open-loop stream through the frontend -----------------
     arrivals = episode.build_arrivals().generate(

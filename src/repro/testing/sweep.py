@@ -2,7 +2,8 @@
 
 One episode exercises one scenario; confidence comes from volume.  A
 sweep generates ``episodes`` deterministic episodes from consecutive
-seeds, alternating HA modes and cycling through adversity *profiles*
+seeds, alternating HA groups of one standby (primary-secondary) and two
+(a group of three acknowledging at two), cycling through adversity *profiles*
 (fault-heavy, crash-heavy, calm-with-mutations, everything-at-once), and
 runs each through the full differential oracle.  The sweep is itself a
 pure function of ``base_seed`` — CI failures replay locally bit-for-bit
@@ -59,7 +60,8 @@ class SweepReport:
             + str(sum(len(v) for _, v in self.failures)),
         ]
         for episode, violations in self.failures[:5]:
-            lines.append(f"  seed {episode.seed} ({episode.ha_mode}): "
+            lines.append(f"  seed {episode.seed} "
+                         f"(standbys={episode.standbys}): "
                          + "; ".join(str(v) for v in violations[:3]))
         return "\n".join(lines)
 
@@ -77,7 +79,6 @@ def _absorb(report: SweepReport, result: EpisodeResult) -> None:
 
 
 def run_sweep(episodes: int = 100, base_seed: int = 0,
-              ha_modes: tuple[str, ...] = ("replicated", "quorum"),
               profiles: tuple[dict, ...] = DEFAULT_PROFILES,
               steps: int = 16,
               stop_on_failure: bool = False) -> SweepReport:
@@ -88,7 +89,7 @@ def run_sweep(episodes: int = 100, base_seed: int = 0,
         profile.pop("name", None)
         episode = generate_episode(
             seed=base_seed + index,
-            ha_mode=ha_modes[index % len(ha_modes)],
+            standbys=1 + index % 2,
             steps=steps,
             **profile)
         _absorb(report, run_episode(episode))

@@ -1,7 +1,7 @@
 """Chaos conformance: the system survives adversity with invariants intact.
 
-Tier-1 runs a bounded matrix (every HA mode × adversity profile, a few
-seeds each — fast enough for every CI run).  The large seeded sweep
+Tier-1 runs a bounded matrix (one- and two-standby HA groups ×
+adversity profile, a few seeds each — fast enough for every CI run).  The large seeded sweep
 (100+ episodes) carries the ``chaos`` marker; CI runs it in a dedicated
 step, and locally::
 
@@ -22,7 +22,10 @@ def _assert_clean(result):
 # ---------------------------------------------------------------------------
 # Bounded tier-1 matrix
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("ha_mode", ["replicated", "quorum"])
+@pytest.mark.parametrize("standbys", [
+    pytest.param(1, id="replicated"),
+    pytest.param(2, id="quorum"),
+])
 @pytest.mark.parametrize("profile", [
     pytest.param({"fault_rate": 0.0, "crash_rate": 0.0}, id="calm"),
     pytest.param({"fault_rate": 0.15, "crash_rate": 0.0}, id="faulty"),
@@ -31,16 +34,15 @@ def _assert_clean(result):
                   "mutation_rate": 0.2}, id="mutating"),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_episode_matrix(ha_mode, profile, seed):
-    episode = generate_episode(seed=seed * 37 + 5, ha_mode=ha_mode,
+def test_episode_matrix(standbys, profile, seed):
+    episode = generate_episode(seed=seed * 37 + 5, standbys=standbys,
                                **profile)
     _assert_clean(run_episode(episode))
 
 
 def test_faults_actually_fire():
     """The matrix is only meaningful if adversity really happens."""
-    episode = generate_episode(seed=2, ha_mode="replicated",
-                               fault_rate=0.15, crash_rate=0.1)
+    episode = generate_episode(seed=2, fault_rate=0.15, crash_rate=0.1)
     result = run_episode(episode)
     _assert_clean(result)
     assert result.aborted_attempts > 0
@@ -49,7 +51,7 @@ def test_faults_actually_fire():
 
 
 def test_quorum_standby_churn_episode():
-    episode = generate_episode(seed=3, ha_mode="quorum",
+    episode = generate_episode(seed=3, standbys=2,
                                standby_churn_rate=0.2, fault_rate=0.08,
                                crash_rate=0.08)
     result = run_episode(episode)
@@ -64,8 +66,8 @@ def test_mutations_survive_failover():
     # Find a seed whose script has an insert immediately before a crash;
     # generation is deterministic, so this scan is too.
     for seed in range(200):
-        episode = generate_episode(seed=seed, ha_mode="replicated",
-                                   crash_rate=0.2, mutation_rate=0.3)
+        episode = generate_episode(seed=seed, crash_rate=0.2,
+                                   mutation_rate=0.3)
         ops = [op["type"] for op in episode.ops]
         if any(a == "insert" and b == "crash"
                for a, b in zip(ops, ops[1:])):
@@ -76,8 +78,7 @@ def test_mutations_survive_failover():
 
 
 def test_determinism_same_episode_same_trace():
-    episode = generate_episode(seed=4, ha_mode="replicated",
-                               fault_rate=0.1, crash_rate=0.1)
+    episode = generate_episode(seed=4, fault_rate=0.1, crash_rate=0.1)
     a = run_episode(episode)
     b = run_episode(episode)
     assert [(r.op, r.storage_id, r.round) for r in a.collapsed_records] == \
@@ -92,8 +93,7 @@ def test_replay_prefix_observed_on_commit_faults():
     invariant."""
     seen_partial_progress = False
     for seed in range(60):
-        episode = generate_episode(seed=seed, ha_mode="replicated",
-                                   fault_rate=0.18)
+        episode = generate_episode(seed=seed, fault_rate=0.18)
         result = run_episode(episode)
         _assert_clean(result)
         if any(not a.ok and a.end_seq > a.start_seq

@@ -181,14 +181,14 @@ class TestPassthroughStore:
 # ---------------------------------------------------------------------------
 class TestEpisodes:
     def test_generation_is_deterministic_and_valid(self):
-        a = generate_episode(seed=11, ha_mode="quorum")
-        b = generate_episode(seed=11, ha_mode="quorum")
+        a = generate_episode(seed=11, standbys=2)
+        b = generate_episode(seed=11, standbys=2)
         assert a.to_dict() == b.to_dict()
         assert a.validate() is None
         assert a.batch_count >= 2  # first and last slots are forced batches
 
     def test_json_round_trip(self, tmp_path):
-        episode = generate_episode(seed=12, ha_mode="quorum",
+        episode = generate_episode(seed=12, standbys=2,
                                    mutation_rate=0.3, fault_rate=0.1)
         path = tmp_path / "episode.json"
         episode.to_json(path)
@@ -201,9 +201,10 @@ class TestEpisodes:
         assert "not live" in episode.validate()
 
     def test_validate_rejects_standby_ops_outside_quorum(self):
-        episode = generate_episode(seed=14, ha_mode="replicated")
+        # One standby with the majority quorum of two cannot lose it.
+        episode = generate_episode(seed=14, standbys=1)
         episode.ops.insert(1, {"type": "fail_standby", "standby": 0})
-        assert episode.validate() is not None
+        assert "below quorum" in episode.validate()
 
     def test_validate_rejects_oversized_batch(self):
         episode = generate_episode(seed=15)

@@ -82,8 +82,7 @@ class MisfileFirstWrite(PassthroughStore):
 
 @pytest.fixture
 def episode():
-    return generate_episode(seed=7, ha_mode="replicated",
-                            fault_rate=0.06, crash_rate=0.06)
+    return generate_episode(seed=7, fault_rate=0.06, crash_rate=0.06)
 
 
 def test_detects_lost_write(episode):

@@ -59,10 +59,12 @@ import subprocess
 import sys
 
 
-@pytest.mark.parametrize("script", ["quickstart.py"])
+@pytest.mark.parametrize("script", ["quickstart.py", "fault_tolerance.py"])
 def test_fast_examples_run_end_to_end(script):
-    """The fastest example actually executes (the rest are exercised
-    manually; all are compile-checked above)."""
+    """The fastest examples actually execute (the rest are exercised
+    manually; all are compile-checked above).  ``fault_tolerance.py`` is
+    the replication class's one shipping caller outside the chaos
+    harness, and asserts its own α/β bounds."""
     path = pathlib.Path(__file__).parent.parent / "examples" / script
     result = subprocess.run([sys.executable, str(path)],
                             capture_output=True, text=True, timeout=180)

@@ -1,4 +1,4 @@
-"""Tests for proxy checkpointing and primary-secondary failover."""
+"""Tests for proxy checkpointing and replicated failover."""
 
 import random
 
@@ -11,7 +11,7 @@ from repro.core.datastore import pad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, ProtocolError
-from repro.ha import HighlyAvailableProxy, capture_proxy, restore_proxy
+from repro.ha import ReplicatedProxy, capture_proxy, restore_proxy
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation
@@ -132,14 +132,9 @@ class TestCheckpoint:
 
 
 class TestFailover:
-    def test_interval_validation(self):
-        proxy, _ = build_proxy()
-        with pytest.raises(ConfigurationError):
-            HighlyAvailableProxy(proxy, checkpoint_interval=0)
-
     def test_failover_preserves_linearizability(self):
         proxy, recorder = build_proxy()
-        ha = HighlyAvailableProxy(proxy)
+        ha = ReplicatedProxy(proxy)
         reference = dict(make_items(CONFIG.n))
         rng = random.Random(11)
 
@@ -179,7 +174,7 @@ class TestFailover:
 
     def test_failover_preserves_storage_invariants_and_bounds(self):
         proxy, recorder = build_proxy(log_ids=True)
-        ha = HighlyAvailableProxy(proxy)
+        ha = ReplicatedProxy(proxy)
         rng = random.Random(13)
         for burst in range(4):
             for _ in range(40):
@@ -190,54 +185,32 @@ class TestFailover:
         assert report.max_alpha <= CONFIG.alpha_bound_effective()
         assert report.min_beta >= CONFIG.beta_bound()
 
-    def test_lagging_standby_refused(self):
-        proxy, _ = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=5)
-        rng = random.Random(17)
-        ha.handle_batch(random_batch(rng))  # 1 < 5: no snapshot shipped
-        with pytest.raises(ProtocolError):
-            ha.fail_over()
-
-    def test_lagging_standby_promotable_explicitly(self):
-        proxy, _ = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=5)
-        rng = random.Random(19)
-        ha.handle_batch(random_batch(rng))
-        promoted = ha.fail_over(allow_stale=True)
-        assert promoted.ts < proxy.ts  # it is genuinely behind
-
-    def test_synchronous_interval_never_lags(self):
-        proxy, _ = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=1)
-        rng = random.Random(23)
-        for _ in range(5):
-            ha.handle_batch(random_batch(rng))
-            assert ha.standby_lag_batches == 0
-
-    def test_snapshot_shipping_respects_interval(self):
-        proxy, _ = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=3)
-        rng = random.Random(29)
-        baseline = ha.snapshots_shipped
-        for _ in range(9):
-            ha.handle_batch(random_batch(rng))
-        assert ha.snapshots_shipped == baseline + 3
-
 
 class TestQuorumReplication:
     def build_group(self, standbys=2, quorum=None):
-        from repro.ha.quorum import QuorumReplicatedProxy
         proxy, recorder = build_proxy(log_ids=True)
-        return QuorumReplicatedProxy(proxy, standbys=standbys,
-                                     quorum=quorum), recorder
+        return ReplicatedProxy(proxy, standbys=standbys,
+                               quorum=quorum), recorder
 
     def test_validation(self):
-        from repro.ha.quorum import QuorumReplicatedProxy
         proxy, _ = build_proxy()
         with pytest.raises(ConfigurationError):
-            QuorumReplicatedProxy(proxy, standbys=0)
+            ReplicatedProxy(proxy, standbys=0)
         with pytest.raises(ConfigurationError):
-            QuorumReplicatedProxy(proxy, standbys=2, quorum=5)
+            ReplicatedProxy(proxy, standbys=2, quorum=5)
+
+    @pytest.mark.parametrize("standby_id", [-1, 2, 5, 9])
+    def test_standby_ids_outside_the_group_are_refused(self, standby_id):
+        group, _ = self.build_group(standbys=2)
+        with pytest.raises(ProtocolError, match="no standby"):
+            group.restore_standby(standby_id)
+        with pytest.raises(ProtocolError, match="no standby"):
+            group.fail_standby(standby_id)
+        assert group.alive_standbys == 2
+        group.fail_standby(1)
+        with pytest.raises(ProtocolError, match="no standby"):
+            group.restore_standby(standby_id)
+        assert group.alive_standbys == 1
 
     def test_batches_replicate_to_quorum(self):
         group, _ = self.build_group()

@@ -1,11 +1,11 @@
-"""Edge paths of the quorum-replicated proxy and stale-snapshot promotion.
+"""Edge paths of the replicated proxy and stale-snapshot promotion.
 
 Complements ``tests/test_ha.py`` (happy paths and basic failure modes)
 with the corners the chaos harness leans on: promotion at exactly the
 quorum threshold, membership churn around failed standbys, pending
 mutations captured inside standby snapshots, and what actually breaks
 when a *stale* snapshot is promoted against a server that has moved on
-(the scenario synchronous shipping exists to prevent).
+(the scenario shipping after every batch exists to prevent).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.errors import (
     KeyNotFoundError,
     ProtocolError,
 )
-from repro.ha import HighlyAvailableProxy
-from repro.ha.quorum import QuorumReplicatedProxy
+from repro.ha import ReplicatedProxy, capture_proxy, restore_proxy
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation
@@ -54,7 +53,7 @@ class TestQuorumThresholds:
     def test_promotion_at_exact_threshold(self):
         # group=3, quorum=3: every member must hold the snapshot, so a
         # single standby failure stops the group...
-        group = QuorumReplicatedProxy(build_proxy(), standbys=2, quorum=3)
+        group = ReplicatedProxy(build_proxy(), standbys=2, quorum=3)
         rng = random.Random(1)
         group.handle_batch(read_batch(rng))
         group.fail_standby(0)
@@ -68,7 +67,10 @@ class TestQuorumThresholds:
         assert len(responses) == CONFIG.r
 
     def test_quorum_equal_to_group_size_is_fragile_by_design(self):
-        group = QuorumReplicatedProxy(build_proxy(), standbys=1, quorum=2)
+        # The default group is primary-secondary: one standby, and the
+        # majority of two is both members.
+        group = ReplicatedProxy(build_proxy())
+        assert (group.quorum, group.alive_standbys) == (2, 1)
         rng = random.Random(2)
         group.handle_batch(read_batch(rng))
         group.fail_standby(0)
@@ -77,14 +79,14 @@ class TestQuorumThresholds:
 
     def test_minority_quorum_rejected(self):
         with pytest.raises(ConfigurationError):
-            QuorumReplicatedProxy(build_proxy(), standbys=2, quorum=4)
+            ReplicatedProxy(build_proxy(), standbys=2, quorum=4)
         with pytest.raises(ConfigurationError):
-            QuorumReplicatedProxy(build_proxy(), standbys=2, quorum=0)
+            ReplicatedProxy(build_proxy(), standbys=2, quorum=0)
 
 
 class TestStandbyChurn:
     def test_fail_standby_on_already_failed_raises(self):
-        group = QuorumReplicatedProxy(build_proxy(), standbys=2)
+        group = ReplicatedProxy(build_proxy(), standbys=2)
         group.fail_standby(1)
         with pytest.raises(ProtocolError, match="already failed"):
             group.fail_standby(1)
@@ -92,7 +94,7 @@ class TestStandbyChurn:
         assert group.alive_standbys == 1
 
     def test_restore_after_failover_tracks_new_primary(self):
-        group = QuorumReplicatedProxy(build_proxy(), standbys=2)
+        group = ReplicatedProxy(build_proxy(), standbys=2)
         rng = random.Random(3)
         group.handle_batch(read_batch(rng))
         group.fail_standby(0)
@@ -107,7 +109,7 @@ class TestStandbyChurn:
         assert len(group.handle_batch(read_batch(rng))) == CONFIG.r
 
     def test_restored_standby_snapshot_carries_pending_mutations(self):
-        group = QuorumReplicatedProxy(build_proxy(), standbys=1)
+        group = ReplicatedProxy(build_proxy(), standbys=1)
         rng = random.Random(4)
         group.handle_batch(read_batch(rng))
         group.proxy.mutations.enqueue_insert(
@@ -120,7 +122,7 @@ class TestStandbyChurn:
         assert not group.proxy.mutations.has_insert("never-seen")
 
     def test_failed_standby_does_not_ack(self):
-        group = QuorumReplicatedProxy(build_proxy(), standbys=2)
+        group = ReplicatedProxy(build_proxy(), standbys=2)
         rng = random.Random(5)
         group.fail_standby(0)
         group.handle_batch(read_batch(rng))
@@ -132,28 +134,27 @@ class TestStandbyChurn:
 
 class TestStaleSnapshotPromotion:
     def test_stale_promotion_rederives_consumed_ids(self):
-        """Why interval=1 is the default: a stale snapshot deterministically
-        replays storage ids the server already consumed and deleted."""
+        """Why the group ships after every batch: a snapshot one batch
+        stale deterministically replays storage ids the server already
+        consumed and deleted."""
         proxy = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=3)
+        blob = capture_proxy(proxy)
         rng = random.Random(6)
         batch = read_batch(rng)
-        ha.handle_batch(batch)
-        assert ha.standby_lag_batches == 1
-        with pytest.raises(ProtocolError, match="lags"):
-            ha.fail_over()
-        stale = ha.fail_over(allow_stale=True)
-        # The promoted proxy believes the batch never ran; re-running it
+        proxy.handle_batch(batch)
+        stale = restore_proxy(blob, proxy.store)
+        # The restored proxy believes the batch never ran; re-running it
         # re-derives the same read ids, which the committed round already
         # deleted from the server.
         with pytest.raises(KeyNotFoundError):
             stale.handle_batch(batch)
 
     def test_synchronous_interval_promotion_replays_cleanly(self):
-        """Control for the stale case: with interval=1 the same promotion
-        plus replay is exactly the chaos harness's recovery path."""
+        """Control for the stale case: the snapshot shipped after the
+        batch promotes and carries on — the chaos harness's recovery
+        path."""
         proxy = build_proxy()
-        ha = HighlyAvailableProxy(proxy, checkpoint_interval=1)
+        ha = ReplicatedProxy(proxy)
         rng = random.Random(6)
         ha.handle_batch(read_batch(rng))
         promoted = ha.fail_over()

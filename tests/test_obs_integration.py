@@ -227,20 +227,21 @@ class TestOtherLayers:
         assert handle.tracer.events("closedloop.done")
 
     def test_ha_checkpoint_and_failover_metrics(self):
-        from repro.ha.replicated import HighlyAvailableProxy
+        from repro.ha.replicated import ReplicatedProxy
 
         config = WaffleConfig.paper_defaults(n=128, seed=5)
-        proxy = build_proxy(config, KeyChain.from_seed(5))
-        with obs.capture() as handle:
-            ha = HighlyAvailableProxy(proxy)
-            for batch in request_stream(config, 2, 5):
-                ha.handle_batch(batch)
-            ha.fail_over()
-        counters = handle.registry.snapshot()["counters"]
-        assert counters["ha.snapshots.total"] == 2
-        assert counters["ha.failovers.total"] == 1
-        assert len(handle.tracer.spans("ha.checkpoint")) == 2
-        assert len(handle.tracer.events("ha.failover")) == 1
+        for standbys in (1, 2):
+            proxy = build_proxy(config, KeyChain.from_seed(5))
+            with obs.capture() as handle:
+                ha = ReplicatedProxy(proxy, standbys=standbys)
+                for batch in request_stream(config, 2, 5):
+                    ha.handle_batch(batch)
+                ha.fail_over()
+            counters = handle.registry.snapshot()["counters"]
+            assert counters["ha.snapshots.total"] == 2
+            assert counters["ha.failovers.total"] == 1
+            assert len(handle.tracer.spans("ha.checkpoint")) == 2
+            assert len(handle.tracer.events("ha.failover")) == 1
 
 
 class TestExporters:

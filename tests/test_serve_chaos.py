@@ -81,6 +81,22 @@ class TestServingEpisode:
         assert result.shed > 0
         assert result.completed + result.shed == result.episode.requests
 
+    def test_proxy_self_check_runs_after_every_commit(self, monkeypatch):
+        """A structural breach after a served round is an ``invariant``
+        violation, exactly as in the batch harness."""
+        from repro.core.proxy import WaffleProxy
+        from repro.errors import ProtocolError
+
+        def breached(proxy):
+            raise ProtocolError("planted breach")
+
+        monkeypatch.setattr(WaffleProxy, "check_invariants", breached)
+        result = run_serving_episode(ServingEpisode(seed=3))
+        found = [v for v in result.violations if v.kind == "invariant"]
+        assert result.rounds_committed > 0
+        assert len(found) == result.rounds_committed
+        assert found[0].detail == "after batch 0: planted breach"
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
             run_serving_episode(ServingEpisode(seed=1, workload="zipfian"))
