@@ -6,7 +6,7 @@ that instantiates a raw backend, opens its own socket, or deletes keys
 outside the ``commit_round`` contract creates accesses the recording
 layer never sees — the trace the chaos oracle audits is then a lie.
 ``print()`` is banned outside the CLI/dashboard because stray stdout
-corrupts machine-readable CLI output and bypasses the obs export path.
+corrupts machine-readable CLI output; library code returns its text.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ class SocketOutsideNetRule(Rule):
 class PrintOutsideCliRule(Rule):
     id = "OBL303"
     name = "print-outside-cli"
-    description = ("print() outside cli.py/dashboard bypasses the obs "
-                   "export path and corrupts machine-readable output")
+    description = ("print() outside cli.py/dashboard corrupts "
+                   "machine-readable output; return the text and let the "
+                   "CLI print it")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if module.relpath in _PRINT_OK:
@@ -110,8 +111,8 @@ class PrintOutsideCliRule(Rule):
                     node.func.id == "print":
                 yield module.finding(
                     self, node,
-                    "print() outside the CLI; emit through the obs "
-                    "export/logging path instead")
+                    "print() outside the CLI; return the text and let "
+                    "cli.py print it")
 
 
 #: Native crypto wheels.  The package has one cipher, built on hashlib;

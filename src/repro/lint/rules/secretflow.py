@@ -71,7 +71,7 @@ _SERVER_METHODS = {
 }
 _STOREISH = ("store", "backend", "server", "redis", "inner", "storage")
 
-_TRACE_METHODS = {"event", "span", "record_span", "observe_span",
+_TRACE_METHODS = {"event", "close_span", "observe_span",
                   "observe_kernel", "debug", "info", "warning", "log"}
 _TRACEISH = ("obs", "tracer", "trace", "log", "logger")
 

@@ -7,7 +7,7 @@ for the two strict flags that catch the most regressions —
 packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
 the storage path), ``serve/`` (the client-facing sockets), ``ha/``,
 ``scaleout/``, ``analysis/`` (the α/β and timing oracles the harness
-judges with) and ``sim/``, so a missing annotation fails
+judges with), ``sim/`` and ``obs/``, so a missing annotation fails
 ``repro.cli lint`` on the developer's machine even when mypy is not
 installed.
 """
@@ -23,7 +23,8 @@ __all__ = ["TypingCompletenessRule"]
 
 _GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
           "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
-          "repro/scaleout/", "repro/analysis/", "repro/sim/")
+          "repro/scaleout/", "repro/analysis/", "repro/sim/",
+          "repro/obs/")
 
 
 class TypingCompletenessRule(Rule):
@@ -31,7 +32,7 @@ class TypingCompletenessRule(Rule):
     name = "typing-completeness"
     description = ("every def in the typing-gated packages (crypto/, "
                    "core/, ds/, storage/, net/, testing/, serve/, ha/, "
-                   "scaleout/, analysis/, sim/) must annotate all "
+                   "scaleout/, analysis/, sim/, obs/) must annotate all "
                    "parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:

@@ -4,25 +4,29 @@ One dependency-free subsystem gives every layer of the repository the
 same three primitives (DESIGN.md §7):
 
 * a process-wide **metrics registry** (:mod:`repro.obs.registry`) —
-  counters, gauges, histograms with reservoir and fixed-bucket modes,
-  fed by wall-clock and simulated-clock code alike;
+  counters, gauges and reservoir histograms, fed by wall-clock and
+  simulated-clock code alike;
 * a **structured tracing API** (:mod:`repro.obs.trace`) — spans and
   events as JSON-lines, with live subscribers;
-* **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.dashboard`) —
-  Prometheus-style text snapshots, JSONL trace files and a terminal
-  dashboard (``python -m repro.cli obs``).
+* **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.dashboard`,
+  :mod:`repro.obs.profile`) — Prometheus-style text snapshots, a
+  terminal dashboard and a span-tree profile (``python -m repro.cli
+  obs``); ``enable(trace_path=...)`` streams the JSONL trace.
 
 The whole layer hangs off one module-level handle, :data:`OBS`.
-Instrumented code guards with ``if OBS.enabled:`` (or calls the
-``span``/``event``/``observe_span`` helpers, which no-op when disabled),
-so the disabled cost is a predicted branch — the zero-cost contract that
+Instrumented code guards with ``if OBS.enabled:`` before it reads a
+clock (``event`` and ``observe_span`` also no-op when disabled), so the
+disabled cost is a predicted branch — the zero-cost contract that
 ``tests/test_obs_overhead.py`` enforces against the batched round
-engine.
+engine.  A span is recorded one way: ``open_span`` then ``close_span``
+(``observe_span`` is the two in one call, for a region with no
+children).
 
 Two invariants the instrumentation must uphold:
 
 * **zero-cost when disabled** — no allocation, no rng, no I/O on the
-  disabled path (``OBS.span`` returns the shared :data:`NULL_SPAN`);
+  disabled path (a disabled round leaves the registry and the tracer
+  empty);
 * **trace neutrality when enabled** — recording must not consume rng
   draws or alter the adversary-visible access sequence; histogram
   reservoirs carry a private deterministic rng for exactly this reason,
@@ -35,7 +39,7 @@ Usage::
 
     obs.enable()                      # or enable(trace_path="run.jsonl")
     ...  # run any instrumented system
-    emit_text(str(obs.OBS.registry.snapshot()))   # repro.obs.export
+    text = render_prometheus(obs.OBS.registry)   # repro.obs.export
     obs.disable()
 
     with obs.capture() as handle:     # scoped form used by tests
@@ -44,28 +48,21 @@ Usage::
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
+from typing import Any, Iterator
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.trace import NULL_SPAN, Span, Tracer
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.trace import Tracer
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_SPAN",
     "OBS",
     "Observability",
-    "Span",
     "Tracer",
     "capture",
     "clock",
@@ -108,30 +105,21 @@ class Observability:
     # ------------------------------------------------------------------
     # guarded emission helpers (no-ops while disabled)
     # ------------------------------------------------------------------
-    def span(self, name: str, **attrs):
-        """A context-managed span, or the shared null span when disabled."""
-        if self.enabled:
-            return self.tracer.span(name, **attrs)
-        return NULL_SPAN
-
-    def event(self, name: str, **attrs) -> None:
+    def event(self, name: str, **attrs: Any) -> None:
         if self.enabled:
             self.tracer.event(name, **attrs)
 
     def observe_span(self, name: str, seconds: float,
-                     labels: dict | None = None, **attrs) -> None:
-        """Record one completed timed region into *both* pillars.
+                     labels: dict | None = None, **attrs: Any) -> None:
+        """Record one completed, childless region into *both* pillars.
 
-        The duration lands in the ``<name>.seconds`` histogram (labeled)
-        and as a trace span record carrying ``labels`` plus ``attrs``.
-        This is the workhorse of the phase instrumentation: hot paths
+        :meth:`close_span` of a span opened just now: the record parents
+        under this thread's innermost open span, and the duration lands
+        in the ``<name>.seconds`` histogram under ``labels``.  Hot paths
         take two ``perf_counter()`` readings and make one call.
         """
-        if not self.enabled:
-            return
-        labels = labels or {}
-        self.registry.histogram(name + ".seconds", **labels).observe(seconds)
-        self.tracer.record_span(name, seconds, **labels, **attrs)
+        if self.enabled:
+            self.close_span(self.open_span(name), seconds, labels, **attrs)
 
     def open_span(self, name: str, root: bool = False) -> int:
         """Open a region of the span tree (callers guard on ``enabled``).
@@ -143,14 +131,14 @@ class Observability:
         return self.tracer.open_span(name, root=root)
 
     def close_span(self, token: int, seconds: float,
-                   labels: dict | None = None, **attrs) -> None:
+                   labels: dict | None = None, **attrs: Any) -> None:
         """Close an open region into *both* pillars.
 
-        The stack-structured sibling of :meth:`observe_span`: the span
-        record is emitted with its tree position (``span_id``/``parent``)
-        and the duration lands in the ``<name>.seconds`` histogram under
-        ``labels``, so per-phase percentiles and the profile tree stay
-        derived from one pair of ``perf_counter`` readings.
+        The span record is emitted with its tree position
+        (``span_id``/``parent``) and the duration lands in the
+        ``<name>.seconds`` histogram under ``labels``, so per-phase
+        percentiles and the profile tree stay derived from one pair of
+        ``perf_counter`` readings.
         """
         labels = labels or {}
         name = self.tracer.close_span(token, seconds, **labels, **attrs)
@@ -174,26 +162,16 @@ class Observability:
 OBS = Observability()
 
 
-def enable(trace_path=None, buffer_traces: bool = True,
-           reset: bool = True) -> Observability:
+def enable(trace_path: str | os.PathLike[str] | None = None
+           ) -> Observability:
     """Switch observability on (in place, process-wide).
 
-    Parameters
-    ----------
-    trace_path:
-        Optional JSONL file that receives every trace record as it is
-        emitted.
-    buffer_traces:
-        Keep trace records in memory for programmatic consumption.
-    reset:
-        Start from a fresh registry and tracer (the default); pass
-        ``False`` to accumulate across enable/disable cycles.
+    Starts from a fresh registry and tracer; ``trace_path`` names an
+    optional JSONL file, truncated, that receives every trace record as
+    it is emitted.
     """
-    if reset:
-        OBS.registry = MetricsRegistry()
-        OBS.tracer = Tracer(path=trace_path, buffer=buffer_traces)
-    elif trace_path is not None:
-        OBS.tracer = Tracer(path=trace_path, buffer=buffer_traces)
+    OBS.registry = MetricsRegistry()
+    OBS.tracer = Tracer(path=trace_path)
     OBS.enabled = True
     return OBS
 
@@ -209,9 +187,10 @@ def disable() -> None:
 
 
 @contextmanager
-def capture(trace_path=None, buffer_traces: bool = True):
+def capture(trace_path: str | os.PathLike[str] | None = None
+            ) -> Iterator[Observability]:
     """Scoped :func:`enable`/:func:`disable`; yields the handle."""
-    enable(trace_path=trace_path, buffer_traces=buffer_traces)
+    enable(trace_path=trace_path)
     try:
         yield OBS
     finally:

@@ -14,22 +14,12 @@ dependencies on the analysis package.
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.obs.profile import _table
 from repro.obs.registry import MetricsRegistry, render_name
 
 __all__ = ["render_dashboard"]
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) if i else c.ljust(w)
-                               for i, (c, w) in enumerate(zip(row, widths))))
-    return lines
 
 
 def _by_system(registry: MetricsRegistry, metric_name: str) -> dict:
@@ -51,9 +41,9 @@ def _fmt(value: float, unit: str = "") -> str:
     return f"{value:.4f}{unit}"
 
 
-def render_dashboard(registry: MetricsRegistry, monitor=None,
-                     title: str = "repro observability") -> str:
+def render_dashboard(registry: MetricsRegistry, monitor: Any = None) -> str:
     """Render the live dashboard as plain text."""
+    title = "repro observability"
     lines = [title, "=" * len(title), ""]
 
     # ---- per-system throughput and latency --------------------------

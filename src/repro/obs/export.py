@@ -1,44 +1,22 @@
-"""Exporters: Prometheus-style text snapshots and JSONL trace dumps.
+"""Exporter: Prometheus-style text snapshots of the metrics registry.
 
 The text format follows the Prometheus exposition conventions closely
 enough for any Prometheus-ecosystem tool to scrape a file written by
 :func:`render_prometheus`: ``# TYPE`` headers, ``_total`` counter
-suffixes, cumulative ``_bucket{le="..."}`` series for bucket-mode
-histograms and ``{quantile="..."}`` summary lines for reservoirs.
+suffixes and ``{quantile="..."}`` summary lines for histograms.
 Metric names are sanitized (dots become underscores) on the way out;
-the registry keeps the dotted internal names.
+the registry keeps the dotted internal names.  Traces need no exporter:
+``Tracer(path=...)`` streams them as JSON lines.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.trace import jsonl_line
 
-__all__ = ["emit_text", "render_prometheus", "write_prometheus",
-           "write_trace_jsonl"]
-
-
-def emit_text(text: str, stream=None) -> None:
-    """The blessed path for human-readable report output.
-
-    Library code must not call ``print()`` (oblint OBL303): stray stdout
-    corrupts machine-readable CLI output and leaves no trace.  This
-    helper writes to ``stream`` (default ``sys.stdout``) and, when
-    observability is enabled, records the emission as a trace event so
-    exported traces show *that* a report was produced without embedding
-    its contents.
-    """
-    import sys
-
-    from repro.obs import OBS
-
-    out = stream if stream is not None else sys.stdout
-    out.write(text if text.endswith("\n") else text + "\n")
-    if OBS.enabled:
-        OBS.event("report.emit", lines=text.count("\n") + 1,
-                  chars=len(text))
+__all__ = ["render_prometheus", "write_prometheus"]
 
 
 def _sanitize(name: str) -> str:
@@ -52,7 +30,7 @@ def _labels_text(labels: tuple, extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def _format_value(value) -> str:
+def _format_value(value: object) -> str:
     if value is None:
         return "NaN"
     if isinstance(value, float) and math.isinf(value):
@@ -60,20 +38,13 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _render_histogram(base: str, labels: tuple, hist: Histogram) -> list[str]:
+def _render_summary(base: str, labels: tuple, hist: Histogram) -> list[str]:
     lines = []
-    if hist.mode == "buckets":
-        for bound, cumulative in hist.bucket_counts():
-            le = "+Inf" if math.isinf(bound) else repr(bound)
-            extra = 'le="%s"' % le
-            lines.append(
-                f"{base}_bucket{_labels_text(labels, extra)} {cumulative}")
-    else:
-        for q in (0.5, 0.95, 0.99):
-            extra = 'quantile="%s"' % q
-            lines.append(
-                f"{base}{_labels_text(labels, extra)} "
-                f"{_format_value(hist.percentile(q))}")
+    for q in (0.5, 0.95, 0.99):
+        extra = 'quantile="%s"' % q
+        lines.append(
+            f"{base}{_labels_text(labels, extra)} "
+            f"{_format_value(hist.percentile(q))}")
     lines.append(f"{base}_sum{_labels_text(labels)} {_format_value(hist.total)}")
     lines.append(f"{base}_count{_labels_text(labels)} {hist.count}")
     return lines
@@ -87,48 +58,20 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         base = _sanitize(name)
         if metric.kind == "counter":
             base = base if base.endswith("_total") else base + "_total"
-            if base not in seen_types:
-                lines.append(f"# TYPE {base} counter")
-                seen_types.add(base)
-            lines.append(f"{base}{_labels_text(labels)} "
-                         f"{_format_value(metric.value)}")
-        elif metric.kind == "gauge":
-            if base not in seen_types:
-                lines.append(f"# TYPE {base} gauge")
-                seen_types.add(base)
-            lines.append(f"{base}{_labels_text(labels)} "
-                         f"{_format_value(metric.value)}")
+        kind = "summary" if metric.kind == "histogram" else metric.kind
+        if base not in seen_types:
+            lines.append(f"# TYPE {base} {kind}")
+            seen_types.add(base)
+        if kind == "summary":
+            lines.extend(_render_summary(base, labels, metric))
         else:
-            kind = "histogram" if metric.mode == "buckets" else "summary"
-            if base not in seen_types:
-                lines.append(f"# TYPE {base} {kind}")
-                seen_types.add(base)
-            lines.extend(_render_histogram(base, labels, metric))
+            lines.append(f"{base}{_labels_text(labels)} "
+                         f"{_format_value(metric.value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_prometheus(registry: MetricsRegistry, path) -> None:
+def write_prometheus(registry: MetricsRegistry,
+                     path: str | os.PathLike[str]) -> None:
     """Write :func:`render_prometheus` output to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(render_prometheus(registry))
-
-
-def write_trace_jsonl(records, path) -> int:
-    """Dump trace ``records`` (dicts) to ``path`` as JSON lines.
-
-    Used for post-hoc export of an in-memory tracer buffer; live
-    streaming is handled by ``Tracer(path=...)``.  Returns the number of
-    records written.
-
-    Non-finite floats (a zero-width throughput window observes ``inf``)
-    are encoded as ``"+Inf"``/``"-Inf"``/``"NaN"`` strings via
-    :func:`repro.obs.trace.jsonl_line` — ``json.dumps`` alone would emit
-    bare ``Infinity``, which is not JSON and breaks line-by-line
-    ``json.loads`` consumers.
-    """
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(jsonl_line(record) + "\n")
-            count += 1
-    return count

@@ -21,6 +21,8 @@ where each round's time goes, per phase.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.obs.registry import Histogram, MetricsRegistry
 
 __all__ = ["ProfileNode", "build_profile", "profile_snapshot",
@@ -51,7 +53,7 @@ class ProfileNode:
         return out
 
 
-def build_profile(records) -> ProfileNode:
+def build_profile(records: Iterable[dict]) -> ProfileNode:
     """Fold trace records into an aggregate span tree.
 
     Returns a virtual root whose children are the top-level spans
@@ -130,6 +132,7 @@ def _phase_rows(registry: MetricsRegistry) -> list[list[str]]:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    """Left-aligned first column, right-aligned rest (the dashboard's too)."""
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     lines = [
@@ -142,9 +145,10 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def render_profile(registry: MetricsRegistry, records,
-                   title: str = "span-tree profile") -> str:
+def render_profile(registry: MetricsRegistry,
+                   records: Iterable[dict]) -> str:
     """Render the full profile report (span tree + per-phase table)."""
+    title = "span-tree profile"
     lines = [title, "=" * len(title), ""]
     root = build_profile(records)
     if root.children:
@@ -164,7 +168,8 @@ def render_profile(registry: MetricsRegistry, records,
     return "\n".join(lines)
 
 
-def profile_snapshot(registry: MetricsRegistry, records) -> dict:
+def profile_snapshot(registry: MetricsRegistry,
+                     records: Iterable[dict]) -> dict:
     """JSON-able profile (the CI artifact behind ``--profile-out``)."""
     root = build_profile(records)
     phases = {}

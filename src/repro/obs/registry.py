@@ -12,13 +12,11 @@ Design points:
   records ``round.seconds`` and the ``system=waffle|pancake|...`` label
   distinguishes them, so dashboards and exporters can place the systems
   side by side without name translation tables.
-* **Histograms** support two modes.  ``reservoir`` keeps a bounded
-  uniform sample (Vitter's algorithm R) for percentile queries;
-  ``buckets`` counts into fixed upper-bound buckets (the Prometheus
-  shape) for cheap merges and text exposition.  The reservoir uses a
-  *private* deterministic :class:`random.Random` so that observability
-  never consumes a draw from any system or workload rng — the
-  trace-neutrality invariant (DESIGN.md §7) depends on this.
+* **Histograms** keep a bounded uniform sample (Vitter's algorithm R)
+  for percentile queries and export as Prometheus summaries.  The
+  reservoir uses a *private* deterministic :class:`random.Random` so
+  that observability never consumes a draw from any system or workload
+  rng — the trace-neutrality invariant (DESIGN.md §7) depends on this.
 * The registry itself has no dependencies on the rest of the package, so
   every layer (crypto kernels included) may import it freely.
 
@@ -30,24 +28,12 @@ observability layer promises.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from typing import Any, Callable, Iterator
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Default reservoir capacity; enough for stable p99 estimates.
 _DEFAULT_RESERVOIR = 1024
-
-#: Default buckets (seconds-flavoured, spanning µs to minutes).
-DEFAULT_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
-)
 
 
 class Counter:
@@ -88,32 +74,19 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution of observed values, in reservoir or bucket mode.
+    """Distribution of observed values as a bounded uniform sample.
 
-    Parameters
-    ----------
-    mode:
-        ``"reservoir"`` (bounded uniform sample, exact small-n
-        percentiles) or ``"buckets"`` (fixed upper-bound counts,
-        Prometheus-style; percentiles resolve to bucket bounds).
-    buckets:
-        Upper bounds for bucket mode; ignored for reservoirs.
-    reservoir_size:
-        Sample capacity for reservoir mode.
+    Count, sum, min and max are exact; percentiles are exact until
+    ``reservoir_size`` observations and sampled after.
     """
 
-    __slots__ = ("mode", "count", "total", "min", "max",
-                 "_samples", "_capacity", "_rng", "_bounds", "_bucket_counts")
+    __slots__ = ("count", "total", "min", "max",
+                 "_samples", "_capacity", "_rng")
     kind = "histogram"
 
-    def __init__(self, mode: str = "reservoir",
-                 buckets: tuple[float, ...] | None = None,
-                 reservoir_size: int = _DEFAULT_RESERVOIR) -> None:
-        if mode not in ("reservoir", "buckets"):
-            raise ValueError(f"unknown histogram mode {mode!r}")
+    def __init__(self, reservoir_size: int = _DEFAULT_RESERVOIR) -> None:
         if reservoir_size < 1:
             raise ValueError("reservoir size must be positive")
-        self.mode = mode
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
@@ -123,9 +96,6 @@ class Histogram:
         # Private deterministic rng: observability must never consume a
         # draw from a system/workload rng (trace neutrality).
         self._rng = random.Random(0x0B5E7)
-        bounds = tuple(sorted(buckets if buckets is not None else DEFAULT_BUCKETS))
-        self._bounds = bounds if mode == "buckets" else ()
-        self._bucket_counts = [0] * (len(self._bounds) + 1)  # +inf overflow
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -134,54 +104,26 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if self.mode == "reservoir":
-            if len(self._samples) < self._capacity:
-                self._samples.append(value)
-            else:  # Vitter's algorithm R
-                slot = self._rng.randrange(self.count)
-                if slot < self._capacity:
-                    self._samples[slot] = value
-        else:
-            self._bucket_counts[bisect_left(self._bounds, value)] += 1
+        if len(self._samples) < self._capacity:
+            self._samples.append(value)
+        else:  # Vitter's algorithm R
+            slot = self._rng.randrange(self.count)
+            if slot < self._capacity:
+                self._samples[slot] = value
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 1]); 0.0 when empty.
-
-        Bucket mode returns the upper bound of the bucket holding the
-        rank (``inf`` resolves to the observed max).
-        """
+        """Nearest-rank percentile (``q`` in [0, 1]); 0.0 when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
         if self.count == 0:
             return 0.0
-        if self.mode == "reservoir":
-            ordered = sorted(self._samples)
-            rank = max(1, round(q * len(ordered)))
-            return ordered[rank - 1]
-        target = max(1, round(q * self.count))
-        running = 0
-        for i, n in enumerate(self._bucket_counts):
-            running += n
-            if running >= target:
-                if i < len(self._bounds):
-                    return self._bounds[i]
-                return self.max if self.max is not None else 0.0
-        return self.max if self.max is not None else 0.0
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs (bucket mode only)."""
-        if self.mode != "buckets":
-            raise ValueError("bucket counts only exist in bucket mode")
-        out, running = [], 0
-        for bound, n in zip(self._bounds, self._bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), self.count))
-        return out
+        ordered = sorted(self._samples)
+        rank = max(1, round(q * len(ordered)))
+        return ordered[rank - 1]
 
     def snapshot(self) -> dict:
         return {
@@ -229,23 +171,20 @@ class MetricsRegistry:
             self._metrics[key] = metric
         return metric
 
-    def counter(self, name: str, **labels) -> Counter:
+    def counter(self, name: str, **labels: object) -> Counter:
         metric = self._get(name, Counter, labels)
         if metric.kind != "counter":
             raise ValueError(f"{name!r} already registered as {metric.kind}")
         return metric
 
-    def gauge(self, name: str, **labels) -> Gauge:
+    def gauge(self, name: str, **labels: object) -> Gauge:
         metric = self._get(name, Gauge, labels)
         if metric.kind != "gauge":
             raise ValueError(f"{name!r} already registered as {metric.kind}")
         return metric
 
-    def histogram(self, name: str, mode: str = "reservoir",
-                  buckets: tuple[float, ...] | None = None,
-                  **labels) -> Histogram:
-        metric = self._get(
-            name, lambda: Histogram(mode=mode, buckets=buckets), labels)
+    def histogram(self, name: str, **labels: object) -> Histogram:
+        metric = self._get(name, Histogram, labels)
         if metric.kind != "histogram":
             raise ValueError(f"{name!r} already registered as {metric.kind}")
         return metric

@@ -8,18 +8,17 @@ and serialize to one JSON object per line, so a trace file replays with
 
 Spans form a **tree**: every span record carries a process-unique
 ``span_id`` and the ``parent`` id of the span that was open on the same
-thread when it completed (``None`` at the root).  Sequential hot paths
-open a region with :meth:`Tracer.open_span`, which pushes it on a
-per-thread stack, and close it with :meth:`Tracer.close_span`;
-:meth:`Tracer.record_span` (the one-shot form) parents itself under the
-innermost open span automatically.  The round engine uses this to nest
+thread when it completed (``None`` at the root).  A region opens with
+:meth:`Tracer.open_span`, which pushes it on a per-thread stack, and
+:meth:`Tracer.close_span` pops it and builds its record — the one place
+a span record is made.  The round engine uses this to nest
 ``round -> phase.*``, which :mod:`repro.obs.profile` re-assembles into a
 flamegraph-style report.
 The stack is thread-local because a served round runs on the round
 thread while the event loop thread records its own spans.
 
 The tracer buffers records in memory (bounded), optionally streams them
-to a JSONL file, and fans every record out to registered subscribers —
+to a fresh JSONL file, and fans every record out to registered subscribers —
 that last hook is how the live :class:`~repro.analysis.monitor.AlphaMonitor`
 consumes the storage-access stream without the storage layer knowing the
 monitor exists.
@@ -35,17 +34,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
-import time
+from typing import Any, Callable
 
-__all__ = ["NULL_SPAN", "Span", "Tracer", "jsonl_line"]
+__all__ = ["Tracer", "jsonl_line"]
 
 #: Default in-memory record cap; oldest records are dropped beyond it so
 #: week-long runs cannot exhaust memory (file sinks keep everything).
 _DEFAULT_MAX_RECORDS = 200_000
 
 
-def _jsonable(value):
+def _jsonable(value: Any) -> Any:
     """Replace non-finite floats with their string spellings, recursively.
 
     ``json.dumps`` emits bare ``Infinity``/``NaN`` for non-finite floats
@@ -73,85 +73,27 @@ def jsonl_line(record: dict) -> str:
     return json.dumps(_jsonable(record), default=str, allow_nan=False)
 
 
-class _NullSpan:
-    """Shared no-op span returned whenever observability is disabled.
-
-    A single module-level instance, so the disabled path allocates
-    nothing: ``with OBS.span(...)`` costs one attribute check and two
-    no-op calls.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-class Span:
-    """A live timed region; use as a context manager.
-
-    ``set(**attrs)`` attaches attributes discovered mid-region (batch
-    composition, byte counts).  The record is emitted at ``__exit__``.
-    """
-
-    __slots__ = ("_tracer", "name", "attrs", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-        self._start = 0.0
-
-    def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
-        return self
-
-    def set(self, **attrs) -> None:
-        self.attrs.update(attrs)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.perf_counter() - self._start
-        if exc_type is not None:
-            self.attrs["error"] = exc_type.__name__
-        self._tracer.record_span(self.name, duration, **self.attrs)
-        return False
-
-
 class Tracer:
     """Collects span/event records; buffers, streams and fans out.
 
     Parameters
     ----------
     path:
-        Optional JSONL file; records append as they are emitted.
-    buffer:
-        Keep records in memory (:attr:`records`); disable for unbounded
-        file-only runs.
+        Optional JSONL file, truncated on open; every record is written
+        to it as it is emitted.
     max_records:
         In-memory cap; the buffer drops its oldest half when full.
     """
 
-    __slots__ = ("records", "dropped", "_path", "_file", "_subscribers",
-                 "_buffer", "_max_records", "_seq", "_next_span_id",
-                 "_local")
+    __slots__ = ("records", "dropped", "_file", "_subscribers",
+                 "_max_records", "_seq", "_next_span_id", "_local")
 
-    def __init__(self, path=None, buffer: bool = True,
+    def __init__(self, path: str | os.PathLike[str] | None = None,
                  max_records: int = _DEFAULT_MAX_RECORDS) -> None:
         self.records: list[dict] = []
         self.dropped = 0
-        self._path = path
-        self._file = open(path, "a", encoding="utf-8") if path else None
-        self._subscribers: list = []
-        self._buffer = buffer
+        self._file = open(path, "w", encoding="utf-8") if path else None
+        self._subscribers: list[Callable[[dict], None]] = []
         self._max_records = max_records
         self._seq = 0
         self._next_span_id = 1
@@ -163,12 +105,11 @@ class Tracer:
     def emit(self, record: dict) -> None:
         record["seq"] = self._seq
         self._seq += 1
-        if self._buffer:
-            self.records.append(record)
-            if len(self.records) > self._max_records:
-                keep = self._max_records // 2
-                self.dropped += len(self.records) - keep
-                self.records = self.records[-keep:]
+        self.records.append(record)
+        if len(self.records) > self._max_records:
+            keep = self._max_records // 2
+            self.dropped += len(self.records) - keep
+            self.records = self.records[-keep:]
         if self._file is not None:
             self._file.write(jsonl_line(record) + "\n")
         for subscriber in self._subscribers:
@@ -180,11 +121,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    def _alloc_span_id(self) -> int:
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        return span_id
 
     def open_span(self, name: str, root: bool = False) -> int:
         """Open a nested region; returns a token for :meth:`close_span`.
@@ -198,11 +134,12 @@ class Tracer:
         stack = self._stack()
         if root:
             stack.clear()
-        span_id = self._alloc_span_id()
+        span_id = self._next_span_id
+        self._next_span_id += 1
         stack.append((span_id, name))
         return span_id
 
-    def close_span(self, token: int, seconds: float, **attrs) -> str:
+    def close_span(self, token: int, seconds: float, **attrs: Any) -> str:
         """Close an open region and emit its record; returns its name.
 
         Pops the stack down to (and including) ``token``, tolerating
@@ -221,37 +158,17 @@ class Tracer:
                    "span_id": token, "parent": parent, "attrs": attrs})
         return name
 
-    def record_span(self, name: str, seconds: float,
-                    parent: int | None = None, **attrs) -> int:
-        """Emit a completed span with an explicit duration; returns its id.
-
-        Hot paths that already hold ``perf_counter`` boundaries use this
-        directly and skip the context-manager object entirely.  The span
-        parents under this thread's innermost open span unless ``parent``
-        names one explicitly.
-        """
-        span_id = self._alloc_span_id()
-        if parent is None:
-            stack = self._stack()
-            parent = stack[-1][0] if stack else None
-        self.emit({"kind": "span", "name": name, "dur": seconds,
-                   "span_id": span_id, "parent": parent, "attrs": attrs})
-        return span_id
-
-    def event(self, name: str, **attrs) -> None:
+    def event(self, name: str, **attrs: Any) -> None:
         self.emit({"kind": "event", "name": name, "attrs": attrs})
-
-    def span(self, name: str, **attrs) -> Span:
-        return Span(self, name, attrs)
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
-    def subscribe(self, callback) -> None:
+    def subscribe(self, callback: Callable[[dict], None]) -> None:
         """Register ``callback(record)`` for every future record."""
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback) -> None:
+    def unsubscribe(self, callback: Callable[[dict], None]) -> None:
         """Remove a previously registered subscriber (no-op if absent)."""
         try:
             self._subscribers.remove(callback)

@@ -1,7 +1,7 @@
 """Known-bad fixture: ``print()`` outside the CLI/dashboard (OBL303).
 
-Library code reports through the observability export path
-(``repro.obs.export``) so output is capturable and metered.
+Library code returns its report text and the CLI prints it, so stdout
+stays machine-readable.
 """
 
 

@@ -50,7 +50,7 @@ class TestTimingObserver:
         assert observer.timestamps == [0.5, 2.0, 3.0]
         # Other events never stamp.
         tracer.event("report.emit", lines=1)
-        tracer.record_span("round", 0.1)
+        tracer.close_span(tracer.open_span("round"), 0.1)
         assert len(observer) == 3
         tracer.unsubscribe(callback)
         tracer.event("storage.access", op="read", id="y", round=4)

@@ -2,9 +2,9 @@
 
 Covers the per-round metrics emitted by the Waffle proxy, the kernel
 profiling hooks, the net/closed-loop/HA instrumentation, the trace-
-neutrality oracle across all four systems, and the three exporters
-(Prometheus text, JSONL traces, terminal dashboard) plus the CLI
-``obs`` subcommand.
+neutrality oracle across all four systems, and the exports (Prometheus
+text, the streamed JSONL trace, terminal dashboard, span-tree profile)
+through the CLI ``obs`` subcommand.
 """
 
 import hashlib
@@ -250,8 +250,6 @@ class TestExporters:
         registry.counter("requests.total", system="waffle").inc(7)
         registry.gauge("cache.size").set(3)
         registry.histogram("round.seconds").observe(0.25)
-        registry.histogram("lat", mode="buckets",
-                           buckets=(0.1, 1.0)).observe(0.5)
         return registry
 
     def test_prometheus_rendering(self, tmp_path):
@@ -265,23 +263,9 @@ class TestExporters:
         assert "# TYPE round_seconds summary" in text
         assert 'round_seconds{quantile="0.5"} 0.25' in text
         assert "round_seconds_count 1" in text
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="1.0"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 1' in text
         path = tmp_path / "metrics.prom"
         write_prometheus(registry, path)
         assert path.read_text() == text
-
-    def test_write_trace_jsonl(self, tmp_path):
-        from repro.obs.export import write_trace_jsonl
-
-        records = [{"kind": "event", "name": "x", "attrs": {}, "seq": 0},
-                   {"kind": "span", "name": "round", "dur": 0.1,
-                    "attrs": {}, "seq": 1}]
-        path = tmp_path / "trace.jsonl"
-        assert write_trace_jsonl(records, path) == 2
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == records
 
     def test_dashboard_renders_all_sections(self):
         from repro.analysis.monitor import AlphaMonitor
@@ -304,16 +288,45 @@ class TestExporters:
 
 class TestCli:
     def test_cli_obs_smoke(self, tmp_path, capsys):
+        """The flags CI's observability smoke passes, with its artifacts
+        checked the way a consumer reads them."""
         from repro.cli import main
 
         trace = tmp_path / "trace.jsonl"
         prom = tmp_path / "metrics.prom"
+        profile = tmp_path / "profile.json"
         rc = main(["obs", "--n", "128", "--rounds", "4", "--window", "2",
+                   "--profile", "--profile-out", str(profile),
                    "--trace-out", str(trace), "--prom-out", str(prom)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "repro observability" in out
         assert "alpha-budget status" in out
-        assert prom.read_text().startswith("# TYPE")
-        assert sum(1 for _ in trace.open()) > 0
+        assert "span-tree profile" in out
+        snapshot = json.loads(profile.read_text())
+        assert snapshot["schema"] == "repro.profile/2"
+        children = snapshot["tree"]["round"]["children"]
+        assert children and all(name.startswith("phase.")
+                                for name in children)
+        types = [line.split()[3] for line in prom.read_text().splitlines()
+                 if line.startswith("# TYPE")]
+        assert types and set(types) <= {"counter", "gauge", "summary"}
+        records = [json.loads(line) for line in trace.open()]
+        assert records
         assert not obs.OBS.enabled
+
+    def test_trace_out_replaces_an_earlier_trace(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        argv = ["obs", "--n", "128", "--rounds", "2",
+                "--trace-out", str(trace)]
+        assert main(argv) == 0
+        first = trace.read_text()
+        assert main(argv) == 0
+        assert trace.read_text().count("\n") == first.count("\n")
+        records = [json.loads(line) for line in trace.open()]
+        seqs = [record["seq"] for record in records]
+        assert seqs == sorted(set(seqs))
+        span_ids = [r["span_id"] for r in records if r["kind"] == "span"]
+        assert len(span_ids) == len(set(span_ids))

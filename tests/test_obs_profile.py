@@ -24,7 +24,7 @@ class TestBuildProfile:
         for _ in range(3):
             round_tok = tracer.open_span("round", root=True)
             plan = tracer.open_span("phase.plan")
-            tracer.record_span("kernel.batch", 0.01)
+            tracer.close_span(tracer.open_span("kernel.batch"), 0.01)
             tracer.close_span(plan, 0.03)
             tracer.close_span(round_tok, 0.05)
         root = build_profile(_records_from(tracer))
@@ -44,7 +44,8 @@ class TestBuildProfile:
         io = tracer.open_span("phase.server_io")
         tracer.close_span(io, 0.01)
         tracer.close_span(round_tok, 0.02)
-        tracer.record_span("phase.server_io", 0.5)  # top-level orphan
+        orphan = tracer.open_span("phase.server_io")  # top level
+        tracer.close_span(orphan, 0.5)
         root = build_profile(_records_from(tracer))
         assert root.children["round"].children["phase.server_io"].total \
             == pytest.approx(0.01)
@@ -61,7 +62,7 @@ class TestBuildProfile:
     def test_events_are_ignored(self):
         tracer = Tracer()
         tracer.event("storage.access", op="read")
-        tracer.record_span("round", 0.1)
+        tracer.close_span(tracer.open_span("round"), 0.1)
         root = build_profile(_records_from(tracer))
         assert set(root.children) == {"round"}
 

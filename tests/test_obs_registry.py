@@ -1,7 +1,5 @@
 """Tests for the metrics registry (counters, gauges, histograms)."""
 
-import math
-
 import pytest
 
 from repro.obs.registry import (
@@ -73,34 +71,6 @@ class TestHistogramReservoir:
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):
             Histogram().percentile(1.5)
-
-
-class TestHistogramBuckets:
-    def test_cumulative_bucket_counts(self):
-        hist = Histogram(mode="buckets", buckets=(1.0, 10.0, 100.0))
-        for value in (0.5, 5.0, 5.0, 50.0, 500.0):
-            hist.observe(value)
-        counts = dict(hist.bucket_counts())
-        assert counts[1.0] == 1
-        assert counts[10.0] == 3
-        assert counts[100.0] == 4
-        assert counts[math.inf] == 5
-
-    def test_percentile_resolves_to_bucket_bound(self):
-        hist = Histogram(mode="buckets", buckets=(1.0, 10.0))
-        for _ in range(9):
-            hist.observe(0.5)
-        hist.observe(5.0)
-        assert hist.percentile(0.5) == 1.0
-        assert hist.percentile(0.99) == 10.0
-
-    def test_bucket_counts_rejected_for_reservoir(self):
-        with pytest.raises(ValueError):
-            Histogram().bucket_counts()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(mode="tdigest")
 
 
 class TestMetricsRegistry:
