@@ -26,12 +26,7 @@ from repro.analysis.attacks import (
 from repro.analysis.leakage import LeakageSummary, leakage_summary
 from repro.analysis.monitor import AlphaMonitor
 from repro.analysis.report import AuditResult, security_audit
-from repro.analysis.stats import (
-    bootstrap_ci,
-    ks_exponential,
-    ks_statistic,
-    percentile,
-)
+from repro.analysis.stats import ks_exponential, ks_statistic, percentile
 from repro.analysis.timing import (
     TimingObserver,
     attach_timing_observer,
@@ -50,7 +45,6 @@ __all__ = [
     "UniformityReport",
     "alpha_histogram",
     "attach_timing_observer",
-    "bootstrap_ci",
     "cooccurrence_attack",
     "detect_onset",
     "frequency_analysis_attack",

@@ -1,20 +1,13 @@
-"""Small statistics toolkit: percentiles, bootstrap CIs, KS goodness.
-
-The serving benchmark reports tail latencies, and a p99 from a few
-hundred samples is itself a noisy estimate — reporting it without an
-interval invites over-reading one lucky run.  This module provides the
-three pieces the benchmark and the open-loop workload tests share:
+"""Small statistics toolkit: percentiles and KS goodness of fit.
 
 * :func:`percentile` — linear-interpolation percentile (the numpy
   default), dependency-free so the helpers work on plain lists;
-* :func:`bootstrap_ci` — seeded percentile-method bootstrap confidence
-  interval for any statistic of an i.i.d.-ish sample;
 * :func:`ks_statistic` / :func:`ks_exponential` — the Kolmogorov–
   Smirnov distance against an arbitrary CDF, specialised for the
   exponential inter-arrival check on :class:`PoissonArrivals`.
 
-Everything is deterministic given its seed; the known-answer fixtures
-in ``tests/test_analysis_stats.py`` pin exact outputs.
+The known-answer fixtures in ``tests/test_analysis_stats.py`` pin exact
+outputs.
 """
 
 from __future__ import annotations
@@ -23,10 +16,8 @@ import math
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.seeding import seeded_rng
 
 __all__ = [
-    "bootstrap_ci",
     "ks_exponential",
     "ks_statistic",
     "percentile",
@@ -53,41 +44,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
         return ordered[low]
     weight = position - low
     return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
-def bootstrap_ci(samples: Sequence[float],
-                 statistic: Callable[[Sequence[float]], float],
-                 *, n_resamples: int = 200, confidence: float = 0.95,
-                 seed: int | None = None) -> tuple[float, float, float]:
-    """Percentile-method bootstrap interval for ``statistic(samples)``.
-
-    Resamples with replacement ``n_resamples`` times using a seeded RNG
-    and returns ``(point, lo, hi)`` where ``point`` is the statistic of
-    the original sample and ``[lo, hi]`` covers the central
-    ``confidence`` mass of the bootstrap distribution.
-
-    The percentile method is the bluntest bootstrap (no bias
-    correction), which is fine here: the benchmark needs honest error
-    bars on latency quantiles, not publishable inference.
-    """
-    if not samples:
-        raise ConfigurationError("bootstrap of an empty sample")
-    if n_resamples < 1:
-        raise ConfigurationError("n_resamples must be >= 1")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError("confidence must be in (0, 1)")
-    data = list(samples)
-    point = statistic(data)
-    rng = seeded_rng(seed)
-    n = len(data)
-    replicates = sorted(
-        statistic([data[rng.randrange(n)] for _ in range(n)])
-        for _ in range(n_resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo = percentile(replicates, 100.0 * alpha)
-    hi = percentile(replicates, 100.0 * (1.0 - alpha))
-    return point, lo, hi
 
 
 def ks_statistic(samples: Sequence[float],

@@ -5,7 +5,6 @@
 * :mod:`repro.baselines.pancake` — Pancake (USENIX Security '20):
   frequency smoothing with replicas + fake queries under a known input
   distribution, static storage ids, updateCache for write propagation;
-* :class:`PathOram` — PathORAM (CCS '13), the classic tree ORAM;
 * :class:`TaoStore` — TaoStore (S&P '16), a concurrent tree-ORAM
   datastore with a sequencer and asynchronous write-back.
 
@@ -16,13 +15,11 @@ adversary recorder and the cost model apply uniformly.
 
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy, SmoothedDistribution
-from repro.baselines.pathoram import PathOram
 from repro.baselines.taostore import TaoStore
 
 __all__ = [
     "InsecureStore",
     "PancakeProxy",
-    "PathOram",
     "SmoothedDistribution",
     "TaoStore",
 ]

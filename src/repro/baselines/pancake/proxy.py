@@ -26,10 +26,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from numpy.typing import ArrayLike
+
 from repro.baselines.pancake.smoothing import SmoothedDistribution
 from repro.obs import OBS
 from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.seeding import seeded_rng
 from repro.storage.base import StorageBackend
 from repro.storage.recording import RecordingStore
@@ -79,7 +81,7 @@ class PancakeProxy:
     """
 
     def __init__(self, keys: list[str], items: dict[str, bytes],
-                 assumed_pi, store: StorageBackend,
+                 assumed_pi: ArrayLike, store: StorageBackend,
                  batch_size: int = 2500, delta: float = 0.5,
                  keychain: KeyChain | None = None,
                  seed: int | None = None,
@@ -136,7 +138,10 @@ class PancakeProxy:
     # ------------------------------------------------------------------
     def submit(self, request: TraceRequest) -> list:
         """Queue one client request; returns a single-slot result list
-        that is filled in when the request is served by a batch."""
+        that is filled in when the request is served by a batch.  An
+        unknown key is refused here, before it can take a batch slot."""
+        if request.key not in self.key_index:
+            raise KeyNotFoundError(request.key)
         result: list = []
         self._queue.append((request, result))
         return result
@@ -161,9 +166,7 @@ class PancakeProxy:
             take_real = self._queue and self._rng.random() < self.delta
             if take_real:
                 request, result = self._queue.popleft()
-                key_index = self.key_index.get(request.key)
-                if key_index is None:
-                    raise ProtocolError(f"unknown key: {request.key!r}")
+                key_index = self.key_index[request.key]
                 replica = self.smoothing.pick_replica(key_index)
                 slots.append((key_index, replica, request, result))
                 stats.real_slots += 1

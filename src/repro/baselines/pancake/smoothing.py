@@ -23,6 +23,7 @@ import math
 import random
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.seeding import seeded_rng
 
@@ -36,7 +37,7 @@ class AliasSampler:
 
     __slots__ = ("_prob", "_alias", "_rng", "n")
 
-    def __init__(self, weights, seed: int | None = None) -> None:
+    def __init__(self, weights: ArrayLike, seed: int | None = None) -> None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1 or len(weights) == 0:
             raise ConfigurationError("weights must be a non-empty 1-D array")
@@ -78,7 +79,7 @@ class SmoothedDistribution:
         Seed for the fake-query sampler.
     """
 
-    def __init__(self, pi, seed: int | None = None) -> None:
+    def __init__(self, pi: ArrayLike, seed: int | None = None) -> None:
         pi = np.asarray(pi, dtype=np.float64)
         if pi.ndim != 1 or len(pi) == 0:
             raise ConfigurationError("pi must be a non-empty 1-D array")

@@ -103,7 +103,7 @@ class TaoStore:
         self.stats = TaoStoreStats()
 
     # ------------------------------------------------------------------
-    # encoding helpers (same block format as PathORAM)
+    # encoding helpers
     # ------------------------------------------------------------------
     def _node_id(self, node: int) -> str:
         return f"tao:node:{node:08d}"
@@ -198,7 +198,7 @@ class TaoStore:
         if key not in self._pending_blocks:  # pragma: no cover - defensive
             raise KeyNotFoundError(key)
 
-        # Fresh leaf on every access: non-static ids, like PathORAM.
+        # Fresh leaf on every access, so a block's path is never static.
         self.position[key] = self._rng.randrange(self.leaves)
         if request.op is Operation.WRITE:
             self._pending_blocks[key] = request.value

@@ -12,90 +12,19 @@ from repro.analysis.leakage import leakage_summary
 from repro.analysis.timing import timing_attack_benchmark
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
-from repro.bench.harness import (
-    run_waffle,
-    run_waffle_with_inserts,
-    waffle_round_time,
-)
+from repro.bench.harness import run_waffle, run_waffle_with_inserts
 from repro.bench.reporting import format_table
-from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.ha import capture_proxy
-from repro.scaleout import PartitionedWaffle
 from repro.sim.closedloop import simulate_closed_loop
 from repro.sim.costmodel import CostModel
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.testing.oracle import check_timing_channel
 from repro.workloads import ycsb
-from repro.workloads.trace import Operation
-
-def _run_partitions(config: WaffleConfig, partitions: int, requests: int,
-                    uniform: bool) -> dict:
-    candidates = (f"user{i:08d}" for i in range(10_000_000))
-    keys = PartitionedWaffle.plan_partitions(candidates, config.n,
-                                             partitions, master_seed=11)
-    items = {key: b"v" * 256 for key in keys}
-    store = PartitionedWaffle(config, items, partitions, master_seed=11)
-    cost = CostModel(cores=4)
-
-    # Zipf workload over the union of keys (sample indices, map to the
-    # partition-planned key names).
-    workload = ycsb.workload_c(len(keys), seed=7, value_size=256,
-                               uniform=uniform)
-    key_list = sorted(items)
-    trace = [
-        ClientRequest(op=Operation.READ,
-                      key=key_list[int(req.key[4:]) % len(key_list)])
-        for req in workload.trace(requests)
-    ]
-
-    # Route in R-sized waves; each partition's simulated time accrues
-    # independently (separate proxy machines run in parallel).
-    wave = config.r * partitions * 10  # amortize partial final rounds
-    for start in range(0, len(trace), wave):
-        store.execute_batch(trace[start: start + wave])
-    makespan = max(
-        sum(waffle_round_time(stats, config, cost)
-            for stats in datastore.proxy.totals.stats_by_round)
-        for datastore in store.stores)
-    return {
-        "partitions": partitions,
-        "workload": "uniform" if uniform else "zipf-0.99",
-        "throughput_ops": len(trace) / makespan if makespan else 0.0,
-        "slowest_partition_s": makespan,
-    }
-
-
-def scaleout(n: int = 2048, requests: int = 6000) -> list[dict]:
-    """Scale-out (§10 future work): throughput of 1, 2 and 4 partitions of
-    ``n`` keys each.
-
-    Partitions are independent Waffle instances on disjoint key ranges,
-    so they run in parallel on separate proxy machines (per-partition
-    α/β guarantees are verified in tests/test_scaleout.py).  The last
-    row is the skewed contrast: Zipf load imbalance caps the speedup —
-    the scaling cost the paper's future-work section would have to face.
-    """
-    config = WaffleConfig.paper_defaults(n=n, seed=3)
-    rows = [_run_partitions(config, partitions, requests, uniform=True)
-            for partitions in (1, 2, 4)]
-    rows.append(_run_partitions(config, 4, requests, uniform=False))
-    for row in rows:
-        row["speedup"] = row["throughput_ops"] / rows[0]["throughput_ops"]
-    return rows
-
-
-def check_scaleout(rows: list[dict]) -> None:
-    by = {(row["partitions"], row["workload"]): row for row in rows}
-    assert by[(2, "uniform")]["speedup"] > 1.6
-    assert by[(4, "uniform")]["speedup"] > 2.8
-    # Skew costs scaling: the Zipf run trails the uniform 4-way run.
-    assert by[(4, "zipf-0.99")]["throughput_ops"] < \
-        by[(4, "uniform")]["throughput_ops"]
 
 
 def latency_closedloop(n: int = 2**13, rounds: int = 30) -> list[dict]:
@@ -236,7 +165,7 @@ def ha_overhead(n: int = 2**12, rounds: int = 60) -> dict:
 
     Snapshot size as a function of cache size (the checkpoint carries
     the cache and the timestamp indexes, not the outsourced data), and
-    the per-batch replication time at different checkpoint intervals,
+    the cost of shipping that snapshot to a standby after every batch,
     charged as wire transfer at the cost model's line rate.
     """
     sizes = [_snapshot_size(n, fraction)
@@ -252,39 +181,31 @@ def ha_overhead(n: int = 2**12, rounds: int = 60) -> dict:
     base_round = measurement.sim_seconds / measurement.rounds
     blob = capture_proxy(datastore.proxy)
     ship = (len(blob) / 1024 * cost.transfer_per_kib_s + cost.rtt_s)
-    intervals = []
-    for interval in (1, 4, 16):
-        effective_round = base_round + ship / interval
-        intervals.append({
-            "checkpoint_interval": interval,
-            "throughput_ops": config.r / effective_round,
-            "overhead_pct": 100 * (effective_round / base_round - 1),
-        })
-    return {"sizes": sizes, "intervals": intervals}
+    effective_round = base_round + ship
+    replication = {
+        "throughput_ops": config.r / effective_round,
+        "overhead_pct": 100 * (effective_round / base_round - 1),
+    }
+    return {"sizes": sizes, "replication": [replication]}
 
 
 def render_ha_overhead(out: dict, params: dict) -> str:
     return "\n".join([
         format_table(out["sizes"],
                      title=f"HA snapshot size vs cache (N={params['n']})"),
-        format_table(out["intervals"],
-                     title="Replication overhead vs checkpoint interval"),
+        format_table(out["replication"],
+                     title="Replication overhead, snapshot shipped after "
+                           "every batch"),
     ])
 
 
 def check_ha_overhead(out: dict) -> None:
     sizes = [row["snapshot_kib"] for row in out["sizes"]]
     assert sizes == sorted(sizes)  # snapshot grows with the cache
-    overheads = [row["overhead_pct"] for row in out["intervals"]]
-    assert overheads == sorted(overheads, reverse=True)
     # Full-snapshot synchronous shipping is visibly expensive at this
-    # small round time (at the paper's 90 ms rounds it is ~20%); shipping
-    # every k-th batch would amortize it away, but promoting a snapshot up
-    # to k - 1 batches stale re-derives consumed ids (the stale-promotion
-    # test in tests/test_ha_quorum_edges.py), so ReplicatedProxy ships
-    # after every batch and this row is cost-model arithmetic only.
-    assert overheads[0] < 150
-    assert overheads[-1] < 15
+    # small round time (at the paper's 90 ms rounds it is ~20%); this row
+    # is cost-model arithmetic only.
+    assert out["replication"][0]["overhead_pct"] < 150
 
 
 def workload_d(n: int = 2**12, rounds: int = 150) -> list[dict]:

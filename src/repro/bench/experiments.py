@@ -1019,10 +1019,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         _check_low_security),
     "ablation-fake-policy": Experiment(
         ablation_fake_policy, _render_fake_policy, _check_fake_policy),
-    "scaleout": Experiment(
-        ablations.scaleout,
-        titled_table("Scale-out ablation (N={n}/partition)"),
-        ablations.check_scaleout),
     "latency-closedloop": Experiment(
         ablations.latency_closedloop,
         titled_table("Closed-loop latency percentiles (N={n}, round time "

@@ -23,7 +23,6 @@ Latency models (documented here once; EXPERIMENTS.md discusses fidelity):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.baselines.insecure import InsecureStore
@@ -333,12 +332,3 @@ def run_taostore(items: dict[str, bytes], trace: list[TraceRequest],
         extra={"fake_reads": tao.stats.fake_reads,
                "flushes": tao.stats.flushes},
     ), tao
-
-
-def path_oram_access_time(levels: int, z: int, kib: float,
-                          cost: CostModel) -> float:
-    """Reference per-access time of PathORAM (used by ablations)."""
-    bucket_kib = kib * z
-    per_path = cost.pipelined_round_trip_s(levels, bucket_kib)
-    crypto = 2 * levels * cost.aead_s(1, bucket_kib)
-    return 2 * per_path + crypto + math.log2(max(2, levels)) * cost.index_log_s

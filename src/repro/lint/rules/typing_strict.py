@@ -6,10 +6,10 @@ for the two strict flags that catch the most regressions —
 ``disallow_untyped_defs`` and ``disallow_incomplete_defs`` — over those
 packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
 the storage path), ``serve/`` (the client-facing sockets), ``ha/``,
-``scaleout/``, ``analysis/`` (the α/β and timing oracles the harness
-judges with), ``sim/`` and ``obs/``, so a missing annotation fails
-``repro.cli lint`` on the developer's machine even when mypy is not
-installed.
+``analysis/`` (the α/β and timing oracles the harness judges with),
+``sim/``, ``obs/``, ``baselines/`` and ``workloads/``, so a missing
+annotation fails ``repro.cli lint`` on the developer's machine even when
+mypy is not installed.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ __all__ = ["TypingCompletenessRule"]
 
 _GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
           "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
-          "repro/scaleout/", "repro/analysis/", "repro/sim/",
-          "repro/obs/")
+          "repro/analysis/", "repro/sim/", "repro/obs/", "repro/baselines/",
+          "repro/workloads/")
 
 
 class TypingCompletenessRule(Rule):
@@ -32,8 +32,8 @@ class TypingCompletenessRule(Rule):
     name = "typing-completeness"
     description = ("every def in the typing-gated packages (crypto/, "
                    "core/, ds/, storage/, net/, testing/, serve/, ha/, "
-                   "scaleout/, analysis/, sim/, obs/) must annotate all "
-                   "parameters and its return type")
+                   "analysis/, sim/, obs/, baselines/, workloads/) must "
+                   "annotate all parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.relpath.startswith(_GATED):

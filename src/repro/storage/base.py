@@ -1,7 +1,7 @@
 """Abstract storage backend.
 
 Every datastore in this repository (Waffle, the insecure baseline, Pancake,
-PathORAM, TaoStore) talks to the server through this interface, so the
+TaoStore) talks to the server through this interface, so the
 recording wrapper and the cost model can be layered under any of them.
 
 Semantics are deliberately strict — they encode the invariants the security

@@ -10,9 +10,9 @@ and to mount inference attacks.
 Rounds: Waffle's α/β bounds are stated in batched server accesses (§5.1:
 "if the proxy accesses objects in batches, α, β, i and j correspond to the
 batched accesses").  The proxy advances the recorder's round counter once
-per read-batch/write-batch pair via :meth:`next_round`; unbatched systems
-(the insecure baseline, PathORAM per-request accesses) advance it per
-operation.
+per read-batch/write-batch pair via :meth:`next_round`, and Pancake once
+per batch; unbatched systems (the insecure baseline, TaoStore) never
+advance it, and their records are ordered by ``seq`` alone.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ control distribution used by Table 2 and Figure 4.
 from repro.workloads.correlated import ClickstreamModel, CorrelatedWorkload
 from repro.workloads.openloop import (
     Arrival,
-    DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Arrival",
     "ClickstreamModel",
     "CorrelatedWorkload",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "HotspotSampler",
     "PoissonArrivals",

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.seeding import seeded_rng
 from repro.workloads.trace import Operation, TraceRequest
 from repro.workloads.ycsb import key_name
@@ -88,10 +90,8 @@ class ClickstreamModel:
                 )[0]
         return path
 
-    def transition_matrix(self):
+    def transition_matrix(self) -> np.ndarray:
         """Dense row-stochastic transition matrix (tests, attack ground truth)."""
-        import numpy as np
-
         teleport = 0.05 / self.n
         matrix = np.full((self.n, self.n), teleport)
         for node, (nbrs, weights) in enumerate(zip(self.neighbours, self.weights)):

@@ -7,22 +7,18 @@ on its own schedule regardless of server progress — the arrival model
 behind every "throughput vs offered load" curve and the input the
 timing adversary correlates release schedules against.
 
-Three processes, all seeded and fully deterministic per seed:
+Two processes, both seeded and fully deterministic per seed:
 
 * :class:`PoissonArrivals` — homogeneous Poisson at ``rate`` req/s
   (i.i.d. exponential inter-arrivals via inverse CDF).  The null model:
   memoryless, no structure for an adversary beyond the mean rate.
-* :class:`DiurnalArrivals` — inhomogeneous Poisson whose rate swings
-  sinusoidally between ``base_rate`` and ``peak_rate`` over ``period_s``
-  (a compressed day).  Generated by Lewis–Shedler thinning against the
-  peak rate, so the inter-arrival structure is exact, not binned.
 * :class:`FlashCrowdArrivals` — Poisson background plus a burst window
   during which the rate multiplies by ``spike_factor`` *and* key choice
   collapses onto a small hot set (the "everyone loads the same page"
   event).  The onset-detection attack (§12) hunts for exactly this.
 
 Every generator exposes ``rate_at(t)``, the ground-truth instantaneous
-rate, which the benchmark feeds to
+rate, which the serving harness feeds to
 :func:`repro.analysis.timing.load_inference_attack` as the true-rate
 series — attack scores are then measured against *known* ground truth
 rather than an estimate of it.
@@ -44,7 +40,6 @@ from repro.workloads.ycsb import key_name
 
 __all__ = [
     "Arrival",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "PoissonArrivals",
 ]
@@ -115,49 +110,6 @@ class PoissonArrivals(_ArrivalStream):
             if t >= duration_s:
                 return arrivals
             arrivals.append(self._draw(t, self._uniform_key()))
-
-
-class DiurnalArrivals(_ArrivalStream):
-    """Sinusoidal inhomogeneous Poisson — a compressed day/night cycle.
-
-    The instantaneous rate is::
-
-        rate(t) = base + (peak - base) * (1 - cos(2*pi*t/period)) / 2
-
-    starting at the trough (t=0 is "3am") and peaking at ``period/2``.
-    Sampled by Lewis–Shedler thinning against ``peak_rate``.
-    """
-
-    name = "diurnal"
-
-    def __init__(self, base_rate: float, peak_rate: float, period_s: float,
-                 n_keys: int, *, seed: int | None = None,
-                 read_fraction: float = 0.5) -> None:
-        if base_rate <= 0 or peak_rate < base_rate:
-            raise ConfigurationError(
-                "need 0 < base_rate <= peak_rate for a diurnal cycle")
-        if period_s <= 0:
-            raise ConfigurationError("period_s must be positive")
-        super().__init__(n_keys, seed, read_fraction)
-        self.base_rate = base_rate
-        self.peak_rate = peak_rate
-        self.period_s = period_s
-
-    def rate_at(self, t: float) -> float:
-        """Ground-truth instantaneous arrival rate at offset ``t``."""
-        swing = (1.0 - math.cos(2.0 * math.pi * t / self.period_s)) / 2.0
-        return self.base_rate + (self.peak_rate - self.base_rate) * swing
-
-    def generate(self, duration_s: float) -> list[Arrival]:
-        arrivals: list[Arrival] = []
-        t = 0.0
-        while True:
-            t += -math.log(1.0 - self._time_rng.random()) / self.peak_rate
-            if t >= duration_s:
-                return arrivals
-            # Thinning: keep a candidate with probability rate(t)/peak.
-            if self._time_rng.random() * self.peak_rate <= self.rate_at(t):
-                arrivals.append(self._draw(t, self._uniform_key()))
 
 
 class FlashCrowdArrivals(_ArrivalStream):

@@ -14,7 +14,7 @@ width so all keys have equal length (the paper's equal-length assumption,
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
 from repro.seeding import seeded_rng
@@ -114,17 +114,17 @@ class YcsbWorkload:
         return list(self.requests(count))
 
 
-def workload_a(n: int, **kwargs) -> YcsbWorkload:
+def workload_a(n: int, **kwargs: Any) -> YcsbWorkload:
     """YCSB Workload A: 50% reads, 50% updates (the paper's write-heavy mix)."""
     return YcsbWorkload(n, read_proportion=0.5, **kwargs)
 
 
-def workload_b(n: int, **kwargs) -> YcsbWorkload:
+def workload_b(n: int, **kwargs: Any) -> YcsbWorkload:
     """YCSB Workload B: 95% reads, 5% updates."""
     return YcsbWorkload(n, read_proportion=0.95, **kwargs)
 
 
-def workload_c(n: int, **kwargs) -> YcsbWorkload:
+def workload_c(n: int, **kwargs: Any) -> YcsbWorkload:
     """YCSB Workload C: 100% reads (the paper's read-only mix)."""
     return YcsbWorkload(n, read_proportion=1.0, **kwargs)
 
@@ -195,6 +195,6 @@ class LatestWorkload:
         return list(self.requests(count))
 
 
-def workload_d(n: int, **kwargs) -> LatestWorkload:
+def workload_d(n: int, **kwargs: Any) -> LatestWorkload:
     """YCSB Workload D: read-latest with inserts."""
     return LatestWorkload(n, read_proportion=0.95, **kwargs)

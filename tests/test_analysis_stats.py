@@ -1,10 +1,4 @@
-"""Known-answer fixtures for the statistics toolkit.
-
-The bootstrap is seeded, so its intervals are exact fixtures — any
-change to the resampling scheme (or the underlying RNG discipline)
-shows up here as a hard failure rather than a quiet drift in every
-benchmark's error bars.
-"""
+"""Known-answer fixtures for the statistics toolkit."""
 
 from __future__ import annotations
 
@@ -12,12 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import (
-    bootstrap_ci,
-    ks_exponential,
-    ks_statistic,
-    percentile,
-)
+from repro.analysis.stats import ks_exponential, ks_statistic, percentile
 from repro.errors import ConfigurationError
 from repro.seeding import seeded_rng
 
@@ -51,51 +40,6 @@ class TestPercentile:
             percentile([], 50.0)
         with pytest.raises(ConfigurationError):
             percentile(DATA, 101.0)
-
-
-class TestBootstrapCi:
-    def test_known_answer_mean(self):
-        point, lo, hi = bootstrap_ci(DATA, lambda s: sum(s) / len(s),
-                                     n_resamples=500, seed=42)
-        assert point == pytest.approx(7.7)
-        assert lo == pytest.approx(5.3)
-        assert hi == pytest.approx(10.0)
-
-    def test_known_answer_median(self):
-        point, lo, hi = bootstrap_ci(DATA, lambda s: percentile(s, 50.0),
-                                     n_resamples=500, seed=42)
-        assert point == pytest.approx(7.5)
-        assert lo == pytest.approx(3.7375, abs=1e-9)
-        assert hi == pytest.approx(11.0)
-
-    def test_interval_brackets_the_point(self):
-        for seed in range(5):
-            point, lo, hi = bootstrap_ci(DATA, lambda s: sum(s) / len(s),
-                                         seed=seed)
-            assert lo <= point <= hi
-
-    def test_deterministic_per_seed(self):
-        mean = lambda s: sum(s) / len(s)  # noqa: E731
-        first = bootstrap_ci(DATA, mean, seed=9)
-        second = bootstrap_ci(DATA, mean, seed=9)
-        third = bootstrap_ci(DATA, mean, seed=10)
-        assert first == second
-        assert first != third
-
-    def test_wider_confidence_is_wider(self):
-        _, lo95, hi95 = bootstrap_ci(DATA, lambda s: sum(s) / len(s),
-                                     confidence=0.95, seed=1)
-        _, lo50, hi50 = bootstrap_ci(DATA, lambda s: sum(s) / len(s),
-                                     confidence=0.50, seed=1)
-        assert hi95 - lo95 >= hi50 - lo50
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([], max)
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci(DATA, max, n_resamples=0)
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci(DATA, max, confidence=1.0)
 
 
 class TestKsStatistic:

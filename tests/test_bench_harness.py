@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.harness import (
-    path_oram_access_time,
     run_insecure,
     run_pancake,
     run_taostore,
@@ -81,11 +80,6 @@ class TestOtherDrivers:
         taostore, _ = run_taostore(items, trace[:50], CostModel())
         assert waffle.throughput_ops > 20 * taostore.throughput_ops
         assert taostore.latency_s > waffle.latency_s
-
-    def test_path_oram_access_time_grows_with_levels(self):
-        cost = CostModel()
-        assert path_oram_access_time(21, 4, 1.0, cost) > \
-            path_oram_access_time(11, 4, 1.0, cost)
 
 
 class TestPaperRatios:

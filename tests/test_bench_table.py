@@ -14,9 +14,8 @@ RESULTS = ROOT / "benchmarks" / "results"
 
 IDS = ["fig2ab", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d",
        "table2", "fig4", "fig5", "fig6", "attack", "attack-frequency",
-       "low-security-leak", "ablation-fake-policy", "scaleout",
-       "latency-closedloop", "leakage-profile", "ha-overhead", "workload-d",
-       "timing-attack"]
+       "low-security-leak", "ablation-fake-policy", "latency-closedloop",
+       "leakage-profile", "ha-overhead", "workload-d", "timing-attack"]
 
 
 def test_ids_are_the_documented_ones_in_order():
@@ -42,11 +41,11 @@ def test_every_row_is_complete():
 
 def test_results_directory_is_the_table():
     """Both directions: every row has a committed file and every
-    committed figure has a row (`serving.txt` is wall-clock, not a row)."""
+    committed figure has a row."""
     on_disk = {path.name for path in RESULTS.glob("*.txt")}
     expected = {experiment.run.__name__ + ".txt"
                 for experiment in EXPERIMENTS.values()}
-    assert on_disk - {"serving.txt"} == expected
+    assert on_disk == expected
 
 
 def test_parameters_are_run_defaults_with_accepted_overrides():

@@ -1,6 +1,6 @@
 """Datastore contract conformance: every system, one test suite.
 
-All five systems expose get/put semantics over the same storage
+All four systems expose get/put semantics over the same storage
 substrate; this suite runs an identical behavioural contract against
 each of them (value fidelity, overwrite semantics, interleaved
 histories), so a regression in any system's read/write path fails here
@@ -13,7 +13,6 @@ import pytest
 
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
-from repro.baselines.pathoram import PathOram
 from repro.baselines.taostore import TaoStore
 from repro.core.config import WaffleConfig
 from repro.core.client import WaffleClient
@@ -50,10 +49,6 @@ class _Adapter:
             self.get = lambda k: proxy.execute(TraceRequest(Operation.READ, k))
             self.put = lambda k, v: proxy.execute(
                 TraceRequest(Operation.WRITE, k, v)) and None
-        elif name == "pathoram":
-            oram = PathOram(dict(ITEMS), RedisSim(), seed=seed,
-                            keychain=KeyChain.from_seed(seed))
-            self.get, self.put = oram.get, oram.put
         elif name == "taostore":
             tao = TaoStore(dict(ITEMS), RedisSim(), seed=seed,
                            keychain=KeyChain.from_seed(seed))
@@ -63,7 +58,7 @@ class _Adapter:
             self.get, self.put = store.get, store.put
 
 
-SYSTEMS = ["insecure", "waffle", "pancake", "pathoram", "taostore"]
+SYSTEMS = ["insecure", "waffle", "pancake", "taostore"]
 
 
 @pytest.fixture(params=SYSTEMS)

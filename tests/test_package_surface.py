@@ -41,8 +41,8 @@ class TestPackageSurface:
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.crypto", "repro.ds", "repro.storage",
         "repro.sim", "repro.workloads", "repro.baselines",
-        "repro.analysis", "repro.bench", "repro.ha", "repro.scaleout",
-        "repro.net", "repro.cli", "repro.serve", "repro.testing",
+        "repro.analysis", "repro.bench", "repro.ha", "repro.net",
+        "repro.cli", "repro.serve", "repro.testing",
         "repro.obs", "repro.lint",
     ])
     def test_subpackage_all_exports_resolve(self, module):

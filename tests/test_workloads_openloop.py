@@ -1,6 +1,6 @@
 """Statistical and determinism tests for the open-loop arrival generators.
 
-These generators feed both the serving benchmark and the timing
+These generators feed both the serving harness and the timing
 adversary's ground truth, so two properties are load-bearing: the
 processes must actually have the distributions they claim (KS goodness
 of fit, rate bookkeeping), and every stream must be bit-reproducible
@@ -17,7 +17,6 @@ from repro.analysis.stats import ks_exponential
 from repro.errors import ConfigurationError
 from repro.workloads.openloop import (
     Arrival,
-    DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
 )
@@ -84,38 +83,6 @@ class TestPoissonArrivals:
             PoissonArrivals(10.0, 0, seed=1)
         with pytest.raises(ConfigurationError):
             PoissonArrivals(10.0, 8, seed=1, read_fraction=1.5)
-
-
-class TestDiurnalArrivals:
-    def test_rate_at_trough_and_peak(self):
-        stream = DiurnalArrivals(100.0, 900.0, period_s=10.0, n_keys=8,
-                                 seed=2)
-        assert stream.rate_at(0.0) == pytest.approx(100.0)
-        assert stream.rate_at(5.0) == pytest.approx(900.0)
-        assert stream.rate_at(10.0) == pytest.approx(100.0)
-        assert stream.rate_at(2.5) == pytest.approx(500.0)
-
-    def test_density_follows_the_cycle(self):
-        stream = DiurnalArrivals(50.0, 800.0, period_s=4.0, n_keys=8,
-                                 seed=7)
-        arrivals = stream.generate(4.0)
-        trough = sum(1 for a in arrivals if a.at < 1.0 or a.at >= 3.0)
-        peak = sum(1 for a in arrivals if 1.0 <= a.at < 3.0)
-        assert peak > 2 * trough
-
-    def test_deterministic_per_seed(self):
-        build = lambda seed: DiurnalArrivals(  # noqa: E731
-            100.0, 400.0, period_s=2.0, n_keys=8, seed=seed).generate(2.0)
-        assert build(31) == build(31)
-        assert build(31) != build(32)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(0.0, 100.0, period_s=1.0, n_keys=8, seed=1)
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(200.0, 100.0, period_s=1.0, n_keys=8, seed=1)
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(100.0, 200.0, period_s=0.0, n_keys=8, seed=1)
 
 
 class TestFlashCrowdArrivals:
