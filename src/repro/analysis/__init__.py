@@ -26,7 +26,6 @@ from repro.analysis.attacks import (
 from repro.analysis.leakage import LeakageSummary, leakage_summary
 from repro.analysis.monitor import AlphaMonitor
 from repro.analysis.report import AuditResult, security_audit
-from repro.analysis.stats import ks_exponential, ks_statistic, percentile
 from repro.analysis.timing import (
     TimingObserver,
     attach_timing_observer,
@@ -49,13 +48,10 @@ __all__ = [
     "detect_onset",
     "frequency_analysis_attack",
     "histogram_difference",
-    "ks_exponential",
-    "ks_statistic",
     "leakage_summary",
     "load_inference_attack",
     "measure_alpha",
     "measure_beta",
-    "percentile",
     "simulate_round_times",
     "timing_attack_benchmark",
     "verify_storage_invariants",

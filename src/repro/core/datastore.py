@@ -14,7 +14,7 @@ from collections.abc import Iterator, Mapping
 
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
-from repro.core.proxy import WaffleProxy
+from repro.core.proxy import WaffleProxy, refuse_dummy_prefix
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.storage.base import StorageBackend
@@ -137,6 +137,7 @@ class WaffleDatastore:
     # ------------------------------------------------------------------
     def insert(self, key: str, value: bytes) -> None:
         """Queue a brand-new key; it takes effect within upcoming rounds."""
+        refuse_dummy_prefix((key,))
         if self.proxy.contains_key(key):
             raise ConfigurationError(f"key already exists: {key!r}")
         if self.proxy.dummy_count - self.proxy.mutations.pending_inserts <= 0:

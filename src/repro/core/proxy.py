@@ -6,8 +6,9 @@ bottom of this module — plan, read, answer, write, commit — top to bottom
 over a round-local :class:`RoundPlan`; each phase is one method whose
 docstring says what it does and where it deviates from the pseudocode as
 printed (DESIGN.md §6 maps phases to the paper's lines and to span names).
-Every round reads exactly ``B`` ids, each derived as ``prf(k, ts_k)``, and
-writes exactly ``B`` ids, whatever the requests were.
+Every round reads exactly ``B`` ids, each ``prf(k, ts_k)``, and writes
+exactly ``B`` ids, whatever the requests were.  Keys are int *slots* that
+remember their storage id, so only writes run the PRF (DESIGN.md §6).
 
 Insert/delete support (§6.2 end) swaps dummy objects for real objects and
 vice versa; see :mod:`repro.core.mutations`.
@@ -18,7 +19,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.obs import OBS
 
@@ -43,6 +46,29 @@ _LOAD_CHUNK = 256
 
 #: Cache-miss sentinel for single-lookup reads (values may be any bytes).
 _MISS = object()
+
+#: A remembered storage id: the 128 bits behind the PRF's 32 hex digits.
+_ID = np.dtype("V16")
+
+
+class SlotCache(LruCache[int, bytes]):
+    """The proxy's LRU cache, keyed by slot; ``key in`` takes a client key."""
+
+    __slots__ = ("_slot_of",)
+
+    def __init__(self, capacity: int, slot_of: Mapping[str, int]) -> None:
+        super().__init__(capacity)
+        self._slot_of = slot_of
+
+    def __contains__(self, key: object) -> bool:
+        slot = self._slot_of.get(key) if isinstance(key, str) else key
+        return slot in self._entries
+
+
+def refuse_dummy_prefix(keys: Iterable[str]) -> None:
+    """Refuse client keys that would derive a dummy's storage ids."""
+    if any(key.startswith(_DUMMY_PREFIX) for key in keys):
+        raise ConfigurationError("client keys may not use the dummy prefix")
 
 
 @dataclass(slots=True)
@@ -78,22 +104,24 @@ class RoundPlan:
     stats: RoundStats
     #: request id -> response value
     cli_resp: dict[int, bytes] = field(default_factory=dict)
-    #: missed key -> [(request id, wants the fetched value)]
-    dedup: dict[str, list[tuple[int, bool]]] = field(default_factory=dict)
-    #: storage id -> plaintext key: the B ids this round reads
-    read_batch: dict[str, str] = field(default_factory=dict)
-    #: deleted keys fetched only to clear their ids, and their replacements
-    dropped_reads: set[str] = field(default_factory=set)
-    newborn_dummies: list[str] = field(default_factory=list)
+    #: missed slot -> [(request id, wants the fetched value)]
+    dedup: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
+    #: storage id -> slot: the B ids this round reads
+    read_batch: dict[str, int] = field(default_factory=dict)
+    #: deleted slots fetched only to clear their ids, the retired dummies'
+    #: slots inserts took, and ``(slot, name)`` of each dummy a delete births
+    dropped_reads: set[int] = field(default_factory=set)
+    inserted: list[int] = field(default_factory=list)
+    newborn_dummies: list[tuple[int, str]] = field(default_factory=list)
     #: ``sorted(read_batch)``, what the server returned for it, and the
     #: decrypted real objects among that (in ``sids`` order)
     sids: list[str] = field(default_factory=list)
     blobs: list[bytes] = field(default_factory=list)
     plaintexts: list[bytes] = field(default_factory=list)
-    #: ``(key, id timestamp, plaintext)`` in emission order, the keys evicted
-    #: so far, and the sealed ``(id, ciphertext)`` batch
-    write_plan: list[tuple[str, int, bytes]] = field(default_factory=list)
-    evicted: set[str] = field(default_factory=set)
+    #: ``(slot, id timestamp, plaintext)`` in emission order, the slots
+    #: evicted so far, and the sealed ``(id, ciphertext)`` batch
+    write_plan: list[tuple[int, int, bytes]] = field(default_factory=list)
+    evicted: set[int] = field(default_factory=set)
     write_batch: list[tuple[str, bytes]] = field(default_factory=list)
 
 
@@ -134,14 +162,20 @@ class WaffleProxy:
         self.store = store
         self.keychain = keychain if keychain is not None else KeyChain()
         self._rng = random.Random(config.seed)
-        self.cache = LruCache(config.c)
+        self._slots: dict[str, int] = {}
+        self.cache = SlotCache(config.c, self._slots)
         self.ts = 0
         self.totals = ProxyTotals()
         self._keep_round_stats = keep_round_stats
         self.mutations = MutationQueue()
-        # Empty until initialize() loads the dataset.
-        self._real_index = RealObjectIndex(())
+        # Empty until initialize() loads the dataset.  The key table: slot
+        # -> name, client key -> slot (above), and which slots hold dummies.
+        self._names: list[str] = []
+        self._is_dummy = bytearray()
+        self._real_index = RealObjectIndex(0)
         self._dummy_index = DummyObjectIndex(())
+        #: slot -> id of its server copy (cached ``prf``; not checkpointed)
+        self._ids = np.zeros(0, _ID)
         self._initialized = False
         self._last_stats: RoundStats | None = None
         #: Optional storage-id provenance (sid -> plaintext key): the
@@ -166,45 +200,46 @@ class WaffleProxy:
             raise ConfigurationError(
                 f"expected N={self.config.n} items, got {len(items)}"
             )
-        if any(key.startswith(_DUMMY_PREFIX) for key in items):
-            raise ConfigurationError("client keys may not use the dummy prefix")
+        refuse_dummy_prefix(items)
 
         cfg = self.config
         seed_base = self._rng.randrange(2**63)
-        self._real_index = RealObjectIndex(items.keys())
-        dummy_keys = [f"{_DUMMY_PREFIX}{i:012d}" for i in range(cfg.d)]
+        # Reals take slots 0..N-1 in item order, dummies N onward, named by
+        # the bare prefix until _prf_inputs completes it from the slot.
+        self._names = [*items, *[_DUMMY_PREFIX] * cfg.d]
+        self._slots.update(zip(items, range(cfg.n)))
+        size = cfg.n + cfg.d
+        self._is_dummy = bytearray(cfg.n) + b"\x01" * cfg.d
+        self._real_index = RealObjectIndex(size)
+        self._ids = np.zeros(size, _ID)
+        dummy_slots = list(range(cfg.n, size))
         self._dummy_index = DummyObjectIndex(
-            dummy_keys, seed=seed_base + 17,
+            dummy_slots, seed=seed_base + 17,
             reshuffle=cfg.dummy_policy == "reshuffle",
         )
 
         # Randomly chosen cache seed of C real objects.
-        all_keys = list(items.keys())
-        self._rng.shuffle(all_keys)
-        cached_keys = all_keys[: cfg.c]
-        server_keys = all_keys[cfg.c:]
-        for key in cached_keys:
-            self.cache.put(key, items[key])
-
-        # Remaining reals and all dummies go out shuffled.  The order is
-        # drawn first — shuffling positions consumes the rng exactly as
-        # shuffling the N - C + D finished (id, ciphertext) pairs would —
-        # and the load is then sealed in that order a chunk at a time, as
-        # the store pulls it.  The D dummy payloads are drawn before the
-        # order, where the rng stream has always had them, and held until
-        # the walk reaches them: the one O(D) buffer of the load.
-        for key in server_keys:
-            self._real_index.mark_server_resident(key)
-        load_keys = server_keys + dummy_keys
-        payloads = [self._dummy_payload() for _ in dummy_keys]
-        order = list(range(len(load_keys)))
+        order = list(self._slots.values())
         self._rng.shuffle(order)
-        self.store.multi_put(self._seal_load(items, load_keys, payloads, order))
+        for slot in order[: cfg.c]:
+            self.cache.put(slot, items[self._names[slot]])
+        del order[: cfg.c]
+
+        # Remaining reals and all dummies go out shuffled, and are sealed
+        # in that order a chunk at a time, as the store pulls it.  The D
+        # dummy payloads are drawn before the shuffle, where the rng stream
+        # has always had them, and held until the walk reaches them: the
+        # one O(D) buffer of the load.
+        for slot in order:
+            self._real_index.mark_server_resident(slot)
+        payloads = [self._dummy_payload() for _ in dummy_slots]
+        order += dummy_slots
+        self._rng.shuffle(order)
+        self.store.multi_put(self._seal_load(items, order, payloads))
         self._initialized = True
 
-    def _seal_load(self, items: Mapping[str, bytes], load_keys: list[str],
-                   payloads: list[bytes],
-                   order: list[int]) -> Iterator[tuple[str, bytes]]:
+    def _seal_load(self, items: Mapping[str, bytes], order: list[int],
+                   payloads: list[bytes]) -> Iterator[tuple[str, bytes]]:
         """The initial load as ``(id, ciphertext)`` pairs in ``order``, sealed
         ``_LOAD_CHUNK`` objects at a time: one ``derive_many`` and one
         ``encrypt_many`` call a chunk, nonces drawn in load order.
@@ -213,23 +248,58 @@ class WaffleProxy:
         so the time between two frames of the load says how many objects
         a frame carries, not which of them are dummies.
         """
-        reals = len(load_keys) - len(payloads)
+        n, names = self.config.n, self._names
         for start in range(0, len(order), _LOAD_CHUNK):
             chunk = order[start:start + _LOAD_CHUNK]
-            sids = self._encode_ids([(load_keys[i], 0) for i in chunk])
-            values = [items[load_keys[i]] if i < reals else payloads[i - reals]
-                      for i in chunk]
+            sids = self._encode_ids([(slot, 0) for slot in chunk])
+            values = [items[names[slot]] if slot < n else payloads[slot - n]
+                      for slot in chunk]
             yield from zip(sids, self.keychain.cipher.encrypt_many(values))
 
     # ------------------------------------------------------------------
-    # crypto helpers
+    # storage ids
     # ------------------------------------------------------------------
-    def _encode_ids(self, pairs: list[tuple[str, int]]) -> list[str]:
-        """GetIndex over ``(key, timestamp)`` pairs: ``prf(k, ts_k)`` each."""
+    def _encode_ids(self, writes: list[tuple[int, int]]) -> list[str]:
+        """GetIndex over the ``(slot, timestamp)`` pairs of objects about to
+        be written: ``prf(k, ts_k)`` each, remembered as the slot's id."""
+        pairs = self._prf_inputs(writes)
         sids = self.keychain.prf.derive_many(pairs)
+        self._remember([slot for slot, _ in writes], sids)
         if self.id_log is not None:
             self.id_log.update(zip(sids, [key for key, _ in pairs]))
         return sids
+
+    def _prf_inputs(self, objects: list[tuple[int, int]]
+                    ) -> list[tuple[str, int]]:
+        """``(name, timestamp)`` of each ``(slot, timestamp)``."""
+        names, first_dummy = self._names, self.config.n
+        return [(name if (name := names[slot]) != _DUMMY_PREFIX
+                 else f"{name}{slot - first_dummy:012d}", ts)
+                for slot, ts in objects]
+
+    def _remember(self, slots: list[int], sids: list[str]) -> None:
+        self._ids[np.fromiter(slots, np.intp, len(slots))] = np.frombuffer(
+            bytes.fromhex("".join(sids)), _ID)
+
+    def _recall_ids(self, slots: list[int]) -> list[str]:
+        """The ids ``slots``' server copies were written under: one lookup."""
+        hexed = self._ids.take(np.fromiter(slots, np.intp, len(slots))
+                               ).tobytes().hex()
+        return [hexed[i:i + 32] for i in range(0, len(hexed), 32)]
+
+    def _outsourced(self) -> list[tuple[int, int]]:
+        """``(slot, id timestamp)`` of every object with a server copy: the
+        resident reals, then the dummies."""
+        real_index = self._real_index
+        return [(slot, real_index.timestamp(slot))
+                for slot in self._slots.values()
+                if real_index.is_server_resident(slot)
+                ] + list(self._dummy_index.items())
+
+    def _rederive_ids(self) -> None:
+        """Derive every outsourced slot's id again, in one pass."""
+        self._ids = np.zeros(len(self._names), _ID)
+        self._encode_ids(self._outsourced())
 
     def _dummy_payload(self) -> bytes:
         return self._rng.randbytes(self.config.value_size)
@@ -345,11 +415,13 @@ class WaffleProxy:
         mutates nothing, so recency bumps still land hit-by-hit in request
         order.  WRITEs mutate the cache, stay scalar and end the run.
         """
-        requests, cache, real_index = plan.requests, self.cache, self._real_index
+        requests, cache, slots = plan.requests, self.cache, self._slots
         cli_resp, dedup = plan.cli_resp, plan.dedup
-        for request in requests:
-            if request.key not in real_index:
-                raise ProtocolError(f"request for unknown key: {request.key!r}")
+        try:
+            req_slots = [slots[request.key] for request in requests]
+        except KeyError as exc:
+            raise ProtocolError(
+                f"request for unknown key: {exc.args[0]!r}") from None
         hits = ops = index = 0
         total = len(requests)
         while index < total:
@@ -360,24 +432,25 @@ class WaffleProxy:
                        and requests[run_end].op is Operation.READ):
                     run_end += 1
                 run = requests[index:run_end]
-                values = cache.get_if_present_many(
-                    [req.key for req in run], _MISS)
-                for req, value in zip(run, values):
+                run_slots = req_slots[index:run_end]
+                values = cache.get_if_present_many(run_slots, _MISS)
+                for req, slot, value in zip(run, run_slots, values):
                     if value is not _MISS:
                         cli_resp[req.request_id] = value
                         hits += 1
                         ops += 1
                     else:
-                        dedup.setdefault(req.key, []).append(
+                        dedup.setdefault(slot, []).append(
                             (req.request_id, True))
                 index = run_end
             else:  # WRITE
-                key = request.key
-                if key in cache:
+                slot = req_slots[index]
+                if slot in cache:
                     hits += 1
                 else:
-                    dedup.setdefault(key, []).append((request.request_id, False))
-                cache.put(key, request.value)
+                    dedup.setdefault(slot, []).append(
+                        (request.request_id, False))
+                cache.put(slot, request.value)
                 ops += 1
                 cli_resp[request.request_id] = request.value
                 index += 1
@@ -385,55 +458,54 @@ class WaffleProxy:
         plan.stats.cache_ops = ops
 
     def _plan(self, plan: RoundPlan) -> None:
-        """Read phase: choose the B ids this round reads — the ``r``
+        """Read phase: choose the B objects this round reads — the ``r``
         deduplicated misses, ``f_D`` dummies and ``f_R = B - (r + f_D)``
-        least-recently-accessed reals — each derived as ``prf(k, ts_k)``
-        *before* ``ts_k`` is bumped to this round."""
-        cfg, ts = self.config, self.ts
+        least-recently-accessed reals — and recall their ids ``prf(k,
+        ts_k)``, remembered from when each was written, in one lookup."""
+        cfg, ts, cache, slots = self.config, self.ts, self.cache, self._slots
         real_index, dummy_index = self._real_index, self._dummy_index
-        read_batch = plan.read_batch
         inserts, deletes = self.mutations.drain(
             insert_limit=min(cfg.f_d, len(dummy_index)), delete_limit=cfg.f_r_min)
         self._serve_from_cache(plan)
 
         dedup = plan.dedup
-        dedup_pairs = [(key, real_index.timestamp(key)) for key in dedup]
-        for key in dedup:
-            real_index.mark_cached(key)
-            real_index.set_timestamp(key, ts)
-        read_batch.update(zip(self._encode_ids(dedup_pairs), dedup))
+        for slot in dedup:
+            real_index.mark_cached(slot)
+            real_index.set_timestamp(slot, ts)
 
         # Deletes (§6.2): a cached key just goes, a server-resident one is
-        # force-read below so its id leaves the server; a dummy replaces it.
-        forced_reads: list[str] = []
+        # force-read below so its id leaves the server; a dummy born in the
+        # key's slot replaces it.
+        forced_reads: list[int] = []
         for key in deletes:
-            if key in dedup:
+            slot = slots[key]
+            if slot in dedup:
                 # The key is being fetched for a client in this very round;
                 # retry the delete next round to keep the response correct.
                 self.mutations.enqueue_delete(key)
                 continue
-            if key in self.cache:
-                self.cache.remove(key)
-                real_index.drop_key(key)
+            del slots[key]
+            if slot in cache:
+                cache.remove(slot)
             else:
-                forced_reads.append(key)
-            plan.newborn_dummies.append(self._new_dummy_key())
+                forced_reads.append(slot)
+            plan.newborn_dummies.append((slot, self._new_dummy_key()))
 
         # Fake queries on dummy objects (lines 20-23): the f_D least-
-        # recently-read dummies leave the selection heap together; ids
-        # derive from their still-stored timestamps.  The first len(inserts)
-        # retire: read but not rewritten, their slots go to the inserts.
+        # recently-read dummies leave the selection heap together.  The
+        # first len(inserts) retire — read but not rewritten — and the
+        # inserted keys, born in the cache, take over their slots.
         dummy_sel = dummy_index.take_min_keys(min(cfg.f_d, len(dummy_index)))
         if len(inserts) > len(dummy_sel):
             raise ProtocolError("insert queue exceeded available dummy reads")
-        dummy_pairs = [(key, dummy_index.stored_timestamp(key)) for key in dummy_sel]
-        read_batch.update(zip(self._encode_ids(dummy_pairs), dummy_sel))
-        for key in dummy_sel[: len(inserts)]:
-            dummy_index.retire(key)
+        plan.inserted = dummy_sel[: len(inserts)]
+        for slot, (key, value) in zip(plan.inserted, inserts):
+            dummy_index.retire(slot)
+            self._names[slot] = key
+            slots[key] = slot
+            real_index.set_timestamp(slot, ts)
+            cache.put(slot, value)
         dummy_index.record_access_many(dummy_sel[len(inserts):], ts)
-        for key, value in inserts:
-            real_index.add_key(key, ts)
-            self.cache.put(key, value)
         plan.stats.cache_ops += len(inserts)
 
         # Fake queries on real objects (lines 24-28).  Forced deletes
@@ -444,10 +516,8 @@ class WaffleProxy:
         forced_sel = [forced_reads.pop() for _ in range(min(len(forced_reads), f_r))]
         if forced_reads:
             raise ProtocolError("delete queue exceeded fake-real budget")
-        forced_pairs = [(key, real_index.timestamp(key)) for key in forced_sel]
-        read_batch.update(zip(self._encode_ids(forced_pairs), forced_sel))
-        for key in forced_sel:
-            real_index.drop_key(key)
+        for slot in forced_sel:
+            real_index.mark_cached(slot)
         plan.dropped_reads.update(forced_sel)
 
         remaining = f_r - len(forced_sel)
@@ -457,16 +527,16 @@ class WaffleProxy:
                 "N - C is too small for this configuration"
             )
         if cfg.fake_real_policy == "least_recent":
-            fake_pairs = real_index.pop_min_keys(remaining, ts)
+            fakes = real_index.pop_min_keys(remaining, ts)
         else:  # "uniform": the Challenge-2 ablation draws one rng value per
-            fake_pairs = []  # pick, so the selection stays scalar
+            fakes = []  # pick, so the selection stays scalar
             for _ in range(remaining):
-                key = real_index.random_resident_key(self._rng)
-                fake_pairs.append((key, real_index.timestamp(key)))
-                real_index.mark_cached(key)
-                real_index.set_timestamp(key, ts)
-        read_batch.update(zip(self._encode_ids(fake_pairs),
-                              [key for key, _ in fake_pairs]))
+                slot = real_index.random_resident_key(self._rng)
+                real_index.mark_cached(slot)
+                real_index.set_timestamp(slot, ts)
+                fakes.append(slot)
+        reads = [*dedup, *dummy_sel, *forced_sel, *fakes]
+        plan.read_batch = dict(zip(self._recall_ids(reads), reads))
 
     def _read(self, plan: RoundPlan) -> None:
         """One pipelined read of the B ids, in sorted order.
@@ -484,10 +554,10 @@ class WaffleProxy:
     def _decrypt(self, plan: RoundPlan) -> None:
         """Every fetched real object decrypts in one batched kernel pass
         (dummy payloads are random bytes and never inspected)."""
-        read_batch = plan.read_batch
+        read_batch, is_dummy = plan.read_batch, self._is_dummy
         plan.plaintexts = self.keychain.cipher.decrypt_many([
             blob for sid, blob in zip(plan.sids, plan.blobs)
-            if not read_batch[sid].startswith(_DUMMY_PREFIX)
+            if not is_dummy[read_batch[sid]]
         ])
 
     def _answer(self, plan: RoundPlan) -> None:
@@ -498,10 +568,12 @@ class WaffleProxy:
         a new object" (lines 37-41): interleaving eviction with insertion
         keeps the transient cache at C + R, never C + B.
 
-        Crypto is deferred: the loop plans ``(key, id_timestamp,
+        Crypto is deferred: the loop plans ``(slot, id_timestamp,
         plaintext)`` in emission order and :meth:`_seal` makes one pass over
         it.  Dummy payloads are still drawn here, in sid order, so the rng
-        stream is the scalar algorithm's draw for draw.
+        stream is the scalar algorithm's draw for draw.  A slot changes
+        kind (inserts, deletes) only after the loop, so the loop sees each
+        object as it was when read.
 
         Small-cache regime: Algorithm 1 assumes ``C >= B - f_D + R``.  Below
         that (the paper's "re-write the objects fetched" fallback, §6.2) a
@@ -511,45 +583,50 @@ class WaffleProxy:
         """
         capacity, cache, dummy_index = self.config.c, self.cache, self._dummy_index
         read_batch, dedup, cli_resp = plan.read_batch, plan.dedup, plan.cli_resp
+        names, is_dummy, ts = self._names, self._is_dummy, self.ts
         dropped = plan.dropped_reads
         evicted, write_plan = plan.evicted, plan.write_plan
         plaintexts = iter(plan.plaintexts)
         kept = 0
         for sid in plan.sids:
-            key = read_batch[sid]
-            if key.startswith(_DUMMY_PREFIX):
-                if key in dummy_index:  # else retired: its slot went to an insert
-                    write_plan.append((key, dummy_index.stored_timestamp(key),
-                                       self._dummy_payload()))
+            slot = read_batch[sid]
+            if is_dummy[slot]:
+                if slot in dummy_index:  # else retired: an insert took it
+                    # Recorded as read this round: the new id embeds ts.
+                    write_plan.append((slot, ts, self._dummy_payload()))
                 continue
             value = next(plaintexts)
-            if key in dropped:
+            if slot in dropped:
                 continue  # deleted key: fetched only to clear its id
-            for request_id, need_resp in dedup.get(key, ()):
+            for request_id, need_resp in dedup.get(slot, ()):
                 if need_resp:
                     cli_resp[request_id] = value
-            if key in evicted:
+            if slot in evicted:
                 continue  # small-cache regime: the stale copy
-            if not cache.touch_if_present(key):
+            if not cache.touch_if_present(slot):
                 # touch_if_present: a hit means the key was written this
                 # batch and the cached value wins; recency still bumps.
                 if len(cache) >= capacity:
                     self._evict_one(plan)
-                cache.put(key, value)
+                cache.put(slot, value)
             kept += 1
-        for key in plan.newborn_dummies:
-            dummy_index.swap_in(key, self.ts)
-            write_plan.append((key, self.ts, self._dummy_payload()))
+        for slot in plan.inserted:
+            is_dummy[slot] = 0
+        for slot, name in plan.newborn_dummies:
+            names[slot] = name
+            is_dummy[slot] = 1
+            dummy_index.swap_in(slot, ts)
+            write_plan.append((slot, ts, self._dummy_payload()))
         plan.stats.cache_ops += kept
 
     def _evict_one(self, plan: RoundPlan) -> None:
         """The LRU entry goes back to the server under its *new* id
         ``prf(k, ts'_k)`` and becomes a fake-query candidate again."""
-        key, value = self.cache.evict()
+        slot, value = self.cache.evict()
         real_index = self._real_index
-        real_index.mark_server_resident(key)
-        plan.evicted.add(key)
-        plan.write_plan.append((key, real_index.timestamp(key), value))
+        real_index.mark_server_resident(slot)
+        plan.evicted.add(slot)
+        plan.write_plan.append((slot, real_index.timestamp(slot), value))
 
     def _evict(self, plan: RoundPlan) -> None:
         """Drain the write-miss overage (the C + R transient) back to C."""
@@ -560,10 +637,10 @@ class WaffleProxy:
             self._evict_one(plan)
 
     def _seal(self, plan: RoundPlan) -> None:
-        """One ``derive_many`` + one ``encrypt_many`` pass over the write
-        plan; nonces are drawn in plan order."""
+        """One ``derive_many`` (the round's only PRF call) + one
+        ``encrypt_many`` pass over the write plan, nonces in plan order."""
         write_plan = plan.write_plan
-        write_ids = self._encode_ids([(key, ts) for key, ts, _ in write_plan])
+        write_ids = self._encode_ids([(slot, ts) for slot, ts, _ in write_plan])
         ciphertexts = self.keychain.cipher.encrypt_many(
             [value for _, _, value in write_plan])
         plan.write_batch = list(zip(write_ids, ciphertexts))
@@ -597,7 +674,7 @@ class WaffleProxy:
     @property
     def real_count(self) -> int:
         """Current N (changes under inserts/deletes)."""
-        return len(self._real_index)
+        return len(self._slots)
 
     @property
     def dummy_count(self) -> int:
@@ -605,7 +682,7 @@ class WaffleProxy:
         return len(self._dummy_index)
 
     def contains_key(self, key: str) -> bool:
-        return key in self._real_index
+        return key in self._slots
 
     def check_invariants(self) -> None:
         """The proxy's structural self-check; raises :class:`ProtocolError`
@@ -619,28 +696,38 @@ class WaffleProxy:
         real_index, dummy_index, cache = self._real_index, self._dummy_index, self.cache
         real_index.check_invariants()
         dummy_index.check_invariants()
-        reals, dummies = list(real_index.items()), list(dummy_index.items())
-        resident = [pair for pair in reals if real_index.is_server_resident(pair[0])]
-        outsourced = resident + dummies
-        sids = self.keychain.prf.derive_many(outsourced)
+        names, slots, is_dummy = self._names, self._slots, self._is_dummy
+        outsourced = self._outsourced()
+        resident = len(outsourced) - len(dummy_index)
+        pairs = self._prf_inputs(outsourced)
+        sids = self.keychain.prf.derive_many(pairs)
         pending = self.mutations.pending_inserts
         breaches = {
             f"cache holds {len(cache)} > C={self.config.c}":
                 len(cache) > self.config.c,
+            "key table disagrees with the slots' names or kinds": [
+                *(key for key, slot in slots.items()
+                  if names[slot] != key or is_dummy[slot]),
+                *(slot for slot, _ in dummy_index.items() if not is_dummy[slot])],
             "real keys not in exactly one of cache and server index":
-                [key for key, _ in reals
-                 if real_index.is_server_resident(key) == (key in cache)],
+                [key for key, slot in slots.items()
+                 if real_index.is_server_resident(slot) == (slot in cache)],
             "cache holds keys the index does not know":
-                len(cache) + len(resident) != len(reals),
-            f"server holds {len(self.store)} objects, not {len(resident)} "
-            f"resident reals + {len(dummies)} dummies (N + D - C)":
+                len(cache) + resident != len(slots),
+            f"server holds {len(self.store)} objects, not {resident} "
+            f"resident reals + {len(dummy_index)} dummies (N + D - C)":
                 len(self.store) != len(outsourced),
             f"timestamps beyond round {self.ts}":
-                [key for key, ts in reals + dummies if ts > self.ts],
+                [key for key, slot in slots.items()
+                 if real_index.timestamp(slot) > self.ts]
+                + [name for name, ts in pairs[resident:] if ts > self.ts],
             "prf(key, timestamp) not on the server":
-                [pair for sid, pair in zip(sids, outsourced) if sid not in self.store],
-            f"{pending} pending inserts exceed the {len(dummies)} dummies left":
-                pending > len(dummies),
+                [pair for sid, pair in zip(sids, pairs) if sid not in self.store],
+            "remembered id is not prf(key, timestamp)":
+                [pair for sid, held, pair in zip(sids, self._recall_ids(
+                    [slot for slot, _ in outsourced]), pairs) if sid != held],
+            f"{pending} pending inserts exceed the {len(dummy_index)} dummies left":
+                pending > len(dummy_index),
         }
         raise_first_breach(breaches)
 

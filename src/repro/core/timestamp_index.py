@@ -3,21 +3,21 @@
 The paper keeps one balanced BST for real objects and one for dummy
 objects, ordered on ``<ts : plaintext_key>``, to find least-recently-
 accessed objects for fake queries (Challenge 2).  Here timestamps are round
-counters, so every key touched in a round shares one, and the same
-selection order comes from two flat stdlib structures with no tree:
+counters, so every object touched in a round shares one, and the same
+selection order comes from two flat structures of the proxy's int slots:
 
 * **Real index** (:class:`RealObjectIndex`): tracks *server-resident* real
-  keys only — Algorithm 1 line 26 requires fake-query candidates to not be
-  in the cache, so cached keys leave the index and re-enter on eviction.
-  Resident keys sit in one insertion-ordered bucket per timestamp, and a
+  slots only — Algorithm 1 line 26 requires fake-query candidates to not be
+  in the cache, so cached slots leave the index and re-enter on eviction.
+  Resident slots sit in one insertion-ordered bucket per timestamp, and a
   min-heap of bucket timestamps finds the oldest bucket: every update is
-  O(1) dict work and selecting ``count`` keys is O(count).  The
-  authoritative ``timestamp`` of *every* real key (cached or not) is kept
-  alongside, because ``GetIndex`` needs it when evicted objects are
-  written back.
+  O(1) and selecting ``count`` slots is O(count).  The authoritative
+  ``timestamp`` of *every* real slot (cached or not) and its residency are
+  kept alongside in flat per-slot arrays, because ``GetIndex`` needs the
+  timestamp when evicted objects are written back.
 * **Dummy index** (:class:`DummyObjectIndex`): all ``D`` dummies are always
   server-resident and only ever leave the selection order from its front,
-  so a plain ``heapq`` of ``(ts, tiebreak, key)`` is enough.  The paper
+  so a plain ``heapq`` of ``(ts, tiebreak, slot)`` is enough.  The paper
   resets all dummy timestamps once every ``D/f_D`` batches "to randomize
   the order in which dummy objects are picked".  A naive reset would
   desynchronize the selection order from the storage ids (which embed the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from heapq import heapify, heappop, heappush
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Collection, ItemsView, Iterable, Sequence
 
 from repro.errors import ProtocolError
@@ -54,52 +54,44 @@ def _is_heap(heap: Sequence[Any]) -> bool:
 
 
 class RealObjectIndex:
-    """Timestamps for real objects + ordered index of server-resident ones.
+    """Timestamps of real objects + ordered index of server-resident ones.
 
-    Selection order is ``(timestamp, arrival)``: a key arrives at the back
-    of its timestamp's bucket, which makes equal-timestamp keys FIFO, so a
-    freshly evicted key cannot be indefinitely preempted by later evictions
-    that happen to sort before it lexicographically (observable as an α
-    tail otherwise).  A resident key's bucket is always the one of its
-    current timestamp, so residency needs no position map of its own.
+    Slots are ints below ``size`` (the proxy's key table says which are
+    real); each one's timestamp and residency live in flat per-slot
+    arrays, the shape of Path ORAM's position map.  Selection order is
+    ``(timestamp, arrival)``: a slot arrives at the back of its
+    timestamp's bucket, which makes equal-timestamp keys FIFO, so a freshly
+    evicted key cannot be indefinitely preempted by later evictions (an α
+    tail otherwise).  A resident slot's bucket is always the one of its
+    current timestamp.
     """
 
-    __slots__ = ("_timestamps", "_buckets", "_heap", "_resident")
+    __slots__ = ("_timestamps", "_on_server", "_buckets", "_heap", "_resident")
 
-    def __init__(self, keys: Iterable[str]) -> None:
-        self._timestamps: dict[str, int] = dict.fromkeys(keys, 0)
-        # timestamp -> resident keys in arrival order; never holds an
+    def __init__(self, size: int) -> None:
+        self._timestamps = [0] * size
+        self._on_server = bytearray(size)
+        # timestamp -> resident slots in arrival order; never holds an
         # empty bucket.
-        self._buckets: dict[int, dict[str, None]] = {}
+        self._buckets: dict[int, dict[int, None]] = {}
         # Min-heap over at least the timestamps in _buckets; an entry whose
         # bucket has emptied since is skipped when it reaches the top.
         self._heap: list[int] = []
         self._resident = 0
 
-    def __len__(self) -> int:
-        return len(self._timestamps)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._timestamps
-
     @property
     def server_resident_count(self) -> int:
         return self._resident
 
-    def timestamp(self, key: str) -> int:
-        """Current access timestamp of ``key`` (BST.getTimestamp)."""
-        return self._timestamps[key]
+    def timestamp(self, slot: int) -> int:
+        """Current access timestamp of ``slot`` (BST.getTimestamp)."""
+        return self._timestamps[slot]
 
-    def items(self) -> ItemsView[str, int]:
-        """``(key, timestamp)`` of every real key, cached or not."""
-        return self._timestamps.items()
+    def is_server_resident(self, slot: int) -> bool:
+        return bool(self._on_server[slot])
 
-    def is_server_resident(self, key: str) -> bool:
-        ts = self._timestamps.get(key)
-        return ts is not None and key in self._buckets.get(ts, ())
-
-    def _arrive(self, key: str, ts: int) -> None:
-        """``key`` joins the back of bucket ``ts``."""
+    def _arrive(self, slot: int, ts: int) -> None:
+        """``slot`` joins the back of bucket ``ts``."""
         bucket = self._buckets.get(ts)
         if bucket is None:
             bucket = self._buckets[ts] = {}
@@ -111,51 +103,53 @@ class RealObjectIndex:
                 heapify(heap)
             else:
                 heappush(heap, ts)
-        bucket[key] = None
+        bucket[slot] = None
 
-    def _leave(self, key: str) -> bool:
-        """Take ``key`` out of its bucket; False if it was not resident."""
-        ts = self._timestamps[key]
-        bucket = self._buckets.get(ts)
-        if bucket is None or key not in bucket:
+    def _leave(self, slot: int) -> bool:
+        """Take ``slot`` out of its bucket; False if it was not resident."""
+        if not self._on_server[slot]:
             return False
-        del bucket[key]
+        ts = self._timestamps[slot]
+        bucket = self._buckets[ts]
+        del bucket[slot]
         if not bucket:
             del self._buckets[ts]
         return True
 
-    def set_timestamp(self, key: str, ts: int) -> None:
-        """BST.setTimestamp: update ``key``'s timestamp; if the key is
-        tracked as server-resident it moves to the back of bucket ``ts``."""
-        resident = self._leave(key)
-        self._timestamps[key] = ts
+    def set_timestamp(self, slot: int, ts: int) -> None:
+        """BST.setTimestamp: update ``slot``'s timestamp; if it is server-
+        resident it moves to the back of bucket ``ts``."""
+        resident = self._leave(slot)
+        self._timestamps[slot] = ts
         if resident:
-            self._arrive(key, ts)
+            self._arrive(slot, ts)
 
-    def mark_server_resident(self, key: str) -> None:
-        """Key now lives on the server: make it a fake-query candidate."""
-        if not self._leave(key):
+    def mark_server_resident(self, slot: int) -> None:
+        """The object now lives on the server: a fake-query candidate."""
+        if not self._leave(slot):
             self._resident += 1
-        self._arrive(key, self._timestamps[key])
+            self._on_server[slot] = 1
+        self._arrive(slot, self._timestamps[slot])
 
-    def mark_cached(self, key: str) -> None:
-        """Key now lives in the cache: exclude it from fake-query selection."""
-        if self._leave(key):
+    def mark_cached(self, slot: int) -> None:
+        """The object now lives in the cache (or is gone): exclude it from
+        fake-query selection."""
+        if self._leave(slot):
             self._resident -= 1
+            self._on_server[slot] = 0
 
-    def pop_min_keys(self, count: int, ts: int) -> list[tuple[str, int]]:
+    def pop_min_keys(self, count: int, ts: int) -> list[int]:
         """Batched fake-query selection: take the ``count`` least-recently-
-        accessed resident keys (all there are, if fewer), stamp each with
-        ``ts`` and mark it cached.
+        accessed resident slots (all there are, if fewer), stamp each with
+        ``ts`` and mark it cached; returns them in selection order.
 
-        Returns ``(key, previous_timestamp)`` pairs in selection order —
-        the previous timestamp is what ``GetIndex`` must feed the PRF.
         Equivalent to ``count`` rounds of BST.getMinTimestampObj +
         :meth:`set_timestamp` + :meth:`mark_cached`, but drains bucket
         fronts instead of descending a tree ``3·count`` times.
         """
-        heap, buckets, timestamps = self._heap, self._buckets, self._timestamps
-        selected: list[tuple[str, int]] = []
+        heap, buckets = self._heap, self._buckets
+        timestamps, on_server = self._timestamps, self._on_server
+        selected: list[int] = []
         while heap and len(selected) < count:
             bucket_ts = heap[0]
             bucket = buckets.get(bucket_ts)
@@ -167,15 +161,17 @@ class RealObjectIndex:
                 heappop(heap)
                 del buckets[bucket_ts]
             else:
-                for key in taken:
-                    del bucket[key]
-            selected.extend(zip(taken, repeat(bucket_ts)))
-            timestamps.update(dict.fromkeys(taken, ts))
+                for slot in taken:
+                    del bucket[slot]
+            selected += taken
+        for slot in selected:
+            timestamps[slot] = ts
+            on_server[slot] = 0
         self._resident -= len(selected)
         return selected
 
-    def random_resident_key(self, rng: random.Random) -> str:
-        """Uniformly random server-resident key (the Challenge-2 ablation:
+    def random_resident_key(self, rng: random.Random) -> int:
+        """Uniformly random server-resident slot (the Challenge-2 ablation:
         what happens when fake queries ignore recency): the one at a
         random rank of the selection order."""
         rank = rng.randrange(self._resident)
@@ -187,31 +183,23 @@ class RealObjectIndex:
         raise ProtocolError(  # pragma: no cover - the count guarantees a hit
             "invariant: resident count exceeds the bucket sizes")
 
-    def add_key(self, key: str, ts: int) -> None:
-        """Register a brand-new real key, born in the cache (insert
-        support, §6.2)."""
-        if key in self._timestamps:
-            raise KeyError(f"key already tracked: {key}")
-        self._timestamps[key] = ts
-
-    def drop_key(self, key: str) -> None:
-        """Forget a real key entirely (delete support, §6.2)."""
-        self.mark_cached(key)
-        del self._timestamps[key]
-
     def check_invariants(self) -> None:
         """Structural self-check; raises :class:`ProtocolError` naming the
         first breach.  O(N), for tests and the chaos runner."""
         timestamps, buckets, heap = self._timestamps, self._buckets, self._heap
-        bucketed = sum(map(len, buckets.values()))
+        bucketed = [slot for bucket in buckets.values() for slot in bucket]
+        flagged = self._on_server.count(1)
         breaches = {
             "real index holds an empty bucket":
                 [ts for ts, bucket in buckets.items() if not bucket],
             "real key filed under a timestamp that is not its own":
-                [key for ts, bucket in buckets.items() for key in bucket
-                 if timestamps.get(key) != ts],
+                [slot for ts, bucket in buckets.items() for slot in bucket
+                 if timestamps[slot] != ts],
             f"real index counts {self._resident} resident keys, buckets "
-            f"hold {bucketed}": self._resident != bucketed,
+            f"hold {len(bucketed)}, flags {flagged}":
+                not self._resident == len(bucketed) == flagged,
+            "bucketed key not flagged resident":
+                [slot for slot in bucketed if not self._on_server[slot]],
             "bucket timestamp missing from the real index heap":
                 sorted(buckets.keys() - set(heap)),
             "real index heap out of order": not _is_heap(heap),
@@ -222,17 +210,21 @@ class RealObjectIndex:
 class DummyObjectIndex:
     """Selection order and stored timestamps for the ``D`` dummy objects."""
 
+    # No slot is named like a configuration value ("reshuffle"): in a
+    # snapshot pickle the interned name and the config's interned string
+    # would share one memo entry that a restored proxy cannot, and the
+    # blob would stop being a fixed point of restore + capture.
     __slots__ = ("_stored_ts", "_heap", "_rng", "_accessed_since_reset",
-                 "reshuffle")
+                 "_epoch_reset")
 
-    def __init__(self, keys: Iterable[str], seed: int | None = None,
+    def __init__(self, keys: Iterable[int], seed: int | None = None,
                  reshuffle: bool = True) -> None:
         self._rng = seeded_rng(seed)
         #: Apply the paper's epoch reset (see WaffleConfig.dummy_policy).
-        self.reshuffle = reshuffle
-        self._stored_ts: dict[str, int] = dict.fromkeys(keys, 0)
+        self._epoch_reset = reshuffle
+        self._stored_ts: dict[int, int] = dict.fromkeys(keys, 0)
         # (timestamp of the last access or epoch reset, random tiebreak,
-        # key), least first.  Holds every dummy except those a round has
+        # slot), least first.  Holds every dummy except those a round has
         # taken and not yet recorded or retired.
         self._heap = [(0, self._rng.random(), key) for key in self._stored_ts]
         heapify(self._heap)
@@ -241,18 +233,15 @@ class DummyObjectIndex:
     def __len__(self) -> int:
         return len(self._stored_ts)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: int) -> bool:
         return key in self._stored_ts
 
-    def stored_timestamp(self, key: str) -> int:
-        """Timestamp embedded in the dummy's current storage id."""
-        return self._stored_ts[key]
-
-    def items(self) -> ItemsView[str, int]:
-        """``(key, stored timestamp)`` of every dummy."""
+    def items(self) -> ItemsView[int, int]:
+        """``(slot, stored timestamp)`` of every dummy: the timestamp its
+        current storage id embeds."""
         return self._stored_ts.items()
 
-    def take_min_keys(self, count: int) -> list[str]:
+    def take_min_keys(self, count: int) -> list[int]:
         """Batched BST.getMinTimestampObj: detach the ``count`` least keys.
 
         Stored timestamps are untouched (``GetIndex`` still needs them for
@@ -264,7 +253,7 @@ class DummyObjectIndex:
         heap = self._heap
         return [heappop(heap)[2] for _ in range(min(count, len(heap)))]
 
-    def record_access_many(self, keys: Collection[str], ts: int) -> None:
+    def record_access_many(self, keys: Collection[int], ts: int) -> None:
         """The dummies ``keys``, detached by :meth:`take_min_keys`, were just
         read: their next storage ids embed ``ts``, and they rejoin the
         selection heap (tiebreak draws in ``keys`` order).
@@ -278,14 +267,14 @@ class DummyObjectIndex:
             heappush(self._heap, (ts, self._rng.random(), key))
         self._accessed_since_reset += len(keys)
 
-    def retire(self, key: str) -> int:
+    def retire(self, key: int) -> int:
         """Forget a dummy already detached by :meth:`take_min_keys` (insert
         support swaps it for a real key); returns its stored timestamp."""
         return self._stored_ts.pop(key)
 
     def end_round(self, ts: int) -> None:
         """Apply the epoch reset if every dummy has been accessed."""
-        if not self.reshuffle:
+        if not self._epoch_reset:
             return
         if self._stored_ts and self._accessed_since_reset >= len(self._stored_ts):
             self._reshuffle(ts)
@@ -297,7 +286,7 @@ class DummyObjectIndex:
         self._heap = [(ts, self._rng.random(), key) for key in entries]
         heapify(self._heap)
 
-    def swap_in(self, key: str, ts: int) -> None:
+    def swap_in(self, key: int, ts: int) -> None:
         """Add a dummy (delete support swaps a real key for a dummy)."""
         if key in self._stored_ts:
             raise KeyError(f"dummy already tracked: {key}")

@@ -27,22 +27,18 @@ whatever its length:
 * the whole keystream is one ``digest(length)`` squeeze of a SHAKE-256
   state that absorbed ``enc_key`` once per cipher (``.copy()`` +
   ``update(nonce)`` per message);
-* the XOR is one numpy (or, for short values, big-int) operation, in
-  64-bit lanes so that it does not hand the GIL to a serving frontend's
-  event-loop thread once per object;
+* the XOR is one numpy operation per object, in 64-bit lanes so that it
+  does not hand the GIL to a serving frontend's event-loop thread — or,
+  in a batch of short values, one big-int XOR of the whole batch, which
+  leaves each ``nonce || body`` in place for a one-``update`` MAC;
 * the MAC's two keyed SHA-256 states (:mod:`repro.crypto.mac`) — the
   inner one with the scheme label already absorbed — are precomputed once
   and ``.copy()``-ed per message;
-* a batch draws its nonces in one call to the entropy source (one
-  ``getrandom`` a round under ``os.urandom``, not one an object).
+* a batch draws its nonces in one call to the entropy source.
 
-These are bit-compatible with the naive forms in
-:class:`repro.testing.reference.ScalarCipher` (pinned by the
-known-answer tests).  The scheme label in the MAC input makes blobs
-sealed by the earlier SHA256-CTR keystream fail authentication instead
-of decrypting to garbage under restored keys.
-:meth:`encrypt_many`/:meth:`decrypt_many` amortize per-call dispatch
-across a whole batch.
+All are bit-compatible with :class:`repro.testing.reference.ScalarCipher`
+(pinned by the known-answer tests).  The scheme label makes blobs sealed
+by the earlier SHA256-CTR keystream fail authentication.
 """
 
 from __future__ import annotations
@@ -53,14 +49,11 @@ import os
 import time
 from typing import Callable, Iterable, Protocol, Sequence
 
+import numpy as np
+
 from repro.crypto.mac import hmac_sha256_states
 from repro.errors import IntegrityError
 from repro.obs import OBS
-
-try:  # vectorized XOR when available; the big-int path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 __all__ = ["AuthenticatedCipher", "RandomSource"]
 
@@ -78,13 +71,22 @@ _TAG_LEN = 32
 _SCHEME_LABEL = b"repro.aead/shake256\x00"
 
 #: Big-int XOR wins below this length (numpy's fixed call overhead), the
-#: vectorized byte XOR above it.
+#: vectorized byte XOR above it.  A batch of values all below it XORs as
+#: one big-int slab, its nonces against zeros.
 _NP_XOR_CUTOFF = 128
+_SLAB_BLOB = _NONCE_LEN + _NP_XOR_CUTOFF + _TAG_LEN
+_NO_STREAM = bytes(_NONCE_LEN)
+
+
+def _xor_int(data: bytes, stream: bytes) -> bytes:
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(len(data), "big")
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """XOR two equal-length byte strings without a per-byte Python loop."""
-    if _np is not None and len(data) >= _NP_XOR_CUTOFF:
+    if len(data) >= _NP_XOR_CUTOFF:
         # 64-bit lanes where the length allows, for the sake of the
         # thread next door, not of speed: numpy drops the GIL around any
         # element-wise loop over more than 500 elements, which in byte
@@ -95,14 +97,10 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
         # under 4000 bytes stays below that count and the round thread
         # keeps the GIL until the interpreter's switch interval says
         # otherwise, as it does everywhere else in the round.
-        lane = _np.uint8 if len(data) & 7 else _np.uint64
-        return (
-            _np.frombuffer(data, dtype=lane)
-            ^ _np.frombuffer(stream, dtype=lane)
-        ).tobytes()
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
+        lane = np.uint8 if len(data) & 7 else np.uint64
+        return (np.frombuffer(data, dtype=lane)
+                ^ np.frombuffer(stream, dtype=lane)).tobytes()
+    return _xor_int(data, stream)
 
 
 class AuthenticatedCipher:
@@ -171,20 +169,11 @@ class AuthenticatedCipher:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for ``plaintext``."""
-        nonce = self._randbytes(_NONCE_LEN)
-        body = _xor_bytes(plaintext, self._keystream(nonce, len(plaintext)))
-        return nonce + body + self._tag(nonce, body)
+        return self._encrypt_many([plaintext])[0]
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify and decrypt ``blob``; raise :class:`IntegrityError` on tamper."""
-        if len(blob) < _NONCE_LEN + _TAG_LEN:
-            raise IntegrityError("ciphertext too short")
-        nonce = blob[:_NONCE_LEN]
-        body = blob[_NONCE_LEN:-_TAG_LEN]
-        tag = blob[-_TAG_LEN:]
-        if not hmac.compare_digest(tag, self._tag(nonce, body)):
-            raise IntegrityError("authentication tag mismatch")
-        return _xor_bytes(body, self._keystream(nonce, len(body)))
+        return self._decrypt_many([blob])[0]
 
     def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         """Batched :meth:`encrypt`; blob ``i`` encrypts ``plaintexts[i]``.
@@ -207,12 +196,15 @@ class AuthenticatedCipher:
     def _encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         plaintexts = list(plaintexts)
         nonces = self._randbytes(_NONCE_LEN * len(plaintexts))
-        keystream = self._keystream
-        tag = self._tag
+        cuts = range(0, len(nonces), _NONCE_LEN)
+        if max(map(len, plaintexts), default=0) < _NP_XOR_CUTOFF:
+            heads = self._xor_slab([nonces[start:start + _NONCE_LEN] + value
+                                    for start, value in zip(cuts, plaintexts)])
+            return [head + tag for head, tag in zip(heads, self._tags(heads))]
+        keystream, tag = self._keystream, self._tag
         out = []
         append = out.append
-        for start, plaintext in zip(range(0, len(nonces), _NONCE_LEN),
-                                    plaintexts):
+        for start, plaintext in zip(cuts, plaintexts):
             nonce = nonces[start:start + _NONCE_LEN]
             body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
             append(nonce + body + tag(nonce, body))
@@ -230,18 +222,55 @@ class AuthenticatedCipher:
 
     def _decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         compare = hmac.compare_digest
-        keystream = self._keystream
-        tag = self._tag
+        if any(len(blob) < _NONCE_LEN + _TAG_LEN for blob in blobs):
+            raise IntegrityError("ciphertext too short")
+        if max(map(len, blobs), default=0) < _SLAB_BLOB:
+            heads = [blob[:-_TAG_LEN] for blob in blobs]
+            if not all(map(compare, [blob[-_TAG_LEN:] for blob in blobs],
+                           self._tags(heads))):
+                raise IntegrityError("authentication tag mismatch")
+            return self._xor_slab(heads, skip=_NONCE_LEN)
+        keystream, tag = self._keystream, self._tag
         out = []
         append = out.append
         for blob in blobs:
-            if len(blob) < _NONCE_LEN + _TAG_LEN:
-                raise IntegrityError("ciphertext too short")
             nonce = blob[:_NONCE_LEN]
             body = blob[_NONCE_LEN:-_TAG_LEN]
             if not compare(blob[-_TAG_LEN:], tag(nonce, body)):
                 raise IntegrityError("authentication tag mismatch")
             append(_xor_bytes(body, keystream(nonce, len(body))))
+        return out
+
+    # A batch of short values moves as a slab: every tag is made (or
+    # checked) before any keystream, and _keystream's and _tag's steps are
+    # inlined, as at 64 bytes a method call costs what the hashing does.
+    def _tags(self, heads: list[bytes]) -> list[bytes]:
+        """The MAC of each ``nonce || body``, in one ``update`` each."""
+        inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
+        tags: list[bytes] = []
+        for head in heads:
+            inner = inner_copy()
+            inner.update(head)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            tags.append(outer.digest())
+        return tags
+
+    def _xor_slab(self, heads: list[bytes], skip: int = 0) -> list[bytes]:
+        """Each ``nonce || data`` XOR ``0 || keystream(nonce)``, less its
+        first ``skip`` bytes: one big-int XOR for the whole batch."""
+        stream_copy = self._stream_root.copy
+        streams: list[bytes] = []
+        for head in heads:
+            stream = stream_copy()
+            stream.update(head[:_NONCE_LEN])
+            streams += _NO_STREAM, stream.digest(len(head) - _NONCE_LEN)
+        slab = _xor_int(b"".join(heads), b"".join(streams))
+        out: list[bytes] = []
+        end = 0
+        for head in heads:
+            start, end = end, end + len(head)
+            out.append(slab[start + skip:end])
         return out
 
     def ciphertext_overhead(self) -> int:

@@ -8,13 +8,14 @@ across distinct inputs; HMAC-SHA256 under a secret key satisfies both.
 Storage identifiers are rendered as fixed-width hex strings so that every
 identifier has identical length — the server learns nothing from id sizes.
 
-Hot path: every batch round derives ``2B`` identifiers (B reads + B
-writes), so the naive fresh :class:`hmac.HMAC` per call — which re-keys
-the inner/outer pads every time — is measurable.  The two keyed
-SHA-256 states (:mod:`repro.crypto.mac`) are instead computed once at
-construction and ``.copy()``-ed per derivation, and :meth:`derive_many`
-amortizes the remaining per-call dispatch across a whole batch.  Outputs
-are bit-identical to the naive form, which the known-answer tests pin.
+Hot path: every batch round derives the ``B`` identifiers it writes (a
+read recalls the id its object was written under), so the naive fresh
+:class:`hmac.HMAC` per call — which re-keys the inner/outer pads every
+time — is measurable.  The two keyed SHA-256 states
+(:mod:`repro.crypto.mac`) are instead computed once at construction and
+``.copy()``-ed per derivation, and :meth:`derive_many` amortizes the
+remaining per-call dispatch across a whole batch.  Outputs are
+bit-identical to the naive form, which the known-answer tests pin.
 """
 
 from __future__ import annotations

@@ -79,11 +79,8 @@ class LruCache(Generic[K, V]):
 
         Semantically identical to calling :meth:`get_if_present` per key
         — recency bumps happen hit-by-hit in input order, so the LRU
-        order (and hence the β eviction order) is unchanged.  The bulk
-        form exists because hoisting the dict/``move_to_end`` lookups
-        out of the probe loop is worth ~1.4x on the proxy's read phase
-        (``bench_cache_kernel``); the per-call form lost to the plain
-        ``in`` + ``get`` double descent on attribute dispatch alone.
+        order (and hence the β eviction order) is unchanged — with the
+        dict/``move_to_end`` lookups hoisted out of the probe loop.
         """
         get = self._entries.get
         move = self._entries.move_to_end

@@ -36,6 +36,7 @@ _STATE_ATTRIBUTES = (
     "totals",
     "mutations",
     "_rng",
+    "_names", "_slots", "_is_dummy",
     "_real_index",
     "_dummy_index",
     "_initialized",
@@ -71,11 +72,13 @@ def restore_proxy(blob: bytes, store: StorageBackend) -> WaffleProxy:
 
     The restored proxy is behaviourally identical to the captured one:
     fed the same request batches it produces the same responses and the
-    same server access sequence.
+    same server access sequence.  The ids its slots remember (a cache of
+    PRF outputs) are not in the blob; they are derived again here.
     """
     state = pickle.loads(blob)
     proxy = WaffleProxy.__new__(WaffleProxy)
     proxy.store = store
     for name, value in state.items():
         setattr(proxy, name, value)
+    proxy._rederive_ids()
     return proxy

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import ast
+from typing import Iterator
 
 __all__ = ["ImportMap", "dotted_name", "receiver_name", "walk_functions",
            "walk_scope"]
 
 
-def walk_scope(scope: ast.AST):
+def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
     """Walk ``scope`` without descending into nested function scopes."""
     yield scope
     stack = list(ast.iter_child_nodes(scope))
@@ -77,7 +78,9 @@ class ImportMap:
         return f"{origin}.{rest}" if rest else origin
 
 
-def walk_functions(tree: ast.AST):
+def walk_functions(
+        tree: ast.AST,
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
     """Yield every (Async)FunctionDef in the tree, outermost first."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

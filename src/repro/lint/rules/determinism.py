@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import Finding, Module, Rule
-from repro.lint.rules._util import ImportMap, walk_scope
+from repro.lint.rules._util import ImportMap, walk_functions, walk_scope
 
 __all__ = [
     "SetIterationOrderRule",
@@ -119,12 +119,10 @@ class UnseededRngRule(Rule):
                             "instead")
 
     @staticmethod
-    def _scopes(tree: ast.AST):
+    def _scopes(tree: ast.AST) -> Iterator[tuple[ast.AST, frozenset[str]]]:
         """Yield (scope, names-of-params-defaulting-to-None) pairs."""
         yield tree, frozenset()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in walk_functions(tree):
             optional: set[str] = set()
             args = node.args
             positional = [*args.posonlyargs, *args.args]
@@ -222,11 +220,9 @@ class SetIterationOrderRule(Rule):
                         "wrap the set in sorted() for a canonical order")
 
     @staticmethod
-    def _scopes(tree: ast.AST):
+    def _scopes(tree: ast.AST) -> Iterator[ast.AST]:
         yield tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
+        yield from walk_functions(tree)
 
     def _set_vars(self, scope: ast.AST) -> set[str]:
         names: set[str] = set()
@@ -256,7 +252,7 @@ class SetIterationOrderRule(Rule):
         return False
 
     @staticmethod
-    def _iter_sites(scope: ast.AST):
+    def _iter_sites(scope: ast.AST) -> Iterator[ast.AST]:
         for node in walk_scope(scope):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 yield node

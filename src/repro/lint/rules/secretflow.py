@@ -26,7 +26,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import Finding, Module, Rule
-from repro.lint.rules._util import receiver_name
+from repro.lint.rules._util import receiver_name, walk_functions
 
 __all__ = [
     "SecretToServerRule",
@@ -448,7 +448,7 @@ class _FunctionTaint:
                         break
 
     @staticmethod
-    def _own_calls(stmt: ast.stmt):
+    def _own_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
         """Call nodes in this statement, excluding nested compound bodies
         (those are visited when _execute recurses into them)."""
         compound_blocks: set[int] = set()
@@ -470,17 +470,11 @@ class _FunctionTaint:
         return False
 
 
-def _functions(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 class _TaintRuleBase(Rule):
-    def _analyses(self, module: Module):
+    def _analyses(self, module: Module) -> Iterator[_FunctionTaint]:
         if not module.relpath.startswith(_SCOPES):
             return
-        for fn in _functions(module.tree):
+        for fn in walk_functions(module.tree):
             analysis = _FunctionTaint(fn)
             analysis.run()
             yield analysis

@@ -7,9 +7,9 @@ for the two strict flags that catch the most regressions —
 packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
 the storage path), ``serve/`` (the client-facing sockets), ``ha/``,
 ``analysis/`` (the α/β and timing oracles the harness judges with),
-``sim/``, ``obs/``, ``baselines/`` and ``workloads/``, so a missing
-annotation fails ``repro.cli lint`` on the developer's machine even when
-mypy is not installed.
+``sim/``, ``obs/``, ``baselines/``, ``workloads/`` and ``lint/`` (the
+linter itself), so a missing annotation fails ``repro.cli lint`` on the
+developer's machine even when mypy is not installed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = ["TypingCompletenessRule"]
 _GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
           "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
           "repro/analysis/", "repro/sim/", "repro/obs/", "repro/baselines/",
-          "repro/workloads/")
+          "repro/workloads/", "repro/lint/")
 
 
 class TypingCompletenessRule(Rule):
@@ -32,8 +32,8 @@ class TypingCompletenessRule(Rule):
     name = "typing-completeness"
     description = ("every def in the typing-gated packages (crypto/, "
                    "core/, ds/, storage/, net/, testing/, serve/, ha/, "
-                   "analysis/, sim/, obs/, baselines/, workloads/) must "
-                   "annotate all parameters and its return type")
+                   "analysis/, sim/, obs/, baselines/, workloads/, lint/) "
+                   "must annotate all parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.relpath.startswith(_GATED):
@@ -48,7 +48,7 @@ class TypingCompletenessRule(Rule):
                     f"{', '.join(missing)}; mypy --strict will reject it")
 
     @staticmethod
-    def _methods(tree: ast.AST):
+    def _methods(tree: ast.AST) -> Iterator[tuple[ast.AST, ast.AST]]:
         stack: list[tuple[ast.AST, ast.AST]] = [(tree, tree)]
         while stack:
             parent, node = stack.pop()

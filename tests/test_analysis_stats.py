@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import ks_exponential, ks_statistic, percentile
+from tests.stats import ks_exponential, ks_statistic, percentile
 from repro.errors import ConfigurationError
 from repro.seeding import seeded_rng
 

@@ -100,6 +100,15 @@ class TestInsertDelete:
         with pytest.raises(ConfigurationError):
             store.insert("user00000001", b"dup")
 
+    def test_insert_of_a_dummy_named_key_rejected(self):
+        """Such a key would derive a dummy's storage ids: once evicted, its
+        object would be fetched back as a dummy and never decrypted, and
+        the value lost."""
+        store = self.make_store()
+        with pytest.raises(ConfigurationError, match="dummy prefix"):
+            store.insert("\x00dummy:999999999999", b"lost")
+        assert store.proxy.mutations.pending_inserts == 0
+
     def test_delete_removes_key(self):
         store = self.make_store()
         store.delete("user00000005")

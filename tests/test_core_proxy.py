@@ -215,6 +215,48 @@ class TestStorageInvariants:
             assert len(proxy.store) == (small_config.n - small_config.c
                                         + small_config.d)
 
+    def test_prf_runs_once_per_object_write(self, small_config):
+        """A round derives the B ids it writes; the B it reads are the
+        ids remembered from when those objects were written."""
+        proxy, recorder = build_proxy(small_config)
+        prf, derived = proxy.keychain.prf, []
+
+        class CountingPrf:
+            def derive_many(self, pairs):
+                out = prf.derive_many(pairs)
+                derived.extend(out)
+                return out
+
+        proxy.keychain.prf = CountingPrf()
+        rng = random.Random(10)
+        for _ in range(20):
+            proxy.handle_batch([
+                write(f"user{rng.randrange(small_config.n):08d}", b"w")
+                for _ in range(small_config.r)
+            ])
+        writes = [r.storage_id for r in recorder.records if r.op == "write"]
+        assert derived == writes[-20 * small_config.b:]
+        assert proxy.last_stats.prf_evals == 2 * small_config.b  # the paper's
+        proxy.keychain.prf = prf
+        proxy.check_invariants()
+
+    def test_self_check_names_a_wrong_remembered_id(self, small_config):
+        proxy, _ = build_proxy(small_config)
+        rng = random.Random(11)
+        for _ in range(5):
+            proxy.handle_batch([
+                read(f"user{rng.randrange(small_config.n):08d}")
+                for _ in range(small_config.r)
+            ])
+        proxy.check_invariants()
+        slot, ts = proxy._outsourced()[-1]  # a dummy
+        ((name, _),) = proxy._prf_inputs([(slot, ts)])
+        proxy._ids[slot] = bytes(16)
+        with pytest.raises(ProtocolError,
+                           match="remembered id is not prf") as raised:
+            proxy.check_invariants()
+        assert repr((name, ts)) in str(raised.value)
+
 
 class TestLinearizability:
     def test_read_after_write_same_batch(self, small_config):
@@ -317,7 +359,8 @@ class TestSecurityBounds:
 class TestCacheBehaviour:
     def test_cache_hit_served_without_new_id(self, small_config):
         proxy, recorder = build_proxy(small_config)
-        cached_key = next(iter(proxy.cache.keys()))
+        cached_key = next(key for key in make_items(small_config.n)
+                          if key in proxy.cache)
         before = len(recorder.records)
         responses = proxy.handle_batch([read(cached_key)])
         assert len(responses) == 1
@@ -328,7 +371,10 @@ class TestCacheBehaviour:
 
     def test_write_to_cached_key_stays_local(self, small_config):
         proxy, _ = build_proxy(small_config)
-        cached_key = next(iter(proxy.cache.keys()))
+        cached_key = next(key for key in make_items(small_config.n)
+                          if key in proxy.cache)
         proxy.handle_batch([write(cached_key, b"local")])
         assert proxy.last_stats.unique_real_reads == 0
-        assert b"local" in proxy.cache.peek(cached_key)
+        # The cache is keyed by slot; a read of the key is a cache hit.
+        assert b"local" in proxy.handle_batch([read(cached_key)])[0].value
+        assert proxy.last_stats.cache_hits == 1

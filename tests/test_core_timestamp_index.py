@@ -12,120 +12,122 @@ from repro.seeding import seeded_rng
 
 class TestRealObjectIndex:
     def make(self, n=10):
-        return RealObjectIndex([f"k{i}" for i in range(n)])
+        return RealObjectIndex(n)
 
     def test_all_keys_start_at_zero(self):
         index = self.make()
-        assert all(index.timestamp(f"k{i}") == 0 for i in range(10))
+        assert all(index.timestamp(slot) == 0 for slot in range(10))
         assert index.server_resident_count == 0
 
     def test_residency_controls_candidacy(self):
         index = self.make(3)
-        index.mark_server_resident("k0")
-        index.mark_server_resident("k1")
+        index.mark_server_resident(0)
+        index.mark_server_resident(1)
         assert index.server_resident_count == 2
-        assert index.is_server_resident("k0")
-        assert not index.is_server_resident("k2")
-        index.mark_cached("k0")
-        # Only resident keys are fake-query candidates (Algorithm 1 line 26).
-        assert index.pop_min_keys(3, ts=1) == [("k1", 0)]
+        assert index.is_server_resident(0)
+        assert not index.is_server_resident(2)
+        index.mark_cached(0)
+        # Only resident slots are fake-query candidates (Algorithm 1 line 26).
+        assert index.pop_min_keys(3, ts=1) == [1]
         assert index.server_resident_count == 0
 
     def test_min_follows_timestamps(self):
         index = self.make(3)
-        for key in ("k0", "k1", "k2"):
-            index.mark_server_resident(key)
-        index.set_timestamp("k0", 5)
-        index.set_timestamp("k1", 2)
-        index.set_timestamp("k2", 9)
-        assert index.pop_min_keys(2, ts=10) == [("k1", 2), ("k0", 5)]
-        # Selection stamps the key and takes it out of candidacy.
-        assert index.timestamp("k1") == index.timestamp("k0") == 10
+        for slot in (0, 1, 2):
+            index.mark_server_resident(slot)
+        index.set_timestamp(0, 5)
+        index.set_timestamp(1, 2)
+        index.set_timestamp(2, 9)
+        assert index.pop_min_keys(2, ts=10) == [1, 0]
+        # Selection stamps the slot and takes it out of candidacy.
+        assert index.timestamp(1) == index.timestamp(0) == 10
+        assert not index.is_server_resident(1)
         assert index.server_resident_count == 1
 
     def test_equal_timestamps_break_ties_fifo(self):
-        """A freshly evicted key is not preempted by later evictions that
-        sort before it lexicographically."""
+        """A freshly evicted slot is not preempted by later evictions that
+        sort before it."""
         index = self.make(4)
-        for key in ("k3", "k1", "k2", "k0"):
-            index.set_timestamp(key, 7)
-            index.mark_server_resident(key)
-        assert [key for key, _ in index.pop_min_keys(4, ts=8)] \
-            == ["k3", "k1", "k2", "k0"]
+        for slot in (3, 1, 2, 0):
+            index.set_timestamp(slot, 7)
+            index.mark_server_resident(slot)
+        assert index.pop_min_keys(4, ts=8) == [3, 1, 2, 0]
 
     def test_set_timestamp_for_cached_key_kept_out_of_tree(self):
         index = self.make(2)
-        index.set_timestamp("k0", 7)
-        assert index.timestamp("k0") == 7
+        index.set_timestamp(0, 7)
+        assert index.timestamp(0) == 7
         assert index.server_resident_count == 0
-        index.mark_server_resident("k0")
-        assert index.pop_min_keys(1, ts=8) == [("k0", 7)]
+        index.mark_server_resident(0)
+        assert index.pop_min_keys(1, ts=8) == [0]
 
     def test_unknown_key_rejected(self):
+        """Slots come from the proxy's key table; one beyond the table
+        the index was sized for is refused, not grown into."""
         index = self.make(1)
-        with pytest.raises(KeyError):
-            index.set_timestamp("nope", 1)
-        with pytest.raises(KeyError):
-            index.timestamp("nope")
+        with pytest.raises(IndexError):
+            index.set_timestamp(1, 1)
+        with pytest.raises(IndexError):
+            index.timestamp(1)
 
     def test_add_and_drop_key(self):
+        """Insert support stamps a slot born in the cache; delete support
+        takes a slot out of candidacy for good."""
         index = self.make(2)
-        index.add_key("new", ts=4)
-        assert "new" in index
+        index.set_timestamp(1, 4)
         assert index.server_resident_count == 0  # born in the cache
-        index.mark_server_resident("new")
+        index.mark_server_resident(1)
         assert index.server_resident_count == 1
-        with pytest.raises(KeyError):
-            index.add_key("new", ts=5)
-        index.drop_key("new")
-        assert "new" not in index
+        index.mark_cached(1)
+        assert not index.is_server_resident(1)
         assert index.server_resident_count == 0
+        assert index.pop_min_keys(2, ts=5) == []
 
     def test_restamped_resident_key_queues_behind_earlier_arrivals(self):
         index = self.make(4)
-        for key in ("k0", "k1", "k2"):
-            index.mark_server_resident(key)
-        index.set_timestamp("k1", 3)
-        index.set_timestamp("k2", 3)
-        index.set_timestamp("k0", 3)  # first to arrive at 0, last at 3
-        assert index.pop_min_keys(3, ts=4) == [("k1", 3), ("k2", 3), ("k0", 3)]
+        for slot in (0, 1, 2):
+            index.mark_server_resident(slot)
+        index.set_timestamp(1, 3)
+        index.set_timestamp(2, 3)
+        index.set_timestamp(0, 3)  # first to arrive at 0, last at 3
+        assert index.pop_min_keys(3, ts=4) == [1, 2, 0]
 
     def test_key_evicted_below_the_minimum_is_selected_first(self):
-        """A cached key keeps the timestamp of its last read; evicted after
-        selection has moved on, it is older than every resident key."""
+        """A cached slot keeps the timestamp of its last read; evicted after
+        selection has moved on, it is older than every resident slot."""
         index = self.make(4)
-        index.set_timestamp("k0", 1)  # read in round 1, cached since
-        for key, ts in (("k1", 2), ("k2", 2), ("k3", 5)):
-            index.set_timestamp(key, ts)
-            index.mark_server_resident(key)
-        assert index.pop_min_keys(1, ts=6) == [("k1", 2)]
-        index.mark_server_resident("k0")
-        assert index.pop_min_keys(2, ts=7) == [("k0", 1), ("k2", 2)]
+        index.set_timestamp(0, 1)  # read in round 1, cached since
+        for slot, ts in ((1, 2), (2, 2), (3, 5)):
+            index.set_timestamp(slot, ts)
+            index.mark_server_resident(slot)
+        assert index.pop_min_keys(1, ts=6) == [1]
+        index.mark_server_resident(0)
+        assert index.pop_min_keys(2, ts=7) == [0, 2]
         index.check_invariants()
 
     def test_emptied_bucket_is_not_revisited(self):
         index = self.make(4)
-        for key, ts in (("k0", 1), ("k1", 1), ("k2", 4)):
-            index.set_timestamp(key, ts)
-            index.mark_server_resident(key)
-        index.mark_cached("k0")
-        index.mark_cached("k1")  # bucket 1 empties away from selection
+        for slot, ts in ((0, 1), (1, 1), (2, 4)):
+            index.set_timestamp(slot, ts)
+            index.mark_server_resident(slot)
+        index.mark_cached(0)
+        index.mark_cached(1)  # bucket 1 empties away from selection
         index.check_invariants()
-        assert index.pop_min_keys(1, ts=5) == [("k2", 4)]
+        assert index.pop_min_keys(1, ts=5) == [2]
         assert index.pop_min_keys(1, ts=6) == []
         # The same timestamp can fill again later, and drains again.
-        index.set_timestamp("k3", 1)
-        index.mark_server_resident("k3")
-        assert index.pop_min_keys(2, ts=7) == [("k3", 1)]
+        index.set_timestamp(3, 1)
+        index.mark_server_resident(3)
+        assert index.pop_min_keys(2, ts=7) == [3]
         assert index.server_resident_count == 0
         index.check_invariants()
 
     def test_count_beyond_the_resident_set_returns_what_there_is(self):
         index = self.make(5)
-        for key in ("k0", "k1", "k2"):
-            index.mark_server_resident(key)
-        index.set_timestamp("k1", 2)
-        assert index.pop_min_keys(10, ts=3) == [("k0", 0), ("k2", 0), ("k1", 2)]
+        for slot in (0, 1, 2):
+            index.mark_server_resident(slot)
+        index.set_timestamp(1, 2)
+        assert index.pop_min_keys(10, ts=3) == [0, 2, 1]
         assert index.pop_min_keys(10, ts=4) == []
         assert index.pop_min_keys(0, ts=4) == index.pop_min_keys(-1, ts=4) == []
 
@@ -133,37 +135,42 @@ class TestRealObjectIndex:
         """The ``uniform`` policy never calls ``pop_min_keys``, the one
         place emptied buckets' heap entries are discarded."""
         index = self.make(4)
-        index.mark_server_resident("k0")
+        index.mark_server_resident(0)
         for ts in range(1, 2000):
-            index.set_timestamp("k0", ts)
+            index.set_timestamp(0, ts)
         index.check_invariants()
         assert len(index._heap) < 100
-        assert index.pop_min_keys(1, ts=2000) == [("k0", 1999)]
+        assert index.pop_min_keys(1, ts=2000) == [0]
+        assert index.timestamp(0) == 2000
 
     def test_check_invariants_has_teeth(self):
         index = self.make(3)
-        index.mark_server_resident("k0")
+        index.mark_server_resident(0)
         index.check_invariants()
-        index._timestamps["k0"] = 9  # restamped behind the buckets' back
+        index._timestamps[0] = 9  # restamped behind the buckets' back
         with pytest.raises(ProtocolError, match="not its own"):
             index.check_invariants()
-        index._timestamps["k0"] = 0
+        index._timestamps[0] = 0
         index._resident = 2
         with pytest.raises(ProtocolError, match="counts 2 resident"):
             index.check_invariants()
         index._resident = 1
+        index._on_server[0] = 0  # flag cleared, bucket kept
+        with pytest.raises(ProtocolError, match="flags 0"):
+            index.check_invariants()
+        index._on_server[0] = 1
         index._heap.clear()
         with pytest.raises(ProtocolError, match="missing from the real index"):
             index.check_invariants()
 
     def test_random_resident_key(self):
         index = self.make(20)
-        for i in range(20):
-            index.mark_server_resident(f"k{i}")
+        for slot in range(20):
+            index.mark_server_resident(slot)
         rng = random.Random(3)
         picks = {index.random_resident_key(rng) for _ in range(100)}
         assert len(picks) > 5  # genuinely spread
-        assert all(pick in index for pick in picks)
+        assert all(index.is_server_resident(pick) for pick in picks)
 
 
 class TestDummyObjectIndex:
@@ -184,7 +191,7 @@ class TestDummyObjectIndex:
     def test_initial_state(self):
         index = self.make()
         assert len(index) == 8
-        assert index.stored_timestamp("d3") == 0
+        assert dict(index.items())["d3"] == 0
         assert dict(index.items()) == {f"d{i}": 0 for i in range(8)}
 
     def test_accesses_rotate_through_all_dummies(self):
@@ -201,13 +208,13 @@ class TestDummyObjectIndex:
         assert not set(first) & set(second)
         assert index.take_min_keys(1) == []
         # The stored timestamps GetIndex needs are untouched meanwhile.
-        assert all(index.stored_timestamp(key) == 0 for key in first + second)
+        assert all(dict(index.items())[key] == 0 for key in first + second)
 
     def test_stored_timestamp_tracks_last_access(self):
         index = self.make()
         (key,) = index.take_min_keys(1)
         index.record_access_many([key], 42)
-        assert index.stored_timestamp(key) == 42
+        assert dict(index.items())[key] == 42
 
     def test_reshuffle_changes_order_but_preserves_stored_ts(self):
         index = self.make(d=16, reshuffle=True)
@@ -215,7 +222,7 @@ class TestDummyObjectIndex:
         # The last end_round completed the epoch, so the reset has fired;
         # it must not touch what the storage ids are derived from.
         for position, key in enumerate(first_epoch):
-            assert index.stored_timestamp(key) == 1 + position // 4
+            assert dict(index.items())[key] == 1 + position // 4
         # Same dummies next epoch, in a different selection order (round
         # robin would repeat the first epoch exactly).
         second_epoch = self.epoch(index, 5, per_round=4)
@@ -235,7 +242,7 @@ class TestDummyObjectIndex:
         assert key not in index
         assert len(index) == 2
         index.swap_in("fresh", 9)
-        assert index.stored_timestamp("fresh") == 9
+        assert dict(index.items())["fresh"] == 9
         with pytest.raises(KeyError):
             index.swap_in("fresh", 10)
         # The retired key is gone for good; the newcomer queues behind the
@@ -256,8 +263,8 @@ class TestDummyObjectIndex:
             index.check_invariants()
 
 
-KEYS = [f"k{i}" for i in range(8)]
-key_st = st.sampled_from(KEYS)
+SLOTS = list(range(8))
+key_st = st.sampled_from(SLOTS)
 ts_st = st.integers(0, 5)  # few values, so buckets are shared
 
 real_ops = st.lists(st.one_of(
@@ -275,11 +282,12 @@ class TestRealIndexAgainstModel:
     @given(real_ops)
     @settings(max_examples=200, deadline=None)
     def test_selects_like_a_sorted_reference(self, ops):
-        """Under any mix of operations the index selects what brute force
-        does: ``sorted(resident, key=(ts, arrival))``."""
-        index = RealObjectIndex(KEYS[:5])
-        timestamps = dict.fromkeys(KEYS[:5], 0)
-        arrival_of: dict[str, int] = {}  # resident keys only
+        """Under any mix of operations on real slots the index selects what
+        brute force does: ``sorted(resident, key=(ts, arrival))``.  Slots
+        5-7 start as non-real (dummies, in the proxy) until an ``add``."""
+        index = RealObjectIndex(len(SLOTS))
+        timestamps = dict.fromkeys(SLOTS[:5], 0)  # the real slots
+        arrival_of: dict[int, int] = {}  # resident slots only
         arrivals = 0
 
         def in_order():
@@ -290,9 +298,9 @@ class TestRealIndexAgainstModel:
             key = args[0]
             if op == "pop":
                 count, ts = args
-                expected = [(k, timestamps[k]) for k in in_order()[:count]]
+                expected = in_order()[:count]
                 assert index.pop_min_keys(count, ts) == expected
-                for k, _ in expected:
+                for k in expected:
                     timestamps[k] = ts
                     del arrival_of[k]
             elif op == "random":
@@ -300,13 +308,12 @@ class TestRealIndexAgainstModel:
                     rank = random.Random(args[0]).randrange(len(arrival_of))
                     picked = index.random_resident_key(random.Random(args[0]))
                     assert picked == in_order()[rank]
-            elif op == "add":
+            elif op == "add":  # insert: a slot becomes real, born cached
                 if key not in timestamps:
-                    index.add_key(key, args[1])
+                    index.set_timestamp(key, args[1])
                     timestamps[key] = args[1]
             elif key not in timestamps:
-                with pytest.raises(KeyError):
-                    index.set_timestamp(key, 0)
+                continue  # the proxy only hands the index its real slots
             elif op == "resident":
                 index.mark_server_resident(key)
                 arrivals += 1
@@ -320,15 +327,15 @@ class TestRealIndexAgainstModel:
                 if key in arrival_of:
                     arrivals += 1
                     arrival_of[key] = arrivals
-            elif op == "drop":
-                index.drop_key(key)
+            elif op == "drop":  # delete: the slot leaves for good
+                index.mark_cached(key)
                 del timestamps[key]
                 arrival_of.pop(key, None)
             index.check_invariants()
-            assert dict(index.items()) == timestamps
+            assert all(index.timestamp(k) == ts for k, ts in timestamps.items())
             assert index.server_resident_count == len(arrival_of)
             assert all(index.is_server_resident(k) == (k in arrival_of)
-                       for k in KEYS)
+                       for k in SLOTS)
 
 
 # One round: take ``count`` dummies, retire the first ``retired`` of them,

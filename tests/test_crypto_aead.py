@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.crypto.aead import AuthenticatedCipher
 from repro.errors import IntegrityError
@@ -73,10 +73,15 @@ class TestAeadBatched:
             cipher.decrypt_many([cipher.encrypt(b"ok"), b"short"])
 
     def test_decrypt_many_rejects_tampered_member(self, cipher):
-        blobs = cipher.encrypt_many([b"a" * 64, b"b" * 64, b"c" * 64])
-        blobs[1] = blobs[1][:-1] + bytes([blobs[1][-1] ^ 0x01])
-        with pytest.raises(IntegrityError):
-            cipher.decrypt_many(blobs)
+        # A short-value batch (one slab) in the middle and at the end, and
+        # batches that straddle the 128-byte slab cut-off.
+        for lengths, member in (((64, 64, 64), 1), ((64, 64, 64), 2),
+                                ((127, 128), 1), ((0, 64, 4096), 0)):
+            blobs = cipher.encrypt_many([b"v" * n for n in lengths])
+            blobs[member] = blobs[member][:-1] + bytes(
+                [blobs[member][-1] ^ 0x01])
+            with pytest.raises(IntegrityError):
+                cipher.decrypt_many(blobs)
 
 
 class TestAeadProperties:
@@ -86,6 +91,8 @@ class TestAeadProperties:
         assert cipher.decrypt(cipher.encrypt(plaintext)) == plaintext
 
     @given(st.lists(st.binary(max_size=4096), max_size=12))
+    @example([b"\x01" * 127, b"\x02" * 128])
+    @example([b"", b"\x03" * 64, b"\x04" * 4096])
     def test_batched_roundtrip_random_lengths(self, plaintexts):
         """decrypt_many(encrypt_many(xs)) == xs across lengths 0-4096."""
         cipher = AuthenticatedCipher(enc_key=b"b-enc", mac_key=b"b-mac")
@@ -96,6 +103,8 @@ class TestAeadProperties:
             assert cipher.decrypt(blob) == plaintext
 
     @given(st.binary(max_size=4096), st.integers(0, 10**9))
+    @example(b"\x05" * 64, 10**9)  # the last member of a short-value batch
+    @example(b"\x06" * 128, 3)  # straddles the slab cut-off
     def test_batched_tamper_detection(self, plaintext, seed):
         """A single flipped bit anywhere in any member fails the batch."""
         cipher = AuthenticatedCipher(enc_key=b"bt-enc", mac_key=b"bt-mac")
@@ -164,12 +173,16 @@ class TestAeadEdgeLengths:
                 cipher.decrypt(bytes(tampered))
 
     @given(st.lists(_edge_plaintexts, max_size=6), st.integers(0, 2**32))
+    @example([b"\x01" * 127, b"\x02" * 128], 7)  # either side of the slab
+    @example([b"", b"\x03" * 64, b"\x04" * 4096], 8)  # cut-off, and both
+    @example([b"\x05" * 64] * 3, 9)  # all short: one slab
     def test_batch_forms_equal_looped_encrypt(self, plaintexts, seed):
         """Same rng stream in, same blobs out: nonces are drawn 16 bytes
         at a time in input order by both entry points."""
         looped = _seeded(seed)
         expected = [looped.encrypt(plaintext) for plaintext in plaintexts]
         assert _seeded(seed).encrypt_many(plaintexts) == expected
+        assert _seeded(seed).decrypt_many(expected) == plaintexts
 
     @given(_edge_plaintexts, st.integers(0, 2**32))
     def test_pickle_round_trip_keeps_rng_stream(self, plaintext, seed):

@@ -44,6 +44,27 @@ def random_batch(rng, write_fraction=0.4):
     return batch
 
 
+def mutating_batch(proxy, rng, live, round_):
+    """Queue one delete of a live key and one insert of a fresh key, and
+    return a batch over the keys still live.  The insert is drained by
+    the round that runs the batch; its key joins ``live`` after it."""
+    batch = []
+    for _ in range(CONFIG.r):
+        key = live[rng.randrange(len(live))]
+        if rng.random() < 0.4:
+            batch.append(ClientRequest(op=Operation.WRITE, key=key,
+                                       value=b"w%08d" % rng.randrange(10**8)))
+        else:
+            batch.append(ClientRequest(op=Operation.READ, key=key))
+    requested = {request.key for request in batch}
+    doomed = next(key for key in live if key not in requested)
+    live.remove(doomed)
+    proxy.mutations.enqueue_delete(doomed)
+    proxy.mutations.enqueue_insert(f"fresh{round_:04d}", b"born")
+    live.append(f"fresh{round_:04d}")
+    return batch
+
+
 class TestCheckpoint:
     def test_uninitialized_proxy_rejected(self):
         proxy = WaffleProxy(CONFIG, store=RedisSim(write_once=True))
@@ -53,24 +74,39 @@ class TestCheckpoint:
     def test_restored_proxy_is_behaviourally_identical(self):
         """The acid test: from one checkpoint, the original and the
         restored proxy produce identical responses AND identical server
-        access sequences for the same future batches."""
+        access sequences for the same future batches — with inserts and
+        deletes drained before the checkpoint and pending across it.  The
+        blob is a fixed point: the restored proxy captures to the same
+        bytes."""
         proxy, recorder = build_proxy()
         rng = random.Random(7)
-        for _ in range(10):
-            proxy.handle_batch(random_batch(rng))
+        live = [f"user{i:08d}" for i in range(CONFIG.n)]
+        for round_ in range(10):
+            proxy.handle_batch(mutating_batch(proxy, rng, live, round_))
+        gone = {f"user{i:08d}" for i in range(CONFIG.n)} - set(live)
+        assert len(gone) == 10 and not any(map(proxy.contains_key, gone))
+        assert proxy.contains_key("fresh0009")
+        mutating_batch(proxy, rng, live, 10)  # queued, not yet drained
+        assert proxy.mutations.pending_deletes == 1
 
         blob = capture_proxy(proxy)
         # Clone the entire server so the twin acts on an identical world.
         import copy
         twin_store = RecordingStore(copy.deepcopy(recorder._inner))
         twin = restore_proxy(blob, twin_store)
+        assert capture_proxy(twin) == blob
+        twin.check_invariants()
 
         rng_a, rng_b = random.Random(8), random.Random(8)
-        for _ in range(10):
-            responses_a = proxy.handle_batch(random_batch(rng_a))
-            responses_b = twin.handle_batch(random_batch(rng_b))
+        live_a, live_b = live[:], live[:]
+        for round_ in range(11, 21):
+            responses_a = proxy.handle_batch(
+                mutating_batch(proxy, rng_a, live_a, round_))
+            responses_b = twin.handle_batch(
+                mutating_batch(twin, rng_b, live_b, round_))
             assert [r.value for r in responses_a] == \
                    [r.value for r in responses_b]
+        assert capture_proxy(twin) == capture_proxy(proxy)
         ids_a = [r.storage_id for r in recorder.records]
         ids_b = [r.storage_id for r in twin_store.records]
         assert ids_a[-200:] == ids_b[-200:]
@@ -92,7 +128,7 @@ class TestCheckpoint:
             log = []
             for ts in range(proxy.ts + 1, proxy.ts + 41):
                 picked = real.pop_min_keys(5, ts)
-                for key, _ in picked[:3]:  # evicted again under the new ts
+                for key in picked[:3]:  # evicted again under the new ts
                     real.mark_server_resident(key)
                 dummies = dummy.take_min_keys(CONFIG.f_d)
                 dummy.record_access_many(dummies, ts)

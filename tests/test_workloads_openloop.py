@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import ks_exponential
+from tests.stats import ks_exponential
 from repro.errors import ConfigurationError
 from repro.workloads.openloop import (
     Arrival,
