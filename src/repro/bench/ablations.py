@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.leakage import leakage_summary
+from repro.analysis.leakage import LeakageSummary, leakage_summary
 from repro.analysis.timing import timing_attack_benchmark
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
@@ -84,7 +84,7 @@ def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:
     per-round load variance), applied to the recorded traces of the
     insecure baseline, Pancake and Waffle under one Zipf-0.99 workload.
     """
-    def row(system: str, summary) -> dict:
+    def row(system: str, summary: LeakageSummary) -> dict:
         return {
             "system": system,
             "norm_entropy": summary.normalized_entropy,

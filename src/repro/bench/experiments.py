@@ -24,17 +24,25 @@ from __future__ import annotations
 import inspect
 from collections import Counter
 from dataclasses import replace
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.analysis.attacks import cooccurrence_attack, frequency_analysis_attack
+from repro.analysis.attacks import (
+    AttackResult,
+    cooccurrence_attack,
+    frequency_analysis_attack,
+)
 from repro.analysis.histograms import (
     alpha_histogram,
     histogram_difference,
     render_histogram,
 )
-from repro.analysis.uniformity import full_report, measure_alpha
+from repro.analysis.uniformity import (
+    UniformityReport,
+    full_report,
+    measure_alpha,
+)
 from repro.bench import ablations
 from repro.bench.harness import (
     Measurement,
@@ -46,6 +54,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_series, format_table, titled_table
 from repro.core.config import SecurityLevel, WaffleConfig
 from repro.sim.costmodel import CostModel
+from repro.storage.recording import AccessRecord
 from repro.workloads.correlated import ClickstreamModel, CorrelatedWorkload
 from repro.workloads.ycsb import YcsbWorkload, key_name, workload_a, workload_c
 
@@ -85,7 +94,8 @@ class Experiment(NamedTuple):
         return params
 
 
-def default_config(n: int = DEFAULT_N, seed: int = 7, **overrides) -> WaffleConfig:
+def default_config(n: int = DEFAULT_N, seed: int = 7,
+                   **overrides: Any) -> WaffleConfig:
     """The §8.2 default configuration scaled to ``n``."""
     config = WaffleConfig.paper_defaults(n=n, seed=seed)
     if overrides:
@@ -117,7 +127,7 @@ def _pct(fraction: float) -> int:
     return round(100 * fraction)
 
 
-def _sweep(n: int, rounds: int, seed: int, points,
+def _sweep(n: int, rounds: int, seed: int, points: Iterable[Any],
            configure: Callable[[WaffleConfig, Any], WaffleConfig],
            cost: CostModel | None = None,
            ) -> Iterator[tuple[Any, WaffleConfig, Measurement]]:
@@ -286,7 +296,7 @@ def fig2d_cache(n: int = DEFAULT_N, rounds: int = 60,
     Paper: counter-intuitively, performance *degrades* gradually as the
     cache grows (the LRU recency tracking costs more); optimum at 1-2%.
     """
-    def configure(base, fraction):
+    def configure(base: WaffleConfig, fraction: float) -> WaffleConfig:
         return replace(base, c=max(1, round(fraction * n)))
 
     return [{"cache_pct": _pct(fraction), **_perf(measurement),
@@ -315,7 +325,7 @@ def fig3a_batch_size(n: int = DEFAULT_N, rounds: int = 60,
     (<= 5% variation) — batch size has security implications but not
     performance implications.
     """
-    def configure(base, b):
+    def configure(base: WaffleConfig, b: int) -> WaffleConfig:
         return _rebalance(base, b=b, r=max(1, round(0.4 * b)),
                           f_d=max(1, round(0.2 * b)))
 
@@ -343,7 +353,7 @@ def fig3b_real_fraction(n: int = DEFAULT_N, rounds: int = 60,
     fixed at 20%) — more client requests per round, fewer fake queries —
     while security (α) favours lower R.
     """
-    def configure(base, fraction):
+    def configure(base: WaffleConfig, fraction: float) -> WaffleConfig:
         return _rebalance(base, r=max(1, min(base.b - base.f_d - 1,
                                              round(fraction * base.b))))
 
@@ -381,7 +391,7 @@ def fig3c_fake_dummy(n: int = DEFAULT_N, rounds: int = 60,
     at 40%) — dummy objects are never cached, so larger f_D means fewer
     cache insertions/evictions per round — while α favours lower f_D.
     """
-    def configure(base, fraction):
+    def configure(base: WaffleConfig, fraction: float) -> WaffleConfig:
         return _rebalance(base, f_d=max(1, min(base.b - base.r - 1,
                                                round(fraction * base.b))))
 
@@ -407,7 +417,7 @@ def fig3d_num_dummies(n: int = DEFAULT_N, rounds: int = 60,
     Paper: D has no significant effect — only the dummy index depends on
     it and dummies are never cached.
     """
-    def configure(base, fraction):
+    def configure(base: WaffleConfig, fraction: float) -> WaffleConfig:
         return _rebalance(base, d=max(base.f_d, round(fraction * n)))
 
     return [{"dummies_pct_of_n": _pct(fraction), **_perf(measurement)}
@@ -424,7 +434,8 @@ def _check_fig3d(rows: list[dict]) -> None:
 # Table 2 + Figure 4 — security levels
 # ----------------------------------------------------------------------
 def _security_run(config: WaffleConfig, uniform: bool, rounds: int,
-                  cost: CostModel, seed: int):
+                  cost: CostModel, seed: int
+                  ) -> tuple[Measurement, UniformityReport]:
     workload = YcsbWorkload(config.n, read_proportion=1.0, uniform=uniform,
                             theta=0.99, value_size=1000, seed=seed)
     items = _items(workload)
@@ -659,11 +670,13 @@ def fig6_tradeoff(n: int = DEFAULT_N, rounds: int = 40,
     Paper: lower α (more security) entails lower throughput; the R/f_D
     grid traces the frontier an operator tunes along (§8.4).
     """
-    def shape(base, point):
+    def shape(base: WaffleConfig, point: tuple[float, float]
+              ) -> tuple[int, int]:
         return (max(1, round(point[0] * base.b)),
                 max(1, round(point[1] * base.b)))
 
-    def configure(base, point):
+    def configure(base: WaffleConfig, point: tuple[float, float]
+                  ) -> WaffleConfig:
         r, f_d = shape(base, point)
         return _rebalance(base, r=r, f_d=f_d)
 
@@ -815,7 +828,8 @@ def frequency_attack_comparison(n: int = 256, requests: int = 20_000,
     waffle_result = frequency_analysis_attack(
         datastore.recorder.records, auxiliary, dict(datastore.proxy.id_log))
 
-    def top_k_accuracy(result, records, k=10):
+    def top_k_accuracy(result: AttackResult, records: list[AccessRecord],
+                       k: int = 10) -> float:
         counts = Counter(r.storage_id for r in records if r.op == "read")
         top = [sid for sid, _ in counts.most_common(k)
                if sid in result.guesses]
@@ -870,7 +884,7 @@ def low_security_distinguisher(n: int = 2048, rounds: int = 100,
     the low-security setting — while at medium security (small R, ample
     f_R) both inputs sweep everything and the counts coincide at zero.
     """
-    def stale_init_ids(records) -> int:
+    def stale_init_ids(records: list[AccessRecord]) -> int:
         written_at_zero = set()
         for record in records:
             if record.op == "write" and record.round == 0:

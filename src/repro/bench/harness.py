@@ -24,6 +24,9 @@ Latency models (documented here once; EXPERIMENTS.md discusses fidelity):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
+
+from numpy.typing import ArrayLike
 
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
@@ -31,8 +34,10 @@ from repro.baselines.taostore import TaoStore
 from repro.core.batch import request_from_trace
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
+from repro.core.proxy import RoundStats
 from repro.crypto.keys import KeyChain
 from repro.sim.costmodel import CostModel
+from repro.storage.base import StorageBackend
 from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import TraceRequest
 
@@ -63,7 +68,8 @@ class Measurement:
                 f"{self.latency_s * 1e3:.3f} ms")
 
 
-def _chunks(trace: list[TraceRequest], size: int):
+def _chunks(trace: list[TraceRequest], size: int
+            ) -> Iterator[list[TraceRequest]]:
     for start in range(0, len(trace), size):
         yield trace[start: start + size]
 
@@ -71,7 +77,8 @@ def _chunks(trace: list[TraceRequest], size: int):
 # ----------------------------------------------------------------------
 # Waffle
 # ----------------------------------------------------------------------
-def waffle_round_time(stats, config: WaffleConfig, cost: CostModel) -> float:
+def waffle_round_time(stats: RoundStats, config: WaffleConfig,
+                      cost: CostModel) -> float:
     """Simulated duration of one Waffle round from its operation counts."""
     kib = config.value_size / 1024
     read_trip = cost.pipelined_round_trip_s(stats.server_reads, kib)
@@ -248,11 +255,13 @@ def pancake_batch_time(proxy: PancakeProxy, reads: int, writes: int,
     return read_trip + write_trip + cpu / cost.core_efficiency()
 
 
-def run_pancake(keys: list[str], items: dict[str, bytes], assumed_pi,
+def run_pancake(keys: list[str], items: dict[str, bytes],
+                assumed_pi: ArrayLike,
                 trace: list[TraceRequest], cost: CostModel,
                 batch_size: int, delta: float = 0.5,
                 seed: int | None = 0, record: bool = False,
-                store=None) -> tuple[Measurement, PancakeProxy]:
+                store: StorageBackend | None = None
+                ) -> tuple[Measurement, PancakeProxy]:
     """Run ``trace`` through Pancake, draining it batch by batch."""
     if store is None:
         store = RedisSim()
@@ -296,7 +305,8 @@ def run_pancake(keys: list[str], items: dict[str, bytes], assumed_pi,
 # ----------------------------------------------------------------------
 def run_taostore(items: dict[str, bytes], trace: list[TraceRequest],
                  cost: CostModel, seed: int | None = 0,
-                 store=None) -> tuple[Measurement, TaoStore]:
+                 store: StorageBackend | None = None
+                 ) -> tuple[Measurement, TaoStore]:
     """Run ``trace`` through TaoStore one sequenced access at a time."""
     if store is None:
         store = RedisSim()

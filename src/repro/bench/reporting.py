@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 __all__ = ["format_table", "format_series", "titled_table"]
 
 
-def _format_cell(value) -> str:
+def _format_cell(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -40,7 +42,8 @@ def format_table(rows: list[dict], columns: list[str] | None = None,
     return "\n".join(lines)
 
 
-def titled_table(title: str, hide: tuple[str, ...] = ()):
+def titled_table(title: str, hide: tuple[str, ...] = ()
+                 ) -> Callable[[list[dict], dict], str]:
     """A ``render(rows, params)`` for a result that is one table.
 
     ``title`` is formatted with the run's parameters (``"... (N={n})"``);

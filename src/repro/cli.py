@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(args) -> int:
+def _run_experiment(args: argparse.Namespace) -> int:
     experiment = EXPERIMENTS[args.experiment]
     params = experiment.parameters(n=args.n, rounds=args.rounds)
     result = experiment.run(**params)
@@ -186,7 +186,7 @@ def _run_experiment(args) -> int:
     return 0
 
 
-def _show_bounds(args) -> int:
+def _show_bounds(args: argparse.Namespace) -> int:
     if args.level is None:
         config = WaffleConfig.paper_defaults(n=args.n)
         name = "paper defaults (§8.2)"
@@ -205,7 +205,7 @@ def _show_bounds(args) -> int:
     return 0
 
 
-def _run_audit(args) -> int:
+def _run_audit(args: argparse.Namespace) -> int:
     from repro.analysis.report import security_audit
     from repro.bench.harness import run_waffle
     from repro.sim.costmodel import CostModel
@@ -224,7 +224,7 @@ def _run_audit(args) -> int:
     return 0 if result.passed else 1
 
 
-def _run_obs(args) -> int:
+def _run_obs(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.analysis.monitor import AlphaMonitor, attach_monitor
     from repro.core.batch import ClientRequest
@@ -277,7 +277,7 @@ def _run_obs(args) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
+def _run_chaos(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.testing import (
@@ -339,14 +339,14 @@ def _run_chaos(args) -> int:
     return EXIT_CHAOS
 
 
-def _run_serve(args) -> int:
+def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.core.datastore import WaffleDatastore
     from repro.errors import OverloadedError
     from repro.serve import AsyncFrontend, AsyncServeClient, ServeServer
     from repro.serve.policy import make_policy
-    from repro.workloads.openloop import PoissonArrivals
+    from repro.workloads.openloop import Arrival, PoissonArrivals
     from repro.workloads.trace import Operation
     from repro.workloads.ycsb import YcsbWorkload
 
@@ -372,7 +372,7 @@ def _run_serve(args) -> int:
         shares = [arrivals[i::workers] for i in range(workers)]
         counts = {"completed": 0, "shed": 0}
 
-        async def worker(share) -> None:
+        async def worker(share: list[Arrival]) -> None:
             async with AsyncServeClient(host, port) as client:
                 for arrival in share:
                     try:
@@ -425,7 +425,7 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_lint(args) -> int:
+def _run_lint(args: argparse.Namespace) -> int:
     from repro.lint import default_rules, run_lint
 
     if args.list_rules:

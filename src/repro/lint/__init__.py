@@ -28,7 +28,7 @@ OBL303   print() outside cli.py / dashboard
 OBL304   store delete bypassing the commit_round contract
 OBL305   native crypto wheel (nacl/cryptography) imported anywhere
 OBL401   lock-owning class mutates shared state without its lock
-OBL501   missing annotations in the mypy-strict gated packages
+OBL501   missing annotations anywhere in the repro package
 =======  ==========================================================
 """
 

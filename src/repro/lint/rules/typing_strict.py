@@ -1,15 +1,12 @@
-"""Typing-completeness rule for the mypy-strict-gated packages.
+"""Typing-completeness rule over the whole ``repro`` package.
 
 CI runs ``mypy --strict`` on ``crypto/``, ``core/``, ``ds/``,
 ``storage/`` and ``net/``; this rule is the local, dependency-free proxy
 for the two strict flags that catch the most regressions —
-``disallow_untyped_defs`` and ``disallow_incomplete_defs`` — over those
-packages, ``testing/`` (the chaos harness, whose fault wrapper sits on
-the storage path), ``serve/`` (the client-facing sockets), ``ha/``,
-``analysis/`` (the α/β and timing oracles the harness judges with),
-``sim/``, ``obs/``, ``baselines/``, ``workloads/`` and ``lint/`` (the
-linter itself), so a missing annotation fails ``repro.cli lint`` on the
-developer's machine even when mypy is not installed.
+``disallow_untyped_defs`` and ``disallow_incomplete_defs`` — over every
+module of ``repro`` (the CLI and ``bench/`` included), so a missing
+annotation fails ``repro.cli lint`` on the developer's machine even when
+mypy is not installed.
 """
 
 from __future__ import annotations
@@ -21,19 +18,15 @@ from repro.lint.engine import Finding, Module, Rule
 
 __all__ = ["TypingCompletenessRule"]
 
-_GATED = ("repro/crypto/", "repro/core/", "repro/ds/", "repro/storage/",
-          "repro/net/", "repro/testing/", "repro/serve/", "repro/ha/",
-          "repro/analysis/", "repro/sim/", "repro/obs/", "repro/baselines/",
-          "repro/workloads/", "repro/lint/")
+#: A file outside a package (a script, an unhomed fixture) is not gated.
+_GATED = "repro/"
 
 
 class TypingCompletenessRule(Rule):
     id = "OBL501"
     name = "typing-completeness"
-    description = ("every def in the typing-gated packages (crypto/, "
-                   "core/, ds/, storage/, net/, testing/, serve/, ha/, "
-                   "analysis/, sim/, obs/, baselines/, workloads/, lint/) "
-                   "must annotate all parameters and its return type")
+    description = ("every def in the repro package must annotate all "
+                   "parameters and its return type")
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.relpath.startswith(_GATED):

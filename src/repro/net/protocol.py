@@ -46,6 +46,7 @@ their own:
 
 from __future__ import annotations
 
+import ast
 import socket
 import struct
 from itertools import accumulate
@@ -204,11 +205,17 @@ class _WireError:
         )
 
         name, _, detail = self.message.partition(":")
-        if name == "KeyNotFoundError":
-            # detail looks like "key not found: 'abc'"
-            raise KeyNotFoundError(detail.split(": ", 1)[-1].strip("'"))
-        if name == "DuplicateKeyError":
-            raise DuplicateKeyError(detail.split(": ", 1)[-1].strip("'"))
+        if name in ("KeyNotFoundError", "DuplicateKeyError"):
+            # detail is "key not found: " + repr(key); parse the repr back
+            # exactly, so a key with a quote or an escape survives the trip.
+            text = detail.split(": ", 1)[-1]
+            try:
+                key = ast.literal_eval(text)
+            except (ValueError, TypeError, SyntaxError, MemoryError,
+                    RecursionError):  # not a literal: keep the text
+                key = text
+            raise (KeyNotFoundError if name == "KeyNotFoundError"
+                   else DuplicateKeyError)(key)
         if name == "OverloadedError":
             # Retryable by taxonomy: the request was shed before it
             # reached the proxy (is_retryable() returns True).

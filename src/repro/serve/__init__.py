@@ -15,8 +15,9 @@ Three layers (DESIGN.md §13):
   on ``time.perf_counter`` and the deterministic tests on a
   :class:`~repro.sim.clock.SimClock`.
 * :mod:`repro.serve.frontend` — :class:`AsyncFrontend`, the coalescing
-  core: a bounded pending queue (:class:`AdmissionController`), one
-  dispatcher task, rounds executed one at a time off the event loop.
+  core: a bounded pending queue (:class:`AdmissionController`) and one
+  round thread that decides when each round is due and runs it, one at
+  a time, off the event loop.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` —
   :class:`ServeServer` speaking the :mod:`repro.net.protocol` framing
   over asyncio streams, and :class:`AsyncServeClient`, its stub.

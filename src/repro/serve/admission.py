@@ -10,8 +10,9 @@ invisible to the adversary (a shed request never reaches the proxy, so
 the storage-visible trace is byte-identical with or without shedding;
 ``tests/test_serve_backpressure.py`` pins exactly that digest).
 
-The controller is deliberately dumb bookkeeping — no locks (asyncio is
-single-threaded), no timers — so the property tests can drive it
+The controller is deliberately dumb bookkeeping — no lock of its own
+(the frontend calls it under its lock), no timers — so the property
+tests can drive it
 directly: depth never exceeds ``cap``, and ``admitted + shed`` accounts
 for every offered request.
 """

@@ -7,6 +7,13 @@ multiplies).  Wire errors come back as ``E``-tagged values and are
 re-raised as their taxonomy types via :meth:`_WireError.raise_`, so a
 shed request surfaces here as the retryable
 :class:`~repro.errors.OverloadedError` the caller can back off on.
+
+Replies carry no request id, so a call that fails or is cancelled
+between its first byte written and its reply's last byte read closes
+the stream: the late reply would otherwise answer the next call.  Every
+later call raises :class:`~repro.errors.ConnectionDroppedError`, the
+same sticky drop as :class:`repro.net.client.RemoteStore`; recovery is a
+new client.
 """
 
 from __future__ import annotations
@@ -14,13 +21,13 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
+from repro.errors import ConnectionDroppedError
 from repro.net.protocol import (
     WireValue,
     _WireError,
     decode_message,
-    encode_message,
+    encode_frame,
     read_frame_async,
-    write_frame_async,
 )
 
 __all__ = ["AsyncServeClient"]
@@ -34,6 +41,7 @@ class AsyncServeClient:
         self._port = port
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
+        self._dropped = False
 
     async def connect(self) -> "AsyncServeClient":
         self._reader, self._writer = await asyncio.open_connection(
@@ -60,10 +68,22 @@ class AsyncServeClient:
     # request/reply
     # ------------------------------------------------------------------
     async def _call(self, request: list[WireValue]) -> Any:
+        if self._dropped:
+            raise ConnectionDroppedError("an earlier call dropped this "
+                                         "connection")
         if self._reader is None or self._writer is None:
             raise ConnectionError("client is not connected")
-        await write_frame_async(self._writer, encode_message(request))
-        reply = decode_message(await read_frame_async(self._reader))
+        frame = encode_frame(request)  # refused here, nothing is sent
+        try:
+            self._writer.write(frame)
+            await self._writer.drain()
+            reply = decode_message(await read_frame_async(self._reader))
+        except BaseException:
+            # Cancelled or failed mid-exchange: requests and replies no
+            # longer line up on this stream.
+            self._dropped = True
+            self._writer.close()
+            raise
         if isinstance(reply, _WireError):
             reply.raise_()
         return reply

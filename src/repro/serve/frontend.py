@@ -1,4 +1,4 @@
-"""The coalescing core: many awaiting clients, one round dispatcher.
+"""The coalescing core: many awaiting clients, one round thread.
 
 :class:`AsyncFrontend` serves the paper's "multiple clients accessing
 data concurrently" shape (§3.1): clients ``await get()``/``put()`` from
@@ -14,18 +14,23 @@ completes.  What makes it a *server* core:
   requests become a round, and the frontend records every committed
   release instant in :attr:`release_times` so the PR-7 timing
   observatory can score the live schedule;
-* **off-loop execution** — rounds run one at a time on the frontend's
-  own ``serve-round`` thread, so the event loop keeps accepting
-  connections and arrivals while Algorithm 1 grinds (the proxy stays
-  single-threaded per round, exactly like the paper's per-batch critical
-  section; a second round thread measured 0.45–0.69x, DESIGN.md §10–11).
+* **one round thread** — the frontend's own ``serve-round`` thread is
+  the dispatcher: it sleeps on a condition until the policy's deadline
+  or a fill, pops the round, runs it with the lock released and hands
+  the outcome to the loop with one ``call_soon_threadsafe``.  The loop
+  only admits and resolves, and a deadline fires on time, not on the
+  loop's next millisecond tick (one round at a time, like the paper's
+  per-batch critical section; a second round thread measured
+  0.45–0.69x, DESIGN.md §10–11).
 
-Determinism: the pending queue is FIFO and asyncio is single-threaded,
-so the requests of each round are exactly the admission order — an
-N-task fan-in that enqueues in a known order produces byte-identical
-responses *and* a byte-identical adversary trace to executing the same
-round partition serially (``tests/test_serve_concurrent.py`` pins both
-digests).
+Determinism: the queue, admission, policy and round counters change only
+under that one lock and the thread pops the queue front, so each round
+is a contiguous run of the admission order — an N-task fan-in that
+enqueues in a known order produces byte-identical responses *and* a
+byte-identical adversary trace to executing the same round partition
+serially (``tests/test_serve_concurrent.py`` pins both digests).
+Requests submitted before :meth:`start` queue, so a stream admitted
+before it is partitioned independently of host speed.
 
 Round failures follow the library taxonomy: a retryable error
 (`is_retryable`) is retried up to ``max_round_retries`` times — invoking
@@ -44,9 +49,9 @@ then a retry helps only against faults that leave the store usable.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.core.batch import ClientRequest, ClientResponse
@@ -105,10 +110,8 @@ class AsyncFrontend:
         before each retry (module docstring: what it can and cannot
         recover today).
 
-    Rounds run on a single-thread pool this frontend owns and shuts
-    down: they are strictly sequential, so one thread is exactly enough,
-    and round execution can never be starved by unrelated work on the
-    loop's default pool.
+    Rounds are strictly sequential, so the one ``serve-round`` thread
+    :meth:`start` launches is exactly enough; :meth:`close` joins it.
     """
 
     def __init__(self, datastore: WaffleDatastore | None = None, *,
@@ -134,12 +137,12 @@ class AsyncFrontend:
         self.max_round_retries = max_round_retries
         self.on_retry = on_retry
         self._round_labels = {"policy": self.policy.name}
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-round")
+        #: Guards all shared state; the round thread waits on it.
+        self._cond = threading.Condition()
         self._pending: deque[_Waiter] = deque()
-        self._wakeup = asyncio.Event()
         self._closed = False
-        self._dispatcher: asyncio.Task | None = None
+        self._thread: threading.Thread | None = None
+        self._stopped: asyncio.Future[None] | None = None
         #: Release instants the schedule committed to, in round order —
         #: the series the timing adversary consumes.
         self.release_times: list[float] = []
@@ -153,18 +156,25 @@ class AsyncFrontend:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "AsyncFrontend":
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+        loop = asyncio.get_running_loop()
+        with self._cond:
+            if self._thread is None and not self._closed:
+                self._stopped = loop.create_future()
+                self._thread = threading.Thread(
+                    target=self._serve_rounds, args=(loop, self._stopped),
+                    name="serve-round", daemon=True)
+                self._thread.start()
         return self
 
     async def close(self) -> None:
         """Drain pending requests into final rounds, then stop."""
-        self._closed = True
-        self._wakeup.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
-        self._executor.shutdown(wait=True)
+        await self.start()  # a frontend never started still drains
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        assert self._thread is not None and self._stopped is not None
+        await asyncio.shield(self._stopped)
+        self._thread.join()
 
     async def __aenter__(self) -> "AsyncFrontend":
         return await self.start()
@@ -193,104 +203,106 @@ class AsyncFrontend:
         and its round through ``datastore.delete()``, which no wire
         command exposes; that round fails for all its waiters.
         """
-        if self._closed:
-            raise ClosedError("serving frontend is closed")
         datastore = self.datastore
         if datastore is not None:
             if not datastore.proxy.contains_key(request.key):
                 raise KeyNotFoundError(request.key)
             if request.value is not None:  # raises if it cannot be padded
                 pad_value(request.value, datastore.config.value_size)
-        # Admission before enqueue: the pending queue can never exceed
-        # its cap, and a shed request leaves no trace anywhere below.
-        self.admission.admit()  # raises OverloadedError at the cap
+        with self._cond:
+            # Under the lock, a submit racing close() is refused here or
+            # queued before the round thread's last look.
+            if self._closed:
+                raise ClosedError("serving frontend is closed")
+            # Admission before enqueue: the pending queue can never exceed
+            # its cap, and a shed request leaves no trace anywhere below.
+            self.admission.admit()  # raises OverloadedError at the cap
+            waiter = _Waiter(request, asyncio.get_running_loop()
+                             .create_future(), self._clock())
+            self._pending.append(waiter)
+            pending = len(self._pending)
+            # Wake the thread only if its answer changes: a deadline, a fill.
+            if pending == 1 or self.policy.due(
+                    pending, self._pending[0].enqueued_at, waiter.enqueued_at):
+                self._cond.notify()
         if OBS.enabled:
             OBS.registry.counter("serve.requests.total",
                                  op=request.op.value).inc()
-            OBS.registry.gauge("serve.pending.depth").set(
-                self.admission.depth)
-        waiter = _Waiter(request, asyncio.get_running_loop().create_future(),
-                         self._clock())
-        self._pending.append(waiter)
-        self._wakeup.set()
+            OBS.registry.gauge("serve.pending.depth").set(pending)
         return await waiter.future
 
     # ------------------------------------------------------------------
-    # dispatcher
+    # the round thread
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
+    def _serve_rounds(self, loop: asyncio.AbstractEventLoop,
+                      stopped: "asyncio.Future[None]") -> None:
+        """Release each round when the policy says, run it with the lock
+        released, and hand its outcome to the loop; once closed, drain
+        what is pending regardless of policy and exit."""
         policy = self.policy
         while True:
-            now = self._clock()
-            pending = len(self._pending)
-            oldest = self._pending[0].enqueued_at if pending else None
-            if self._closed and pending == 0:
-                return
-            fire = policy.due(pending, oldest, now) \
-                and (pending > 0 or (policy.fires_empty and not self._closed))
-            if self._closed and pending > 0:
-                fire = True  # drain stragglers regardless of policy
-            if fire:
-                await self._run_round(now)
-                continue
-            deadline = policy.next_deadline(pending, oldest, now)
-            # No await between the queue snapshot above and this clear, so
-            # a set event always reflects an arrival we will re-examine.
-            self._wakeup.clear()
-            timeout = None if deadline is None else max(0.0, deadline - now)
+            with self._cond:
+                now = self._clock()
+                pending = len(self._pending)
+                oldest = self._pending[0].enqueued_at if pending else None
+                if self._closed and not pending:
+                    break
+                if not self._closed and not (
+                        policy.due(pending, oldest, now)
+                        and (pending or policy.fires_empty)):
+                    deadline = policy.next_deadline(pending, oldest, now)
+                    self._cond.wait(
+                        None if deadline is None else deadline - now)
+                    continue
+                take = [self._pending.popleft()
+                        for _ in range(min(self.r, pending))]
+                self.admission.release(len(take))
+                release_time = policy.release_time(now)
+                policy.mark_release(release_time)
+                self.release_times.append(release_time)
+                self.rounds_dispatched += 1
+                self.real_requests += len(take)
+                self.empty_rounds += not take
+            start = time.perf_counter() if OBS.enabled else None
             try:
-                await asyncio.wait_for(self._wakeup.wait(), timeout)
-            except asyncio.TimeoutError:
-                continue
+                responses, error = self._execute_with_retry(
+                    [waiter.request for waiter in take]), None
+            except BaseException as failure:  # noqa: BLE001 - waiters raise it
+                responses, error = [], failure
+            loop.call_soon_threadsafe(self._deliver, take, now, start,
+                                      responses, error)
+        loop.call_soon_threadsafe(stopped.set_result, None)
 
-    async def _run_round(self, now: float) -> None:
-        take = [self._pending.popleft()
-                for _ in range(min(self.r, len(self._pending)))]
-        self.admission.release(len(take))
-        release_time = self.policy.release_time(now)
-        self.policy.mark_release(release_time)
-        self.release_times.append(release_time)
-        self.rounds_dispatched += 1
-        self.real_requests += len(take)
-        self.empty_rounds += not take
-        requests = [waiter.request for waiter in take]
-        observing = OBS.enabled
-        if observing:
-            start = time.perf_counter()
-            for waiter in take:
-                OBS.registry.histogram("serve.wait.seconds",
-                                       **self._round_labels).observe(
-                    max(0.0, now - waiter.enqueued_at))
-            OBS.registry.gauge("serve.pending.depth").set(
-                self.admission.depth)
-        loop = asyncio.get_running_loop()
-        try:
-            responses = await loop.run_in_executor(
-                self._executor, self._execute_with_retry, requests)
-        except BaseException as error:  # noqa: BLE001 - deliver to waiters
-            for waiter in take:
-                if not waiter.future.done():
-                    waiter.future.set_exception(error)
-            if observing:
-                OBS.observe_span("serve.round", time.perf_counter() - start,
-                                 labels=self._round_labels,
-                                 requests=len(take), error=True)
-            return
+    def _deliver(self, take: list[_Waiter], now: float, start: float | None,
+                 responses: list[ClientResponse],
+                 error: BaseException | None) -> None:
+        """Resolve one round's waiters with its responses or its error."""
         by_id = {resp.request_id: resp.value for resp in responses}
         for waiter in take:
-            if not waiter.future.done():  # a dead connection may have gone
+            if waiter.future.done():  # a dead connection may have gone
+                continue
+            if error is not None:
+                waiter.future.set_exception(error)
+            else:
                 waiter.future.set_result(by_id[waiter.request.request_id])
-        if observing:
+        if start is None:
+            return
+        for waiter in take:
+            OBS.registry.histogram("serve.wait.seconds",
+                                   **self._round_labels).observe(
+                max(0.0, now - waiter.enqueued_at))
+        OBS.registry.gauge("serve.pending.depth").set(self.admission.depth)
+        if error is None:
             OBS.registry.counter("serve.rounds.total",
                                  **self._round_labels).inc()
-            OBS.observe_span("serve.round", time.perf_counter() - start,
-                             labels=self._round_labels,
-                             requests=len(take), error=False)
+        OBS.observe_span("serve.round", time.perf_counter() - start,
+                         labels=self._round_labels,
+                         requests=len(take), error=error is not None)
 
     def _execute_with_retry(self,
                             requests: list[ClientRequest]
                             ) -> list[ClientResponse]:
-        """Run one round in the executor thread, retrying transients.
+        """Run one round on the round thread, retrying transients.
 
         A retried round replays the identical storage access pattern
         (deterministic proxy), so retrying leaks nothing beyond the
@@ -313,11 +325,8 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """One flat stats row (STATS replies, bench reports, CLI)."""
-        row = self.admission.snapshot()
-        row.update(
-            policy=self.policy.name,
-            rounds=self.rounds_dispatched,
-            real_requests=self.real_requests,
-            empty_rounds=self.empty_rounds,
-        )
-        return row
+        with self._cond:
+            return {**self.admission.snapshot(), "policy": self.policy.name,
+                    "rounds": self.rounds_dispatched,
+                    "real_requests": self.real_requests,
+                    "empty_rounds": self.empty_rounds}

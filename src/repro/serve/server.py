@@ -33,7 +33,7 @@ Failure behaviour is the battery's whole point:
 * a **slow-loris** peer (stalling mid-frame) pends inside its own
   connection task; rounds keep firing for everyone else;
 * a peer that **disconnects mid-round** merely loses its reply — the
-  dispatcher owns round execution, so the round commits and every other
+  round thread owns round execution, so the round commits and every other
   waiter resolves normally (the write failure is swallowed per
   connection).
 """

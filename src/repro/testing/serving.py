@@ -155,7 +155,7 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     def execute(requests: list[ClientRequest]) -> list[ClientResponse]:
         """One round through :func:`~repro.testing.runner.retry_round`.
 
-        Runs in the frontend's executor thread; rounds are strictly
+        Runs on the frontend's round thread; rounds are strictly
         sequential, so the HA object and the baseline see ordered use.
         """
         nonlocal batch_counter
@@ -204,7 +204,6 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
             execute=execute, r=cfg.r,
             policy=make_policy(episode.policy, cfg.r, max_wait_s=0.002),
             queue_cap=episode.queue_cap)
-        await frontend.start()
 
         async def one(arrival: Arrival) -> bytes:
             if arrival.op is Operation.WRITE:
@@ -213,12 +212,14 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
             return await frontend.get(arrival.key)
 
         # Tasks run their first step (through the synchronous enqueue) in
-        # creation order at the next suspension point, so the pending
-        # queue holds the whole stream in arrival order before rounds
-        # fire; close() then drains any sub-R straggler tail that a pure
-        # on-fill policy would otherwise hold forever.
+        # creation order at the next suspension point, and the round
+        # thread starts only after that, so the pending queue holds the
+        # whole stream in arrival order before rounds fire, however slow
+        # the host; close() then drains any sub-R straggler tail that a
+        # pure on-fill policy would otherwise hold forever.
         tasks = [asyncio.ensure_future(one(arrival)) for arrival in arrivals]
         await asyncio.sleep(0)
+        await frontend.start()
         await frontend.close()
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         result.release_times = list(frontend.release_times)
@@ -333,10 +334,6 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
 
     async def drive() -> None:
         nonlocal anchor
-        loop = asyncio.get_running_loop()
-        # Warm the default executor so the first round does not pay
-        # thread-pool spin-up inside a measured gap.
-        await loop.run_in_executor(None, lambda: None)
         frontend = AsyncFrontend(execute=execute, r=r, policy=policy)
         start = frontend._clock()
         anchor = start

@@ -65,6 +65,18 @@ class TestFixturesFireExactlyTheirRule:
         # the locked twin of the same statement is *not* flagged
         assert planted.index("            self.count += 1") != finding.line - 1
 
+    @pytest.mark.parametrize("home, fires", [
+        ("repro/cli.py", {"OBL501"}), ("repro/bench/planted.py", {"OBL501"}),
+        (None, set()),  # a script outside any package is not gated
+    ])
+    def test_typing_gate_covers_the_whole_package(self, tmp_path, home,
+                                                  fires):
+        planted = tmp_path / "planted.py"
+        header = f"# oblint-fixture-path: {home}\n" if home else ""
+        planted.write_text(header + "def f(x):\n    return x\n")
+        report = run_lint([planted], allowlist=())
+        assert {finding.rule for finding in report.findings} == fires
+
 
 class TestSourceTreeLintsClean:
     """The enforcement direction: src/repro is clean under the shipped

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ProtocolError
 from repro.net import RemoteStore, StorageServer
 from repro.net.protocol import (
+    _WireError,
     decode_message,
     encode_frame,
     encode_message,
@@ -47,6 +48,21 @@ class TestProtocolEncoding:
         wire = decode_message(encode_message(DuplicateKeyError("k")))
         with pytest.raises(DuplicateKeyError):
             wire.raise_()
+
+    @pytest.mark.parametrize("error", [KeyNotFoundError, DuplicateKeyError])
+    @pytest.mark.parametrize("key", ["plain", "a'b", "both'\"quotes",
+                                     "tab\tkey", "back\\slash", "a: b"])
+    def test_error_keeps_its_key(self, error, key):
+        wire = decode_message(encode_message(error(key)))
+        with pytest.raises(error) as raised:
+            wire.raise_()
+        assert raised.value.key == key
+
+    @pytest.mark.parametrize("text", ["{[1]: 2}", "[[[", "not a repr"])
+    def test_error_with_an_unparsable_key_keeps_the_text(self, text):
+        with pytest.raises(KeyNotFoundError) as raised:
+            _WireError(f"KeyNotFoundError:key not found: {text}").raise_()
+        assert raised.value.key == text
 
     def test_unencodable_rejected(self):
         with pytest.raises(ProtocolError):

@@ -9,6 +9,7 @@ the real (tiny) datastore.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import (
     BackendUnavailableError,
     ClosedError,
     ConfigurationError,
+    ConnectionDroppedError,
     KeyNotFoundError,
     OverloadedError,
     ProtocolError,
@@ -281,19 +283,77 @@ class TestAsyncFrontend:
         assert stats["real_requests"] == 1
         assert stats["empty_rounds"] == stats["rounds"] - 1 >= 2
 
-    def test_owns_and_shuts_down_its_dedicated_executor(self,
-                                                        small_datastore):
+    def test_no_thread_outlives_close(self, small_datastore):
+        """The one ``serve-round`` thread is joined by close(), and close()
+        starts no other thread (the loop's default executor included)."""
         async def scenario():
+            before = set(threading.enumerate())
             frontend = AsyncFrontend(small_datastore)
             await frontend.start()
+            started = {t.name for t in set(threading.enumerate()) - before}
             await asyncio.gather(*(frontend.get(key_name(i))
                                    for i in range(8)))
             await frontend.close()
-            return frontend
+            return started, set(threading.enumerate()) - before
 
-        frontend = asyncio.run(scenario())
-        with pytest.raises(RuntimeError):
-            frontend._executor.submit(lambda: None)  # pool is shut down
+        started, left = asyncio.run(scenario())
+        assert started == {"serve-round"}
+        assert left == set()
+
+    def test_submit_racing_close_resolves_or_is_refused(self,
+                                                        small_datastore):
+        """Submits interleaved with close(), at every offset around it:
+        each one is served or refused with ClosedError, none hangs."""
+        async def submit_after(frontend, yields, key):
+            for _ in range(yields):
+                await asyncio.sleep(0)
+            return await frontend.get(key)
+
+        async def scenario(offset):
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(8, 0.0005))
+            await frontend.start()
+            calls = [submit_after(frontend, yields, key_name(yields))
+                     for yields in range(6)]
+            closing = submit_after(frontend, offset, key_name(0))
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                *calls, frontend.close(), closing,
+                return_exceptions=True), timeout=10)
+            return outcomes[:6] + outcomes[7:]
+
+        for offset in range(6):
+            for index, outcome in enumerate(asyncio.run(scenario(offset))):
+                assert isinstance(outcome, (bytes, ClosedError)), outcome
+                if isinstance(outcome, bytes):
+                    assert outcome == b"value-%d" % (index % 6)
+
+    def test_round_error_on_the_thread_reaches_every_waiter(self):
+        """A round fails on the round thread; each of its waiters gets the
+        error, and the next round is served."""
+        threads = []
+
+        def execute(requests):
+            threads.append(threading.current_thread().name)
+            if len(threads) == 1:
+                raise ProtocolError("round is broken")
+            return [ClientResponse(request_id=req.request_id, key=req.key,
+                                   value=b"ok") for req in requests]
+
+        async def scenario():
+            async with AsyncFrontend(execute=execute, r=4) as frontend:
+                failed = await asyncio.gather(
+                    *(frontend.get(key_name(i)) for i in range(4)),
+                    return_exceptions=True)
+                served = await asyncio.gather(
+                    *(frontend.get(key_name(i)) for i in range(4)))
+            return failed, served
+
+        failed, served = asyncio.run(scenario())
+        assert threads == ["serve-round", "serve-round"]
+        assert len(failed) == 4
+        assert all(isinstance(o, ProtocolError) for o in failed)
+        assert len({id(o) for o in failed}) == 1  # the one round error
+        assert served == [b"ok"] * 4
 
     def test_release_times_recorded_per_round(self, small_datastore):
         async def scenario():
@@ -421,6 +481,24 @@ class TestServeServer:
                 await second.close()
 
         asyncio.run(scenario())
+
+    def test_cancelled_call_drops_the_connection(self, small_datastore):
+        """A call cancelled after its request went out closes the stream:
+        the next call raises instead of reading the stale reply."""
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(8, 0.05))
+            async with ServeServer(frontend) as server:
+                async with AsyncServeClient(*server.address) as client:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(client.get(key_name(1)), 0.01)
+                    for _ in range(2):  # sticky
+                        with pytest.raises(ConnectionDroppedError):
+                            await client.get(key_name(2))
+                async with AsyncServeClient(*server.address) as fresh:
+                    return await fresh.get(key_name(2))
+
+        assert asyncio.run(scenario()) == b"value-2"
 
     def test_put_requests_count_ops_in_stats(self, small_datastore):
         async def scenario():

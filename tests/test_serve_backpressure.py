@@ -34,14 +34,17 @@ def _twin_datastore(seed: int = 101) -> WaffleDatastore:
 
 
 def _burst(frontend: AsyncFrontend, n_requests: int, seed: int):
-    """Fire a seeded burst; return (values, outcomes) after drain."""
+    """Fire a seeded burst; return (values, outcomes) after drain.
+
+    The whole burst is offered before the round thread starts, so what
+    is admitted and shed does not depend on how fast the host is."""
     rng = seeded_rng(seed, stream=0)
     keys = [key_name(rng.randrange(200)) for _ in range(n_requests)]
 
     async def drive():
-        await frontend.start()
         tasks = [asyncio.ensure_future(frontend.get(key)) for key in keys]
         await asyncio.sleep(0)
+        await frontend.start()
         await frontend.close()
         return await asyncio.gather(*tasks, return_exceptions=True)
 
@@ -101,17 +104,18 @@ class TestShedSemantics:
         async def scenario():
             frontend = AsyncFrontend(datastore, policy=OnFillPolicy(4),
                                      queue_cap=4)
-            await frontend.start()
             first = [asyncio.ensure_future(frontend.get(key_name(i)))
                      for i in range(4)]
             await asyncio.sleep(0)
-            # Queue is at cap: this one must shed...
+            # Queue is at cap (and no round can fire before start): this
+            # one must shed...
             try:
                 await frontend.get(key_name(7))
             except OverloadedError:
                 shed_once = True
             else:
                 shed_once = False
+            await frontend.start()
             await asyncio.gather(*first)  # round fires, queue drains
             # ...and the retry goes through against the emptied queue,
             # drained by close() as a final partial round.

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import sys
 
+from repro.core.batch import ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
 from repro.crypto.keys import KeyChain
+from repro.errors import OverloadedError
 from repro.serve import (
     AsyncFrontend,
     AsyncServeClient,
@@ -261,3 +264,42 @@ class TestDegenerateClients:
             serial.execute_batch(batch)
         assert trace_digest(concurrent.recorder.records) == \
             trace_digest(serial.recorder.records)
+
+
+class TestSharedStateAcrossThreads:
+    def test_no_update_lost_under_a_short_switch_interval(self):
+        """Admission runs on the loop thread and release on the round
+        thread, on the same counters; with the interpreter switching
+        threads every microsecond, every request is still counted once."""
+        clients, per_client = 16, 40
+
+        def execute(requests):
+            return [ClientResponse(request_id=req.request_id, key=req.key,
+                                   value=b"ok") for req in requests]
+
+        async def client(frontend):
+            served = 0
+            for _ in range(per_client):
+                try:
+                    served += await frontend.get(key_name(0)) == b"ok"
+                except OverloadedError:
+                    await asyncio.sleep(0)
+            return served
+
+        async def scenario():
+            async with AsyncFrontend(execute=execute, r=4, queue_cap=8,
+                                     policy=MaxWaitPolicy(4, 0.0002)
+                                     ) as frontend:
+                served = await asyncio.wait_for(asyncio.gather(
+                    *(client(frontend) for _ in range(clients))), 60)
+            return sum(served), frontend.stats()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            served, stats = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["depth"] == 0
+        assert stats["admitted"] == stats["real_requests"] == served
+        assert stats["admitted"] + stats["shed"] == clients * per_client
