@@ -11,22 +11,33 @@ get/put calls into R-request batches.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from contextvars import ContextVar
 
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
-from repro.core.proxy import WaffleProxy, refuse_dummy_prefix
+from repro.core.proxy import AnswerCallback, WaffleProxy, refuse_dummy_prefix
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.storage.base import StorageBackend
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 
-__all__ = ["WaffleDatastore", "pad_value", "unpad_value"]
+__all__ = ["ROUND_ANSWER", "WaffleDatastore", "pad_value", "refuse_oversize",
+           "unpad_value"]
 
 _LENGTH_HEADER = 4
 
+#: The answer callback of the round this thread is running, if any:
+#: :class:`~repro.serve.frontend.AsyncFrontend`'s round thread sets it
+#: around each round, and :meth:`WaffleDatastore.execute_batch` falls back
+#: to it.  Unset on every other thread, so a batch caller never sees one.
+ROUND_ANSWER: ContextVar[AnswerCallback | None] = ContextVar(
+    "ROUND_ANSWER", default=None)
 
-def _refuse_oversize(value: bytes, padded_size: int) -> None:
+
+def refuse_oversize(value: bytes, padded_size: int) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` fits ``padded_size``
+    once length-prefixed (what :func:`pad_value` checks first)."""
     if len(value) > padded_size - _LENGTH_HEADER:
         raise ConfigurationError(
             f"value of {len(value)} bytes exceeds padded size "
@@ -36,7 +47,7 @@ def _refuse_oversize(value: bytes, padded_size: int) -> None:
 
 def pad_value(value: bytes, padded_size: int) -> bytes:
     """Length-prefix and zero-pad ``value`` to exactly ``padded_size``."""
-    _refuse_oversize(value, padded_size)
+    refuse_oversize(value, padded_size)
     header = len(value).to_bytes(_LENGTH_HEADER, "big")
     return header + value + b"\x00" * (padded_size - _LENGTH_HEADER - len(value))
 
@@ -45,6 +56,12 @@ def unpad_value(padded: bytes) -> bytes:
     """Inverse of :func:`pad_value`."""
     length = int.from_bytes(padded[:_LENGTH_HEADER], "big")
     return padded[_LENGTH_HEADER: _LENGTH_HEADER + length]
+
+
+def _unpadded(responses: list[ClientResponse]) -> list[ClientResponse]:
+    return [ClientResponse(request_id=resp.request_id, key=resp.key,
+                           value=unpad_value(resp.value))
+            for resp in responses]
 
 
 class _PaddedItems(Mapping[str, bytes]):
@@ -59,8 +76,8 @@ class _PaddedItems(Mapping[str, bytes]):
     __slots__ = ("_items", "_padded_size")
 
     def __init__(self, items: Mapping[str, bytes], padded_size: int) -> None:
-        _refuse_oversize(max(items.values(), key=len, default=b""),
-                         padded_size)
+        refuse_oversize(max(items.values(), key=len, default=b""),
+                        padded_size)
         self._items = items
         self._padded_size = padded_size
 
@@ -111,11 +128,19 @@ class WaffleDatastore:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def execute_batch(self, requests: list[ClientRequest]) -> list[ClientResponse]:
+    def execute_batch(self, requests: list[ClientRequest],
+                      on_answer: AnswerCallback | None = None
+                      ) -> list[ClientResponse]:
         """Run one batch round (up to R requests) and return responses.
 
         Write-request values are padded on the way in; all response values
-        are unpadded on the way out.
+        are unpadded on the way out.  ``on_answer`` defaults to the one the
+        serving frontend set on this thread for its round
+        (:data:`ROUND_ANSWER`), so it reaches here through an executor
+        wrapper that passes only the requests.  When there is one it is
+        called with the unpadded responses as soon as the round has them —
+        before the round's write-back, which an exception may still end
+        after it — and the same list is returned.
         """
         cfg = self.config
         prepared = [
@@ -125,12 +150,17 @@ class WaffleDatastore:
             if req.value is not None else req
             for req in requests
         ]
-        responses = self.proxy.handle_batch(prepared)
-        return [
-            ClientResponse(request_id=resp.request_id, key=resp.key,
-                           value=unpad_value(resp.value))
-            for resp in responses
-        ]
+        callback = on_answer if on_answer is not None else ROUND_ANSWER.get()
+        if callback is None:
+            return _unpadded(self.proxy.handle_batch(prepared))
+        answered: list[ClientResponse] = []
+
+        def answer(responses: list[ClientResponse]) -> None:
+            answered.extend(_unpadded(responses))
+            callback(answered)
+
+        self.proxy.handle_batch(prepared, answer)
+        return answered
 
     # ------------------------------------------------------------------
     # inserts and deletes (§6.2)

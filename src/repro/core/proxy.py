@@ -1,9 +1,10 @@
 """The Waffle proxy: Algorithm 1 plus initialization (§6).
 
 The proxy is the trusted, stateful component.  One batch round is
-:meth:`WaffleProxy.handle_batch` running the ``_PHASES`` table at the
-bottom of this module — plan, read, answer, write, commit — top to bottom
-over a round-local :class:`RoundPlan`; each phase is one method whose
+:meth:`WaffleProxy.handle_batch` running the two phase tables at the
+bottom of this module — plan, read, answer; then write, commit — top to
+bottom over a round-local :class:`RoundPlan`, with every response known
+between the two (the caller may reply there); each phase is one method whose
 docstring says what it does and where it deviates from the pseudocode as
 printed (DESIGN.md §6 maps phases to the paper's lines and to span names).
 Every round reads exactly ``B`` ids, each ``prf(k, ts_k)``, and writes
@@ -49,6 +50,10 @@ _MISS = object()
 
 #: A remembered storage id: the 128 bits behind the PRF's 32 hex digits.
 _ID = np.dtype("V16")
+
+#: Called with a round's responses once every one is known, before the
+#: round writes back (:meth:`WaffleProxy.handle_batch`).
+AnswerCallback = Callable[[list[ClientResponse]], None]
 
 
 class SlotCache(LruCache[int, bytes]):
@@ -123,6 +128,14 @@ class RoundPlan:
     write_plan: list[tuple[int, int, bytes]] = field(default_factory=list)
     evicted: set[int] = field(default_factory=set)
     write_batch: list[tuple[str, bytes]] = field(default_factory=list)
+
+    def responses(self) -> list[ClientResponse]:
+        """One response per request, in request order: complete once the
+        round has answered."""
+        cli_resp = self.cli_resp
+        return [ClientResponse(request_id=request.request_id, key=request.key,
+                               value=cli_resp[request.request_id])
+                for request in self.requests]
 
 
 @dataclass(slots=True)
@@ -310,8 +323,17 @@ class WaffleProxy:
     # ------------------------------------------------------------------
     # Algorithm 1: the driver
     # ------------------------------------------------------------------
-    def handle_batch(self, requests: list[ClientRequest]) -> list[ClientResponse]:
-        """Process one batch of up to R client requests; returns responses."""
+    def handle_batch(self, requests: list[ClientRequest],
+                     on_answer: AnswerCallback | None = None
+                     ) -> list[ClientResponse]:
+        """Process one batch of up to R client requests; returns responses.
+
+        ``on_answer``, if given, is called on this thread with the same
+        list as soon as every response is known — after ``_answer``, before
+        the write half (``_evict``, ``_seal``, ``_commit``) — so a caller
+        can reply while the round writes back.  An exception from the write
+        half still propagates from here, after the answer.
+        """
         if not self._initialized:
             raise ProtocolError("proxy not initialized")
         if len(requests) > self.config.r:
@@ -326,34 +348,34 @@ class WaffleProxy:
         plan = RoundPlan(requests,
                          RoundStats(round=self.ts, requests=len(requests)))
         if OBS.enabled:
-            self._run_observed(plan)
-        else:  # the zero-cost contract: one branch per round when off
-            for _span, _labels, run, _sized in _PHASES:
-                run(self, plan)
-            self._account(plan)
-        cli_resp = plan.cli_resp
-        return [
-            ClientResponse(request_id=request.request_id, key=request.key,
-                           value=cli_resp[request.request_id])
-            for request in requests
-        ]
+            return self._run_observed(plan, on_answer)
+        # The zero-cost contract: one branch per round when off.
+        for _span, _labels, run, _sized in _ANSWER_PHASES:
+            run(self, plan)
+        responses = plan.responses()
+        if on_answer is not None:
+            on_answer(responses)
+        for _span, _labels, run, _sized in _WRITE_PHASES:
+            run(self, plan)
+        self._account(plan)
+        return responses
 
-    def _run_observed(self, plan: RoundPlan) -> None:
+    def _run_observed(self, plan: RoundPlan,
+                      on_answer: AnswerCallback | None
+                      ) -> list[ClientResponse]:
         """The same pipeline under the span tree: a ``round`` root with one
-        child per phase.  ``open_span(root=True)`` resets the thread's span
-        stack, so a chaos-injected mid-round exception cannot corrupt the
-        parentage of later rounds."""
+        child per phase, and ``on_answer`` between the halves, inside the
+        root but in no phase.  ``open_span(root=True)`` resets the thread's
+        span stack, so a chaos-injected mid-round exception cannot corrupt
+        the parentage of later rounds."""
         obs, clock = OBS, time.perf_counter
         round_tok = obs.open_span("round", root=True)
-        start = mark = clock()
-        for span, labels, run, sized in _PHASES:
-            tok = obs.open_span(span)
-            run(self, plan)
-            now = clock()
-            attrs = {sized[0]: len(getattr(plan, sized[1]))} if sized else {}
-            obs.close_span(tok, now - mark, labels=labels, round=self.ts,
-                           **attrs)
-            mark = now
+        start = clock()
+        self._run_phases(plan, _ANSWER_PHASES)
+        responses = plan.responses()
+        if on_answer is not None:
+            on_answer(responses)
+        self._run_phases(plan, _WRITE_PHASES)
         self._account(plan)
         stats, reg = plan.stats, obs.registry
         reg.counter("rounds.total", **_LABELS).inc()
@@ -371,6 +393,20 @@ class WaffleProxy:
                        fake_real=stats.fake_real_reads,
                        fake_dummy=stats.fake_dummy_reads,
                        cache_hits=stats.cache_hits)
+        return responses
+
+    def _run_phases(self, plan: RoundPlan, phases: _PhaseTable) -> None:
+        """Run ``phases`` top to bottom, each under its own span."""
+        obs, clock = OBS, time.perf_counter
+        mark = clock()
+        for span, labels, run, sized in phases:
+            tok = obs.open_span(span)
+            run(self, plan)
+            now = clock()
+            attrs = {sized[0]: len(getattr(plan, sized[1]))} if sized else {}
+            obs.close_span(tok, now - mark, labels=labels, round=self.ts,
+                           **attrs)
+            mark = now
 
     def _account(self, plan: RoundPlan) -> None:
         """Round counters, each the size of something the plan holds."""
@@ -659,7 +695,11 @@ class WaffleProxy:
         cached key was already acknowledged without touching the server
         (:meth:`_serve_from_cache`), so "a PUT is as durable as the next
         checkpoint" held before.  Whoever needs the stronger statement says
-        so: :func:`repro.ha.checkpoint.capture_proxy` flushes first.
+        so: :func:`repro.ha.checkpoint.capture_proxy` flushes first.  A
+        caller answered by ``on_answer`` has its replies before this hand-over
+        even starts; the argument is the same, since the values it got were
+        authenticated or its own, and a failure here surfaces from
+        :meth:`handle_batch` all the same.
         """
         self.store.commit_round(plan.sids, plan.write_batch)
         self._dummy_index.end_round(self.ts)
@@ -737,14 +777,19 @@ _LABELS = {"system": "waffle"}
 #: Algorithm 1, run top to bottom by :meth:`WaffleProxy.handle_batch`.  Each
 #: row: the span (and labels) the phase is timed under in the ``round`` span
 #: tree, the phase, and the span attribute sized by a ``RoundPlan`` field.
-_PHASES: tuple[tuple[str, dict[str, str],
-                     Callable[[WaffleProxy, RoundPlan], None],
-                     tuple[str, str] | None], ...] = (
+#: Every response is known once the first half has run; ``on_answer`` fires
+#: there, and the second half writes the round back.
+_PhaseTable = tuple[tuple[str, dict[str, str],
+                          Callable[[WaffleProxy, RoundPlan], None],
+                          tuple[str, str] | None], ...]
+_ANSWER_PHASES: _PhaseTable = (
     ("phase.plan", _LABELS, WaffleProxy._plan, None),
     ("phase.server_io", {**_LABELS, "dir": "read"}, WaffleProxy._read,
      ("ids", "sids")),
     ("phase.decrypt", _LABELS, WaffleProxy._decrypt, ("values", "plaintexts")),
     ("phase.cache", _LABELS, WaffleProxy._answer, None),
+)
+_WRITE_PHASES: _PhaseTable = (
     ("phase.evict", _LABELS, WaffleProxy._evict, None),
     ("phase.derive", _LABELS, WaffleProxy._seal, ("writes", "write_batch")),
     ("phase.server_io", {**_LABELS, "dir": "write"}, WaffleProxy._commit,

@@ -17,10 +17,11 @@ completes.  What makes it a *server* core:
 * **one round thread** — the frontend's own ``serve-round`` thread is
   the dispatcher: it sleeps on a condition until the policy's deadline
   or a fill, pops the round, runs it with the lock released and hands
-  the outcome to the loop with one ``call_soon_threadsafe``.  The loop
-  only admits and resolves, and a deadline fires on time, not on the
-  loop's next millisecond tick (one round at a time, like the paper's
-  per-batch critical section; a second round thread measured
+  the responses to the loop with one ``call_soon_threadsafe`` as soon as
+  the round has them, before it seals and commits its write-back.  The
+  loop only admits and resolves, and a deadline fires on time, not on
+  the loop's next millisecond tick (one round at a time, like the
+  paper's per-batch critical section; a second round thread measured
   0.45–0.69x, DESIGN.md §10–11).
 
 Determinism: the queue, admission, policy and round counters change only
@@ -36,7 +37,14 @@ Round failures follow the library taxonomy: a retryable error
 (`is_retryable`) is retried up to ``max_round_retries`` times — invoking
 ``on_retry`` first — because deterministic replay re-issues the identical
 access pattern and leaks nothing new; a fatal error is delivered to every
-waiter of the round.  ``on_retry`` is a hook, not a recovery, and nothing
+waiter of the round, and a waiter the round's responses leave out fails
+alone with ``ProtocolError``.  A failure *after* the round answered — in
+its evict, seal or commit — is neither delivered nor retried: the
+waiters keep their values, and a replay would be an extra round.  The
+store no longer holds what the proxy believes (DESIGN.md §6, "What a
+late failure is"), so the error sticks: it fails every queued request
+and every later submit, no round runs again, and :meth:`close` still
+returns.  ``on_retry`` is a hook, not a recovery, and nothing
 that ships wires it to one: ``reconnect`` exists only on the test double
 :class:`~repro.testing.faults.FaultyStorage`.  A real
 :class:`~repro.net.client.RemoteStore` has none — once a request, or a
@@ -55,11 +63,12 @@ from collections import deque
 from typing import Callable
 
 from repro.core.batch import ClientRequest, ClientResponse
-from repro.core.datastore import WaffleDatastore, pad_value
+from repro.core.datastore import ROUND_ANSWER, WaffleDatastore, refuse_oversize
 from repro.errors import (
     ClosedError,
     ConfigurationError,
     KeyNotFoundError,
+    ProtocolError,
     is_retryable,
 )
 from repro.obs import OBS
@@ -141,6 +150,9 @@ class AsyncFrontend:
         self._cond = threading.Condition()
         self._pending: deque[_Waiter] = deque()
         self._closed = False
+        #: A failure after a round answered: the store no longer holds
+        #: what the proxy believes, so nothing is served again.
+        self._failed: BaseException | None = None
         self._thread: threading.Thread | None = None
         self._stopped: asyncio.Future[None] | None = None
         #: Release instants the schedule committed to, in round order —
@@ -198,7 +210,7 @@ class AsyncFrontend:
         A round fails as a whole, so a request the datastore's proxy
         would refuse is refused here, alone and before admission
         (counted neither admitted nor shed): ``KeyNotFoundError`` for an
-        unknown key, ``pad_value``'s ``ConfigurationError`` for an
+        unknown key, ``refuse_oversize``'s ``ConfigurationError`` for an
         oversize value.  Residual: a key can still vanish between here
         and its round through ``datastore.delete()``, which no wire
         command exposes; that round fails for all its waiters.
@@ -207,13 +219,15 @@ class AsyncFrontend:
         if datastore is not None:
             if not datastore.proxy.contains_key(request.key):
                 raise KeyNotFoundError(request.key)
-            if request.value is not None:  # raises if it cannot be padded
-                pad_value(request.value, datastore.config.value_size)
+            if request.value is not None:
+                refuse_oversize(request.value, datastore.config.value_size)
         with self._cond:
             # Under the lock, a submit racing close() is refused here or
             # queued before the round thread's last look.
             if self._closed:
                 raise ClosedError("serving frontend is closed")
+            if self._failed is not None:
+                raise self._failed.with_traceback(None)
             # Admission before enqueue: the pending queue can never exceed
             # its cap, and a shed request leaves no trace anywhere below.
             self.admission.admit()  # raises OverloadedError at the cap
@@ -236,9 +250,9 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     def _serve_rounds(self, loop: asyncio.AbstractEventLoop,
                       stopped: "asyncio.Future[None]") -> None:
-        """Release each round when the policy says, run it with the lock
-        released, and hand its outcome to the loop; once closed, drain
-        what is pending regardless of policy and exit."""
+        """Release each round when the policy says and run it with the lock
+        released; once closed, drain what is pending regardless of policy
+        and exit.  After a late failure no round runs again."""
         policy = self.policy
         while True:
             with self._cond:
@@ -247,6 +261,9 @@ class AsyncFrontend:
                 oldest = self._pending[0].enqueued_at if pending else None
                 if self._closed and not pending:
                     break
+                if self._failed is not None:  # submit refuses; wait for close
+                    self._cond.wait()
+                    continue
                 if not self._closed and not (
                         policy.due(pending, oldest, now)
                         and (pending or policy.fires_empty)):
@@ -263,28 +280,77 @@ class AsyncFrontend:
                 self.rounds_dispatched += 1
                 self.real_requests += len(take)
                 self.empty_rounds += not take
-            start = time.perf_counter() if OBS.enabled else None
-            try:
-                responses, error = self._execute_with_retry(
-                    [waiter.request for waiter in take]), None
-            except BaseException as failure:  # noqa: BLE001 - waiters raise it
-                responses, error = [], failure
+            self._run_round(loop, take, now)
+        loop.call_soon_threadsafe(stopped.set_result, None)
+
+    def _run_round(self, loop: asyncio.AbstractEventLoop,
+                   take: list[_Waiter], now: float) -> None:
+        """Run one round and hand its outcome to the loop.
+
+        Through :data:`~repro.core.datastore.ROUND_ANSWER` the round
+        answers its waiters as soon as it has their responses: one
+        ``call_soon_threadsafe``, one GIL yield so the loop resolves them
+        at once, a wait for it to have done so (rarely taken; it makes the
+        order certain), and only then the write-back.  An executor that
+        never answers is delivered from when it returns.  A failure after the
+        answer is not retried (a replay would be an extra round): the
+        waiters keep their values, and the error fails what is queued and
+        every later submit.
+        """
+        start = time.perf_counter() if OBS.enabled else None
+        answered = False
+        resolved = threading.Event()
+
+        def answer(responses: list[ClientResponse]) -> None:
+            nonlocal answered
+            answered = True
+            loop.call_soon_threadsafe(self._deliver, take, now, start,
+                                      responses, None, resolved.set)
+            time.sleep(0)  # yield the GIL once: the loop resolves them now
+            resolved.wait()  # or, if it could not, before the write-back
+
+        token = ROUND_ANSWER.set(answer)
+        try:
+            responses, error = self._execute_with_retry(
+                [waiter.request for waiter in take], lambda: answered), None
+        except BaseException as failure:  # noqa: BLE001 - waiters raise it
+            responses, error = [], failure
+        finally:
+            ROUND_ANSWER.reset(token)
+        if not answered:
             loop.call_soon_threadsafe(self._deliver, take, now, start,
                                       responses, error)
-        loop.call_soon_threadsafe(stopped.set_result, None)
+        elif error is not None:
+            with self._cond:
+                self._failed = error
+                stranded = list(self._pending)
+                self._pending.clear()
+                self.admission.release(len(stranded))
+            loop.call_soon_threadsafe(self._deliver, stranded, now, None, [],
+                                      error)
 
     def _deliver(self, take: list[_Waiter], now: float, start: float | None,
                  responses: list[ClientResponse],
-                 error: BaseException | None) -> None:
-        """Resolve one round's waiters with its responses or its error."""
+                 error: BaseException | None,
+                 resolved: Callable[[], None] | None = None) -> None:
+        """Resolve one round's waiters with its responses or its error (a
+        waiter the responses leave out fails alone, with ProtocolError),
+        then tell the round thread through ``resolved``."""
         by_id = {resp.request_id: resp.value for resp in responses}
         for waiter in take:
             if waiter.future.done():  # a dead connection may have gone
                 continue
+            value = by_id.get(waiter.request.request_id)
             if error is not None:
                 waiter.future.set_exception(error)
+            elif value is None:
+                waiter.future.set_exception(ProtocolError(
+                    f"round returned no response for request "
+                    f"{waiter.request.request_id}"))
             else:
-                waiter.future.set_result(by_id[waiter.request.request_id])
+                waiter.future.set_result(value)
+        if resolved is not None:
+            resolved()
         if start is None:
             return
         for waiter in take:
@@ -299,10 +365,11 @@ class AsyncFrontend:
                          labels=self._round_labels,
                          requests=len(take), error=error is not None)
 
-    def _execute_with_retry(self,
-                            requests: list[ClientRequest]
+    def _execute_with_retry(self, requests: list[ClientRequest],
+                            answered: Callable[[], bool]
                             ) -> list[ClientResponse]:
-        """Run one round on the round thread, retrying transients.
+        """Run one round on the round thread, retrying transients that
+        struck before the round ``answered``.
 
         A retried round replays the identical storage access pattern
         (deterministic proxy), so retrying leaks nothing beyond the
@@ -314,7 +381,8 @@ class AsyncFrontend:
             try:
                 return self._execute(requests)
             except Exception as error:  # noqa: BLE001 - classified below
-                if attempt + 1 >= attempts or not is_retryable(error):
+                if (attempt + 1 >= attempts or answered()
+                        or not is_retryable(error)):
                     raise
                 if self.on_retry is not None:
                     self.on_retry()

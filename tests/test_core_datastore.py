@@ -1,5 +1,7 @@
 """Tests for the datastore facade: padding, batch API, inserts/deletes."""
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,9 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value, unpad_value
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.obs import capture
 from repro.storage.redis_sim import RedisSim
+from repro.testing.faults import PassthroughStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 
@@ -65,6 +69,36 @@ class TestBatchApi:
                [r.request_id for r in batch]
         assert responses[0].value == b"value-1"
         assert responses[1].value == b"x"
+
+
+class _CommitLog(PassthroughStore):
+    def __init__(self, inner, events):
+        super().__init__(inner)
+        self.events = events
+
+    def commit_round(self, deletes, puts):
+        self.events.append("commit")
+        self._inner.commit_round(deletes, puts)
+
+
+class TestAnswerBeforeWriteBack:
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_answer_precedes_the_commit(self, small_datastore, observed):
+        """``on_answer`` gets every unpadded response before the round's
+        commit is handed over, and the list it gets is the one returned."""
+        events = []
+        small_datastore.proxy.store = _CommitLog(small_datastore.proxy.store,
+                                                 events)
+        batch = [ClientRequest(op=Operation.READ, key="user00000001"),
+                 ClientRequest(op=Operation.WRITE, key="user00000002",
+                               value=b"x")]
+        with capture() if observed else contextlib.nullcontext():
+            responses = small_datastore.execute_batch(batch,
+                                                      on_answer=events.append)
+        assert events == [responses, "commit"]
+        assert events[0] is responses
+        assert [r.value for r in responses] == [b"value-1", b"x"]
+        small_datastore.proxy.check_invariants()
 
 
 class TestInsertDelete:

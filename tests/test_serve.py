@@ -37,7 +37,9 @@ from repro.serve import (
     ServeServer,
     make_policy,
 )
+from repro.serve import frontend as frontend_module
 from repro.sim.clock import SimClock
+from repro.testing.faults import PassthroughStore
 from repro.testing.identity import trace_digest
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name
@@ -416,6 +418,152 @@ class TestAsyncFrontend:
 
         (outcome,) = asyncio.run(scenario())
         assert isinstance(outcome, BackendUnavailableError)
+
+
+class _CommitOrder(PassthroughStore):
+    """Records, at each commit, whether every waiter of the round being
+    committed was already resolved."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.futures = {}  # request id -> the waiter's future
+        self.in_flight = []  # request ids of the round being run
+        self.resolved = []
+
+    def execute(self, datastore):
+        """A round executor that, like a tracer, passes only the requests."""
+        def traced(requests):
+            self.in_flight = [request.request_id for request in requests]
+            return datastore.execute_batch(requests)
+        return traced
+
+    def commit_round(self, deletes, puts):
+        self.resolved.append(
+            all(self.futures[i].done() for i in self.in_flight))
+        self._inner.commit_round(deletes, puts)
+
+
+class _CommitFails(PassthroughStore):
+    """Every commit raises a retryable error, handing nothing on."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.commits = 0
+        self.error = BackendUnavailableError("commit lost")
+
+    def commit_round(self, deletes, puts):
+        self.commits += 1
+        raise self.error
+
+
+class TestAnswerBeforeWriteBack:
+    """A round's waiters resolve once it has their responses; its seal
+    and commit run behind the reply."""
+
+    @pytest.fixture
+    def order(self, small_datastore, monkeypatch):
+        spy = _CommitOrder(small_datastore.proxy.store)
+        small_datastore.proxy.store = spy
+
+        class Recorded(frontend_module._Waiter):
+            def __init__(self, request, future, enqueued_at):
+                super().__init__(request, future, enqueued_at)
+                spy.futures[request.request_id] = future
+
+        monkeypatch.setattr(frontend_module, "_Waiter", Recorded)
+        return spy
+
+    def test_waiters_resolve_before_the_commit(self, small_datastore, order):
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=OnFillPolicy(8),
+                                     execute=order.execute(small_datastore))
+            tasks = [asyncio.ensure_future(
+                frontend.put(key_name(i), b"new-%d" % i) if i % 3 == 0
+                else frontend.get(key_name(i))) for i in range(40)]
+            await asyncio.sleep(0)  # all queued: five full rounds
+            await frontend.start()
+            await frontend.close()
+            return await asyncio.wait_for(asyncio.gather(*tasks), 10)
+
+        values = asyncio.run(scenario())
+        assert values == [b"new-%d" % i if i % 3 == 0 else b"value-%d" % i
+                          for i in range(40)]
+        assert order.resolved == [True] * 5
+        small_datastore.proxy.check_invariants()
+
+    def test_over_the_wire(self, small_datastore, order):
+        async def client(host, port, first):
+            async with AsyncServeClient(host, port) as conn:
+                for i in range(first, first + 6):
+                    await conn.put(key_name(i), b"wire-%d" % i)
+                    assert await conn.get(key_name(i)) == b"wire-%d" % i
+
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(8, 0.002),
+                                     execute=order.execute(small_datastore))
+            async with ServeServer(frontend) as server:
+                await asyncio.wait_for(asyncio.gather(
+                    *(client(*server.address, 10 * c) for c in range(4))), 20)
+
+        asyncio.run(scenario())
+        assert order.resolved and all(order.resolved)
+        small_datastore.proxy.check_invariants()
+
+    def test_a_round_without_responses_fails_each_waiter(self):
+        async def scenario():
+            async with AsyncFrontend(execute=lambda reqs: [], r=2,
+                                     policy=MaxWaitPolicy(2, 0.001)) as fe:
+                with pytest.raises(ProtocolError, match="no response"):
+                    await asyncio.wait_for(fe.get("k"), 1.0)
+
+        asyncio.run(scenario())
+
+    def test_a_missing_response_fails_only_its_own_waiter(self):
+        def execute(requests):
+            first = requests[0]
+            return [ClientResponse(request_id=first.request_id,
+                                   key=first.key, value=b"ok")]
+
+        async def scenario():
+            async with AsyncFrontend(execute=execute, r=2) as frontend:
+                return await asyncio.wait_for(asyncio.gather(
+                    frontend.get("a"), frontend.get("b"),
+                    return_exceptions=True), 1.0)
+
+        served, missing = asyncio.run(scenario())
+        assert served == b"ok"
+        assert isinstance(missing, ProtocolError)
+
+    def test_a_write_back_failure_keeps_the_answers_and_sticks(
+            self, small_datastore):
+        """The commit of an answered round fails: its waiters keep their
+        values, nothing retries it, and the error fails what was queued
+        behind it and every later submit."""
+        store = _CommitFails(small_datastore.proxy.store)
+        small_datastore.proxy.store = store
+
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore, policy=OnFillPolicy(8),
+                                     max_round_retries=3)
+            tasks = [asyncio.ensure_future(frontend.get(key_name(i)))
+                     for i in range(10)]
+            await asyncio.sleep(0)  # all queued: a full round, then two
+            await frontend.start()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), 5)
+            with pytest.raises(BackendUnavailableError) as later:
+                await frontend.get(key_name(5))
+            await asyncio.wait_for(frontend.close(), 5)
+            return outcomes, later.value, frontend.stats()
+
+        outcomes, later, stats = asyncio.run(scenario())
+        assert outcomes[:8] == [b"value-%d" % i for i in range(8)]
+        assert outcomes[8:] == [store.error, store.error]
+        assert later is store.error
+        assert store.commits == 1
+        assert (stats["rounds"], stats["depth"]) == (1, 0)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 
 from repro.core.batch import ClientResponse
 from repro.core.config import WaffleConfig
-from repro.core.datastore import WaffleDatastore
+from repro.core.datastore import ROUND_ANSWER, WaffleDatastore
 from repro.crypto.keys import KeyChain
 from repro.errors import OverloadedError
 from repro.serve import (
@@ -267,15 +267,11 @@ class TestDegenerateClients:
 
 
 class TestSharedStateAcrossThreads:
-    def test_no_update_lost_under_a_short_switch_interval(self):
-        """Admission runs on the loop thread and release on the round
-        thread, on the same counters; with the interpreter switching
-        threads every microsecond, every request is still counted once."""
+    @staticmethod
+    def _short_switch_run(execute):
+        """16 clients, 40 requests each, through a small queue with the
+        interpreter switching threads every microsecond."""
         clients, per_client = 16, 40
-
-        def execute(requests):
-            return [ClientResponse(request_id=req.request_id, key=req.key,
-                                   value=b"ok") for req in requests]
 
         async def client(frontend):
             served = 0
@@ -303,3 +299,25 @@ class TestSharedStateAcrossThreads:
         assert stats["depth"] == 0
         assert stats["admitted"] == stats["real_requests"] == served
         assert stats["admitted"] + stats["shed"] == clients * per_client
+
+    def test_no_update_lost_under_a_short_switch_interval(self):
+        """Admission runs on the loop thread and release on the round
+        thread, on the same counters; with the interpreter switching
+        threads every microsecond, every request is still counted once."""
+        self._short_switch_run(_served_ok)
+
+    def test_nor_when_rounds_answer_before_writing_back(self):
+        """The same, with each round answering through ``ROUND_ANSWER``
+        and then doing write-back work while the loop resolves it."""
+        def execute(requests):
+            responses = _served_ok(requests)
+            ROUND_ANSWER.get()(responses)
+            sum(range(2000))  # the write half, behind the reply
+            return responses
+
+        self._short_switch_run(execute)
+
+
+def _served_ok(requests):
+    return [ClientResponse(request_id=req.request_id, key=req.key,
+                           value=b"ok") for req in requests]
