@@ -29,8 +29,8 @@ _LENGTH_HEADER = 4
 
 #: The answer callback of the round this thread is running, if any:
 #: :class:`~repro.serve.frontend.AsyncFrontend`'s round thread sets it
-#: around each round, and :meth:`WaffleDatastore.execute_batch` falls back
-#: to it.  Unset on every other thread, so a batch caller never sees one.
+#: around each round, and :meth:`WaffleDatastore.execute_batch` answers
+#: through it.  Unset on every other thread, so a batch caller never sees one.
 ROUND_ANSWER: ContextVar[AnswerCallback | None] = ContextVar(
     "ROUND_ANSWER", default=None)
 
@@ -128,19 +128,17 @@ class WaffleDatastore:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def execute_batch(self, requests: list[ClientRequest],
-                      on_answer: AnswerCallback | None = None
+    def execute_batch(self, requests: list[ClientRequest]
                       ) -> list[ClientResponse]:
         """Run one batch round (up to R requests) and return responses.
 
         Write-request values are padded on the way in; all response values
-        are unpadded on the way out.  ``on_answer`` defaults to the one the
-        serving frontend set on this thread for its round
-        (:data:`ROUND_ANSWER`), so it reaches here through an executor
-        wrapper that passes only the requests.  When there is one it is
-        called with the unpadded responses as soon as the round has them —
-        before the round's write-back, which an exception may still end
-        after it — and the same list is returned.
+        are unpadded on the way out.  If the serving frontend set an answer
+        callback on this thread for its round (:data:`ROUND_ANSWER`; it
+        reaches here through an executor wrapper that passes only the
+        requests), it is called with the unpadded responses as soon as the
+        round has them — before the round's write-back, which an exception
+        may still end after it — and the same list is returned.
         """
         cfg = self.config
         prepared = [
@@ -150,7 +148,7 @@ class WaffleDatastore:
             if req.value is not None else req
             for req in requests
         ]
-        callback = on_answer if on_answer is not None else ROUND_ANSWER.get()
+        callback = ROUND_ANSWER.get()
         if callback is None:
             return _unpadded(self.proxy.handle_batch(prepared))
         answered: list[ClientResponse] = []

@@ -106,6 +106,8 @@ class RoundPlan:
     """
 
     requests: list[ClientRequest]
+    #: each request's slot, resolved before the round began
+    slots: list[int]
     stats: RoundStats
     #: request id -> response value
     cli_resp: dict[int, bytes] = field(default_factory=dict)
@@ -166,6 +168,10 @@ class WaffleProxy:
         Retain per-round :class:`RoundStats` (benchmarks need them; long
         soak tests can disable to bound memory).
     """
+
+    #: What ended a round after it began; then every round refuses, and
+    #: only a restore from a checkpoint serves again (not checkpointed).
+    failure: BaseException | None = None
 
     def __init__(self, config: WaffleConfig, store: StorageBackend,
                  keychain: KeyChain | None = None,
@@ -331,34 +337,61 @@ class WaffleProxy:
         ``on_answer``, if given, is called on this thread with the same
         list as soon as every response is known — after ``_answer``, before
         the write half (``_evict``, ``_seal``, ``_commit``) — so a caller
-        can reply while the round writes back.  An exception from the write
-        half still propagates from here, after the answer.
+        can reply while the round writes back.
+
+        What can be refused cleanly is refused before the round begins
+        (an uninitialized proxy, more than R requests, an unknown key), and
+        the proxy is as it was.  Past that, any exception — from planning
+        to the commit, ``on_answer`` included — leaves the cache, the
+        indexes and the server out of step: it is kept as :attr:`failure`
+        and re-raised, and from then on every round is refused before it
+        touches the store (:meth:`refuse_after_failure`).  Only a proxy
+        restored from a checkpoint serves again.
         """
+        self.refuse_after_failure()
         if not self._initialized:
             raise ProtocolError("proxy not initialized")
         if len(requests) > self.config.r:
             raise ProtocolError(
                 f"batch carries {len(requests)} requests, R={self.config.r}")
+        slots = self._slots
+        try:
+            req_slots = [slots[request.key] for request in requests]
+        except KeyError as exc:
+            raise ProtocolError(
+                f"request for unknown key: {exc.args[0]!r}") from None
         self.ts += 1
-        # Duck-typed so fault-injection and other wrappers stacked above a
-        # RecordingStore can forward the round boundary.
-        next_round = getattr(self.store, "next_round", None)
-        if next_round is not None:
-            next_round()
-        plan = RoundPlan(requests,
-                         RoundStats(round=self.ts, requests=len(requests)))
-        if OBS.enabled:
-            return self._run_observed(plan, on_answer)
-        # The zero-cost contract: one branch per round when off.
-        for _span, _labels, run, _sized in _ANSWER_PHASES:
-            run(self, plan)
-        responses = plan.responses()
-        if on_answer is not None:
-            on_answer(responses)
-        for _span, _labels, run, _sized in _WRITE_PHASES:
-            run(self, plan)
-        self._account(plan)
-        return responses
+        try:
+            # Duck-typed so fault-injection and other wrappers stacked
+            # above a RecordingStore can forward the round boundary.
+            next_round = getattr(self.store, "next_round", None)
+            if next_round is not None:
+                next_round()
+            plan = RoundPlan(requests, req_slots,
+                             RoundStats(round=self.ts, requests=len(requests)))
+            if OBS.enabled:
+                return self._run_observed(plan, on_answer)
+            # The zero-cost contract: one branch per round when off.
+            for _span, _labels, run, _sized in _ANSWER_PHASES:
+                run(self, plan)
+            responses = plan.responses()
+            if on_answer is not None:
+                on_answer(responses)
+            for _span, _labels, run, _sized in _WRITE_PHASES:
+                run(self, plan)
+            self._account(plan)
+            return responses
+        except BaseException as error:
+            self.failure = error
+            raise
+
+    def refuse_after_failure(self) -> None:
+        """Raise ``ProtocolError`` from :attr:`failure` if a round failed."""
+        if self.failure is not None:
+            raise ProtocolError(
+                f"a round failed ({type(self.failure).__name__}), so this "
+                "proxy's state is unknown: restore from a checkpoint"
+            ) from self.failure
 
     def _run_observed(self, plan: RoundPlan,
                       on_answer: AnswerCallback | None
@@ -451,13 +484,8 @@ class WaffleProxy:
         mutates nothing, so recency bumps still land hit-by-hit in request
         order.  WRITEs mutate the cache, stay scalar and end the run.
         """
-        requests, cache, slots = plan.requests, self.cache, self._slots
+        requests, req_slots, cache = plan.requests, plan.slots, self.cache
         cli_resp, dedup = plan.cli_resp, plan.dedup
-        try:
-            req_slots = [slots[request.key] for request in requests]
-        except KeyError as exc:
-            raise ProtocolError(
-                f"request for unknown key: {exc.args[0]!r}") from None
         hits = ops = index = 0
         total = len(requests)
         while index < total:
@@ -698,8 +726,8 @@ class WaffleProxy:
         so: :func:`repro.ha.checkpoint.capture_proxy` flushes first.  A
         caller answered by ``on_answer`` has its replies before this hand-over
         even starts; the argument is the same, since the values it got were
-        authenticated or its own, and a failure here surfaces from
-        :meth:`handle_batch` all the same.
+        authenticated or its own.  A failure here fails the proxy like any
+        other past the round's start (:meth:`handle_batch`).
         """
         self.store.commit_round(plan.sids, plan.write_batch)
         self._dummy_index.end_round(self.ts)
@@ -731,8 +759,9 @@ class WaffleProxy:
         What §6.1 sets up and every committed round must preserve.  Safety
         code for tests and the chaos runner, valid between rounds; it costs
         one PRF call and one server probe per outsourced object, so the
-        serving path never runs it.
+        serving path never runs it.  A failed proxy is refused first.
         """
+        self.refuse_after_failure()
         real_index, dummy_index, cache = self._real_index, self._dummy_index, self.cache
         real_index.check_invariants()
         dummy_index.check_invariants()

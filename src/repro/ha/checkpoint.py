@@ -57,11 +57,19 @@ def capture_proxy(proxy: WaffleProxy) -> bytes:
     over without waiting for the server's answer, and a checkpoint must
     never describe a round the server has not acknowledged — a replica
     restored from it re-derives every id it needs from this state.  What
-    the server refused is raised here, and no blob is made.
+    the server refused is raised here and no blob is made; the server
+    then lacks a round the proxy believes in, so the refusal fails the
+    proxy (:attr:`~repro.core.proxy.WaffleProxy.failure`) as a failed round
+    does.  A failed proxy is refused before anything is flushed.
     """
+    proxy.refuse_after_failure()
     if not proxy._initialized:
         raise ProtocolError("cannot checkpoint an uninitialized proxy")
-    proxy.store.flush()
+    try:
+        proxy.store.flush()
+    except BaseException as error:
+        proxy.failure = error
+        raise
     state = {name: getattr(proxy, name) for name in _STATE_ATTRIBUTES}
     state["totals"] = dataclasses.replace(state["totals"], stats_by_round=[])
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)

@@ -33,25 +33,19 @@ serially (``tests/test_serve_concurrent.py`` pins both digests).
 Requests submitted before :meth:`start` queue, so a stream admitted
 before it is partitioned independently of host speed.
 
-Round failures follow the library taxonomy: a retryable error
-(`is_retryable`) is retried up to ``max_round_retries`` times — invoking
-``on_retry`` first — because deterministic replay re-issues the identical
-access pattern and leaks nothing new; a fatal error is delivered to every
-waiter of the round, and a waiter the round's responses leave out fails
-alone with ``ProtocolError``.  A failure *after* the round answered — in
-its evict, seal or commit — is neither delivered nor retried: the
-waiters keep their values, and a replay would be an extra round.  The
-store no longer holds what the proxy believes (DESIGN.md §6, "What a
-late failure is"), so the error sticks: it fails every queued request
-and every later submit, no round runs again, and :meth:`close` still
-returns.  ``on_retry`` is a hook, not a recovery, and nothing
-that ships wires it to one: ``reconnect`` exists only on the test double
-:class:`~repro.testing.faults.FaultyStorage`.  A real
-:class:`~repro.net.client.RemoteStore` has none — once a request, or a
-round's deferred acknowledgement, fails on the wire it raises
-``ConnectionDroppedError`` from every later call, retries included, until
-the deployment builds a new store and restores the proxy onto it; until
-then a retry helps only against faults that leave the store usable.
+A round runs once and answers its waiters once.  Over a datastore it
+answers at its answer boundary; an executor that returns or raises
+without answering is answered from there, with its responses or its
+error (a waiter the responses leave out fails alone with
+``ProtocolError``).  Nothing is retried: a round that failed after it
+began leaves the proxy's cache, indexes and server out of step, so the
+proxy keeps the failure and refuses every later round, before touching
+the store, with a ``ProtocolError`` caused by it
+(:meth:`~repro.core.proxy.WaffleProxy.handle_batch`).  Waiters already
+answered keep their values, later ones get that refusal, and only a
+proxy restored from a checkpoint serves again — the restore → reconnect
+→ replay step the chaos runners share is
+:func:`repro.testing.runner.retry_round`.
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from repro.errors import (
     ConfigurationError,
     KeyNotFoundError,
     ProtocolError,
-    is_retryable,
 )
 from repro.obs import OBS
 from repro.serve.admission import AdmissionController
@@ -111,13 +104,6 @@ class AsyncFrontend:
     r:
         Batch size override when ``execute`` is supplied without a
         datastore.
-    clock:
-        Timestamp source for arrival times and release instants
-        (``time.perf_counter`` by default; tests inject a SimClock read).
-    max_round_retries / on_retry:
-        Retry budget for retryable round failures, and the hook invoked
-        before each retry (module docstring: what it can and cannot
-        recover today).
 
     Rounds are strictly sequential, so the one ``serve-round`` thread
     :meth:`start` launches is exactly enough; :meth:`close` joins it.
@@ -127,10 +113,7 @@ class AsyncFrontend:
                  policy: ReleasePolicy | None = None,
                  queue_cap: int = 1024,
                  execute: RoundExecutor | None = None,
-                 r: int | None = None,
-                 clock: Callable[[], float] = time.perf_counter,
-                 max_round_retries: int = 0,
-                 on_retry: Callable[[], None] | None = None) -> None:
+                 r: int | None = None) -> None:
         if datastore is not None:
             r = datastore.config.r if r is None else r
             execute = datastore.execute_batch if execute is None else execute
@@ -142,17 +125,11 @@ class AsyncFrontend:
         self._execute: RoundExecutor = execute
         self.policy = policy if policy is not None else OnFillPolicy(self.r)
         self.admission = AdmissionController(queue_cap)
-        self._clock = clock
-        self.max_round_retries = max_round_retries
-        self.on_retry = on_retry
         self._round_labels = {"policy": self.policy.name}
         #: Guards all shared state; the round thread waits on it.
         self._cond = threading.Condition()
         self._pending: deque[_Waiter] = deque()
         self._closed = False
-        #: A failure after a round answered: the store no longer holds
-        #: what the proxy believes, so nothing is served again.
-        self._failed: BaseException | None = None
         self._thread: threading.Thread | None = None
         self._stopped: asyncio.Future[None] | None = None
         #: Release instants the schedule committed to, in round order —
@@ -226,13 +203,11 @@ class AsyncFrontend:
             # queued before the round thread's last look.
             if self._closed:
                 raise ClosedError("serving frontend is closed")
-            if self._failed is not None:
-                raise self._failed.with_traceback(None)
             # Admission before enqueue: the pending queue can never exceed
             # its cap, and a shed request leaves no trace anywhere below.
             self.admission.admit()  # raises OverloadedError at the cap
             waiter = _Waiter(request, asyncio.get_running_loop()
-                             .create_future(), self._clock())
+                             .create_future(), time.perf_counter())
             self._pending.append(waiter)
             pending = len(self._pending)
             # Wake the thread only if its answer changes: a deadline, a fill.
@@ -252,18 +227,15 @@ class AsyncFrontend:
                       stopped: "asyncio.Future[None]") -> None:
         """Release each round when the policy says and run it with the lock
         released; once closed, drain what is pending regardless of policy
-        and exit.  After a late failure no round runs again."""
+        and exit."""
         policy = self.policy
         while True:
             with self._cond:
-                now = self._clock()
+                now = time.perf_counter()
                 pending = len(self._pending)
                 oldest = self._pending[0].enqueued_at if pending else None
                 if self._closed and not pending:
                     break
-                if self._failed is not None:  # submit refuses; wait for close
-                    self._cond.wait()
-                    continue
                 if not self._closed and not (
                         policy.due(pending, oldest, now)
                         and (pending or policy.fires_empty)):
@@ -285,54 +257,45 @@ class AsyncFrontend:
 
     def _run_round(self, loop: asyncio.AbstractEventLoop,
                    take: list[_Waiter], now: float) -> None:
-        """Run one round and hand its outcome to the loop.
+        """Run one round once and hand its outcome to the loop, once.
 
         Through :data:`~repro.core.datastore.ROUND_ANSWER` the round
         answers its waiters as soon as it has their responses: one
         ``call_soon_threadsafe``, one GIL yield so the loop resolves them
         at once, a wait for it to have done so (rarely taken; it makes the
         order certain), and only then the write-back.  An executor that
-        never answers is delivered from when it returns.  A failure after the
-        answer is not retried (a replay would be an extra round): the
-        waiters keep their values, and the error fails what is queued and
-        every later submit.
+        never answers is answered the same way with what it returned or
+        raised.  A failure after the answer stays with the proxy, which
+        refuses the rounds that follow (module docstring).
         """
         start = time.perf_counter() if OBS.enabled else None
         answered = False
-        resolved = threading.Event()
 
-        def answer(responses: list[ClientResponse]) -> None:
+        def answer(responses: list[ClientResponse],
+                   error: BaseException | None = None) -> None:
             nonlocal answered
             answered = True
+            resolved = threading.Event()
             loop.call_soon_threadsafe(self._deliver, take, now, start,
-                                      responses, None, resolved.set)
+                                      responses, error, resolved.set)
             time.sleep(0)  # yield the GIL once: the loop resolves them now
             resolved.wait()  # or, if it could not, before the write-back
 
         token = ROUND_ANSWER.set(answer)
         try:
-            responses, error = self._execute_with_retry(
-                [waiter.request for waiter in take], lambda: answered), None
+            responses, error = self._execute(
+                [waiter.request for waiter in take]), None
         except BaseException as failure:  # noqa: BLE001 - waiters raise it
             responses, error = [], failure
         finally:
             ROUND_ANSWER.reset(token)
         if not answered:
-            loop.call_soon_threadsafe(self._deliver, take, now, start,
-                                      responses, error)
-        elif error is not None:
-            with self._cond:
-                self._failed = error
-                stranded = list(self._pending)
-                self._pending.clear()
-                self.admission.release(len(stranded))
-            loop.call_soon_threadsafe(self._deliver, stranded, now, None, [],
-                                      error)
+            answer(responses, error)
 
     def _deliver(self, take: list[_Waiter], now: float, start: float | None,
                  responses: list[ClientResponse],
                  error: BaseException | None,
-                 resolved: Callable[[], None] | None = None) -> None:
+                 resolved: Callable[[], None]) -> None:
         """Resolve one round's waiters with its responses or its error (a
         waiter the responses leave out fails alone, with ProtocolError),
         then tell the round thread through ``resolved``."""
@@ -349,8 +312,7 @@ class AsyncFrontend:
                     f"{waiter.request.request_id}"))
             else:
                 waiter.future.set_result(value)
-        if resolved is not None:
-            resolved()
+        resolved()
         if start is None:
             return
         for waiter in take:
@@ -364,29 +326,6 @@ class AsyncFrontend:
         OBS.observe_span("serve.round", time.perf_counter() - start,
                          labels=self._round_labels,
                          requests=len(take), error=error is not None)
-
-    def _execute_with_retry(self, requests: list[ClientRequest],
-                            answered: Callable[[], bool]
-                            ) -> list[ClientResponse]:
-        """Run one round on the round thread, retrying transients that
-        struck before the round ``answered``.
-
-        A retried round replays the identical storage access pattern
-        (deterministic proxy), so retrying leaks nothing beyond the
-        failure itself — the same argument the chaos oracle's
-        replay-prefix check pins for the HA failover path.
-        """
-        attempts = self.max_round_retries + 1
-        for attempt in range(attempts):
-            try:
-                return self._execute(requests)
-            except Exception as error:  # noqa: BLE001 - classified below
-                if (attempt + 1 >= attempts or answered()
-                        or not is_retryable(error)):
-                    raise
-                if self.on_retry is not None:
-                    self.on_retry()
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # introspection

@@ -35,6 +35,7 @@ constant and scores exactly 0.0.
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
 
 from repro.analysis.timing import detect_onset, load_inference_attack
@@ -335,7 +336,7 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
     async def drive() -> None:
         nonlocal anchor
         frontend = AsyncFrontend(execute=execute, r=r, policy=policy)
-        start = frontend._clock()
+        start = time.perf_counter()
         anchor = start
         await frontend.start()
         submitted = 0
@@ -344,7 +345,7 @@ def _score_live_policy(policy_name: str, *, seed: int, rate: float,
         async def one(arrival: Arrival) -> bytes:
             nonlocal submitted
             await asyncio.sleep(max(0.0, arrival.at
-                                    - (frontend._clock() - start)))
+                                    - (time.perf_counter() - start)))
             submitted += 1
             if submitted == len(arrivals):
                 all_submitted.set()

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
-from repro.core.datastore import WaffleDatastore, pad_value, unpad_value
+from repro.core.datastore import (ROUND_ANSWER, WaffleDatastore, pad_value,
+                                  unpad_value)
 from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
 from repro.obs import capture
 from repro.storage.redis_sim import RedisSim
 from repro.testing.faults import PassthroughStore
@@ -84,17 +85,21 @@ class _CommitLog(PassthroughStore):
 class TestAnswerBeforeWriteBack:
     @pytest.mark.parametrize("observed", [False, True])
     def test_answer_precedes_the_commit(self, small_datastore, observed):
-        """``on_answer`` gets every unpadded response before the round's
-        commit is handed over, and the list it gets is the one returned."""
+        """The ``ROUND_ANSWER`` callback gets every unpadded response
+        before the round's commit is handed over, and the list it gets is
+        the one returned."""
         events = []
         small_datastore.proxy.store = _CommitLog(small_datastore.proxy.store,
                                                  events)
         batch = [ClientRequest(op=Operation.READ, key="user00000001"),
                  ClientRequest(op=Operation.WRITE, key="user00000002",
                                value=b"x")]
-        with capture() if observed else contextlib.nullcontext():
-            responses = small_datastore.execute_batch(batch,
-                                                      on_answer=events.append)
+        token = ROUND_ANSWER.set(events.append)
+        try:
+            with capture() if observed else contextlib.nullcontext():
+                responses = small_datastore.execute_batch(batch)
+        finally:
+            ROUND_ANSWER.reset(token)
         assert events == [responses, "commit"]
         assert events[0] is responses
         assert [r.value for r in responses] == [b"value-1", b"x"]
@@ -119,6 +124,27 @@ class TestInsertDelete:
             ClientRequest(op=Operation.READ, key="newcomer0000"),
         ])
         assert responses[0].value == b"fresh"
+
+    def test_a_refused_batch_keeps_the_queued_mutations(self):
+        """A batch naming an unknown key is refused before its round
+        begins: no timestamp, no recorder round, no drained mutation — and
+        the next round applies the queued insert and delete."""
+        store = self.make_store()
+        store.insert("newcomer0000", b"fresh")
+        store.delete("user00000005")
+        records = len(store.recorder.records)
+        with pytest.raises(ProtocolError, match="unknown key"):
+            store.execute_batch(
+                [ClientRequest(op=Operation.READ, key="stranger")])
+        mutations = store.proxy.mutations
+        assert (store.proxy.ts, store.recorder.round) == (0, 0)
+        assert (mutations.pending_inserts, mutations.pending_deletes) == (1, 1)
+        assert len(store.recorder.records) == records
+        assert store.proxy.failure is None
+        self.run_idle_round(store)
+        assert store.proxy.contains_key("newcomer0000")
+        assert not store.proxy.contains_key("user00000005")
+        store.proxy.check_invariants()
 
     def test_insert_swaps_dummy_counts(self):
         store = self.make_store()

@@ -1,7 +1,7 @@
 """Every example script must at least compile and import-resolve.
 
-Full example runs are exercised manually (they take seconds to a
-minute); this keeps them from bit-rotting silently.
+CI's ``tests`` job runs all of them end to end (one Python version;
+about 30 s in all); this keeps them from bit-rotting between runs.
 """
 
 import ast
@@ -61,8 +61,8 @@ import sys
 
 @pytest.mark.parametrize("script", ["quickstart.py", "fault_tolerance.py"])
 def test_fast_examples_run_end_to_end(script):
-    """The fastest examples actually execute (the rest are exercised
-    manually; all are compile-checked above).  ``fault_tolerance.py`` is
+    """The fastest examples actually execute in tier-1 (CI runs the rest;
+    all are compile-checked above).  ``fault_tolerance.py`` is
     the replication class's one shipping caller outside the chaos
     harness, and asserts its own α/β bounds."""
     path = pathlib.Path(__file__).parent.parent / "examples" / script

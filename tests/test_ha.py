@@ -10,10 +10,12 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import (BackendUnavailableError, ConfigurationError,
+                          ProtocolError)
 from repro.ha import ReplicatedProxy, capture_proxy, restore_proxy
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
+from repro.testing.faults import PassthroughStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 
@@ -154,6 +156,41 @@ class TestCheckpoint:
         blob = capture_proxy(proxy)
         server_bytes = sum(len(v) for v in recorder._inner._data.values())
         assert len(blob) < server_bytes / 2
+
+    def test_a_failed_proxy_is_refused_until_a_restore(self):
+        """A round that fails after it began fails the proxy: no checkpoint
+        of it, no round and no self-check touches the store again, each
+        refusal caused by the failure.  The last checkpoint before it is
+        unchanged by it and restores a proxy that serves."""
+        proxy, recorder = build_proxy()
+        rng = random.Random(3)
+        proxy.handle_batch(random_batch(rng))
+        blob = capture_proxy(proxy)
+        lost = BackendUnavailableError("read lost")
+
+        class ReadFails(PassthroughStore):
+            def multi_get(self, keys):
+                raise lost
+
+        proxy.store = ReadFails(recorder)
+        with pytest.raises(BackendUnavailableError):
+            proxy.handle_batch(random_batch(rng))
+        assert proxy.failure is lost
+        proxy.store = recorder
+        records = len(recorder.records)
+        for call in (lambda: capture_proxy(proxy),
+                     lambda: proxy.handle_batch(random_batch(rng)),
+                     proxy.check_invariants):
+            with pytest.raises(ProtocolError,
+                               match="restore from a checkpoint") as refused:
+                call()
+            assert refused.value.__cause__ is lost
+        assert len(recorder.records) == records
+        restored = restore_proxy(blob, recorder)
+        assert restored.failure is None
+        assert capture_proxy(restored) == blob
+        restored.handle_batch(random_batch(rng))
+        restored.check_invariants()
 
     def test_restore_preserves_counters(self):
         proxy, recorder = build_proxy()

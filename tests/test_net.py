@@ -644,10 +644,11 @@ class TestCheckpointAndRecoveryOverTheWire:
     def test_a_refused_round_is_replayed_from_the_last_checkpoint(self):
         """One recovery episode end to end.  The server refuses round k (a
         squatter sits on an id the round writes); nobody hears of it until
-        the checkpoint after round k flushes.  The proxy is restored from
-        the round k-1 blob onto a fresh connection and replays round k,
-        which reads exactly the ids the refused attempt read (the oracle's
-        replay-prefix axis) and answers as an unfaulted twin does."""
+        the checkpoint after round k flushes, and the refusal fails that
+        proxy: it sends nothing more.  A proxy restored from the round k-1
+        blob onto a fresh connection replays round k, which reads exactly
+        the ids the refused attempt read (the oracle's replay-prefix axis)
+        and answers as an unfaulted twin does."""
         from repro.ha import capture_proxy, restore_proxy
         from repro.testing.oracle import Attempt, check_replay_prefix
 
@@ -685,7 +686,16 @@ class TestCheckpointAndRecoveryOverTheWire:
                                             len(server_side.records), ok))
                     if ok:
                         break
-                    # No blob was made: `blob` is still round k-1's.
+                    # No blob was made: `blob` is still round k-1's.  The
+                    # failed proxy refuses before it sends anything; the
+                    # DBSIZE round trip behind it shows nothing was sent.
+                    assert isinstance(proxy.failure, DuplicateKeyError)
+                    sent = len(server_side.records)
+                    with pytest.raises(ProtocolError,
+                                       match="restore from a checkpoint"):
+                        proxy.handle_batch(batch)
+                    len(remote)
+                    assert len(server_side.records) == sent
                     backing.delete(squatted.storage_id)
                     remote.close()
                     remote = RemoteStore(server.address, timeout_s=5)
