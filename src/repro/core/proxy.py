@@ -2,9 +2,10 @@
 
 The proxy is the trusted, stateful component.  One batch round is
 :meth:`WaffleProxy.handle_batch` running the two phase tables at the
-bottom of this module — plan, read, answer; then write, commit — top to
-bottom over a round-local :class:`RoundPlan`, with every response known
-between the two (the caller may reply there); each phase is one method whose
+bottom of this module — plan, read, decrypt what the requests missed on;
+then decrypt the rest, cache, write, commit — top to bottom over a
+round-local :class:`RoundPlan`, with every response known between the two
+(the caller may reply there); each phase is one method whose
 docstring says what it does and where it deviates from the pseudocode as
 printed (DESIGN.md §6 maps phases to the paper's lines and to span names).
 Every round reads exactly ``B`` ids, each ``prf(k, ts_k)``, and writes
@@ -120,11 +121,14 @@ class RoundPlan:
     dropped_reads: set[int] = field(default_factory=set)
     inserted: list[int] = field(default_factory=list)
     newborn_dummies: list[tuple[int, str]] = field(default_factory=list)
-    #: ``sorted(read_batch)``, what the server returned for it, and the
-    #: decrypted real objects among that (in ``sids`` order)
+    #: ``sorted(read_batch)`` and what the server returned for it; the
+    #: fetched reals split in ``sids`` order: the requests' misses,
+    #: decrypted before the answer, and the rest (fake reals, forced delete
+    #: reads), ciphertexts until the write half decrypts them in place
     sids: list[str] = field(default_factory=list)
     blobs: list[bytes] = field(default_factory=list)
-    plaintexts: list[bytes] = field(default_factory=list)
+    missed: list[bytes] = field(default_factory=list)
+    rest: list[bytes] = field(default_factory=list)
     #: ``(slot, id timestamp, plaintext)`` in emission order, the slots
     #: evicted so far, and the sealed ``(id, ciphertext)`` batch
     write_plan: list[tuple[int, int, bytes]] = field(default_factory=list)
@@ -335,9 +339,10 @@ class WaffleProxy:
         """Process one batch of up to R client requests; returns responses.
 
         ``on_answer``, if given, is called on this thread with the same
-        list as soon as every response is known — after ``_answer``, before
-        the write half (``_evict``, ``_seal``, ``_commit``) — so a caller
-        can reply while the round writes back.
+        list as soon as every response is known — after ``_decrypt``, before
+        the write half (``_decrypt_rest``, ``_cache_fetched``, ``_evict``,
+        ``_seal``, ``_commit``) — so a caller can reply while the round
+        decrypts its unrequested reads and writes back.
 
         What can be refused cleanly is refused before the round begins
         (an uninitialized proxy, more than R requests, an unknown key), and
@@ -447,7 +452,8 @@ class WaffleProxy:
         reads, writes = len(plan.sids), len(plan.write_plan)
         evictions = len(plan.evicted)
         forced = len(plan.dropped_reads)
-        stats.decryptions = reals = len(plan.plaintexts)  # all but the dummies
+        # Every fetched real: the misses, then the rest after the answer.
+        stats.decryptions = reals = len(plan.missed) + len(plan.rest)
         stats.unique_real_reads = r = len(plan.dedup)
         stats.fake_real_reads = f_r = reals - r
         stats.fake_dummy_reads = f_d = reads - reals
@@ -616,17 +622,43 @@ class WaffleProxy:
         plan.blobs = self.store.multi_get(plan.sids)
 
     def _decrypt(self, plan: RoundPlan) -> None:
-        """Every fetched real object decrypts in one batched kernel pass
-        (dummy payloads are random bytes and never inspected)."""
-        read_batch, is_dummy = plan.read_batch, self._is_dummy
-        plan.plaintexts = self.keychain.cipher.decrypt_many([
-            blob for sid, blob in zip(plan.sids, plan.blobs)
-            if not is_dummy[read_batch[sid]]
-        ])
+        """Answer the deduplicated misses: one pass splits the fetched reals
+        into the misses and the rest, one batched kernel pass decrypts the
+        misses (at most R) and their requests get the values.
 
-    def _answer(self, plan: RoundPlan) -> None:
-        """Write phase: answer the deduplicated requests from the fetched
-        values, cache every fetched real object, plan the dummy rewrites.
+        The rest wait for :meth:`_decrypt_rest`, behind the answer; dummy
+        payloads are random bytes and never inspected.  A tampered blob a
+        request asked for fails the round here, before any answer; one no
+        request asked for fails it after, like any write-half failure.
+        """
+        read_batch, dedup, is_dummy = plan.read_batch, plan.dedup, self._is_dummy
+        missed_slots: list[int] = []
+        missed_blobs, rest = [], plan.rest
+        for sid, blob in zip(plan.sids, plan.blobs):
+            slot = read_batch[sid]
+            if is_dummy[slot]:
+                continue
+            if slot in dedup:
+                missed_slots.append(slot)
+                missed_blobs.append(blob)
+            else:
+                rest.append(blob)
+        plan.missed = self.keychain.cipher.decrypt_many(missed_blobs)
+        cli_resp = plan.cli_resp
+        for slot, value in zip(missed_slots, plan.missed):
+            for request_id, need_resp in dedup[slot]:
+                if need_resp:
+                    cli_resp[request_id] = value
+
+    def _decrypt_rest(self, plan: RoundPlan) -> None:
+        """Write phase: the fetched reals no request missed on decrypt in
+        one batched kernel pass, so their authentication is checked before
+        they are cached or written back."""
+        plan.rest = self.keychain.cipher.decrypt_many(plan.rest)
+
+    def _cache_fetched(self, plan: RoundPlan) -> None:
+        """Write phase: cache every fetched real object, plan the dummy
+        rewrites.
 
         "The algorithm first evicts an object from the cache before adding
         a new object" (lines 37-41): interleaving eviction with insertion
@@ -646,11 +678,11 @@ class WaffleProxy:
         wrote the newer value, so the round still writes exactly ``B``.
         """
         capacity, cache, dummy_index = self.config.c, self.cache, self._dummy_index
-        read_batch, dedup, cli_resp = plan.read_batch, plan.dedup, plan.cli_resp
+        read_batch, dedup = plan.read_batch, plan.dedup
         names, is_dummy, ts = self._names, self._is_dummy, self.ts
         dropped = plan.dropped_reads
         evicted, write_plan = plan.evicted, plan.write_plan
-        plaintexts = iter(plan.plaintexts)
+        missed, rest = iter(plan.missed), iter(plan.rest)
         kept = 0
         for sid in plan.sids:
             slot = read_batch[sid]
@@ -659,12 +691,12 @@ class WaffleProxy:
                     # Recorded as read this round: the new id embeds ts.
                     write_plan.append((slot, ts, self._dummy_payload()))
                 continue
-            value = next(plaintexts)
-            if slot in dropped:
-                continue  # deleted key: fetched only to clear its id
-            for request_id, need_resp in dedup.get(slot, ()):
-                if need_resp:
-                    cli_resp[request_id] = value
+            if slot in dedup:
+                value = next(missed)
+            else:
+                value = next(rest)
+                if slot in dropped:
+                    continue  # deleted key: fetched only to clear its id
             if slot in evicted:
                 continue  # small-cache regime: the stale copy
             if not cache.touch_if_present(slot):
@@ -807,7 +839,8 @@ _LABELS = {"system": "waffle"}
 #: row: the span (and labels) the phase is timed under in the ``round`` span
 #: tree, the phase, and the span attribute sized by a ``RoundPlan`` field.
 #: Every response is known once the first half has run; ``on_answer`` fires
-#: there, and the second half writes the round back.
+#: there, and the second half decrypts the unrequested reads, caches them and
+#: writes the round back.
 _PhaseTable = tuple[tuple[str, dict[str, str],
                           Callable[[WaffleProxy, RoundPlan], None],
                           tuple[str, str] | None], ...]
@@ -815,10 +848,12 @@ _ANSWER_PHASES: _PhaseTable = (
     ("phase.plan", _LABELS, WaffleProxy._plan, None),
     ("phase.server_io", {**_LABELS, "dir": "read"}, WaffleProxy._read,
      ("ids", "sids")),
-    ("phase.decrypt", _LABELS, WaffleProxy._decrypt, ("values", "plaintexts")),
-    ("phase.cache", _LABELS, WaffleProxy._answer, None),
+    ("phase.decrypt", _LABELS, WaffleProxy._decrypt, ("values", "missed")),
 )
 _WRITE_PHASES: _PhaseTable = (
+    ("phase.decrypt", {**_LABELS, "half": "write"}, WaffleProxy._decrypt_rest,
+     ("values", "rest")),
+    ("phase.cache", _LABELS, WaffleProxy._cache_fetched, None),
     ("phase.evict", _LABELS, WaffleProxy._evict, None),
     ("phase.derive", _LABELS, WaffleProxy._seal, ("writes", "write_batch")),
     ("phase.server_io", {**_LABELS, "dir": "write"}, WaffleProxy._commit,

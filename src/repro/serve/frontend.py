@@ -22,7 +22,9 @@ completes.  What makes it a *server* core:
   loop only admits and resolves, and a deadline fires on time, not on
   the loop's next millisecond tick (one round at a time, like the
   paper's per-batch critical section; a second round thread measured
-  0.45–0.69x, DESIGN.md §10–11).
+  0.45–0.69x, DESIGN.md §10–11).  While the thread runs, the
+  interpreter's switch interval is capped at the loop's own 1 ms grain,
+  so a loop the round wakes waits no longer than that for the GIL.
 
 Determinism: the queue, admission, policy and round counters change only
 under that one lock and the thread pops the queue front, so each round
@@ -51,6 +53,7 @@ proxy restored from a checkpoint serves again — the restore → reconnect
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from collections import deque
@@ -73,6 +76,43 @@ __all__ = ["AsyncFrontend"]
 
 #: A round executor: list of prepared requests -> list of responses.
 RoundExecutor = Callable[[list[ClientRequest]], list[ClientResponse]]
+
+#: The longest the event-loop thread waits for the GIL while a round thread
+#: runs: the loop's own timer grain, since asyncio's epoll selector sleeps
+#: in whole milliseconds.  CPython's default 5 ms would let a sealing round
+#: hold a woken loop, and so every enqueue and reply, for up to 5 ms.
+_LOOP_GIL_WAIT_S = 0.001
+
+
+class _SwitchIntervalCap:
+    """Caps ``sys.setswitchinterval`` at ``_LOOP_GIL_WAIT_S`` while any
+    frontend's round thread runs; the last to stop restores what was set
+    before the first started.  The interval is one per process, so the
+    count of threads holding the cap is too (one module instance)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        #: the interval the cap replaced; None if it was already shorter
+        self._prior: float | None = None
+
+    def hold(self) -> None:
+        with self._lock:
+            if self._holders == 0:
+                prior = sys.getswitchinterval()
+                self._prior = prior if prior > _LOOP_GIL_WAIT_S else None
+                if self._prior is not None:
+                    sys.setswitchinterval(_LOOP_GIL_WAIT_S)
+            self._holders += 1
+
+    def release(self) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._prior is not None:
+                sys.setswitchinterval(self._prior)
+
+
+_SWITCH_INTERVAL = _SwitchIntervalCap()
 
 
 class _Waiter:
@@ -152,6 +192,7 @@ class AsyncFrontend:
                 self._thread = threading.Thread(
                     target=self._serve_rounds, args=(loop, self._stopped),
                     name="serve-round", daemon=True)
+                _SWITCH_INTERVAL.hold()  # released as the thread exits
                 self._thread.start()
         return self
 
@@ -253,6 +294,7 @@ class AsyncFrontend:
                 self.real_requests += len(take)
                 self.empty_rounds += not take
             self._run_round(loop, take, now)
+        _SWITCH_INTERVAL.release()
         loop.call_soon_threadsafe(stopped.set_result, None)
 
     def _run_round(self, loop: asyncio.AbstractEventLoop,

@@ -15,9 +15,10 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, IntegrityError, ProtocolError
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
+from repro.testing.faults import PassthroughStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 
@@ -378,3 +379,111 @@ class TestCacheBehaviour:
         # The cache is keyed by slot; a read of the key is a cache hit.
         assert b"local" in proxy.handle_batch([read(cached_key)])[0].value
         assert proxy.last_stats.cache_hits == 1
+
+
+class _CountingCipher:
+    """Counts the objects the proxy's cipher decrypts (forwards the rest)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.decrypted = 0
+
+    def decrypt_many(self, blobs):
+        out = self._inner.decrypt_many(blobs)
+        self.decrypted += len(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _FlipOne(PassthroughStore):
+    """Flips one byte of the first fetched blob whose id ``pick`` names."""
+
+    def __init__(self, inner, pick):
+        super().__init__(inner)
+        self.pick = pick
+
+    def multi_get(self, keys):
+        blobs = list(self._inner.multi_get(keys))
+        index = next(i for i, sid in enumerate(keys) if self.pick(sid))
+        blobs[index] = blobs[index][:-1] + bytes([blobs[index][-1] ^ 1])
+        return blobs
+
+
+class TestTheAnswerDecryptsOnlyTheMisses:
+    def test_the_rest_decrypt_after_the_answer(self, small_config):
+        """At ``on_answer`` exactly the distinct missed keys are decrypted;
+        the fake reals and forced delete reads decrypt after it, and every
+        ``RoundStats`` (``decryptions`` included) and response equals a
+        twin's run with no ``on_answer``."""
+        proxy, _ = build_proxy(small_config)
+        twin, _ = build_proxy(small_config)
+        spy = proxy.keychain.cipher = _CountingCipher(proxy.keychain.cipher)
+        rng = random.Random(5)
+        keys = list(make_items(small_config.n))
+        at_answer = []
+        for round_ in range(12):
+            if round_ % 4 == 1:  # a forced read: a server-resident key goes
+                gone = next(key for key in keys if key not in proxy.cache)
+                keys.remove(gone)
+                for each in (proxy, twin):
+                    each.mutations.enqueue_delete(gone)
+            batch = [read(key) if rng.random() < 0.7 else write(key, b"w")
+                     for key in rng.choices(keys, k=small_config.r)]
+            missed = {request.key for request in batch
+                      if request.key not in proxy.cache}
+            before = spy.decrypted
+            responses = proxy.handle_batch(batch, on_answer=lambda _: (
+                at_answer.append(spy.decrypted - before)))
+            assert at_answer[-1] == len(missed)
+            assert spy.decrypted - before == proxy.last_stats.decryptions
+            assert proxy.last_stats.decryptions > len(missed)
+            assert responses == twin.handle_batch(batch)
+        assert len(at_answer) == 12
+        assert proxy.totals.stats_by_round == twin.totals.stats_by_round
+        assert sum(stats.server_deletes for stats in
+                   proxy.totals.stats_by_round) == 12 * small_config.b
+        proxy.check_invariants()
+
+    def _corrupted_round(self, config, pick):
+        """One round whose read of the id ``pick(proxy, batch)`` chooses
+        comes back with a flipped byte; returns the proxy, the batch, what
+        ``on_answer`` got and what the round raised."""
+        items = make_items(config.n)
+        proxy, recorder = build_proxy(config, log_ids=True)
+        batch = [read(key) for key in items if key not in proxy.cache][:4]
+        proxy.store = _FlipOne(recorder, lambda sid: pick(proxy, batch, sid))
+        answered = []
+        with pytest.raises(IntegrityError) as raised:
+            proxy.handle_batch(batch, on_answer=answered.append)
+        return proxy, batch, answered, raised.value
+
+    def test_a_tampered_unrequested_read_fails_after_the_answer(
+            self, small_config):
+        def fake_real(proxy, batch, sid):
+            key = proxy.id_log[sid]
+            return (proxy.contains_key(key)
+                    and key not in {request.key for request in batch})
+
+        proxy, batch, answered, error = self._corrupted_round(
+            small_config, fake_real)
+        values = {key: pad_value(value, small_config.value_size)
+                  for key, value in make_items(small_config.n).items()}
+        assert [[response.value for response in responses]
+                for responses in answered] == [
+            [values[request.key] for request in batch]]
+        assert proxy.failure is error
+        with pytest.raises(ProtocolError) as refused:
+            proxy.handle_batch(batch)
+        assert refused.value.__cause__ is error
+
+    def test_a_tampered_requested_read_fails_before_any_answer(
+            self, small_config):
+        def requested(proxy, batch, sid):
+            return proxy.id_log[sid] == batch[0].key
+
+        proxy, _, answered, error = self._corrupted_round(
+            small_config, requested)
+        assert answered == []
+        assert proxy.failure is error

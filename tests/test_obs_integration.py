@@ -62,8 +62,10 @@ class TestProxyInstrumentation:
         assert hists["round.seconds" + w]["count"] == rounds
         for phase in ("plan", "decrypt", "cache", "evict", "derive"):
             assert hists[f"phase.{phase}.seconds" + w]["count"] == rounds
-        for direction in ("read", "write"):
-            key = "phase.server_io.seconds{dir=%s,system=waffle}" % direction
+        for phase, label in (("server_io", "dir=read"),
+                             ("server_io", "dir=write"),
+                             ("decrypt", "half=write")):
+            key = "phase.%s.seconds{%s,system=waffle}" % (phase, label)
             assert hists[key]["count"] == rounds
         # The trace stream carries the same spans with attributes.
         round_spans = handle.tracer.spans("round")

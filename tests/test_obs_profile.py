@@ -137,10 +137,13 @@ class TestProxyIntegration:
         handle = traced_proxy_run
         round_ids = {r["span_id"] for r in handle.tracer.spans("round")}
         assert len(round_ids) == 4
-        for phase in ("phase.plan", "phase.server_io", "phase.decrypt",
-                      "phase.cache", "phase.evict", "phase.derive"):
-            spans = handle.tracer.spans(phase)
-            assert spans, f"no {phase} spans"
+        for phase, half in (("phase.plan", None), ("phase.server_io", None),
+                            ("phase.decrypt", None), ("phase.decrypt", "write"),
+                            ("phase.cache", None), ("phase.evict", None),
+                            ("phase.derive", None)):
+            spans = [span for span in handle.tracer.spans(phase)
+                     if span["attrs"].get("half") == half]
+            assert spans, f"no {phase} spans (half={half})"
             assert all(span["parent"] in round_ids for span in spans), phase
 
     def test_profile_tree_decomposes_round_time(self, traced_proxy_run):
@@ -152,4 +155,5 @@ class TestProxyIntegration:
         assert 0 < round_node.child_total <= round_node.total
         text = render_profile(handle.registry, handle.tracer.records)
         assert "phase.decrypt" in text
+        assert "phase.decrypt[half=write]" in text
         assert "phase.server_io[dir=read]" in text

@@ -9,6 +9,7 @@ the real (tiny) datastore.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -625,6 +626,56 @@ class TestAnswerBeforeWriteBack:
         assert [r.value for r in responses] == \
             [b"value-%d" % i for i in range(8, 16)]
         restored.check_invariants()
+
+
+class TestSwitchIntervalCap:
+    """While a round thread runs, the loop waits at most 1 ms for the GIL."""
+
+    @staticmethod
+    def _frontend():
+        return AsyncFrontend(execute=lambda requests: [], r=2)
+
+    @pytest.fixture
+    def prior(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.004)
+        yield 0.004
+        sys.setswitchinterval(interval)
+
+    def test_capped_while_a_frontend_runs(self, prior):
+        async def scenario():
+            frontend = await self._frontend().start()
+            during = sys.getswitchinterval()
+            await frontend.close()
+            return during
+
+        assert asyncio.run(scenario()) == pytest.approx(0.001)
+        assert frontend_module._LOOP_GIL_WAIT_S == 0.001
+        assert sys.getswitchinterval() == pytest.approx(prior)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_overlapping_frontends_restore_in_either_order(self, prior,
+                                                           first):
+        async def scenario():
+            frontends = [await self._frontend().start() for _ in range(2)]
+            await frontends[first].close()
+            between = sys.getswitchinterval()
+            await frontends[1 - first].close()
+            return between
+
+        assert asyncio.run(scenario()) == pytest.approx(0.001)
+        assert sys.getswitchinterval() == pytest.approx(prior)
+
+    def test_a_shorter_interval_is_kept(self, prior):
+        sys.setswitchinterval(0.0002)
+        short = sys.getswitchinterval()
+
+        async def scenario():
+            async with self._frontend():
+                return sys.getswitchinterval()
+
+        assert asyncio.run(scenario()) == short
+        assert sys.getswitchinterval() == short
 
 
 # ----------------------------------------------------------------------
