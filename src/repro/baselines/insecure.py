@@ -15,7 +15,8 @@ __all__ = ["InsecureStore"]
 
 
 class InsecureStore:
-    """Plaintext pass-through client."""
+    """Plaintext pass-through client: every request is its own batch of
+    one, sent as the client issues it."""
 
     def __init__(self, store: StorageBackend, items: dict[str, bytes]) -> None:
         self.store = store
@@ -24,15 +25,15 @@ class InsecureStore:
 
     def get(self, key: str) -> bytes:
         self.operations += 1
-        return self.store.get(key)  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
+        return self.store.multi_get([key])[0]  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
 
     def put(self, key: str, value: bytes) -> None:
         self.operations += 1
-        self.store.put(key, value)  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
+        self.store.multi_put([(key, value)])  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
 
     def delete(self, key: str) -> None:
         self.operations += 1
-        self.store.delete(key)  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
+        self.store.commit_round([key], ())  # oblint: disable=OBL101 -- deliberately insecure baseline (§8.1): it exists to price obliviousness
 
     def execute(self, request: TraceRequest) -> bytes | None:
         """Run one workload trace request."""

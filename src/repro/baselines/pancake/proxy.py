@@ -34,7 +34,6 @@ from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.seeding import seeded_rng
 from repro.storage.base import StorageBackend
-from repro.storage.recording import RecordingStore
 from repro.workloads.trace import Operation, TraceRequest
 
 __all__ = ["PancakeProxy", "PancakeStats"]
@@ -152,9 +151,7 @@ class PancakeProxy:
     def process_batch(self) -> int:
         """Fill and execute one B-slot batch; returns real requests served."""
         stats = self.stats
-        recording = self.store if isinstance(self.store, RecordingStore) else None
-        if recording is not None:
-            recording.next_round()
+        self.store.next_round()
         obs = OBS
         observing = obs.enabled
         if observing:

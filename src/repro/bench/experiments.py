@@ -817,7 +817,7 @@ def frequency_attack_comparison(n: int = 256, requests: int = 20_000,
     truth = {sid: key for key, sid in det_ids.items()}
     recorder.multi_put((det_ids[k], v) for k, v in items.items())
     for request in trace:
-        recorder.get(det_ids[request.key])
+        recorder.multi_get([det_ids[request.key]])
     det_result = frequency_analysis_attack(recorder.records, auxiliary, truth)
 
     config = WaffleConfig(n=n, b=24, r=10, f_d=4, d=100,

@@ -165,7 +165,8 @@ class WaffleProxy:
     store:
         The untrusted server.  Wrap it in a
         :class:`~repro.storage.recording.RecordingStore` to capture the
-        adversary's view; the proxy advances its round counter if present.
+        adversary's view; the proxy calls ``store.next_round()`` once
+        per round.
     keychain:
         Proxy-held secrets; defaults to a fresh random keychain.
     keep_round_stats:
@@ -367,11 +368,7 @@ class WaffleProxy:
                 f"request for unknown key: {exc.args[0]!r}") from None
         self.ts += 1
         try:
-            # Duck-typed so fault-injection and other wrappers stacked
-            # above a RecordingStore can forward the round boundary.
-            next_round = getattr(self.store, "next_round", None)
-            if next_round is not None:
-                next_round()
+            self.store.next_round()
             plan = RoundPlan(requests, req_slots,
                              RoundStats(round=self.ts, requests=len(requests)))
             if OBS.enabled:

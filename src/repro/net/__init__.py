@@ -6,8 +6,8 @@ the same components across a real network boundary, matching the
 paper's three-machine topology (client / proxy / storage server):
 
 * :mod:`repro.net.protocol` — a length-prefixed binary framing of the
-  storage command interface (GET/SET/DEL/EXISTS/DBSIZE, and the round's
-  two packed-array frames MGET and COMMIT), RESP-like in spirit but typed;
+  storage command interface (the round's two packed-array frames MGET
+  and COMMIT, plus EXISTS and DBSIZE), RESP-like in spirit but typed;
 * :mod:`repro.net.server` — a threaded TCP server hosting any
   :class:`~repro.storage.base.StorageBackend` (RedisSim by default);
 * :mod:`repro.net.client` — a :class:`~repro.storage.base.StorageBackend`

@@ -184,15 +184,6 @@ class RemoteStore(StorageBackend):
     # ------------------------------------------------------------------
     # StorageBackend interface
     # ------------------------------------------------------------------
-    def get(self, key: str) -> bytes:
-        return _expect(self._call(["GET", key]), bytes)
-
-    def put(self, key: str, value: bytes) -> None:
-        self._call(["SET", key, value])
-
-    def delete(self, key: str) -> None:
-        self._call(["DEL", key])
-
     def __contains__(self, key: str) -> bool:
         return bool(self._call(["EXISTS", key]))
 
@@ -233,10 +224,6 @@ class RemoteStore(StorageBackend):
             values.append(value)
             size += cost
         self._commit([], ids, values)
-        self.flush()
-
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        self._commit(list(keys), [], [])
         self.flush()
 
     def commit_round(self, deletes: Sequence[str],

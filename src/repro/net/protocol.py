@@ -30,18 +30,20 @@ v`` whichever tag carried it; what changes is the cost per item — a slice
 at each end instead of a tagged value — which is what lets a Waffle round
 move its ``B`` ids and ``B`` ciphertexts as arrays.
 
-A request payload is a list ``[command_name, arg, ...]``.  Single
-commands are ``GET key``, ``SET key value``, ``DEL key``, ``EXISTS key``
-and ``DBSIZE``, with ``str`` keys and a ``bytes`` value; the server
-refuses any other shape.  The round's two storage calls have shapes of
-their own:
+A request payload is a list ``[command_name, arg, ...]``.  The storage
+server takes four commands and refuses any other name or shape.  The
+round's two storage calls carry arrays:
 
-* ``["MGET", id, ...]`` is one ``s`` array; the reply is the values in
-  order (one ``b`` array), or an error if any id is missing.
+* ``["MGET", id, ...]`` is one ``s`` array of ``str`` ids; the reply is
+  the values in order (one ``b`` array), or an error if any id is
+  missing.
 * ``["COMMIT", deletes, ids, values]`` is an ``L`` of the name and three
   packed arrays: delete every id in ``deletes``, then store ``values[i]``
   under ``ids[i]``, all or nothing.  The reply is the number of ids
   moved (one ``I``), or an error with nothing applied.
+
+and two are introspection: ``["EXISTS", key]`` replies ``1`` or ``0``,
+``["DBSIZE"]`` the number of stored ids.
 """
 
 from __future__ import annotations

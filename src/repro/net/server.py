@@ -5,10 +5,11 @@ sequentially (matching Redis's per-connection ordering guarantee, which
 the batched round semantics rely on).  Every command is served through
 the :class:`StorageBackend` methods: the round's two bulk commands go
 straight to :meth:`StorageBackend.multi_get` and
-:meth:`StorageBackend.commit_round`, and the single commands
-GET / SET / DEL / EXISTS / DBSIZE to the single-key methods.  A decodable
-command with the wrong arity or argument types is refused whole with a
-``ProtocolError`` wire error, and the connection is kept.
+:meth:`StorageBackend.commit_round`, and EXISTS / DBSIZE to ``in`` and
+``len``.  Those four are the whole command set.  A decodable command
+that is not one of them, or has the wrong arity or argument types, is
+refused whole with a ``ProtocolError`` wire error before the backend sees
+any of it, and the connection is kept.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from repro.storage.redis_sim import RedisSim
 
 __all__ = ["StorageServer"]
 
-#: The single commands and the argument types each one takes.
-_SINGLE: dict[str, tuple[type, ...]] = {
-    "GET": (str,), "SET": (str, bytes), "DEL": (str,), "EXISTS": (str,),
-    "DBSIZE": (),
-}
+#: The introspection commands and the argument types each one takes
+#: (MGET and COMMIT take arrays, checked by their own methods).
+_INTROSPECTION: dict[str, tuple[type, ...]] = {"EXISTS": (str,),
+                                               "DBSIZE": ()}
 
 
 class StorageServer:
@@ -154,18 +154,27 @@ class StorageServer:
     def _dispatch_inner(self, request: WireValue) -> WireValue:
         if not isinstance(request, list) or not request:
             return ValueError("malformed request")
-        name = request[0]
+        name, args = request[0], request[1:]
         try:
             # Commands execute under a lock: RedisSim is single-threaded
             # just like Redis's command loop.
             with self._lock:
                 if name == "MGET":
-                    return self.backend.multi_get(request[1:])
+                    return self._mget(args)
                 if name == "COMMIT":
-                    return self._commit(*request[1:])
-                return self._single(name, *request[1:])
+                    return self._commit(*args)
+                check_command(_INTROSPECTION, name, args)
+                if name == "EXISTS":
+                    return int(args[0] in self.backend)
+                return len(self.backend)
         except Exception as error:  # noqa: BLE001 - errors travel the wire
             return error
+
+    def _mget(self, ids: list[Any]) -> list[bytes]:
+        """One read batch, refused whole unless every id is a ``str``."""
+        if not set(map(type, ids)) <= {str}:
+            raise ProtocolError("MGET takes str ids")
+        return self.backend.multi_get(ids)
 
     def _commit(self, *arrays: Any) -> int:
         """One round commit, refused whole unless it is three lists:
@@ -180,23 +189,6 @@ class StorageServer:
                                 "for each id it stores")
         self.backend.commit_round(deletes, list(zip(ids, values)))
         return len(deletes) + len(ids)
-
-    def _single(self, name: Any, *args: Any) -> WireValue:
-        """One single-key command, refused whole unless its arguments are
-        what :data:`_SINGLE` says: ``str`` keys and a ``bytes`` value."""
-        check_command(_SINGLE, name, args)
-        backend = self.backend
-        if name == "GET":
-            return backend.get(args[0])
-        if name == "SET":
-            backend.put(args[0], args[1])
-            return b"OK"
-        if name == "DEL":
-            backend.delete(args[0])
-            return 1
-        if name == "EXISTS":
-            return int(args[0] in backend)
-        return len(backend)
 
 
 def _ids_moved(request: WireValue) -> int:

@@ -33,15 +33,16 @@ lands near the reported numbers, and never tuned per experiment:
 * ``core_efficiency``: Figure 2c's shape — +58.9% throughput from 1 to 4
   cores, then a ~40% decline from contention — is a property of their
   proxy's synchronization.  We reproduce it with an Amdahl-style curve
-  (sigma = 0.44; end-to-end throughput then gains ~59% from 1 to 4 cores
-  once the fixed network share is included) plus a linear contention penalty
-  beyond 4 cores.
+  (sigma = 0.40, so the CPU-bound work runs 1.82x faster on 4 cores;
+  end-to-end throughput then gains ~64% from 1 to 4 cores once the fixed
+  network share is included, against the paper's 58.9%) plus a linear
+  contention penalty beyond 4 cores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CostModel"]
 
@@ -94,14 +95,12 @@ class CostModel:
     #: throughput (~300 ms request latency in the paper's Figure 2b).
     taostore_bucket_s: float = 640e-6
 
-    #: Amdahl sigma for the core-efficiency curve (eff(4) = 1.589).
+    #: Amdahl sigma for the core-efficiency curve (eff(4) = 4 / 2.2 = 1.82).
     core_sigma: float = 0.40
     #: Contention decline per core beyond 4 (Figure 2c's drop-off).
     core_contention: float = 0.12
     #: Floor on the post-peak efficiency factor.
     core_floor: float = 0.50
-
-    derived: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # helpers

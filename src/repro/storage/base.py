@@ -1,20 +1,25 @@
-"""Abstract storage backend.
+"""Abstract storage backend: what a round calls.
 
 Every datastore in this repository (Waffle, the insecure baseline, Pancake,
 TaoStore) talks to the server through this interface, so the
 recording wrapper and the cost model can be layered under any of them.
+The server only ever sees batches (Algorithm 1, §6.2): a round is one
+:meth:`~StorageBackend.multi_get` and one
+:meth:`~StorageBackend.commit_round`, an initial load is one
+:meth:`~StorageBackend.multi_put`, and a system that touches one id at a
+time sends batches of one.
 
 Semantics are deliberately strict — they encode the invariants the security
 analysis relies on:
 
-* :meth:`put` on an existing key raises :class:`DuplicateKeyError` when the
+* a write of a present id raises :class:`DuplicateKeyError` when the
   backend is created with ``write_once=True`` (Waffle writes every storage
   id at most once);
-* :meth:`get`/:meth:`delete` on a missing key raise
-  :class:`KeyNotFoundError` — a silent miss would mask protocol bugs.
+* a read or delete of a missing id raises :class:`KeyNotFoundError` — a
+  silent miss would mask protocol bugs.
 
 Backends that model plaintext stores (the insecure baseline, Pancake's
-replicas) use ``write_once=False`` and overwrite freely via :meth:`put`.
+replicas) use ``write_once=False`` and overwrite freely.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Container, Iterable, Sequence
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 
-__all__ = ["StorageBackend", "check_commit"]
+__all__ = ["PassthroughStore", "StorageBackend", "check_commit"]
 
 
 def check_commit(present: Container[str], write_once: bool,
@@ -48,19 +53,10 @@ def check_commit(present: Container[str], write_once: bool,
 
 
 class StorageBackend(ABC):
-    """Key-value server interface shared by all systems."""
-
-    @abstractmethod
-    def get(self, key: str) -> bytes:
-        """Return the value stored under ``key``."""
-
-    @abstractmethod
-    def put(self, key: str, value: bytes) -> None:
-        """Store ``value`` under ``key``."""
-
-    @abstractmethod
-    def delete(self, key: str) -> None:
-        """Remove ``key``."""
+    """Key-value server interface shared by all systems: one call per
+    batch, so the cost model can charge one round trip per batch.  The
+    calls are abstract, because composing one from another would give up
+    the all-or-nothing contract of :meth:`commit_round`."""
 
     @abstractmethod
     def __contains__(self, key: str) -> bool:
@@ -70,12 +66,6 @@ class StorageBackend(ABC):
     def __len__(self) -> int:
         """Number of stored keys."""
 
-    # ------------------------------------------------------------------
-    # Batched operations: one call per batch, so the cost model can charge
-    # one round trip per batch.  Abstract, because composing them from the
-    # single-key primitives would give up the all-or-nothing contract of
-    # commit_round below.
-    # ------------------------------------------------------------------
     @abstractmethod
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         """Return values for ``keys`` in order."""
@@ -83,10 +73,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
         """Store every ``(key, value)`` pair."""
-
-    @abstractmethod
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        """Delete every key in ``keys``."""
 
     @abstractmethod
     def commit_round(self, deletes: Sequence[str],
@@ -121,3 +107,45 @@ class StorageBackend(ABC):
         A no-op wherever ``commit_round`` applies before it returns, which
         is every in-process backend; wrappers forward it.
         """
+
+    def next_round(self) -> int | None:
+        """The round boundary: a batched system calls it once per round,
+        before the round's first access.  Nothing to do for a store;
+        :class:`~repro.storage.recording.RecordingStore` counts it, and
+        wrappers forward it."""
+        return None
+
+
+class PassthroughStore(StorageBackend):
+    """A storage wrapper that delegates everything to an inner backend.
+
+    Base class for the recorder, fault injectors and test mutators, which
+    override only the calls they change.
+    """
+
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner: StorageBackend) -> None:
+        self._inner = inner
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._inner
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+    def multi_get(self, keys: Sequence[str]) -> list[bytes]:
+        return self._inner.multi_get(keys)
+
+    def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
+        self._inner.multi_put(items)
+
+    def commit_round(self, deletes: Sequence[str],
+                     puts: Sequence[tuple[str, bytes]]) -> None:
+        self._inner.commit_round(deletes, puts)
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def next_round(self) -> int | None:
+        return self._inner.next_round()

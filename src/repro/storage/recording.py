@@ -11,8 +11,9 @@ Rounds: Waffle's α/β bounds are stated in batched server accesses (§5.1:
 "if the proxy accesses objects in batches, α, β, i and j correspond to the
 batched accesses").  The proxy advances the recorder's round counter once
 per read-batch/write-batch pair via :meth:`next_round`, and Pancake once
-per batch; unbatched systems (the insecure baseline, TaoStore) never
-advance it, and their records are ordered by ``seq`` alone.
+per batch, through any wrappers stacked above the recorder; unbatched
+systems (the insecure baseline, TaoStore) never advance it, and their
+records are ordered by ``seq`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.obs import OBS
-from repro.storage.base import StorageBackend
+from repro.storage.base import PassthroughStore, StorageBackend
 
 __all__ = ["AccessRecord", "RecordingStore"]
 
@@ -37,19 +38,16 @@ class AccessRecord:
     seq: int
 
 
-class RecordingStore(StorageBackend):
+class RecordingStore(PassthroughStore):
     """Pass-through backend that logs the adversary-visible trace."""
 
-    __slots__ = ("_inner", "records", "_round", "_seq", "enabled")
+    __slots__ = ("records", "_round", "_seq")
 
     def __init__(self, inner: StorageBackend) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.records: list[AccessRecord] = []
         self._round = 0
         self._seq = 0
-        #: Recording can be switched off during initialization bulk-loads
-        #: when an experiment only studies the steady state.
-        self.enabled = True
 
     @property
     def round(self) -> int:
@@ -61,8 +59,6 @@ class RecordingStore(StorageBackend):
         return self._round
 
     def _record(self, op: str, storage_id: str) -> None:
-        if not self.enabled:
-            return
         self.records.append(AccessRecord(op, storage_id, self._round, self._seq))
         self._seq += 1
         if OBS.enabled:
@@ -74,27 +70,9 @@ class RecordingStore(StorageBackend):
             OBS.registry.counter("storage.accesses.total", op=op).inc()
 
     # ------------------------------------------------------------------
-    # StorageBackend interface (an access is recorded before the backend
-    # sees it)
+    # The calls that access ids (an access is recorded before the backend
+    # sees it); everything else passes through.
     # ------------------------------------------------------------------
-    def get(self, key: str) -> bytes:
-        self._record("read", key)
-        return self._inner.get(key)
-
-    def put(self, key: str, value: bytes) -> None:
-        self._record("write", key)
-        self._inner.put(key, value)
-
-    def delete(self, key: str) -> None:
-        self._record("delete", key)
-        self._inner.delete(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         for key in keys:
             self._record("read", key)
@@ -113,11 +91,6 @@ class RecordingStore(StorageBackend):
             self._record("write", item[0])
             yield item
 
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        for key in keys:
-            self._record("delete", key)
-        self._inner.multi_delete(keys)
-
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:
         # The adversary sees the same access sequence whether the round
@@ -128,9 +101,6 @@ class RecordingStore(StorageBackend):
         for key, _ in puts:
             self._record("write", key)
         self._inner.commit_round(deletes, puts)
-
-    def flush(self) -> None:
-        self._inner.flush()
 
     def clear_records(self) -> None:
         """Drop the trace collected so far (keeps round/seq counters)."""

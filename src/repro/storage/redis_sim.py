@@ -1,15 +1,17 @@
 """A Redis-like in-process key-value server.
 
 The paper's backend is Redis (§8).  ``RedisSim`` is the one in-process
-store: the slice of Redis the systems use — GET/SET/DEL/EXISTS/DBSIZE
-and the batched calls a round is made of — as the
+store: the slice of Redis the systems use — the batched calls a round is
+made of, plus EXISTS and DBSIZE — as the
 :class:`~repro.storage.base.StorageBackend` methods over one dictionary.
 Over TCP, :class:`~repro.net.server.StorageServer` serves the same
-methods.  The batched ones take one pass per batch, validate a whole
-batch of mutations before applying any (all or nothing, through
-:func:`~repro.storage.base.check_commit`), and count one command per id.
+methods.  Each call takes one pass per batch, validates a whole batch of
+mutations before applying any (all or nothing, through
+:func:`~repro.storage.base.check_commit`), and counts one Redis command
+per id: ``GET`` per id read, ``DEL`` per id deleted, ``SET`` per id
+written.
 
-Unlike real Redis, ``GET`` on a missing key raises instead of returning
+Unlike real Redis, a read of a missing key raises instead of returning
 nil: every system in this repository treats a miss as a protocol bug and
 the strictness has caught several during development.  (Waffle additionally
 runs the store in ``write_once`` mode.)
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError
+from repro.errors import KeyNotFoundError
 from repro.obs import OBS
 from repro.storage.base import StorageBackend, check_commit
 
@@ -32,7 +34,7 @@ class RedisSim(StorageBackend):
     Parameters
     ----------
     write_once:
-        Reject ``SET`` on existing keys (Waffle's server mode).
+        Reject a write of an existing key (Waffle's server mode).
     """
 
     __slots__ = ("_data", "_write_once")
@@ -46,26 +48,6 @@ class RedisSim(StorageBackend):
         if OBS.enabled and commands:
             OBS.registry.counter("storage.commands.total", backend="redis_sim",
                                  command=name).inc(commands)
-
-    def get(self, key: str) -> bytes:
-        self._count("GET")
-        try:
-            return self._data[key]
-        except KeyError:
-            raise KeyNotFoundError(key) from None
-
-    def put(self, key: str, value: bytes) -> None:
-        self._count("SET")
-        if self._write_once and key in self._data:
-            raise DuplicateKeyError(key)
-        self._data[key] = bytes(value)
-
-    def delete(self, key: str) -> None:
-        self._count("DEL")
-        try:
-            del self._data[key]
-        except KeyError:
-            raise KeyNotFoundError(key) from None
 
     def __contains__(self, key: str) -> bool:
         self._count("EXISTS")
@@ -85,9 +67,6 @@ class RedisSim(StorageBackend):
 
     def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
         self.commit_round((), list(items))
-
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        self.commit_round(keys, ())
 
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:

@@ -37,7 +37,6 @@ from repro.testing.faults import (
     FaultPlan,
     FaultyStorage,
     InjectedFault,
-    PassthroughStore,
 )
 from repro.testing.identity import assert_trace_identical, trace_digest
 from repro.testing.oracle import Attempt, Violation
@@ -56,7 +55,6 @@ __all__ = [
     "FaultPlan",
     "FaultyStorage",
     "InjectedFault",
-    "PassthroughStore",
     "ScalarCipher",
     "ScalarPrf",
     "ShrinkResult",

@@ -44,14 +44,13 @@ from repro.errors import (
     PartialReplyError,
     StorageTimeoutError,
 )
-from repro.storage.base import StorageBackend
+from repro.storage.base import PassthroughStore, StorageBackend
 
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyStorage",
     "InjectedFault",
-    "PassthroughStore",
 ]
 
 
@@ -104,7 +103,7 @@ class FaultPlan:
 
     Faults are keyed by the global storage-operation counter of the
     wrapper consuming the plan: the N-th batched operation (multi_get /
-    multi_put / multi_delete each count as one) fails with the scheduled
+    multi_put / commit_round each count as one) fails with the scheduled
     kind.  Keying by counter makes plans trivially serializable and
     shrinkable — dropping an entry removes exactly one failure.
     """
@@ -143,57 +142,6 @@ class FaultPlan:
         return len(self.faults)
 
 
-class PassthroughStore(StorageBackend):
-    """A storage wrapper that delegates everything to an inner backend.
-
-    Base class for fault injectors and test mutators; also forwards
-    ``next_round`` so a :class:`~repro.storage.recording.RecordingStore`
-    anywhere below keeps its round counter in sync with the proxy.
-    """
-
-    def __init__(self, inner: StorageBackend) -> None:
-        self._inner = inner
-
-    @property
-    def inner(self) -> StorageBackend:
-        return self._inner
-
-    def next_round(self) -> int | None:
-        forward = getattr(self._inner, "next_round", None)
-        return forward() if forward is not None else None
-
-    def get(self, key: str) -> bytes:
-        return self._inner.get(key)
-
-    def put(self, key: str, value: bytes) -> None:
-        self._inner.put(key, value)
-
-    def delete(self, key: str) -> None:
-        self._inner.delete(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def multi_get(self, keys: Sequence[str]) -> list[bytes]:
-        return self._inner.multi_get(keys)
-
-    def multi_put(self, items: Iterable[tuple[str, bytes]]) -> None:
-        self._inner.multi_put(items)
-
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        self._inner.multi_delete(keys)
-
-    def commit_round(self, deletes: Sequence[str],
-                     puts: Sequence[tuple[str, bytes]]) -> None:
-        self._inner.commit_round(deletes, puts)
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-
 class FaultyStorage(PassthroughStore):
     """Client-side storage stub that fails operations per a fault plan.
 
@@ -217,7 +165,7 @@ class FaultyStorage(PassthroughStore):
     def reconnect(self) -> None:
         self.connected = True
 
-    def _admit(self, op: str, size: int = 1) -> None:
+    def _admit(self, op: str, size: int) -> None:
         if not self.connected:
             raise InjectedDrop(f"connection is down (op {op})")
         index = self.ops
@@ -228,18 +176,6 @@ class FaultyStorage(PassthroughStore):
             self.injected[kind] = self.injected.get(kind, 0) + 1
             raise _FAULT_FACTORIES[kind](op, size)
 
-    def get(self, key: str) -> bytes:
-        self._admit("get")
-        return self._inner.get(key)
-
-    def put(self, key: str, value: bytes) -> None:
-        self._admit("put")
-        self._inner.put(key, value)
-
-    def delete(self, key: str) -> None:
-        self._admit("delete")
-        self._inner.delete(key)
-
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         self._admit("multi_get", len(keys))
         return self._inner.multi_get(keys)
@@ -248,10 +184,6 @@ class FaultyStorage(PassthroughStore):
         items = list(items)
         self._admit("multi_put", len(items))
         self._inner.multi_put(items)
-
-    def multi_delete(self, keys: Sequence[str]) -> None:
-        self._admit("multi_delete", len(keys))
-        self._inner.multi_delete(keys)
 
     def commit_round(self, deletes: Sequence[str],
                      puts: Sequence[tuple[str, bytes]]) -> None:

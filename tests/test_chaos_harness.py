@@ -15,6 +15,7 @@ from repro.errors import (
     ConnectionDroppedError,
     is_retryable,
 )
+from repro.storage import PassthroughStore
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.testing import (
@@ -23,7 +24,6 @@ from repro.testing import (
     FaultPlan,
     FaultyStorage,
     InjectedFault,
-    PassthroughStore,
     generate_episode,
     shrink_episode,
 )
@@ -72,7 +72,7 @@ def _loaded_store() -> RedisSim:
 class TestFaultyStorage:
     def test_passthrough_without_faults(self):
         faulty = FaultyStorage(_loaded_store(), FaultPlan())
-        assert faulty.get("k3") == b"v3"
+        assert faulty.multi_get(["k3"]) == [b"v3"]
         assert faulty.multi_get(["k1", "k2"]) == [b"v1", b"v2"]
         assert "k5" in faulty and len(faulty) == 10
         assert faulty.injected == {}
@@ -81,7 +81,7 @@ class TestFaultyStorage:
     def test_each_kind_raises_injected(self, kind):
         faulty = FaultyStorage(_loaded_store(), FaultPlan(faults={0: kind}))
         with pytest.raises(InjectedFault) as info:
-            faulty.get("k0")
+            faulty.multi_get(["k0"])
         # Transport-level faults are retryable; a partial reply is a
         # protocol break — blind resend is unsafe, recovery goes through
         # failover-replay instead (which handles all four uniformly).
@@ -91,7 +91,7 @@ class TestFaultyStorage:
         # drop, on the re-opened connection).
         if kind == "drop":
             faulty.reconnect()
-        assert faulty.get("k0") == b"v0"
+        assert faulty.multi_get(["k0"]) == [b"v0"]
 
     def test_faulted_op_never_reaches_inner(self):
         recorder = RecordingStore(_loaded_store())
@@ -126,9 +126,9 @@ class TestFaultyStorage:
 
     def test_drop_is_sticky_until_reconnect(self):
         faulty = FaultyStorage(_loaded_store(), FaultPlan(faults={1: "drop"}))
-        assert faulty.get("k0") == b"v0"
+        assert faulty.multi_get(["k0"]) == [b"v0"]
         with pytest.raises(ConnectionDroppedError):
-            faulty.get("k1")
+            faulty.multi_get(["k1"])
         assert not faulty.connected
         # Every operation fails while down, without consuming plan indices
         # and without counting as a planned fault; introspection still
@@ -143,7 +143,7 @@ class TestFaultyStorage:
         assert "k1" in faulty and len(faulty) == 10
         faulty.reconnect()
         assert faulty.connected
-        assert faulty.get("k1") == b"v1"
+        assert faulty.multi_get(["k1"]) == [b"v1"]
         assert faulty.ops == ops_before + 1
 
     def test_non_drop_faults_do_not_stick(self):
@@ -151,17 +151,17 @@ class TestFaultyStorage:
                                FaultPlan(faults={0: "timeout", 1: "error"}))
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                faulty.get("k0")
+                faulty.multi_get(["k0"])
             assert faulty.connected
-        assert faulty.get("k0") == b"v0"
+        assert faulty.multi_get(["k0"]) == [b"v0"]
         assert faulty.injected == {"timeout": 1, "error": 1}
 
     def test_reconnect_on_a_live_connection_changes_nothing(self):
         faulty = FaultyStorage(_loaded_store(), FaultPlan(faults={1: "drop"}))
         faulty.reconnect()
-        assert faulty.get("k0") == b"v0"
+        assert faulty.multi_get(["k0"]) == [b"v0"]
         with pytest.raises(ConnectionDroppedError):
-            faulty.get("k0")
+            faulty.multi_get(["k0"])
         assert faulty.ops == 2 and faulty.injected == {"drop": 1}
 
 

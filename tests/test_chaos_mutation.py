@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.testing import generate_episode, run_episode, shrink_episode
-from repro.testing.faults import PassthroughStore
+from repro.storage import PassthroughStore
 
 
 class DropFirstWrite(PassthroughStore):

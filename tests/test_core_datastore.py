@@ -13,7 +13,7 @@ from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
 from repro.obs import capture
 from repro.storage.redis_sim import RedisSim
-from repro.testing.faults import PassthroughStore
+from repro.storage import PassthroughStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 

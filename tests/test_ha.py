@@ -15,7 +15,7 @@ from repro.errors import (BackendUnavailableError, ConfigurationError,
 from repro.ha import ReplicatedProxy, capture_proxy, restore_proxy
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
-from repro.testing.faults import PassthroughStore
+from repro.storage import PassthroughStore
 from repro.workloads.trace import Operation
 from tests.conftest import make_items
 

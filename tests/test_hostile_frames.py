@@ -26,6 +26,7 @@ from repro.net.protocol import (
     read_frame,
 )
 from repro.serve import AsyncFrontend, AsyncServeClient, MaxWaitPolicy, ServeServer
+from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.workloads.ycsb import key_name
 
@@ -130,17 +131,17 @@ def test_storage_server_drops_only_the_hostile_peer(name):
     backend = RedisSim()
     with StorageServer(backend) as server:
         with RemoteStore(server.address) as bystander:
-            bystander.put("before", b"1")
+            bystander.multi_put([("before", b"1")])
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(HOSTILE[name])
                 _expect_rejection(sock)
             # Nothing reached the backend, and the other connection (and
             # new ones) are still served.
             assert len(backend) == 1
-            assert bystander.get("before") == b"1"
-            bystander.put("after", b"2")
+            assert bystander.multi_get(["before"]) == [b"1"]
+            bystander.multi_put([("after", b"2")])
         with RemoteStore(server.address) as fresh:
-            assert fresh.get("after") == b"2"
+            assert fresh.multi_get(["after"]) == [b"2"]
 
 
 @pytest.mark.parametrize("command", sorted(ROUND_MESSAGES))
@@ -183,35 +184,54 @@ def test_malformed_commit_is_a_wire_error_and_applies_nothing(request_,
     _assert_refused_whole(request_, complaint)
 
 
+@pytest.mark.parametrize("request_", [
+    ["MGET", 7],
+    ["MGET", b"old"],
+    ["MGET", ["old"]],
+    ["MGET", None],
+    ["MGET", "old", 7],
+], ids=["int-id", "bytes-id", "nested-list", "nil-id", "str-then-int"])
+def test_malformed_mget_is_a_wire_error_and_reads_nothing(request_):
+    """``MGET`` is checked the way ``COMMIT`` is: an id that is not a
+    ``str`` is refused before the backend sees any id of the batch."""
+    _assert_refused_whole(request_, "MGET takes str ids")
+
+
 @pytest.mark.parametrize("request_, complaint", [
-    (["SET", "k", 10**8], "SET takes str, bytes"),
-    (["SET", 7, b"v"], "SET takes str, bytes"),
-    (["SET", "k", "v"], "SET takes str, bytes"),
-    (["SET", "k"], "SET takes str, bytes"),
-    (["SET", "k", b"v", b"w"], "SET takes str, bytes"),
-    (["GET", 7], "GET takes str"),
-    (["GET"], "GET takes str"),
-    (["DEL", None], "DEL takes str"),
+    (["SET", "k", 10**8], "unknown command 'SET'"),
+    (["SET", 7, b"v"], "unknown command 'SET'"),
+    (["SET", "k", "v"], "unknown command 'SET'"),
+    (["SET", "k"], "unknown command 'SET'"),
+    (["SET", "k", b"v", b"w"], "unknown command 'SET'"),
+    (["GET", 7], "unknown command 'GET'"),
+    (["GET"], "unknown command 'GET'"),
+    (["DEL", None], "unknown command 'DEL'"),
+    (["SET", "k", b"v"], "unknown command 'SET'"),
+    (["GET", "old"], "unknown command 'GET'"),
+    (["DEL", "old"], "unknown command 'DEL'"),
     (["EXISTS", b"old"], "EXISTS takes str"),
     (["DBSIZE", "old"], "DBSIZE takes no arguments"),
     (["FLUSHALL"], "unknown command 'FLUSHALL'"),
     ([7, "old"], "unknown command 7"),
 ], ids=["set-int-value", "set-int-key", "set-str-value", "set-no-value",
         "set-extra-value", "get-int-key", "get-no-key", "del-nil-key",
+        "set-well-formed", "get-well-formed", "del-well-formed",
         "exists-bytes-key", "dbsize-argument", "unknown-command",
         "int-command"])
 def test_malformed_single_command_is_a_wire_error_and_applies_nothing(
         request_, complaint):
-    """The single commands are checked the way ``COMMIT`` is: a 17-byte
-    ``SET`` of an int value must not make the server allocate that many
-    bytes, and a non-``str`` key must not reach the dictionary."""
+    """The server takes MGET, COMMIT, EXISTS and DBSIZE.  Single-key
+    GET / SET / DEL are not storage commands, however well formed, and
+    EXISTS / DBSIZE are checked the way ``COMMIT`` is: a non-``str`` key
+    must not reach the dictionary."""
     _assert_refused_whole(request_, complaint)
 
 
 def _assert_refused_whole(request_, complaint):
     backend = RedisSim()
-    backend.put("old", b"1")
-    with StorageServer(backend) as server:
+    backend.multi_put([("old", b"1")])
+    recorder = RecordingStore(backend)
+    with StorageServer(recorder) as server:
         with RemoteStore(server.address) as bystander, \
                 socket.create_connection(server.address, timeout=5) as sock:
             sock.sendall(_framed(encode_message(request_)))
@@ -220,6 +240,7 @@ def _assert_refused_whole(request_, complaint):
             assert reply.message.startswith("ProtocolError:")
             assert complaint in reply.message
             assert backend._data == {"old": b"1"}
+            assert recorder.records == []  # no id reached the backend
             # Still in step on the same connection, and next to it.
             sock.sendall(_framed(encode_message(
                 ["COMMIT", ["old"], ["new"], [b"v"]])))

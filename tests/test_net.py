@@ -30,7 +30,7 @@ class TestProtocolEncoding:
         -(2**40),
         2**40,
         [],
-        ["GET", "key"],
+        ["EXISTS", "key"],
         ["MGET", "id-1", "id-2"],
         ["COMMIT", ["old"], ["new-1", "new-2"], [b"v1", b""]],
         ["COMMIT", [], ["new"], [bytearray(b"v")]],
@@ -93,36 +93,37 @@ def remote(server):
 
 class TestRemoteStore:
     def test_put_get_delete(self, remote):
-        remote.put("k", b"v")
-        assert remote.get("k") == b"v"
+        remote.multi_put([("k", b"v")])
+        assert remote.multi_get(["k"]) == [b"v"]
         assert "k" in remote
         assert len(remote) == 1
-        remote.delete("k")
+        remote.commit_round(["k"], [])
         assert "k" not in remote
 
     def test_missing_key_error_propagates(self, remote):
         with pytest.raises(KeyNotFoundError):
-            remote.get("ghost")
+            remote.multi_get(["ghost"])
 
     def test_write_once_error_propagates(self):
         with StorageServer(RedisSim(write_once=True)) as server:
             with RemoteStore(server.address) as remote:
-                remote.put("k", b"v")
+                remote.multi_put([("k", b"v")])
                 with pytest.raises(DuplicateKeyError):
-                    remote.put("k", b"v2")
+                    remote.multi_put([("k", b"v2")])
 
     def test_pipelined_batches(self, remote):
         items = [(f"k{i}", b"v%d" % i) for i in range(50)]
         remote.multi_put(items)
         assert remote.multi_get([k for k, _ in items]) == \
             [v for _, v in items]
-        remote.multi_delete([k for k, _ in items])
+        remote.commit_round([k for k, _ in items], [])
         assert len(remote) == 0
 
     def test_empty_batches(self, remote):
         assert remote.multi_get([]) == []
         remote.multi_put([])
-        remote.multi_delete([])
+        remote.commit_round([], [])
+        remote.flush()
 
     def test_large_load_is_split_below_the_frame_cap(self, server, remote,
                                                      monkeypatch):
@@ -180,14 +181,14 @@ class TestRemoteStore:
 
     def test_binary_safety(self, remote):
         payload = bytes(range(256)) * 4
-        remote.put("bin", payload)
-        assert remote.get("bin") == payload
+        remote.multi_put([("bin", payload)])
+        assert remote.multi_get(["bin"]) == [payload]
 
     def test_two_clients_share_state(self, server):
         with RemoteStore(server.address) as a, \
                 RemoteStore(server.address) as b:
-            a.put("shared", b"from-a")
-            assert b.get("shared") == b"from-a"
+            a.multi_put([("shared", b"from-a")])
+            assert b.multi_get(["shared"]) == [b"from-a"]
 
     def test_finished_connection_threads_are_forgotten(self, server):
         """A long-lived server keeps one thread per *live* connection, not
@@ -197,7 +198,7 @@ class TestRemoteStore:
         with RemoteStore(server.address) as held:
             for i in range(50):
                 with RemoteStore(server.address) as remote:
-                    remote.put(f"k{i}", b"v")
+                    remote.multi_put([(f"k{i}", b"v")])
             # Each serving thread notices its peer's close on its own time.
             deadline = time.monotonic() + 5
             while len(server._threads) > 1 and time.monotonic() < deadline:
@@ -219,26 +220,26 @@ class TestBrokenConnectionStaysBroken:
         gate = threading.Event()
 
         class SlowOnA(RedisSim):
-            def get(self, key):
-                if key == "a":
+            def multi_get(self, keys):
+                if "a" in keys:
                     gate.wait(5)
-                return super().get(key)
+                return super().multi_get(keys)
 
         backend = SlowOnA()
         backend.multi_put([("a", b"value-of-a"), ("b", b"value-of-b")])
         with StorageServer(backend) as server:
             with RemoteStore(server.address, timeout_s=0.1) as remote:
                 with pytest.raises(StorageTimeoutError):
-                    remote.get("a")
+                    remote.multi_get(["a"])
                 gate.set()
                 time.sleep(0.3)  # the late reply is on its way
                 with pytest.raises(ConnectionDroppedError):
-                    remote.get("b")
+                    remote.multi_get(["b"])
                 with pytest.raises(ConnectionDroppedError):
                     remote.multi_get(["a", "b"])
             with RemoteStore(server.address) as fresh:
-                assert fresh.get("b") == b"value-of-b"
-                assert fresh.get("a") == b"value-of-a"
+                assert fresh.multi_get(["b"]) == [b"value-of-b"]
+                assert fresh.multi_get(["a"]) == [b"value-of-a"]
 
     def test_undecodable_reply_closes_the_connection(self):
         """A reply the decoder refuses, from a peer that would go on to
@@ -263,9 +264,9 @@ class TestBrokenConnectionStaysBroken:
         try:
             with RemoteStore(listener.getsockname()) as remote:
                 with pytest.raises(ProtocolError):
-                    remote.get("a")
+                    remote.multi_get(["a"])
                 with pytest.raises(ConnectionDroppedError):
-                    remote.get("a")
+                    remote.multi_get(["a"])
         finally:
             thread.join(5)
             listener.close()
@@ -386,7 +387,7 @@ class TestDeferredAcknowledgement:
             remote.commit_round(["a"], [("b", b"1")])
             with pytest.raises(ConnectionDroppedError):
                 remote.multi_get(["b"])
-            for later_call in (remote.flush, lambda: remote.get("b"),
+            for later_call in (remote.flush, lambda: remote.multi_get(["b"]),
                                lambda: remote.commit_round(["b"], [])):
                 with pytest.raises(ConnectionDroppedError):
                     later_call()
@@ -405,15 +406,17 @@ class TestDeferredAcknowledgement:
             with RemoteStore(server.address, timeout_s=0.1) as remote:
                 remote.commit_round(["a"], [("c", b"value-of-c")])
                 with pytest.raises(StorageTimeoutError):
-                    remote.get("b")
+                    remote.multi_get(["b"])
                 backend.release.set()
                 time.sleep(0.3)  # the late ack (an int) is on its way
-                for later_call in (lambda: remote.get("b"), remote.flush):
+                for later_call in (lambda: remote.multi_get(["b"]),
+                                   remote.flush):
                     with pytest.raises(ConnectionDroppedError):
                         later_call()
             with RemoteStore(server.address, timeout_s=5) as fresh:
-                assert fresh.get("b") == b"value-of-b"
-                assert fresh.get("c") == b"value-of-c" and "a" not in fresh
+                assert fresh.multi_get(["b", "c"]) == \
+                    [b"value-of-b", b"value-of-c"]
+                assert "a" not in fresh
 
     def test_a_second_commit_leaves_only_after_the_first_ack(self):
         """At most one acknowledgement is ever outstanding, so on the wire
@@ -460,9 +463,9 @@ class TestDeferredAcknowledgement:
                 RemoteStore(address, timeout_s=5) as remote:
             remote.commit_round(["a"], [("b", b"1")])
             with pytest.raises(ProtocolError, match="acknowledged"):
-                remote.get("b")
+                remote.multi_get(["b"])
             with pytest.raises(ConnectionDroppedError):
-                remote.get("b")
+                remote.multi_get(["b"])
         assert not got_more
 
 
@@ -576,7 +579,7 @@ class TestStreamedLoad:
         several frames is not atomic — frame 1 stays."""
         load = self.five_frames()
         backing = RedisSim(write_once=True)
-        backing.put(load[20][0], b"taken")
+        backing.multi_put([(load[20][0], b"taken")])
         with StorageServer(backing) as server, \
                 RemoteStore(server.address, timeout_s=5) as remote:
             wire = SentFrames(remote)
@@ -584,7 +587,7 @@ class TestStreamedLoad:
                 remote.multi_put(iter(load))
             assert len(wire.sent) == 2
             assert len(remote) == 16 + 1
-            assert backing.get(load[20][0]) == b"taken"
+            assert backing.multi_get([load[20][0]]) == [b"taken"]
             assert backing.multi_get([key for key, _ in load[:16]]) == \
                 [value for _, value in load[:16]]
 
@@ -672,7 +675,7 @@ class TestCheckpointAndRecoveryOverTheWire:
             blob = capture_proxy(proxy)
             for index, batch in enumerate(batches):
                 if index == k:
-                    backing.put(squatted.storage_id, b"squatter")
+                    backing.multi_put([(squatted.storage_id, b"squatter")])
                 for attempt in range(2):
                     start = len(server_side.records)
                     responses = proxy.handle_batch(batch)
@@ -696,7 +699,7 @@ class TestCheckpointAndRecoveryOverTheWire:
                         proxy.handle_batch(batch)
                     len(remote)
                     assert len(server_side.records) == sent
-                    backing.delete(squatted.storage_id)
+                    backing.commit_round([squatted.storage_id], ())
                     remote.close()
                     remote = RemoteStore(server.address, timeout_s=5)
                     proxy = restore_proxy(blob, remote)

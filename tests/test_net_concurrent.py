@@ -20,8 +20,9 @@ class TestConcurrentClients:
                     with RemoteStore(server.address) as store:
                         for step in range(30):
                             key = f"t{thread_id}-k{step}"
-                            store.put(key, b"%d:%d" % (thread_id, step))
-                            if store.get(key) != b"%d:%d" % (thread_id, step):
+                            value = b"%d:%d" % (thread_id, step)
+                            store.multi_put([(key, value)])
+                            if store.multi_get([key]) != [value]:
                                 errors.append(f"{key} mismatch")
                 except Exception as error:  # noqa: BLE001
                     errors.append(repr(error))
@@ -45,8 +46,8 @@ class TestConcurrentClients:
                 def worker(thread_id: int) -> None:
                     for step in range(25):
                         key = f"s{thread_id}-{step}"
-                        store.put(key, b"x%d" % step)
-                        if store.get(key) != b"x%d" % step:
+                        store.multi_put([(key, b"x%d" % step)])
+                        if store.multi_get([key]) != [b"x%d" % step]:
                             errors.append(key)
 
                 threads = [threading.Thread(target=worker, args=(i,))

@@ -101,9 +101,9 @@ class TestProxyInstrumentation:
 
         with obs.capture() as handle:
             store = RecordingStore(RedisSim())
-            store.put("a", b"1")
-            store.get("a")
-            store.delete("a")
+            store.multi_put([("a", b"1")])
+            store.multi_get(["a"])
+            store.commit_round(["a"], ())
         events = handle.tracer.events("storage.access")
         assert [e["attrs"]["op"] for e in events] == \
             ["write", "read", "delete"]

@@ -9,6 +9,7 @@ import pytest
 from repro.baselines.pancake import PancakeProxy
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.storage import PassthroughStore
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation, TraceRequest
@@ -150,3 +151,20 @@ class TestSmoothingBehaviour:
         proxy.submit(TraceRequest(Operation.READ, keys[0]))
         proxy.process_batch()
         assert proxy.stats.server_reads == proxy.stats.server_writes
+
+
+class TestRounds:
+    def test_a_recorder_behind_a_wrapper_counts_every_batch(self):
+        """The round boundary reaches the recorder through whatever is
+        stacked above it: k batches record rounds 1..k, in order, after
+        the load's round 0."""
+        recorder = RecordingStore(RedisSim())
+        proxy, _, _ = build(n=20, batch_size=10, seed=10,
+                            store=PassthroughStore(recorder))
+        loaded = len(recorder.records)
+        for _ in range(4):
+            proxy.process_batch()
+        rounds = [r.round for r in recorder.records]
+        assert set(rounds[:loaded]) == {0}
+        assert sorted(set(rounds[loaded:])) == [1, 2, 3, 4]
+        assert rounds[loaded:] == sorted(rounds[loaded:])

@@ -41,7 +41,7 @@ from repro.serve import (
 )
 from repro.serve import frontend as frontend_module
 from repro.sim.clock import SimClock
-from repro.testing.faults import PassthroughStore
+from repro.storage import PassthroughStore
 from repro.testing.identity import trace_digest
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name

@@ -11,7 +11,7 @@ from repro.storage.base import StorageBackend
 @pytest.fixture(params=["redis", "redis-tcp"])
 def store(request):
     """A fresh RedisSim, in process and as seen through a StorageServer
-    (whose single commands go through the same backend methods)."""
+    (whose commands go through the same backend methods)."""
     from repro.net import RemoteStore, StorageServer
 
     if request.param == "redis":
@@ -26,33 +26,34 @@ class TestBackendContract:
     """Behaviour every backend must share."""
 
     def test_put_get_delete(self, store):
-        store.put("k", b"v")
-        assert store.get("k") == b"v"
+        store.multi_put([("k", b"v")])
+        assert store.multi_get(["k"]) == [b"v"]
         assert "k" in store
         assert len(store) == 1
-        store.delete("k")
+        store.commit_round(["k"], ())
         assert "k" not in store
         assert len(store) == 0
 
     def test_get_missing_raises(self, store):
         with pytest.raises(KeyNotFoundError):
-            store.get("missing")
+            store.multi_get(["missing"])
 
     def test_delete_missing_raises(self, store):
         with pytest.raises(KeyNotFoundError):
-            store.delete("missing")
+            store.commit_round(["missing"], ())
+            store.flush()  # over TCP the refusal arrives with the ack
 
     def test_overwrite_allowed_by_default(self, store):
-        store.put("k", b"v1")
-        store.put("k", b"v2")
-        assert store.get("k") == b"v2"
+        store.multi_put([("k", b"v1")])
+        store.multi_put([("k", b"v2")])
+        assert store.multi_get(["k"]) == [b"v2"]
 
     def test_multi_operations_roundtrip(self, store):
         items = [(f"k{i}", b"v%d" % i) for i in range(20)]
         store.multi_put(items)
         keys = [key for key, _ in items]
         assert store.multi_get(keys) == [value for _, value in items]
-        store.multi_delete(keys[:10])
+        store.commit_round(keys[:10], ())
         assert len(store) == 10
 
 
@@ -63,10 +64,8 @@ class TestTheBatchedCallsAreTheContract:
 
         class NoRoundCommit(StorageBackend):
             # Everything RedisSim states, except the round commit.
-            get, put, delete = RedisSim.get, RedisSim.put, RedisSim.delete
             __contains__, __len__ = RedisSim.__contains__, RedisSim.__len__
             multi_get, multi_put = RedisSim.multi_get, RedisSim.multi_put
-            multi_delete = RedisSim.multi_delete
 
         with pytest.raises(TypeError, match="commit_round"):
             NoRoundCommit()
@@ -82,17 +81,17 @@ class TestWriteOnceMode:
         with StorageServer(backing) as server, \
                 RemoteStore(server.address) as remote:
             store = remote if wire else backing
-            store.put("k", b"v")
+            store.multi_put([("k", b"v")])
             with pytest.raises(DuplicateKeyError):
-                store.put("k", b"v2")
-            assert backing.get("k") == b"v"
+                store.multi_put([("k", b"v2")])
+            assert backing.multi_get(["k"]) == [b"v"]
 
     def test_rewrite_allowed_after_delete(self):
         store = RedisSim(write_once=True)
-        store.put("k", b"v")
-        store.delete("k")
-        store.put("k", b"v2")  # a fresh id lifecycle
-        assert store.get("k") == b"v2"
+        store.multi_put([("k", b"v")])
+        store.commit_round(["k"], ())
+        store.multi_put([("k", b"v2")])  # a fresh id lifecycle
+        assert store.multi_get(["k"]) == [b"v2"]
 
 
 class TestRedisCommands:
@@ -106,10 +105,10 @@ class TestRedisCommands:
 
         redis = RedisSim()
         with obs.capture() as handle:
-            redis.put("a", b"1")
-            assert redis.get("a") == b"1"
+            redis.multi_put([("a", b"1")])
+            assert redis.multi_get(["a"]) == [b"1"]
             assert "a" in redis and len(redis) == 1
-            redis.delete("a")
+            redis.commit_round(["a"], ())
         counters = handle.registry.snapshot()["counters"]
         assert {command: counters[self.name % command]
                 for command in ("SET", "GET", "EXISTS", "DBSIZE", "DEL")} \
@@ -123,7 +122,7 @@ class TestRedisCommands:
             redis.multi_put([("a", b"1"), ("b", b"2"), ("c", b"3")])
             assert redis.multi_get(["a", "b"]) == [b"1", b"2"]
             redis.commit_round(["a", "b"], [("d", b"4")])
-            redis.multi_delete(["c"])
+            redis.commit_round(["c"], ())
         counters = handle.registry.snapshot()["counters"]
         assert {command: counters[self.name % command]
                 for command in ("SET", "GET", "DEL")} == \
@@ -184,7 +183,7 @@ class TestRefusedCommit:
         with pytest.raises(DuplicateKeyError):
             redis.multi_put([("c", b"3"), ("a", b"x")])
         with pytest.raises(KeyNotFoundError):
-            redis.multi_delete(["a", "ghost"])
+            redis.commit_round(["a", "ghost"], ())
         assert len(redis) == 2
         assert redis.multi_get(["a", "b"]) == [b"1", b"2"]
 
@@ -192,9 +191,9 @@ class TestRefusedCommit:
 class TestRecordingStore:
     def test_records_every_access(self):
         recorder = RecordingStore(RedisSim())
-        recorder.put("a", b"1")
-        recorder.get("a")
-        recorder.delete("a")
+        recorder.multi_put([("a", b"1")])
+        recorder.multi_get(["a"])
+        recorder.commit_round(["a"], ())
         assert [(r.op, r.storage_id) for r in recorder.records] == [
             ("write", "a"), ("read", "a"), ("delete", "a"),
         ]
@@ -210,7 +209,7 @@ class TestRecordingStore:
             def multi_put(self, items):
                 for key, value in items:
                     seen_by_the_backend.append((key, len(recorder.records)))
-                    self.put(key, value)
+                    super().multi_put([(key, value)])
 
         load = [(f"id{i:03d}", b"v%d" % i) for i in range(40)]
         unrecorded = RedisSim()
@@ -224,9 +223,9 @@ class TestRecordingStore:
 
     def test_rounds_advance(self):
         recorder = RecordingStore(RedisSim())
-        recorder.put("a", b"1")
+        recorder.multi_put([("a", b"1")])
         recorder.next_round()
-        recorder.get("a")
+        recorder.multi_get(["a"])
         assert recorder.records[0].round == 0
         assert recorder.records[1].round == 1
 
@@ -236,27 +235,18 @@ class TestRecordingStore:
         recorder.multi_get(["a", "b"])
         assert [r.seq for r in recorder.records] == [0, 1, 2, 3]
 
-    def test_disable_recording(self):
-        recorder = RecordingStore(RedisSim())
-        recorder.enabled = False
-        recorder.put("a", b"1")
-        assert recorder.records == []
-        recorder.enabled = True
-        recorder.get("a")
-        assert len(recorder.records) == 1
-
     def test_clear_records_keeps_counters(self):
         recorder = RecordingStore(RedisSim())
-        recorder.put("a", b"1")
+        recorder.multi_put([("a", b"1")])
         recorder.next_round()
         recorder.clear_records()
-        recorder.get("a")
+        recorder.multi_get(["a"])
         assert recorder.records[0].round == 1
         assert recorder.records[0].seq == 1
 
     def test_contains_and_len_do_not_record(self):
         recorder = RecordingStore(RedisSim())
-        recorder.put("a", b"1")
+        recorder.multi_put([("a", b"1")])
         _ = "a" in recorder
         _ = len(recorder)
         assert len(recorder.records) == 1
@@ -274,21 +264,21 @@ class TestStorageHypothesis:
         model: dict[str, bytes] = {}
         for op, key, value in operations:
             if op == "put":
-                store.put(key, value)
+                store.multi_put([(key, value)])
                 model[key] = value
             elif op == "get":
                 if key in model:
-                    assert store.get(key) == model[key]
+                    assert store.multi_get([key]) == [model[key]]
                 else:
                     with pytest.raises(KeyNotFoundError):
-                        store.get(key)
+                        store.multi_get([key])
             else:
                 if key in model:
-                    store.delete(key)
+                    store.commit_round([key], ())
                     del model[key]
                 else:
                     with pytest.raises(KeyNotFoundError):
-                        store.delete(key)
+                        store.commit_round([key], ())
         assert len(store) == len(model)
         if model:
             keys = sorted(model)
