@@ -17,7 +17,6 @@ from repro.bench.harness import (
     run_pancake,
     run_taostore,
     run_waffle,
-    run_waffle_with_inserts,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "run_pancake",
     "run_taostore",
     "run_waffle",
-    "run_waffle_with_inserts",
 ]

@@ -12,68 +12,18 @@ from repro.analysis.leakage import LeakageSummary, leakage_summary
 from repro.analysis.timing import timing_attack_benchmark
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
-from repro.bench.harness import run_waffle, run_waffle_with_inserts
+from repro.bench.harness import run_waffle
 from repro.bench.reporting import format_table
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.ha import capture_proxy
-from repro.sim.closedloop import simulate_closed_loop
 from repro.sim.costmodel import CostModel
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.testing.oracle import check_timing_channel
 from repro.workloads import ycsb
-
-
-def latency_closedloop(n: int = 2**13, rounds: int = 30) -> list[dict]:
-    """Latency percentiles under closed-loop load (the paper reports means).
-
-    Waffle's round time comes from a real protocol run (cost model); the
-    queueing simulator then drives client populations of 2 .. 16·R
-    through it.  Under saturation latency grows with the population
-    (batches queue); under light load the round timeout dominates —
-    what an operator sizing R against their offered load needs to see.
-    """
-    config = WaffleConfig.paper_defaults(n=n, seed=3)
-    workload = ycsb.workload_c(n, seed=5, value_size=1000)
-    items = dict(workload.initial_records())
-    cost = CostModel(cores=4)
-    measurement, _ = run_waffle(config, items,
-                                workload.trace(config.r * rounds), cost)
-    round_time = measurement.sim_seconds / measurement.rounds
-
-    rows = []
-    for clients in (2, config.r, 4 * config.r, 16 * config.r):
-        result = simulate_closed_loop(
-            round_time_s=round_time, batch_capacity=config.r,
-            clients=clients, duration_s=20.0,
-            think_time_s=round_time / 2, exponential_think=True, seed=17,
-        )
-        rows.append({
-            "clients": clients,
-            "throughput_ops": result.throughput_ops,
-            "p50_ms": result.latency.p50 * 1e3,
-            "p95_ms": result.latency.p95 * 1e3,
-            "p99_ms": result.latency.p99 * 1e3,
-            "timeout_dispatches": result.timeout_dispatches,
-        })
-    return rows
-
-
-def check_latency_closedloop(rows: list[dict]) -> None:
-    by = {row["clients"]: row for row in rows}
-    populations = sorted(by)
-    # Throughput saturates; tail latency keeps growing with queueing.
-    assert by[populations[-1]]["p99_ms"] > by[populations[1]]["p99_ms"]
-    assert by[populations[-1]]["throughput_ops"] == \
-        max(row["throughput_ops"] for row in rows)
-    # Underload (2 clients < R) is served via timeout dispatches.
-    assert by[2]["timeout_dispatches"] > 0
-    # Percentile sanity.
-    for row in rows:
-        assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
 
 
 def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:
@@ -224,7 +174,7 @@ def workload_d(n: int = 2**12, rounds: int = 150) -> list[dict]:
     measurement, _ = run_waffle(config, dict(base.initial_records()),
                                 base.trace(config.r * rounds), cost)
     latest = ycsb.workload_d(n, seed=5, value_size=200)
-    measurement_d, _ = run_waffle_with_inserts(
+    measurement_d, _ = run_waffle(
         config, dict(latest.initial_records()),
         latest.trace(config.r * rounds), cost)
     return [

@@ -1033,11 +1033,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         _check_low_security),
     "ablation-fake-policy": Experiment(
         ablation_fake_policy, _render_fake_policy, _check_fake_policy),
-    "latency-closedloop": Experiment(
-        ablations.latency_closedloop,
-        titled_table("Closed-loop latency percentiles (N={n}, round time "
-                     "from the calibrated cost model)"),
-        ablations.check_latency_closedloop),
     "leakage-profile": Experiment(
         ablations.leakage_profile,
         titled_table("Leakage profile (N={n}, Zipf 0.99, {requests} "

@@ -24,14 +24,13 @@ Latency models (documented here once; EXPERIMENTS.md discusses fidelity):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from numpy.typing import ArrayLike
 
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
 from repro.baselines.taostore import TaoStore
-from repro.core.batch import request_from_trace
+from repro.core.batch import ClientRequest, request_from_trace
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
 from repro.core.proxy import RoundStats
@@ -39,7 +38,7 @@ from repro.crypto.keys import KeyChain
 from repro.sim.costmodel import CostModel
 from repro.storage.base import StorageBackend
 from repro.storage.redis_sim import RedisSim
-from repro.workloads.trace import TraceRequest
+from repro.workloads.trace import Operation, TraceRequest
 
 __all__ = [
     "Measurement",
@@ -66,12 +65,6 @@ class Measurement:
     def describe(self) -> str:
         return (f"{self.system}: {self.throughput_ops:,.0f} ops/s, "
                 f"{self.latency_s * 1e3:.3f} ms")
-
-
-def _chunks(trace: list[TraceRequest], size: int
-            ) -> Iterator[list[TraceRequest]]:
-    for start in range(0, len(trace), size):
-        yield trace[start: start + size]
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +104,14 @@ def run_waffle(config: WaffleConfig, items: dict[str, bytes],
                log_ids: bool = False,
                datastore: WaffleDatastore | None = None,
                ) -> tuple[Measurement, WaffleDatastore]:
-    """Run ``trace`` through Waffle in R-request batches."""
+    """Run ``trace`` through Waffle in R-request batches.
+
+    An INSERT goes through the dummy-swap mutation path (§6.2, YCSB
+    workload D) and counts as served; a request on a key whose insert is
+    still queued first runs empty rounds until the insert lands.  Once
+    the dummy budget is spent an INSERT is dropped, and so is every later
+    request on its key: none of them is served or counted.
+    """
     if datastore is None:
         keychain = keychain if keychain is not None else KeyChain.from_seed(
             config.seed if config.seed is not None else 0
@@ -122,93 +122,56 @@ def run_waffle(config: WaffleConfig, items: dict[str, bytes],
     served = 0
     rounds = 0
     latency_acc = 0.0
-    for chunk in _chunks(trace, config.r):
-        requests = [request_from_trace(req) for req in chunk]
+    proxy = datastore.proxy
+
+    def run_round(requests: list[ClientRequest]) -> None:
+        nonlocal sim_seconds, served, rounds, latency_acc
         datastore.execute_batch(requests)
-        stats = datastore.proxy.last_stats
-        round_time = waffle_round_time(stats, config, cost)
+        round_time = waffle_round_time(proxy.last_stats, config, cost)
         sim_seconds += round_time
-        served += len(chunk)
+        served += len(requests)
         rounds += 1
-        latency_acc += _waffle_latency(config, round_time, len(chunk), cost)
+        latency_acc += _waffle_latency(config, round_time, len(requests),
+                                       cost)
+
+    batch: list[ClientRequest] = []
+    queued: set[str] = set()
+    dropped: set[str] = set()
+    for request in trace:
+        if request.key in dropped:
+            continue
+        if request.op is Operation.INSERT:
+            if proxy.dummy_count - proxy.mutations.pending_inserts <= 0:
+                dropped.add(request.key)
+                continue
+            datastore.insert(request.key, request.value)
+            queued.add(request.key)
+            served += 1
+            continue
+        if request.key in queued:
+            if batch:
+                run_round(batch)
+                batch = []
+            while proxy.mutations.pending_inserts:
+                run_round([])
+            queued.clear()
+        batch.append(request_from_trace(request))
+        if len(batch) == config.r:
+            run_round(batch)
+            batch = []
+    if batch:
+        run_round(batch)
     throughput = served / sim_seconds if sim_seconds else 0.0
     latency = latency_acc / rounds if rounds else 0.0
     measurement = Measurement(
         system="waffle", throughput_ops=throughput, latency_s=latency,
         requests=served, rounds=rounds, sim_seconds=sim_seconds,
         extra={
-            "cache_hit_rate": (datastore.proxy.totals.cache_hits
-                               / max(1, datastore.proxy.totals.requests)),
+            "cache_hit_rate": (proxy.totals.cache_hits
+                               / max(1, proxy.totals.requests)),
             "server_size": datastore.server_size,
-        },
-    )
-    return measurement, datastore
-
-
-def run_waffle_with_inserts(config: WaffleConfig, items: dict[str, bytes],
-                            trace: list[TraceRequest], cost: CostModel,
-                            keychain: KeyChain | None = None,
-                            record: bool = False,
-                            ) -> tuple[Measurement, WaffleDatastore]:
-    """Like :func:`run_waffle` but routes INSERT operations through the
-    dummy-swap mutation path (YCSB workload D)."""
-    from repro.workloads.trace import Operation
-
-    keychain = keychain if keychain is not None else KeyChain.from_seed(
-        config.seed if config.seed is not None else 0)
-    datastore = WaffleDatastore(config, items, record=record,
-                                keychain=keychain)
-    sim_seconds = 0.0
-    served = 0
-    rounds = 0
-    latency_acc = 0.0
-    batch: list = []
-
-    def flush_batch() -> None:
-        nonlocal sim_seconds, served, rounds, latency_acc, batch
-        if not batch:
-            return
-        datastore.execute_batch(batch)
-        stats = datastore.proxy.last_stats
-        round_time = waffle_round_time(stats, config, cost)
-        sim_seconds += round_time
-        served += len(batch)
-        rounds += 1
-        latency_acc += _waffle_latency(config, round_time, len(batch), cost)
-        batch = []
-
-    pending_inserts: set[str] = set()
-    for request in trace:
-        if request.op is Operation.INSERT:
-            if datastore.proxy.dummy_count \
-                    - datastore.proxy.mutations.pending_inserts <= 0:
-                continue  # dummy budget exhausted
-            datastore.insert(request.key, request.value)
-            pending_inserts.add(request.key)
-            served += 1
-            continue
-        if request.key in pending_inserts:
-            # Read-your-insert: queued mutations must be applied by
-            # round(s) before the key is readable.
-            flush_batch()
-            while datastore.proxy.mutations.pending_inserts:
-                datastore.execute_batch([])
-                stats = datastore.proxy.last_stats
-                sim_seconds += waffle_round_time(stats, config, cost)
-                rounds += 1
-            pending_inserts.clear()
-        batch.append(request_from_trace(request))
-        if len(batch) >= config.r:
-            flush_batch()
-    flush_batch()
-    throughput = served / sim_seconds if sim_seconds else 0.0
-    measurement = Measurement(
-        system="waffle+inserts", throughput_ops=throughput,
-        latency_s=latency_acc / rounds if rounds else 0.0,
-        requests=served, rounds=rounds, sim_seconds=sim_seconds,
-        extra={
-            "inserted": datastore.proxy.real_count - config.n,
-            "dummies_left": datastore.proxy.dummy_count,
+            "inserted": proxy.real_count - config.n,
+            "dummies_left": proxy.dummy_count,
         },
     )
     return measurement, datastore

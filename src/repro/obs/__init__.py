@@ -4,8 +4,7 @@ One dependency-free subsystem gives every layer of the repository the
 same three primitives (DESIGN.md §7):
 
 * a process-wide **metrics registry** (:mod:`repro.obs.registry`) —
-  counters, gauges and reservoir histograms, fed by wall-clock and
-  simulated-clock code alike;
+  counters, gauges and reservoir histograms of wall-clock series;
 * a **structured tracing API** (:mod:`repro.obs.trace`) — spans and
   events as JSON-lines, with live subscribers;
 * **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.dashboard`,

@@ -1,10 +1,9 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
-The registry is the numeric half of :mod:`repro.obs`.  It is deliberately
-clock-agnostic: wall-clock code observes ``time.perf_counter`` deltas and
-simulated-clock code (the cost model, :mod:`repro.sim.closedloop`) feeds
-simulated seconds into the very same histogram type — a metric is just a
-named stream of values plus low-cardinality labels.
+The registry is the numeric half of :mod:`repro.obs`.  It carries
+wall-clock series only: instrumented code observes ``time.perf_counter``
+deltas, and the simulated seconds of :mod:`repro.sim` never enter it — a
+metric is just a named stream of values plus low-cardinality labels.
 
 Design points:
 

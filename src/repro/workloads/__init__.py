@@ -21,14 +21,13 @@ from repro.workloads.ycsb import (
     workload_c,
     workload_d,
 )
-from repro.workloads.zipf import HotspotSampler, UniformSampler, ZipfSampler
+from repro.workloads.zipf import UniformSampler, ZipfSampler
 
 __all__ = [
     "Arrival",
     "ClickstreamModel",
     "CorrelatedWorkload",
     "FlashCrowdArrivals",
-    "HotspotSampler",
     "PoissonArrivals",
     "LatestWorkload",
     "Operation",

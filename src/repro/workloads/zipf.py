@@ -108,51 +108,6 @@ class ZipfSampler:
         return out
 
 
-class HotspotSampler:
-    """YCSB's hotspot distribution: a fraction of operations hits a small
-    hot subset of the key space uniformly; the rest spread over the cold
-    remainder.
-
-    Parameters
-    ----------
-    n:
-        Key-space size.
-    hot_fraction:
-        Fraction of the key space that is hot (YCSB default 0.2).
-    hot_opn_fraction:
-        Fraction of operations that target the hot set (default 0.8).
-    """
-
-    __slots__ = ("n", "hot_keys", "hot_opn_fraction", "_rng")
-
-    def __init__(self, n: int, hot_fraction: float = 0.2,
-                 hot_opn_fraction: float = 0.8,
-                 seed: int | None = None) -> None:
-        if n <= 0:
-            raise ValueError("key-space size must be positive")
-        if not 0 < hot_fraction <= 1 or not 0 <= hot_opn_fraction <= 1:
-            raise ValueError("hotspot fractions out of range")
-        self.n = n
-        self.hot_keys = max(1, int(n * hot_fraction))
-        self.hot_opn_fraction = hot_opn_fraction
-        self._rng = seeded_rng(seed)
-
-    def sample(self) -> int:
-        if self._rng.random() < self.hot_opn_fraction:
-            return self._rng.randrange(self.hot_keys)
-        if self.hot_keys >= self.n:
-            return self._rng.randrange(self.n)
-        return self._rng.randrange(self.hot_keys, self.n)
-
-    def probability(self, rank: int) -> float:
-        if not 0 <= rank < self.n:
-            raise IndexError(rank)
-        if rank < self.hot_keys:
-            return self.hot_opn_fraction / self.hot_keys
-        cold = self.n - self.hot_keys
-        return (1 - self.hot_opn_fraction) / cold if cold else 0.0
-
-
 class UniformSampler:
     """Uniform key-index sampler (Table 2's 'Uniform' input distribution)."""
 

@@ -14,8 +14,8 @@ RESULTS = ROOT / "benchmarks" / "results"
 
 IDS = ["fig2ab", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d",
        "table2", "fig4", "fig5", "fig6", "attack", "attack-frequency",
-       "low-security-leak", "ablation-fake-policy", "latency-closedloop",
-       "leakage-profile", "ha-overhead", "workload-d", "timing-attack"]
+       "low-security-leak", "ablation-fake-policy", "leakage-profile",
+       "ha-overhead", "workload-d", "timing-attack"]
 
 
 def test_ids_are_the_documented_ones_in_order():

@@ -202,22 +202,6 @@ class TestOtherLayers:
         finally:
             server.stop()
 
-    def test_closedloop_sim_metrics(self):
-        from repro.sim.closedloop import simulate_closed_loop
-
-        with obs.capture() as handle:
-            result = simulate_closed_loop(round_time_s=0.01,
-                                          batch_capacity=4, clients=8,
-                                          duration_s=1.0)
-        snap = handle.registry.snapshot()
-        counters = snap["counters"]
-        assert counters["closedloop.rounds.total{clock=sim}"] == result.rounds
-        assert counters["closedloop.requests.total{clock=sim}"] == \
-            result.requests
-        hist = snap["histograms"]["closedloop.latency.seconds{clock=sim}"]
-        assert hist["count"] == result.requests
-        assert handle.tracer.events("closedloop.done")
-
     def test_ha_checkpoint_and_failover_metrics(self):
         from repro.ha.replicated import ReplicatedProxy
 

@@ -61,6 +61,32 @@ class TestPackageSurface:
         assert repro.crypto.AuthenticatedCipher.backend_name == \
             names.DEFAULT_BACKEND == "pure"
 
+    def test_sim_surface_is_the_cost_model(self):
+        import repro.sim
+
+        assert repro.sim.__all__ == ["CostModel", "SimClock"]
+
+    @pytest.mark.parametrize("package", ["sim", "bench"])
+    def test_simulated_time_never_feeds_the_metrics_registry(self, package):
+        """The registry carries wall-clock series only: no module of
+        the figure instrument imports ``repro.obs``."""
+        import ast
+        import pathlib
+
+        root = pathlib.Path(repro.__file__).parent / package
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{alias.name}"
+                                             for alias in node.names]
+                else:
+                    continue
+                assert not any(name == "repro.obs"
+                               or name.startswith("repro.obs.")
+                               for name in names), path.name
+
     def test_serving_stack_imports_no_native_crypto_wheel(self):
         """The wheels cost resident memory in every process (the
         benchmark's ``peak_rss_mb`` bound); a fresh interpreter that

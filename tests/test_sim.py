@@ -1,10 +1,10 @@
-"""Tests for the simulated clock, cost model and metrics."""
+"""Tests for the simulated clock and the cost model."""
 
 import math
 
 import pytest
 
-from repro.sim import CostModel, LatencyRecorder, SimClock, ThroughputMeter
+from repro.sim import CostModel, SimClock
 
 
 class TestSimClock:
@@ -74,61 +74,3 @@ class TestCostModel:
     def test_aead_floor_for_tiny_values(self):
         cost = CostModel()
         assert cost.aead_s(1, 0.0) > 0
-
-
-class TestThroughputMeter:
-    def test_empty(self):
-        assert ThroughputMeter().ops_per_second() == 0.0
-
-    def test_rate(self):
-        meter = ThroughputMeter()
-        meter.record(0, now=0.0)
-        meter.record(100, now=1.0)
-        meter.record(100, now=2.0)
-        assert meter.ops_per_second() == pytest.approx(100.0)
-
-    def test_negative_ops_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter().record(-1, now=0.0)
-
-    def test_single_instant_burst_is_infinite(self):
-        """Ops completed in a zero-length window: the rate is unbounded,
-        not zero (the old behaviour hid the burst entirely)."""
-        meter = ThroughputMeter()
-        meter.record(100, now=5.0)
-        assert meter.ops_per_second() == math.inf
-        meter.record(50, now=5.0)  # still a zero-length window
-        assert meter.ops_per_second() == math.inf
-
-    def test_zero_ops_degenerate_window_is_zero(self):
-        meter = ThroughputMeter()
-        meter.record(0, now=5.0)
-        assert meter.ops_per_second() == 0.0
-
-
-class TestLatencyRecorder:
-    def test_summary_percentiles(self):
-        recorder = LatencyRecorder()
-        for value in range(1, 101):
-            recorder.record(value / 1000)
-        summary = recorder.summary()
-        assert summary.count == 100
-        assert summary.p50 == pytest.approx(0.050)
-        assert summary.p95 == pytest.approx(0.095)
-        assert summary.p99 == pytest.approx(0.099)
-        assert summary.max == pytest.approx(0.100)
-        assert summary.mean == pytest.approx(0.0505)
-
-    def test_empty_summary(self):
-        summary = LatencyRecorder().summary()
-        assert summary.count == 0
-        assert summary.mean == 0.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder().record(-0.1)
-
-    def test_latency_summary_is_exported(self):
-        from repro.sim import LatencySummary
-
-        assert type(LatencyRecorder().summary()) is LatencySummary

@@ -1,38 +1,18 @@
-"""Tests for YCSB workload D (read-latest + inserts) and HotspotSampler."""
+"""Tests for YCSB workload D (read-latest + inserts)."""
 
 from collections import Counter
 
 import pytest
 
 from repro.analysis.uniformity import verify_storage_invariants
-from repro.bench.harness import run_waffle_with_inserts
+from repro.bench.ablations import check_workload_d
+from repro.bench.ablations import workload_d as run_workload_d
+from repro.bench.harness import run_waffle
 from repro.core.config import WaffleConfig
 from repro.errors import ConfigurationError
 from repro.sim.costmodel import CostModel
-from repro.workloads import HotspotSampler, Operation, workload_d
+from repro.workloads import Operation, workload_d
 from repro.workloads.ycsb import key_name
-
-
-class TestHotspotSampler:
-    def test_hot_set_dominates(self):
-        sampler = HotspotSampler(1000, hot_fraction=0.2,
-                                 hot_opn_fraction=0.8, seed=1)
-        hits = sum(1 for _ in range(20_000)
-                   if sampler.sample() < sampler.hot_keys)
-        assert hits / 20_000 == pytest.approx(0.8, abs=0.02)
-
-    def test_probability_sums_to_one(self):
-        sampler = HotspotSampler(100, seed=2)
-        assert sum(sampler.probability(i) for i in range(100)) == \
-            pytest.approx(1.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HotspotSampler(0)
-        with pytest.raises(ValueError):
-            HotspotSampler(10, hot_fraction=0.0)
-        with pytest.raises(ValueError):
-            HotspotSampler(10, hot_opn_fraction=1.5)
 
 
 class TestLatestWorkload:
@@ -79,7 +59,7 @@ class TestWorkloadDAgainstWaffle:
         workload = workload_d(n, seed=8, value_size=100)
         items = dict(workload.initial_records())
         trace = workload.trace(1500)
-        measurement, datastore = run_waffle_with_inserts(
+        measurement, datastore = run_waffle(
             config, items, trace, CostModel(), record=True)
         assert measurement.extra["inserted"] > 0
         assert datastore.proxy.real_count == \
@@ -91,3 +71,11 @@ class TestWorkloadDAgainstWaffle:
         response = datastore.execute_batch([
             ClientRequest(op=Operation.READ, key=inserted_key)])[0]
         assert response.value  # non-empty payload
+
+    def test_spent_dummy_budget_drops_the_insert_and_its_key(self):
+        """At N=128 the trace inserts more keys than D has dummies: the
+        inserts past the budget are dropped, and so are the trace's later
+        reads of those keys, which the proxy would refuse as unknown."""
+        rows = run_workload_d(n=128, rounds=400)
+        check_workload_d(rows)
+        assert rows[1]["dummies_left"] == 0
