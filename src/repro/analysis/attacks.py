@@ -36,6 +36,11 @@ __all__ = [
     "observed_read_sequence",
 ]
 
+#: Share of the observed ids whose key the co-occurrence adversary knows.
+_KNOWN_FRACTION = 0.5
+#: The co-occurrence attack aligns at most this many (most frequent) ids.
+_MAX_IDS = 2000
+
 
 @dataclass(frozen=True, slots=True)
 class AttackResult:
@@ -118,13 +123,11 @@ def cooccurrence_attack(records: list[AccessRecord],
                         window: int = 4,
                         iterations: int = 4,
                         seed: int | None = None,
-                        min_occurrences: int = 2,
-                        known_fraction: float = 0.5,
-                        max_ids: int = 2000) -> AttackResult:
+                        min_occurrences: int = 2) -> AttackResult:
     """Known-query co-occurrence attack (the IHOP refinement step).
 
-    Threat model: the adversary knows the plaintext key behind a fraction
-    of the observed ciphertext ids (IHOP and the broader leakage-abuse
+    Threat model: the adversary knows the plaintext key behind half of
+    the observed ciphertext ids (IHOP and the broader leakage-abuse
     literature evaluate exactly this "known queries" setting) plus the
     key-to-key transition model.  Each remaining id is matched to the key
     whose model co-occurrence profile best aligns with the id's observed
@@ -151,7 +154,7 @@ def cooccurrence_attack(records: list[AccessRecord],
     """
     sequence = observed_read_sequence(records)
     counts = Counter(sequence)
-    ids = [sid for sid, c in counts.most_common(max_ids)
+    ids = [sid for sid, c in counts.most_common(_MAX_IDS)
            if c >= min_occurrences]
     if not ids:
         return AttackResult(guesses={}, accuracy=0.0, recovered=0, targets=0)
@@ -167,7 +170,7 @@ def cooccurrence_attack(records: list[AccessRecord],
     key_index = {key: i for i, key in enumerate(keys)}
     rng = seeded_rng(seed)
     in_truth = [i for i, sid in enumerate(ids) if sid in truth]
-    known_count = max(1, int(known_fraction * len(in_truth))) if in_truth else 0
+    known_count = max(1, int(_KNOWN_FRACTION * len(in_truth))) if in_truth else 0
     known = set(rng.sample(in_truth, known_count)) if in_truth else set()
     assignment: dict[int, int] = {
         i: key_index[truth[ids[i]]] for i in known

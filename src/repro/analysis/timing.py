@@ -238,8 +238,7 @@ def detect_onset(timestamps: list[float]) -> int | None:
 # ----------------------------------------------------------------------
 def simulate_round_times(rates: list[float], r: int, seed: int = 0,
                          schedule: str = "on_fill",
-                         interval: float | None = None,
-                         service_seconds: float = 0.0) -> list[float]:
+                         interval: float | None = None) -> list[float]:
     """Simulate round-release instants for a given offered-load curve.
 
     ``rates[i]`` is the Poisson arrival rate (requests/second) in force
@@ -247,7 +246,7 @@ def simulate_round_times(rates: list[float], r: int, seed: int = 0,
 
     * ``"on_fill"`` — the round fires as soon as ``r`` real requests
       have arrived (exponential inter-arrivals drawn from
-      ``random.Random(seed)``), plus ``service_seconds`` of processing.
+      ``random.Random(seed)``); processing takes no time.
       The gap tracks the load: this is the leaky baseline.
     * ``"fixed"`` — the round fires every ``interval`` seconds
       (default: the mean on-fill gap implied by the *average* rate),
@@ -264,14 +263,14 @@ def simulate_round_times(rates: list[float], r: int, seed: int = 0,
     clock = SimClock()
     if schedule == "fixed" and interval is None:
         mean_rate = sum(rates) / len(rates) if rates else 1.0
-        interval = r / mean_rate + service_seconds
+        interval = r / mean_rate
     times = []
     for rate in rates:
         if rate <= 0:
             raise ValueError("arrival rates must be positive")
         fill = sum(rng.expovariate(rate) for _ in range(r))
         if schedule == "on_fill":
-            clock.advance(fill + service_seconds)
+            clock.advance(fill)
         else:
             assert interval is not None
             clock.advance(interval)

@@ -132,13 +132,14 @@ def measure_alpha(records: list[AccessRecord]) -> UniformityReport:
     return report
 
 
-def measure_beta(records: list[AccessRecord], id_log: dict[str, str],
-                 dummy_marker: str = "\x00") -> list[int]:
+def measure_beta(records: list[AccessRecord],
+                 id_log: dict[str, str]) -> list[int]:
     """System-side β measurement: read→next-write gaps per plaintext key.
 
     ``id_log`` maps storage ids to plaintext keys (``WaffleProxy.id_log``).
-    Dummy objects are excluded — "to bound writes after reads, we do not
-    need to care about dummy keys" (Theorem 7.2 proof).
+    Dummy objects (keys starting with a NUL) are excluded — "to bound
+    writes after reads, we do not need to care about dummy keys"
+    (Theorem 7.2 proof).
     """
     betas: list[int] = []
     last_read_round: dict[str, int] = {}
@@ -146,7 +147,7 @@ def measure_beta(records: list[AccessRecord], id_log: dict[str, str],
         key = id_log.get(record.storage_id)
         if key is None:
             raise ProtocolError(f"untracked storage id {record.storage_id}")
-        if key.startswith(dummy_marker):
+        if key.startswith("\x00"):
             continue
         if record.op == "read":
             last_read_round[key] = record.round

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from numpy.typing import ArrayLike
 
@@ -56,7 +56,6 @@ class PancakeStats:
     update_cache_ops: int = 0
     fake_samples: int = 0
     max_update_cache: int = 0
-    per_batch: list = field(default_factory=list)
 
 
 class PancakeProxy:
@@ -83,8 +82,7 @@ class PancakeProxy:
                  assumed_pi: ArrayLike, store: StorageBackend,
                  batch_size: int = 2500, delta: float = 0.5,
                  keychain: KeyChain | None = None,
-                 seed: int | None = None,
-                 keep_batch_stats: bool = False) -> None:
+                 seed: int | None = None) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch size must be positive")
         if not 0 < delta < 1:
@@ -102,7 +100,6 @@ class PancakeProxy:
         self.keychain = keychain if keychain is not None else KeyChain()
         self._rng = seeded_rng(seed)
         self.stats = PancakeStats()
-        self._keep_batch_stats = keep_batch_stats
         #: key -> (value, set of replica indices still stale)
         self.update_cache: dict[str, tuple[bytes, set[int]]] = {}
         self._queue: deque[tuple[TraceRequest, list]] = deque()
@@ -224,8 +221,6 @@ class PancakeProxy:
         stats.batches += 1
         stats.max_update_cache = max(stats.max_update_cache, len(self.update_cache))
         served = sum(1 for _, _, request, _ in slots if request is not None)
-        if self._keep_batch_stats:
-            stats.per_batch.append((served, len(unique_sids), len(write_back)))
         if observing:
             labels = {"system": "pancake"}
             reg = obs.registry

@@ -58,21 +58,21 @@ class TaoStore:
         Initial dataset (defines N).
     store:
         Untrusted server.
-    bucket_size:
-        Z, blocks per bucket.
     write_back_threshold:
         Flush the subtree after this many accesses (TaoStore's ``k``).
     """
 
+    #: Z, blocks per bucket.
+    z = 4
+
     def __init__(self, items: dict[str, bytes], store: StorageBackend,
-                 bucket_size: int = 4, write_back_threshold: int = 8,
+                 write_back_threshold: int = 8,
                  keychain: KeyChain | None = None, seed: int | None = None) -> None:
         if not items:
             raise ConfigurationError("TaoStore needs a non-empty dataset")
         if write_back_threshold < 1:
             raise ConfigurationError("write-back threshold must be positive")
         self.n = len(items)
-        self.z = bucket_size
         self.levels = max(1, math.ceil(math.log2(max(2, self.n)))) + 1
         self.leaves = 2 ** (self.levels - 1)
         self.store = store

@@ -162,9 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint "
                            "(default: src/repro)")
-    lint.add_argument("--allowlist", default=None, metavar="PATH",
-                      help="explicit .oblint.json (default: auto-discover "
-                           "by walking up from the first path)")
     lint.add_argument("--json", action="store_true",
                       help="emit the report as JSON instead of text")
     lint.add_argument("--report-out", default=None, metavar="PATH",
@@ -426,6 +423,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.lint import default_rules, run_lint
 
     if args.list_rules:
@@ -433,7 +432,12 @@ def _run_lint(args: argparse.Namespace) -> int:
             print(f"{rule.id}  {rule.severity:7s} {rule.name}: "
                   f"{rule.description}")
         return 0
-    report = run_lint(args.paths, allowlist=args.allowlist)
+    missing = [path for path in args.paths if not Path(path).exists()]
+    if missing:
+        for path in missing:
+            print(f"lint: no such file or directory: {path}", file=sys.stderr)
+        return EXIT_USAGE
+    report = run_lint(args.paths)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -1,4 +1,4 @@
-"""The ``oblint`` engine: file discovery, suppressions, allowlist, report.
+"""The ``oblint`` engine: file discovery, suppressions, report.
 
 ``oblint`` is a domain-specific static-analysis suite that proves (at
 lint time) the invariants Waffle's security argument rests on: the
@@ -18,14 +18,14 @@ Architecture
 * the :class:`LintEngine` parses each file once into a :class:`Module`
   (AST + source + comment-derived suppressions) and runs every rule;
 * findings are filtered through **inline suppressions**
-  (``# oblint: disable=RULE -- reason``, same line) and the repo-level
-  **allowlist** (``.oblint.json``); both must carry a written reason —
-  a reasonless suppression is itself reported (``OBL001``).
+  (``# oblint: disable=RULE -- reason``, same line), the only exception
+  mechanism; a reasonless suppression is itself reported (``OBL001``).
 
-The suppression / allowlist policy is deliberately strict: every
-exception to a security invariant must state its security argument in
-the place the exception is made, so reviewers see the claim next to the
-code it covers (DESIGN.md §9).
+The suppression policy is deliberately strict: every exception to a
+security invariant must state its security argument in the place the
+exception is made, so reviewers see the claim next to the code it
+covers (DESIGN.md §9).  A stray artifact file (``OBL004``) has no line
+to carry a suppression, so it has no exception at all.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import ast
 import fnmatch
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -41,13 +40,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "AllowlistEntry",
     "Finding",
     "LintEngine",
     "LintReport",
     "Module",
     "Rule",
-    "load_allowlist",
 ]
 
 #: ``# oblint: disable=OBL201,OBL303 -- reason`` (reason mandatory; the
@@ -66,10 +63,9 @@ _FIXTURE_PATH_RE = re.compile(r"#\s*oblint-fixture-path:\s*(\S+)")
 _ARTIFACT_PATTERNS = ("*.tmp", "*.orig", "*.rej", "*.bak")
 
 #: Findings the engine emits itself (no :class:`Rule` plugin): OBL001/2
-#: suppression hygiene, OBL003 stale allowlist entries, OBL004 stray
-#: artifact files.  Registered as known ids so suppressing or
-#: allowlisting them is not itself flagged as an unknown rule.
-_ENGINE_RULE_IDS = frozenset({"OBL001", "OBL002", "OBL003", "OBL004"})
+#: suppression hygiene, OBL004 stray artifact files.  Registered as
+#: known ids so suppressing them is not itself flagged as an unknown rule.
+_ENGINE_RULE_IDS = frozenset({"OBL001", "OBL002", "OBL004"})
 
 
 @dataclass(frozen=True)
@@ -93,19 +89,6 @@ class _Suppression:
     rules: tuple[str, ...]
     reason: str
     line: int
-
-
-@dataclass(frozen=True)
-class AllowlistEntry:
-    """One repo-level exception: a rule pinned to a path glob + reason."""
-
-    rule: str
-    path: str  # fnmatch glob over the module-relative path
-    reason: str
-
-    def matches(self, finding: Finding) -> bool:
-        return (fnmatch.fnmatchcase(finding.rule, self.rule)
-                and fnmatch.fnmatchcase(finding.path, self.path))
 
 
 class Module:
@@ -190,8 +173,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, str]] = field(default_factory=list)
-    allowlisted: list[tuple[Finding, AllowlistEntry]] = field(
-        default_factory=list)
     files_checked: int = 0
     rules_run: int = 0
 
@@ -210,8 +191,7 @@ class LintReport:
             f"oblint: {self.files_checked} files, {self.rules_run} rules: "
             f"{len(self.errors)} error(s), "
             f"{len(self.findings) - len(self.errors)} warning(s), "
-            f"{len(self.suppressed)} suppressed, "
-            f"{len(self.allowlisted)} allowlisted"
+            f"{len(self.suppressed)} suppressed"
         )
         return "\n".join(lines)
 
@@ -226,47 +206,17 @@ class LintReport:
                 {"finding": vars(f), "reason": reason}
                 for f, reason in self.suppressed
             ],
-            "allowlisted": [
-                {"finding": vars(f), "rule": entry.rule,
-                 "path": entry.path, "reason": entry.reason}
-                for f, entry in self.allowlisted
-            ],
         }
-
-
-def load_allowlist(path: str | Path) -> list[AllowlistEntry]:
-    """Load ``.oblint.json``: ``{"entries": [{rule, path, reason}, ...]}``.
-
-    Every entry must carry a non-empty ``reason`` — the file is the
-    repo's catalogue of accepted security exceptions, not a mute button.
-    """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = []
-    for i, item in enumerate(raw.get("entries", [])):
-        rule = item.get("rule", "")
-        glob = item.get("path", "")
-        reason = (item.get("reason") or "").strip()
-        if not rule or not glob:
-            raise ValueError(f"allowlist entry {i} needs 'rule' and 'path'")
-        if not reason:
-            raise ValueError(
-                f"allowlist entry {i} ({rule} @ {glob}) has no reason; "
-                "every exception must state its security argument"
-            )
-        entries.append(AllowlistEntry(rule=rule, path=glob, reason=reason))
-    return entries
 
 
 class LintEngine:
     """Runs a rule set over a source tree and filters the findings."""
 
-    def __init__(self, rules: Sequence[Rule],
-                 allowlist: Sequence[AllowlistEntry] = ()) -> None:
+    def __init__(self, rules: Sequence[Rule]) -> None:
         ids = [rule.id for rule in rules]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate rule ids: {ids}")
         self.rules = list(rules)
-        self.allowlist = list(allowlist)
         self.known_ids = set(ids) | set(_ENGINE_RULE_IDS)
 
     # ------------------------------------------------------------------
@@ -323,22 +273,14 @@ class LintEngine:
 
     def run(self, paths: Iterable[str | Path]) -> LintReport:
         report = LintReport(rules_run=len(self.rules))
-        used_allowlist: set[int] = set()
         # OBL004: artifact files are findings even though they are not
-        # Python modules (and therefore can carry no inline suppression;
-        # only the allowlist can except them).
+        # Python modules, so they carry no inline suppression and have
+        # no exception.
         for stray in self._stray_artifacts(paths):
-            finding = Finding(
+            report.findings.append(Finding(
                 rule="OBL004", path=self._relpath(stray), line=1, col=1,
                 message=(f"stray editor/merge artifact {stray.name!r} "
-                         "committed to the tree; delete it"))
-            for i, entry in enumerate(self.allowlist):
-                if entry.matches(finding):
-                    used_allowlist.add(i)
-                    report.allowlisted.append((finding, entry))
-                    break
-            else:
-                report.findings.append(finding)
+                         "committed to the tree; delete it")))
         for path in self.discover(paths):
             source = path.read_text(encoding="utf-8")
             try:
@@ -354,28 +296,15 @@ class LintEngine:
             self._check_suppression_hygiene(module, report)
             for rule in self.rules:
                 for finding in rule.check(module):
-                    self._file_finding(module, finding, report,
-                                       used_allowlist)
-        for i, entry in enumerate(self.allowlist):
-            if i not in used_allowlist:
-                report.findings.append(Finding(
-                    rule="OBL003", path=entry.path, line=1, col=1,
-                    severity="warning",
-                    message=(f"allowlist entry for {entry.rule} matched "
-                             "nothing; delete it or fix the glob")))
+                    self._file_finding(module, finding, report)
         return report
 
-    def _file_finding(self, module: Module, finding: Finding,
-                      report: LintReport,
-                      used_allowlist: set[int]) -> None:
+    @staticmethod
+    def _file_finding(module: Module, finding: Finding,
+                      report: LintReport) -> None:
         for suppression in module.suppressions.get(finding.line, []):
             if finding.rule in suppression.rules and suppression.reason:
                 report.suppressed.append((finding, suppression.reason))
-                return
-        for i, entry in enumerate(self.allowlist):
-            if entry.matches(finding):
-                used_allowlist.add(i)
-                report.allowlisted.append((finding, entry))
                 return
         report.findings.append(finding)
 

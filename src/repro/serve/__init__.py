@@ -15,7 +15,7 @@ Three layers (DESIGN.md §13):
   on ``time.perf_counter`` and the deterministic tests on a
   :class:`~repro.sim.clock.SimClock`.
 * :mod:`repro.serve.frontend` — :class:`AsyncFrontend`, the coalescing
-  core: a bounded pending queue (:class:`AdmissionController`) and one
+  core: a pending queue bounded at its admission cap and one
   round thread that decides when each round is due and runs it, one at
   a time, off the event loop.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` —
@@ -32,7 +32,6 @@ schedule exactly like the simulated one — fixed-interval release scores
 0.0 leakage because its committed schedule is a constant grid.
 """
 
-from repro.serve.admission import AdmissionController
 from repro.serve.client import AsyncServeClient
 from repro.serve.frontend import AsyncFrontend
 from repro.serve.policy import (
@@ -45,7 +44,6 @@ from repro.serve.policy import (
 from repro.serve.server import ServeServer
 
 __all__ = [
-    "AdmissionController",
     "AsyncFrontend",
     "AsyncServeClient",
     "FixedIntervalPolicy",

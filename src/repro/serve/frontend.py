@@ -5,10 +5,12 @@ data concurrently" shape (§3.1): clients ``await get()``/``put()`` from
 any task and are resolved when the round carrying their request
 completes.  What makes it a *server* core:
 
-* **admission control** — a bounded pending queue
-  (:class:`~repro.serve.admission.AdmissionController`); offered load
-  past the cap is shed with a retryable
-  :class:`~repro.errors.OverloadedError` before it touches the proxy;
+* **admission control** — the pending queue is bounded at
+  ``queue_cap``: an open-loop client population does not slow down when
+  the proxy falls behind, so offered load past the cap is shed with a
+  retryable :class:`~repro.errors.OverloadedError` before it touches
+  the proxy (a shed request leaves the adversary trace byte-identical,
+  ``tests/test_serve_backpressure.py``);
 * **pluggable release scheduling** — a
   :class:`~repro.serve.policy.ReleasePolicy` decides when pending
   requests become a round, and the frontend records every committed
@@ -65,10 +67,10 @@ from repro.errors import (
     ClosedError,
     ConfigurationError,
     KeyNotFoundError,
+    OverloadedError,
     ProtocolError,
 )
 from repro.obs import OBS
-from repro.serve.admission import AdmissionController
 from repro.serve.policy import OnFillPolicy, ReleasePolicy
 from repro.workloads.trace import Operation
 
@@ -137,7 +139,8 @@ class AsyncFrontend:
         Release scheduler; defaults to :class:`OnFillPolicy` at the
         datastore's R.
     queue_cap:
-        Admission cap on pending (undispatched) requests.
+        Admission cap on pending (undispatched) requests; a request
+        offered at the cap is shed.
     execute:
         Round executor override — the chaos harness wraps the datastore
         call with fault retry/bookkeeping here.
@@ -164,7 +167,9 @@ class AsyncFrontend:
         self.r = r
         self._execute: RoundExecutor = execute
         self.policy = policy if policy is not None else OnFillPolicy(self.r)
-        self.admission = AdmissionController(queue_cap)
+        if queue_cap < 1:
+            raise ConfigurationError("admission cap must be >= 1")
+        self.queue_cap = queue_cap
         self._round_labels = {"policy": self.policy.name}
         #: Guards all shared state; the round thread waits on it.
         self._cond = threading.Condition()
@@ -175,6 +180,11 @@ class AsyncFrontend:
         #: Release instants the schedule committed to, in round order —
         #: the series the timing adversary consumes.
         self.release_times: list[float] = []
+        #: Requests admitted to and shed from the pending queue, and the
+        #: deepest it has been — the cap property's witness.
+        self.admitted = 0
+        self.shed = 0
+        self.high_water = 0
         self.rounds_dispatched = 0
         #: Requests the dispatched rounds carried, and how many carried
         #: none (all-fake rounds).
@@ -246,11 +256,17 @@ class AsyncFrontend:
                 raise ClosedError("serving frontend is closed")
             # Admission before enqueue: the pending queue can never exceed
             # its cap, and a shed request leaves no trace anywhere below.
-            self.admission.admit()  # raises OverloadedError at the cap
+            if len(self._pending) >= self.queue_cap:
+                self.shed += 1
+                raise OverloadedError(
+                    f"pending queue at cap ({self.queue_cap}); retry later")
             waiter = _Waiter(request, asyncio.get_running_loop()
                              .create_future(), time.perf_counter())
             self._pending.append(waiter)
             pending = len(self._pending)
+            self.admitted += 1
+            if pending > self.high_water:
+                self.high_water = pending
             # Wake the thread only if its answer changes: a deadline, a fill.
             if pending == 1 or self.policy.due(
                     pending, self._pending[0].enqueued_at, waiter.enqueued_at):
@@ -286,7 +302,6 @@ class AsyncFrontend:
                     continue
                 take = [self._pending.popleft()
                         for _ in range(min(self.r, pending))]
-                self.admission.release(len(take))
                 release_time = policy.release_time(now)
                 policy.mark_release(release_time)
                 self.release_times.append(release_time)
@@ -361,7 +376,7 @@ class AsyncFrontend:
             OBS.registry.histogram("serve.wait.seconds",
                                    **self._round_labels).observe(
                 max(0.0, now - waiter.enqueued_at))
-        OBS.registry.gauge("serve.pending.depth").set(self.admission.depth)
+        OBS.registry.gauge("serve.pending.depth").set(len(self._pending))
         if error is None:
             OBS.registry.counter("serve.rounds.total",
                                  **self._round_labels).inc()
@@ -375,7 +390,9 @@ class AsyncFrontend:
     def stats(self) -> dict:
         """One flat stats row (STATS replies, bench reports, CLI)."""
         with self._cond:
-            return {**self.admission.snapshot(), "policy": self.policy.name,
+            return {"cap": self.queue_cap, "depth": len(self._pending),
+                    "admitted": self.admitted, "shed": self.shed,
+                    "high_water": self.high_water, "policy": self.policy.name,
                     "rounds": self.rounds_dispatched,
                     "real_requests": self.real_requests,
                     "empty_rounds": self.empty_rounds}

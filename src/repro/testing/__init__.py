@@ -26,12 +26,7 @@ The pieces compose bottom-up:
 Entry points: ``repro.cli chaos`` and ``tests/test_chaos_*.py``.
 """
 
-from repro.testing.episodes import (
-    DEFAULT_CONFIG,
-    Episode,
-    chaos_config,
-    generate_episode,
-)
+from repro.testing.episodes import DEFAULT_CONFIG, Episode, generate_episode
 from repro.testing.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -61,7 +56,6 @@ __all__ = [
     "SweepReport",
     "Violation",
     "assert_trace_identical",
-    "chaos_config",
     "generate_episode",
     "run_episode",
     "run_sweep",

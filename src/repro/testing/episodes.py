@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.testing.faults import FAULT_KINDS, FaultPlan
 from repro.workloads.ycsb import key_name
 
-__all__ = ["DEFAULT_CONFIG", "Episode", "chaos_config", "generate_episode"]
+__all__ = ["DEFAULT_CONFIG", "Episode", "generate_episode"]
 
 #: The standard chaos configuration: small enough that hundreds of
 #: episodes run in CI-budget time, large enough that every mechanism is
@@ -48,13 +48,6 @@ __all__ = ["DEFAULT_CONFIG", "Episode", "chaos_config", "generate_episode"]
 DEFAULT_CONFIG = {
     "n": 96, "b": 12, "r": 4, "f_d": 3, "d": 24, "c": 28, "value_size": 48,
 }
-
-
-def chaos_config(seed: int, **overrides: int) -> WaffleConfig:
-    """The episode's WaffleConfig (DEFAULT_CONFIG + overrides)."""
-    params = dict(DEFAULT_CONFIG)
-    params.update(overrides)
-    return WaffleConfig(seed=seed, **params)
 
 
 @dataclass
@@ -228,8 +221,7 @@ def generate_episode(seed: int, standbys: int = 1,
                      steps: int = 16, fault_rate: float = 0.06,
                      crash_rate: float = 0.06, mutation_rate: float = 0.08,
                      standby_churn_rate: float = 0.06,
-                     write_fraction: float = 0.45,
-                     config_overrides: dict | None = None) -> Episode:
+                     write_fraction: float = 0.45) -> Episode:
     """Sample one valid episode from a seed.
 
     ``steps`` counts *scheduling slots*: most become request batches, the
@@ -240,8 +232,6 @@ def generate_episode(seed: int, standbys: int = 1,
     """
     rng = random.Random(seed ^ 0x5EED_C4A0)
     config = dict(DEFAULT_CONFIG)
-    if config_overrides:
-        config.update(config_overrides)
     episode = Episode(seed=seed, standbys=standbys, config=config, ops=[])
 
     live = [key_name(i) for i in range(config["n"])]

@@ -79,13 +79,11 @@ def _absorb(report: SweepReport, result: EpisodeResult) -> None:
 
 
 def run_sweep(episodes: int = 100, base_seed: int = 0,
-              profiles: tuple[dict, ...] = DEFAULT_PROFILES,
-              steps: int = 16,
-              stop_on_failure: bool = False) -> SweepReport:
+              steps: int = 16) -> SweepReport:
     """Run ``episodes`` seeded chaos episodes and aggregate the verdicts."""
     report = SweepReport()
     for index in range(episodes):
-        profile = dict(profiles[index % len(profiles)])
+        profile = dict(DEFAULT_PROFILES[index % len(DEFAULT_PROFILES)])
         profile.pop("name", None)
         episode = generate_episode(
             seed=base_seed + index,
@@ -93,6 +91,4 @@ def run_sweep(episodes: int = 100, base_seed: int = 0,
             steps=steps,
             **profile)
         _absorb(report, run_episode(episode))
-        if stop_on_failure and report.failures:
-            break
     return report

@@ -12,12 +12,11 @@ from repro.workloads.openloop import (
     FlashCrowdArrivals,
     PoissonArrivals,
 )
-from repro.workloads.trace import Operation, TraceRequest, replay
+from repro.workloads.trace import Operation, TraceRequest
 from repro.workloads.ycsb import (
     LatestWorkload,
     YcsbWorkload,
     workload_a,
-    workload_b,
     workload_c,
     workload_d,
 )
@@ -35,9 +34,7 @@ __all__ = [
     "UniformSampler",
     "YcsbWorkload",
     "ZipfSampler",
-    "replay",
     "workload_a",
-    "workload_b",
     "workload_c",
     "workload_d",
 ]

@@ -4,22 +4,14 @@ A trace is a list of :class:`TraceRequest` objects — the ``S_Proxy``
 sequence of the security definition (§5.1).  Every generator in this
 package produces traces; every system driver consumes them, so systems are
 always compared on byte-identical input sequences.
-
-Traces serialize to a line-oriented text format (:func:`save_trace` /
-:func:`load_trace`) so an experiment's exact input sequence can be
-archived and replayed elsewhere — the reproduction-of-the-reproduction
-path.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable
 
-__all__ = ["Operation", "TraceRequest", "load_trace", "replay", "save_trace"]
+__all__ = ["Operation", "TraceRequest"]
 
 
 class Operation(enum.Enum):
@@ -49,49 +41,3 @@ class TraceRequest:
             raise ValueError(f"{self.op.value} requests require a value")
         if self.op is Operation.READ and self.value is not None:
             raise ValueError("read requests must not carry a value")
-
-
-def replay(trace: Iterable[TraceRequest], handler: Callable[[TraceRequest], object]) -> int:
-    """Feed every request of ``trace`` to ``handler``; return the count."""
-    count = 0
-    for request in trace:
-        handler(request)
-        count += 1
-    return count
-
-
-def save_trace(trace: Iterable[TraceRequest], path: str | Path) -> int:
-    """Write a trace as one record per line: ``op key [base64-value]``.
-
-    Keys must not contain whitespace (all generators in this package use
-    ``user<digits>``-style names).  Returns the number of records.
-    """
-    count = 0
-    with open(path, "w", encoding="utf-8") as out:
-        for request in trace:
-            if any(c.isspace() for c in request.key):
-                raise ValueError(f"key not serializable: {request.key!r}")
-            if request.value is None:
-                out.write(f"{request.op.value} {request.key}\n")
-            else:
-                encoded = base64.b64encode(request.value).decode("ascii")
-                out.write(f"{request.op.value} {request.key} {encoded}\n")
-            count += 1
-    return count
-
-
-def load_trace(path: str | Path) -> list[TraceRequest]:
-    """Inverse of :func:`save_trace`."""
-    trace: list[TraceRequest] = []
-    with open(path, "r", encoding="utf-8") as inp:
-        for line_number, line in enumerate(inp, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) not in (2, 3):
-                raise ValueError(f"malformed trace line {line_number}")
-            op = Operation(parts[0])
-            value = base64.b64decode(parts[2]) if len(parts) == 3 else None
-            trace.append(TraceRequest(op, parts[1], value))
-    return trace

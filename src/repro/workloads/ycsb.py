@@ -3,8 +3,8 @@
 The paper benchmarks with YCSB workloads A (50% reads / 50% writes) and C
 (100% reads) over 2^20 keys with 8-byte keys and 1 KiB values at Zipf 0.99
 (§8).  This module reproduces the YCSB core-workload request mix; the
-factory helpers below mirror the standard workload letters so the
-benchmark harness can reference them by name.
+factory helpers below are the letters in use: A, C and D (read-latest
+with inserts, the ``workload-d`` experiment row).
 
 Keys follow the YCSB convention ``user<number>`` zero-padded to a fixed
 width so all keys have equal length (the paper's equal-length assumption,
@@ -25,7 +25,6 @@ __all__ = [
     "YcsbWorkload",
     "key_name",
     "workload_a",
-    "workload_b",
     "workload_c",
 ]
 
@@ -117,11 +116,6 @@ class YcsbWorkload:
 def workload_a(n: int, **kwargs: Any) -> YcsbWorkload:
     """YCSB Workload A: 50% reads, 50% updates (the paper's write-heavy mix)."""
     return YcsbWorkload(n, read_proportion=0.5, **kwargs)
-
-
-def workload_b(n: int, **kwargs: Any) -> YcsbWorkload:
-    """YCSB Workload B: 95% reads, 5% updates."""
-    return YcsbWorkload(n, read_proportion=0.95, **kwargs)
 
 
 def workload_c(n: int, **kwargs: Any) -> YcsbWorkload:

@@ -107,6 +107,18 @@ class TestExitCodes:
         assert main(["lint", str(dirty)]) == EXIT_LINT
         assert "OBL201" in capsys.readouterr().out
 
+    def test_lint_missing_path_exits_64(self, tmp_path, capsys):
+        # A path that does not exist is refused before anything is
+        # linted: a run that checks nothing must not pass.
+        clean = tmp_path / "clean.py"
+        clean.write_text("X = 1\n")
+        missing = tmp_path / "no-such-dir"
+        assert main(["lint", str(clean), str(missing)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert str(clean) not in captured.err
+        assert "oblint:" not in captured.out
+
     def test_lint_report_out_writes_json_artifact(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import time\n\n\ndef f() -> float:\n"

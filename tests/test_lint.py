@@ -4,8 +4,9 @@ Two directions of coverage:
 
 * every rule fires on its planted known-bad fixture — and *only* that
   rule, so the rules do not step on each other;
-* the shipped source tree lints clean against the committed allowlist,
-  which is what keeps the invariants enforced going forward.
+* the shipped source tree lints clean, with inline suppressions as the
+  only exceptions, which is what keeps the invariants enforced going
+  forward.
 """
 
 import json
@@ -14,14 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    ALL_RULES,
-    AllowlistEntry,
-    default_rules,
-    find_allowlist,
-    load_allowlist,
-    run_lint,
-)
+from repro.lint import ALL_RULES, default_rules, run_lint
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -37,28 +31,27 @@ class TestFixturesFireExactlyTheirRule:
 
     def test_every_rule_has_a_fixture(self):
         covered = {expected_rule(f) for f in FIXTURE_FILES}
-        # OBL003 (unused allowlist entry) is a report-level warning that
-        # cannot be planted in a source file; it is covered below.
+        # OBL004 (stray artifact) is not a Python file; it is covered below.
         plantable = {rule.id for rule in ALL_RULES} | {"OBL001", "OBL002"}
-        assert covered == plantable - {"OBL003"}
+        assert covered == plantable
 
     @pytest.mark.parametrize("fixture", FIXTURE_FILES,
                              ids=[f.stem for f in FIXTURE_FILES])
     def test_fixture_fires_exactly_its_rule(self, fixture):
-        report = run_lint([fixture], allowlist=())
+        report = run_lint([fixture])
         fired = {finding.rule for finding in report.findings}
         assert fired == {expected_rule(fixture)}, report.describe()
 
     def test_secret_flow_fixture_names_the_planted_line(self):
         fixture = FIXTURES / "obl101_secret_to_server.py"
-        report = run_lint([fixture], allowlist=())
+        report = run_lint([fixture])
         (finding,) = report.findings
         planted = fixture.read_text().splitlines()[finding.line - 1]
         assert "store.get" in planted
 
     def test_lock_bypass_fixture_flags_only_the_unlocked_write(self):
         fixture = FIXTURES / "obl401_unlocked_write.py"
-        report = run_lint([fixture], allowlist=())
+        report = run_lint([fixture])
         (finding,) = report.findings
         planted = fixture.read_text().splitlines()
         assert planted[finding.line - 1].strip() == "self.count += 1"
@@ -74,26 +67,20 @@ class TestFixturesFireExactlyTheirRule:
         planted = tmp_path / "planted.py"
         header = f"# oblint-fixture-path: {home}\n" if home else ""
         planted.write_text(header + "def f(x):\n    return x\n")
-        report = run_lint([planted], allowlist=())
+        report = run_lint([planted])
         assert {finding.rule for finding in report.findings} == fires
 
 
 class TestSourceTreeLintsClean:
-    """The enforcement direction: src/repro is clean under the shipped
-    allowlist, so any new violation fails CI."""
+    """The enforcement direction: src/repro is clean, so any new
+    violation fails CI."""
 
-    def test_src_repro_clean_with_committed_allowlist(self):
+    def test_src_repro_lints_clean(self):
         report = run_lint([ROOT / "src" / "repro"])
         assert report.ok, report.describe()
-        # warnings (e.g. stale allowlist entries) must not accumulate
+        # warnings must not accumulate either
         assert report.findings == [], report.describe()
         assert report.files_checked > 80
-
-    def test_allowlist_discovered_from_repo_root(self):
-        found = find_allowlist(ROOT / "src" / "repro")
-        assert found is not None and found.name == ".oblint.json"
-        entries = load_allowlist(found)
-        assert all(entry.reason for entry in entries)
 
 
 class TestSuppressionAndAllowlistMechanics:
@@ -106,7 +93,7 @@ class TestSuppressionAndAllowlistMechanics:
             def deadline() -> float:
                 return time.time()  # oblint: disable=OBL201 -- test stub
         """))
-        report = run_lint([target], allowlist=())
+        report = run_lint([target])
         assert report.findings == []
         assert [rule for (finding, _) in report.suppressed
                 for rule in [finding.rule]] == ["OBL201"]
@@ -120,65 +107,29 @@ class TestSuppressionAndAllowlistMechanics:
             def deadline() -> float:
                 return time.time()  # oblint: disable=OBL201
         """))
-        report = run_lint([target], allowlist=())
+        report = run_lint([target])
         fired = {finding.rule for finding in report.findings}
         assert fired == {"OBL001", "OBL201"}
-
-    def test_allowlist_entry_must_give_reason(self, tmp_path):
-        bad = tmp_path / ".oblint.json"
-        bad.write_text(json.dumps(
-            {"entries": [{"rule": "OBL201", "path": "mod.py"}]}))
-        with pytest.raises(ValueError, match="reason"):
-            load_allowlist(bad)
-
-    def test_allowlisted_finding_is_recorded_not_reported(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import time\n\n\ndef f() -> float:\n"
-                          "    return time.time()\n")
-        entry = AllowlistEntry(rule="OBL201", path="mod.py",
-                               reason="test fixture")
-        report = run_lint([target], allowlist=[entry])
-        assert report.findings == []
-        assert len(report.allowlisted) == 1
-
-    def test_unused_allowlist_entry_warns_obl003(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("X = 1\n")
-        entry = AllowlistEntry(rule="OBL201", path="nonexistent.py",
-                               reason="stale")
-        report = run_lint([target], allowlist=[entry])
-        assert [f.rule for f in report.findings] == ["OBL003"]
-        assert report.ok  # warnings do not fail the run
 
     def test_stray_artifact_reports_obl004(self, tmp_path):
         (tmp_path / "mod.py").write_text("X = 1\n")
         (tmp_path / "mod.py.tmp").write_text("X = 2  # half-saved edit\n")
         (tmp_path / "merge.orig").write_text("conflict leftovers\n")
-        report = run_lint([tmp_path], allowlist=())
+        report = run_lint([tmp_path])
         fired = sorted((f.rule, Path(f.path).name) for f in report.findings)
         assert fired == [("OBL004", "merge.orig"), ("OBL004", "mod.py.tmp")]
         assert not report.ok
 
-    def test_artifact_can_only_be_excepted_via_allowlist(self, tmp_path):
-        # Artifacts are not Python, so no inline suppression exists;
-        # a reasoned allowlist entry is the only escape hatch.
-        (tmp_path / "keep.bak").write_text("intentional\n")
-        entry = AllowlistEntry(rule="OBL004", path="keep.bak",
-                               reason="fixture for restore tooling")
-        report = run_lint([tmp_path], allowlist=[entry])
-        assert report.findings == []
-        assert [f.rule for (f, _) in report.allowlisted] == ["OBL004"]
-
     def test_direct_artifact_path_reports_obl004(self, tmp_path):
         stray = tmp_path / "notes.rej"
         stray.write_text("rejected hunk\n")
-        report = run_lint([stray], allowlist=())
+        report = run_lint([stray])
         assert [f.rule for f in report.findings] == ["OBL004"]
 
     def test_unparsable_file_reports_obl002(self, tmp_path):
         target = tmp_path / "broken.py"
         target.write_text("def broken(:\n")
-        report = run_lint([target], allowlist=())
+        report = run_lint([target])
         assert [f.rule for f in report.findings] == ["OBL002"]
         assert not report.ok
 
@@ -186,7 +137,7 @@ class TestSuppressionAndAllowlistMechanics:
         target = tmp_path / "mod.py"
         target.write_text("import time\n\n\ndef f() -> float:\n"
                           "    return time.time()\n")
-        payload = run_lint([target], allowlist=()).to_json()
+        payload = run_lint([target]).to_json()
         decoded = json.loads(json.dumps(payload))
         assert decoded["errors"] == 1
         assert decoded["findings"][0]["rule"] == "OBL201"

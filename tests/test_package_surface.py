@@ -7,6 +7,30 @@ import pytest
 import repro
 from repro import errors
 
+#: The exact, sorted ``__all__`` of the subpackages whose surface was cut
+#: back to what a caller reaches.
+PINNED_SURFACES = {
+    "repro.lint": [
+        "ALL_RULES", "Finding", "LintEngine", "LintReport", "Module",
+        "Rule", "default_rules", "run_lint"],
+    "repro.serve": [
+        "AsyncFrontend", "AsyncServeClient", "FixedIntervalPolicy",
+        "MaxWaitPolicy", "OnFillPolicy", "ReleasePolicy", "ServeServer",
+        "make_policy"],
+    "repro.workloads": [
+        "Arrival", "ClickstreamModel", "CorrelatedWorkload",
+        "FlashCrowdArrivals", "LatestWorkload", "Operation",
+        "PoissonArrivals", "TraceRequest", "UniformSampler", "YcsbWorkload",
+        "ZipfSampler", "workload_a", "workload_c", "workload_d"],
+    "repro.testing": [
+        "Attempt", "DEFAULT_CONFIG", "DEFAULT_PROFILES", "Episode",
+        "EpisodeResult", "FAULT_KINDS", "FaultPlan", "FaultyStorage",
+        "InjectedFault", "ScalarCipher", "ScalarPrf", "ShrinkResult",
+        "SweepReport", "Violation", "assert_trace_identical",
+        "generate_episode", "run_episode", "run_sweep", "scalar_keychain",
+        "shrink_episode", "trace_digest"],
+}
+
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("name", [
@@ -65,6 +89,15 @@ class TestPackageSurface:
         import repro.sim
 
         assert repro.sim.__all__ == ["CostModel", "SimClock"]
+
+    @pytest.mark.parametrize("module", sorted(PINNED_SURFACES))
+    def test_subpackage_surface_is_pinned(self, module):
+        """No allowlist, no trace file format, no admission class and no
+        unused preset or config helper: a name added or dropped here is
+        a decision, not drift."""
+        exported = importlib.import_module(module).__all__
+        assert sorted(exported) == PINNED_SURFACES[module]
+        assert len(set(exported)) == len(exported)
 
     @pytest.mark.parametrize("package", ["sim", "bench"])
     def test_simulated_time_never_feeds_the_metrics_registry(self, package):

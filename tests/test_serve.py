@@ -30,7 +30,6 @@ from repro.errors import (
     is_retryable,
 )
 from repro.serve import (
-    AdmissionController,
     AsyncFrontend,
     AsyncServeClient,
     FixedIntervalPolicy,
@@ -160,49 +159,80 @@ class TestMakePolicy:
 
 
 # ----------------------------------------------------------------------
-# admission control
+# admission control: the frontend's own pending queue, bounded at its cap
 # ----------------------------------------------------------------------
+def _echo(requests):
+    return [ClientResponse(request_id=req.request_id, key=req.key,
+                           value=req.key.encode()) for req in requests]
+
+
+async def _offer(frontend, keys):
+    """Submit one read per key and let each reach admission (queued or
+    shed) before returning its task."""
+    tasks = [asyncio.ensure_future(frontend.get(key)) for key in keys]
+    await asyncio.sleep(0)
+    return tasks
+
+
 class TestAdmissionController:
     def test_sheds_past_the_cap(self):
-        admission = AdmissionController(2)
-        admission.admit()
-        admission.admit()
-        with pytest.raises(OverloadedError):
-            admission.admit()
-        assert admission.admitted == 2
-        assert admission.shed == 1
-        assert admission.depth == 2
+        async def scenario():
+            frontend = AsyncFrontend(execute=_echo, r=4, queue_cap=2)
+            tasks = await _offer(frontend, ["a", "b", "c"])
+            stats = frontend.stats()
+            await frontend.close()
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            return stats, outcomes
+
+        stats, outcomes = asyncio.run(scenario())
+        assert (stats["admitted"], stats["shed"], stats["depth"]) == (2, 1, 2)
+        assert outcomes[:2] == [b"a", b"b"]
+        assert isinstance(outcomes[2], OverloadedError)
 
     def test_shed_errors_are_retryable(self):
-        admission = AdmissionController(1)
-        admission.admit()
-        try:
-            admission.admit()
-        except OverloadedError as error:
-            assert is_retryable(error)
-        else:  # pragma: no cover
-            pytest.fail("expected OverloadedError")
+        async def scenario():
+            frontend = AsyncFrontend(execute=_echo, r=1, queue_cap=1)
+            kept, shed = await _offer(frontend, ["a", "b"])
+            await frontend.close()
+            await kept
+            return shed.exception()
+
+        error = asyncio.run(scenario())
+        assert isinstance(error, OverloadedError) and is_retryable(error)
 
     def test_release_reopens_admission(self):
-        admission = AdmissionController(1)
-        admission.admit()
-        admission.release(1)
-        admission.admit()
-        assert admission.admitted == 2
-        assert admission.depth == 1
+        async def scenario():
+            frontend = AsyncFrontend(execute=_echo, r=1, queue_cap=1)
+            first, shed = await _offer(frontend, ["a", "b"])
+            await frontend.start()
+            await first  # its round took it off the queue
+            (second,) = await _offer(frontend, ["b"])
+            value = await second
+            await frontend.close()
+            return value, shed.exception(), frontend.stats()
+
+        value, error, stats = asyncio.run(scenario())
+        assert value == b"b" and isinstance(error, OverloadedError)
+        assert (stats["admitted"], stats["shed"], stats["depth"]) == (2, 1, 0)
 
     def test_high_water_tracks_peak(self):
-        admission = AdmissionController(8)
-        for _ in range(5):
-            admission.admit()
-        admission.release(3)
-        admission.admit()
-        assert admission.high_water == 5
-        assert admission.snapshot()["high_water"] == 5
+        async def scenario():
+            frontend = AsyncFrontend(execute=_echo, r=3, queue_cap=8)
+            tasks = await _offer(frontend, "abcde")
+            await frontend.start()
+            await asyncio.gather(*tasks[:3])  # one full round leaves 2
+            tasks += await _offer(frontend, "f")  # 3 pending: a full round
+            await asyncio.gather(*tasks)
+            await frontend.close()
+            return frontend.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["high_water"] == 5
+        assert (stats["admitted"], stats["depth"], stats["rounds"]) == (6, 0, 2)
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ConfigurationError):
-            AdmissionController(0)
+            AsyncFrontend(execute=_echo, r=1, queue_cap=0)
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,7 @@ from repro.workloads import (
     UniformSampler,
     YcsbWorkload,
     ZipfSampler,
-    replay,
     workload_a,
-    workload_b,
     workload_c,
 )
 from repro.workloads.ycsb import key_name
@@ -31,13 +29,6 @@ class TestTraceTypes:
     def test_read_forbids_value(self):
         with pytest.raises(ValueError):
             TraceRequest(Operation.READ, "k", b"v")
-
-    def test_replay_feeds_every_request(self):
-        seen = []
-        trace = [TraceRequest(Operation.READ, f"k{i}") for i in range(5)]
-        count = replay(trace, seen.append)
-        assert count == 5
-        assert [r.key for r in seen] == [f"k{i}" for i in range(5)]
 
 
 class TestZipfSampler:
@@ -126,11 +117,6 @@ class TestYcsb:
         assert ops[Operation.READ] == pytest.approx(2000, rel=0.1)
         assert ops[Operation.WRITE] == pytest.approx(2000, rel=0.1)
 
-    def test_workload_b_mostly_reads(self):
-        workload = workload_b(100, seed=4)
-        ops = Counter(req.op for req in workload.requests(4000))
-        assert ops[Operation.READ] / 4000 == pytest.approx(0.95, abs=0.02)
-
     def test_write_values_padded_size(self):
         workload = workload_a(100, seed=5, value_size=128)
         writes = [req for req in workload.requests(200)
@@ -214,46 +200,3 @@ class TestClickstream:
             assert node not in nbrs
             assert sum(weights) == pytest.approx(1.0)
 
-
-class TestTraceSerialization:
-    def test_roundtrip_mixed_trace(self, tmp_path):
-        from repro.workloads.trace import load_trace, save_trace
-        trace = [
-            TraceRequest(Operation.READ, "user00000001"),
-            TraceRequest(Operation.WRITE, "user00000002", b"\x00\xffbin"),
-            TraceRequest(Operation.INSERT, "user00000003", b"new"),
-        ]
-        path = tmp_path / "trace.txt"
-        assert save_trace(trace, path) == 3
-        loaded = load_trace(path)
-        assert [(r.op, r.key, r.value) for r in loaded] == \
-               [(r.op, r.key, r.value) for r in trace]
-
-    def test_generated_trace_roundtrips(self, tmp_path):
-        from repro.workloads.trace import load_trace, save_trace
-        trace = workload_a(100, seed=3, value_size=64).trace(200)
-        path = tmp_path / "ycsb.txt"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert len(loaded) == 200
-        assert all(a.key == b.key and a.value == b.value
-                   for a, b in zip(trace, loaded))
-
-    def test_whitespace_key_rejected(self, tmp_path):
-        from repro.workloads.trace import save_trace
-        with pytest.raises(ValueError):
-            save_trace([TraceRequest(Operation.READ, "bad key")],
-                       tmp_path / "x.txt")
-
-    def test_malformed_line_rejected(self, tmp_path):
-        from repro.workloads.trace import load_trace
-        path = tmp_path / "bad.txt"
-        path.write_text("read a b c d\n")
-        with pytest.raises(ValueError):
-            load_trace(path)
-
-    def test_empty_lines_skipped(self, tmp_path):
-        from repro.workloads.trace import load_trace
-        path = tmp_path / "gaps.txt"
-        path.write_text("read user1\n\nread user2\n")
-        assert len(load_trace(path)) == 2
