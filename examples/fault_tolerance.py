@@ -15,7 +15,7 @@ Run:  python examples/fault_tolerance.py
 
 import random
 
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
@@ -79,8 +79,8 @@ def main() -> None:
     print(f"30 more batches after the second failover (ts={ha.proxy.ts})")
 
     # Nothing observable changed across incarnations:
-    verify_storage_invariants(recorder.records)
-    report = full_report(recorder.records, ha.proxy.id_log)
+    report = Adversary(ha.proxy.id_log).feed(recorder.records)
+    report.check_lifecycle()
     alpha_ok = report.max_alpha <= config.alpha_bound_effective()
     beta_ok = report.min_beta >= config.beta_bound()
     print("\npost-mortem over the full (3-incarnation) trace:")

@@ -13,11 +13,7 @@ Run:  python examples/networked_deployment.py
 
 import random
 
-from repro.analysis.uniformity import (
-    infer_rounds,
-    measure_alpha,
-    verify_storage_invariants,
-)
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
@@ -78,9 +74,8 @@ def main() -> None:
     # connection is open calls ``remote.flush()`` first.)  Over the wire
     # there are no round markers, but the read/delete/write burst
     # structure gives the rounds away — infer them as the adversary would.
-    trace = infer_rounds(server_view.records)
-    verify_storage_invariants(trace)
-    report = measure_alpha(trace)
+    report = Adversary(infer_rounds=True).feed(server_view.records)
+    report.check_lifecycle()
     reads = sum(1 for r in server_view.records if r.op == "read")
     writes = sum(1 for r in server_view.records if r.op == "write")
     print("\nserver-side adversary's view:")

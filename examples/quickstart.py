@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import WaffleClient, WaffleConfig, WaffleDatastore
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary
 from repro.crypto.keys import KeyChain
 
 
@@ -51,8 +51,8 @@ def main() -> None:
 
     # 5. What did the adversary see?
     records = store.recorder.records
-    verify_storage_invariants(records)  # write-once/read-once ids
-    report = full_report(records, store.proxy.id_log)
+    report = Adversary(store.proxy.id_log).feed(records)
+    report.check_lifecycle()  # write-once/read-once ids
     print(f"\nadversary view: {len(records)} accesses over "
           f"{store.proxy.totals.rounds} rounds")
     print(f"observed max alpha = {report.max_alpha} "

@@ -10,12 +10,7 @@ similarity across input distributions is the obliviousness argument
 Run:  python examples/security_analysis.py
 """
 
-from repro.analysis.histograms import (
-    alpha_histogram,
-    histogram_difference,
-    render_histogram,
-)
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary, histogram_difference, render_histogram
 from repro.bench.harness import run_waffle
 from repro.core.config import SecurityLevel, WaffleConfig
 from repro.sim.costmodel import CostModel
@@ -30,9 +25,8 @@ def analyse(uniform: bool, n: int = 2**13, rounds: int = 400):
     trace = workload.trace(config.r * rounds)
     _, datastore = run_waffle(config, items, trace, CostModel(),
                               record=True, log_ids=True)
-    records = datastore.recorder.records
-    verify_storage_invariants(records)
-    report = full_report(records, datastore.proxy.id_log)
+    report = Adversary(datastore.proxy.id_log).feed(datastore.recorder.records)
+    report.check_lifecycle()
     return config, report
 
 
@@ -41,7 +35,7 @@ def main() -> None:
     for uniform in (False, True):
         name = "uniform" if uniform else "skewed (Zipf 0.99)"
         config, report = analyse(uniform)
-        histograms[uniform] = alpha_histogram(report.alphas)
+        histograms[uniform] = report.alpha_histogram
         print(f"\n=== input distribution: {name} ===")
         print(f"theoretical alpha (Thm 7.1) : {config.alpha_bound()}")
         print(f"implementation alpha bound  : {config.alpha_bound_effective()}"

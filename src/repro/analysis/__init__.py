@@ -1,34 +1,31 @@
 """Security-analysis toolkit: what the adversary sees, measured.
 
-* :mod:`repro.analysis.uniformity` — α/β measurement per Definition 1 and
-  verification of the Theorem 7.1/7.2 bounds (Table 2);
-* :mod:`repro.analysis.histograms` — α-value histograms and the
-  distribution-difference metrics behind Figures 4 and 5;
+* :mod:`repro.analysis.adversary` — :class:`Adversary`, the one reader of
+  the storage server's view: it takes accesses one at a time (a recorded
+  trace, a tracer's ``storage.access`` events) and answers α and β per
+  Definition 1 against the Theorem 7.1/7.2 bounds (Table 2), the id
+  lifecycle, per-round shape, the entropy / KL / χ² leakage statistics
+  and the round-release instants;
+* :mod:`repro.analysis.histograms` — α-histogram comparison behind
+  Figures 4 and 5;
 * :mod:`repro.analysis.attacks` — the inference attacks the paper cites:
   frequency analysis (§2) and an IHOP-style correlated co-occurrence
   attack (§8.3.2), runnable against any recorded trace;
-* :mod:`repro.analysis.timing` — the timing-leakage observatory: round
-  release schedules as a side channel, with load-inference and
-  onset-detection attacks plus the fixed-interval shaping comparison.
+* :mod:`repro.analysis.timing` — the timing attacks over round-release
+  instants (load inference, onset detection) and the fixed-interval
+  shaping comparison;
+* :mod:`repro.analysis.report` — the security audit ``repro audit``
+  prints.
 """
 
-from repro.analysis.histograms import alpha_histogram, histogram_difference
-from repro.analysis.uniformity import (
-    UniformityReport,
-    measure_alpha,
-    measure_beta,
-    verify_storage_invariants,
-)
+from repro.analysis.adversary import Adversary, LeakageSummary
+from repro.analysis.histograms import histogram_difference, render_histogram
 from repro.analysis.attacks import (
     cooccurrence_attack,
     frequency_analysis_attack,
 )
-from repro.analysis.leakage import LeakageSummary, leakage_summary
-from repro.analysis.monitor import AlphaMonitor
 from repro.analysis.report import AuditResult, security_audit
 from repro.analysis.timing import (
-    TimingObserver,
-    attach_timing_observer,
     detect_onset,
     load_inference_attack,
     simulate_round_times,
@@ -36,23 +33,16 @@ from repro.analysis.timing import (
 )
 
 __all__ = [
-    "AlphaMonitor",
+    "Adversary",
     "AuditResult",
-    "security_audit",
     "LeakageSummary",
-    "TimingObserver",
-    "UniformityReport",
-    "alpha_histogram",
-    "attach_timing_observer",
     "cooccurrence_attack",
     "detect_onset",
     "frequency_analysis_attack",
     "histogram_difference",
-    "leakage_summary",
     "load_inference_attack",
-    "measure_alpha",
-    "measure_beta",
+    "render_histogram",
+    "security_audit",
     "simulate_round_times",
     "timing_attack_benchmark",
-    "verify_storage_invariants",
 ]

@@ -6,6 +6,7 @@ histograms of adversary-observable α values.  If they are (nearly)
 indistinguishable, an adversary watching the server learns (nearly)
 nothing about the input distribution.  Figure 4 compares skewed vs
 uniform inputs; Figure 5 compares correlated vs independent queries.
+The histograms are :attr:`repro.analysis.Adversary.alpha_histogram`.
 
 Metrics reported, matching the paper's phrasing:
 
@@ -20,12 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-__all__ = ["HistogramComparison", "alpha_histogram", "histogram_difference"]
-
-
-def alpha_histogram(alphas: list[int]) -> Counter:
-    """Histogram of observed α values (bucket = exact α)."""
-    return Counter(alphas)
+__all__ = ["HistogramComparison", "histogram_difference", "render_histogram"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,21 +1,20 @@
 """Security audit report: everything an operator checks, in one document.
 
-:func:`security_audit` runs a deployment's recorded trace through the
-whole analysis toolkit — id-lifecycle invariants, α/β bounds vs theory,
-leakage statistics, the α histogram — and renders a markdown report an
-operator can archive next to their parameter choices (§8.4's
-operational workflow).  The CLI exposes it as ``repro audit``.
+:func:`security_audit` replays a deployment's recorded trace through one
+:class:`~repro.analysis.adversary.Adversary` and renders what it read —
+id-lifecycle invariants, α/β bounds vs theory, leakage statistics, the
+α histogram — as a markdown report an operator can archive next to
+their parameter choices (§8.4's operational workflow).  The CLI exposes it as ``repro audit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.histograms import alpha_histogram, render_histogram
-from repro.analysis.leakage import leakage_summary
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis.adversary import Adversary
+from repro.analysis.histograms import render_histogram
 from repro.core.datastore import WaffleDatastore
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 
 __all__ = ["AuditResult", "security_audit"]
 
@@ -45,22 +44,17 @@ def security_audit(datastore: WaffleDatastore,
         )
     config = datastore.config
     records = datastore.recorder.records
-
-    invariants_ok = True
-    invariant_note = "every storage id written once, read once, deleted"
-    try:
-        verify_storage_invariants(records)
-    except ProtocolError as error:
-        invariants_ok = False
-        invariant_note = f"VIOLATION: {error}"
-
     id_log = datastore.proxy.id_log
-    report = full_report(records, id_log)
+    report = Adversary(id_log, from_round=steady_state_from_round) \
+        .feed(records)
+    invariants_ok = report.violation is None
+    invariant_note = ("every storage id written once, read once, deleted"
+                      if invariants_ok else f"VIOLATION: {report.violation}")
     alpha_bound = config.alpha_bound_effective()
     beta_bound = config.beta_bound()
     alpha_ok = report.max_alpha is None or report.max_alpha <= alpha_bound
-    beta_ok = (not report.betas) or report.min_beta >= beta_bound
-    leakage = leakage_summary(records, steady_state_from_round)
+    beta_ok = report.min_beta is None or report.min_beta >= beta_bound
+    leakage = report.leakage()
 
     check = "PASS" if (invariants_ok and alpha_ok and beta_ok) else "FAIL"
     lines = [
@@ -108,7 +102,7 @@ def security_audit(datastore: WaffleDatastore,
         "## α histogram",
         "",
         "```",
-        render_histogram(alpha_histogram(report.alphas), max_rows=12),
+        render_histogram(report.alpha_histogram, max_rows=12),
         "```",
     ]
     return AuditResult(

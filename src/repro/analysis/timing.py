@@ -11,13 +11,12 @@ gap series — all without the adversary reading a single id.
 
 This module measures that channel:
 
-* :class:`TimingObserver` records only what a server-side adversary can
-  see — the monotonic release instant of each round — either live (via
-  :func:`attach_timing_observer` on the tracer's ``storage.access``
-  stream) or from a simulated schedule;
 * :func:`load_inference_attack` and :func:`detect_onset` are the
-  adversary: recover the offered-load curve from gap widths, and locate
-  a hot-key onset as the strongest mean-shift in the gap series;
+  attacks.  They read the release instant of each round (a simulated
+  schedule, or :attr:`repro.analysis.Adversary.release_times` taken
+  live from the tracer's ``storage.access`` stream), recover the
+  offered-load curve from gap widths, and locate a hot-key onset as the
+  strongest mean-shift in the gap series;
 * :func:`timing_attack_benchmark` runs both attacks against an on-fill
   schedule and a fixed-interval (shaped) schedule of the *same* workload
   on a :class:`~repro.sim.clock.SimClock`, scoring each as a leakage
@@ -26,117 +25,28 @@ This module measures that channel:
   :func:`repro.testing.oracle.check_timing_channel` pins and the chaos
   suite sweeps over seeds.
 
-Threat-model caveat (DESIGN.md §12): the observer deliberately records
-*nothing* the server cannot see.  Timestamps come from
-:func:`repro.obs.clock` (the sanctioned monotonic source — oblint OBL201
-keeps raw ``time.monotonic`` out of protocol code), and only the first
-access of each round is stamped; per-phase proxy-internal timings never
-reach this module.
+Threat-model caveat (DESIGN.md §12): the attacks read *nothing* the
+server cannot see.  Live instants come from :func:`repro.obs.clock`
+(the sanctioned monotonic source — oblint OBL201 keeps raw
+``time.monotonic`` out of protocol code), and only the first access of
+each round counts; per-phase proxy-internal timings never reach this
+module.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Callable
 
 from repro.sim.clock import SimClock
 
-if TYPE_CHECKING:
-    from repro.obs.trace import Tracer
-
 __all__ = [
-    "TimingObserver",
-    "attach_timing_observer",
     "detect_onset",
     "estimate_rates",
     "load_inference_attack",
     "simulate_round_times",
     "timing_attack_benchmark",
 ]
-
-
-class TimingObserver:
-    """Accumulates adversary-visible round-release timestamps.
-
-    The observer is storage-side: it learns the instant each round's
-    first server access lands and nothing else.  Timestamps must be
-    monotone non-decreasing (they come from a monotonic clock or a
-    :class:`SimClock`); a regression raises immediately rather than
-    silently corrupting the gap series.
-    """
-
-    __slots__ = ("timestamps",)
-
-    def __init__(self) -> None:
-        self.timestamps: list[float] = []
-
-    def observe_round(self, t: float) -> None:
-        if self.timestamps and t < self.timestamps[-1]:
-            raise ValueError(
-                f"non-monotone round timestamp: {t} after "
-                f"{self.timestamps[-1]}")
-        self.timestamps.append(float(t))
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def gaps(self) -> list[float]:
-        """Inter-round gaps (length ``len(self) - 1``)."""
-        ts = self.timestamps
-        return [b - a for a, b in zip(ts, ts[1:])]
-
-    def summary(self) -> dict:
-        """Gap statistics: the adversary's first-order view."""
-        gaps = self.gaps()
-        if not gaps:
-            return {"rounds": len(self.timestamps), "gaps": 0}
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        return {
-            "rounds": len(self.timestamps),
-            "gaps": len(gaps),
-            "mean_gap": mean,
-            "stdev_gap": math.sqrt(var),
-            "min_gap": min(gaps),
-            "max_gap": max(gaps),
-        }
-
-
-def attach_timing_observer(tracer: Tracer, observer: TimingObserver,
-                           clock: Callable[[], float] | None = None,
-                           ) -> Callable[[dict], None]:
-    """Stamp each round's first ``storage.access`` into ``observer``.
-
-    Mirrors :func:`repro.analysis.monitor.attach_monitor`: subscribes to
-    the tracer and returns the callback for later
-    ``tracer.unsubscribe``.  ``clock`` supplies the timestamp — default
-    is :func:`repro.obs.clock` (real monotonic time); pass a
-    ``SimClock.now``-reading lambda for deterministic tests.
-
-    Only the *first* access of each new round is stamped, because that
-    is the instant the round becomes visible to the server; everything
-    after it within the same round is protocol-shaped, not
-    workload-shaped.
-    """
-    if clock is None:
-        from repro.obs import clock as clock_fn
-    else:
-        clock_fn = clock
-    last_round: list[object] = [None]
-
-    def _on_record(record: dict) -> None:
-        if (record.get("kind") != "event"
-                or record.get("name") != "storage.access"):
-            return
-        round_no = record.get("attrs", {}).get("round")
-        if round_no == last_round[0]:
-            return
-        last_round[0] = round_no
-        observer.observe_round(clock_fn())
-
-    tracer.subscribe(_on_record)
-    return _on_record
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +217,6 @@ def timing_attack_benchmark(rounds: int = 64, r: int = 20, seed: int = 7,
     def _evaluate(schedule: str) -> dict:
         times = simulate_round_times(rates, r, seed=seed + 1,
                                      schedule=schedule)
-        observer = TimingObserver()
-        for t in times:
-            observer.observe_round(t)
         attack = load_inference_attack(times, rates, r)
         detected = detect_onset(times)
         if detected is None:
@@ -319,7 +226,6 @@ def timing_attack_benchmark(rounds: int = 64, r: int = 20, seed: int = 7,
             onset_score = max(0.0, 1.0 - 2.0 * err)
         return {
             "schedule": schedule,
-            "summary": observer.summary(),
             "load_attack": attack,
             "onset_true": onset,
             "onset_detected": detected,

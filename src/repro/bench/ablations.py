@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.leakage import LeakageSummary, leakage_summary
+from repro.analysis.adversary import Adversary, LeakageSummary
 from repro.analysis.timing import timing_attack_benchmark
 from repro.baselines.insecure import InsecureStore
 from repro.baselines.pancake import PancakeProxy
@@ -52,7 +52,7 @@ def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:
     insecure = InsecureStore(recorder, dict(items))
     for request in trace:
         insecure.execute(request)
-    rows.append(row("insecure", leakage_summary(recorder.records)))
+    rows.append(row("insecure", Adversary().feed(recorder.records).leakage()))
 
     recorder = RecordingStore(RedisSim())
     pi = ycsb.workload_c(n, seed=9, value_size=256) \
@@ -64,14 +64,13 @@ def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:
         pancake.submit(request)
     while pancake.pending():
         pancake.process_batch()
-    rows.append(row("pancake", leakage_summary(recorder.records)))
+    rows.append(row("pancake", Adversary().feed(recorder.records).leakage()))
 
     config = WaffleConfig.paper_defaults(n=n, seed=9)
     _, datastore = run_waffle(config, items, trace, CostModel(),
                               record=True)
-    rows.append(row("waffle",
-                    leakage_summary(datastore.recorder.records,
-                                    steady_state_from_round=1)))
+    waffle = Adversary(from_round=1).feed(datastore.recorder.records)
+    rows.append(row("waffle", waffle.leakage()))
     return rows
 
 

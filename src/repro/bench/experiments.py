@@ -33,16 +33,8 @@ from repro.analysis.attacks import (
     cooccurrence_attack,
     frequency_analysis_attack,
 )
-from repro.analysis.histograms import (
-    alpha_histogram,
-    histogram_difference,
-    render_histogram,
-)
-from repro.analysis.uniformity import (
-    UniformityReport,
-    full_report,
-    measure_alpha,
-)
+from repro.analysis.adversary import Adversary
+from repro.analysis.histograms import histogram_difference, render_histogram
 from repro.bench import ablations
 from repro.bench.harness import (
     Measurement,
@@ -435,15 +427,16 @@ def _check_fig3d(rows: list[dict]) -> None:
 # ----------------------------------------------------------------------
 def _security_run(config: WaffleConfig, uniform: bool, rounds: int,
                   cost: CostModel, seed: int
-                  ) -> tuple[Measurement, UniformityReport]:
+                  ) -> tuple[Measurement, Adversary]:
     workload = YcsbWorkload(config.n, read_proportion=1.0, uniform=uniform,
                             theta=0.99, value_size=1000, seed=seed)
     items = _items(workload)
     trace = workload.trace(config.r * rounds)
     measurement, datastore = run_waffle(config, items, trace, cost,
                                         record=True, log_ids=True)
-    report = full_report(datastore.recorder.records, datastore.proxy.id_log)
-    return measurement, report
+    adversary = Adversary(datastore.proxy.id_log) \
+        .feed(datastore.recorder.records)
+    return measurement, adversary
 
 
 def table2_security_levels(n: int = DEFAULT_N, rounds: int = 300,
@@ -476,10 +469,10 @@ def table2_security_levels(n: int = DEFAULT_N, rounds: int = 300,
                 # beta values) actually occur.
                 level_rounds = max(2 * config.beta_bound() + 60,
                                    rounds // 4)
-            measurement, report = _security_run(config, uniform,
-                                                level_rounds, cost, seed)
-            measured_alpha = report.max_alpha
-            measured_beta = report.min_beta
+            measurement, adversary = _security_run(config, uniform,
+                                                   level_rounds, cost, seed)
+            measured_alpha = adversary.max_alpha
+            measured_beta = adversary.min_beta
             if level is SecurityLevel.LOW:
                 # The paper does not report α/β here: unpopular objects
                 # stay unread for the whole run.
@@ -496,7 +489,7 @@ def table2_security_levels(n: int = DEFAULT_N, rounds: int = 300,
                 "beta_theory": config.beta_bound(),
                 "beta_observed": measured_beta,
                 "throughput_ops": measurement.throughput_ops,
-                "unread_ids": report.unread_ids,
+                "unread_ids": adversary.unread_ids,
             })
     return rows
 
@@ -549,10 +542,10 @@ def fig4_alpha_histograms(n: int = DEFAULT_N, rounds: int = 300,
             config = WaffleConfig.security_preset(level, n=n, seed=seed)
             level_rounds = rounds if level is SecurityLevel.MEDIUM else max(
                 40, rounds // 4)
-            _, report = _security_run(config, uniform, level_rounds, cost,
-                                      seed)
+            _, adversary = _security_run(config, uniform, level_rounds,
+                                         cost, seed)
             name = "uniform" if uniform else "skewed"
-            histograms[name] = alpha_histogram(report.alphas)
+            histograms[name] = adversary.alpha_histogram
         out["histograms"][level.value] = histograms
         out["comparisons"][level.value] = histogram_difference(
             histograms["skewed"], histograms["uniform"])
@@ -618,9 +611,9 @@ def fig5_correlated(n: int = 500, requests: int = 50_000,
             values = {key_name(i): b"a" * 64 for i in range(n)}
             measurement, datastore = run_waffle(config, values, trace, cost,
                                                 record=True)
-            report = measure_alpha(datastore.recorder.records)
             name = "correlated" if correlated else "independent"
-            histograms[name] = alpha_histogram(report.alphas)
+            histograms[name] = Adversary().feed(
+                datastore.recorder.records).alpha_histogram
             throughputs[name] = measurement.throughput_ops
         comparison = histogram_difference(histograms["correlated"],
                                           histograms["independent"])
@@ -884,15 +877,6 @@ def low_security_distinguisher(n: int = 2048, rounds: int = 100,
     the low-security setting — while at medium security (small R, ample
     f_R) both inputs sweep everything and the counts coincide at zero.
     """
-    def stale_init_ids(records: list[AccessRecord]) -> int:
-        written_at_zero = set()
-        for record in records:
-            if record.op == "write" and record.round == 0:
-                written_at_zero.add(record.storage_id)
-            elif record.op == "read":
-                written_at_zero.discard(record.storage_id)
-        return len(written_at_zero)
-
     # Explicit configs: the scaled Table 2 presets quantize R/B too
     # coarsely at reproduction sizes to show the contrast.
     shapes = {
@@ -914,7 +898,8 @@ def low_security_distinguisher(n: int = 2048, rounds: int = 100,
             _, datastore = run_waffle(config, items, trace,
                                       CostModel(), record=True)
             name = "uniform" if uniform else "skewed"
-            counts[name] = stale_init_ids(datastore.recorder.records)
+            counts[name] = Adversary().feed(
+                datastore.recorder.records).unread_written_by(0)
         out[level] = {
             "stale_init_skewed": counts["skewed"],
             "stale_init_uniform": counts["uniform"],
@@ -961,11 +946,11 @@ def ablation_fake_policy(n: int = 4096, rounds: int = 1200,
         items = _items(workload)
         trace = workload.trace(config.r * rounds)
         _, datastore = run_waffle(config, items, trace, cost, record=True)
-        report = measure_alpha(datastore.recorder.records)
+        adversary = Adversary().feed(datastore.recorder.records)
         out[policy] = {
-            "max_alpha": report.max_alpha,
+            "max_alpha": adversary.max_alpha,
             "bound": config.alpha_bound_effective(),
-            "unread_ids": report.unread_ids,
+            "unread_ids": adversary.unread_ids,
         }
     return out
 

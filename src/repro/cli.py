@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_p.add_argument("--n", type=int, default=1024)
     obs_p.add_argument("--rounds", type=int, default=50)
     obs_p.add_argument("--window", type=int, default=10,
-                       help="AlphaMonitor window size in rounds")
+                       help="rounds per window of the alpha-budget panel")
     obs_p.add_argument("--trace-out", default=None,
                        help="stream the JSONL trace to this file")
     obs_p.add_argument("--prom-out", default=None,
@@ -223,7 +223,7 @@ def _run_audit(args: argparse.Namespace) -> int:
 
 def _run_obs(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.analysis.monitor import AlphaMonitor, attach_monitor
+    from repro.analysis.adversary import Adversary
     from repro.core.batch import ClientRequest
     from repro.core.datastore import WaffleDatastore
     from repro.crypto.keys import KeyChain
@@ -234,11 +234,11 @@ def _run_obs(args: argparse.Namespace) -> int:
     config = WaffleConfig.paper_defaults(n=args.n, seed=1)
     handle = obs.enable(trace_path=args.trace_out)
     # Attached before the datastore is built so initialization writes
-    # stream into the monitor — otherwise every steady-state read would
+    # stream into the adversary — otherwise every steady-state read would
     # look like a read of an unobserved id.
-    monitor = AlphaMonitor(alpha_budget=config.alpha_bound_effective(),
-                           window_rounds=args.window)
-    attach_monitor(handle.tracer, monitor)
+    adversary = Adversary(alpha_budget=config.alpha_bound_effective(),
+                          window_rounds=args.window)
+    adversary.attach(handle.tracer)
 
     workload = YcsbWorkload(args.n, read_proportion=0.5, theta=0.99,
                             value_size=128, seed=2)
@@ -252,7 +252,7 @@ def _run_obs(args: argparse.Namespace) -> int:
             ClientRequest(op=req.op, key=req.key, value=req.value)
             for req in chunk])
 
-    print(render_dashboard(handle.registry, monitor=monitor))
+    print(render_dashboard(handle.registry, adversary=adversary))
     if args.profile:
         from repro.obs.profile import render_profile
 

@@ -73,9 +73,9 @@ __all__ = [
 def clock() -> float:
     """The sanctioned monotonic timestamp source for observability.
 
-    Observers that need *timestamps* (not durations) — the timing-
-    leakage observatory in :mod:`repro.analysis.timing` stamps round
-    release instants — read this instead of ``time.monotonic`` directly.
+    Observers that need *timestamps* (not durations) — a live
+    :class:`repro.analysis.Adversary` stamps round release instants —
+    read this instead of ``time.monotonic`` directly.
     Funneling every monotonic read through one helper keeps the
     determinism audit tractable: oblint's OBL201 pass bans raw
     ``time.monotonic`` everywhere outside ``obs/`` and allows

@@ -1,15 +1,15 @@
 """Terminal dashboard: one table for throughput, latency and security.
 
 :func:`render_dashboard` turns a metrics registry (plus, optionally, a
-live :class:`~repro.analysis.monitor.AlphaMonitor`) into the operator
+live :class:`~repro.analysis.adversary.Adversary`) into the operator
 view §8.4 presupposes: per-system throughput and latency percentiles,
 Waffle's batch composition (real / fake-real / fake-dummy), cache hit
 rate, kernel timings, and the α-budget status — all from the shared
 metric names, so Waffle and the baselines line up row by row.
 
-The monitor argument is duck-typed (``alpha_budget``, ``reports``,
-``outstanding_ids``, ``total_breaches``) to keep this module free of
-dependencies on the analysis package.
+The adversary argument is duck-typed (``alpha_budget``, ``windows``,
+``unread_ids``, ``breaches``) to keep this module free of dependencies
+on the analysis package.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _fmt(value: float, unit: str = "") -> str:
     return f"{value:.4f}{unit}"
 
 
-def render_dashboard(registry: MetricsRegistry, monitor: Any = None) -> str:
+def render_dashboard(registry: MetricsRegistry, adversary: Any = None) -> str:
     """Render the live dashboard as plain text."""
     title = "repro observability"
     lines = [title, "=" * len(title), ""]
@@ -115,20 +115,20 @@ def render_dashboard(registry: MetricsRegistry, monitor: Any = None) -> str:
         lines.append("")
 
     # ---- alpha budget ------------------------------------------------
-    if monitor is not None:
-        reports = monitor.reports
-        max_alpha = max((r.max_alpha for r in reports
-                         if r.max_alpha is not None), default=None)
-        status = "BREACHED" if monitor.total_breaches else "OK"
+    if adversary is not None:
+        windows = adversary.windows
+        max_alpha = max((w.max_alpha for w in windows
+                         if w.max_alpha is not None), default=None)
+        status = "BREACHED" if adversary.breaches else "OK"
         lines += [
-            "alpha-budget status (live AlphaMonitor, §8.4)",
+            "alpha-budget status (live adversary, §8.4)",
             "",
-            f"  budget              : {monitor.alpha_budget}",
-            f"  windows closed      : {len(reports)}",
+            f"  budget              : {adversary.alpha_budget}",
+            f"  windows closed      : {len(windows)}",
             f"  max observed alpha  : "
             f"{max_alpha if max_alpha is not None else '-'}",
-            f"  outstanding ids     : {monitor.outstanding_ids}",
-            f"  budget breaches     : {monitor.total_breaches}",
+            f"  outstanding ids     : {adversary.unread_ids}",
+            f"  budget breaches     : {adversary.breaches}",
             f"  status              : {status}",
             "",
         ]

@@ -19,9 +19,9 @@ thread while the event loop thread records its own spans.
 
 The tracer buffers records in memory (bounded), optionally streams them
 to a fresh JSONL file, and fans every record out to registered subscribers —
-that last hook is how the live :class:`~repro.analysis.monitor.AlphaMonitor`
+that last hook is how a live :class:`~repro.analysis.adversary.Adversary`
 consumes the storage-access stream without the storage layer knowing the
-monitor exists.
+adversary exists.
 
 Trace neutrality: emitting a record reads ``time.perf_counter`` and
 appends to lists; it never draws randomness and never touches system

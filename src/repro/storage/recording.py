@@ -63,8 +63,7 @@ class RecordingStore(PassthroughStore):
         self._seq += 1
         if OBS.enabled:
             # The live trace of the adversary-visible channel: one event
-            # per access, consumable by AlphaMonitor via
-            # repro.analysis.monitor.attach_monitor.
+            # per access, which repro.analysis.Adversary.attach consumes.
             OBS.tracer.event("storage.access", op=op, id=storage_id,
                              round=self._round)
             OBS.registry.counter("storage.accesses.total", op=op).inc()

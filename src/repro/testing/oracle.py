@@ -36,13 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.uniformity import (
-    UniformityReport,
-    full_report,
-    verify_storage_invariants,
-)
+from repro.analysis.adversary import Adversary
 from repro.core.config import WaffleConfig
-from repro.errors import ProtocolError
 from repro.storage.recording import AccessRecord
 
 __all__ = [
@@ -219,7 +214,7 @@ def check_uniformity(collapsed: list[AccessRecord],
                      config: WaffleConfig,
                      inserts_total: int = 0,
                      deletes_total: int = 0,
-                     ) -> tuple[list[Violation], UniformityReport | None]:
+                     ) -> tuple[list[Violation], Adversary]:
     """Lifecycle plus α/β bounds on the collapsed trace.
 
     Mutations move the bounds: inserts grow N, deletes grow D.  The
@@ -228,27 +223,25 @@ def check_uniformity(collapsed: list[AccessRecord],
     grows monotonically in both.
     """
     violations: list[Violation] = []
-    try:
-        verify_storage_invariants(collapsed)
-    except ProtocolError as error:
-        violations.append(Violation("lifecycle", str(error)))
-        return violations, None
+    adversary = Adversary(id_log).feed(collapsed)
+    if adversary.violation is not None:
+        violations.append(Violation("lifecycle", adversary.violation))
+        return violations, adversary
     bounds_cfg = replace(config, n=config.n + inserts_total,
                          d=config.d + deletes_total)
     alpha_bound = bounds_cfg.alpha_bound_effective()
     beta_bound = bounds_cfg.beta_bound()
-    report = full_report(collapsed, id_log)
-    if report.max_alpha is not None and report.max_alpha > alpha_bound:
+    if adversary.max_alpha is not None and adversary.max_alpha > alpha_bound:
         violations.append(Violation(
             "alpha",
-            f"observed max alpha {report.max_alpha} exceeds bound "
+            f"observed max alpha {adversary.max_alpha} exceeds bound "
             f"{alpha_bound}"))
-    if report.min_beta is not None and report.min_beta < beta_bound:
+    if adversary.min_beta is not None and adversary.min_beta < beta_bound:
         violations.append(Violation(
             "beta",
-            f"observed min beta {report.min_beta} below bound "
+            f"observed min beta {adversary.min_beta} below bound "
             f"{beta_bound}"))
-    return violations, report
+    return violations, adversary
 
 
 def check_timing_channel(benchmark: dict,

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.analysis.uniformity import UniformityReport
+from repro.analysis.adversary import Adversary
 from repro.baselines.insecure import InsecureStore
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
@@ -92,7 +92,7 @@ class EpisodeResult:
     faults_injected: dict[str, int] = field(default_factory=dict)
     attempts: list[Attempt] = field(default_factory=list)
     collapsed_records: list[AccessRecord] = field(default_factory=list)
-    report: UniformityReport | None = None
+    adversary: Adversary | None = None
 
     @property
     def ok(self) -> bool:
@@ -199,23 +199,24 @@ def judge(deployment: Deployment, attempts: list[Attempt],
           uniformity: bool = True, inserts_total: int = 0,
           deletes_total: int = 0,
           ) -> tuple[list[Violation], list[AccessRecord],
-                     UniformityReport | None]:
+                     Adversary | None]:
     """The oracle over one run's trace: replay prefixes, the collapsed
     trace's batch shape and, when ``uniformity``, its lifecycle and α/β
     (the insert / delete totals move the bounds).
 
-    Returns the violations, the collapsed trace and the uniformity report.
+    Returns the violations, the collapsed trace and the adversary that
+    read it (``None`` without ``uniformity``).
     """
     records = deployment.recorder.records
     violations = check_replay_prefix(records, attempts)
     collapsed = collapse_trace(records, attempts, deployment.init_end_seq)
     violations.extend(check_batch_shape(collapsed, config.b))
-    report = None
+    adversary = None
     if uniformity:
-        found, report = check_uniformity(collapsed, id_log, config,
-                                         inserts_total, deletes_total)
+        found, adversary = check_uniformity(collapsed, id_log, config,
+                                            inserts_total, deletes_total)
         violations.extend(found)
-    return violations, collapsed, report
+    return violations, collapsed, adversary
 
 
 def run_episode(episode: Episode,
@@ -341,7 +342,7 @@ def run_episode(episode: Episode,
             break
 
     # ---- judge -----------------------------------------------------------
-    violations, result.collapsed_records, result.report = judge(
+    violations, result.collapsed_records, result.adversary = judge(
         deployment, result.attempts, cfg, ha.proxy.id_log,
         uniformity=not aborted, inserts_total=inserts_total,
         deletes_total=deletes_total)

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.timing import detect_onset, load_inference_attack
-from repro.analysis.uniformity import UniformityReport
+from repro.analysis.adversary import Adversary
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value, unpad_value
@@ -125,7 +125,7 @@ class ServingResult:
     attempts: list[Attempt] = field(default_factory=list)
     collapsed_records: list[AccessRecord] = field(default_factory=list)
     release_times: list[float] = field(default_factory=list)
-    report: UniformityReport | None = None
+    adversary: Adversary | None = None
 
     @property
     def ok(self) -> bool:
@@ -238,7 +238,7 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     asyncio.run(drive())
 
     # ---- judge -----------------------------------------------------------
-    violations, result.collapsed_records, result.report = judge(
+    violations, result.collapsed_records, result.adversary = judge(
         deployment, result.attempts, cfg, ha.proxy.id_log)
     result.violations.extend(violations)
     return result

@@ -4,20 +4,24 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.histograms import (
-    alpha_histogram,
-    histogram_difference,
-    render_histogram,
-)
+from repro.analysis import Adversary
+from repro.analysis.histograms import histogram_difference, render_histogram
 
 
 class TestAlphaHistogram:
     def test_counts_values(self):
-        hist = alpha_histogram([0, 0, 1, 3, 3, 3])
-        assert hist == Counter({0: 2, 1: 1, 3: 3})
+        adv = Adversary()
+        for op, sid, round_index in (
+                ("write", "a", 0), ("write", "c", 0), ("write", "d", 0),
+                ("read", "a", 1), ("write", "e", 1),
+                ("read", "c", 2), ("write", "b", 2), ("write", "f", 2),
+                ("read", "b", 3), ("read", "d", 4), ("read", "e", 5),
+                ("read", "f", 6)):
+            adv.observe(op, sid, round_index)
+        assert adv.alpha_histogram == Counter({0: 2, 1: 1, 3: 3})
 
     def test_empty(self):
-        assert alpha_histogram([]) == Counter()
+        assert Adversary().alpha_histogram == Counter()
 
 
 class TestHistogramDifference:

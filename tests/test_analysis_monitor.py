@@ -1,117 +1,124 @@
-"""Tests for the online alpha monitor."""
+"""The adversary's windowed α against a budget (§8.4's live monitor)."""
 
 import pytest
 
-from repro.analysis.monitor import AlphaMonitor
+from repro.analysis import Adversary
 from repro.errors import ConfigurationError
+
+
+def write(adv: Adversary, sid: str, round_index: int) -> None:
+    adv.observe("write", sid, round_index)
+
+
+def read(adv: Adversary, sid: str, round_index: int) -> None:
+    adv.observe("read", sid, round_index)
 
 
 class TestAlphaMonitor:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            AlphaMonitor(alpha_budget=-1)
+            Adversary(alpha_budget=-1)
         with pytest.raises(ConfigurationError):
-            AlphaMonitor(alpha_budget=5, window_rounds=0)
+            Adversary(alpha_budget=5, window_rounds=0)
 
     def test_alpha_computed_per_id(self):
-        monitor = AlphaMonitor(alpha_budget=10, window_rounds=100)
-        monitor.observe_write("a", 3)
-        assert monitor.observe_read("a", 7) == 3
+        adv = Adversary(alpha_budget=10, window_rounds=100)
+        write(adv, "a", 3)
+        read(adv, "a", 7)
+        assert adv.alpha_histogram == {3: 1}
 
     def test_unknown_read_ignored(self):
-        monitor = AlphaMonitor(alpha_budget=10)
-        assert monitor.observe_read("ghost", 1) is None
+        adv = Adversary(alpha_budget=10)
+        read(adv, "ghost", 1)
+        assert not adv.alpha_histogram
 
     def test_windows_close_and_report(self):
-        monitor = AlphaMonitor(alpha_budget=10, window_rounds=10)
-        monitor.observe_write("a", 1)
-        monitor.observe_read("a", 4)      # alpha 2
-        monitor.observe_write("b", 12)    # forces window [0..9] closed
-        reports = monitor.reports
-        assert len(reports) == 1
-        assert reports[0].max_alpha == 2
-        assert reports[0].samples == 1
-        assert not reports[0].budget_breached
+        adv = Adversary(alpha_budget=10, window_rounds=10)
+        write(adv, "a", 1)
+        read(adv, "a", 4)      # alpha 2
+        write(adv, "b", 12)    # forces window [0..9] closed
+        windows = adv.windows
+        assert len(windows) == 1
+        assert windows[0].max_alpha == 2
+        assert windows[0].samples == 1
+        assert not windows[0].budget_breached
 
     def test_budget_breach_on_large_alpha(self):
-        monitor = AlphaMonitor(alpha_budget=3, window_rounds=10)
-        monitor.observe_write("a", 0)
-        monitor.observe_read("a", 9)      # alpha 8 > 3
-        monitor.observe_write("x", 20)
-        assert monitor.total_breaches >= 1
-        assert monitor.reports[0].budget_breached
+        adv = Adversary(alpha_budget=3, window_rounds=10)
+        write(adv, "a", 0)
+        read(adv, "a", 9)      # alpha 8 > 3
+        write(adv, "x", 20)
+        assert adv.breaches >= 1
+        assert adv.windows[0].budget_breached
 
     def test_breach_on_aging_outstanding_id(self):
         """An id written but never read past the budget is a breach even
         though no alpha sample exists (the low-security failure mode)."""
-        monitor = AlphaMonitor(alpha_budget=5, window_rounds=10)
-        monitor.observe_write("stuck", 0)
-        monitor.observe_write("x", 25)    # closes windows; 'stuck' ages
-        assert any(r.budget_breached and r.oldest_outstanding_age > 5
-                   for r in monitor.reports)
+        adv = Adversary(alpha_budget=5, window_rounds=10)
+        write(adv, "stuck", 0)
+        write(adv, "x", 25)    # closes windows; 'stuck' ages
+        assert any(w.budget_breached and w.oldest_outstanding_age > 5
+                   for w in adv.windows)
 
     def test_rounds_must_be_monotone(self):
-        monitor = AlphaMonitor(alpha_budget=5)
-        monitor.observe_write("a", 10)
+        adv = Adversary(alpha_budget=5)
+        write(adv, "a", 10)
         with pytest.raises(ConfigurationError):
-            monitor.observe_write("b", 5)
+            write(adv, "b", 5)
 
     def test_report_emitted_exactly_at_window_end_round(self):
-        """The window [0..window_rounds-1] closes on the first event at
+        """The window [0..window_rounds-1] closes on the first access at
         round window_rounds, not one round early or late."""
-        monitor = AlphaMonitor(alpha_budget=10, window_rounds=10)
-        monitor.observe_write("a", 0)
-        monitor.observe_write("b", 9)   # last round inside the window
-        assert monitor.reports == []    # not closed yet
-        monitor.observe_read("b", 10)   # first event past the boundary
-        reports = monitor.reports
-        assert len(reports) == 1
-        assert reports[0].window_start_round == 0
-        assert reports[0].window_end_round == 9
+        adv = Adversary(alpha_budget=10, window_rounds=10)
+        write(adv, "a", 0)
+        write(adv, "b", 9)     # last round inside the window
+        assert adv.windows == []
+        read(adv, "b", 10)     # first access past the boundary
+        windows = adv.windows
+        assert len(windows) == 1
+        assert windows[0].window_start_round == 0
+        assert windows[0].window_end_round == 9
         # The read at round 10 belongs to the *next* window.
-        assert reports[0].samples == 0
+        assert windows[0].samples == 0
 
     def test_breach_latches_across_windows(self):
-        """total_breaches accumulates; clean later windows never reset
-        an earlier window's breach."""
-        monitor = AlphaMonitor(alpha_budget=2, window_rounds=5)
-        monitor.observe_write("a", 0)
-        monitor.observe_read("a", 4)    # alpha 3 > 2: breach in window 0
-        monitor.observe_write("b", 5)
-        monitor.observe_read("b", 7)    # alpha 1: clean window 1
-        monitor.observe_write("c", 20)  # closes windows 1-3
-        reports = monitor.reports
-        assert reports[0].budget_breached
-        assert any(not r.budget_breached for r in reports[1:])
-        assert monitor.total_breaches == \
-            sum(1 for r in reports if r.budget_breached)
-        assert monitor.total_breaches >= 1
+        """breaches accumulates; clean later windows never reset an
+        earlier window's breach."""
+        adv = Adversary(alpha_budget=2, window_rounds=5)
+        write(adv, "a", 0)
+        read(adv, "a", 4)      # alpha 3 > 2: breach in window 0
+        write(adv, "b", 5)
+        read(adv, "b", 7)      # alpha 1: clean window 1
+        write(adv, "c", 20)    # closes windows 1-3
+        windows = adv.windows
+        assert windows[0].budget_breached
+        assert any(not w.budget_breached for w in windows[1:])
+        assert adv.breaches == sum(1 for w in windows if w.budget_breached)
+        assert adv.breaches >= 1
 
     def test_outstanding_aging_under_interleaved_writes(self):
         """A never-read id keeps aging across windows even while fresh
         write/read pairs churn through, and flips the breach flag once
         its age exceeds the budget."""
-        monitor = AlphaMonitor(alpha_budget=4, window_rounds=5)
-        monitor.observe_write("old", 0)
+        adv = Adversary(alpha_budget=4, window_rounds=5)
+        write(adv, "old", 0)
         for r in range(1, 15):
-            monitor.observe_write(f"w{r}", r)
+            write(adv, f"w{r}", r)
             if r >= 2:
-                monitor.observe_read(f"w{r - 1}", r)   # alpha 0 each
+                read(adv, f"w{r - 1}", r)   # alpha 0 each
         # Window [0..4] closes with 'old' aged exactly 4: no breach yet.
-        first = monitor.reports[0]
+        first = adv.windows[0]
         assert first.oldest_outstanding_age == 4
         assert not first.budget_breached
-        aged = [r for r in monitor.reports if r.oldest_outstanding_age > 4]
-        assert aged and all(r.budget_breached for r in aged)
-        assert monitor.outstanding_ids >= 1  # 'old' never read
+        aged = [w for w in adv.windows if w.oldest_outstanding_age > 4]
+        assert aged and all(w.budget_breached for w in aged)
+        assert adv.unread_ids >= 1  # 'old' never read
 
     def test_attached_monitor_matches_offline_alpha(self):
-        """AlphaMonitor fed live from the tracing stream computes the
-        same alpha samples as the offline batch measurement."""
+        """An adversary fed live from the tracing stream reads the same
+        alpha samples as one replaying the recorded trace."""
         import random
         from repro import obs
-        from repro.analysis.monitor import attach_monitor
-        from repro.analysis.uniformity import measure_alpha
         from repro.core.batch import ClientRequest
         from repro.core.config import WaffleConfig
         from repro.core.datastore import WaffleDatastore
@@ -119,26 +126,14 @@ class TestAlphaMonitor:
         from repro.workloads.trace import Operation
         from tests.conftest import make_items
 
-        class CollectingMonitor(AlphaMonitor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.alphas = []
-
-            def observe_read(self, storage_id, round_index):
-                alpha = super().observe_read(storage_id, round_index)
-                if alpha is not None:
-                    self.alphas.append(alpha)
-                return alpha
-
         n = 120
         config = WaffleConfig(n=n, b=16, r=6, f_d=4, d=40, c=16,
                               value_size=64, seed=21)
         with obs.capture() as handle:
-            monitor = CollectingMonitor(alpha_budget=10**6,
-                                        window_rounds=10)
+            live = Adversary(alpha_budget=10**6, window_rounds=10)
             # Attached before the datastore exists so the live stream
             # includes initialization writes, like the offline records.
-            attach_monitor(handle.tracer, monitor)
+            live.attach(handle.tracer)
             datastore = WaffleDatastore(config, make_items(n),
                                         keychain=KeyChain.from_seed(22))
             rng = random.Random(23)
@@ -148,14 +143,16 @@ class TestAlphaMonitor:
                                   key=f"user{rng.randrange(n):08d}")
                     for _ in range(config.r)
                 ])
-        offline = measure_alpha(datastore.recorder.records)
-        assert sorted(monitor.alphas) == sorted(offline.alphas)
-        assert monitor.outstanding_ids == offline.unread_ids
+        offline = Adversary().feed(datastore.recorder.records)
+        assert live.alpha_histogram == offline.alpha_histogram
+        assert live.unread_ids == offline.unread_ids
+        assert live.violation is None
+        # One release instant per round: the load and 40 batches.
+        assert len(live.release_times) == 41
 
     def test_feed_records_matches_offline_measurement(self):
-        """The online monitor agrees with the offline measure_alpha."""
+        """The windows agree with the whole-trace α."""
         import random
-        from repro.analysis.uniformity import measure_alpha
         from repro.core.batch import ClientRequest
         from repro.core.config import WaffleConfig
         from repro.core.datastore import WaffleDatastore
@@ -175,17 +172,16 @@ class TestAlphaMonitor:
                               key=f"user{rng.randrange(n):08d}")
                 for _ in range(config.r)
             ])
-        records = datastore.recorder.records
-        monitor = AlphaMonitor(alpha_budget=config.alpha_bound_effective(),
-                               window_rounds=20)
-        monitor.feed_records(records)
-        offline = measure_alpha(records)
-        online_max = max((r.max_alpha for r in monitor.reports
-                          if r.max_alpha is not None), default=None)
-        # The monitor's windows cover all closed windows; the offline
-        # measurement also sees the final partial window, so online max
-        # is a lower bound that must not exceed the offline max.
-        assert online_max is not None
-        assert online_max <= offline.max_alpha
-        assert monitor.total_breaches == 0
-        assert monitor.outstanding_ids == offline.unread_ids
+        adv = Adversary(alpha_budget=config.alpha_bound_effective(),
+                        window_rounds=20)
+        adv.feed(datastore.recorder.records)
+        windowed_max = max((w.max_alpha for w in adv.windows
+                            if w.max_alpha is not None), default=None)
+        # The windows cover every closed window; the whole-trace max also
+        # sees the final partial window, so the windowed max is a lower
+        # bound of it.
+        assert windowed_max is not None
+        assert windowed_max <= adv.max_alpha
+        assert adv.breaches == 0
+        assert sum(w.samples for w in adv.windows) \
+            <= sum(adv.alpha_histogram.values())

@@ -2,59 +2,59 @@
 
 import pytest
 
+from repro.analysis import Adversary
 from repro.analysis.timing import (
-    TimingObserver,
-    attach_timing_observer,
     detect_onset,
     estimate_rates,
     load_inference_attack,
     simulate_round_times,
     timing_attack_benchmark,
 )
+from repro.errors import ConfigurationError
 from repro.obs.trace import Tracer
 from repro.sim.clock import SimClock
 from repro.testing.oracle import check_timing_channel
 
 
 class TestTimingObserver:
+    """The adversary's round-release instants, as the attacks read them."""
+
     def test_records_and_summarizes_gaps(self):
-        observer = TimingObserver()
-        for t in (0.0, 1.0, 3.0, 6.0):
-            observer.observe_round(t)
-        assert len(observer) == 4
-        assert observer.gaps() == [1.0, 2.0, 3.0]
-        summary = observer.summary()
-        assert summary["rounds"] == 4
-        assert summary["mean_gap"] == pytest.approx(2.0)
-        assert summary["min_gap"] == 1.0 and summary["max_gap"] == 3.0
+        adv = Adversary()
+        for round_no, t in enumerate((0.0, 1.0, 3.0, 6.0)):
+            adv.observe("write", f"x{round_no}", round_no, at=t)
+            adv.observe("write", f"y{round_no}", round_no, at=t + 0.5)
+        assert adv.release_times == [0.0, 1.0, 3.0, 6.0]
+        assert estimate_rates(adv.release_times, 6) == [6.0, 3.0, 2.0]
 
     def test_rejects_non_monotone_timestamps(self):
-        observer = TimingObserver()
-        observer.observe_round(5.0)
-        with pytest.raises(ValueError):
-            observer.observe_round(4.0)
+        adv = Adversary()
+        adv.observe("write", "a", 0, at=5.0)
+        with pytest.raises(ConfigurationError):
+            adv.observe("write", "b", 1, at=4.0)
 
     def test_empty_summary(self):
-        assert TimingObserver().summary() == {"rounds": 0, "gaps": 0}
+        adv = Adversary()
+        adv.observe("write", "a", 0)    # no instant: nothing stamped
+        assert adv.release_times == []
 
     def test_attach_stamps_first_access_of_each_round(self):
         tracer = Tracer()
-        observer = TimingObserver()
+        adv = Adversary()
         clock = SimClock()
-        callback = attach_timing_observer(tracer, observer,
-                                          clock=lambda: clock.now)
+        callback = adv.attach(tracer, clock=lambda: clock.now)
         for round_no in (1, 1, 1, 2, 2, 3):
             clock.advance(0.5)
-            tracer.event("storage.access", op="read", id="x",
+            tracer.event("storage.access", op="write", id=f"x{clock.now}",
                          round=round_no)
-        assert observer.timestamps == [0.5, 2.0, 3.0]
+        assert adv.release_times == [0.5, 2.0, 3.0]
         # Other events never stamp.
         tracer.event("report.emit", lines=1)
         tracer.close_span(tracer.open_span("round"), 0.1)
-        assert len(observer) == 3
+        assert adv.accesses == 6
         tracer.unsubscribe(callback)
-        tracer.event("storage.access", op="read", id="y", round=4)
-        assert len(observer) == 3
+        tracer.event("storage.access", op="write", id="y", round=4)
+        assert len(adv.release_times) == 3
 
 
 class TestAttacks:

@@ -1,14 +1,10 @@
-"""Tests for α/β measurement and the storage-id lifecycle checker."""
+"""α/β measurement and the storage-id lifecycle, read by the adversary."""
+
+from collections import Counter
 
 import pytest
 
-from repro.analysis.uniformity import (
-    UniformityReport,
-    full_report,
-    measure_alpha,
-    measure_beta,
-    verify_storage_invariants,
-)
+from repro.analysis import Adversary
 from repro.errors import ProtocolError
 from repro.storage.recording import AccessRecord
 
@@ -19,137 +15,145 @@ def trace(*entries) -> list[AccessRecord]:
             for seq, (op, sid, rnd) in enumerate(entries)]
 
 
+def adversary(*entries, id_log=None, **options) -> Adversary:
+    return Adversary(id_log, **options).feed(trace(*entries))
+
+
+def alphas(adv: Adversary) -> list[int]:
+    return sorted(adv.alpha_histogram.elements())
+
+
+def betas(adv: Adversary) -> list[int]:
+    return sorted(adv.beta_histogram.elements())
+
+
 class TestInvariantChecker:
     def test_valid_lifecycle_passes(self):
-        verify_storage_invariants(trace(
+        adversary(
             ("write", "a", 0), ("read", "a", 1), ("delete", "a", 1),
-        ))
+        ).check_lifecycle()
 
     def test_double_write_rejected(self):
         with pytest.raises(ProtocolError):
-            verify_storage_invariants(trace(
+            adversary(
                 ("write", "a", 0), ("write", "a", 1),
-            ))
+            ).check_lifecycle()
 
     def test_read_before_write_rejected(self):
         with pytest.raises(ProtocolError):
-            verify_storage_invariants(trace(("read", "a", 0)))
+            adversary(("read", "a", 0)).check_lifecycle()
 
     def test_double_read_rejected(self):
         with pytest.raises(ProtocolError):
-            verify_storage_invariants(trace(
+            adversary(
                 ("write", "a", 0), ("read", "a", 1), ("read", "a", 2),
-            ))
+            ).check_lifecycle()
 
     def test_delete_before_read_rejected(self):
         with pytest.raises(ProtocolError):
-            verify_storage_invariants(trace(
+            adversary(
                 ("write", "a", 0), ("delete", "a", 1),
-            ))
+            ).check_lifecycle()
 
 
 class TestAlphaMeasurement:
     def test_alpha_counts_rounds_strictly_between(self):
-        report = measure_alpha(trace(
-            ("write", "a", 0), ("read", "a", 5),
-        ))
-        assert report.alphas == [4]
+        assert alphas(adversary(("write", "a", 0), ("read", "a", 5))) == [4]
 
     def test_next_round_read_scores_zero(self):
-        report = measure_alpha(trace(
-            ("write", "a", 3), ("read", "a", 4),
-        ))
-        assert report.alphas == [0]
+        assert alphas(adversary(("write", "a", 3), ("read", "a", 4))) == [0]
 
     def test_unread_ids_counted(self):
-        report = measure_alpha(trace(
+        adv = adversary(
             ("write", "a", 0), ("write", "b", 0), ("read", "a", 1),
-        ))
-        assert report.unread_ids == 1
-        assert report.max_alpha == 0
+        )
+        assert adv.unread_ids == 1
+        assert adv.max_alpha == 0
 
     def test_multiple_ids(self):
-        report = measure_alpha(trace(
+        adv = adversary(
             ("write", "a", 0), ("write", "b", 1),
             ("read", "b", 2), ("read", "a", 9),
-        ))
-        assert sorted(report.alphas) == [0, 8]
-        assert report.max_alpha == 8
+        )
+        assert alphas(adv) == [0, 8]
+        assert adv.max_alpha == 8
 
     def test_empty_trace(self):
-        report = measure_alpha([])
-        assert report.max_alpha is None
-        assert report.alphas == []
+        adv = Adversary()
+        assert adv.max_alpha is None
+        assert adv.alpha_histogram == Counter()
 
 
 class TestBetaMeasurement:
     def test_beta_counts_round_gap(self):
-        id_log = {"a1": "k", "a2": "k"}
-        betas = measure_beta(trace(
+        adv = adversary(
             ("write", "a1", 0), ("read", "a1", 2), ("write", "a2", 7),
-        ), id_log)
-        assert betas == [5]
+            id_log={"a1": "k", "a2": "k"})
+        assert betas(adv) == [5]
 
     def test_dummies_excluded(self):
-        id_log = {"d1": "\x00dummy:0", "d2": "\x00dummy:0"}
-        betas = measure_beta(trace(
+        adv = adversary(
             ("write", "d1", 0), ("read", "d1", 1), ("write", "d2", 1),
-        ), id_log)
-        assert betas == []
+            id_log={"d1": "\x00dummy:0", "d2": "\x00dummy:0"})
+        assert betas(adv) == []
 
     def test_untracked_id_rejected(self):
         with pytest.raises(ProtocolError):
-            measure_beta(trace(("read", "mystery", 0)), {})
+            Adversary({}).observe("read", "mystery", 0)
 
     def test_interleaved_keys(self):
-        id_log = {"a1": "ka", "a2": "ka", "b1": "kb", "b2": "kb"}
-        betas = measure_beta(trace(
+        adv = adversary(
             ("write", "a1", 0), ("write", "b1", 0),
             ("read", "a1", 1), ("read", "b1", 3),
             ("write", "b2", 4), ("write", "a2", 9),
-        ), id_log)
-        assert sorted(betas) == [1, 8]
+            id_log={"a1": "ka", "a2": "ka", "b1": "kb", "b2": "kb"})
+        assert betas(adv) == [1, 8]
 
 
 class TestReport:
     def test_satisfies_checks_both_bounds(self):
-        report = UniformityReport(alphas=[0, 3, 7], betas=[4, 9])
-        assert report.satisfies(alpha_bound=7, beta_bound=4)
-        assert not report.satisfies(alpha_bound=6, beta_bound=4)
-        assert not report.satisfies(alpha_bound=7, beta_bound=5)
+        adv = Adversary()
+        adv.alpha_histogram.update([0, 3, 7])
+        adv.beta_histogram.update([4, 9])
+        assert adv.satisfies(alpha_bound=7, beta_bound=4)
+        assert not adv.satisfies(alpha_bound=6, beta_bound=4)
+        assert not adv.satisfies(alpha_bound=7, beta_bound=5)
 
     def test_satisfies_vacuous_when_empty(self):
-        assert UniformityReport().satisfies(0, 10**9)
+        assert Adversary().satisfies(0, 10**9)
 
     def test_full_report_combines(self):
-        id_log = {"a1": "k", "a2": "k"}
-        report = full_report(trace(
+        adv = adversary(
             ("write", "a1", 0), ("read", "a1", 2), ("write", "a2", 5),
-        ), id_log)
-        assert report.alphas == [1]
-        assert report.betas == [3]
-        assert report.unread_ids == 1
+            id_log={"a1": "k", "a2": "k"})
+        assert alphas(adv) == [1]
+        assert betas(adv) == [3]
+        assert adv.unread_ids == 1
 
 
 class TestRoundInference:
     def test_infer_rounds_from_burst_structure(self):
-        from repro.analysis.uniformity import infer_rounds
-        raw = trace(
-            ("write", "i1", 0), ("write", "i2", 0),      # init writes
-            ("read", "a", 0), ("read", "b", 0),          # round 1 reads
-            ("delete", "a", 0), ("delete", "b", 0),
-            ("write", "c", 0), ("write", "d", 0),
-            ("read", "c", 0),                            # round 2 reads
-            ("delete", "c", 0), ("write", "e", 0),
-        )
-        rounds = [r.round for r in infer_rounds(raw)]
-        assert rounds == [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2]
+        adv = Adversary(infer_rounds=True)
+        entries = [
+            ("write", "i1"), ("write", "i2"),        # init writes
+            ("read", "a"), ("read", "b"),            # round 1 reads
+            ("delete", "a"), ("delete", "b"),
+            ("write", "c"), ("write", "d"),
+            ("read", "c"),                           # round 2 reads
+            ("delete", "c"), ("write", "e"),
+        ]
+        # Every access claims round 0; the instant is its position, so
+        # the release instants are where the inferred rounds begin.
+        for position, (op, sid) in enumerate(entries):
+            adv.observe(op, sid, 0, at=position)
+        assert adv.release_times == [0, 2, 8]
+        assert alphas(adv) == [0]   # c: written in round 1, read in 2
+        assert adv.round_load()["read_mean"] == 1.5
 
     def test_inferred_rounds_match_recorder_rounds(self):
         """Adversary-inferred rounds reproduce the proxy-marked rounds on
         a real Waffle trace, so alpha measurements agree."""
         import random
-        from repro.analysis.uniformity import infer_rounds, measure_alpha
         from repro.core.batch import ClientRequest
         from repro.core.config import WaffleConfig
         from repro.core.datastore import WaffleDatastore
@@ -170,6 +174,6 @@ class TestRoundInference:
                 for _ in range(config.r)
             ])
         records = datastore.recorder.records
-        marked = measure_alpha(records)
-        inferred = measure_alpha(infer_rounds(records))
-        assert sorted(marked.alphas) == sorted(inferred.alphas)
+        marked = Adversary().feed(records)
+        inferred = Adversary(infer_rounds=True).feed(records)
+        assert marked.alpha_histogram == inferred.alpha_histogram

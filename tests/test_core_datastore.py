@@ -202,14 +202,14 @@ class TestInsertDelete:
             assert stats.server_writes == config.b
 
     def test_storage_invariants_across_mutations(self):
-        from repro.analysis.uniformity import verify_storage_invariants
+        from repro.analysis import Adversary
         store = self.make_store()
         for i in range(3):
             store.insert(f"extra{i:07d}", b"v")
         store.delete("user00000009")
         for _ in range(10):
             self.run_idle_round(store)
-        verify_storage_invariants(store.recorder.records)
+        Adversary().feed(store.recorder.records).check_lifecycle()
 
     def test_current_bounds_track_mutations(self):
         store = self.make_store()

@@ -5,11 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.uniformity import (
-    full_report,
-    measure_alpha,
-    verify_storage_invariants,
-)
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value
@@ -192,7 +188,7 @@ class TestStorageInvariants:
                 else:
                     batch.append(write(key, b"w%d" % rng.randrange(999)))
             proxy.handle_batch(batch)
-        verify_storage_invariants(recorder.records)
+        Adversary().feed(recorder.records).check_lifecycle()
 
     def test_ids_never_reused_across_rounds(self, small_config):
         proxy, recorder = build_proxy(small_config)
@@ -321,7 +317,7 @@ class TestSecurityBounds:
         config = WaffleConfig(n=400, b=40, r=16, f_d=8, d=160, c=120,
                               value_size=64, seed=13)
         proxy, recorder = self.run_rounds(config, rounds=250)
-        report = full_report(recorder.records, proxy.id_log)
+        report = Adversary(proxy.id_log).feed(recorder.records)
         assert report.max_alpha <= config.alpha_bound_effective()
         assert report.min_beta >= config.beta_bound()
 
@@ -330,7 +326,7 @@ class TestSecurityBounds:
                               value_size=64, seed=13,
                               dummy_policy="round_robin")
         proxy, recorder = self.run_rounds(config, rounds=250)
-        report = measure_alpha(recorder.records)
+        report = Adversary().feed(recorder.records)
         assert report.max_alpha <= config.alpha_bound()
 
     def test_uniform_fake_policy_violates_alpha(self):
@@ -341,8 +337,8 @@ class TestSecurityBounds:
         uniform = WaffleConfig(**base, fake_real_policy="uniform")
         _, rec_lra = self.run_rounds(lra, rounds=300)
         _, rec_uni = self.run_rounds(uniform, rounds=300)
-        alpha_lra = measure_alpha(rec_lra.records).max_alpha
-        alpha_uni = measure_alpha(rec_uni.records).max_alpha
+        alpha_lra = Adversary().feed(rec_lra.records).max_alpha
+        alpha_uni = Adversary().feed(rec_uni.records).max_alpha
         assert alpha_uni > alpha_lra
 
     def test_small_cache_rewrite_path(self):
@@ -351,7 +347,7 @@ class TestSecurityBounds:
         config = WaffleConfig(n=400, b=40, r=16, f_d=8, d=160, c=8,
                               value_size=64, seed=17)
         proxy, recorder = self.run_rounds(config, rounds=100)
-        verify_storage_invariants(recorder.records)
+        Adversary().feed(recorder.records).check_lifecycle()
         for stats in proxy.totals.stats_by_round:
             assert stats.server_reads == config.b
             assert stats.server_writes == config.b

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import pad_value
@@ -253,8 +253,8 @@ class TestFailover:
             for _ in range(40):
                 ha.handle_batch(random_batch(rng, write_fraction=0.3))
             ha.fail_over()
-        verify_storage_invariants(recorder.records)
-        report = full_report(recorder.records, ha.proxy.id_log)
+        report = Adversary(ha.proxy.id_log).feed(recorder.records)
+        report.check_lifecycle()
         assert report.max_alpha <= CONFIG.alpha_bound_effective()
         assert report.min_beta >= CONFIG.beta_bound()
 
@@ -303,7 +303,7 @@ class TestQuorumReplication:
         assert group.proxy.ts == ts_before  # synchronous: nothing lost
         for _ in range(20):
             group.handle_batch(random_batch(rng))
-        verify_storage_invariants(recorder.records)
+        Adversary().feed(recorder.records).check_lifecycle()
 
     def test_survives_one_standby_failure(self):
         group, _ = self.build_group(standbys=2)  # group 3, quorum 2
@@ -353,7 +353,7 @@ class TestQuorumReplication:
         group.fail_over()
         for _ in range(15):
             group.handle_batch(random_batch(rng))
-        verify_storage_invariants(recorder.records)
-        report = full_report(recorder.records, group.proxy.id_log)
+        report = Adversary(group.proxy.id_log).feed(recorder.records)
+        report.check_lifecycle()
         assert report.max_alpha <= CONFIG.alpha_bound_effective()
         assert report.min_beta >= CONFIG.beta_bound()

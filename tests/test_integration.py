@@ -11,8 +11,7 @@ from repro import (
     WaffleConfig,
     WaffleDatastore,
 )
-from repro.analysis.histograms import alpha_histogram, histogram_difference
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary, histogram_difference
 from repro.bench.harness import run_waffle
 from repro.core.batch import ClientRequest, request_from_trace
 from repro.crypto.keys import KeyChain
@@ -51,8 +50,8 @@ class TestFullStackSoak:
             assert result.value == expected
 
         records = datastore.recorder.records
-        verify_storage_invariants(records)
-        report = full_report(records, datastore.proxy.id_log)
+        report = Adversary(datastore.proxy.id_log).feed(records)
+        report.check_lifecycle()
         assert report.max_alpha <= config.alpha_bound_effective()
         assert report.min_beta >= config.beta_bound()
         assert len(datastore.proxy.cache) == config.c
@@ -91,7 +90,7 @@ class TestFullStackSoak:
         client.flush()
         for _ in range(5):
             datastore.execute_batch([])  # drain pending mutations
-        verify_storage_invariants(datastore.recorder.records)
+        Adversary().feed(datastore.recorder.records).check_lifecycle()
         assert datastore.proxy.real_count == len(live)
 
 
@@ -111,9 +110,8 @@ class TestObliviousnessEndToEnd:
             trace = factory.trace(config.r * 250)
             _, datastore = run_waffle(config, items, trace, cost,
                                       record=True)
-            from repro.analysis.uniformity import measure_alpha
-            report = measure_alpha(datastore.recorder.records)
-            histograms[uniform] = alpha_histogram(report.alphas)
+            report = Adversary().feed(datastore.recorder.records)
+            histograms[uniform] = report.alpha_histogram
         comparison = histogram_difference(histograms[False],
                                           histograms[True])
         assert comparison.differing_fraction < 0.25
@@ -140,9 +138,9 @@ class TestObliviousnessEndToEnd:
                                            key=hot[position % len(hot)]))
                 position += 1
             datastore.execute_batch(batch)
-        report = full_report(datastore.recorder.records,
-                             datastore.proxy.id_log)
-        verify_storage_invariants(datastore.recorder.records)
+        report = Adversary(datastore.proxy.id_log) \
+            .feed(datastore.recorder.records)
+        report.check_lifecycle()
         assert report.max_alpha <= config.alpha_bound()
         assert report.min_beta >= config.beta_bound()
 

@@ -723,7 +723,7 @@ class TestWaffleOverTheWire:
         """The full proxy protocol over a real TCP connection, with the
         adversary recorder on the *server* side — where the adversary
         actually sits."""
-        from repro.analysis.uniformity import verify_storage_invariants
+        from repro.analysis import Adversary
         from repro.core.batch import ClientRequest
         from repro.core.config import WaffleConfig
         from repro.core.datastore import WaffleDatastore
@@ -760,7 +760,7 @@ class TestWaffleOverTheWire:
                     responses = datastore.execute_batch(batch)
                     assert [r.value for r in responses] == expected
         # The server-side adversary saw a write-once/read-once id stream.
-        verify_storage_invariants(server_side.records)
+        Adversary().feed(server_side.records).check_lifecycle()
         reads = [r for r in server_side.records if r.op == "read"]
         assert len(reads) == 10 * config.b
         # After the load, every round is B reads, B deletes, B writes, in

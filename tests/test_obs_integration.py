@@ -244,7 +244,7 @@ class TestExporters:
         assert path.read_text() == text
 
     def test_dashboard_renders_all_sections(self):
-        from repro.analysis.monitor import AlphaMonitor
+        from repro.analysis import Adversary
         from repro.obs.dashboard import render_dashboard
 
         config = WaffleConfig.paper_defaults(n=128, seed=3)
@@ -252,8 +252,8 @@ class TestExporters:
             proxy = build_proxy(config, KeyChain.from_seed(3))
             for batch in request_stream(config, 3, 3):
                 proxy.handle_batch(batch)
-            monitor = AlphaMonitor(alpha_budget=50, window_rounds=2)
-            text = render_dashboard(handle.registry, monitor=monitor)
+            adversary = Adversary(alpha_budget=50, window_rounds=2)
+            text = render_dashboard(handle.registry, adversary=adversary)
         assert "waffle" in text
         assert "throughput / latency" in text
         assert "batch composition" in text

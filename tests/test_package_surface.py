@@ -10,6 +10,11 @@ from repro import errors
 #: The exact, sorted ``__all__`` of the subpackages whose surface was cut
 #: back to what a caller reaches.
 PINNED_SURFACES = {
+    "repro.analysis": [
+        "Adversary", "AuditResult", "LeakageSummary",
+        "cooccurrence_attack", "detect_onset", "frequency_analysis_attack",
+        "histogram_difference", "load_inference_attack", "render_histogram",
+        "security_audit", "simulate_round_times", "timing_attack_benchmark"],
     "repro.lint": [
         "ALL_RULES", "Finding", "LintEngine", "LintReport", "Module",
         "Rule", "default_rules", "run_lint"],
@@ -136,6 +141,25 @@ class TestPackageSurface:
         probe = ("import sys, repro.serve, repro.net, repro.core, repro.obs; "
                  "print(sorted({m.split('.')[0] for m in sys.modules} "
                  "& {'cryptography', 'nacl', '_posixshmem'}))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_analysis_needs_no_scipy(self):
+        """scipy is a dev extra: the χ² tail is the standard library's
+        ``math.lgamma``, so importing the analysis, core and serving
+        packages in a fresh interpreter never loads it."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = ("import sys, repro.analysis, repro.core, repro.serve; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             timeout=60, env={**os.environ, "PYTHONPATH": str(src)})

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.uniformity import full_report, verify_storage_invariants
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
@@ -50,7 +50,7 @@ class TestPolicyGrid:
 
     def test_storage_invariants(self, dummy_policy, fake_policy):
         _, datastore = self.run(dummy_policy, fake_policy, rounds=120)
-        verify_storage_invariants(datastore.recorder.records)
+        Adversary().feed(datastore.recorder.records).check_lifecycle()
 
     def test_linearizability(self, dummy_policy, fake_policy):
         config = WaffleConfig(n=120, b=16, r=6, f_d=4, d=40, c=20,
@@ -80,8 +80,8 @@ class TestPolicyGrid:
 
     def test_alpha_guarantee_matches_policy(self, dummy_policy, fake_policy):
         config, datastore = self.run(dummy_policy, fake_policy)
-        report = full_report(datastore.recorder.records,
-                             datastore.proxy.id_log)
+        report = Adversary(datastore.proxy.id_log) \
+            .feed(datastore.recorder.records)
         assert report.min_beta >= config.beta_bound()
         if fake_policy == "least_recent":
             assert report.max_alpha <= config.alpha_bound_effective()

@@ -11,11 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.uniformity import (
-    full_report,
-    measure_alpha,
-    verify_storage_invariants,
-)
+from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
@@ -147,8 +143,8 @@ class TestAdversarialSequences:
                 for j in range(config.r)
             ])
         records = datastore.recorder.records
-        verify_storage_invariants(records)
-        report = full_report(records, datastore.proxy.id_log)
+        report = Adversary(datastore.proxy.id_log).feed(records)
+        report.check_lifecycle()
         assert report.max_alpha <= config.alpha_bound()
         assert report.min_beta >= config.beta_bound()
 
@@ -175,8 +171,8 @@ class TestAdversarialSequences:
                     ClientRequest(op=Operation.READ, key=key)
                     for key in keys
                 ])
-            report = full_report(datastore.recorder.records,
-                                 datastore.proxy.id_log)
+            report = Adversary(datastore.proxy.id_log) \
+                .feed(datastore.recorder.records)
             assert report.max_alpha <= config.alpha_bound()
             assert report.min_beta >= config.beta_bound()
             reports.append(report)

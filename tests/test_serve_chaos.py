@@ -26,8 +26,8 @@ class TestServingEpisode:
         assert result.ok, result.violations
         assert result.completed == result.episode.requests
         assert result.rounds_committed > 0
-        assert result.report is not None
-        assert result.report.alphas  # uniformity oracle actually ran
+        assert result.adversary is not None
+        assert result.adversary.alpha_histogram  # uniformity oracle ran
 
     def test_flash_crowd_max_wait_episode_is_clean(self):
         result = run_serving_episode(ServingEpisode(

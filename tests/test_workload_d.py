@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.uniformity import verify_storage_invariants
+from repro.analysis import Adversary
 from repro.bench.ablations import check_workload_d
 from repro.bench.ablations import workload_d as run_workload_d
 from repro.bench.harness import run_waffle
@@ -64,7 +64,7 @@ class TestWorkloadDAgainstWaffle:
         assert measurement.extra["inserted"] > 0
         assert datastore.proxy.real_count == \
             n + measurement.extra["inserted"]
-        verify_storage_invariants(datastore.recorder.records)
+        Adversary().feed(datastore.recorder.records).check_lifecycle()
         # Inserted keys are readable.
         from repro.core.batch import ClientRequest
         inserted_key = key_name(n)  # the first insert
