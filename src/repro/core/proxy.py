@@ -129,9 +129,10 @@ class RoundPlan:
     blobs: list[bytes] = field(default_factory=list)
     missed: list[bytes] = field(default_factory=list)
     rest: list[bytes] = field(default_factory=list)
-    #: ``(slot, id timestamp, plaintext)`` in emission order, the slots
-    #: evicted so far, and the sealed ``(id, ciphertext)`` batch
-    write_plan: list[tuple[int, int, bytes]] = field(default_factory=list)
+    #: ``(slot, id timestamp, plaintext)`` in emission order (``None`` for a
+    #: dummy), the slots evicted so far, and the sealed ``(id, blob)`` batch
+    write_plan: list[tuple[int, int, bytes | None]] = field(
+        default_factory=list)
     evicted: set[int] = field(default_factory=set)
     write_batch: list[tuple[str, bytes]] = field(default_factory=list)
 
@@ -250,35 +251,51 @@ class WaffleProxy:
         del order[: cfg.c]
 
         # Remaining reals and all dummies go out shuffled, and are sealed
-        # in that order a chunk at a time, as the store pulls it.  The D
-        # dummy payloads are drawn before the shuffle, where the rng stream
-        # has always had them, and held until the walk reaches them: the
-        # one O(D) buffer of the load.
+        # in that order a chunk at a time, as the store pulls it.  One
+        # payload-sized rng step per dummy comes before the shuffle, so the
+        # load order and every later draw are the pinned ones.
         for slot in order:
             self._real_index.mark_server_resident(slot)
-        payloads = [self._dummy_payload() for _ in dummy_slots]
+        for _ in dummy_slots:
+            self._skip_dummy_payload()
         order += dummy_slots
         self._rng.shuffle(order)
-        self.store.multi_put(self._seal_load(items, order, payloads))
+        self.store.multi_put(self._seal_load(items, order))
         self._initialized = True
 
-    def _seal_load(self, items: Mapping[str, bytes], order: list[int],
-                   payloads: list[bytes]) -> Iterator[tuple[str, bytes]]:
-        """The initial load as ``(id, ciphertext)`` pairs in ``order``, sealed
+    def _seal_load(self, items: Mapping[str, bytes], order: list[int]
+                   ) -> Iterator[tuple[str, bytes]]:
+        """The initial load as ``(id, blob)`` pairs in ``order``, made
         ``_LOAD_CHUNK`` objects at a time: one ``derive_many`` and one
-        ``encrypt_many`` call a chunk, nonces drawn in load order.
+        :meth:`_seal_values` call a chunk.
 
-        A real and a dummy take the same steps — one lookup, one value —
-        so the time between two frames of the load says how many objects
-        a frame carries, not which of them are dummies.
+        A chunk is made whole before its first pair goes out, so the time
+        between two frames of the load grows with the number of reals a
+        frame carries — a count the shuffle drew — and says nothing of
+        which of its ids are dummies.
         """
         n, names = self.config.n, self._names
         for start in range(0, len(order), _LOAD_CHUNK):
             chunk = order[start:start + _LOAD_CHUNK]
             sids = self._encode_ids([(slot, 0) for slot in chunk])
-            values = [items[names[slot]] if slot < n else payloads[slot - n]
-                      for slot in chunk]
-            yield from zip(sids, self.keychain.cipher.encrypt_many(values))
+            yield from zip(sids, self._seal_values(
+                [items[names[slot]] if slot < n else None for slot in chunk]))
+
+    def _seal_values(self, values: list[bytes | None]) -> list[bytes]:
+        """Each value encrypted, and each ``None`` — a dummy — replaced by
+        noise of a ciphertext's length, in place: one ``encrypt_many`` and
+        one ``noise`` call on ``self.keychain.cipher``.
+
+        The proxy knows its dummies and never opens one, so a dummy's copy
+        only has to look like a ciphertext to the server, and noise does.
+        """
+        cipher = self.keychain.cipher
+        reals = [value for value in values if value is not None]
+        sealed = iter(cipher.encrypt_many(reals))
+        noise = iter(cipher.noise(len(values) - len(reals),
+                                  self.config.value_size))
+        return [next(noise) if value is None else next(sealed)
+                for value in values]
 
     # ------------------------------------------------------------------
     # storage ids
@@ -325,8 +342,12 @@ class WaffleProxy:
         self._ids = np.zeros(len(self._names), _ID)
         self._encode_ids(self._outsourced())
 
-    def _dummy_payload(self) -> bytes:
-        return self._rng.randbytes(self.config.value_size)
+    def _skip_dummy_payload(self) -> None:
+        """Step the rng as ``randbytes(value_size)`` does (it is this
+        ``getrandbits`` call) and keep nothing: each dummy write holds this
+        place in the rng stream, which the trace pins fix.  A dummy's blob
+        is noise (:meth:`_seal_values`)."""
+        self._rng.getrandbits(8 * self.config.value_size)
 
     def _new_dummy_key(self) -> str:
         return f"{_DUMMY_PREFIX}n{self._rng.randrange(2**63):015x}"
@@ -346,8 +367,8 @@ class WaffleProxy:
         decrypts its unrequested reads and writes back.
 
         What can be refused cleanly is refused before the round begins
-        (an uninitialized proxy, more than R requests, an unknown key), and
-        the proxy is as it was.  Past that, any exception — from planning
+        (an uninitialized proxy, more than R requests, a repeated request
+        id, an unknown key), and the proxy is as it was.  Past that, any exception — from planning
         to the commit, ``on_answer`` included — leaves the cache, the
         indexes and the server out of step: it is kept as :attr:`failure`
         and re-raised, and from then on every round is refused before it
@@ -360,6 +381,9 @@ class WaffleProxy:
         if len(requests) > self.config.r:
             raise ProtocolError(
                 f"batch carries {len(requests)} requests, R={self.config.r}")
+        if len({request.request_id for request in requests}) < len(requests):
+            # Responses are matched to requests by id.
+            raise ProtocolError("batch repeats a request id")
         slots = self._slots
         try:
             req_slots = [slots[request.key] for request in requests]
@@ -624,9 +648,9 @@ class WaffleProxy:
         misses (at most R) and their requests get the values.
 
         The rest wait for :meth:`_decrypt_rest`, behind the answer; dummy
-        payloads are random bytes and never inspected.  A tampered blob a
-        request asked for fails the round here, before any answer; one no
-        request asked for fails it after, like any write-half failure.
+        blobs are noise and never opened.  A tampered blob a request asked
+        for fails the round here, before any answer; one no request asked
+        for fails it after, like any write-half failure.
         """
         read_batch, dedup, is_dummy = plan.read_batch, plan.dedup, self._is_dummy
         missed_slots: list[int] = []
@@ -662,11 +686,12 @@ class WaffleProxy:
         keeps the transient cache at C + R, never C + B.
 
         Crypto is deferred: the loop plans ``(slot, id_timestamp,
-        plaintext)`` in emission order and :meth:`_seal` makes one pass over
-        it.  Dummy payloads are still drawn here, in sid order, so the rng
-        stream is the scalar algorithm's draw for draw.  A slot changes
-        kind (inserts, deletes) only after the loop, so the loop sees each
-        object as it was when read.
+        plaintext)`` in emission order, ``None`` for a dummy's noise, and
+        :meth:`_seal` makes one pass over it.  Each dummy write steps the
+        rng here (:meth:`_skip_dummy_payload`), in sid order, so its stream
+        is the scalar algorithm's draw for draw.  A slot changes kind (inserts, deletes)
+        only after the loop, so the loop sees each object as it was when
+        read.
 
         Small-cache regime: Algorithm 1 assumes ``C >= B - f_D + R``.  Below
         that (the paper's "re-write the objects fetched" fallback, §6.2) a
@@ -686,7 +711,8 @@ class WaffleProxy:
             if is_dummy[slot]:
                 if slot in dummy_index:  # else retired: an insert took it
                     # Recorded as read this round: the new id embeds ts.
-                    write_plan.append((slot, ts, self._dummy_payload()))
+                    self._skip_dummy_payload()
+                    write_plan.append((slot, ts, None))
                 continue
             if slot in dedup:
                 value = next(missed)
@@ -709,7 +735,8 @@ class WaffleProxy:
             names[slot] = name
             is_dummy[slot] = 1
             dummy_index.swap_in(slot, ts)
-            write_plan.append((slot, ts, self._dummy_payload()))
+            self._skip_dummy_payload()
+            write_plan.append((slot, ts, None))
         plan.stats.cache_ops += kept
 
     def _evict_one(self, plan: RoundPlan) -> None:
@@ -731,12 +758,11 @@ class WaffleProxy:
 
     def _seal(self, plan: RoundPlan) -> None:
         """One ``derive_many`` (the round's only PRF call) + one
-        ``encrypt_many`` pass over the write plan, nonces in plan order."""
+        :meth:`_seal_values` pass over the write plan."""
         write_plan = plan.write_plan
         write_ids = self._encode_ids([(slot, ts) for slot, ts, _ in write_plan])
-        ciphertexts = self.keychain.cipher.encrypt_many(
-            [value for _, _, value in write_plan])
-        plan.write_batch = list(zip(write_ids, ciphertexts))
+        plan.write_batch = list(zip(write_ids, self._seal_values(
+            [value for _, _, value in write_plan])))
 
     def _commit(self, plan: RoundPlan) -> None:
         """Delete the B ids read (each id is read at most once, Challenge 4)

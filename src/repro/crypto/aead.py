@@ -273,6 +273,21 @@ class AuthenticatedCipher:
             out.append(slab[start + skip:end])
         return out
 
+    def noise(self, count: int, length: int) -> list[bytes]:
+        """``count`` blobs of ``length + ciphertext_overhead()`` random
+        bytes, cut in order from one draw of the nonce entropy source.
+
+        A ciphertext of a ``length``-byte value is a random nonce, a
+        pseudorandom keystream XOR and a pseudorandom tag, so uniform
+        bytes of its length are indistinguishable from it to anyone
+        without the keys.  A holder of the keys who knows a blob is noise
+        never opens it; one who tries gets :class:`IntegrityError`.
+        """
+        size = length + _NONCE_LEN + _TAG_LEN
+        pool = self._randbytes(count * size)
+        return [pool[start:start + size]
+                for start in range(0, len(pool), size)]
+
     def ciphertext_overhead(self) -> int:
         """Bytes added to every plaintext (nonce + tag)."""
         return _NONCE_LEN + _TAG_LEN

@@ -4,9 +4,9 @@ A checkpoint must capture everything that influences future proxy
 behaviour, because obliviousness depends on determinism of the restored
 replica: which objects are picked for fake queries (both timestamp
 indexes, including tie-break order), the cache contents *and LRU order*
-(β depends on eviction order), the global timestamp, the RNG (dummy
-payloads, cache seeding), the pending mutation queue, the keychain and
-the lifetime statistics.
+(β depends on eviction order), the global timestamp, the RNG (load
+order, cache seeding, new dummies' names), the pending mutation queue,
+the keychain and the lifetime statistics.
 
 The state lives entirely in the trusted domain (§3.1), so a standard
 :mod:`pickle` blob is appropriate — this is proxy-to-standby shipping

@@ -174,6 +174,8 @@ class AsyncFrontend:
         #: Guards all shared state; the round thread waits on it.
         self._cond = threading.Condition()
         self._pending: deque[_Waiter] = deque()
+        #: The request ids of ``_pending``: a round answers by id.
+        self._pending_ids: set[int] = set()
         self._closed = False
         self._thread: threading.Thread | None = None
         self._stopped: asyncio.Future[None] | None = None
@@ -239,8 +241,10 @@ class AsyncFrontend:
         would refuse is refused here, alone and before admission
         (counted neither admitted nor shed): ``KeyNotFoundError`` for an
         unknown key, ``refuse_oversize``'s ``ConfigurationError`` for an
-        oversize value.  Residual: a key can still vanish between here
-        and its round through ``datastore.delete()``, which no wire
+        oversize value, and — with or without a datastore — a
+        ``ProtocolError`` for a request id already pending, which could
+        share a round with it.  Residual: a key can still vanish between
+        here and its round through ``datastore.delete()``, which no wire
         command exposes; that round fails for all its waiters.
         """
         datastore = self.datastore
@@ -254,6 +258,9 @@ class AsyncFrontend:
             # queued before the round thread's last look.
             if self._closed:
                 raise ClosedError("serving frontend is closed")
+            if request.request_id in self._pending_ids:
+                raise ProtocolError(
+                    f"request id {request.request_id} is already pending")
             # Admission before enqueue: the pending queue can never exceed
             # its cap, and a shed request leaves no trace anywhere below.
             if len(self._pending) >= self.queue_cap:
@@ -263,6 +270,7 @@ class AsyncFrontend:
             waiter = _Waiter(request, asyncio.get_running_loop()
                              .create_future(), time.perf_counter())
             self._pending.append(waiter)
+            self._pending_ids.add(request.request_id)
             pending = len(self._pending)
             self.admitted += 1
             if pending > self.high_water:
@@ -302,6 +310,8 @@ class AsyncFrontend:
                     continue
                 take = [self._pending.popleft()
                         for _ in range(min(self.r, pending))]
+                self._pending_ids.difference_update(
+                    [waiter.request.request_id for waiter in take])
                 release_time = policy.release_time(now)
                 policy.mark_release(release_time)
                 self.release_times.append(release_time)

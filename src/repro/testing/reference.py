@@ -6,7 +6,7 @@ scheme (fresh ``hmac.new`` per derivation, one-shot
 cached digest states).  They are bit-compatible with the optimized
 kernels in
 :mod:`repro.crypto` and expose the same ``derive_many`` /
-``encrypt_many`` / ``decrypt_many`` surface, so an unmodified
+``encrypt_many`` / ``decrypt_many`` / ``noise`` surface, so an unmodified
 :class:`~repro.core.proxy.WaffleProxy` runs on either — which makes them
 the equivalence oracle the fast path is held against
 (``tests/test_crypto_known_answers.py``, ``tests/test_trace_pin.py``).
@@ -103,6 +103,11 @@ class ScalarCipher:
 
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         return [self.decrypt(blob) for blob in blobs]
+
+    def noise(self, count: int, length: int) -> list[bytes]:
+        size = length + _NONCE_LEN + _TAG_LEN
+        pool = self._randbytes(count * size)
+        return [pool[i * size:(i + 1) * size] for i in range(count)]
 
     def ciphertext_overhead(self) -> int:
         return _NONCE_LEN + _TAG_LEN

@@ -82,10 +82,12 @@ class TestInitialization:
     ], ids=["small", "value-size-61", "several-chunks"])
     def test_the_streamed_load_is_the_old_shuffle(self, config):
         """``initialize`` draws the load order before it seals anything.
-        What the adversary sees in round 0 — and which plaintext sits
+        What the adversary sees in round 0 — and which real plaintext sits
         under which id — is what sealing everything and shuffling the
         finished pairs produced (the reference below is that code, as it
-        stood in ``initialize``), and the rng is left where that left it."""
+        stood in ``initialize``), and the rng is left where that left it:
+        it still steps over the dummy payloads, draw for draw, though a
+        dummy's server copy is noise that no key opens."""
         items = {key: pad_value(value, config.value_size)
                  for key, value in make_items(config.n).items()}
         keychain = KeyChain.from_seed(3)
@@ -99,16 +101,26 @@ class TestInitialization:
         values = [items[key] for key in server_keys]
         values.extend(rng.randbytes(config.value_size) for _ in dummy_keys)
         sids = keychain.prf.derive_many([(key, 0) for key in load_keys])
-        outsourced = list(zip(sids, values))
+        outsourced = list(zip(sids, values, [False] * len(server_keys)
+                              + [True] * len(dummy_keys)))
         rng.shuffle(outsourced)
 
         proxy, recorder = build_proxy(config)
         assert [(r.op, r.storage_id, r.round) for r in recorder.records] == \
-            [("write", sid, 0) for sid, _ in outsourced]
-        assert proxy.keychain.cipher.decrypt_many(
-            proxy.store.multi_get([sid for sid, _ in outsourced])
-        ) == [value for _, value in outsourced]
+            [("write", sid, 0) for sid, _, _ in outsourced]
         assert proxy._rng.getstate() == rng.getstate()
+        cipher = proxy.keychain.cipher
+        reals = [(sid, value) for sid, value, dummy in outsourced
+                 if not dummy]
+        assert cipher.decrypt_many(proxy.store.multi_get(
+            [sid for sid, _ in reals])) == [value for _, value in reals]
+        dummies = proxy.store.multi_get(
+            [sid for sid, _, dummy in outsourced if dummy])
+        assert len(dummies) == config.d
+        for blob in dummies:
+            assert len(blob) == config.value_size + cipher.ciphertext_overhead()
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(blob)
 
 
 class TestBatchShape:
@@ -159,6 +171,26 @@ class TestBatchShape:
         proxy, _ = build_proxy(small_config)
         with pytest.raises(ProtocolError):
             proxy.handle_batch([read("stranger")])
+
+    def test_repeated_request_id_rejected_before_the_round(self, small_config):
+        """Responses are matched to requests by id, so two requests sharing
+        one would be answered with each other's values (the WRITE below
+        with the other key's value).  The batch is refused cleanly: no
+        timestamp, no server access, no failure kept."""
+        proxy, recorder = build_proxy(small_config)
+        records = len(recorder.records)
+        clash = [ClientRequest(op=Operation.WRITE, key="user00000001",
+                               value=b"NEW", request_id=5),
+                 ClientRequest(op=Operation.READ, key="user00000002",
+                               request_id=5)]
+        with pytest.raises(ProtocolError, match="repeats a request id"):
+            proxy.handle_batch(clash)
+        assert (proxy.ts, len(recorder.records)) == (0, records)
+        assert proxy.failure is None
+        responses = proxy.handle_batch(
+            [write("user00000001", b"NEW"), read("user00000002")])
+        assert [resp.value for resp in responses] == [
+            b"NEW", pad_value(b"value-2", small_config.value_size)]
 
     def test_partial_batch_allowed(self, small_config):
         proxy, _ = build_proxy(small_config)

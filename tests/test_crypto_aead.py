@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.crypto.aead import AuthenticatedCipher
 from repro.errors import IntegrityError
+from repro.testing.reference import ScalarCipher
 
 
 @pytest.fixture
@@ -82,6 +83,44 @@ class TestAeadBatched:
                 [blobs[member][-1] ^ 0x01])
             with pytest.raises(IntegrityError):
                 cipher.decrypt_many(blobs)
+
+
+class TestNoise:
+    """A dummy's server copy: random bytes of a ciphertext's length."""
+
+    @pytest.mark.parametrize("count, length",
+                             [(0, 64), (1, 0), (3, 61), (5, 4096)])
+    def test_blobs_have_ciphertext_length(self, cipher, count, length):
+        ciphertext = cipher.encrypt(bytes(length))
+        assert [len(blob) for blob in cipher.noise(count, length)] == \
+            [len(ciphertext)] * count
+
+    @given(st.integers(0, 6), st.sampled_from([0, 1, 61, 64, 4096]),
+           st.integers(0, 2**32))
+    def test_one_draw_of_the_seeded_source(self, count, length, seed):
+        """``count * size`` bytes in one draw, cut in order — the scalar
+        reference cuts the same blobs and leaves its rng in the same state."""
+        size = length + _seeded(0).ciphertext_overhead()
+        rng = random.Random(seed)
+        pool = rng.randbytes(count * size)
+        expected = [pool[i * size:(i + 1) * size] for i in range(count)]
+        fast_rng, scalar_rng = random.Random(seed), random.Random(seed)
+        fast = AuthenticatedCipher(enc_key=b"e-enc", mac_key=b"e-mac",
+                                   rng=fast_rng)
+        scalar = ScalarCipher(enc_key=b"e-enc", mac_key=b"e-mac",
+                              rng=scalar_rng)
+        assert fast.noise(count, length) == expected
+        assert scalar.noise(count, length) == expected
+        assert fast_rng.getstate() == scalar_rng.getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("length", [0, 64, 127, 128, 4096])
+    def test_blobs_fail_authentication(self, cipher, length):
+        blobs = cipher.noise(4, length)
+        for blob in blobs:
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(blob)
+        with pytest.raises(IntegrityError):
+            cipher.decrypt_many(blobs)
 
 
 class TestAeadProperties:

@@ -890,6 +890,34 @@ class TestRefusedAlone:
         assert trace_digest(small_datastore.recorder.records) == \
             self._valid_only_digest(small_config, small_items)
 
+    def test_a_pending_request_id(self, small_datastore):
+        """A round answers by request id, so a request whose id is already
+        queued could be answered with the other's value: it is refused at
+        submit, the queued one keeps its own answer, and the id is free
+        again once its round has taken it."""
+
+        def request(op, key, value=None):
+            return ClientRequest(op=op, key=key, value=value, request_id=5)
+
+        async def scenario():
+            frontend = AsyncFrontend(small_datastore,
+                                     policy=MaxWaitPolicy(2, 0.005))
+            # Not started: the first request stays queued.
+            first = asyncio.ensure_future(frontend.submit(
+                request(Operation.WRITE, key_name(1), b"NEW")))
+            await asyncio.sleep(0)
+            with pytest.raises(ProtocolError, match="already pending"):
+                await frontend.submit(request(Operation.READ, key_name(2)))
+            refused = frontend.stats()
+            async with frontend:
+                answers = (await first, await frontend.submit(
+                    request(Operation.READ, key_name(2))))
+            return answers, refused
+
+        answers, refused = asyncio.run(scenario())
+        assert answers == (b"NEW", b"value-2")
+        assert (refused["admitted"], refused["shed"]) == (1, 0)
+
 
 class TestOperationMapping:
     def test_frontend_builds_correct_request_kinds(self, small_datastore):
