@@ -28,7 +28,7 @@ from repro.analysis.report import AuditResult, security_audit
 from repro.analysis.timing import (
     detect_onset,
     load_inference_attack,
-    simulate_round_times,
+    replay_schedule,
     timing_attack_benchmark,
 )
 
@@ -42,7 +42,7 @@ __all__ = [
     "histogram_difference",
     "load_inference_attack",
     "render_histogram",
+    "replay_schedule",
     "security_audit",
-    "simulate_round_times",
     "timing_attack_benchmark",
 ]

@@ -17,11 +17,14 @@ This module measures that channel:
   live from the tracer's ``storage.access`` stream), recover the
   offered-load curve from gap widths, and locate a hot-key onset as the
   strongest mean-shift in the gap series;
-* :func:`timing_attack_benchmark` runs both attacks against an on-fill
-  schedule and a fixed-interval (shaped) schedule of the *same* workload
-  on a :class:`~repro.sim.clock.SimClock`, scoring each as a leakage
-  number in ``[0, 1]``.  Fixed-interval release decouples the schedule
-  from the workload, so its score must drop — the property
+* :func:`replay_schedule` drives a served release policy
+  (:mod:`repro.serve.policy`) on simulated time with the frontend's own
+  dispatch rule, so the observatory scores the objects the server runs;
+* :func:`timing_attack_benchmark` runs both attacks against the
+  on-fill and the fixed-interval (shaped) policy replayed over the
+  *same* arrivals, scoring each as a leakage number in ``[0, 1]``.
+  Fixed-interval release decouples the schedule from the workload, so
+  its score must drop — the property
   :func:`repro.testing.oracle.check_timing_channel` pins and the chaos
   suite sweeps over seeds.
 
@@ -37,14 +40,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
-from repro.sim.clock import SimClock
+from repro.serve.policy import (
+    FixedIntervalPolicy,
+    OnFillPolicy,
+    ReleasePolicy,
+)
 
 __all__ = [
     "detect_onset",
     "estimate_rates",
     "load_inference_attack",
-    "simulate_round_times",
+    "replay_schedule",
     "timing_attack_benchmark",
 ]
 
@@ -144,47 +152,43 @@ def detect_onset(timestamps: list[float]) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# schedule simulation
+# schedule replay
 # ----------------------------------------------------------------------
-def simulate_round_times(rates: list[float], r: int, seed: int = 0,
-                         schedule: str = "on_fill",
-                         interval: float | None = None) -> list[float]:
-    """Simulate round-release instants for a given offered-load curve.
+def replay_schedule(policy: ReleasePolicy, arrivals: list[float], r: int,
+                    rounds: int) -> list[float]:
+    """The serving frontend's dispatch rule, on simulated time.
 
-    ``rates[i]`` is the Poisson arrival rate (requests/second) in force
-    while the proxy accumulates round ``i``'s batch.  Two schedules:
-
-    * ``"on_fill"`` — the round fires as soon as ``r`` real requests
-      have arrived (exponential inter-arrivals drawn from
-      ``random.Random(seed)``); processing takes no time.
-      The gap tracks the load: this is the leaky baseline.
-    * ``"fixed"`` — the round fires every ``interval`` seconds
-      (default: the mean on-fill gap implied by the *average* rate),
-      regardless of arrivals.  The same rng draws are consumed, so the
-      two schedules differ only in release policy, not in workload.
-
-    Runs entirely on a :class:`SimClock` — no wall-clock reads, fully
-    deterministic per seed.
+    ``arrivals`` are request arrival instants in ascending order.  Each
+    step admits every arrival at or before ``now``, then asks the policy
+    once: a release at or before ``now`` takes up to ``r`` requests and
+    records the instant :meth:`~repro.serve.policy.ReleasePolicy.release`
+    commits to; otherwise ``now`` advances to the earlier of that
+    release and the next arrival.  Rounds take no time (DESIGN.md §12's
+    no-service-time caveat).  Returns the first ``rounds`` committed
+    instants, and raises ``ValueError`` when the arrivals run out first.
     """
-    if schedule not in ("on_fill", "fixed"):
-        raise ValueError(f"unknown schedule {schedule!r}; "
-                         "choose 'on_fill' or 'fixed'")
-    rng = random.Random(seed)
-    clock = SimClock()
-    if schedule == "fixed" and interval is None:
-        mean_rate = sum(rates) / len(rates) if rates else 1.0
-        interval = r / mean_rate
-    times = []
-    for rate in rates:
-        if rate <= 0:
-            raise ValueError("arrival rates must be positive")
-        fill = sum(rng.expovariate(rate) for _ in range(r))
-        if schedule == "on_fill":
-            clock.advance(fill)
+    upcoming = iter(arrivals)
+    next_arrival = next(upcoming, None)
+    queue: deque[float] = deque()
+    times: list[float] = []
+    now = 0.0
+    while len(times) < rounds:
+        while next_arrival is not None and next_arrival <= now:
+            queue.append(next_arrival)
+            next_arrival = next(upcoming, None)
+        at = policy.next_release(len(queue), queue[0] if queue else None,
+                                 now)
+        if at is not None and at <= now:
+            for _ in range(min(r, len(queue))):
+                queue.popleft()
+            times.append(policy.release(now))
+        elif next_arrival is not None and (at is None or next_arrival < at):
+            now = next_arrival
+        elif at is not None:
+            now = at
         else:
-            assert interval is not None
-            clock.advance(interval)
-        times.append(clock.now)
+            raise ValueError(f"arrivals release {len(times)} of {rounds} "
+                             "rounds")
     return times
 
 
@@ -213,10 +217,17 @@ def timing_attack_benchmark(rounds: int = 64, r: int = 20, seed: int = 7,
         * (0.8 + 0.4 * rng.random())
         for i in range(rounds)
     ]
+    # r exponential inter-arrival gaps per round at that round's rate.
+    gaps = random.Random(seed + 1)
+    arrivals: list[float] = []
+    now = 0.0
+    for rate in rates:
+        for _ in range(r):
+            now += gaps.expovariate(rate)
+            arrivals.append(now)
 
-    def _evaluate(schedule: str) -> dict:
-        times = simulate_round_times(rates, r, seed=seed + 1,
-                                     schedule=schedule)
+    def _evaluate(schedule: str, policy: ReleasePolicy) -> dict:
+        times = replay_schedule(policy, arrivals, r, rounds)
         attack = load_inference_attack(times, rates, r)
         detected = detect_onset(times)
         if detected is None:
@@ -234,8 +245,9 @@ def timing_attack_benchmark(rounds: int = 64, r: int = 20, seed: int = 7,
             + 0.5 * onset_score,
         }
 
-    on_fill = _evaluate("on_fill")
-    fixed = _evaluate("fixed")
+    on_fill = _evaluate("on_fill", OnFillPolicy(r))
+    fixed = _evaluate("fixed", FixedIntervalPolicy(
+        r / (sum(rates) / len(rates))))
     return {
         "schema": "repro.timing/1",
         "rounds": rounds,

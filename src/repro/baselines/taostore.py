@@ -281,7 +281,3 @@ class TaoStore:
         self._subtree = {}
         self._in_flight = set()
         self._since_flush = 0
-
-    @property
-    def path_length(self) -> int:
-        return self.levels

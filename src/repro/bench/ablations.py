@@ -211,8 +211,10 @@ def timing_attack(rounds: int = 64, seed: int = 7) -> dict:
     expectation, so an observer who only sees release instants recovers
     the offered load by inverting gaps and localises a flash-crowd onset
     with a mean-shift scan; a fixed-interval schedule decouples release
-    times from arrivals (Cloak's argument, PAPERS.md).  Pure simulation
-    on :class:`repro.sim.clock.SimClock`; ``--json`` is the full report.
+    times from arrivals (Cloak's argument, PAPERS.md).  The served
+    policies replayed on simulated time
+    (:func:`repro.analysis.timing.replay_schedule`); ``--json`` is the
+    full report.
     """
     return timing_attack_benchmark(rounds=rounds, seed=seed)
 

@@ -191,15 +191,3 @@ class WaffleDatastore:
         """Objects currently outsourced: N + D - C between rounds (the C
         cached real objects have no server copy)."""
         return len(self.proxy.store)
-
-    def current_bounds(self) -> tuple[int, int]:
-        """(α, β) bounds under the *current* N and D (mutations move them)."""
-        from dataclasses import replace
-
-        cfg = replace(
-            self.config,
-            n=self.proxy.real_count,
-            d=self.proxy.dummy_count,
-            c=min(self.config.c, self.proxy.real_count),
-        )
-        return cfg.alpha_bound(), cfg.beta_bound()

@@ -13,9 +13,9 @@ completes.  What makes it a *server* core:
   ``tests/test_serve_backpressure.py``);
 * **pluggable release scheduling** — a
   :class:`~repro.serve.policy.ReleasePolicy` decides when pending
-  requests become a round, and the frontend records every committed
-  release instant in :attr:`release_times` so the PR-7 timing
-  observatory can score the live schedule;
+  requests become a round; while observability is on, the instant the
+  schedule committed to rides on the round's ``serve.round`` span as its
+  ``release`` attribute, the one record of it;
 * **one round thread** — the frontend's own ``serve-round`` thread is
   the dispatcher: it sleeps on a condition until the policy's deadline
   or a fill, pops the round, runs it with the lock released and hands
@@ -179,9 +179,6 @@ class AsyncFrontend:
         self._closed = False
         self._thread: threading.Thread | None = None
         self._stopped: asyncio.Future[None] | None = None
-        #: Release instants the schedule committed to, in round order —
-        #: the series the timing adversary consumes.
-        self.release_times: list[float] = []
         #: Requests admitted to and shed from the pending queue, and the
         #: deepest it has been — the cap property's witness.
         self.admitted = 0
@@ -276,8 +273,9 @@ class AsyncFrontend:
             if pending > self.high_water:
                 self.high_water = pending
             # Wake the thread only if its answer changes: a deadline, a fill.
-            if pending == 1 or self.policy.due(
-                    pending, self._pending[0].enqueued_at, waiter.enqueued_at):
+            at = self.policy.next_release(
+                pending, self._pending[0].enqueued_at, waiter.enqueued_at)
+            if pending == 1 or (at is not None and at <= waiter.enqueued_at):
                 self._cond.notify()
         if OBS.enabled:
             OBS.registry.counter("serve.requests.total",
@@ -301,29 +299,25 @@ class AsyncFrontend:
                 oldest = self._pending[0].enqueued_at if pending else None
                 if self._closed and not pending:
                     break
-                if not self._closed and not (
-                        policy.due(pending, oldest, now)
-                        and (pending or policy.fires_empty)):
-                    deadline = policy.next_deadline(pending, oldest, now)
-                    self._cond.wait(
-                        None if deadline is None else deadline - now)
-                    continue
+                if not self._closed:
+                    at = policy.next_release(pending, oldest, now)
+                    if at is None or at > now:
+                        self._cond.wait(None if at is None else at - now)
+                        continue
                 take = [self._pending.popleft()
                         for _ in range(min(self.r, pending))]
                 self._pending_ids.difference_update(
                     [waiter.request.request_id for waiter in take])
-                release_time = policy.release_time(now)
-                policy.mark_release(release_time)
-                self.release_times.append(release_time)
+                release = policy.release(now)
                 self.rounds_dispatched += 1
                 self.real_requests += len(take)
                 self.empty_rounds += not take
-            self._run_round(loop, take, now)
+            self._run_round(loop, take, now, release)
         _SWITCH_INTERVAL.release()
         loop.call_soon_threadsafe(stopped.set_result, None)
 
     def _run_round(self, loop: asyncio.AbstractEventLoop,
-                   take: list[_Waiter], now: float) -> None:
+                   take: list[_Waiter], now: float, release: float) -> None:
         """Run one round once and hand its outcome to the loop, once.
 
         Through :data:`~repro.core.datastore.ROUND_ANSWER` the round
@@ -343,8 +337,8 @@ class AsyncFrontend:
             nonlocal answered
             answered = True
             resolved = threading.Event()
-            loop.call_soon_threadsafe(self._deliver, take, now, start,
-                                      responses, error, resolved.set)
+            loop.call_soon_threadsafe(self._deliver, take, now, release,
+                                      start, responses, error, resolved.set)
             time.sleep(0)  # yield the GIL once: the loop resolves them now
             resolved.wait()  # or, if it could not, before the write-back
 
@@ -359,13 +353,15 @@ class AsyncFrontend:
         if not answered:
             answer(responses, error)
 
-    def _deliver(self, take: list[_Waiter], now: float, start: float | None,
-                 responses: list[ClientResponse],
+    def _deliver(self, take: list[_Waiter], now: float, release: float,
+                 start: float | None, responses: list[ClientResponse],
                  error: BaseException | None,
                  resolved: Callable[[], None]) -> None:
         """Resolve one round's waiters with its responses or its error (a
         waiter the responses leave out fails alone, with ProtocolError),
-        then tell the round thread through ``resolved``."""
+        then tell the round thread through ``resolved``; with
+        observability on, record the round, its committed ``release``
+        instant included."""
         by_id = {resp.request_id: resp.value for resp in responses}
         for waiter in take:
             if waiter.future.done():  # a dead connection may have gone
@@ -392,7 +388,8 @@ class AsyncFrontend:
                                  **self._round_labels).inc()
         OBS.observe_span("serve.round", time.perf_counter() - start,
                          labels=self._round_labels,
-                         requests=len(take), error=error is not None)
+                         requests=len(take), error=error is not None,
+                         release=release)
 
     # ------------------------------------------------------------------
     # introspection

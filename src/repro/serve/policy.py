@@ -12,19 +12,19 @@ that surface an explicit policy object on the serving frontend:
   fires once its oldest request has waited ``max_wait_s``.  The
   deployable latency/overhead compromise.
 * :class:`FixedIntervalPolicy` — fire on a fixed grid regardless of
-  arrivals (Cloak-style temporal shaping).  The schedule the policy
-  commits to is a constant grid, so the load-inference and onset
-  attacks score exactly 0.0 against it.
+  arrivals (Cloak-style temporal shaping), empty queue included.  The
+  schedule the policy commits to is a constant grid, so the
+  load-inference and onset attacks score exactly 0.0 against it.
 
 Policies are pure decision functions over timestamps — they never read
-a clock themselves.  The frontend supplies ``now`` (``time.perf_counter``
-live, :attr:`repro.sim.clock.SimClock.now` in tests), which keeps the
-policies byte-for-byte testable on simulated time and keeps oblint's
-determinism pass (OBL201) trivially satisfied.
+a clock themselves.  The caller supplies ``now``: the frontend's round
+thread on ``time.perf_counter``, and
+:func:`repro.analysis.timing.replay_schedule` on simulated time, so the
+timing observatory scores the very objects the server runs.
 
-The **committed release instant** is the policy's answer to
-:meth:`release_time`: on-fill and max-wait release "now" (the schedule
-is workload-shaped), while fixed-interval releases *the grid tick* —
+The **committed release instant** is what :meth:`ReleasePolicy.release`
+returns: on-fill and max-wait commit to "now" (the schedule is
+workload-shaped), while fixed-interval commits to *the grid tick* —
 sub-tick dispatch jitter is host noise below the adversary's sampling
 resolution, not protocol information, and the timing oracle scores the
 committed schedule.
@@ -49,37 +49,25 @@ __all__ = [
 class ReleasePolicy(ABC):
     """Decides when pending requests become a Waffle round.
 
-    The dispatcher asks :meth:`due` whether to fire given the queue
-    state and the current time, :meth:`next_deadline` for the instant it
-    should re-ask without new arrivals (``None`` = only arrivals can
-    change the answer), and :meth:`release_time` for the instant the
-    schedule commits to; :meth:`mark_release` then advances any internal
-    schedule state.
+    The dispatcher asks :meth:`next_release` once per look at the queue
+    and, when the answer is at or before ``now``, takes up to R requests
+    and calls :meth:`release` for the instant the schedule commits to.
     """
 
     #: Policy name used in metrics labels and benchmark rows.
     name: str = "abstract"
 
-    #: Whether the policy fires rounds with an empty queue (shaped
-    #: schedules do: an empty round is all fake queries, still B/B/B).
-    fires_empty: bool = False
-
     @abstractmethod
-    def due(self, pending: int, oldest_arrival: float | None,
-            now: float) -> bool:
-        """Should a round fire right now?"""
+    def next_release(self, pending: int, oldest_arrival: float | None,
+                     now: float) -> float | None:
+        """When this queue state is released: an instant at or before
+        ``now`` means now, and ``None`` means only an arrival can change
+        the answer."""
 
-    @abstractmethod
-    def next_deadline(self, pending: int, oldest_arrival: float | None,
-                      now: float) -> float | None:
-        """Earliest future instant at which :meth:`due` may flip to True."""
-
-    def release_time(self, now: float) -> float:
-        """The release instant the schedule commits to (default: now)."""
+    def release(self, now: float) -> float:
+        """Commit a round released at ``now``; returns the committed
+        instant (default: ``now`` itself)."""
         return now
-
-    def mark_release(self, release_time: float) -> None:
-        """Advance schedule state after a round fired at ``release_time``."""
 
 
 class OnFillPolicy(ReleasePolicy):
@@ -97,39 +85,27 @@ class OnFillPolicy(ReleasePolicy):
             raise ConfigurationError("batch size r must be >= 1")
         self.r = r
 
-    def due(self, pending: int, oldest_arrival: float | None,
-            now: float) -> bool:
-        return pending >= self.r
-
-    def next_deadline(self, pending: int, oldest_arrival: float | None,
-                      now: float) -> float | None:
-        return None  # only a new arrival can fill the batch
+    def next_release(self, pending: int, oldest_arrival: float | None,
+                     now: float) -> float | None:
+        return now if pending >= self.r else None
 
 
-class MaxWaitPolicy(ReleasePolicy):
+class MaxWaitPolicy(OnFillPolicy):
     """On-fill with a straggler deadline on the oldest pending request."""
 
     name = "max_wait"
 
     def __init__(self, r: int, max_wait_s: float) -> None:
-        if r < 1:
-            raise ConfigurationError("batch size r must be >= 1")
+        super().__init__(r)
         if max_wait_s <= 0:
             raise ConfigurationError("max_wait_s must be positive")
-        self.r = r
         self.max_wait_s = max_wait_s
 
-    def due(self, pending: int, oldest_arrival: float | None,
-            now: float) -> bool:
+    def next_release(self, pending: int, oldest_arrival: float | None,
+                     now: float) -> float | None:
         if pending >= self.r:
-            return True
-        if pending > 0 and oldest_arrival is not None:
-            return now - oldest_arrival >= self.max_wait_s
-        return False
-
-    def next_deadline(self, pending: int, oldest_arrival: float | None,
-                      now: float) -> float | None:
-        if pending > 0 and oldest_arrival is not None:
+            return now
+        if pending and oldest_arrival is not None:
             return oldest_arrival + self.max_wait_s
         return None
 
@@ -138,54 +114,43 @@ class FixedIntervalPolicy(ReleasePolicy):
     """Fire on a fixed grid — temporal shaping, arrivals be damned.
 
     The grid is ``epoch + k * interval_s``; the epoch is pinned by the
-    first :meth:`due`/:meth:`next_deadline` query (the frontend's start).
-    A round that overruns its tick does not trigger make-up bursts: the
-    next release lands on the next *future* grid point, so committed
-    gaps are always exact multiples of ``interval_s``.  With no pending
-    requests the round is dispatched anyway (``fires_empty``) — an
-    all-fake batch, shape-identical to a full one, which is precisely
-    what decouples the schedule from the workload.
+    first query (the frontend's first look at its queue).  The tick is
+    kept as the integer ``k``, so a committed instant is always a grid
+    point and never repeats.  A round that overruns its tick does not
+    trigger make-up bursts: the next release lands on the latest grid
+    point at or before the dispatch, so committed gaps are always exact
+    multiples of ``interval_s``.  With no pending requests the round is
+    dispatched anyway — an all-fake batch, shape-identical to a full
+    one, which is precisely what decouples the schedule from the
+    workload.
     """
 
     name = "fixed_interval"
-    fires_empty = True
 
     def __init__(self, interval_s: float) -> None:
         if interval_s <= 0:
             raise ConfigurationError("interval_s must be positive")
         self.interval_s = interval_s
         self._epoch: float | None = None
-        self._next_tick: float | None = None
+        #: index of the next grid point the schedule may commit to
+        self._tick = 1
 
-    def _arm(self, now: float) -> None:
+    def next_release(self, pending: int, oldest_arrival: float | None,
+                     now: float) -> float | None:
         if self._epoch is None:
             self._epoch = now
-            self._next_tick = now + self.interval_s
+        return self._epoch + self._tick * self.interval_s
 
-    def due(self, pending: int, oldest_arrival: float | None,
-            now: float) -> bool:
-        self._arm(now)
-        assert self._next_tick is not None
-        return now >= self._next_tick
-
-    def next_deadline(self, pending: int, oldest_arrival: float | None,
-                      now: float) -> float | None:
-        self._arm(now)
-        return self._next_tick
-
-    def release_time(self, now: float) -> float:
-        """The grid tick this release commits to (never ``now`` itself)."""
-        self._arm(now)
-        assert self._epoch is not None and self._next_tick is not None
-        if now < self._next_tick:  # pragma: no cover - defensive
-            return self._next_tick
-        # The latest grid point at or before now.
-        ticks = math.floor((now - self._epoch) / self.interval_s)
-        return self._epoch + max(1, ticks) * self.interval_s
-
-    def mark_release(self, release_time: float) -> None:
-        # Skip any ticks the round overran; never schedule in the past.
-        self._next_tick = release_time + self.interval_s
+    def release(self, now: float) -> float:
+        """The grid tick this release commits to (never ``now`` itself):
+        the latest at or before ``now``, or the next one when ``now`` is
+        early (a drain on close)."""
+        if self._epoch is None:
+            self._epoch = now
+        tick = max(self._tick,
+                   math.floor((now - self._epoch) / self.interval_s))
+        self._tick = tick + 1
+        return self._epoch + tick * self.interval_s
 
 
 def make_policy(name: str, r: int, max_wait_s: float = 0.01,

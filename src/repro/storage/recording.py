@@ -100,7 +100,3 @@ class RecordingStore(PassthroughStore):
         for key, _ in puts:
             self._record("write", key)
         self._inner.commit_round(deletes, puts)
-
-    def clear_records(self) -> None:
-        """Drop the trace collected so far (keeps round/seq counters)."""
-        self.records = []

@@ -1,4 +1,4 @@
-"""Chaos and timing conformance for the asyncio serving frontend.
+"""Chaos conformance for the asyncio serving frontend.
 
 The batch-level chaos harness (:mod:`repro.testing.runner`) drives one
 scripted batch at a time; this module drives the *serving* path — an
@@ -22,23 +22,13 @@ the result:
 * aborted attempts are exact replay prefixes of their commits;
 * the collapsed trace keeps Waffle's B/B/B shape and α/β bounds;
 * shed requests leave **no** storage-visible records at all.
-
-:func:`live_timing_report` runs the real frontend on the real clock
-under a flash-crowd arrival stream and scores each release policy with
-the PR-7 timing attacks against ground-truth rates — producing the
-``{"on_fill": ..., "fixed": ...}`` shape
-:func:`repro.testing.oracle.check_timing_channel` judges.  The
-fixed-interval policy commits to grid ticks, so its gap series is
-constant and scores exactly 0.0.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 
-from repro.analysis.timing import detect_onset, load_inference_attack
 from repro.analysis.adversary import Adversary
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
@@ -63,8 +53,6 @@ from repro.workloads.ycsb import key_name
 __all__ = [
     "ServingEpisode",
     "ServingResult",
-    "gap_ticks",
-    "live_timing_report",
     "run_serving_episode",
     "run_serving_sweep",
 ]
@@ -124,7 +112,6 @@ class ServingResult:
     completed: int = 0
     attempts: list[Attempt] = field(default_factory=list)
     collapsed_records: list[AccessRecord] = field(default_factory=list)
-    release_times: list[float] = field(default_factory=list)
     adversary: Adversary | None = None
 
     @property
@@ -223,7 +210,6 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
         await frontend.start()
         await frontend.close()
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        result.release_times = list(frontend.release_times)
         for outcome in outcomes:
             if isinstance(outcome, OverloadedError):
                 result.shed += 1
@@ -285,7 +271,7 @@ def run_serving_sweep(episodes: int = 12, base_seed: int = 0,
 
     Fixed-interval is excluded here: it fires wall-clock-paced empty
     rounds, which belongs to the live timing check
-    (:func:`live_timing_report`), not the deterministic oracle sweep.
+    (``tests/test_serve.py``), not the deterministic oracle sweep.
     """
     workloads = ("poisson", "flash_crowd")
     policies = ("on_fill", "max_wait")
@@ -306,111 +292,4 @@ def run_serving_sweep(episodes: int = 12, base_seed: int = 0,
         report.completed += result.completed
         if not result.ok:
             report.failures.append((episode, result.violations))
-    return report
-
-
-# ----------------------------------------------------------------------
-# the live timing check
-# ----------------------------------------------------------------------
-def _score_live_policy(policy_name: str, *, seed: int, rate: float,
-                       duration_s: float, interval_s: float,
-                       r: int) -> dict:
-    """Run the real frontend on the real clock and score its schedule."""
-    workload = FlashCrowdArrivals(
-        rate, 64, spike_factor=5.0, burst_start=duration_s * 0.4,
-        burst_duration=duration_s * 0.3, hot_keys=4, seed=seed,
-        read_fraction=1.0)
-    arrivals = workload.generate(duration_s)
-
-    def execute(requests: list[ClientRequest]) -> list[ClientResponse]:
-        # The adversary scores *when* rounds fire, not what they carry;
-        # a stand-in executor keeps the live run fast and jitter-free.
-        return [ClientResponse(request_id=req.request_id, key=req.key,
-                               value=b"") for req in requests]
-
-    policy = make_policy(policy_name, r, max_wait_s=interval_s,
-                         interval_s=interval_s)
-    release_times: list[float] = []
-    anchor = 0.0
-
-    async def drive() -> None:
-        nonlocal anchor
-        frontend = AsyncFrontend(execute=execute, r=r, policy=policy)
-        start = time.perf_counter()
-        anchor = start
-        await frontend.start()
-        submitted = 0
-        all_submitted = asyncio.Event()
-
-        async def one(arrival: Arrival) -> bytes:
-            nonlocal submitted
-            await asyncio.sleep(max(0.0, arrival.at
-                                    - (time.perf_counter() - start)))
-            submitted += 1
-            if submitted == len(arrivals):
-                all_submitted.set()
-            # The enqueue below happens in this same task step, before
-            # any close() waiter woken by the event can run.
-            return await frontend.get(arrival.key)
-
-        tasks = [asyncio.ensure_future(one(arrival)) for arrival in arrivals]
-        await all_submitted.wait()
-        if frontend.policy.fires_empty:
-            # Let the shaped schedule idle past the stream's end so the
-            # adversary also sees the "quiet" regime.
-            await asyncio.sleep(duration_s * 0.2)
-        await frontend.close()  # drains any sub-R on-fill straggler tail
-        await asyncio.gather(*tasks)
-        release_times.extend(frontend.release_times)
-
-    asyncio.run(drive())
-
-    gaps = list(zip(release_times, release_times[1:]))
-    true_rates = [workload.rate_at((a + b) / 2.0 - anchor) for a, b in gaps]
-    attack = load_inference_attack(release_times, true_rates, r)
-    report = {
-        "policy": policy_name,
-        "rounds": len(release_times),
-        "leakage_score": attack["leakage_score"],
-        "onset_gap": detect_onset(release_times),
-        "seed": seed,
-    }
-    if policy.fires_empty:
-        report["gap_ticks"] = gap_ticks(release_times, interval_s)
-    return report
-
-
-def gap_ticks(release_times: list[float], interval_s: float) -> list[float]:
-    """Distinct gaps between committed release instants, in ticks.
-
-    A grid policy commits to whole ticks: ``[1.0]``, plus 2.0, 3.0, ...
-    only where the host stalled across a tick (the only way its score
-    leaves 0.0).
-    """
-    return sorted({round((b - a) / interval_s, 6)
-                   for a, b in zip(release_times, release_times[1:])})
-
-
-def live_timing_report(seed: int = 0, *, rate: float = 600.0,
-                       duration_s: float = 0.6,
-                       interval_s: float = 0.025, r: int = 4) -> dict:
-    """Score on-fill vs fixed-interval on the live (wall-clock) frontend.
-
-    Returns the benchmark shape
-    :func:`repro.testing.oracle.check_timing_channel` expects.  The
-    schedule scored is the one each policy *committed to*: on-fill
-    commits to "now" (workload-shaped, leaky), fixed-interval commits to
-    grid ticks (constant gaps, leakage exactly 0.0 — sub-tick dispatch
-    jitter is host noise below the adversary's sampling resolution; a
-    host stall longer than a tick skips it and shows in ``gap_ticks``).
-    """
-    report = {
-        "seed": seed,
-        "on_fill": _score_live_policy("on_fill", seed=seed, rate=rate,
-                                      duration_s=duration_s,
-                                      interval_s=interval_s, r=r),
-        "fixed": _score_live_policy("fixed_interval", seed=seed, rate=rate,
-                                    duration_s=duration_s,
-                                    interval_s=interval_s, r=r),
-    }
     return report

@@ -1,5 +1,7 @@
 """Tests for the timing-leakage observatory (repro.analysis.timing)."""
 
+import random
+
 import pytest
 
 from repro.analysis import Adversary
@@ -7,13 +9,27 @@ from repro.analysis.timing import (
     detect_onset,
     estimate_rates,
     load_inference_attack,
-    simulate_round_times,
+    replay_schedule,
     timing_attack_benchmark,
 )
 from repro.errors import ConfigurationError
 from repro.obs.trace import Tracer
+from repro.serve.policy import FixedIntervalPolicy, MaxWaitPolicy, OnFillPolicy
 from repro.sim.clock import SimClock
 from repro.testing.oracle import check_timing_channel
+
+
+def _schedule(rates, r, seed, policy=None):
+    """Replay ``r`` exponential arrivals a round, round ``i``'s at
+    ``rates[i]``, through ``policy`` (on-fill at ``r`` by default)."""
+    rng = random.Random(seed)
+    arrivals, now = [], 0.0
+    for rate in rates:
+        for _ in range(r):
+            now += rng.expovariate(rate)
+            arrivals.append(now)
+    return replay_schedule(policy or OnFillPolicy(r), arrivals, r,
+                           len(rates))
 
 
 class TestTimingObserver:
@@ -68,19 +84,20 @@ class TestAttacks:
 
     def test_load_attack_recovers_on_fill_load(self):
         rates = [100.0] * 20 + [400.0] * 20
-        times = simulate_round_times(rates, r=20, seed=3)
+        times = _schedule(rates, r=20, seed=3)
         attack = load_inference_attack(times, rates, r=20)
         assert attack["leakage_score"] > 0.8
 
     def test_load_attack_blind_on_fixed_schedule(self):
         rates = [100.0] * 20 + [400.0] * 20
-        times = simulate_round_times(rates, r=20, seed=3, schedule="fixed")
+        shaped = FixedIntervalPolicy(20 / (sum(rates) / len(rates)))
+        times = _schedule(rates, r=20, seed=3, policy=shaped)
         attack = load_inference_attack(times, rates, r=20)
         assert attack["leakage_score"] == 0.0
 
     def test_detect_onset_finds_the_shift(self):
         rates = [100.0] * 24 + [500.0] * 24
-        times = simulate_round_times(rates, r=20, seed=11)
+        times = _schedule(rates, r=20, seed=11)
         detected = detect_onset(times)
         assert detected is not None
         assert abs(detected - 24) <= 3
@@ -96,26 +113,31 @@ class TestAttacks:
 class TestSimulation:
     def test_deterministic_per_seed(self):
         rates = [150.0] * 16
-        a = simulate_round_times(rates, r=10, seed=4)
-        b = simulate_round_times(rates, r=10, seed=4)
+        a = _schedule(rates, r=10, seed=4)
+        b = _schedule(rates, r=10, seed=4)
         assert a == b
-        c = simulate_round_times(rates, r=10, seed=5)
+        c = _schedule(rates, r=10, seed=5)
         assert a != c
 
     def test_fixed_schedule_has_constant_gaps(self):
         rates = [100.0, 400.0, 50.0, 300.0]
-        times = simulate_round_times(rates, r=20, seed=1, schedule="fixed",
-                                     interval=0.25)
+        times = _schedule(rates, r=20, seed=1,
+                          policy=FixedIntervalPolicy(0.25))
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap == pytest.approx(0.25) for gap in gaps)
 
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_round_times([1.0], r=2, schedule="jittered")
+    def test_on_fill_releases_at_each_rth_arrival(self):
+        arrivals = [0.1, 0.2, 0.3, 0.7, 0.8, 0.9]
+        assert replay_schedule(OnFillPolicy(3), arrivals, 3, 2) == [0.3, 0.9]
 
-    def test_nonpositive_rate_rejected(self):
+    def test_max_wait_releases_a_partial_batch_at_its_deadline(self):
+        arrivals = [0.0, 0.1, 2.0, 2.1, 2.2, 2.3]
+        policy = MaxWaitPolicy(4, max_wait_s=0.5)
+        assert replay_schedule(policy, arrivals, 4, 2) == [0.5, 2.3]
+
+    def test_too_few_arrivals_rejected(self):
         with pytest.raises(ValueError):
-            simulate_round_times([0.0], r=2)
+            replay_schedule(OnFillPolicy(2), [0.1, 0.2, 0.3], 2, 2)
 
 
 class TestBenchmarkAndOracle:

@@ -211,15 +211,6 @@ class TestInsertDelete:
             self.run_idle_round(store)
         Adversary().feed(store.recorder.records).check_lifecycle()
 
-    def test_current_bounds_track_mutations(self):
-        store = self.make_store()
-        alpha_before, _ = store.current_bounds()
-        for i in range(4):
-            store.insert(f"extra{i:07d}", b"v")
-        self.run_idle_round(store)
-        alpha_after, _ = store.current_bounds()
-        assert alpha_after >= alpha_before  # N grew
-
     def test_insert_without_dummies_rejected(self):
         config = WaffleConfig(n=50, b=10, r=4, f_d=0, d=0, c=10,
                               value_size=64, seed=5)

@@ -14,7 +14,7 @@ PINNED_SURFACES = {
         "Adversary", "AuditResult", "LeakageSummary",
         "cooccurrence_attack", "detect_onset", "frequency_analysis_attack",
         "histogram_difference", "load_inference_attack", "render_histogram",
-        "security_audit", "simulate_round_times", "timing_attack_benchmark"],
+        "replay_schedule", "security_audit", "timing_attack_benchmark"],
     "repro.lint": [
         "ALL_RULES", "Finding", "LintEngine", "LintReport", "Module",
         "Rule", "default_rules", "run_lint"],

@@ -11,8 +11,13 @@ from __future__ import annotations
 import asyncio
 import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
+
+from repro import obs
+from repro.analysis.timing import load_inference_attack
 
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.datastore import WaffleDatastore
@@ -42,6 +47,7 @@ from repro.serve import frontend as frontend_module
 from repro.sim.clock import SimClock
 from repro.storage import PassthroughStore
 from repro.testing.identity import trace_digest
+from repro.workloads.openloop import FlashCrowdArrivals
 from repro.workloads.trace import Operation
 from repro.workloads.ycsb import key_name
 
@@ -52,23 +58,23 @@ from repro.workloads.ycsb import key_name
 class TestOnFillPolicy:
     def test_fires_exactly_at_r(self):
         policy = OnFillPolicy(4)
-        assert not policy.due(3, 0.0, 1.0)
-        assert policy.due(4, 0.0, 1.0)
-        assert policy.due(9, 0.0, 1.0)
+        assert policy.next_release(3, 0.0, 1.0) is None
+        assert policy.next_release(4, 0.0, 1.0) <= 1.0
+        assert policy.next_release(9, 0.0, 1.0) <= 1.0
 
     def test_never_sets_a_deadline(self):
         policy = OnFillPolicy(4)
-        assert policy.next_deadline(3, 0.0, 1.0) is None
+        assert policy.next_release(3, 0.0, 1.0) is None
 
     def test_commits_to_now(self):
-        assert OnFillPolicy(4).release_time(2.5) == 2.5
+        assert OnFillPolicy(4).release(2.5) == 2.5
 
     def test_rejects_bad_r(self):
         with pytest.raises(ConfigurationError):
             OnFillPolicy(0)
 
     def test_does_not_fire_empty(self):
-        assert OnFillPolicy(4).fires_empty is False
+        assert OnFillPolicy(4).next_release(0, None, 1.0) is None
 
 
 class TestMaxWaitPolicy:
@@ -76,20 +82,21 @@ class TestMaxWaitPolicy:
         clock = SimClock()
         policy = MaxWaitPolicy(4, max_wait_s=0.5)
         oldest = clock.now
-        assert not policy.due(2, oldest, clock.now)
+        assert policy.next_release(2, oldest, clock.now) > clock.now
         clock.advance(0.49)
-        assert not policy.due(2, oldest, clock.now)
+        assert policy.next_release(2, oldest, clock.now) > clock.now
         clock.advance(0.02)
-        assert policy.due(2, oldest, clock.now)
+        assert policy.next_release(2, oldest, clock.now) <= clock.now
 
     def test_full_batch_fires_immediately(self):
         policy = MaxWaitPolicy(4, max_wait_s=0.5)
-        assert policy.due(4, 0.0, 0.0)
+        assert policy.next_release(4, 0.0, 0.0) <= 0.0
+        assert policy.release(0.0) == 0.0
 
     def test_deadline_tracks_oldest_arrival(self):
         policy = MaxWaitPolicy(4, max_wait_s=0.5)
-        assert policy.next_deadline(2, 1.25, 1.3) == pytest.approx(1.75)
-        assert policy.next_deadline(0, None, 1.3) is None
+        assert policy.next_release(2, 1.25, 1.3) == pytest.approx(1.75)
+        assert policy.next_release(0, None, 1.3) is None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -102,45 +109,57 @@ class TestFixedIntervalPolicy:
     def test_grid_from_first_query(self):
         clock = SimClock(start=10.0)
         policy = FixedIntervalPolicy(0.25)
-        assert not policy.due(5, 10.0, clock.now)
-        assert policy.next_deadline(5, 10.0, clock.now) == pytest.approx(10.25)
+        assert policy.next_release(5, 10.0, clock.now) == pytest.approx(10.25)
         clock.advance(0.25)
-        assert policy.due(0, None, clock.now)
+        assert policy.next_release(0, None, clock.now) <= clock.now
 
     def test_commits_to_grid_ticks_not_now(self):
         policy = FixedIntervalPolicy(0.25)
-        policy.due(0, None, 10.0)  # arm the epoch
-        release = policy.release_time(10.26)  # dispatched slightly late
-        assert release == pytest.approx(10.25)
-        policy.mark_release(release)
-        assert policy.next_deadline(0, None, 10.26) == pytest.approx(10.5)
+        policy.next_release(0, None, 10.0)  # pin the epoch
+        assert policy.release(10.26) == pytest.approx(10.25)  # a late wake
+        assert policy.next_release(0, None, 10.26) == pytest.approx(10.5)
 
     def test_overrun_skips_ticks_without_makeup_bursts(self):
         policy = FixedIntervalPolicy(0.25)
-        policy.due(0, None, 10.0)
+        policy.next_release(0, None, 10.0)
         # A round overran two full ticks; commit to the latest past tick.
-        release = policy.release_time(10.7)
-        assert release == pytest.approx(10.5)
-        policy.mark_release(release)
-        assert policy.next_deadline(0, None, 10.7) == pytest.approx(10.75)
+        assert policy.release(10.7) == pytest.approx(10.5)
+        assert policy.next_release(0, None, 10.7) == pytest.approx(10.75)
 
     def test_committed_gaps_are_exact_interval_multiples(self):
         clock = SimClock()
         policy = FixedIntervalPolicy(0.2)
-        policy.due(0, None, clock.now)  # arm the epoch at t=0
+        policy.next_release(0, None, clock.now)  # pin the epoch at t=0
         releases = []
         for jitter in (0.0, 0.013, 0.19, 0.002, 0.07):
             clock.advance(0.2 + jitter)
-            assert policy.due(0, None, clock.now)
-            release = policy.release_time(clock.now)
-            policy.mark_release(release)
-            releases.append(release)
+            assert policy.next_release(0, None, clock.now) <= clock.now
+            releases.append(policy.release(clock.now))
         gaps = [b - a for a, b in zip(releases, releases[1:])]
         for gap in gaps:
             assert gap / 0.2 == pytest.approx(round(gap / 0.2))
 
+    @pytest.mark.parametrize("epoch", [0.0, 12345.678])
+    def test_exact_wakes_never_repeat_a_tick(self, epoch):
+        """A dispatcher that wakes exactly on each named tick commits 200
+        strictly increasing instants (the tick is an integer index, not a
+        float sum that can land one ulp below the grid point)."""
+        policy = FixedIntervalPolicy(0.025)
+        now = epoch
+        releases = []
+        while len(releases) < 200:
+            at = policy.next_release(0, None, now)
+            if at > now:
+                now = at
+                continue
+            releases.append(policy.release(now))
+        assert all(a < b for a, b in zip(releases, releases[1:]))
+
     def test_fires_empty(self):
-        assert FixedIntervalPolicy(0.25).fires_empty is True
+        policy = FixedIntervalPolicy(0.25)
+        tick = policy.next_release(0, None, 10.0)
+        assert tick == pytest.approx(10.25)
+        assert policy.next_release(0, None, tick) <= tick
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ConfigurationError):
@@ -428,15 +447,97 @@ class TestAsyncFrontend:
         assert isinstance(outcome, BackendUnavailableError)
 
     def test_release_times_recorded_per_round(self, small_datastore):
+        """The committed release instant rides on the round's span."""
         async def scenario():
             async with AsyncFrontend(small_datastore) as frontend:
                 await asyncio.gather(*(frontend.get(key_name(i))
                                        for i in range(16)))
-            return frontend
 
-        frontend = asyncio.run(scenario())
-        assert len(frontend.release_times) == 2
-        assert frontend.release_times == sorted(frontend.release_times)
+        with obs.capture() as handle:
+            asyncio.run(scenario())
+        releases = [span["attrs"]["release"]
+                    for span in handle.tracer.spans("serve.round")]
+        assert len(releases) == 2
+        assert releases == sorted(releases)
+
+    def test_fixed_interval_scores_zero_on_live_server(self):
+        """On the live clock, only what the schedule commits to: every
+        release sits on a grid tick, and the constant-gap schedule scores
+        exactly 0.0.  A host stall across a tick is the one thing the
+        policy cannot prevent; it leaves a whole-tick hole, never an
+        off-grid release.  How much *more* on-fill leaks depends on how the
+        host schedules a 0.4 s window, so that comparison is held on
+        simulated time (tests/test_analysis_timing.py)."""
+        interval, duration, r = 0.025, 0.4, 4
+        workload = FlashCrowdArrivals(
+            500.0, 64, spike_factor=5.0, burst_start=duration * 0.4,
+            burst_duration=duration * 0.3, hot_keys=4, seed=2,
+            read_fraction=1.0)
+        arrivals = workload.generate(duration)
+
+        async def scenario():
+            frontend = AsyncFrontend(execute=_echo, r=r,
+                                     policy=FixedIntervalPolicy(interval))
+            start = time.perf_counter()
+            await frontend.start()
+            offered = 0
+            all_offered = asyncio.Event()
+
+            async def one(arrival):
+                nonlocal offered
+                await asyncio.sleep(max(0.0, arrival.at
+                                        - (time.perf_counter() - start)))
+                offered += 1
+                if offered == len(arrivals):
+                    all_offered.set()
+                # Admitted in this same task step, before close() can run.
+                return await frontend.get(arrival.key)
+
+            tasks = [asyncio.ensure_future(one(arrival))
+                     for arrival in arrivals]
+            await all_offered.wait()
+            await asyncio.sleep(duration * 0.2)  # the quiet regime, too
+            await frontend.close()
+            await asyncio.gather(*tasks)
+            return start
+
+        with obs.capture() as handle:
+            start = asyncio.run(scenario())
+        releases = [span["attrs"]["release"]
+                    for span in handle.tracer.spans("serve.round")]
+        assert len(releases) > 0
+        gaps = list(zip(releases, releases[1:]))
+        ticks = sorted({round((b - a) / interval, 6) for a, b in gaps})
+        assert ticks[0] == 1.0
+        assert all(tick == int(tick) for tick in ticks)
+        if ticks == [1.0]:
+            true_rates = [workload.rate_at((a + b) / 2.0 - start)
+                          for a, b in gaps]
+            attack = load_inference_attack(releases, true_rates, r)
+            assert attack["leakage_score"] == 0.0
+
+    def test_a_served_stream_leaves_nothing_behind(self):
+        """2,000 one-request rounds after a warm-up hold no new memory in
+        the frontend: nothing it keeps grows with the rounds served."""
+        async def scenario():
+            async with AsyncFrontend(execute=_echo, r=1) as frontend:
+                for _ in range(300):
+                    await frontend.get("k")
+                before = tracemalloc.take_snapshot()
+                for _ in range(2000):
+                    await frontend.get("k")
+                after = tracemalloc.take_snapshot()
+            return before, after
+
+        tracemalloc.start()
+        try:
+            before, after = asyncio.run(scenario())
+        finally:
+            tracemalloc.stop()
+        only = [tracemalloc.Filter(True, "*/serve/frontend.py")]
+        growth = sum(stat.size_diff for stat in after.filter_traces(only)
+                     .compare_to(before.filter_traces(only), "filename"))
+        assert growth < 8 * 1024
 
 
 class _CommitOrder(PassthroughStore):

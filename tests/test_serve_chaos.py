@@ -1,11 +1,11 @@
-"""Chaos coverage for the serving stack: faults, oracles, live timing.
+"""Chaos coverage for the serving stack: faults and oracles.
 
 The serving episode family splices a :class:`FaultyStorage` under the
 async frontend's datastore and drives it with seeded open-loop
 arrivals; the differential oracle then judges the committed trace
 exactly like the batch-mode chaos harness does — replay prefixes,
-batch shape, uniformity.  The live timing check replays the PR-7
-load-inference attack against a real server on the real clock.
+batch shape, uniformity.  The live timing check is
+``tests/test_serve.py``'s fixed-interval frontend test.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.testing.serving import (
     ServingEpisode,
-    live_timing_report,
     run_serving_episode,
     run_serving_sweep,
 )
@@ -119,27 +118,3 @@ class TestServingSweep:
         assert report.aborted_attempts > 0, \
             "a 12-episode sweep at 8% fault rate should see aborts"
 
-
-class TestLiveTimingChannel:
-    def test_fixed_interval_scores_zero_on_live_server(self):
-        """On the live clock, only what the schedule commits to: every
-        release sits on a grid tick, and the constant-gap schedule scores
-        exactly 0.0.  A host stall across a tick is the one thing the
-        policy cannot prevent; it leaves a whole-tick hole, never an
-        off-grid release.  How much *more* on-fill leaks depends on how the
-        host schedules a 0.4 s window, so that comparison is held on
-        simulated time (tests/test_analysis_timing.py)."""
-        fixed = live_timing_report(seed=2, rate=500.0, duration_s=0.4)["fixed"]
-        assert fixed["rounds"] > 0
-        assert fixed["gap_ticks"][0] == 1.0
-        assert all(ticks == int(ticks) for ticks in fixed["gap_ticks"])
-        if fixed["gap_ticks"] == [1.0]:
-            assert fixed["leakage_score"] == 0.0
-
-    def test_live_report_shape_matches_oracle_contract(self):
-        timing = live_timing_report(seed=4, rate=400.0, duration_s=0.3)
-        for policy_key in ("on_fill", "fixed"):
-            section = timing[policy_key]
-            assert set(section) >= {"policy", "rounds", "leakage_score",
-                                    "onset_gap", "seed"}
-        assert timing["seed"] == 4

@@ -235,15 +235,6 @@ class TestRecordingStore:
         recorder.multi_get(["a", "b"])
         assert [r.seq for r in recorder.records] == [0, 1, 2, 3]
 
-    def test_clear_records_keeps_counters(self):
-        recorder = RecordingStore(RedisSim())
-        recorder.multi_put([("a", b"1")])
-        recorder.next_round()
-        recorder.clear_records()
-        recorder.multi_get(["a"])
-        assert recorder.records[0].round == 1
-        assert recorder.records[0].seq == 1
-
     def test_contains_and_len_do_not_record(self):
         recorder = RecordingStore(RedisSim())
         recorder.multi_put([("a", b"1")])

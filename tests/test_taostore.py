@@ -108,11 +108,10 @@ class TestObliviousness:
         recorder = RecordingStore(RedisSim())
         tao, _ = build(n=64, seed=7, store=recorder,
                        write_back_threshold=4)
-        recorder.clear_records()
         before = tao.stats.buckets_read
         tao.get("user00000002")
         # First fetch of a cold subtree reads a full path.
-        assert tao.stats.buckets_read - before == tao.path_length
+        assert tao.stats.buckets_read - before == tao.levels
 
     def test_position_remap_on_access(self):
         tao, _ = build(seed=8)
