@@ -32,9 +32,13 @@ class ClientRequest:
             raise ValueError("write requests require a value")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientResponse:
-    """The proxy's answer to one client request."""
+    """The proxy's answer to one client request.
+
+    Not frozen: a round builds one per request, and the datastore strips
+    the padding off each value in place instead of building it again.
+    """
 
     request_id: int
     key: str

@@ -48,6 +48,11 @@ def refuse_oversize(value: bytes, padded_size: int) -> None:
 def pad_value(value: bytes, padded_size: int) -> bytes:
     """Length-prefix and zero-pad ``value`` to exactly ``padded_size``."""
     refuse_oversize(value, padded_size)
+    return _pad(value, padded_size)
+
+
+def _pad(value: bytes, padded_size: int) -> bytes:
+    """:func:`pad_value` of a value already known to fit."""
     header = len(value).to_bytes(_LENGTH_HEADER, "big")
     return header + value + b"\x00" * (padded_size - _LENGTH_HEADER - len(value))
 
@@ -58,10 +63,11 @@ def unpad_value(padded: bytes) -> bytes:
     return padded[_LENGTH_HEADER: _LENGTH_HEADER + length]
 
 
-def _unpadded(responses: list[ClientResponse]) -> list[ClientResponse]:
-    return [ClientResponse(request_id=resp.request_id, key=resp.key,
-                           value=unpad_value(resp.value))
-            for resp in responses]
+def _unpad(responses: list[ClientResponse]) -> list[ClientResponse]:
+    """Strip the padding off each response's value, in place."""
+    for resp in responses:
+        resp.value = unpad_value(resp.value)
+    return responses
 
 
 class _PaddedItems(Mapping[str, bytes]):
@@ -82,7 +88,8 @@ class _PaddedItems(Mapping[str, bytes]):
         self._padded_size = padded_size
 
     def __getitem__(self, key: str) -> bytes:
-        return pad_value(self._items[key], self._padded_size)
+        # The scan in __init__ already refused an oversize value.
+        return _pad(self._items[key], self._padded_size)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._items)
@@ -140,25 +147,22 @@ class WaffleDatastore:
         round has them — before the round's write-back, which an exception
         may still end after it — and the same list is returned.
         """
-        cfg = self.config
+        size = self.config.value_size
         prepared = [
-            ClientRequest(op=req.op, key=req.key,
-                          value=pad_value(req.value, cfg.value_size),
-                          request_id=req.request_id)
+            ClientRequest(req.op, req.key, pad_value(req.value, size),
+                          req.request_id)
             if req.value is not None else req
             for req in requests
         ]
         callback = ROUND_ANSWER.get()
         if callback is None:
-            return _unpadded(self.proxy.handle_batch(prepared))
-        answered: list[ClientResponse] = []
+            return _unpad(self.proxy.handle_batch(prepared))
 
         def answer(responses: list[ClientResponse]) -> None:
-            answered.extend(_unpadded(responses))
-            callback(answered)
+            callback(_unpad(responses))
 
-        self.proxy.handle_batch(prepared, answer)
-        return answered
+        # The list answered is the list returned, unpadded once.
+        return self.proxy.handle_batch(prepared, answer)
 
     # ------------------------------------------------------------------
     # inserts and deletes (§6.2)

@@ -131,12 +131,46 @@ class RealObjectIndex:
             self._on_server[slot] = 1
         self._arrive(slot, self._timestamps[slot])
 
+    def mark_server_resident_many(self, slots: Iterable[int]) -> None:
+        """:meth:`mark_server_resident` of each of ``slots``, in order: each
+        joins the back of its timestamp's bucket (the evictions of a round,
+        in eviction order)."""
+        timestamps, on_server, buckets = (self._timestamps, self._on_server,
+                                          self._buckets)
+        arrived = 0
+        for slot in slots:
+            if on_server[slot]:
+                self._leave(slot)
+            else:
+                on_server[slot] = 1
+                arrived += 1
+            ts = timestamps[slot]
+            bucket = buckets.get(ts)
+            if bucket is None:
+                self._arrive(slot, ts)
+            else:
+                bucket[slot] = None
+        self._resident += arrived
+
     def mark_cached(self, slot: int) -> None:
         """The object now lives in the cache (or is gone): exclude it from
         fake-query selection."""
         if self._leave(slot):
             self._resident -= 1
             self._on_server[slot] = 0
+
+    def mark_cached_many(self, slots: Iterable[int], ts: int) -> None:
+        """:meth:`mark_cached` then :meth:`set_timestamp` ``ts`` of each of
+        ``slots``: the round's misses, fetched into the cache."""
+        timestamps, on_server, leave = (self._timestamps, self._on_server,
+                                        self._leave)
+        left = 0
+        for slot in slots:
+            if leave(slot):
+                on_server[slot] = 0
+                left += 1
+            timestamps[slot] = ts
+        self._resident -= left
 
     def pop_min_keys(self, count: int, ts: int) -> list[int]:
         """Batched fake-query selection: take the ``count`` least-recently-

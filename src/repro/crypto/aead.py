@@ -47,6 +47,7 @@ import hashlib
 import hmac
 import os
 import time
+from itertools import accumulate
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -248,12 +249,13 @@ class AuthenticatedCipher:
         """The MAC of each ``nonce || body``, in one ``update`` each."""
         inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
         tags: list[bytes] = []
+        append = tags.append
         for head in heads:
             inner = inner_copy()
             inner.update(head)
             outer = outer_copy()
             outer.update(inner.digest())
-            tags.append(outer.digest())
+            append(outer.digest())
         return tags
 
     def _xor_slab(self, heads: list[bytes], skip: int = 0) -> list[bytes]:
@@ -261,17 +263,15 @@ class AuthenticatedCipher:
         first ``skip`` bytes: one big-int XOR for the whole batch."""
         stream_copy = self._stream_root.copy
         streams: list[bytes] = []
+        append = streams.append
         for head in heads:
             stream = stream_copy()
             stream.update(head[:_NONCE_LEN])
-            streams += _NO_STREAM, stream.digest(len(head) - _NONCE_LEN)
+            append(_NO_STREAM)
+            append(stream.digest(len(head) - _NONCE_LEN))
         slab = _xor_int(b"".join(heads), b"".join(streams))
-        out: list[bytes] = []
-        end = 0
-        for head in heads:
-            start, end = end, end + len(head)
-            out.append(slab[start + skip:end])
-        return out
+        ends = list(accumulate(map(len, heads), initial=skip))
+        return [slab[start:end - skip] for start, end in zip(ends, ends[1:])]
 
     def noise(self, count: int, length: int) -> list[bytes]:
         """``count`` blobs of ``length + ciphertext_overhead()`` random

@@ -54,15 +54,17 @@ class RemoteStore(StorageBackend):
     :meth:`commit_round` returns once its ``COMMIT`` frame is written; the
     acknowledgement is *owed*, and the next call on the connection —
     whatever it is, :meth:`flush` and :meth:`close` included — reads and
-    checks it before sending anything of its own.  The storage server
-    applies round r while the proxy answers its clients and plans round
-    r + 1 (the paper's background write-back, §6.2), and on the wire
-    nothing moves: ``COMMIT r``, its ack, ``MGET r+1``, in that order, at
-    most one ack outstanding.  A round the server refused therefore
-    surfaces one call late, from a call that has sent nothing, with the
-    connection still in step and — the server checks a round whole before
-    touching anything — nothing of the round applied.  A caller that must
-    know the round is in calls :meth:`flush`.
+    checks it before sending anything of its own.  The storage server can
+    apply round r while the proxy answers its clients and plans round
+    r + 1 (the paper's background write-back, §6.2) — when the scheduler
+    runs the two processes on different CPUs, which it does not always do
+    (DESIGN.md §6 "Where the commit overlaps"); the ``MGET`` is waited for
+    either way.  On the wire nothing moves: ``COMMIT r``, its ack, ``MGET
+    r+1``, in that order, at most one ack outstanding.  A round the
+    server refused therefore surfaces one call late, from a call that has
+    sent nothing, with the connection still in step and — the server
+    checks a round whole before touching anything — nothing of the round
+    applied.  A caller that must know the round is in calls :meth:`flush`.
 
     :meth:`multi_put` streams a load the same way: frames of about a
     megabyte, each one's acknowledgement collected by the next one's send,

@@ -110,8 +110,7 @@ def _encode_value(parts: list[_Buffer], value: WireValue) -> None:
     elif isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
         if kinds == {str}:
-            _encode_packed(parts, b"s", list(map(
-                str.encode, cast("Sequence[str]", value))))
+            _encode_strings(parts, cast("Sequence[str]", value))
         elif kinds == {bytes}:
             _encode_packed(parts, b"b", cast("Sequence[bytes]", value))
         else:
@@ -131,6 +130,21 @@ def _encode_packed(parts: list[_Buffer], tag: bytes,
     parts.append(struct.pack(f">cI{count}I", tag, count,
                              *map(len, payloads)))
     parts += payloads
+
+
+def _encode_strings(parts: list[_Buffer], items: Sequence[str]) -> None:
+    """An ``s`` array: the payloads are one encode of the items joined.
+    If that is as many bytes as characters, every item is ASCII and its
+    byte length is its length; otherwise each item is encoded to measure
+    it."""
+    text = "".join(items)
+    data = text.encode("utf-8")
+    if len(data) != len(text):
+        _encode_packed(parts, b"s", [item.encode("utf-8") for item in items])
+        return
+    count = len(items)
+    parts += (struct.pack(f">cI{count}I", b"s", count, *map(len, items)),
+              data)
 
 
 def _encode_parts(value: WireValue) -> list[_Buffer]:
@@ -176,13 +190,20 @@ def _decode_value(view: memoryview, pos: int,
         # The length table must be there before its format is built: a
         # hostile count does not get to size an allocation.
         first = _end(view, body, 4 * size)
-        ends = list(accumulate(struct.unpack_from(f">{size}I", view, body),
-                               initial=first))
-        end = _end(view, ends[-1], 0)  # the lengths may not sum past it
-        spans = zip(ends, ends[1:])
-        if tag == "s":
-            return [str(view[a:b], "utf-8") for a, b in spans], end
-        return [view[a:b].tobytes() for a, b in spans], end
+        cuts = list(accumulate(struct.unpack_from(f">{size}I", view, body),
+                               initial=0))
+        # The lengths may not sum past the end of the message.
+        end = _end(view, first + cuts[-1], 0)
+        region = view[first:end]
+        spans = zip(cuts, cuts[1:])
+        if tag == "b":
+            return [region[a:b].tobytes() for a, b in spans], end
+        # One decode of the whole region; if it is ASCII, a character
+        # offset is a byte offset and the items are slices of it.
+        text = str(region, "utf-8")
+        if len(text) == len(region):
+            return [text[a:b] for a, b in spans], end
+        return [str(region[a:b], "utf-8") for a, b in spans], end
     end = _end(view, body, size)
     if tag == "B":
         return view[body:end].tobytes(), end

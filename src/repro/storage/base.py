@@ -25,20 +25,39 @@ replicas) use ``write_once=False`` and overwrite freely.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Container, Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 
 __all__ = ["PassthroughStore", "StorageBackend", "check_commit"]
 
 
-def check_commit(present: Container[str], write_once: bool,
-                 deletes: Iterable[str], put_ids: Iterable[str]) -> None:
+def check_commit(present: AbstractSet[str], write_once: bool,
+                 deletes: Sequence[str], put_ids: Sequence[str]) -> None:
     """Raise what deleting ``deletes`` and then writing ``put_ids`` would
     raise part-way through, while nothing has been applied yet: a delete
     of an id that is missing or named twice, and on a write-once store a
     write of an id that is present (and not being deleted) or named twice.
+
+    ``present`` is a set view of the stored ids (a dict's ``keys()``): the
+    check is a few set operations that each walk the batch, never the
+    store, and only a batch they refuse is walked id by id, to name its
+    first offender.
     """
+    gone = set(deletes)
+    if len(gone) < len(deletes) or not present >= gone:
+        _raise_first_offender(present, write_once, deletes, put_ids)
+    if write_once:
+        taken = set(put_ids)
+        if len(taken) < len(put_ids) or not present & taken <= gone:
+            _raise_first_offender(present, write_once, deletes, put_ids)
+
+
+def _raise_first_offender(present: AbstractSet[str], write_once: bool,
+                          deletes: Iterable[str],
+                          put_ids: Iterable[str]) -> None:
+    """:func:`check_commit`'s refusal, naming the id a sequential apply
+    would have failed on first."""
     gone: set[str] = set()
     for key in deletes:
         if key in gone or key not in present:

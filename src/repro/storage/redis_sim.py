@@ -59,9 +59,8 @@ class RedisSim(StorageBackend):
 
     def multi_get(self, keys: Sequence[str]) -> list[bytes]:
         self._count("GET", len(keys))
-        data = self._data
         try:
-            return [data[key] for key in keys]
+            return list(map(self._data.__getitem__, keys))
         except KeyError as error:
             raise KeyNotFoundError(error.args[0]) from None
 
@@ -74,10 +73,9 @@ class RedisSim(StorageBackend):
         # before its first delete.
         self._count("DEL", len(deletes))
         self._count("SET", len(puts))
-        data = self._data
-        check_commit(data, self._write_once, deletes,
-                     (key for key, _ in puts))
+        data, writes = self._data, dict(puts)
+        check_commit(data.keys(), self._write_once, deletes,
+                     [key for key, _ in puts])
         for key in deletes:
             del data[key]
-        for key, value in puts:
-            data[key] = bytes(value)
+        data.update(writes)

@@ -389,3 +389,61 @@ class TestDummyIndexAgainstModel:
                 accessed = 0
             index.check_invariants()
             assert dict(index.items()) == stored
+
+
+def _index_state(index):
+    """Everything a ``RealObjectIndex`` holds, bucket and heap order
+    included."""
+    return (list(index._timestamps), bytes(index._on_server),
+            [(ts, list(bucket)) for ts, bucket in index._buckets.items()],
+            list(index._heap), index._resident)
+
+
+# A history of scalar calls to start from, then the slots a bulk call takes.
+prefix_ops = st.lists(st.one_of(
+    st.tuples(st.just("resident"), key_st),
+    st.tuples(st.just("cached"), key_st),
+    st.tuples(st.just("stamp"), key_st, ts_st),
+), max_size=30)
+bulk_slots = st.lists(key_st, max_size=12)
+
+
+class TestBulkCallsMatchTheScalarSequence:
+    """Each bulk method leaves the index exactly as the scalar calls it
+    replaces do, bucket arrival order and heap included."""
+
+    @staticmethod
+    def twins(prefix):
+        indexes = RealObjectIndex(len(SLOTS)), RealObjectIndex(len(SLOTS))
+        for index in indexes:
+            for op, slot, *ts in prefix:
+                if op == "resident":
+                    index.mark_server_resident(slot)
+                elif op == "cached":
+                    index.mark_cached(slot)
+                else:
+                    index.set_timestamp(slot, *ts)
+        return indexes
+
+    @given(prefix_ops, bulk_slots)
+    @example([("resident", 0), ("stamp", 0, 3)], [0, 1, 1, 0])  # re-arrivals
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mark_server_resident_many(self, prefix, slots):
+        bulk, scalar = self.twins(prefix)
+        bulk.mark_server_resident_many(slots)
+        for slot in slots:
+            scalar.mark_server_resident(slot)
+        assert _index_state(bulk) == _index_state(scalar)
+        bulk.check_invariants()
+
+    @given(prefix_ops, bulk_slots, ts_st)
+    @example([("resident", 0), ("resident", 1)], [0, 0, 2], 4)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mark_cached_many(self, prefix, slots, ts):
+        bulk, scalar = self.twins(prefix)
+        bulk.mark_cached_many(slots, ts)
+        for slot in slots:
+            scalar.mark_cached(slot)
+            scalar.set_timestamp(slot, ts)
+        assert _index_state(bulk) == _index_state(scalar)
+        bulk.check_invariants()

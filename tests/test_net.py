@@ -4,6 +4,7 @@ Waffle over a real socket."""
 import contextlib
 import random
 import socket
+import struct
 import threading
 
 import pytest
@@ -1020,3 +1021,50 @@ class TestProtocolProperties:
                 decode_message(damaged)
             except ProtocolError:
                 pass
+
+
+def _itemwise_s_array(items):
+    """An ``s`` array as the item-by-item encoder built it: each item
+    encoded on its own, its byte length measured from that."""
+    encoded = [item.encode("utf-8") for item in items]
+    return (struct.pack(f">cI{len(items)}I", b"s", len(items),
+                        *map(len, encoded)) + b"".join(encoded))
+
+
+class TestPackedStrings:
+    """An all-``str`` list is encoded in one pass and decoded from one
+    ``str`` of its region; the frame and the items are what the
+    item-by-item codec made and read."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.text(alphabet=st.characters(max_codepoint=127),
+                            max_size=40), min_size=1, max_size=12)
+           | st.lists(st.text(max_size=8), min_size=1, max_size=12))
+    def test_frames_match_the_itemwise_encoder(self, items):
+        payload = encode_message(items)
+        assert payload == _itemwise_s_array(items)
+        assert decode_message(payload) == items
+
+    @pytest.mark.parametrize("items", [
+        ["", "", ""],
+        ["été", "", "\U0001f9c7"],
+        ["aé", "éb"],  # a 2-byte character on each side of a cut
+        ["\U0001f9c7", "\U0001f9c7"],
+        ["ascii", "mixed ☃", "ascii"],
+    ])
+    def test_non_ascii_and_empty_items_roundtrip(self, items):
+        assert decode_message(encode_message(items)) == items
+
+    @pytest.mark.parametrize("region, lengths", [
+        (b"\xff", [1]),
+        (b"a\xc3", [2]),
+        # Valid UTF-8 as a whole, but the cut splits "é" between items.
+        ("é".encode(), [1, 1]),
+        ("x\U0001f9c7".encode(), [2, 3]),
+    ])
+    def test_invalid_utf8_in_an_item_is_a_protocol_error(self, region,
+                                                         lengths):
+        payload = (struct.pack(f">cI{len(lengths)}I", b"s", len(lengths),
+                               *lengths) + region)
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            decode_message(payload)

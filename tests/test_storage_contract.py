@@ -12,6 +12,7 @@ import contextlib
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.net import RemoteStore, StorageServer
@@ -57,8 +58,11 @@ def _stack(kind):
     yield Stack(store, backing, recorder)
 
 
-@pytest.fixture(params=["RedisSim", "RecordingStore", "PassthroughStore",
-                        "FaultyStorage", "RemoteStore"])
+KINDS = ["RedisSim", "RecordingStore", "PassthroughStore", "FaultyStorage",
+         "RemoteStore"]
+
+
+@pytest.fixture(params=KINDS)
 def stack(request):
     with _stack(request.param) as built:
         yield built
@@ -123,3 +127,52 @@ def test_contains_and_len_are_not_accesses(stack):
     assert len(stack.store) == 3
     if stack.recorder is not None:
         assert stack.recorder.records == []
+
+
+def _first_refusal(deletes, puts):
+    """What applying the commit to ``LOADED`` one id at a time would raise
+    first, as ``(error, id)``, or None: deletes in order, then puts, on a
+    write-once store."""
+    present = set(LOADED)
+    for key in deletes:
+        if key not in present:
+            return KeyNotFoundError, key
+        present.remove(key)
+    for key, _ in puts:
+        if key in present:
+            return DuplicateKeyError, key
+        present.add(key)
+    return None
+
+
+# Ids drawn from a small pool that overlaps the three loaded ones, so
+# batches repeat, miss and collide often.
+_ids = st.sampled_from(["a", "b", "c", "new", "other"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(deletes=st.lists(_ids, max_size=4),
+       put_ids=st.lists(_ids, max_size=4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_commit_is_refused_exactly_as_one_id_at_a_time(kind, deletes,
+                                                        put_ids):
+    """The batch check refuses what a sequential apply would fail on part
+    way (a missing or repeated delete, a repeated put, a write of a
+    present id), names the same id, and applies nothing; a put of an id
+    the same batch deletes goes through."""
+    puts = [(key, key.encode()) for key in put_ids]
+    expected = _first_refusal(deletes, puts)
+    with _stack(kind) as built:
+        if expected is None:
+            built.store.commit_round(deletes, puts)
+            built.store.flush()
+            assert built.backing._data == {
+                **{k: v for k, v in LOADED.items() if k not in deletes},
+                **dict(puts)}
+            return
+        error, key = expected
+        with pytest.raises(error) as raised:
+            built.store.commit_round(deletes, puts)
+            built.store.flush()
+        assert raised.value.key == key
+        assert built.backing._data == LOADED
