@@ -7,6 +7,13 @@ Public API
 ``get``/``put``/``delete`` through a :class:`WaffleClient` (or feed request
 batches directly to the proxy).  Inserts/deletes swap real and dummy
 objects (§6.2).
+
+:class:`ClientRequest` is frozen; :class:`ClientResponse` is not (nor
+hashable): a round builds one per request, and :class:`WaffleDatastore`
+strips the padding off each one's value in place, so the proxy's own
+responses (as :meth:`WaffleProxy.handle_batch` passes them to
+``on_answer``) end up unpadded.  Called directly, ``handle_batch`` returns
+padded values.
 """
 
 from repro.core.batch import ClientRequest, ClientResponse

@@ -71,6 +71,28 @@ class TestBatchApi:
         assert responses[0].value == b"value-1"
         assert responses[1].value == b"x"
 
+    def test_the_proxy_responses_are_unpadded_in_place(self,
+                                                      small_datastore):
+        """``ClientResponse`` is mutable: ``handle_batch`` answers padded
+        values, and ``execute_batch`` returns the proxy's own list with
+        each value unpadded in place."""
+        proxy = small_datastore.proxy
+        request = ClientRequest(op=Operation.READ, key="user00000003")
+        direct = proxy.handle_batch([request])
+        assert direct[0].value == pad_value(
+            b"value-3", small_datastore.config.value_size)
+        handed = []
+        handle = proxy.handle_batch
+
+        def spy(requests, *args):
+            handed.append(handle(requests, *args))
+            return handed[-1]
+
+        proxy.handle_batch = spy
+        responses = small_datastore.execute_batch([request])
+        assert responses is handed[0]
+        assert responses[0].value == b"value-3"
+
 
 class _CommitLog(PassthroughStore):
     def __init__(self, inner, events):
