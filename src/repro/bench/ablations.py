@@ -95,7 +95,7 @@ def _snapshot_size(n: int, cache_fraction: float) -> dict:
     config = replace(WaffleConfig.paper_defaults(n=n, seed=3),
                      c=max(1, round(cache_fraction * n)))
     proxy = WaffleProxy(config, store=RedisSim(write_once=True),
-                        keychain=KeyChain.from_seed(4))
+                        keychain=KeyChain.from_seed(3))
     workload = ycsb.workload_a(n, seed=5, value_size=1000)
     proxy.initialize({k: pad_value(v, config.value_size)
                       for k, v in workload.initial_records()})

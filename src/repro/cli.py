@@ -135,7 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 0 = pick a free port)")
     serve.add_argument("--n", type=int, default=1024,
                        help="database size")
-    serve.add_argument("--seed", type=int, default=1)
+    serve.add_argument("--seed", type=int, default=1,
+                       help="seed of the dataset and the --demo-load "
+                            "client (the proxy's coin flips come from "
+                            "its fresh keychain)")
     serve.add_argument("--policy",
                        choices=["on-fill", "max-wait", "fixed-interval"],
                        default="max-wait",

@@ -58,8 +58,11 @@ class WaffleConfig:
     value_size:
         Object value size in bytes (all values equal length, §3.1).
     seed:
-        Master seed for keys, dummy generation and tie-breaking; fixing it
-        makes an entire deployment reproducible.
+        Seeds nothing in the proxy: its keys and its protocol rng come from
+        its :class:`~repro.crypto.keys.KeyChain`
+        (``KeyChain.from_seed`` is the reproducibility handle).  Kept for
+        callers that still pass it; test and figure helpers read it as the
+        seed of their keychain and request stream.
     """
 
     n: int

@@ -137,9 +137,10 @@ class RoundPlan:
     write_slots: list[int] = field(default_factory=list)
     write_stamps: list[int] = field(default_factory=list)
     write_values: list[bytes | None] = field(default_factory=list)
-    #: the slots evicted so far, in eviction order, and the sealed
-    #: ``(id, blob)`` batch
+    #: the slots evicted so far, in eviction order; each write's new id;
+    #: and the sealed ``(id, blob)`` batch
     evicted: dict[int, None] = field(default_factory=dict)
+    write_ids: list[str] = field(default_factory=list)
     write_batch: list[tuple[str, bytes]] = field(default_factory=list)
 
     def responses(self) -> list[ClientResponse]:
@@ -175,7 +176,8 @@ class WaffleProxy:
         adversary's view; the proxy calls ``store.next_round()`` once
         per round.
     keychain:
-        Proxy-held secrets; defaults to a fresh random keychain.
+        Proxy-held secrets, the protocol rng's seed among them; defaults
+        to a fresh random keychain.
     keep_round_stats:
         Retain per-round :class:`RoundStats` (benchmarks need them; long
         soak tests can disable to bound memory).
@@ -192,7 +194,7 @@ class WaffleProxy:
         self.config = config
         self.store = store
         self.keychain = keychain if keychain is not None else KeyChain()
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(self.keychain.protocol_seed)
         self._slots: dict[str, int] = {}
         self.cache = SlotCache(config.c, self._slots)
         self.ts = 0
@@ -370,8 +372,8 @@ class WaffleProxy:
         ``on_answer``, if given, is called on this thread with the same
         list as soon as every response is known — after ``_decrypt``, before
         the write half (``_decrypt_rest``, ``_cache_fetched``, ``_evict``,
-        ``_seal``, ``_commit``) — so a caller can reply while the round
-        decrypts its unrequested reads and writes back.
+        ``_derive``, ``_seal``, ``_commit``) — so a caller can reply while
+        the round decrypts its unrequested reads and writes back.
 
         What can be refused cleanly is refused before the round begins
         (an uninitialized proxy, more than R requests, a repeated request
@@ -693,11 +695,11 @@ class WaffleProxy:
 
         Crypto is deferred: the loop plans each write's slot, id timestamp
         and plaintext in emission order, ``None`` for a dummy's noise, and
-        :meth:`_seal` makes one pass over them.  Each dummy write steps the
-        rng here (:meth:`_skip_dummy_payload`), in sid order, so its stream
-        is the scalar algorithm's draw for draw.  A slot changes kind (inserts, deletes)
-        only after the loop, so the loop sees each object as it was when
-        read.
+        :meth:`_derive` and :meth:`_seal` make one pass each over them.
+        Each dummy write steps the rng here (:meth:`_skip_dummy_payload`),
+        in sid order, so its stream is the scalar algorithm's draw for
+        draw.  A slot changes kind (inserts, deletes) only after the loop,
+        so the loop sees each object as it was when read.
 
         Each eviction (:meth:`_evict_lru`) plans its write where it
         happens; the evicted slots become fake-query candidates again in
@@ -781,11 +783,15 @@ class WaffleProxy:
         self._real_index.mark_server_resident_many(
             islice(evicted, start, None))
 
+    def _derive(self, plan: RoundPlan) -> None:
+        """The write plan's new ids: one ``derive_many``, the round's only
+        PRF call."""
+        plan.write_ids = self._encode_ids(plan.write_slots, plan.write_stamps)
+
     def _seal(self, plan: RoundPlan) -> None:
-        """One ``derive_many`` (the round's only PRF call) + one
-        :meth:`_seal_values` pass over the write plan."""
-        write_ids = self._encode_ids(plan.write_slots, plan.write_stamps)
-        plan.write_batch = list(zip(write_ids,
+        """One :meth:`_seal_values` pass over the write plan, paired with
+        the new ids."""
+        plan.write_batch = list(zip(plan.write_ids,
                                     self._seal_values(plan.write_values)))
 
     def _commit(self, plan: RoundPlan) -> None:
@@ -902,7 +908,8 @@ _WRITE_PHASES: _PhaseTable = (
      ("values", "rest")),
     ("phase.cache", _LABELS, WaffleProxy._cache_fetched, None),
     ("phase.evict", _LABELS, WaffleProxy._evict, None),
-    ("phase.derive", _LABELS, WaffleProxy._seal, ("writes", "write_batch")),
+    ("phase.derive", _LABELS, WaffleProxy._derive, ("writes", "write_ids")),
+    ("phase.seal", _LABELS, WaffleProxy._seal, ("writes", "write_batch")),
     ("phase.server_io", {**_LABELS, "dir": "write"}, WaffleProxy._commit,
      ("ids", "write_batch")),
 )

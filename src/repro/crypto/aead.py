@@ -46,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import time
 from itertools import accumulate
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -54,7 +53,6 @@ import numpy as np
 
 from repro.crypto.mac import hmac_sha256_states
 from repro.errors import IntegrityError
-from repro.obs import OBS
 
 __all__ = ["AuthenticatedCipher", "RandomSource"]
 
@@ -170,11 +168,11 @@ class AuthenticatedCipher:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for ``plaintext``."""
-        return self._encrypt_many([plaintext])[0]
+        return self.encrypt_many([plaintext])[0]
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify and decrypt ``blob``; raise :class:`IntegrityError` on tamper."""
-        return self._decrypt_many([blob])[0]
+        return self.decrypt_many([blob])[0]
 
     def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         """Batched :meth:`encrypt`; blob ``i`` encrypts ``plaintexts[i]``.
@@ -186,15 +184,6 @@ class AuthenticatedCipher:
         under a deterministic rng the batch form is byte-identical to
         looping :meth:`encrypt`.
         """
-        if OBS.enabled:
-            start = time.perf_counter()
-            out = self._encrypt_many(plaintexts)
-            OBS.observe_kernel("aead.encrypt_many",
-                               time.perf_counter() - start, len(out))
-            return out
-        return self._encrypt_many(plaintexts)
-
-    def _encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         plaintexts = list(plaintexts)
         nonces = self._randbytes(_NONCE_LEN * len(plaintexts))
         cuts = range(0, len(nonces), _NONCE_LEN)
@@ -213,15 +202,6 @@ class AuthenticatedCipher:
 
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         """Batched :meth:`decrypt`; raises on the first tampered blob."""
-        if OBS.enabled:
-            start = time.perf_counter()
-            out = self._decrypt_many(blobs)
-            OBS.observe_kernel("aead.decrypt_many",
-                               time.perf_counter() - start, len(out))
-            return out
-        return self._decrypt_many(blobs)
-
-    def _decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         compare = hmac.compare_digest
         if any(len(blob) < _NONCE_LEN + _TAG_LEN for blob in blobs):
             raise IntegrityError("ciphertext too short")

@@ -1,10 +1,13 @@
 """Key management for the trusted proxy.
 
-The proxy owns all secrets (§3.1): the PRF key that derives storage ids and
-the keys of the authenticated value cipher.  :class:`KeyChain` derives all
-of them from one master secret with domain-separated HMAC so a single seed
-reproduces an entire deployment — important for deterministic tests and for
-replaying experiments.
+The proxy owns all secrets (§3.1): the PRF key that derives storage ids,
+the keys of the authenticated value cipher, and the seed of its protocol
+rng — the coin flips behind the cache seed, the load shuffle, dummy names
+and every tie-break, which a server that knew them could replay to name
+the key behind an id.  :class:`KeyChain` derives all of them from one
+master secret with domain-separated HMAC so a single seed reproduces an
+entire deployment — important for deterministic tests and for replaying
+experiments.
 """
 
 from __future__ import annotations
@@ -32,9 +35,14 @@ class KeyChain:
         Master secret.  ``None`` draws a fresh random secret.
     rng:
         Optional deterministic RNG forwarded to the value cipher (tests).
+
+    Attributes
+    ----------
+    protocol_seed:
+        Seed of the proxy's protocol rng: as secret as the keys.
     """
 
-    __slots__ = ("_master", "prf", "cipher")
+    __slots__ = ("_master", "prf", "cipher", "protocol_seed")
 
     def __init__(self, master: bytes | None = None,
                  rng: RandomSource | None = None) -> None:
@@ -47,9 +55,17 @@ class KeyChain:
             mac_key=_derive(self._master, b"mac"),
             rng=rng,
         )
+        self.protocol_seed = int.from_bytes(_derive(self._master, b"rng"),
+                                            "big")
 
     @classmethod
     def from_seed(cls, seed: int,
                   rng: RandomSource | None = None) -> "KeyChain":
-        """Deterministic keychain for reproducible experiments."""
-        return cls(seed.to_bytes(16, "big", signed=True), rng=rng)
+        """Deterministic keychain for reproducible experiments.
+
+        Its protocol seed is ``seed`` itself, so a deployment whose config
+        and keychain share one seed replays the same rng stream.
+        """
+        chain = cls(seed.to_bytes(16, "big", signed=True), rng=rng)
+        chain.protocol_seed = seed
+        return chain

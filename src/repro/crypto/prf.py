@@ -20,11 +20,9 @@ bit-identical to the naive form, which the known-answer tests pin.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from repro.crypto.mac import hmac_sha256_states
-from repro.obs import OBS
 
 __all__ = ["Prf"]
 
@@ -70,15 +68,6 @@ class Prf:
         hoists attribute lookups out of the per-item loop and formats each
         distinct timestamp once per call (a round's writes share a few).
         """
-        if OBS.enabled:
-            start = time.perf_counter()
-            out = self._derive_many(pairs)
-            OBS.observe_kernel("prf.derive_many",
-                               time.perf_counter() - start, len(out))
-            return out
-        return self._derive_many(pairs)
-
-    def _derive_many(self, pairs: Iterable[tuple[str, int]]) -> list[str]:
         keyed_inner, keyed_outer = self._inner.copy, self._outer.copy
         cut = _DIGEST_HEX_LEN
         suffixes: dict[int, bytes] = {}

@@ -143,19 +143,6 @@ class Observability:
         name = self.tracer.close_span(token, seconds, **labels, **attrs)
         self.registry.histogram(name + ".seconds", **labels).observe(seconds)
 
-    def observe_kernel(self, kernel: str, seconds: float, items: int) -> None:
-        """Profiling hook for the batched kernels (PR 1 fast path).
-
-        Records per-call wall time into ``kernel.<name>.seconds`` plus
-        call/item throughput counters.  Callers guard on
-        :attr:`enabled` *before* taking perf_counter readings, so the
-        disabled cost is a single branch per kernel call.
-        """
-        reg = self.registry
-        reg.histogram("kernel." + kernel + ".seconds").observe(seconds)
-        reg.counter("kernel." + kernel + ".calls.total").inc()
-        reg.counter("kernel." + kernel + ".items.total").inc(items)
-
 
 #: The process-wide handle every instrumented module imports.
 OBS = Observability()

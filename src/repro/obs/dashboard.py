@@ -4,8 +4,9 @@
 live :class:`~repro.analysis.adversary.Adversary`) into the operator
 view §8.4 presupposes: per-system throughput and latency percentiles,
 Waffle's batch composition (real / fake-real / fake-dummy), cache hit
-rate, kernel timings, and the α-budget status — all from the shared
-metric names, so Waffle and the baselines line up row by row.
+rate, and the α-budget status — all from the shared metric names, so
+Waffle and the baselines line up row by row.  Where a round's time goes
+phase by phase is the span profile's table (:mod:`repro.obs.profile`).
 
 The adversary argument is duck-typed (``alpha_budget``, ``windows``,
 ``unread_ids``, ``breaches``) to keep this module free of dependencies
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.profile import _table
-from repro.obs.registry import MetricsRegistry, render_name
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["render_dashboard"]
 
@@ -95,23 +96,6 @@ def render_dashboard(registry: MetricsRegistry, adversary: Any = None) -> str:
         lines += _table(
             ["system", "real", "fake-real", "fake-dummy",
              "real%", "fake%"], rows)
-        lines.append("")
-
-    # ---- kernel profile ---------------------------------------------
-    kernel_rows = []
-    for name, labels, metric in registry:
-        if metric.kind != "histogram" or not name.startswith("kernel."):
-            continue
-        kernel_rows.append([
-            render_name(name, labels).removeprefix("kernel.")
-            .removesuffix(".seconds"),
-            str(metric.count),
-            _fmt(metric.mean * 1e6) + "us",
-            _fmt(metric.percentile(0.95) * 1e6) + "us",
-        ])
-    if kernel_rows:
-        lines += ["kernel profile (per batched call)", ""]
-        lines += _table(["kernel", "calls", "mean", "p95"], kernel_rows)
         lines.append("")
 
     # ---- alpha budget ------------------------------------------------

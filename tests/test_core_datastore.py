@@ -128,6 +128,29 @@ class TestAnswerBeforeWriteBack:
         small_datastore.proxy.check_invariants()
 
 
+class TestTheCoinFlipsAreSecret:
+    """The proxy's rng — cache seed, load shuffle, dummy names, every
+    tie-break — is seeded from its keychain, never from the config."""
+
+    @staticmethod
+    def _cache(small_config, small_items, keychain):
+        datastore = WaffleDatastore(small_config, small_items,
+                                    keychain=keychain)
+        return list(datastore.proxy.cache.keys())
+
+    def test_a_shared_config_seed_seeds_nothing(self, small_config,
+                                                small_items):
+        assert small_config.seed is not None
+        assert self._cache(small_config, small_items, KeyChain()) != \
+            self._cache(small_config, small_items, KeyChain())
+
+    def test_a_keychain_seed_replays_the_cache(self, small_config,
+                                               small_items):
+        assert self._cache(small_config, small_items,
+                           KeyChain.from_seed(5)) == \
+            self._cache(small_config, small_items, KeyChain.from_seed(5))
+
+
 class TestInsertDelete:
     def make_store(self):
         config = WaffleConfig(n=100, b=16, r=6, f_d=4, d=40, c=20,

@@ -91,7 +91,7 @@ class TestInitialization:
         items = {key: pad_value(value, config.value_size)
                  for key, value in make_items(config.n).items()}
         keychain = KeyChain.from_seed(3)
-        rng = random.Random(config.seed)
+        rng = random.Random(keychain.protocol_seed)
         rng.randrange(2**63)
         all_keys = list(items)
         rng.shuffle(all_keys)

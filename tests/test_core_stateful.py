@@ -5,7 +5,10 @@ inserts and deletes, and after every step checks it against a plain dict
 of what the clients were told: the proxy's structural self-check, every
 live key's value (read behind the proxy's back, so the check itself
 touches nothing), exactly B reads, B deletes and B writes in every round,
-and no storage id read twice.  Two deployments: one with a cache large
+and no storage id read twice.  A store may refuse one commit: from then
+on every round, self-check and capture is refused, and only a restore
+from the capture taken before the refusal serves again
+(:attr:`WaffleProxy.failure`).  Two deployments: one with a cache large
 enough for Algorithm 1's assumption ``C >= B - f_D + R``, one below it
 (the small-cache regime).  Tier-1 runs a short derandomized profile; the
 ``chaos`` marker runs a longer one.
@@ -25,7 +28,9 @@ from repro.core.config import WaffleConfig
 from repro.core.datastore import ROUND_ANSWER, WaffleDatastore, unpad_value
 from repro.crypto.keys import KeyChain
 from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
+from repro.ha.checkpoint import capture_proxy, restore_proxy
 from repro.storage.redis_sim import RedisSim
+from repro.testing.faults import FaultPlan, FaultyStorage, InjectedFault
 from repro.workloads.trace import Operation
 
 #: C = 9 = B - f_D + R: Algorithm 1's assumption holds.
@@ -53,29 +58,39 @@ class DatastoreModel(RuleBasedStateMachine):
         cfg = self.config
         self.model = {f"k{i}": f"v{i}".encode() for i in range(cfg.n)}
         self.backing = RedisSim(write_once=True)
+        self.faulty = FaultyStorage(self.backing, FaultPlan())
         self.datastore = WaffleDatastore(cfg, dict(self.model),
-                                         store=self.backing,
+                                         store=self.faulty,
                                          keychain=KeyChain.from_seed(11))
         self.proxy = self.datastore.proxy
         self.pending_inserts: dict[str, bytes] = {}
         self.pending_deletes: set[str] = set()
         self.read_ids: set[str] = set()
         self.checked_records = len(self.datastore.recorder.records)
+        #: the capture taken just before a refused commit, until restored
+        self.snapshot: bytes | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.snapshot is not None
+
+    def _ops(self, data: st.DataObject) -> list[tuple[str, bytes | None]]:
+        """Up to R gets (``None``) and puts of live keys."""
+        return data.draw(st.lists(
+            st.tuples(st.sampled_from(sorted(self.model)),
+                      st.none() | values),
+            max_size=self.config.r))
 
     # ------------------------------------------------------------------
     # rules
     # ------------------------------------------------------------------
+    @precondition(lambda self: not self.failed)
     @rule(data=st.data(), answer_early=st.booleans())
     def batch(self, data: st.DataObject, answer_early: bool) -> None:
         """Up to R gets and puts of live keys in one round; each response
         is what a dict applying the batch in order says."""
-        ops = data.draw(st.lists(
-            st.tuples(st.sampled_from(sorted(self.model)),
-                      st.none() | values),
-            max_size=self.config.r))
-        requests = [ClientRequest(Operation.READ, key) if value is None
-                    else ClientRequest(Operation.WRITE, key, value)
-                    for key, value in ops]
+        ops = self._ops(data)
+        requests = _requests(ops)
         answered: list = []
         token = ROUND_ANSWER.set(answered.append if answer_early else None)
         try:
@@ -94,6 +109,7 @@ class DatastoreModel(RuleBasedStateMachine):
             [request.request_id for request in requests]
         self._settle_mutations()
 
+    @precondition(lambda self: not self.failed)
     @rule(data=st.data())
     def refused_batch(self, data: st.DataObject) -> None:
         """A batch the proxy can refuse cleanly — an unknown key, more
@@ -112,6 +128,49 @@ class DatastoreModel(RuleBasedStateMachine):
         assert self.proxy.ts == ts
         assert self.proxy.failure is None
 
+    @precondition(lambda self: not self.failed)
+    @rule(data=st.data())
+    def refused_commit(self, data: st.DataObject) -> None:
+        """The store refuses the next round's commit, after the round has
+        read: the proxy fails with the refusal, and the round's writes
+        reach neither the server nor the model."""
+        self.snapshot = capture_proxy(self.proxy)
+        # A round is one multi_get, then one commit_round.
+        self.faulty.plan = FaultPlan({self.faulty.ops + 1: "error"})
+        with pytest.raises(InjectedFault, match="commit_round") as refusal:
+            self.datastore.execute_batch(_requests(self._ops(data)))
+        assert self.proxy.failure is refusal.value
+        # The refused round's accesses belong to no committed round, and
+        # the restored proxy may read its ids again.
+        self.checked_records = len(self.datastore.recorder.records)
+
+    @precondition(lambda self: self.failed)
+    @rule(data=st.data(), call=st.sampled_from(
+        ["execute_batch", "check_invariants", "capture_proxy"]))
+    def refused_after_failure(self, data: st.DataObject, call: str) -> None:
+        """A failed proxy refuses every round, self-check and capture,
+        caused by its failure, before it touches the store."""
+        proxy, ts = self.proxy, self.proxy.ts
+        with pytest.raises(ProtocolError) as refused:
+            if call == "execute_batch":
+                self.datastore.execute_batch(_requests(self._ops(data)))
+            elif call == "check_invariants":
+                proxy.check_invariants()
+            else:
+                capture_proxy(proxy)
+        assert refused.value.__cause__ is proxy.failure is not None
+        assert proxy.ts == ts
+
+    @precondition(lambda self: self.failed)
+    @rule()
+    def restore(self) -> None:
+        """Only a proxy restored from the capture before the refusal
+        serves again; the server never saw the refused round."""
+        self.proxy = self.datastore.proxy = restore_proxy(
+            self.snapshot, self.proxy.store)
+        self.snapshot = None
+
+    @precondition(lambda self: not self.failed)
     @rule(key=new_keys, value=values)
     def insert(self, key: str, value: bytes) -> None:
         proxy = self.proxy
@@ -128,7 +187,8 @@ class DatastoreModel(RuleBasedStateMachine):
         with pytest.raises(refusal):
             self.datastore.insert(key, value)
 
-    @precondition(lambda self: len(self.model) - len(self.pending_deletes)
+    @precondition(lambda self: not self.failed
+                  and len(self.model) - len(self.pending_deletes)
                   > self.config.c + self.config.b)
     @rule(data=st.data())
     def delete(self, data: st.DataObject) -> None:
@@ -160,12 +220,16 @@ class DatastoreModel(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def structure_holds(self) -> None:
+        if self.failed:
+            return  # refused_after_failure: the self-check is refused
         self.proxy.check_invariants()
         assert self.proxy.mutations.pending_inserts == len(self.pending_inserts)
         assert self.proxy.mutations.pending_deletes == len(self.pending_deletes)
 
     @invariant()
     def values_equal_the_dict(self) -> None:
+        if self.failed:
+            return  # the proxy's state is unknown until the restore
         proxy = self.proxy
         assert set(proxy._slots) == set(self.model)
         for key, value in self.model.items():
@@ -182,6 +246,9 @@ class DatastoreModel(RuleBasedStateMachine):
         """B reads, B deletes and B writes a round; no id is read twice."""
         records = self.datastore.recorder.records[self.checked_records:]
         self.checked_records += len(records)
+        if self.failed:  # a refused call touches nothing
+            assert not records
+            return
         counts = Counter((record.round, record.op) for record in records)
         b = self.config.b
         for round_ in {record.round for record in records}:
@@ -191,6 +258,12 @@ class DatastoreModel(RuleBasedStateMachine):
             if record.op == "read":
                 assert record.storage_id not in self.read_ids
                 self.read_ids.add(record.storage_id)
+
+
+def _requests(ops: list[tuple[str, bytes | None]]) -> list[ClientRequest]:
+    return [ClientRequest(Operation.READ, key) if value is None
+            else ClientRequest(Operation.WRITE, key, value)
+            for key, value in ops]
 
 
 class SmallCacheModel(DatastoreModel):

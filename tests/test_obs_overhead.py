@@ -39,12 +39,12 @@ def test_disabled_round_records_nothing():
 def test_disabled_guard_overhead_under_three_percent():
     """guard_cost x guards_per_round < 3% of one round's wall time.
 
-    Guards per round is over-counted on purpose: 8 phase checks plus the
-    per-round counter block, ~8 kernel-wrapper checks, and up to four
-    per-access checks for every one of the B reads and B+ writes
-    (recording + storage command layers) — even though this test's proxy
-    runs on an uninstrumented in-memory store, so the true count is far
-    lower.
+    Guards per round is over-counted on purpose: 64 for the proxy, which
+    takes one (in ``handle_batch``; the phase spans run only behind it,
+    and the crypto kernels take none), plus up to four per-access checks
+    for every one of the B reads and B writes (recording + storage command
+    layers) — even though this test's proxy runs on an uninstrumented
+    in-memory store, so the true count is far lower.
     """
     obs.disable()
     handle = obs.OBS

@@ -140,7 +140,7 @@ class TestProxyIntegration:
         for phase, half in (("phase.plan", None), ("phase.server_io", None),
                             ("phase.decrypt", None), ("phase.decrypt", "write"),
                             ("phase.cache", None), ("phase.evict", None),
-                            ("phase.derive", None)):
+                            ("phase.derive", None), ("phase.seal", None)):
             spans = [span for span in handle.tracer.spans(phase)
                      if span["attrs"].get("half") == half]
             assert spans, f"no {phase} spans (half={half})"

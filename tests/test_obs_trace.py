@@ -186,11 +186,3 @@ class TestObservabilityHandle:
         hist = obs.OBS.registry.histogram("phase.plan.seconds",
                                           system="waffle")
         assert hist.count == 1
-
-    def test_observe_kernel_records_three_series(self):
-        with obs.capture() as handle:
-            handle.observe_kernel("prf.derive_many", 0.004, items=128)
-        snap = handle.registry.snapshot()
-        assert snap["counters"]["kernel.prf.derive_many.calls.total"] == 1
-        assert snap["counters"]["kernel.prf.derive_many.items.total"] == 128
-        assert snap["histograms"]["kernel.prf.derive_many.seconds"]["count"] == 1

@@ -1,6 +1,8 @@
 """Public-surface sanity: exports, error hierarchy, version."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -108,22 +110,18 @@ class TestPackageSurface:
     def test_simulated_time_never_feeds_the_metrics_registry(self, package):
         """The registry carries wall-clock series only: no module of
         the figure instrument imports ``repro.obs``."""
-        import ast
-        import pathlib
+        for path, name in _repro_imports(package):
+            assert name != "repro.obs" and not name.startswith("repro.obs."), \
+                path.name
 
-        root = pathlib.Path(repro.__file__).parent / package
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module] + [f"{node.module}.{alias.name}"
-                                             for alias in node.names]
-                else:
-                    continue
-                assert not any(name == "repro.obs"
-                               or name.startswith("repro.obs.")
-                               for name in names), path.name
+    def test_crypto_is_a_leaf(self):
+        """The crypto kernels time and log nothing themselves (the
+        proxy's phase spans do): ``repro.crypto`` imports nothing of
+        ``repro`` but its own modules and ``repro.errors``."""
+        for path, name in _repro_imports("crypto"):
+            assert name == "repro.errors" or name.startswith(
+                ("repro.crypto.", "repro.errors.")), \
+                f"{path.name} imports {name}"
 
     def test_serving_stack_imports_no_native_crypto_wheel(self):
         """The wheels cost resident memory in every process (the
@@ -174,3 +172,23 @@ class TestPackageSurface:
             stripped = source.lstrip()
             assert stripped.startswith('"""') or stripped.startswith("'''"), \
                 f"{path.relative_to(root)} lacks a module docstring"
+
+
+def _repro_imports(package: str):
+    """``(path, module)`` for each ``repro`` module (or name imported from
+    one) that a file of ``repro.<package>`` imports."""
+    root = pathlib.Path(repro.__file__).parent / package
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+                if node.module != "repro":
+                    names.append(node.module)
+            else:
+                continue
+            for name in names:
+                if name == "repro" or name.startswith("repro."):
+                    yield path, name

@@ -216,9 +216,13 @@ def test_small_cache_regime_reproduces_pinned_digests():
         counting.put(key, value)
     counting.touches = 0
     drive.proxy.cache = counting
+    fetched = 0
     for requests in request_stream(config, SMALL_CACHE_ROUNDS, config.seed):
         drive.batch(requests)
-    # The pin covers the discard branch only if it was taken: fewer
-    # probes than fetched real objects means stale copies were dropped.
-    assert counting.touches < SMALL_CACHE_ROUNDS * (config.b - config.f_d)
+        fetched += drive.proxy.last_stats.decryptions
+    # The pin covers the discard branch only if it was taken, and the
+    # count means something only if the proxy probes: every fetched real
+    # object (no deletes here) is either kept, one probe, or discarded.
+    discarded = fetched - counting.touches
+    assert counting.touches > 0 and discarded > 0, (counting.touches, fetched)
     assert drive.pin() == SMALL_CACHE_PIN
