@@ -4,8 +4,8 @@
 The paper assumes the stateful proxy is "highly available (which can be
 ensured with techniques such as a primary-secondary replication)" (§3.1)
 and lists fault tolerance as future work (§10).  This example runs that
-machinery: a primary proxy ships a state snapshot to its one standby at
-every batch boundary, we "crash" it twice mid-workload, fail over, and
+machinery: the datastore's primary proxy ships a state snapshot to its
+one standby at every batch boundary, we "crash" it twice mid-workload, fail over, and
 verify afterwards that nothing observable changed — responses stayed
 linearizable, no storage id was ever reused, and the α/β bounds held
 across both incarnations.
@@ -18,12 +18,9 @@ import random
 from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
-from repro.core.datastore import pad_value, unpad_value
-from repro.core.proxy import WaffleProxy
+from repro.core.datastore import WaffleDatastore
 from repro.crypto.keys import KeyChain
 from repro.ha import ReplicatedProxy, capture_proxy
-from repro.storage.recording import RecordingStore
-from repro.storage.redis_sim import RedisSim
 from repro.workloads.trace import Operation
 
 
@@ -33,14 +30,11 @@ def main() -> None:
                           value_size=128, seed=3)
     items = {f"user{i:08d}": b"original-%d" % i for i in range(n)}
 
-    recorder = RecordingStore(RedisSim(write_once=True))
-    primary = WaffleProxy(config, store=recorder,
-                          keychain=KeyChain.from_seed(4), log_ids=True)
-    primary.initialize({k: pad_value(v, config.value_size)
-                        for k, v in items.items()})
-    ha = ReplicatedProxy(primary)
+    datastore = WaffleDatastore(config, items,
+                                keychain=KeyChain.from_seed(4), log_ids=True)
+    ha = ReplicatedProxy(datastore)
     print(f"deployment up: N={n}, B={config.b}, standby snapshot "
-          f"{len(capture_proxy(primary)):,} bytes")
+          f"{len(capture_proxy(ha.proxy)):,} bytes")
 
     reference = dict(items)
     rng = random.Random(5)
@@ -53,15 +47,14 @@ def main() -> None:
                 if rng.random() < 0.4:
                     value = b"write-%06d" % rng.randrange(10**6)
                     batch.append(ClientRequest(
-                        op=Operation.WRITE, key=key,
-                        value=pad_value(value, config.value_size)))
+                        op=Operation.WRITE, key=key, value=value))
                     reference[key] = value
                     expected.append(value)
                 else:
                     batch.append(ClientRequest(op=Operation.READ, key=key))
                     expected.append(reference[key])
-            responses = ha.handle_batch(batch)
-            got = [unpad_value(r.value) for r in responses]
+            responses = ha.execute_batch(batch)
+            got = [r.value for r in responses]
             assert got == expected, "linearizability violated!"
 
     run_batches(30)
@@ -79,7 +72,7 @@ def main() -> None:
     print(f"30 more batches after the second failover (ts={ha.proxy.ts})")
 
     # Nothing observable changed across incarnations:
-    report = Adversary(ha.proxy.id_log).feed(recorder.records)
+    report = Adversary(ha.proxy.id_log).feed(datastore.recorder.records)
     report.check_lifecycle()
     alpha_ok = report.max_alpha <= config.alpha_bound_effective()
     beta_ok = report.min_beta >= config.beta_bound()

@@ -15,8 +15,7 @@ from repro.baselines.pancake import PancakeProxy
 from repro.bench.harness import run_waffle
 from repro.bench.reporting import format_table
 from repro.core.config import WaffleConfig
-from repro.core.datastore import pad_value
-from repro.core.proxy import WaffleProxy
+from repro.core.datastore import WaffleDatastore
 from repro.crypto.keys import KeyChain
 from repro.ha import capture_proxy
 from repro.sim.costmodel import CostModel
@@ -94,12 +93,10 @@ def check_leakage_profile(rows: list[dict]) -> None:
 def _snapshot_size(n: int, cache_fraction: float) -> dict:
     config = replace(WaffleConfig.paper_defaults(n=n, seed=3),
                      c=max(1, round(cache_fraction * n)))
-    proxy = WaffleProxy(config, store=RedisSim(write_once=True),
-                        keychain=KeyChain.from_seed(3))
     workload = ycsb.workload_a(n, seed=5, value_size=1000)
-    proxy.initialize({k: pad_value(v, config.value_size)
-                      for k, v in workload.initial_records()})
-    blob = capture_proxy(proxy)
+    datastore = WaffleDatastore(config, dict(workload.initial_records()),
+                                record=False, keychain=KeyChain.from_seed(3))
+    blob = capture_proxy(datastore.proxy)
     cost = CostModel()
     return {
         "cache_pct": round(100 * cache_fraction),

@@ -12,8 +12,8 @@ objects (§6.2).
 hashable): a round builds one per request, and :class:`WaffleDatastore`
 strips the padding off each one's value in place, so the proxy's own
 responses (as :meth:`WaffleProxy.handle_batch` passes them to
-``on_answer``) end up unpadded.  Called directly, ``handle_batch`` returns
-padded values.
+``on_answer``) end up unpadded.  Called directly, ``handle_batch`` takes
+and returns padded values and refuses a write of any other length.
 """
 
 from repro.core.batch import ClientRequest, ClientResponse

@@ -109,8 +109,10 @@ class WaffleDatastore:
     items:
         The initial N key-value pairs.
     store:
-        Optional pre-built server backend; defaults to a write-once
-        :class:`~repro.storage.redis_sim.RedisSim`.
+        The server, below the recorder; defaults to a write-once
+        :class:`~repro.storage.redis_sim.RedisSim`.  A client-side wrapper
+        (a fault injector) goes on ``datastore.proxy.store`` after the
+        load, above the recorder: what it refuses is never recorded.
     record:
         Capture the adversary-visible access trace (the default — the
         security analysis needs it; disable for long perf-only runs).

@@ -377,7 +377,8 @@ class WaffleProxy:
 
         What can be refused cleanly is refused before the round begins
         (an uninitialized proxy, more than R requests, a repeated request
-        id, an unknown key), and the proxy is as it was.  Past that, any exception — from planning
+        id, an unknown key, a write whose value is not ``value_size``
+        bytes), and the proxy is as it was.  Past that, any exception — from planning
         to the commit, ``on_answer`` included — leaves the cache, the
         indexes and the server out of step: it is kept as :attr:`failure`
         and re-raised, and from then on every round is refused before it
@@ -393,12 +394,17 @@ class WaffleProxy:
         if len({request.request_id for request in requests}) < len(requests):
             # Responses are matched to requests by id.
             raise ProtocolError("batch repeats a request id")
-        slots = self._slots
+        slots, size = self._slots, self.config.value_size
         try:
-            req_slots = [slots[request.key] for request in requests]
+            # A value of another length (§3.1) is left out, so counted below.
+            req_slots = [slots[request.key] for request in requests
+                         if request.value is None
+                         or len(request.value) == size]
         except KeyError as exc:
             raise ProtocolError(
                 f"request for unknown key: {exc.args[0]!r}") from None
+        if len(req_slots) < len(requests):
+            raise ProtocolError(f"a write's value is not the padded {size} bytes")
         self.ts += 1
         try:
             self.store.next_round()

@@ -8,11 +8,11 @@ as future work (§10).  This package supplies that substrate:
 * :mod:`repro.ha.checkpoint` — capture/restore the proxy's complete
   trusted state (timestamp indexes, cache, RNG, mutation queue, secrets)
   such that a restored proxy is behaviourally identical;
-* :mod:`repro.ha.replicated` — :class:`ReplicatedProxy`, a primary with
-  ``standbys`` replicas (one standby is primary-secondary, more is a
-  quorum group) that ships a state snapshot to every live standby at
-  every batch boundary and fails over without violating linearizability
-  or any storage-id invariant.
+* :mod:`repro.ha.replicated` — :class:`ReplicatedProxy`, a datastore's
+  proxy as primary with ``standbys`` replicas (one standby is
+  primary-secondary, more is a quorum group), shipping a state snapshot
+  to every live standby at every batch boundary and failing over without
+  violating linearizability or any storage-id invariant.
 
 Crash granularity is the batch boundary: a batch is the proxy's atomic
 unit of work against the server (Algorithm 1 runs one batch at a time),

@@ -326,8 +326,8 @@ class AsyncFrontend:
         at once, a wait for it to have done so (rarely taken; it makes the
         order certain), and only then the write-back.  An executor that
         never answers is answered the same way with what it returned or
-        raised.  A failure after the answer stays with the proxy, which
-        refuses the rounds that follow (module docstring).
+        raised, and a replayed round's second answer is dropped.  A failure
+        after the answer stays with the proxy (module docstring).
         """
         start = time.perf_counter() if OBS.enabled else None
         answered = False
@@ -335,6 +335,8 @@ class AsyncFrontend:
         def answer(responses: list[ClientResponse],
                    error: BaseException | None = None) -> None:
             nonlocal answered
+            if answered:  # a replayed round answers again: waiters hold it
+                return
             answered = True
             resolved = threading.Event()
             loop.call_soon_threadsafe(self._deliver, take, now, release,

@@ -8,8 +8,8 @@ The pieces compose bottom-up:
   stays down until ``reconnect()``);
 * :mod:`repro.testing.episodes` — randomized, validated, serializable
   chaos scenarios (:class:`Episode`, :func:`generate_episode`);
-* :mod:`repro.testing.runner` — executes an episode against the real
-  stack wrapped in a :class:`~repro.ha.ReplicatedProxy` group of the
+* :mod:`repro.testing.runner` — executes an episode against a real
+  ``WaffleDatastore`` in a :class:`~repro.ha.ReplicatedProxy` group of the
   episode's ``standbys`` (:func:`run_episode`); its ``deploy``,
   ``retry_round`` (attempt, fail over, retry, self-check) and ``judge``
   steps are shared with :mod:`repro.testing.serving`;

@@ -2,13 +2,13 @@
 
 The runner deploys the full Waffle stack —
 
-    WaffleProxy -> [test mutator] -> FaultyStorage -> RecordingStore
-                -> RedisSim(write_once)
+    WaffleDatastore: WaffleProxy -> [test mutator] -> FaultyStorage
+                     -> RecordingStore -> RedisSim(write_once)
 
 — wrapped in a :class:`~repro.ha.replicated.ReplicatedProxy` group of
 the episode's ``standbys``, drives the episode's operation script
-through it, and recovers from every injected fault the way a real
-client-facing deployment would:
+through it unpadded, as a client would, and recovers from every injected
+fault the way a real client-facing deployment would:
 
 1. the failed batch's exception discards the (possibly mid-round,
    corrupted) primary, and the storage connection is re-opened (a
@@ -50,13 +50,12 @@ from repro.analysis.adversary import Adversary
 from repro.baselines.insecure import InsecureStore
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
-from repro.core.datastore import pad_value, unpad_value
-from repro.core.proxy import WaffleProxy
+from repro.core.datastore import WaffleDatastore
 from repro.crypto.keys import KeyChain
 from repro.errors import ProtocolError
 from repro.ha.replicated import ReplicatedProxy
 from repro.storage.base import StorageBackend
-from repro.storage.recording import AccessRecord, RecordingStore
+from repro.storage.recording import AccessRecord
 from repro.storage.redis_sim import RedisSim
 from repro.testing.episodes import Episode
 from repro.testing.faults import FaultPlan, FaultyStorage, InjectedFault
@@ -103,35 +102,40 @@ class EpisodeResult:
 class Deployment:
     """One chaos run's system under test and its differential model."""
 
-    #: The adversary's eye, directly above the server.
-    recorder: RecordingStore
-    proxy: WaffleProxy
-    #: The proxy's store: the fault wrapper over ``recorder``.
+    #: Proxy, recorder (the adversary's eye) and write-once server.
+    datastore: WaffleDatastore
+    #: The proxy's store: the fault wrapper over the datastore's recorder.
     faulty: FaultyStorage
     #: The plaintext model, holding the initial items.
     baseline: InsecureStore
     #: Records up to here are the initial load.
     init_end_seq: int
 
+    @property
+    def records(self) -> list[AccessRecord]:
+        """What the server has seen, load included."""
+        assert self.datastore.recorder is not None
+        return self.datastore.recorder.records
+
 
 def deploy(config: WaffleConfig, seed: int, items: dict[str, bytes],
            plan: FaultPlan) -> Deployment:
-    """``WaffleProxy -> FaultyStorage -> RecordingStore ->
-    RedisSim(write_once)``, loaded with ``items`` padded to the value size.
+    """A recorded :class:`WaffleDatastore` loaded with ``items``, its
+    proxy's store then wrapped in ``FaultyStorage``.
 
-    The fault wrapper is spliced in only after the load: a plan indexes
-    steady-state operations, and an HA snapshot of the proxy must capture
-    a cleanly initialized one.
+    The fault wrapper is spliced in only after the load, above the
+    recorder: a plan indexes steady-state operations, an HA snapshot of
+    the proxy must capture a cleanly initialized one, and a faulted
+    operation must never reach the adversary's record.
     """
-    recorder = RecordingStore(RedisSim(write_once=True))
-    proxy = WaffleProxy(config, store=recorder,
-                        keychain=KeyChain.from_seed(seed), log_ids=True)
-    proxy.initialize({key: pad_value(value, config.value_size)
-                      for key, value in items.items()})
+    datastore = WaffleDatastore(config, items,
+                                keychain=KeyChain.from_seed(seed),
+                                log_ids=True)
+    recorder = datastore.recorder
+    assert recorder is not None
     faulty = FaultyStorage(recorder, plan)
-    proxy.store = faulty
-    return Deployment(recorder, proxy, faulty,
-                      InsecureStore(RedisSim(), items),
+    datastore.proxy.store = faulty
+    return Deployment(datastore, faulty, InsecureStore(RedisSim(), items),
                       len(recorder.records))
 
 
@@ -168,22 +172,22 @@ def retry_round(deployment: Deployment, ha: ReplicatedProxy, log: RoundLog,
     once ``max_attempts`` attempts all failed (the caller decides what
     exhaustion means).  A non-injected exception propagates.
     """
-    recorder = deployment.recorder
+    records = deployment.records
     for attempt_index in range(max_attempts):
-        start_seq = len(recorder.records)
+        start_seq = len(records)
         try:
-            responses = ha.handle_batch(requests)
+            responses = ha.execute_batch(requests)
         except InjectedFault as error:
             log.attempts.append(Attempt(
                 batch_index, attempt_index, start_seq,
-                len(recorder.records), ok=False,
+                len(records), ok=False,
                 error=type(error).__name__))
             log.aborted_attempts += 1
             fail_over(deployment, ha, log, resubmit)
             continue
         log.attempts.append(Attempt(
             batch_index, attempt_index, start_seq,
-            len(recorder.records), ok=True))
+            len(records), ok=True))
         log.rounds_committed += 1
         try:
             ha.proxy.check_invariants()
@@ -207,7 +211,7 @@ def judge(deployment: Deployment, attempts: list[Attempt],
     Returns the violations, the collapsed trace and the adversary that
     read it (``None`` without ``uniformity``).
     """
-    records = deployment.recorder.records
+    records = deployment.records
     violations = check_replay_prefix(records, attempts)
     collapsed = collapse_trace(records, attempts, deployment.init_end_seq)
     violations.extend(check_batch_shape(collapsed, config.b))
@@ -224,16 +228,15 @@ def run_episode(episode: Episode,
     """Execute ``episode`` end to end and judge it against the oracle."""
     result = EpisodeResult(episode=episode)
     cfg = episode.build_config()
-    value_size = cfg.value_size
 
     # ---- deploy the stack ------------------------------------------------
     items = {key_name(i): f"init-{episode.seed}-{i}".encode()
              for i in range(cfg.n)}
     deployment = deploy(cfg, episode.seed, items, episode.faults)
-    proxy, baseline = deployment.proxy, deployment.baseline
+    datastore, baseline = deployment.datastore, deployment.baseline
     if wrap_store is not None:
-        proxy.store = wrap_store(proxy.store)
-    ha = ReplicatedProxy(proxy, standbys=episode.standbys,
+        datastore.proxy.store = wrap_store(datastore.proxy.store)
+    ha = ReplicatedProxy(datastore, standbys=episode.standbys,
                          quorum=episode.quorum)
 
     #: Client-side mutations not yet drained by a committed batch.  The
@@ -254,25 +257,19 @@ def run_episode(episode: Episode,
         for op in outstanding:
             if op["type"] == "insert":
                 if not mutations.has_insert(op["key"]):
-                    mutations.enqueue_insert(
-                        op["key"],
-                        pad_value(op["value"].encode(), value_size))
+                    datastore.insert(op["key"], op["value"].encode())
             elif not mutations.has_delete(op["key"]):
-                mutations.enqueue_delete(op["key"])
+                datastore.delete(op["key"])
 
     def run_batch(op: dict) -> bool:
         """One batch to commit through :func:`retry_round`.  False = abort."""
         nonlocal batch_index
-        prepared = []
-        for request in op["requests"]:
-            if request[0] == "read":
-                prepared.append(
-                    ClientRequest(op=Operation.READ, key=request[1]))
-            else:
-                prepared.append(
-                    ClientRequest(op=Operation.WRITE, key=request[1],
-                                  value=pad_value(request[2].encode(),
-                                                  value_size)))
+        prepared = [
+            ClientRequest(op=Operation.READ, key=request[1])
+            if request[0] == "read" else
+            ClientRequest(op=Operation.WRITE, key=request[1],
+                          value=request[2].encode())
+            for request in op["requests"]]
         responses = retry_round(deployment, ha, result, prepared,
                                 batch_index, episode.max_attempts, resubmit)
         if responses is None:
@@ -289,7 +286,7 @@ def run_episode(episode: Episode,
                 expected = spec[2].encode()
             else:
                 expected = baseline.get(request.key)
-            got = unpad_value(by_id[request.request_id].value)
+            got = by_id[request.request_id].value
             if got != expected:
                 result.violations.append(Violation(
                     "semantics",
@@ -320,13 +317,12 @@ def run_episode(episode: Episode,
             elif kind == "restore_standby":
                 ha.restore_standby(op["standby"])
             elif kind == "insert":
-                ha.proxy.mutations.enqueue_insert(
-                    op["key"], pad_value(op["value"].encode(), value_size))
+                datastore.insert(op["key"], op["value"].encode())
                 baseline.put(op["key"], op["value"].encode())
                 outstanding.append(op)
                 inserts_total += 1
             elif kind == "delete":
-                ha.proxy.mutations.enqueue_delete(op["key"])
+                datastore.delete(op["key"])
                 baseline.delete(op["key"])
                 outstanding.append(op)
                 deletes_total += 1

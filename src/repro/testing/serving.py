@@ -2,13 +2,18 @@
 
 The batch-level chaos harness (:mod:`repro.testing.runner`) drives one
 scripted batch at a time; this module drives the *serving* path — an
-:class:`~repro.serve.frontend.AsyncFrontend` fed by an open-loop arrival
-stream, with the same :class:`~repro.testing.faults.FaultyStorage`
-spliced between the proxy and the recorded server (one shared deploy
-step, :func:`repro.testing.runner.deploy`) so connection drops, timeouts
-and partial replies land mid-connection, while the round is in flight.
+:class:`~repro.serve.frontend.AsyncFrontend` over the deployment's
+datastore, fed by an open-loop arrival stream — through the same stack
+(one shared deploy step, :func:`repro.testing.runner.deploy`):
 
-Recovery is the production shape and the batch harness's own step
+    AsyncFrontend -> ReplicatedProxy -> WaffleDatastore: WaffleProxy
+        -> FaultyStorage -> RecordingStore -> RedisSim(write_once)
+
+so connection drops, timeouts and partial replies land while the round
+is in flight — after its early answer, if on ``commit_round``: each
+round runs ``execute_batch`` with the answer, as ``repro.cli serve`` does.
+
+Recovery is the batch harness's own step
 (:func:`repro.testing.runner.retry_round`): the frontend's round
 executor retries an injected fault by reconnecting the fault wrapper and
 failing over to the HA standby snapshot (deterministic replay — the
@@ -17,8 +22,9 @@ aborted attempt is a byte prefix of the retry), runs the proxy's
 oracle (:func:`repro.testing.runner.judge`) as the batch harness judges
 the result:
 
-* every response matches an insecure in-order model (read-your-writes
-  in round order, durability across failovers);
+* every value a client received — early, possibly from an attempt that
+  aborted after answering — matches an insecure in-order model
+  (read-your-writes in round order, durability across failovers);
 * aborted attempts are exact replay prefixes of their commits;
 * the collapsed trace keeps Waffle's B/B/B shape and α/β bounds;
 * shed requests leave **no** storage-visible records at all.
@@ -32,7 +38,6 @@ from dataclasses import dataclass, field
 from repro.analysis.adversary import Adversary
 from repro.core.batch import ClientRequest, ClientResponse
 from repro.core.config import WaffleConfig
-from repro.core.datastore import pad_value, unpad_value
 from repro.errors import BackendUnavailableError, OverloadedError
 from repro.ha.replicated import ReplicatedProxy
 from repro.serve.frontend import AsyncFrontend
@@ -110,6 +115,8 @@ class ServingResult:
     failovers: int = 0
     shed: int = 0
     completed: int = 0
+    #: request id -> the value its client received
+    delivered: dict[int, bytes] = field(default_factory=dict)
     attempts: list[Attempt] = field(default_factory=list)
     collapsed_records: list[AccessRecord] = field(default_factory=list)
     adversary: Adversary | None = None
@@ -128,16 +135,17 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
     """Drive one open-loop arrival stream through a faulty serving stack."""
     result = ServingResult(episode=episode)
     cfg = episode.build_config()
-    value_size = cfg.value_size
 
-    # ---- deploy: proxy -> FaultyStorage -> recorder -> server -----------
+    # ---- deploy: datastore (proxy -> FaultyStorage -> recorder -> server)
     items = {key_name(i): f"serve-{episode.seed}-{i}".encode()
              for i in range(cfg.n)}
     deployment = deploy(cfg, episode.seed, items, FaultPlan.generate(
         episode.seed ^ 0x5E12FE, 6 * episode.requests + 8,
         rate=episode.fault_rate))
     baseline = deployment.baseline
-    ha = ReplicatedProxy(deployment.proxy)
+    ha = ReplicatedProxy(deployment.datastore)
+    #: request id -> its value under the in-order model
+    expected: dict[int, bytes] = {}
     batch_counter = 0
 
     def execute(requests: list[ClientRequest]) -> list[ClientResponse]:
@@ -149,39 +157,19 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
         nonlocal batch_counter
         batch_index = batch_counter
         batch_counter += 1
-        prepared = [
-            ClientRequest(op=req.op, key=req.key,
-                          value=pad_value(req.value, value_size),
-                          request_id=req.request_id)
-            if req.value is not None else req
-            for req in requests
-        ]
-        responses = retry_round(deployment, ha, result, prepared,
+        responses = retry_round(deployment, ha, result, requests,
                                 batch_index, episode.max_attempts)
         if responses is None:
-            raise BackendUnavailableError(
-                f"round {batch_index} still failing after "
-                f"{episode.max_attempts} attempts")
+            detail = (f"round {batch_index} still failing after "
+                      f"{episode.max_attempts} attempts")
+            result.violations.append(Violation("unrecoverable", detail))
+            raise BackendUnavailableError(detail)
         # Differential model, in round order (= admission order).
-        by_id = {resp.request_id: resp for resp in responses}
         for request in requests:
             if request.op is Operation.WRITE:
                 baseline.put(request.key, request.value)
-                expected = request.value
-            else:
-                expected = baseline.get(request.key)
-            got = unpad_value(by_id[request.request_id].value)
-            if got != expected:
-                result.violations.append(Violation(
-                    "semantics",
-                    f"round {batch_index} {request.op.value} of "
-                    f"{request.key!r} returned {got!r}, expected "
-                    f"{expected!r}"))
-        return [
-            ClientResponse(request_id=resp.request_id, key=resp.key,
-                           value=unpad_value(resp.value))
-            for resp in responses
-        ]
+            expected[request.request_id] = baseline.get(request.key)
+        return responses
 
     # ---- drive the open-loop stream through the frontend -----------------
     arrivals = episode.build_arrivals().generate(
@@ -189,15 +177,15 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
 
     async def drive() -> None:
         frontend = AsyncFrontend(
-            execute=execute, r=cfg.r,
+            deployment.datastore, execute=execute,
             policy=make_policy(episode.policy, cfg.r, max_wait_s=0.002),
             queue_cap=episode.queue_cap)
 
-        async def one(arrival: Arrival) -> bytes:
-            if arrival.op is Operation.WRITE:
-                value = f"w-{arrival.key}-{arrival.at:.6f}".encode()
-                return await frontend.put(arrival.key, value)
-            return await frontend.get(arrival.key)
+        async def one(request_id: int, arrival: Arrival) -> bytes:
+            value = (f"w-{arrival.key}-{arrival.at:.6f}".encode()
+                     if arrival.op is Operation.WRITE else None)
+            return await frontend.submit(ClientRequest(
+                arrival.op, arrival.key, value, request_id))
 
         # Tasks run their first step (through the synchronous enqueue) in
         # creation order at the next suspension point, and the round
@@ -205,12 +193,13 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
         # whole stream in arrival order before rounds fire, however slow
         # the host; close() then drains any sub-R straggler tail that a
         # pure on-fill policy would otherwise hold forever.
-        tasks = [asyncio.ensure_future(one(arrival)) for arrival in arrivals]
+        tasks = [asyncio.ensure_future(one(request_id, arrival))
+                 for request_id, arrival in enumerate(arrivals)]
         await asyncio.sleep(0)
         await frontend.start()
         await frontend.close()
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        for outcome in outcomes:
+        for request_id, outcome in enumerate(outcomes):
             if isinstance(outcome, OverloadedError):
                 result.shed += 1
             elif isinstance(outcome, BaseException):
@@ -220,6 +209,14 @@ def run_serving_episode(episode: ServingEpisode) -> ServingResult:
                     f"{type(outcome).__name__}: {outcome}"))
             else:
                 result.completed += 1
+                result.delivered[request_id] = outcome
+                if outcome != expected.get(request_id):
+                    arrival = arrivals[request_id]
+                    result.violations.append(Violation(
+                        "semantics",
+                        f"request {request_id} {arrival.op.value} of "
+                        f"{arrival.key!r} received {outcome!r}, expected "
+                        f"{expected.get(request_id)!r}"))
 
     asyncio.run(drive())
 

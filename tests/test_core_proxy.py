@@ -23,8 +23,11 @@ def read(key: str) -> ClientRequest:
     return ClientRequest(op=Operation.READ, key=key)
 
 
-def write(key: str, value: bytes) -> ClientRequest:
-    return ClientRequest(op=Operation.WRITE, key=key, value=value)
+def write(key: str, value: bytes, value_size: int = 64) -> ClientRequest:
+    """A write of ``value`` padded to ``value_size`` (``small_config``'s),
+    the one length the proxy accepts."""
+    return ClientRequest(op=Operation.WRITE, key=key,
+                         value=pad_value(value, value_size))
 
 
 def build_proxy(config: WaffleConfig, items=None, **kwargs):
@@ -180,7 +183,7 @@ class TestBatchShape:
         proxy, recorder = build_proxy(small_config)
         records = len(recorder.records)
         clash = [ClientRequest(op=Operation.WRITE, key="user00000001",
-                               value=b"NEW", request_id=5),
+                               value=pad_value(b"NEW", 64), request_id=5),
                  ClientRequest(op=Operation.READ, key="user00000002",
                                request_id=5)]
         with pytest.raises(ProtocolError, match="repeats a request id"):
@@ -190,7 +193,30 @@ class TestBatchShape:
         responses = proxy.handle_batch(
             [write("user00000001", b"NEW"), read("user00000002")])
         assert [resp.value for resp in responses] == [
-            b"NEW", pad_value(b"value-2", small_config.value_size)]
+            pad_value(b"NEW", small_config.value_size),
+            pad_value(b"value-2", small_config.value_size)]
+
+    def test_a_write_of_the_wrong_length_is_refused_before_the_round(
+            self, small_config):
+        """Every outsourced value has one length (§3.1), so a write whose
+        value is not ``value_size`` bytes — an unpadded one, one byte too
+        long, an empty one — is refused cleanly: no timestamp, no server
+        access, no failure kept and no queued mutation drained."""
+        proxy, recorder = build_proxy(small_config)
+        records = len(recorder.records)
+        proxy.mutations.enqueue_delete("user00000003")
+        size = small_config.value_size
+        for value in (b"NEW", b"x" * (size + 1), b""):
+            with pytest.raises(ProtocolError, match="not the padded"):
+                proxy.handle_batch([
+                    read("user00000002"),
+                    ClientRequest(op=Operation.WRITE, key="user00000001",
+                                  value=value)])
+        assert (proxy.ts, len(recorder.records)) == (0, records)
+        assert proxy.failure is None
+        assert proxy.mutations.pending_deletes == 1
+        responses = proxy.handle_batch([write("user00000001", b"NEW")])
+        assert responses[0].value == pad_value(b"NEW", size)
 
     def test_partial_batch_allowed(self, small_config):
         proxy, _ = build_proxy(small_config)

@@ -10,8 +10,9 @@ on every round, self-check and capture is refused, and only a restore
 from the capture taken before the refusal serves again
 (:attr:`WaffleProxy.failure`).  Two deployments: one with a cache large
 enough for Algorithm 1's assumption ``C >= B - f_D + R``, one below it
-(the small-cache regime).  Tier-1 runs a short derandomized profile; the
-``chaos`` marker runs a longer one.
+(the small-cache regime).  A capture restored onto the same store
+captures to the same bytes, and serves on.  Tier-1 runs a short
+derandomized profile; the ``chaos`` marker runs a longer one.
 """
 
 from __future__ import annotations
@@ -58,11 +59,14 @@ class DatastoreModel(RuleBasedStateMachine):
         cfg = self.config
         self.model = {f"k{i}": f"v{i}".encode() for i in range(cfg.n)}
         self.backing = RedisSim(write_once=True)
-        self.faulty = FaultyStorage(self.backing, FaultPlan())
         self.datastore = WaffleDatastore(cfg, dict(self.model),
-                                         store=self.faulty,
+                                         store=self.backing,
                                          keychain=KeyChain.from_seed(11))
         self.proxy = self.datastore.proxy
+        # Above the recorder, as a client-side connection sits: what the
+        # store refuses never reaches the adversary's record.
+        self.faulty = FaultyStorage(self.datastore.recorder, FaultPlan())
+        self.proxy.store = self.faulty
         self.pending_inserts: dict[str, bytes] = {}
         self.pending_deletes: set[str] = set()
         self.read_ids: set[str] = set()
@@ -133,16 +137,20 @@ class DatastoreModel(RuleBasedStateMachine):
     def refused_commit(self, data: st.DataObject) -> None:
         """The store refuses the next round's commit, after the round has
         read: the proxy fails with the refusal, and the round's writes
-        reach neither the server nor the model."""
+        reach neither the server, its record nor the model."""
         self.snapshot = capture_proxy(self.proxy)
+        records = self.datastore.recorder.records
+        before = len(records)
         # A round is one multi_get, then one commit_round.
         self.faulty.plan = FaultPlan({self.faulty.ops + 1: "error"})
         with pytest.raises(InjectedFault, match="commit_round") as refusal:
             self.datastore.execute_batch(_requests(self._ops(data)))
         assert self.proxy.failure is refusal.value
-        # The refused round's accesses belong to no committed round, and
-        # the restored proxy may read its ids again.
-        self.checked_records = len(self.datastore.recorder.records)
+        assert [record.op for record in records[before:]] == \
+            ["read"] * self.config.b
+        # The refused round's reads belong to no committed round, and the
+        # restored proxy may read those ids again.
+        self.checked_records = len(records)
 
     @precondition(lambda self: self.failed)
     @rule(data=st.data(), call=st.sampled_from(
@@ -169,6 +177,16 @@ class DatastoreModel(RuleBasedStateMachine):
         self.proxy = self.datastore.proxy = restore_proxy(
             self.snapshot, self.proxy.store)
         self.snapshot = None
+
+    @precondition(lambda self: not self.failed)
+    @rule()
+    def capture_restore_capture(self) -> None:
+        """A capture restored onto the same store captures to the same
+        bytes; the restored proxy serves on in the original's place."""
+        blob = capture_proxy(self.proxy)
+        restored = restore_proxy(blob, self.proxy.store)
+        assert capture_proxy(restored) == blob
+        self.proxy = self.datastore.proxy = restored
 
     @precondition(lambda self: not self.failed)
     @rule(key=new_keys, value=values)

@@ -1,5 +1,6 @@
 """Tests for proxy checkpointing and replicated failover."""
 
+import copy
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.analysis import Adversary
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
-from repro.core.datastore import pad_value
+from repro.core.datastore import WaffleDatastore
 from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.errors import (BackendUnavailableError, ConfigurationError,
@@ -24,14 +25,9 @@ CONFIG = WaffleConfig(n=200, b=20, r=8, f_d=4, d=60, c=30,
                       value_size=64, seed=5)
 
 
-def build_proxy(log_ids: bool = False):
-    recorder = RecordingStore(RedisSim(write_once=True))
-    proxy = WaffleProxy(CONFIG, store=recorder,
-                        keychain=KeyChain.from_seed(6), log_ids=log_ids)
-    items = {k: pad_value(v, CONFIG.value_size)
-             for k, v in make_items(CONFIG.n).items()}
-    proxy.initialize(items)
-    return proxy, recorder
+def build_datastore(log_ids: bool = False) -> WaffleDatastore:
+    return WaffleDatastore(CONFIG, make_items(CONFIG.n),
+                           keychain=KeyChain.from_seed(6), log_ids=log_ids)
 
 
 def random_batch(rng, write_fraction=0.4):
@@ -46,7 +42,7 @@ def random_batch(rng, write_fraction=0.4):
     return batch
 
 
-def mutating_batch(proxy, rng, live, round_):
+def mutating_batch(datastore, rng, live, round_):
     """Queue one delete of a live key and one insert of a fresh key, and
     return a batch over the keys still live.  The insert is drained by
     the round that runs the batch; its key joins ``live`` after it."""
@@ -61,8 +57,8 @@ def mutating_batch(proxy, rng, live, round_):
     requested = {request.key for request in batch}
     doomed = next(key for key in live if key not in requested)
     live.remove(doomed)
-    proxy.mutations.enqueue_delete(doomed)
-    proxy.mutations.enqueue_insert(f"fresh{round_:04d}", b"born")
+    datastore.delete(doomed)
+    datastore.insert(f"fresh{round_:04d}", b"born")
     live.append(f"fresh{round_:04d}")
     return batch
 
@@ -80,35 +76,37 @@ class TestCheckpoint:
         deletes drained before the checkpoint and pending across it.  The
         blob is a fixed point: the restored proxy captures to the same
         bytes."""
-        proxy, recorder = build_proxy()
+        datastore = build_datastore()
+        proxy, recorder = datastore.proxy, datastore.recorder
         rng = random.Random(7)
         live = [f"user{i:08d}" for i in range(CONFIG.n)]
         for round_ in range(10):
-            proxy.handle_batch(mutating_batch(proxy, rng, live, round_))
+            datastore.execute_batch(
+                mutating_batch(datastore, rng, live, round_))
         gone = {f"user{i:08d}" for i in range(CONFIG.n)} - set(live)
         assert len(gone) == 10 and not any(map(proxy.contains_key, gone))
         assert proxy.contains_key("fresh0009")
-        mutating_batch(proxy, rng, live, 10)  # queued, not yet drained
+        mutating_batch(datastore, rng, live, 10)  # queued, not yet drained
         assert proxy.mutations.pending_deletes == 1
 
         blob = capture_proxy(proxy)
         # Clone the entire server so the twin acts on an identical world.
-        import copy
         twin_store = RecordingStore(copy.deepcopy(recorder._inner))
-        twin = restore_proxy(blob, twin_store)
-        assert capture_proxy(twin) == blob
-        twin.check_invariants()
+        twin = copy.copy(datastore)
+        twin.proxy = restore_proxy(blob, twin_store)
+        assert capture_proxy(twin.proxy) == blob
+        twin.proxy.check_invariants()
 
         rng_a, rng_b = random.Random(8), random.Random(8)
         live_a, live_b = live[:], live[:]
         for round_ in range(11, 21):
-            responses_a = proxy.handle_batch(
-                mutating_batch(proxy, rng_a, live_a, round_))
-            responses_b = twin.handle_batch(
+            responses_a = datastore.execute_batch(
+                mutating_batch(datastore, rng_a, live_a, round_))
+            responses_b = twin.execute_batch(
                 mutating_batch(twin, rng_b, live_b, round_))
             assert [r.value for r in responses_a] == \
                    [r.value for r in responses_b]
-        assert capture_proxy(twin) == capture_proxy(proxy)
+        assert capture_proxy(twin.proxy) == capture_proxy(proxy)
         ids_a = [r.storage_id for r in recorder.records]
         ids_b = [r.storage_id for r in twin_store.records]
         assert ids_a[-200:] == ids_b[-200:]
@@ -119,10 +117,11 @@ class TestCheckpoint:
         across dummy epoch resets (D / f_D = 15 rounds)."""
         import pickle
 
-        proxy, _ = build_proxy()
+        datastore = build_datastore()
+        proxy = datastore.proxy
         rng = random.Random(12)
         for _ in range(10):
-            proxy.handle_batch(random_batch(rng))
+            datastore.execute_batch(random_batch(rng))
         originals = proxy._real_index, proxy._dummy_index
         copies = pickle.loads(pickle.dumps(originals))
 
@@ -148,13 +147,11 @@ class TestCheckpoint:
         # part of the checkpoint.
         config = WaffleConfig(n=200, b=20, r=8, f_d=4, d=60, c=30,
                               value_size=1024, seed=5)
-        recorder = RecordingStore(RedisSim(write_once=True))
-        proxy = WaffleProxy(config, store=recorder,
-                            keychain=KeyChain.from_seed(6))
-        proxy.initialize({k: pad_value(v, config.value_size)
-                          for k, v in make_items(config.n).items()})
-        blob = capture_proxy(proxy)
-        server_bytes = sum(len(v) for v in recorder._inner._data.values())
+        datastore = WaffleDatastore(config, make_items(config.n),
+                                    keychain=KeyChain.from_seed(6))
+        blob = capture_proxy(datastore.proxy)
+        server_bytes = sum(len(v) for v in
+                           datastore.recorder._inner._data.values())
         assert len(blob) < server_bytes / 2
 
     def test_a_failed_proxy_is_refused_until_a_restore(self):
@@ -162,9 +159,10 @@ class TestCheckpoint:
         of it, no round and no self-check touches the store again, each
         refusal caused by the failure.  The last checkpoint before it is
         unchanged by it and restores a proxy that serves."""
-        proxy, recorder = build_proxy()
+        datastore = build_datastore()
+        proxy, recorder = datastore.proxy, datastore.recorder
         rng = random.Random(3)
-        proxy.handle_batch(random_batch(rng))
+        datastore.execute_batch(random_batch(rng))
         blob = capture_proxy(proxy)
         lost = BackendUnavailableError("read lost")
 
@@ -174,30 +172,31 @@ class TestCheckpoint:
 
         proxy.store = ReadFails(recorder)
         with pytest.raises(BackendUnavailableError):
-            proxy.handle_batch(random_batch(rng))
+            datastore.execute_batch(random_batch(rng))
         assert proxy.failure is lost
         proxy.store = recorder
         records = len(recorder.records)
         for call in (lambda: capture_proxy(proxy),
-                     lambda: proxy.handle_batch(random_batch(rng)),
+                     lambda: datastore.execute_batch(random_batch(rng)),
                      proxy.check_invariants):
             with pytest.raises(ProtocolError,
                                match="restore from a checkpoint") as refused:
                 call()
             assert refused.value.__cause__ is lost
         assert len(recorder.records) == records
-        restored = restore_proxy(blob, recorder)
+        restored = datastore.proxy = restore_proxy(blob, recorder)
         assert restored.failure is None
         assert capture_proxy(restored) == blob
-        restored.handle_batch(random_batch(rng))
+        datastore.execute_batch(random_batch(rng))
         restored.check_invariants()
 
     def test_restore_preserves_counters(self):
-        proxy, recorder = build_proxy()
+        datastore = build_datastore()
+        proxy = datastore.proxy
         rng = random.Random(9)
         for _ in range(5):
-            proxy.handle_batch(random_batch(rng))
-        restored = restore_proxy(capture_proxy(proxy), recorder)
+            datastore.execute_batch(random_batch(rng))
+        restored = restore_proxy(capture_proxy(proxy), datastore.recorder)
         assert restored.ts == proxy.ts
         assert restored.totals.rounds == proxy.totals.rounds
         assert len(restored.cache) == len(proxy.cache)
@@ -206,8 +205,7 @@ class TestCheckpoint:
 
 class TestFailover:
     def test_failover_preserves_linearizability(self):
-        proxy, recorder = build_proxy()
-        ha = ReplicatedProxy(proxy)
+        ha = ReplicatedProxy(build_datastore())
         reference = dict(make_items(CONFIG.n))
         rng = random.Random(11)
 
@@ -226,17 +224,8 @@ class TestFailover:
                         batch.append(ClientRequest(op=Operation.READ,
                                                    key=key))
                         expected.append(reference[key])
-                padded = [
-                    ClientRequest(op=req.op, key=req.key,
-                                  value=pad_value(req.value, CONFIG.value_size),
-                                  request_id=req.request_id)
-                    if req.value is not None else req
-                    for req in batch
-                ]
-                responses = ha.handle_batch(padded)
-                from repro.core.datastore import unpad_value
-                got = [unpad_value(r.value) for r in responses]
-                assert got == expected
+                responses = ha.execute_batch(batch)
+                assert [r.value for r in responses] == expected
 
         run_batches(15)
         ha.fail_over()
@@ -246,14 +235,15 @@ class TestFailover:
         assert ha.failovers == 2
 
     def test_failover_preserves_storage_invariants_and_bounds(self):
-        proxy, recorder = build_proxy(log_ids=True)
-        ha = ReplicatedProxy(proxy)
+        datastore = build_datastore(log_ids=True)
+        ha = ReplicatedProxy(datastore)
         rng = random.Random(13)
         for burst in range(4):
             for _ in range(40):
-                ha.handle_batch(random_batch(rng, write_fraction=0.3))
+                ha.execute_batch(random_batch(rng, write_fraction=0.3))
             ha.fail_over()
-        report = Adversary(ha.proxy.id_log).feed(recorder.records)
+        assert ha.proxy is datastore.proxy
+        report = Adversary(ha.proxy.id_log).feed(datastore.recorder.records)
         report.check_lifecycle()
         assert report.max_alpha <= CONFIG.alpha_bound_effective()
         assert report.min_beta >= CONFIG.beta_bound()
@@ -261,16 +251,16 @@ class TestFailover:
 
 class TestQuorumReplication:
     def build_group(self, standbys=2, quorum=None):
-        proxy, recorder = build_proxy(log_ids=True)
-        return ReplicatedProxy(proxy, standbys=standbys,
-                               quorum=quorum), recorder
+        datastore = build_datastore(log_ids=True)
+        return ReplicatedProxy(datastore, standbys=standbys,
+                               quorum=quorum), datastore.recorder
 
     def test_validation(self):
-        proxy, _ = build_proxy()
+        datastore = build_datastore()
         with pytest.raises(ConfigurationError):
-            ReplicatedProxy(proxy, standbys=0)
+            ReplicatedProxy(datastore, standbys=0)
         with pytest.raises(ConfigurationError):
-            ReplicatedProxy(proxy, standbys=2, quorum=5)
+            ReplicatedProxy(datastore, standbys=2, quorum=5)
 
     @pytest.mark.parametrize("standby_id", [-1, 2, 5, 9])
     def test_standby_ids_outside_the_group_are_refused(self, standby_id):
@@ -289,7 +279,7 @@ class TestQuorumReplication:
         group, _ = self.build_group()
         rng = random.Random(31)
         for _ in range(5):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         assert group.acknowledged_batches == 5
         assert group.alive_standbys == 2
 
@@ -297,19 +287,19 @@ class TestQuorumReplication:
         group, recorder = self.build_group()
         rng = random.Random(37)
         for _ in range(20):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         ts_before = group.proxy.ts
         group.fail_over()
         assert group.proxy.ts == ts_before  # synchronous: nothing lost
         for _ in range(20):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         Adversary().feed(recorder.records).check_lifecycle()
 
     def test_survives_one_standby_failure(self):
         group, _ = self.build_group(standbys=2)  # group 3, quorum 2
         group.fail_standby(0)
         rng = random.Random(41)
-        group.handle_batch(random_batch(rng))  # still 2 of 2 quorum
+        group.execute_batch(random_batch(rng))  # still 2 of 2 quorum
         assert group.acknowledged_batches == 1
 
     def test_refuses_batches_below_quorum(self):
@@ -318,14 +308,14 @@ class TestQuorumReplication:
         group.fail_standby(1)
         rng = random.Random(43)
         with pytest.raises(ProtocolError):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
 
     def test_standby_restore_rejoins(self):
         group, _ = self.build_group(standbys=2, quorum=3)
         group.fail_standby(0)
         group.restore_standby(0)
         rng = random.Random(47)
-        group.handle_batch(random_batch(rng))
+        group.execute_batch(random_batch(rng))
         assert group.acknowledged_batches == 1
 
     def test_double_failure_of_same_standby_rejected(self):
@@ -344,15 +334,15 @@ class TestQuorumReplication:
         group, recorder = self.build_group(standbys=3, quorum=2)
         rng = random.Random(53)
         for _ in range(15):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         group.fail_standby(1)
         group.fail_over()
         for _ in range(15):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         group.restore_standby(1)
         group.fail_over()
         for _ in range(15):
-            group.handle_batch(random_batch(rng))
+            group.execute_batch(random_batch(rng))
         report = Adversary(group.proxy.id_log).feed(recorder.records)
         report.check_lifecycle()
         assert report.max_alpha <= CONFIG.alpha_bound_effective()

@@ -616,11 +616,13 @@ class TestCheckpointAndRecoveryOverTheWire:
     @staticmethod
     def _batches(config, count):
         from repro.core.batch import ClientRequest
+        from repro.core.datastore import pad_value
         from repro.workloads.trace import Operation
 
         rng = random.Random(33)
         return [[ClientRequest(op=Operation.WRITE, key=key,
-                               value=b"w%d" % rng.randrange(10**6))
+                               value=pad_value(b"w%d" % rng.randrange(10**6),
+                                               config.value_size))
                  if rng.random() < 0.5 else
                  ClientRequest(op=Operation.READ, key=key)
                  for key in (f"user{rng.randrange(config.n):08d}"

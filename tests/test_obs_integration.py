@@ -180,15 +180,24 @@ class TestOtherLayers:
             server.stop()
 
     def test_ha_checkpoint_and_failover_metrics(self):
+        from repro.core.batch import ClientRequest
+        from repro.core.datastore import WaffleDatastore
         from repro.ha.replicated import ReplicatedProxy
 
         config = WaffleConfig.paper_defaults(n=128, seed=5)
+        items = {f"user{i:08d}": b"value-%d" % i for i in range(config.n)}
+        keys = list(items)
+        batches = [[ClientRequest(Operation.WRITE, key, b"w-" + key.encode())
+                    if i % 3 == 0 else ClientRequest(Operation.READ, key)
+                    for i, key in enumerate(keys[round_::7][:config.r])]
+                   for round_ in range(2)]
         for standbys in (1, 2):
-            proxy = build_proxy(config, KeyChain.from_seed(5))
+            datastore = WaffleDatastore(config, items, record=False,
+                                        keychain=KeyChain.from_seed(5))
             with obs.capture() as handle:
-                ha = ReplicatedProxy(proxy, standbys=standbys)
-                for batch in request_stream(config, 2, 5):
-                    ha.handle_batch(batch)
+                ha = ReplicatedProxy(datastore, standbys=standbys)
+                for batch in batches:
+                    ha.execute_batch(batch)
                 ha.fail_over()
             counters = handle.registry.snapshot()["counters"]
             assert counters["ha.snapshots.total"] == 2

@@ -114,6 +114,17 @@ class TestPackageSurface:
             assert name != "repro.obs" and not name.startswith("repro.obs."), \
                 path.name
 
+    def test_only_the_datastore_pads(self):
+        """Every outsourced value has one length (§3.1) and
+        ``WaffleDatastore`` is the one place that pads and unpads: the HA
+        group, the chaos runners, the figures and the examples build
+        through it, never with the padding helpers."""
+        examples = pathlib.Path(repro.__file__).parents[2] / "examples"
+        for package in ("testing", "bench", "ha", examples):
+            for path, name in _repro_imports(package):
+                assert name.rsplit(".", 1)[-1] not in (
+                    "pad_value", "unpad_value"), f"{path.name} imports {name}"
+
     def test_crypto_is_a_leaf(self):
         """The crypto kernels time and log nothing themselves (the
         proxy's phase spans do): ``repro.crypto`` imports nothing of
@@ -174,10 +185,12 @@ class TestPackageSurface:
                 f"{path.relative_to(root)} lacks a module docstring"
 
 
-def _repro_imports(package: str):
+def _repro_imports(package: str | pathlib.Path):
     """``(path, module)`` for each ``repro`` module (or name imported from
-    one) that a file of ``repro.<package>`` imports."""
+    one) that a file of ``repro.<package>`` (or under a directory)
+    imports."""
     root = pathlib.Path(repro.__file__).parent / package
+    assert root.is_dir(), root
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

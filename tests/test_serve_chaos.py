@@ -96,6 +96,63 @@ class TestServingEpisode:
         assert len(found) == result.rounds_committed
         assert found[0].detail == "after batch 0: planted breach"
 
+    def test_an_answer_whose_commit_is_refused_is_the_replays(
+            self, monkeypatch):
+        """Every round answers its clients early, before its commit, as
+        ``repro.cli serve`` runs it.  A fault that lands after the answer
+        (on ``commit_round``, the one operation after it) aborts an attempt
+        whose clients already hold values; the replayed round must
+        reproduce exactly what they were told, and the in-order model
+        agrees with both.  The frontend hears the replay's answer once: one
+        ``serve.round`` record a round."""
+        from repro import obs
+        from repro.core.datastore import ROUND_ANSWER
+        from repro.testing import serving
+
+        answers: dict[int, list[dict[int, bytes]]] = {}
+        replays: dict[int, dict[int, bytes]] = {}
+        retry_round = serving.retry_round
+
+        def spy(deployment, ha, log, requests, batch_index, *rest):
+            deliver = ROUND_ANSWER.get()
+
+            def record(responses):
+                answers.setdefault(batch_index, []).append(
+                    {resp.request_id: resp.value for resp in responses})
+                deliver(responses)
+
+            token = ROUND_ANSWER.set(record)
+            try:
+                responses = retry_round(deployment, ha, log, requests,
+                                        batch_index, *rest)
+            finally:
+                ROUND_ANSWER.reset(token)
+            replays[batch_index] = {resp.request_id: resp.value
+                                    for resp in responses}
+            return responses
+
+        monkeypatch.setattr(serving, "retry_round", spy)
+        with obs.capture() as handle:
+            result = run_serving_episode(ServingEpisode(seed=0))
+        assert result.ok, result.violations
+        assert len(handle.tracer.spans("serve.round")) == \
+            result.rounds_committed
+        assert sorted(answers) == sorted(replays) == \
+            list(range(result.rounds_committed))
+        answered_twice = [index for index, calls in answers.items()
+                          if len(calls) == 2]
+        assert answered_twice, "no fault landed after an answer"
+        aborted = {attempt.batch_index for attempt in result.attempts
+                   if not attempt.ok}
+        for index in answered_twice:
+            assert index in aborted
+            first, replay = answers[index]
+            assert first == replay == replays[index]
+            for request_id, value in replays[index].items():
+                assert result.delivered[request_id] == value
+        assert len(result.delivered) == result.completed == \
+            result.episode.requests
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
             run_serving_episode(ServingEpisode(seed=1, workload="zipfian"))
