@@ -66,8 +66,7 @@ def security_audit(datastore: WaffleDatastore,
         "",
         f"- N={config.n}, B={config.b}, R={config.r}, "
         f"f_D={config.f_d}, D={config.d}, C={config.c}",
-        f"- dummy policy: {config.dummy_policy}; "
-        f"fake-real policy: {config.fake_real_policy}",
+        f"- dummy policy: {config.dummy_policy}",
         f"- theoretical α (Thm 7.1): {config.alpha_bound()}; "
         f"implementation α bound: {alpha_bound}; "
         f"β (Thm 7.2): {beta_bound}",

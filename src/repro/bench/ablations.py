@@ -1,7 +1,8 @@
 """The rows of :data:`repro.bench.experiments.EXPERIMENTS` beyond the
 paper's figures: each ``run`` with its ``check`` (and its ``render`` when
 the text is more than one table).  Simulated time over seeded runs, like
-the figures.
+the figures.  Also the design alternatives those rows measure Waffle
+against, which ``repro.core`` does not carry: :class:`UniformFakeReals`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.bench.harness import run_waffle
 from repro.bench.reporting import format_table
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore
+from repro.core.proxy import WaffleProxy
 from repro.crypto.keys import KeyChain
 from repro.ha import capture_proxy
 from repro.sim.costmodel import CostModel
@@ -23,6 +25,29 @@ from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.testing.oracle import check_timing_channel
 from repro.workloads import ycsb
+
+
+class UniformFakeReals(WaffleProxy):
+    """Challenge-2 ablation: fake queries on reals pick server-resident
+    slots uniformly at random instead of the least-recently-accessed
+    ones, so a slot can dodge selection arbitrarily long and no α bound
+    holds (the ``ablation-fake-policy`` row).
+
+    It holds no state of its own and :meth:`WaffleProxy.initialize` draws
+    nothing this pick reads, so it can be installed on an initialized
+    proxy before its first round: ``proxy.__class__ = UniformFakeReals``.
+    """
+
+    def _pick_fake_reals(self, count: int, ts: int) -> list[int]:
+        # One rng draw per pick, so the selection stays scalar.
+        real_index = self._real_index
+        fakes = []
+        for _ in range(count):
+            slot = real_index.random_resident_key(self._rng)
+            real_index.mark_cached(slot)
+            real_index.set_timestamp(slot, ts)
+            fakes.append(slot)
+        return fakes
 
 
 def leakage_profile(n: int = 2048, requests: int = 20_000) -> list[dict]:

@@ -45,6 +45,8 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import format_series, format_table, titled_table
 from repro.core.config import SecurityLevel, WaffleConfig
+from repro.core.datastore import WaffleDatastore
+from repro.crypto.keys import KeyChain
 from repro.sim.costmodel import CostModel
 from repro.storage.recording import AccessRecord
 from repro.workloads.correlated import ClickstreamModel, CorrelatedWorkload
@@ -710,7 +712,6 @@ def attack_correlated(n: int = 40, requests: int = 40_000,
     """
     from repro.storage.recording import RecordingStore
     from repro.storage.redis_sim import RedisSim
-    from repro.crypto.keys import KeyChain
     from repro.baselines.pancake import PancakeProxy
 
     model = ClickstreamModel(n, out_degree=5, alpha=1.6, seed=seed)
@@ -793,7 +794,6 @@ def frequency_attack_comparison(n: int = 256, requests: int = 20_000,
     """
     from repro.storage.recording import RecordingStore
     from repro.storage.redis_sim import RedisSim
-    from repro.crypto.keys import KeyChain
 
     workload = workload_c(n, seed=seed, value_size=128)
     items = _items(workload)
@@ -931,21 +931,25 @@ def ablation_fake_policy(n: int = 4096, rounds: int = 1200,
 
     Not a paper figure — it isolates the §4 design choice: picking
     least-recently-accessed objects for fake queries is what bounds α.
-    Uniform-random selection leaves a tail of objects unvisited for
-    arbitrarily long, so the observed max α blows past the least-recent
-    policy's bound.
+    Uniform-random selection
+    (:class:`~repro.bench.ablations.UniformFakeReals`) leaves a tail of
+    objects unvisited for arbitrarily long, so the observed max α blows
+    past the least-recent policy's bound.
     """
     cost = CostModel(cores=4)
+    # No dummy objects: the dummy rotation has its own α dynamics that
+    # would mask the fake-real policy difference under study.
+    config = default_config(n, seed=seed, f_d=0, d=0)
     out = {}
     for policy in ("least_recent", "uniform"):
-        # No dummy objects: the dummy rotation has its own α dynamics that
-        # would mask the fake-real policy difference under study.
-        config = default_config(n, seed=seed, fake_real_policy=policy,
-                                f_d=0, d=0)
         workload = workload_c(n, seed=seed, value_size=1000)
         items = _items(workload)
         trace = workload.trace(config.r * rounds)
-        _, datastore = run_waffle(config, items, trace, cost, record=True)
+        datastore = WaffleDatastore(config, items, record=True,
+                                    keychain=KeyChain.from_seed(seed))
+        if policy == "uniform":
+            datastore.proxy.__class__ = ablations.UniformFakeReals
+        run_waffle(config, items, trace, cost, datastore=datastore)
         adversary = Adversary().feed(datastore.recorder.records)
         out[policy] = {
             "max_alpha": adversary.max_alpha,

@@ -21,7 +21,9 @@ them, and ``tests/test_cli.py`` pins them):
 * ``0`` — success / clean,
 * ``1`` — lint findings or a failed security audit,
 * ``2`` — the chaos differential oracle found a violation,
-* ``64`` — malformed command line (BSD ``EX_USAGE``).
+* ``64`` — malformed command line (BSD ``EX_USAGE``), including
+  parameters no Waffle configuration can take (a ``ConfigurationError``,
+  reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import NoReturn
 
 from repro.bench import EXPERIMENTS
 from repro.core.config import SecurityLevel, WaffleConfig
+from repro.errors import ConfigurationError
 
 __all__ = ["EXIT_CHAOS", "EXIT_LINT", "EXIT_USAGE", "main"]
 
@@ -58,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--n`` and ``--rounds``."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro", description="Waffle reproduction experiment runner")
@@ -68,33 +79,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=list(EXPERIMENTS))
-    run.add_argument("--n", type=int, default=None,
+    run.add_argument("--n", type=_positive_int, default=None,
                      help="scaled database size (default: the committed "
                           "figure's; ignored by rows that take none)")
-    run.add_argument("--rounds", type=int, default=None,
+    run.add_argument("--rounds", type=_positive_int, default=None,
                      help="batch rounds per data point (likewise)")
     run.add_argument("--json", action="store_true",
                      help="emit the raw result as JSON instead of the "
                           "rendered text")
 
     bounds = sub.add_parser("bounds", help="evaluate Theorem 7.1/7.2 bounds")
-    bounds.add_argument("--n", type=int, default=10**6)
+    bounds.add_argument("--n", type=_positive_int, default=10**6)
     bounds.add_argument("--level", choices=[l.value for l in SecurityLevel],
                         default=None,
                         help="Table 2 preset (default: §8.2 defaults)")
 
     audit = sub.add_parser(
         "audit", help="run a workload and emit a security audit report")
-    audit.add_argument("--n", type=int, default=2048)
-    audit.add_argument("--rounds", type=int, default=200)
+    audit.add_argument("--n", type=_positive_int, default=2048)
+    audit.add_argument("--rounds", type=_positive_int, default=200)
     audit.add_argument("--uniform", action="store_true",
                        help="uniform instead of Zipf-0.99 input")
 
     obs_p = sub.add_parser(
         "obs", help="run an instrumented workload and render the live "
                     "observability dashboard")
-    obs_p.add_argument("--n", type=int, default=1024)
-    obs_p.add_argument("--rounds", type=int, default=50)
+    obs_p.add_argument("--n", type=_positive_int, default=1024)
+    obs_p.add_argument("--rounds", type=_positive_int, default=50)
     obs_p.add_argument("--window", type=int, default=10,
                        help="rounds per window of the alpha-budget panel")
     obs_p.add_argument("--trace-out", default=None,
@@ -133,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0 = pick a free port)")
-    serve.add_argument("--n", type=int, default=1024,
+    serve.add_argument("--n", type=_positive_int, default=1024,
                        help="database size")
     serve.add_argument("--seed", type=int, default=1,
                        help="seed of the dataset and the --demo-load "
@@ -454,23 +465,27 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        for name, experiment in EXPERIMENTS.items():
-            print(f"{name:22s} {experiment.paper.splitlines()[0]}")
-        return 0
-    if args.command == "run":
-        return _run_experiment(args)
-    if args.command == "audit":
-        return _run_audit(args)
-    if args.command == "obs":
-        return _run_obs(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    return _show_bounds(args)
+    try:
+        if args.command == "list":
+            for name, experiment in EXPERIMENTS.items():
+                print(f"{name:22s} {experiment.paper.splitlines()[0]}")
+            return 0
+        if args.command == "run":
+            return _run_experiment(args)
+        if args.command == "audit":
+            return _run_audit(args)
+        if args.command == "obs":
+            return _run_obs(args)
+        if args.command == "chaos":
+            return _run_chaos(args)
+        if args.command == "serve":
+            return _run_serve(args)
+        if args.command == "lint":
+            return _run_lint(args)
+        return _show_bounds(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -82,11 +82,6 @@ class WaffleConfig:
     #: ``"round_robin"`` skips the reset and satisfies Theorem 7.1 exactly.
     #: See :meth:`alpha_bound` vs :meth:`alpha_bound_effective`.
     dummy_policy: str = "reshuffle"
-    #: Fake-real selection policy.  ``"least_recent"`` is Waffle's design
-    #: (Challenge 2).  ``"uniform"`` picks server-resident keys uniformly
-    #: at random instead — the ablation baseline, which loses the α bound
-    #: entirely (a key can dodge selection arbitrarily long).
-    fake_real_policy: str = "least_recent"
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -115,10 +110,6 @@ class WaffleConfig:
         if self.dummy_policy not in ("reshuffle", "round_robin"):
             raise ConfigurationError(
                 f"unknown dummy policy: {self.dummy_policy!r}"
-            )
-        if self.fake_real_policy not in ("least_recent", "uniform"):
-            raise ConfigurationError(
-                f"unknown fake-real policy: {self.fake_real_policy!r}"
             )
         if self.c + self.b - self.f_d > self.n:
             raise ConfigurationError(
@@ -229,13 +220,3 @@ class WaffleConfig:
         f_d = max(1, f_d)
         d = max(f_d, d)
         return cls(n=n, b=b, r=r, f_d=f_d, d=d, c=c, seed=seed)
-
-    def scaled(self, n: int) -> "WaffleConfig":
-        """This configuration re-derived proportionally for a new N."""
-        factor = n / self.n
-        b = max(2, round(self.b * factor))
-        r = min(b - 1, max(1, round(self.r * factor)))
-        f_d = max(0, min(b - r - 1, round(self.f_d * factor)))
-        d = 0 if f_d == 0 else max(f_d, round(self.d * factor))
-        c = min(n, max(0, round(self.c * factor)))
-        return replace(self, n=n, b=b, r=r, f_d=f_d, d=d, c=c)

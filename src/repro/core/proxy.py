@@ -630,17 +630,15 @@ class WaffleProxy:
                 "no server-resident real objects left for fake queries; "
                 "N - C is too small for this configuration"
             )
-        if cfg.fake_real_policy == "least_recent":
-            fakes = real_index.pop_min_keys(remaining, ts)
-        else:  # "uniform": the Challenge-2 ablation draws one rng value per
-            fakes = []  # pick, so the selection stays scalar
-            for _ in range(remaining):
-                slot = real_index.random_resident_key(self._rng)
-                real_index.mark_cached(slot)
-                real_index.set_timestamp(slot, ts)
-                fakes.append(slot)
+        fakes = self._pick_fake_reals(remaining, ts)
         reads = [*dedup, *dummy_sel, *forced_sel, *fakes]
         plan.read_batch = dict(zip(self._recall_ids(reads), reads))
+
+    def _pick_fake_reals(self, count: int, ts: int) -> list[int]:
+        """Challenge 2: the ``count`` least-recently-accessed server-
+        resident reals leave the selection order, stamped ``ts`` — the
+        choice that bounds α (Theorem 7.1)."""
+        return self._real_index.pop_min_keys(count, ts)
 
     def _read(self, plan: RoundPlan) -> None:
         """One pipelined read of the B ids, in sorted order.

@@ -98,7 +98,8 @@ class RealObjectIndex:
             heap = self._heap
             if len(heap) > 2 * len(self._buckets) + 64:
                 # Mostly entries of emptied buckets, which only selection
-                # discards (the ``uniform`` policy never selects): rebuild.
+                # discards (a pick that re-stamps slots one at a time, as
+                # the uniform ablation's does, leaves them): rebuild.
                 heap[:] = self._buckets
                 heapify(heap)
             else:

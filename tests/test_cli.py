@@ -70,6 +70,32 @@ class TestExitCodes:
             main(["chaos", "--bogus-flag"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "5"],
+        ["audit", "--n", "5"],
+    ], ids=["bounds", "audit"])
+    def test_configuration_error_is_a_usage_error(self, argv, capsys):
+        """Parameters no configuration can take are bad usage, reported
+        on one line, not a traceback and not the audit-failure code."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "C + B - f_D <= N" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig2c", "--n", "0"],
+        ["run", "fig2c", "--rounds", "-3"],
+        ["bounds", "--n", "0"],
+        ["audit", "--rounds", "0"],
+        ["obs", "--n", "many"],
+        ["serve", "--n", "-1"],
+    ], ids=["run-n", "run-rounds", "bounds-n", "audit-rounds", "obs-n",
+            "serve-n"])
+    def test_sizes_are_positive_ints(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_retired_chaos_mode_option_is_a_usage_error(self):
         """The sweep alternates one- and two-standby groups itself; the
         option that picked an HA mode is gone."""

@@ -35,7 +35,6 @@ class TestValidation:
         dict(c=2000),               # cache beyond N
         dict(value_size=0),
         dict(dummy_policy="bogus"),
-        dict(fake_real_policy="bogus"),
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -129,13 +128,6 @@ class TestPresetsAndScaling:
         config = WaffleConfig.paper_defaults(n=2**14)
         assert config.r / config.b == pytest.approx(0.4, abs=0.05)
         assert config.f_d / config.b == pytest.approx(0.2, abs=0.05)
-
-    def test_scaled_preserves_ratios(self):
-        base = WaffleConfig.paper_defaults(n=2**20)
-        scaled = base.scaled(2**14)
-        assert scaled.n == 2**14
-        assert scaled.r / scaled.b == pytest.approx(base.r / base.b, abs=0.05)
-        assert scaled.c / scaled.n == pytest.approx(base.c / base.n, rel=0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(list(SecurityLevel)),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Adversary
+from repro.bench.ablations import UniformFakeReals
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.core.datastore import WaffleDatastore, pad_value
@@ -30,10 +31,11 @@ def write(key: str, value: bytes, value_size: int = 64) -> ClientRequest:
                          value=pad_value(value, value_size))
 
 
-def build_proxy(config: WaffleConfig, items=None, **kwargs):
+def build_proxy(config: WaffleConfig, items=None, proxy_class=WaffleProxy,
+                **kwargs):
     items = items if items is not None else make_items(config.n)
     recorder = RecordingStore(RedisSim(write_once=True))
-    proxy = WaffleProxy(config, store=recorder,
+    proxy = proxy_class(config, store=recorder,
                         keychain=KeyChain.from_seed(3), **kwargs)
     padded = {k: pad_value(v, config.value_size) for k, v in items.items()}
     proxy.initialize(padded)
@@ -81,7 +83,7 @@ class TestInitialization:
                      seed=7, dummy_policy="round_robin"),
         # N - C + D = 820 objects: the load is sealed in several chunks.
         WaffleConfig(n=700, b=30, r=10, f_d=6, d=180, c=60, value_size=40,
-                     seed=2024, fake_real_policy="uniform"),
+                     seed=2024),
     ], ids=["small", "value-size-61", "several-chunks"])
     def test_the_streamed_load_is_the_old_shuffle(self, config):
         """``initialize`` draws the load order before it seals anything.
@@ -361,8 +363,9 @@ class TestLinearizability:
 
 
 class TestSecurityBounds:
-    def run_rounds(self, config, rounds, seed=11):
-        proxy, recorder = build_proxy(config, log_ids=True)
+    def run_rounds(self, config, rounds, seed=11, proxy_class=WaffleProxy):
+        proxy, recorder = build_proxy(config, log_ids=True,
+                                      proxy_class=proxy_class)
         rng = random.Random(seed)
         for _ in range(rounds):
             proxy.handle_batch([
@@ -389,12 +392,11 @@ class TestSecurityBounds:
 
     def test_uniform_fake_policy_violates_alpha(self):
         """The Challenge-2 ablation: random fake selection has no α bound."""
-        base = dict(n=400, b=40, r=16, f_d=8, d=160, c=120,
-                    value_size=64, seed=13)
-        lra = WaffleConfig(**base)
-        uniform = WaffleConfig(**base, fake_real_policy="uniform")
-        _, rec_lra = self.run_rounds(lra, rounds=300)
-        _, rec_uni = self.run_rounds(uniform, rounds=300)
+        config = WaffleConfig(n=400, b=40, r=16, f_d=8, d=160, c=120,
+                              value_size=64, seed=13)
+        _, rec_lra = self.run_rounds(config, rounds=300)
+        _, rec_uni = self.run_rounds(config, rounds=300,
+                                     proxy_class=UniformFakeReals)
         alpha_lra = Adversary().feed(rec_lra.records).max_alpha
         alpha_uni = Adversary().feed(rec_uni.records).max_alpha
         assert alpha_uni > alpha_lra

@@ -125,6 +125,28 @@ class TestPackageSurface:
                 assert name.rsplit(".", 1)[-1] not in (
                     "pad_value", "unpad_value"), f"{path.name} imports {name}"
 
+    def test_config_holds_the_paper_parameters(self):
+        """Table 1's seven parameters, the seed helpers read and the
+        dummy policy: a design alternative measured against Waffle (the
+        uniform fake-real pick) lives in ``repro.bench.ablations`` as a
+        proxy subclass, not as a config field."""
+        from dataclasses import fields
+
+        from repro.core.config import WaffleConfig
+
+        assert [f.name for f in fields(WaffleConfig)] == [
+            "n", "b", "r", "f_d", "d", "c", "value_size", "seed",
+            "dummy_policy"]
+
+    @pytest.mark.parametrize("package", ["core", "ds", "storage"])
+    def test_the_protocol_imports_no_instrument(self, package):
+        """The protocol runs only Waffle's design: its ablations and test
+        harnesses build on it, never the other way round."""
+        for path, name in _repro_imports(package):
+            assert name not in ("repro.bench", "repro.testing") and \
+                not name.startswith(("repro.bench.", "repro.testing.")), \
+                f"{path.name} imports {name}"
+
     def test_crypto_is_a_leaf(self):
         """The crypto kernels time and log nothing themselves (the
         proxy's phase spans do): ``repro.crypto`` imports nothing of

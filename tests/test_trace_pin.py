@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.bench.ablations import UniformFakeReals
 from repro.core.batch import ClientRequest
 from repro.core.config import WaffleConfig
 from repro.crypto.keys import KeyChain
@@ -83,8 +84,7 @@ MUTATION_PIN = (
 )
 
 UNIFORM_CONFIG = WaffleConfig(n=300, b=24, r=10, f_d=4, d=100, c=40,
-                              value_size=64, seed=7,
-                              fake_real_policy="uniform")
+                              value_size=64, seed=7)
 UNIFORM_ROUNDS = 40
 UNIFORM_PIN = (
     "91ec4328f0f70015f7420da48d567ad2a1bc12a581501436d7a7515eba302ad2",
@@ -126,8 +126,10 @@ class _Drive:
                 self._responses.hexdigest(), self._stats.hexdigest())
 
 
-def _seeded_drive(config, rounds):
+def _seeded_drive(config, rounds, proxy_class=None):
     drive = _Drive(config)
+    if proxy_class is not None:
+        drive.proxy.__class__ = proxy_class
     for requests in request_stream(config, rounds, config.seed):
         drive.batch(requests)
     return drive
@@ -193,7 +195,8 @@ def test_mutation_run_reproduces_pinned_digests():
 
 
 def test_uniform_fake_policy_reproduces_pinned_digests():
-    assert _seeded_drive(UNIFORM_CONFIG, UNIFORM_ROUNDS).pin() == UNIFORM_PIN
+    drive = _seeded_drive(UNIFORM_CONFIG, UNIFORM_ROUNDS, UniformFakeReals)
+    assert drive.pin() == UNIFORM_PIN
 
 
 class _CountingCache(LruCache):
