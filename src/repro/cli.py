@@ -121,11 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run seeded chaos episodes through the differential "
                       "oracle (fault injection + HA failover)")
-    chaos.add_argument("--episodes", type=int, default=100,
+    chaos.add_argument("--episodes", type=_positive_int, default=100,
                        help="number of episodes to sweep (default 100)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed; episode i uses seed + i")
-    chaos.add_argument("--steps", type=int, default=16,
+    chaos.add_argument("--steps", type=_positive_int, default=16,
                        help="scheduling slots per episode")
     chaos.add_argument("--json", action="store_true",
                        help="emit the sweep report as JSON")

@@ -1,16 +1,18 @@
-"""Authenticated encryption built from the standard library.
+"""Authenticated encryption: AES-256-CTR, then HMAC-SHA256.
 
-An encrypt-then-MAC scheme over :mod:`hashlib` primitives — chosen over
-a wheel-provided AEAD because importing one grows the serving process's
-resident set past the benchmark's memory bound (ROADMAP, data-plane
-item), so the speed has to come from what the interpreter already loads:
+An encrypt-then-MAC scheme on the OpenSSL that :mod:`hashlib` already
+loads (:mod:`repro.crypto.libcrypto`) — chosen over a wheel-provided
+AEAD because importing one grows the serving process's resident set past
+the benchmark's memory bound (DESIGN §6), so the speed has to come from
+what the interpreter already loads:
 
-* confidentiality: a per-message random nonce seeds a SHAKE-256
-  extendable-output keystream (``SHAKE256(enc_key || nonce)`` squeezed to
-  the plaintext length) XOR-ed with the plaintext;
+* confidentiality: AES-256 in counter mode (NIST SP 800-38A) under a key
+  hashed once per cipher from ``enc_key``; a blob's random 16-byte nonce
+  is its initial counter block, and block ``j`` of the body is XOR-ed
+  with ``AES(key, nonce + j mod 2**128)``;
 * integrity: HMAC-SHA256 under an independent MAC key over
   ``scheme label || nonce || ciphertext``; verification is constant-time
-  and happens before any keystream is produced.
+  and happens before any keystream is made.
 
 Blob layout is ``nonce(16) || body || tag(32)``.  This is the classical
 encrypt-then-MAC composition and gives exactly the interface and
@@ -21,24 +23,26 @@ length depends only on plaintext length, matching the paper's
 equal-length-values assumption.
 
 Hot path: every batch round encrypts and decrypts ``~B`` values of
-``value_size`` bytes, so each object costs a fixed handful of C calls
-whatever its length:
+``value_size`` bytes, so the keystream is made for the whole batch at
+once, whatever its size:
 
-* the whole keystream is one ``digest(length)`` squeeze of a SHAKE-256
-  state that absorbed ``enc_key`` once per cipher (``.copy()`` +
-  ``update(nonce)`` per message);
-* the XOR is one numpy operation per object, in 64-bit lanes so that it
-  does not hand the GIL to a serving frontend's event-loop thread — or,
-  in a batch of short values, one big-int XOR of the whole batch, which
-  leaves each ``nonce || body`` in place for a one-``update`` MAC;
-* the MAC's two keyed SHA-256 states (:mod:`repro.crypto.mac`) — the
-  inner one with the scheme label already absorbed — are precomputed once
-  and ``.copy()``-ed per message;
+* numpy writes every counter block of the batch into one buffer, a row
+  of ``ceil(longest / 16)`` blocks a value;
+* one ``EVP_EncryptUpdate`` in AES-256-ECB turns that buffer, in place,
+  into the batch's keystream (one context a cipher, key schedule made
+  once);
+* one numpy XOR adds the batch's values, each zero-padded to its row,
+  into the same buffer, and each body is a view of its row — the XOR
+  drops the GIL at most once a batch, not once a value;
+* per value there remain the MAC's two keyed SHA-256 states
+  (:mod:`repro.crypto.mac`), the inner one with the scheme label already
+  absorbed, ``.copy()``-ed and fed;
 * a batch draws its nonces in one call to the entropy source.
 
-All are bit-compatible with :class:`repro.testing.reference.ScalarCipher`
-(pinned by the known-answer tests).  The scheme label makes blobs sealed
-by the earlier SHA256-CTR keystream fail authentication.
+All are bit-compatible with :class:`repro.testing.reference.ScalarCipher`,
+whose OpenSSL counter mode runs one context a value (pinned by the
+known-answer tests).  The scheme label makes blobs sealed by the earlier
+SHA256-CTR and SHAKE-256 keystreams fail authentication.
 """
 
 from __future__ import annotations
@@ -46,13 +50,18 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from itertools import accumulate
-from typing import Callable, Iterable, Protocol, Sequence
+from functools import lru_cache
+from itertools import count
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from repro.crypto.libcrypto import AesEcb
 from repro.crypto.mac import hmac_sha256_states
 from repro.errors import IntegrityError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["AuthenticatedCipher", "RandomSource"]
 
@@ -64,42 +73,66 @@ class RandomSource(Protocol):
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
+_BLOCK = 16
+#: A counter block is two of these: high and low word, most significant
+#: byte first.
+_WORD = np.dtype(">u8")
 
 #: Absorbed into the keyed MAC state ahead of every message: a blob
 #: sealed under another keystream construction must not authenticate.
-_SCHEME_LABEL = b"repro.aead/shake256\x00"
+_SCHEME_LABEL = b"repro.aead/aes256-ctr\x00"
 
-#: Big-int XOR wins below this length (numpy's fixed call overhead), the
-#: vectorized byte XOR above it.  A batch of values all below it XORs as
-#: one big-int slab, its nonces against zeros.
-_NP_XOR_CUTOFF = 128
-_SLAB_BLOB = _NONCE_LEN + _NP_XOR_CUTOFF + _TAG_LEN
-_NO_STREAM = bytes(_NONCE_LEN)
+#: Hashed with ``enc_key`` into the AES key, so a key of any length works.
+_KEY_LABEL = b"repro.aead/aes256-ctr/key\x00"
 
 
-def _xor_int(data: bytes, stream: bytes) -> bytes:
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
+@lru_cache(maxsize=8)
+def _offsets(blocks: int) -> NDArray[np.uint64]:
+    """``0, 1, ..., blocks - 1``: what block ``j`` of a row adds to the
+    nonce's low word (read-only, shared by every call)."""
+    offsets = np.arange(blocks, dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
 
 
-def _xor_bytes(data: bytes, stream: bytes) -> bytes:
-    """XOR two equal-length byte strings without a per-byte Python loop."""
-    if len(data) >= _NP_XOR_CUTOFF:
-        # 64-bit lanes where the length allows, for the sake of the
-        # thread next door, not of speed: numpy drops the GIL around any
-        # element-wise loop over more than 500 elements, which in byte
-        # lanes is every value past 500 bytes.  Under repro.serve each
-        # drop wakes the event-loop thread waiting for the GIL on another
-        # CPU: 2B futile wake-ups a round, ~10k context switches a
-        # second, for a microsecond of XOR.  In 64-bit lanes a value
-        # under 4000 bytes stays below that count and the round thread
-        # keeps the GIL until the interpreter's switch interval says
-        # otherwise, as it does everywhere else in the round.
-        lane = np.uint8 if len(data) & 7 else np.uint64
-        return (np.frombuffer(data, dtype=lane)
-                ^ np.frombuffer(stream, dtype=lane)).tobytes()
-    return _xor_int(data, stream)
+def ctr_xor(ecb: AesEcb, nonces: bytes,
+            values: Sequence[bytes | memoryview]) -> list[memoryview]:
+    """Each value XOR-ed with the AES-CTR keystream from its nonce (value
+    ``i``'s is ``nonces[16 * i:16 * i + 16]``), as views into one buffer.
+
+    Row ``i`` of the buffer holds the counter blocks ``nonce_i + j`` for
+    ``j`` below the longest value's block count, as big-endian words; one
+    ECB call encrypts the rows into keystream and one XOR adds the
+    values, each zero-padded to the row, in place.
+    """
+    rows = len(values)
+    if not rows:
+        return []
+    lengths = list(map(len, values))
+    blocks = (max(lengths) + _BLOCK - 1) // _BLOCK
+    stride = blocks * _BLOCK
+    buffer = bytearray(rows * stride)
+    grid = np.frombuffer(buffer, _WORD).reshape(rows, blocks, 2)
+    first = np.frombuffer(nonces, _WORD).reshape(rows, 2, 1)
+    offsets = _offsets(blocks)
+    grid[:, :, 0] = first[:, 0]
+    np.add(first[:, 1], offsets, out=grid[:, :, 1])
+    # A low word can wrap only from a top byte of 0xff (a row has far
+    # fewer than 2**56 blocks); where one did, carry into the high word.
+    if b"\xff" in nonces[8::_NONCE_LEN]:
+        grid[:, :, 0] += grid[:, :, 1] < offsets
+    ecb.encrypt_in_place(buffer)
+    if lengths.count(stride) != rows:
+        values = [part for value, length in zip(values, lengths)
+                  for part in (value, bytes(stride - length))]
+    padded = b"".join(values)
+    keystream = np.frombuffer(buffer, np.uint64)
+    np.bitwise_xor(keystream, np.frombuffer(padded, np.uint64),
+                   out=keystream)
+    del padded
+    view = memoryview(buffer)
+    return [view[start:start + length]
+            for start, length in zip(count(0, stride), lengths)]
 
 
 class AuthenticatedCipher:
@@ -116,7 +149,7 @@ class AuthenticatedCipher:
         by tests for deterministic nonces.  Defaults to ``os.urandom``.
     """
 
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_stream_root",
+    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_ecb",
                  "_mac_inner", "_mac_outer")
 
     #: Name the wall-clock benchmark records for the implementation it
@@ -135,8 +168,8 @@ class AuthenticatedCipher:
         self._init_states()
 
     def _init_states(self) -> None:
-        # SHAKE-256 state with enc_key already absorbed; copied per message.
-        self._stream_root = hashlib.shake_256(self._enc_key)
+        self._ecb = AesEcb(
+            hashlib.sha256(_KEY_LABEL + self._enc_key).digest())
         # Keyed MAC states, the inner one holding the scheme label; copied
         # per message (skips re-keying, and the label costs nothing per
         # message).
@@ -144,27 +177,15 @@ class AuthenticatedCipher:
             self._mac_key, _SCHEME_LABEL)
 
     def __getstate__(self) -> tuple[bytes, bytes, Callable[[int], bytes]]:
-        # The cached digest states are C objects and cannot pickle; the
-        # keys fully determine them (checkpoint shipping, ha/).
+        # The OpenSSL context and the digest states are C objects and
+        # cannot pickle; the keys fully determine them (checkpoint
+        # shipping, ha/).
         return self._enc_key, self._mac_key, self._randbytes
 
     def __setstate__(self, state: tuple[bytes, bytes,
                                         Callable[[int], bytes]]) -> None:
         self._enc_key, self._mac_key, self._randbytes = state
         self._init_states()
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        stream = self._stream_root.copy()
-        stream.update(nonce)
-        return stream.digest(length)
-
-    def _tag(self, nonce: bytes, body: bytes) -> bytes:
-        inner = self._mac_inner.copy()
-        inner.update(nonce)
-        inner.update(body)
-        outer = self._mac_outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for ``plaintext``."""
@@ -186,72 +207,38 @@ class AuthenticatedCipher:
         """
         plaintexts = list(plaintexts)
         nonces = self._randbytes(_NONCE_LEN * len(plaintexts))
-        cuts = range(0, len(nonces), _NONCE_LEN)
-        if max(map(len, plaintexts), default=0) < _NP_XOR_CUTOFF:
-            heads = self._xor_slab([nonces[start:start + _NONCE_LEN] + value
-                                    for start, value in zip(cuts, plaintexts)])
-            return [head + tag for head, tag in zip(heads, self._tags(heads))]
-        keystream, tag = self._keystream, self._tag
+        bodies = ctr_xor(self._ecb, nonces, plaintexts)
+        inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
         out = []
         append = out.append
-        for start, plaintext in zip(cuts, plaintexts):
+        for start, body in zip(range(0, len(nonces), _NONCE_LEN), bodies):
             nonce = nonces[start:start + _NONCE_LEN]
-            body = _xor_bytes(plaintext, keystream(nonce, len(plaintext)))
-            append(nonce + body + tag(nonce, body))
+            inner = inner_copy()
+            inner.update(nonce)
+            inner.update(body)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            append(b"".join((nonce, body, outer.digest())))
         return out
 
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
-        """Batched :meth:`decrypt`; raises on the first tampered blob."""
-        compare = hmac.compare_digest
+        """Batched :meth:`decrypt`; raises on the first tampered blob,
+        before any keystream is made."""
         if any(len(blob) < _NONCE_LEN + _TAG_LEN for blob in blobs):
             raise IntegrityError("ciphertext too short")
-        if max(map(len, blobs), default=0) < _SLAB_BLOB:
-            heads = [blob[:-_TAG_LEN] for blob in blobs]
-            if not all(map(compare, [blob[-_TAG_LEN:] for blob in blobs],
-                           self._tags(heads))):
-                raise IntegrityError("authentication tag mismatch")
-            return self._xor_slab(heads, skip=_NONCE_LEN)
-        keystream, tag = self._keystream, self._tag
-        out = []
-        append = out.append
-        for blob in blobs:
-            nonce = blob[:_NONCE_LEN]
-            body = blob[_NONCE_LEN:-_TAG_LEN]
-            if not compare(blob[-_TAG_LEN:], tag(nonce, body)):
-                raise IntegrityError("authentication tag mismatch")
-            append(_xor_bytes(body, keystream(nonce, len(body))))
-        return out
-
-    # A batch of short values moves as a slab: every tag is made (or
-    # checked) before any keystream, and _keystream's and _tag's steps are
-    # inlined, as at 64 bytes a method call costs what the hashing does.
-    def _tags(self, heads: list[bytes]) -> list[bytes]:
-        """The MAC of each ``nonce || body``, in one ``update`` each."""
         inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
-        tags: list[bytes] = []
-        append = tags.append
-        for head in heads:
+        compare = hmac.compare_digest
+        for blob in blobs:
             inner = inner_copy()
-            inner.update(head)
+            inner.update(blob[:-_TAG_LEN])
             outer = outer_copy()
             outer.update(inner.digest())
-            append(outer.digest())
-        return tags
-
-    def _xor_slab(self, heads: list[bytes], skip: int = 0) -> list[bytes]:
-        """Each ``nonce || data`` XOR ``0 || keystream(nonce)``, less its
-        first ``skip`` bytes: one big-int XOR for the whole batch."""
-        stream_copy = self._stream_root.copy
-        streams: list[bytes] = []
-        append = streams.append
-        for head in heads:
-            stream = stream_copy()
-            stream.update(head[:_NONCE_LEN])
-            append(_NO_STREAM)
-            append(stream.digest(len(head) - _NONCE_LEN))
-        slab = _xor_int(b"".join(heads), b"".join(streams))
-        ends = list(accumulate(map(len, heads), initial=skip))
-        return [slab[start:end - skip] for start, end in zip(ends, ends[1:])]
+            if not compare(outer.digest(), blob[-_TAG_LEN:]):
+                raise IntegrityError("authentication tag mismatch")
+        nonces = b"".join([blob[:_NONCE_LEN] for blob in blobs])
+        bodies = ctr_xor(self._ecb, nonces, [
+            memoryview(blob)[_NONCE_LEN:-_TAG_LEN] for blob in blobs])
+        return [body.tobytes() for body in bodies]
 
     def noise(self, count: int, length: int) -> list[bytes]:
         """``count`` blobs of ``length + ciphertext_overhead()`` random

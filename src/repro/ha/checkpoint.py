@@ -6,7 +6,9 @@ replica: which objects are picked for fake queries (both timestamp
 indexes, including tie-break order), the cache contents *and LRU order*
 (β depends on eviction order), the global timestamp, the RNG (load
 order, cache seeding, new dummies' names), the pending mutation queue,
-the keychain and the lifetime statistics.
+the keychain and the lifetime statistics — and the proxy's class, so a
+proxy running a design alternative (a :class:`WaffleProxy` subclass such
+as ``repro.bench.ablations.UniformFakeReals``) comes back running it.
 
 The state lives entirely in the trusted domain (§3.1), so a standard
 :mod:`pickle` blob is appropriate — this is proxy-to-standby shipping
@@ -72,7 +74,8 @@ def capture_proxy(proxy: WaffleProxy) -> bytes:
         raise
     state = {name: getattr(proxy, name) for name in _STATE_ATTRIBUTES}
     state["totals"] = dataclasses.replace(state["totals"], stats_by_round=[])
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps((type(proxy), state),
+                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def restore_proxy(blob: bytes, store: StorageBackend) -> WaffleProxy:
@@ -81,10 +84,13 @@ def restore_proxy(blob: bytes, store: StorageBackend) -> WaffleProxy:
     The restored proxy is behaviourally identical to the captured one:
     fed the same request batches it produces the same responses and the
     same server access sequence.  The ids its slots remember (a cache of
-    PRF outputs) are not in the blob; they are derived again here.
+    PRF outputs) are not in the blob; they are derived again here.  It
+    is an instance of the captured proxy's class.
     """
-    state = pickle.loads(blob)
-    proxy = WaffleProxy.__new__(WaffleProxy)
+    cls, state = pickle.loads(blob)
+    if not (isinstance(cls, type) and issubclass(cls, WaffleProxy)):
+        raise ProtocolError(f"checkpoint of a {cls!r}, not a WaffleProxy")
+    proxy = cls.__new__(cls)
     proxy.store = store
     for name, value in state.items():
         setattr(proxy, name, value)

@@ -25,7 +25,7 @@ OBL301   concrete backend constructed inside core/ha
 OBL302   socket use outside net/
 OBL303   print() outside cli.py / dashboard
 OBL304   store delete bypassing the commit_round contract
-OBL305   native crypto wheel (nacl/cryptography) imported anywhere
+OBL305   crypto wheel imported anywhere; ctypes outside crypto/
 OBL401   lock-owning class mutates shared state without its lock
 OBL501   missing annotations anywhere in the repro package
 =======  ==========================================================

@@ -115,20 +115,29 @@ class PrintOutsideCliRule(Rule):
                     "cli.py print it")
 
 
-#: Native crypto wheels.  The package has one cipher, built on hashlib;
-#: importing either wheel grows every serving process's resident set
-#: (+7.3 MB for ``cryptography``'s AEAD) past the benchmark's bound.
+#: Native crypto wheels.  The package has one cipher, on the libcrypto
+#: hashlib already maps; importing either wheel grows every serving
+#: process's resident set (+7.3 MB for ``cryptography``'s AEAD) past the
+#: benchmark's bound.
 _NATIVE_CRYPTO = {"nacl", "cryptography"}
+
+#: The foreign-function interface, allowed only in ``repro/crypto/`` (in
+#: practice one file, ``libcrypto.py``): C calls anywhere else would
+#: escape the crypto package's tests and its one audited binding.
+_FFI = {"ctypes", "_ctypes"}
+_FFI_HOME = "repro/crypto/"
 
 
 class NativeCryptoImportRule(Rule):
     id = "OBL305"
     name = "native-crypto-import"
-    description = ("nacl/cryptography imports anywhere in the package: "
-                   "the one cipher is hashlib-built, and a wheel import "
-                   "costs resident memory in every process")
+    description = ("nacl/cryptography imports anywhere in the package, and "
+                   "ctypes outside repro/crypto/: the one cipher binds "
+                   "hashlib's own libcrypto in one file, and a wheel "
+                   "import costs resident memory in every process")
 
     def check(self, module: Module) -> Iterator[Finding]:
+        ffi_allowed = module.relpath.startswith(_FFI_HOME)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -143,8 +152,13 @@ class NativeCryptoImportRule(Rule):
                     yield module.finding(
                         self, node,
                         f"import of native crypto package {root!r}; "
-                        "repro.crypto's hashlib kernels are the only "
+                        "repro.crypto's kernels are the only "
                         "implementation")
+                elif root in _FFI and not ffi_allowed:
+                    yield module.finding(
+                        self, node,
+                        f"import of {root!r} outside repro/crypto/; "
+                        "foreign calls live in repro.crypto.libcrypto")
 
 
 class UnbatchedDeleteRule(Rule):

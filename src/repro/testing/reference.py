@@ -1,10 +1,10 @@
 """Scalar reference kernels: the one-call-at-a-time PRF and AEAD.
 
 :class:`ScalarPrf` and :class:`ScalarCipher` are the naive forms of the
-scheme (fresh ``hmac.new`` per derivation, one-shot
-``shake_256(enc_key + nonce)`` keystream, per-byte generator XOR, no
-cached digest states).  They are bit-compatible with the optimized
-kernels in
+scheme (fresh ``hmac.new`` per derivation; per value, a fresh OpenSSL
+AES-256-CTR context whose own counter increment makes the keystream,
+and no cached digest states).  They are bit-compatible with the
+optimized kernels in
 :mod:`repro.crypto` and expose the same ``derive_many`` /
 ``encrypt_many`` / ``decrypt_many`` / ``noise`` surface, so an unmodified
 :class:`~repro.core.proxy.WaffleProxy` runs on either — which makes them
@@ -21,6 +21,7 @@ import random
 from typing import Iterable, Sequence
 
 from repro.crypto.keys import KeyChain
+from repro.crypto.libcrypto import aes256_ctr
 from repro.errors import IntegrityError
 
 __all__ = ["ScalarCipher", "ScalarPrf", "scalar_keychain"]
@@ -28,7 +29,8 @@ __all__ = ["ScalarCipher", "ScalarPrf", "scalar_keychain"]
 _NONCE_LEN = 16
 _TAG_LEN = 32
 _DIGEST_HEX_LEN = 32
-_SCHEME_LABEL = b"repro.aead/shake256\x00"
+_SCHEME_LABEL = b"repro.aead/aes256-ctr\x00"
+_KEY_LABEL = b"repro.aead/aes256-ctr/key\x00"
 
 
 class ScalarPrf:
@@ -57,12 +59,13 @@ class ScalarPrf:
 
 
 class ScalarCipher:
-    """The naive AEAD: ``shake_256(key||nonce)`` squeezed to the message
-    length, per-byte generator XOR, fresh ``hmac.new`` over
-    ``label||nonce||body``.  Bit-compatible with
-    :class:`repro.crypto.aead.AuthenticatedCipher`."""
+    """The naive AEAD: OpenSSL's AES-256-CTR from the nonce, one context
+    a message, under ``sha256(key label || enc_key)``; fresh ``hmac.new``
+    over ``label||nonce||body``.  Bit-compatible with
+    :class:`repro.crypto.aead.AuthenticatedCipher`, whose counter blocks
+    are numpy's arithmetic instead of OpenSSL's."""
 
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes")
+    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_aes_key")
 
     def __init__(self, enc_key: bytes, mac_key: bytes,
                  rng: random.Random | None = None) -> None:
@@ -73,9 +76,7 @@ class ScalarCipher:
         self._enc_key = bytes(enc_key)
         self._mac_key = bytes(mac_key)
         self._randbytes = rng.randbytes if rng is not None else os.urandom
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hashlib.shake_256(self._enc_key + nonce).digest(length)
+        self._aes_key = hashlib.sha256(_KEY_LABEL + self._enc_key).digest()
 
     def _tag(self, nonce: bytes, body: bytes) -> bytes:
         return hmac.new(self._mac_key, _SCHEME_LABEL + nonce + body,
@@ -83,8 +84,7 @@ class ScalarCipher:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = self._randbytes(_NONCE_LEN)
-        stream = self._keystream(nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
+        body = aes256_ctr(self._aes_key, nonce, plaintext)
         return nonce + body + self._tag(nonce, body)
 
     def decrypt(self, blob: bytes) -> bytes:
@@ -95,8 +95,7 @@ class ScalarCipher:
         tag = blob[-_TAG_LEN:]
         if not hmac.compare_digest(tag, self._tag(nonce, body)):
             raise IntegrityError("authentication tag mismatch")
-        stream = self._keystream(nonce, len(body))
-        return bytes(c ^ s for c, s in zip(body, stream))
+        return aes256_ctr(self._aes_key, nonce, body)
 
     def encrypt_many(self, plaintexts: Iterable[bytes]) -> list[bytes]:
         return [self.encrypt(plaintext) for plaintext in plaintexts]

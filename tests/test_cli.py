@@ -88,8 +88,10 @@ class TestExitCodes:
         ["audit", "--rounds", "0"],
         ["obs", "--n", "many"],
         ["serve", "--n", "-1"],
+        ["chaos", "--episodes", "0"],
+        ["chaos", "--steps", "0"],
     ], ids=["run-n", "run-rounds", "bounds-n", "audit-rounds", "obs-n",
-            "serve-n"])
+            "serve-n", "chaos-episodes", "chaos-steps"])
     def test_sizes_are_positive_ints(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -74,8 +74,8 @@ class TestAeadBatched:
             cipher.decrypt_many([cipher.encrypt(b"ok"), b"short"])
 
     def test_decrypt_many_rejects_tampered_member(self, cipher):
-        # A short-value batch (one slab) in the middle and at the end, and
-        # batches that straddle the 128-byte slab cut-off.
+        # A tampered member in the middle and at the end of a batch of
+        # equal rows, and in batches whose rows are mostly padding.
         for lengths, member in (((64, 64, 64), 1), ((64, 64, 64), 2),
                                 ((127, 128), 1), ((0, 64, 4096), 0)):
             blobs = cipher.encrypt_many([b"v" * n for n in lengths])
@@ -143,7 +143,7 @@ class TestAeadProperties:
 
     @given(st.binary(max_size=4096), st.integers(0, 10**9))
     @example(b"\x05" * 64, 10**9)  # the last member of a short-value batch
-    @example(b"\x06" * 128, 3)  # straddles the slab cut-off
+    @example(b"\x06" * 128, 3)  # eight whole blocks beside a short row
     def test_batched_tamper_detection(self, plaintext, seed):
         """A single flipped bit anywhere in any member fails the batch."""
         cipher = AuthenticatedCipher(enc_key=b"bt-enc", mac_key=b"bt-mac")
@@ -212,9 +212,9 @@ class TestAeadEdgeLengths:
                 cipher.decrypt(bytes(tampered))
 
     @given(st.lists(_edge_plaintexts, max_size=6), st.integers(0, 2**32))
-    @example([b"\x01" * 127, b"\x02" * 128], 7)  # either side of the slab
-    @example([b"", b"\x03" * 64, b"\x04" * 4096], 8)  # cut-off, and both
-    @example([b"\x05" * 64] * 3, 9)  # all short: one slab
+    @example([b"\x01" * 127, b"\x02" * 128], 7)  # ragged and whole rows
+    @example([b"", b"\x03" * 64, b"\x04" * 4096], 8)  # padded rows
+    @example([b"\x05" * 64] * 3, 9)  # equal rows, no padding
     def test_batch_forms_equal_looped_encrypt(self, plaintexts, seed):
         """Same rng stream in, same blobs out: nonces are drawn 16 bytes
         at a time in input order by both entry points."""

@@ -5,18 +5,22 @@ change silently altered derivations, every outsourced object would
 become unreachable on upgrade.  These pins make such a change an
 explicit, reviewed decision instead of an accident.
 
-The batched fast-path kernels (cached-HMAC PRF, one-squeeze SHAKE-256
-AEAD) are additionally held byte-identical to the naive scalar forms in
-:mod:`repro.testing.reference` — the equivalence that lets the proxy
-swap kernels without the server ever noticing.
+The batched fast-path kernels (cached-HMAC PRF; AES-256-CTR AEAD whose
+counter blocks numpy builds for a whole batch and one OpenSSL ECB call
+encrypts) are additionally held byte-identical to the naive scalar forms
+in :mod:`repro.testing.reference` — the equivalence that lets the proxy
+swap kernels without the server ever noticing — and the AES-CTR
+primitive itself, apart from the AEAD around it, to NIST's vector.
 """
 
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.crypto.aead import AuthenticatedCipher
+from repro.crypto.aead import AuthenticatedCipher, ctr_xor
 from repro.crypto.keys import KeyChain
+from repro.crypto.libcrypto import AesEcb, aes256_ctr
 from repro.crypto.prf import Prf
 from repro.errors import IntegrityError
 from repro.testing.reference import ScalarCipher, ScalarPrf
@@ -51,15 +55,69 @@ class TestPrfKnownAnswers:
         assert fresh.cipher.decrypt(blob) == b"archived-value"
 
 
-#: Plaintext shapes around the XOR-path cutoff and the SHAKE-256 rate
-#: (136 bytes): empty, short, either side of both, and ragged tails.
-#: Lengths that are a multiple of 8 XOR in 64-bit lanes, the rest in
-#: byte lanes; both appear on either side of 1 KiB and 4 KiB.
+#: Plaintext shapes: empty, short, either side of two AES blocks, and
+#: whole and ragged last blocks up to and past 1 KiB and 4 KiB.  In a
+#: batch every value is zero-padded to the longest one's row of counter
+#: blocks.
 _SHAPE_VECTORS = [b"", b"x", b"short", b"a" * 31, b"b" * 32, b"c" * 33,
                   b"d" * 64, b"e" * 127, b"f" * 128, b"g" * 135, b"h" * 136,
                   b"i" * 137, b"j" * 1024, bytes(range(256)) * 5,
                   bytes(range(251)) * 4, bytes(range(256)) * 16,
                   bytes(range(241)) * 17]
+
+
+class _FixedNonces:
+    """A nonce source that hands out the given bytes, in order."""
+
+    def __init__(self, pool: bytes) -> None:
+        self._pool = pool
+
+    def randbytes(self, n: int) -> bytes:
+        out, self._pool = self._pool[:n], self._pool[n:]
+        assert len(out) == n
+        return out
+
+
+class TestAesCtrKnownAnswers:
+    """NIST SP 800-38A, F.5.5 CTR-AES256.Encrypt: the raw primitive under
+    its raw key, apart from the AEAD's key hash, nonce draw and MAC."""
+
+    KEY = bytes.fromhex("603deb1015ca71be2b73aef0857d7781"
+                        "1f352c073b6108d72d9810a30914dff4")
+    COUNTER = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+    PLAINTEXT = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a"
+                              "ae2d8a571e03ac9c9eb76fac45af8e51"
+                              "30c81c46a35ce411e5fbc1191a0a52ef"
+                              "f69f2445df4f9b17ad2b417be66c3710")
+    CIPHERTEXT = bytes.fromhex("601ec313775789a5b7a7f504bbf3d228"
+                               "f443e3ca4d62b59aca84e990cacaf5c5"
+                               "2b0930daa23de94ce87017ba2d84988d"
+                               "dfc9c58db67aada613c2dd08457941a6")
+
+    def test_openssl_counter_mode(self):
+        """The reference's primitive: OpenSSL's own CTR mode."""
+        assert aes256_ctr(self.KEY, self.COUNTER, self.PLAINTEXT) == \
+            self.CIPHERTEXT
+
+    def test_batch_kernel(self):
+        """The kernel's primitive: numpy counter blocks through one ECB
+        call, alone and as the second row of a batch with a longer and a
+        shorter neighbour."""
+        ecb = AesEcb(self.KEY)
+        (alone,) = ctr_xor(ecb, self.COUNTER, [self.PLAINTEXT])
+        assert bytes(alone) == self.CIPHERTEXT
+        nonces = bytes(16) + self.COUNTER + b"\xff" * 16
+        rows = ctr_xor(ecb, nonces, [bytes(100), self.PLAINTEXT, b"x"])
+        assert bytes(rows[1]) == self.CIPHERTEXT
+        assert [len(row) for row in rows] == [100, 64, 1]
+
+    def test_counter_wraps_mod_2_128(self):
+        """Block 1 after the all-ones counter is block 0 of counter 0."""
+        zeros = bytes(48)
+        wrapped = aes256_ctr(self.KEY, b"\xff" * 16, zeros)
+        assert wrapped[16:] == aes256_ctr(self.KEY, bytes(16), zeros[16:])
+        (kernel,) = ctr_xor(AesEcb(self.KEY), b"\xff" * 16, [zeros])
+        assert bytes(kernel) == wrapped
 
 
 class TestScalarBatchedEquivalence:
@@ -98,6 +156,43 @@ class TestScalarBatchedEquivalence:
             assert scalar.decrypt(blob_batched) == plaintext
             assert batched.decrypt(blob_scalar) == plaintext
 
+    @pytest.mark.parametrize("nonce", [
+        bytes(8) + b"\xff" * 8,            # low word carries at block 1
+        bytes(7) + b"\x01" + b"\xff" * 7 + b"\xfd",  # ... at block 3
+        b"\xff" * 16,                      # wraps 2**128 at block 1
+    ], ids=["low-word-carry", "late-carry", "all-ones-wrap"])
+    def test_counter_carries_agree_with_openssl(self, nonce):
+        """Counter blocks past a carry out of the low 64 bits, and past
+        2**128, are numpy's arithmetic in the kernel and OpenSSL's own
+        increment in the reference: they must agree, alone and in a
+        batch whose other nonce carries nothing."""
+        keys = {"enc_key": b"ka-enc-key", "mac_key": b"ka-mac-key"}
+        plaintexts = [bytes(range(100)), b"tail"]
+        other = bytes(range(16))
+        batched = AuthenticatedCipher(rng=_FixedNonces(nonce + other), **keys)
+        scalar = ScalarCipher(rng=_FixedNonces(nonce + other), **keys)
+        blobs = batched.encrypt_many(plaintexts)
+        assert blobs == scalar.encrypt_many(plaintexts)
+        assert scalar.decrypt_many(blobs) == plaintexts
+        alone = AuthenticatedCipher(rng=_FixedNonces(nonce), **keys)
+        assert alone.encrypt(plaintexts[0]) == blobs[0]
+
+    @given(st.permutations([0, 1, 15, 16, 17, 4095, 4097]),
+           st.integers(0, 2**32))
+    def test_mixed_length_batch_equals_looped_encrypt(self, lengths, seed):
+        """One call over rows of 257 blocks, most of them padding: the
+        same blobs as one call per value, and as the reference's."""
+        keys = {"enc_key": b"ka-enc-key", "mac_key": b"ka-mac-key"}
+        content = random.Random(seed)
+        plaintexts = [content.randbytes(length) for length in lengths]
+        looped = AuthenticatedCipher(rng=random.Random(seed), **keys)
+        expected = [looped.encrypt(plaintext) for plaintext in plaintexts]
+        batched = AuthenticatedCipher(rng=random.Random(seed), **keys)
+        assert batched.encrypt_many(plaintexts) == expected
+        scalar = ScalarCipher(rng=random.Random(seed), **keys)
+        assert scalar.encrypt_many(plaintexts) == expected
+        assert batched.decrypt_many(expected) == plaintexts
+
     def test_aead_many_equals_looped_single(self):
         keys = {"enc_key": b"ka-enc-key", "mac_key": b"ka-mac-key"}
         looped = AuthenticatedCipher(rng=random.Random(7), **keys)
@@ -132,6 +227,24 @@ class TestScalarBatchedEquivalence:
             "346852021f"
             "e784245ca0437d0f7183cbcc6a3d47d8"
             "9cdfb81bc88c2cd6bed2d1eed541a7e0")
+        for kernel in (ScalarCipher, AuthenticatedCipher):
+            cipher = kernel(enc_key=b"pin-enc", mac_key=b"pin-mac")
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(old_blob)
+        with pytest.raises(IntegrityError):
+            AuthenticatedCipher(enc_key=b"pin-enc", mac_key=b"pin-mac"
+                                ).decrypt_many([old_blob])
+
+    def test_shake_era_blob_fails_closed(self):
+        """The blob this file pinned while the keystream was SHAKE-256,
+        same keys and nonce.  Its MAC absorbed the label
+        ``repro.aead/shake256\\0``, so under today's label it must fail
+        authentication rather than decrypt to garbage."""
+        old_blob = bytes.fromhex(
+            "cd072cd8be6f9f62ac4c09c28206e7e3"
+            "7ef3268cd5"
+            "c1ec544f4d0407f02fd946536c010a7e"
+            "dc78fd79b2c59770ad43bfa4d7e79f5e")
         for kernel in (ScalarCipher, AuthenticatedCipher):
             cipher = kernel(enc_key=b"pin-enc", mac_key=b"pin-mac")
             with pytest.raises(IntegrityError):

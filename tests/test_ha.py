@@ -111,6 +111,51 @@ class TestCheckpoint:
         ids_b = [r.storage_id for r in twin_store.records]
         assert ids_a[-200:] == ids_b[-200:]
 
+    def test_restore_keeps_the_proxy_class(self):
+        """A proxy running the uniform fake-real pick (an ablation
+        subclass) comes back from capture → restore running it, not
+        Waffle's least-recent pick: the restored twin reads the same ids
+        as the original over the next rounds, and captures to the same
+        bytes."""
+        from repro.bench.ablations import UniformFakeReals
+
+        config = WaffleConfig(n=120, b=20, r=8, f_d=4, d=60, c=30,
+                              value_size=64, seed=5)
+        keys = [f"user{i:08d}" for i in range(config.n)]
+
+        def batch(rng):
+            return [ClientRequest(op=Operation.READ, key=rng.choice(keys))
+                    for _ in range(config.r)]
+
+        datastore = WaffleDatastore(config, make_items(config.n),
+                                    keychain=KeyChain.from_seed(6))
+        datastore.proxy.__class__ = UniformFakeReals
+        rng = random.Random(4)
+        for _ in range(3):
+            datastore.execute_batch(batch(rng))
+        blob = capture_proxy(datastore.proxy)
+        recorder = datastore.recorder
+        twin_store = RecordingStore(copy.deepcopy(recorder._inner))
+        twin = copy.copy(datastore)
+        twin.proxy = restore_proxy(blob, twin_store)
+        assert type(twin.proxy) is UniformFakeReals
+        assert capture_proxy(twin.proxy) == blob
+
+        rng_a, rng_b = random.Random(5), random.Random(5)
+        start = len(recorder.records)
+        for _ in range(6):
+            datastore.execute_batch(batch(rng_a))
+            twin.execute_batch(batch(rng_b))
+        assert [r.storage_id for r in recorder.records[start:]] == \
+            [r.storage_id for r in twin_store.records]
+        twin.proxy.check_invariants()
+
+    def test_restore_refuses_a_blob_of_another_class(self):
+        import pickle
+
+        with pytest.raises(ProtocolError):
+            restore_proxy(pickle.dumps((dict, {})), RedisSim())
+
     def test_indexes_pickled_mid_run_keep_selecting_identically(self):
         """Both timestamp indexes survive a pickle round trip mid-epoch:
         the copies pick the same reals and dummies as the originals,

@@ -178,6 +178,39 @@ class TestPackageSurface:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/maps").exists(),
+                        reason="reads the process's mappings (Linux)")
+    def test_crypto_maps_no_new_shared_object(self):
+        """The cipher's AES is the libcrypto that ``_hashlib`` already
+        mapped: in a fresh interpreter that imported ``_hashlib``, numpy
+        and the standard modules the package imports anyway (``hashlib``;
+        ``heapq`` and ``json``, which the package root's ``repro.core``
+        reaches), importing ``repro.crypto`` and sealing a value maps no
+        shared object that was not mapped before, and loads no wheel."""
+        import os
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = (
+            "import sys, _hashlib, hashlib, heapq, json, numpy\n"
+            "def objects():\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        return {line.split()[5] for line in maps\n"
+            "                if len(line.split()) > 5 and '.so' in line}\n"
+            "before = objects()\n"
+            "import repro.crypto\n"
+            "chain = repro.crypto.KeyChain.from_seed(1)\n"
+            "assert chain.cipher.decrypt(chain.cipher.encrypt(b'v')) == b'v'\n"
+            "print(sorted(objects() - before))\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "             & {'cryptography', 'nacl'}))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "[]"], result.stdout
+
     def test_analysis_needs_no_scipy(self):
         """scipy is a dev extra: the χ² tail is the standard library's
         ``math.lgamma``, so importing the analysis, core and serving
