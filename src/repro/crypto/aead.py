@@ -31,9 +31,13 @@ once, whatever its size:
 * one ``EVP_EncryptUpdate`` in AES-256-ECB turns that buffer, in place,
   into the batch's keystream (one context a cipher, key schedule made
   once);
-* one numpy XOR adds the batch's values, each zero-padded to its row,
-  into the same buffer, and each body is a view of its row — the XOR
-  drops the GIL at most once a batch, not once a value;
+* one numpy XOR adds the batch's inputs, joined and each zero-padded to
+  its row, into the same buffer in place — the XOR drops the GIL at most
+  once a batch, not once a value;
+* the buffer is the cipher's, kept from batch to batch (a lock guards
+  it), so a round writes into pages already mapped instead of faulting
+  in a fresh megabyte, and the numpy views of recent batch shapes are
+  kept with it (:class:`BatchCtr`);
 * per value there remain the MAC's two keyed SHA-256 states
   (:mod:`repro.crypto.mac`), the inner one with the scheme label already
   absorbed, ``.copy()``-ed and fed;
@@ -50,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from functools import lru_cache
+import threading
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
@@ -73,7 +77,10 @@ class RandomSource(Protocol):
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
+_OVERHEAD = _NONCE_LEN + _TAG_LEN
 _BLOCK = 16
+#: Batch shapes whose buffer views a :class:`BatchCtr` keeps.
+_LAYOUTS = 16
 #: A counter block is two of these: high and low word, most significant
 #: byte first.
 _WORD = np.dtype(">u8")
@@ -86,53 +93,136 @@ _SCHEME_LABEL = b"repro.aead/aes256-ctr\x00"
 _KEY_LABEL = b"repro.aead/aes256-ctr/key\x00"
 
 
-@lru_cache(maxsize=8)
-def _offsets(blocks: int) -> NDArray[np.uint64]:
-    """``0, 1, ..., blocks - 1``: what block ``j`` of a row adds to the
-    nonce's low word (read-only, shared by every call)."""
-    offsets = np.arange(blocks, dtype=np.uint64)
-    offsets.flags.writeable = False
-    return offsets
+class _Layout:
+    """Views of the work buffer for a batch of ``rows`` bodies of at most
+    ``16 * blocks`` bytes: a row of counter blocks a body (encrypted in
+    place into keystream, then XOR-ed into output), then the slot for
+    the batch's nonces when they do not arrive inside the inputs."""
+
+    __slots__ = ("stride", "nonce_slot", "nonces", "counters", "low",
+                 "high", "steps", "encrypt", "keystream", "outputs")
+
+    def __init__(self, ecb: AesEcb, buffer: bytearray, rows: int,
+                 blocks: int) -> None:
+        stride = blocks * _BLOCK
+        size = rows * stride
+        self.stride = stride
+        self.nonce_slot = slice(size, size + rows * _NONCE_LEN)
+        self.nonces = np.ndarray((rows, 1), f"V{_NONCE_LEN}", buffer, size)
+        self.counters = np.ndarray((rows, blocks), f"V{_BLOCK}", buffer)
+        words = np.ndarray((rows, blocks, 2), _WORD, buffer)
+        self.high, self.low = words[:, :, 0], words[:, :, 1]
+        # What counter block ``j`` adds to the nonce's low word.
+        self.steps = np.arange(blocks, dtype=np.uint64)
+        self.encrypt = ecb.encryptor(buffer, size)
+        self.keystream = np.ndarray((rows, stride // 8), np.uint64, buffer)
+        self.outputs = np.ndarray((rows,), f"V{stride}", buffer)
 
 
-def ctr_xor(ecb: AesEcb, nonces: bytes,
-            values: Sequence[bytes | memoryview]) -> list[memoryview]:
-    """Each value XOR-ed with the AES-CTR keystream from its nonce (value
-    ``i``'s is ``nonces[16 * i:16 * i + 16]``), as views into one buffer.
+class BatchCtr:
+    """AES-256-CTR over a whole batch: one ECB call makes its keystream.
 
-    Row ``i`` of the buffer holds the counter blocks ``nonce_i + j`` for
-    ``j`` below the longest value's block count, as big-endian words; one
-    ECB call encrypts the rows into keystream and one XOR adds the
-    values, each zero-padded to the row, in place.
+    Row ``i``'s counter blocks are ``nonce_i + j mod 2**128`` for ``j``
+    below the longest body's block count, big-endian, written by two
+    numpy passes (the nonce into every block, then ``j`` onto the low
+    words, carrying into the high word only where a low word wrapped).
+    The inputs are joined, each zero-padded to a whole row, and one XOR
+    adds their bodies to the keystream in place.  One caller at a time,
+    from a call to its last read of what it returned.
+
+    The work buffer is kept from batch to batch and only grows, so a
+    steady stream of batches writes into pages already mapped (a fresh
+    megabyte a call costs a page fault every 4 KiB), and the views of
+    the last ``_LAYOUTS`` batch shapes are kept with it, so a small batch
+    pays for five numpy calls and one foreign call, not for making their
+    arrays.
     """
-    rows = len(values)
-    if not rows:
-        return []
-    lengths = list(map(len, values))
-    blocks = (max(lengths) + _BLOCK - 1) // _BLOCK
-    stride = blocks * _BLOCK
-    buffer = bytearray(rows * stride)
-    grid = np.frombuffer(buffer, _WORD).reshape(rows, blocks, 2)
-    first = np.frombuffer(nonces, _WORD).reshape(rows, 2, 1)
-    offsets = _offsets(blocks)
-    grid[:, :, 0] = first[:, 0]
-    np.add(first[:, 1], offsets, out=grid[:, :, 1])
-    # A low word can wrap only from a top byte of 0xff (a row has far
-    # fewer than 2**56 blocks); where one did, carry into the high word.
-    if b"\xff" in nonces[8::_NONCE_LEN]:
-        grid[:, :, 0] += grid[:, :, 1] < offsets
-    ecb.encrypt_in_place(buffer)
-    if lengths.count(stride) != rows:
-        values = [part for value, length in zip(values, lengths)
-                  for part in (value, bytes(stride - length))]
-    padded = b"".join(values)
-    keystream = np.frombuffer(buffer, np.uint64)
-    np.bitwise_xor(keystream, np.frombuffer(padded, np.uint64),
-                   out=keystream)
-    del padded
-    view = memoryview(buffer)
-    return [view[start:start + length]
-            for start, length in zip(count(0, stride), lengths)]
+
+    __slots__ = ("_ecb", "_buffer", "_layouts")
+
+    def __init__(self, key: bytes) -> None:
+        self._ecb = AesEcb(key)
+        self._buffer = bytearray()
+        self._layouts: dict[tuple[int, int], _Layout] = {}
+
+    def seal(self, nonces: bytes,
+             plaintexts: Sequence[bytes]) -> list[memoryview]:
+        """Each plaintext XOR-ed with the keystream from its nonce (item
+        ``i``'s is ``nonces[16 * i:16 * i + 16]``), as views of the work
+        buffer, valid until the next call."""
+        lengths = list(map(len, plaintexts))
+        layout = self._layout(len(lengths), max(lengths, default=0))
+        if layout is None:
+            return [memoryview(b"")] * len(lengths)
+        stride = layout.stride
+        self._buffer[layout.nonce_slot] = nonces
+        self._xor(layout, layout.nonces, b"\xff" in nonces[8::_NONCE_LEN],
+                  _joined(plaintexts, lengths, stride), 0, stride)
+        view = memoryview(self._buffer)
+        return [view[start:start + length]
+                for start, length in zip(count(0, stride), lengths)]
+
+    def open(self, blobs: Sequence[bytes]) -> list[bytes]:
+        """Each ``nonce || body || tag`` blob's body XOR-ed with the
+        keystream from its nonce."""
+        lengths = list(map(len, blobs))
+        layout = self._layout(len(lengths),
+                              max(lengths, default=0) - _OVERHEAD)
+        if layout is None:
+            return [b""] * len(lengths)
+        width = layout.stride + _OVERHEAD
+        joined = _joined(blobs, lengths, width)
+        self._xor(layout, np.ndarray((len(lengths), 1), f"V{_NONCE_LEN}",
+                                     joined, 0, (width, _NONCE_LEN)),
+                  b"\xff" in joined[8::width], joined, _NONCE_LEN, width)
+        outputs = layout.outputs.tolist()
+        if lengths.count(width) == len(lengths):
+            return outputs
+        return [output[:length - _OVERHEAD]
+                for output, length in zip(outputs, lengths)]
+
+    def _layout(self, rows: int, longest: int) -> _Layout | None:
+        blocks = (longest + _BLOCK - 1) // _BLOCK
+        if blocks <= 0:
+            return None
+        layout = self._layouts.get((rows, blocks))
+        if layout is None:
+            size = rows * (blocks * _BLOCK + _NONCE_LEN)
+            if len(self._buffer) < size or len(self._layouts) >= _LAYOUTS:
+                # Every kept layout views (and so keeps) the old buffer.
+                self._layouts.clear()
+                if len(self._buffer) < size:
+                    self._buffer = bytearray(size)
+            layout = _Layout(self._ecb, self._buffer, rows, blocks)
+            self._layouts[rows, blocks] = layout
+        return layout
+
+    def _xor(self, layout: _Layout, nonces: NDArray[np.void], carries: bool,
+             inputs: bytes, head: int, width: int) -> None:
+        """Counters from ``nonces`` (``carries``: some low word may wrap),
+        keystream, then the bodies of ``inputs`` — rows of ``width``
+        bytes, each body ``head`` bytes in — XOR-ed into it."""
+        layout.counters[...] = nonces
+        low, steps = layout.low, layout.steps
+        np.add(low, steps, out=low)
+        # A low word can wrap only from a top byte of 0xff (a row has far
+        # fewer than 2**56 blocks); where one did, carry into the high word.
+        if carries:
+            layout.high += low < steps
+        if layout.encrypt() != 1:
+            raise RuntimeError("EVP_EncryptUpdate failed")
+        keystream = layout.keystream
+        np.bitwise_xor(keystream, np.ndarray(
+            keystream.shape, np.uint64, inputs, head, (width, 8)),
+            out=keystream)
+
+
+def _joined(items: Sequence[bytes], lengths: list[int], width: int) -> bytes:
+    """The items end to end, each zero-padded to ``width`` bytes."""
+    if lengths.count(width) != len(lengths):
+        items = [part for item, length in zip(items, lengths)
+                 for part in (item, bytes(width - length))]
+    return b"".join(items)
 
 
 class AuthenticatedCipher:
@@ -149,7 +239,7 @@ class AuthenticatedCipher:
         by tests for deterministic nonces.  Defaults to ``os.urandom``.
     """
 
-    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_ecb",
+    __slots__ = ("_enc_key", "_mac_key", "_randbytes", "_ctr", "_lock",
                  "_mac_inner", "_mac_outer")
 
     #: Name the wall-clock benchmark records for the implementation it
@@ -168,8 +258,11 @@ class AuthenticatedCipher:
         self._init_states()
 
     def _init_states(self) -> None:
-        self._ecb = AesEcb(
+        self._ctr = BatchCtr(
             hashlib.sha256(_KEY_LABEL + self._enc_key).digest())
+        # Held from a batch's keystream to the last read of its bodies:
+        # they are views of the counter mode's one work buffer.
+        self._lock = threading.Lock()
         # Keyed MAC states, the inner one holding the scheme label; copied
         # per message (skips re-keying, and the label costs nothing per
         # message).
@@ -177,8 +270,8 @@ class AuthenticatedCipher:
             self._mac_key, _SCHEME_LABEL)
 
     def __getstate__(self) -> tuple[bytes, bytes, Callable[[int], bytes]]:
-        # The OpenSSL context and the digest states are C objects and
-        # cannot pickle; the keys fully determine them (checkpoint
+        # The OpenSSL context, the lock and the digest states are C
+        # objects and cannot pickle; the keys fully determine them (checkpoint
         # shipping, ha/).
         return self._enc_key, self._mac_key, self._randbytes
 
@@ -207,24 +300,25 @@ class AuthenticatedCipher:
         """
         plaintexts = list(plaintexts)
         nonces = self._randbytes(_NONCE_LEN * len(plaintexts))
-        bodies = ctr_xor(self._ecb, nonces, plaintexts)
         inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
         out = []
         append = out.append
-        for start, body in zip(range(0, len(nonces), _NONCE_LEN), bodies):
-            nonce = nonces[start:start + _NONCE_LEN]
-            inner = inner_copy()
-            inner.update(nonce)
-            inner.update(body)
-            outer = outer_copy()
-            outer.update(inner.digest())
-            append(b"".join((nonce, body, outer.digest())))
+        with self._lock:
+            bodies = self._ctr.seal(nonces, plaintexts)
+            for start, body in zip(count(0, _NONCE_LEN), bodies):
+                nonce = nonces[start:start + _NONCE_LEN]
+                inner = inner_copy()
+                inner.update(nonce)
+                inner.update(body)
+                outer = outer_copy()
+                outer.update(inner.digest())
+                append(b"".join((nonce, body, outer.digest())))
         return out
 
     def decrypt_many(self, blobs: Sequence[bytes]) -> list[bytes]:
         """Batched :meth:`decrypt`; raises on the first tampered blob,
         before any keystream is made."""
-        if any(len(blob) < _NONCE_LEN + _TAG_LEN for blob in blobs):
+        if min(map(len, blobs), default=_OVERHEAD) < _OVERHEAD:
             raise IntegrityError("ciphertext too short")
         inner_copy, outer_copy = self._mac_inner.copy, self._mac_outer.copy
         compare = hmac.compare_digest
@@ -235,10 +329,8 @@ class AuthenticatedCipher:
             outer.update(inner.digest())
             if not compare(outer.digest(), blob[-_TAG_LEN:]):
                 raise IntegrityError("authentication tag mismatch")
-        nonces = b"".join([blob[:_NONCE_LEN] for blob in blobs])
-        bodies = ctr_xor(self._ecb, nonces, [
-            memoryview(blob)[_NONCE_LEN:-_TAG_LEN] for blob in blobs])
-        return [body.tobytes() for body in bodies]
+        with self._lock:
+            return self._ctr.open(blobs)
 
     def noise(self, count: int, length: int) -> list[bytes]:
         """``count`` blobs of ``length + ciphertext_overhead()`` random
@@ -250,11 +342,11 @@ class AuthenticatedCipher:
         without the keys.  A holder of the keys who knows a blob is noise
         never opens it; one who tries gets :class:`IntegrityError`.
         """
-        size = length + _NONCE_LEN + _TAG_LEN
+        size = length + _OVERHEAD
         pool = self._randbytes(count * size)
         return [pool[start:start + size]
                 for start in range(0, len(pool), size)]
 
     def ciphertext_overhead(self) -> int:
         """Bytes added to every plaintext (nonce + tag)."""
-        return _NONCE_LEN + _TAG_LEN
+        return _OVERHEAD

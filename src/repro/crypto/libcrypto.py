@@ -12,16 +12,16 @@ This is the package's one foreign-function file: oblint OBL305 flags a
 ``ctypes`` import anywhere else under ``repro/``.  Two entry points:
 
 * :class:`AesEcb`, the value cipher's kernel (:mod:`repro.crypto.aead`):
-  one OpenSSL context a key, made once, that encrypts a whole batch of
-  counter blocks in place in one ``EVP_EncryptUpdate``;
+  one OpenSSL context a key, made once, whose prepared calls each
+  encrypt a whole batch of counter blocks in place in one
+  ``EVP_EncryptUpdate``;
 * :func:`aes256_ctr`, OpenSSL's own counter mode with a fresh context a
   message — the per-object reference
   (:class:`repro.testing.reference.ScalarCipher`) the kernel's counter
   arithmetic is held against.
 
 Calls go through ``PyDLL`` and so keep the GIL: a call is serialized
-with every other Python thread, which is also what makes one context
-per cipher safe to share between threads.
+with every other Python thread.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from __future__ import annotations
 import _hashlib
 import ctypes
 from ctypes import POINTER, c_int, c_void_p
+from functools import partial
+from typing import Callable
 
-__all__ = ["KEY_LEN", "AesEcb", "aes256_ctr"]
+__all__ = ["AesEcb", "aes256_ctr"]
 
-KEY_LEN = 32
+_KEY_LEN = 32
 
 _LIB = ctypes.PyDLL(_hashlib.__file__)
 
@@ -66,10 +68,16 @@ _UPDATE = _LIB.EVP_EncryptUpdate
 _UPDATE.argtypes = (c_void_p, c_void_p, POINTER(c_int), c_void_p, c_int)
 _UPDATE.restype = c_int
 
+# The same function again (item lookup makes a new pointer object), with
+# no argtypes: AesEcb.encryptor binds ctypes objects to every argument
+# once, so a call converts nothing.
+_UPDATE_BOUND = _LIB["EVP_EncryptUpdate"]
+_UPDATE_BOUND.restype = c_int
+
 
 def _new_context(cipher: int | None, key: bytes, iv: bytes | None) -> int:
-    if len(key) != KEY_LEN:
-        raise ValueError(f"AES-256 takes a {KEY_LEN}-byte key")
+    if len(key) != _KEY_LEN:
+        raise ValueError(f"AES-256 takes a {_KEY_LEN}-byte key")
     ctx: int | None = _CTX_NEW()
     if not ctx:
         raise MemoryError("EVP_CIPHER_CTX_new failed")
@@ -79,33 +87,48 @@ def _new_context(cipher: int | None, key: bytes, iv: bytes | None) -> int:
     return ctx
 
 
+class _Context(c_void_p):
+    """An ``EVP_CIPHER_CTX *`` argument that keeps the object that frees
+    the context alive for as long as a bound call holds it."""
+
+    owner: AesEcb | None = None
+
+
 class AesEcb:
-    """AES-256-ECB encryption under one key, in place, batch at a time.
+    """AES-256-ECB encryption under one key, in place.
 
     Every call hands OpenSSL whole 16-byte blocks with padding off, so
     the context never carries a partial block from one call to the next
-    and is reused for the cipher's lifetime (the key schedule is made
+    and is reused for the object's lifetime (the key schedule is made
     once); it is freed, and its key schedule cleansed, with the object.
     """
 
-    __slots__ = ("_ctx", "_written")
+    __slots__ = ("_ctx",)
 
     def __init__(self, key: bytes) -> None:
         self._ctx: int | None = None
-        self._written = c_int()
         self._ctx = _new_context(_ECB(), key, None)
         _SET_PADDING(self._ctx, 0)
 
-    def encrypt_in_place(self, blocks: bytearray) -> None:
-        """Replace every 16-byte block of ``blocks`` by its encryption."""
-        if len(blocks) % 16:
-            raise ValueError("AES-ECB takes whole 16-byte blocks")
-        if not blocks:
-            return
-        address = ctypes.addressof(ctypes.c_char.from_buffer(blocks))
-        if _UPDATE(self._ctx, address, ctypes.byref(self._written),
-                   address, len(blocks)) != 1:
-            raise RuntimeError("EVP_EncryptUpdate failed")
+    def encryptor(self, buffer: bytearray, size: int) -> Callable[[], int]:
+        """A call that replaces every 16-byte block of ``buffer``'s first
+        ``size`` bytes by its encryption and returns 1, OpenSSL's success.
+
+        Its arguments are ctypes objects bound here, once, so a call
+        costs a third of what converting them would.  It holds
+        ``buffer`` as an exported view (the buffer cannot be resized
+        under it) and this object (the context outlives it).
+        """
+        if size % 16 or not 0 < size <= len(buffer):
+            raise ValueError("AES-ECB takes whole 16-byte blocks of the "
+                             "buffer")
+        ctx = _Context(self._ctx)
+        ctx.owner = self
+        # Typed by the buffer's length, not by ``size``: ctypes keeps every
+        # array type it makes, and a buffer's length rarely changes.
+        blocks = (ctypes.c_char * len(buffer)).from_buffer(buffer)
+        return partial(_UPDATE_BOUND, ctx, blocks, ctypes.byref(c_int()),
+                       blocks, c_int(size))
 
     def __del__(self) -> None:
         if self._ctx:

@@ -18,9 +18,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.aead import AuthenticatedCipher, ctr_xor
+from repro.crypto.aead import AuthenticatedCipher, BatchCtr
 from repro.crypto.keys import KeyChain
-from repro.crypto.libcrypto import AesEcb, aes256_ctr
+from repro.crypto.libcrypto import aes256_ctr
 from repro.crypto.prf import Prf
 from repro.errors import IntegrityError
 from repro.testing.reference import ScalarCipher, ScalarPrf
@@ -103,20 +103,23 @@ class TestAesCtrKnownAnswers:
         """The kernel's primitive: numpy counter blocks through one ECB
         call, alone and as the second row of a batch with a longer and a
         shorter neighbour."""
-        ecb = AesEcb(self.KEY)
-        (alone,) = ctr_xor(ecb, self.COUNTER, [self.PLAINTEXT])
+        ctr = BatchCtr(self.KEY)
+        (alone,) = ctr.seal(self.COUNTER, [self.PLAINTEXT])
         assert bytes(alone) == self.CIPHERTEXT
         nonces = bytes(16) + self.COUNTER + b"\xff" * 16
-        rows = ctr_xor(ecb, nonces, [bytes(100), self.PLAINTEXT, b"x"])
+        rows = ctr.seal(nonces, [bytes(100), self.PLAINTEXT, b"x"])
         assert bytes(rows[1]) == self.CIPHERTEXT
         assert [len(row) for row in rows] == [100, 64, 1]
+        blobs = [nonce + bytes(row) + bytes(32) for nonce, row in
+                 zip((bytes(16), self.COUNTER, b"\xff" * 16), rows)]
+        assert ctr.open(blobs)[1] == self.PLAINTEXT
 
     def test_counter_wraps_mod_2_128(self):
         """Block 1 after the all-ones counter is block 0 of counter 0."""
         zeros = bytes(48)
         wrapped = aes256_ctr(self.KEY, b"\xff" * 16, zeros)
         assert wrapped[16:] == aes256_ctr(self.KEY, bytes(16), zeros[16:])
-        (kernel,) = ctr_xor(AesEcb(self.KEY), b"\xff" * 16, [zeros])
+        (kernel,) = BatchCtr(self.KEY).seal(b"\xff" * 16, [zeros])
         assert bytes(kernel) == wrapped
 
 
