@@ -23,21 +23,20 @@ length depends only on plaintext length, matching the paper's
 equal-length-values assumption.
 
 Hot path: every batch round encrypts and decrypts ``~B`` values of
-``value_size`` bytes, so the keystream is made for the whole batch at
-once, whatever its size:
+``value_size`` bytes, so the keystream is made for many values at once
+(:class:`BatchCtr`):
 
-* numpy writes every counter block of the batch into one buffer, a row
-  of ``ceil(longest / 16)`` blocks a value;
-* one ``EVP_EncryptUpdate`` in AES-256-ECB turns that buffer, in place,
-  into the batch's keystream (one context a cipher, key schedule made
-  once);
-* one numpy XOR adds the batch's inputs, joined and each zero-padded to
-  its row, into the same buffer in place — the XOR drops the GIL at most
-  once a batch, not once a value;
-* the buffer is the cipher's, kept from batch to batch (a lock guards
-  it), so a round writes into pages already mapped instead of faulting
-  in a fresh megabyte, and the numpy views of recent batch shapes are
-  kept with it (:class:`BatchCtr`);
+* numpy writes the counter blocks of a slice of the batch — every value
+  of a batch of small values, 64 KiB of keystream's worth of large ones
+  — into the cipher's work buffer, a row of ``ceil(longest / 16)``
+  blocks a value;
+* one ``EVP_EncryptUpdate`` in AES-256-ECB turns them, in place, into
+  the slice's keystream (one context a cipher, key schedule made once);
+* one numpy XOR adds the slice's inputs, joined and each zero-padded to
+  its row, into the same buffer in place;
+* the buffer is made with the cipher and kept, so its size, not the
+  batch's, is what the keystream adds to the process's memory, and a
+  round writes into pages already mapped;
 * per value there remain the MAC's two keyed SHA-256 states
   (:mod:`repro.crypto.mac`), the inner one with the scheme label already
   absorbed, ``.copy()``-ed and fed;
@@ -56,7 +55,8 @@ import hmac
 import os
 import threading
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Protocol,
+                    Sequence)
 
 import numpy as np
 
@@ -79,8 +79,10 @@ _NONCE_LEN = 16
 _TAG_LEN = 32
 _OVERHEAD = _NONCE_LEN + _TAG_LEN
 _BLOCK = 16
-#: Batch shapes whose buffer views a :class:`BatchCtr` keeps.
-_LAYOUTS = 16
+#: Bytes of keystream one AES call makes at most, and so the size of a
+#: cipher's work buffer: a batch of more is sealed or opened a slice of
+#: whole values at a time.
+_SLICE = 64 * 1024
 #: A counter block is two of these: high and low word, most significant
 #: byte first.
 _WORD = np.dtype(">u8")
@@ -94,124 +96,125 @@ _KEY_LABEL = b"repro.aead/aes256-ctr/key\x00"
 
 
 class _Layout:
-    """Views of the work buffer for a batch of ``rows`` bodies of at most
-    ``16 * blocks`` bytes: a row of counter blocks a body (encrypted in
-    place into keystream, then XOR-ed into output), then the slot for
-    the batch's nonces when they do not arrive inside the inputs."""
+    """Views of the work buffer as ``rows`` rows of ``blocks`` counter
+    blocks, one row a body: a slice of up to ``rows`` bodies of at most
+    ``16 * blocks`` bytes is sliced out of them."""
 
-    __slots__ = ("stride", "nonce_slot", "nonces", "counters", "low",
-                 "high", "steps", "encrypt", "keystream", "outputs")
+    __slots__ = ("blocks", "stride", "rows", "counters", "high", "low",
+                 "steps", "keystream", "outputs")
 
-    def __init__(self, ecb: AesEcb, buffer: bytearray, rows: int,
-                 blocks: int) -> None:
+    def __init__(self, buffer: bytearray, blocks: int) -> None:
         stride = blocks * _BLOCK
-        size = rows * stride
-        self.stride = stride
-        self.nonce_slot = slice(size, size + rows * _NONCE_LEN)
-        self.nonces = np.ndarray((rows, 1), f"V{_NONCE_LEN}", buffer, size)
+        rows = len(buffer) // stride
+        self.blocks, self.stride, self.rows = blocks, stride, rows
         self.counters = np.ndarray((rows, blocks), f"V{_BLOCK}", buffer)
         words = np.ndarray((rows, blocks, 2), _WORD, buffer)
         self.high, self.low = words[:, :, 0], words[:, :, 1]
         # What counter block ``j`` adds to the nonce's low word.
         self.steps = np.arange(blocks, dtype=np.uint64)
-        self.encrypt = ecb.encryptor(buffer, size)
         self.keystream = np.ndarray((rows, stride // 8), np.uint64, buffer)
         self.outputs = np.ndarray((rows,), f"V{stride}", buffer)
 
 
 class BatchCtr:
-    """AES-256-CTR over a whole batch: one ECB call makes its keystream.
+    """AES-256-CTR over a batch: one ECB call makes a slice's keystream.
 
     Row ``i``'s counter blocks are ``nonce_i + j mod 2**128`` for ``j``
-    below the longest body's block count, big-endian, written by two
+    below the longest body's block count, big-endian, written by one
     numpy passes (the nonce into every block, then ``j`` onto the low
-    words, carrying into the high word only where a low word wrapped).
-    The inputs are joined, each zero-padded to a whole row, and one XOR
-    adds their bodies to the keystream in place.  One caller at a time,
-    from a call to its last read of what it returned.
+    words), then a carry into the high word only where a low word
+    wrapped.  The inputs are joined,
+    each zero-padded to a whole row, and one XOR adds their bodies to
+    the keystream in place.  One caller at a time, from a call to its
+    last read of what it returned.
 
-    The work buffer is kept from batch to batch and only grows, so a
-    steady stream of batches writes into pages already mapped (a fresh
-    megabyte a call costs a page fault every 4 KiB), and the views of
-    the last ``_LAYOUTS`` batch shapes are kept with it, so a small batch
-    pays for five numpy calls and one foreign call, not for making their
-    arrays.
+    A slice is as many whole values as ``_SLICE`` bytes hold (at least
+    one), so a batch of small values is one AES call and the work buffer
+    is ``_SLICE`` bytes whatever the batch: it is made with the cipher
+    and kept, and its views for the current body length with it.
     """
 
-    __slots__ = ("_ecb", "_buffer", "_layouts")
+    __slots__ = ("_key", "_ecb", "_layout")
 
     def __init__(self, key: bytes) -> None:
-        self._ecb = AesEcb(key)
-        self._buffer = bytearray()
-        self._layouts: dict[tuple[int, int], _Layout] = {}
+        self._key = key
+        self._ecb = AesEcb(key, _SLICE)
+        self._layout = _Layout(self._ecb.buffer, 1)
 
     def seal(self, nonces: bytes,
-             plaintexts: Sequence[bytes]) -> list[memoryview]:
+             plaintexts: Sequence[bytes]) -> Iterator[memoryview]:
         """Each plaintext XOR-ed with the keystream from its nonce (item
-        ``i``'s is ``nonces[16 * i:16 * i + 16]``), as views of the work
-        buffer, valid until the next call."""
+        ``i``'s is ``nonces[16 * i:16 * i + 16]``), as a view of the work
+        buffer valid until the next one is drawn."""
         lengths = list(map(len, plaintexts))
-        layout = self._layout(len(lengths), max(lengths, default=0))
+        layout = self._layout_for(max(lengths, default=0))
         if layout is None:
-            return [memoryview(b"")] * len(lengths)
-        stride = layout.stride
-        self._buffer[layout.nonce_slot] = nonces
-        self._xor(layout, layout.nonces, b"\xff" in nonces[8::_NONCE_LEN],
-                  _joined(plaintexts, lengths, stride), 0, stride)
-        view = memoryview(self._buffer)
-        return [view[start:start + length]
-                for start, length in zip(count(0, stride), lengths)]
+            yield from [memoryview(b"")] * len(lengths)
+            return
+        stride, rows = layout.stride, layout.rows
+        carries = b"\xff" in nonces[8::_NONCE_LEN]
+        view = memoryview(self._ecb.buffer)
+        for first in range(0, len(lengths), rows):
+            part = lengths[first:first + rows]
+            self._xor(layout, np.ndarray((len(part), 1), f"V{_NONCE_LEN}",
+                                         nonces, _NONCE_LEN * first),
+                      carries, _joined(plaintexts[first:first + rows], part,
+                                       stride), 0, stride)
+            for start, length in zip(count(0, stride), part):
+                yield view[start:start + length]
 
     def open(self, blobs: Sequence[bytes]) -> list[bytes]:
         """Each ``nonce || body || tag`` blob's body XOR-ed with the
         keystream from its nonce."""
         lengths = list(map(len, blobs))
-        layout = self._layout(len(lengths),
-                              max(lengths, default=0) - _OVERHEAD)
+        layout = self._layout_for(max(lengths, default=0) - _OVERHEAD)
         if layout is None:
             return [b""] * len(lengths)
+        rows = layout.rows
         width = layout.stride + _OVERHEAD
-        joined = _joined(blobs, lengths, width)
-        self._xor(layout, np.ndarray((len(lengths), 1), f"V{_NONCE_LEN}",
-                                     joined, 0, (width, _NONCE_LEN)),
-                  b"\xff" in joined[8::width], joined, _NONCE_LEN, width)
-        outputs = layout.outputs.tolist()
-        if lengths.count(width) == len(lengths):
-            return outputs
-        return [output[:length - _OVERHEAD]
-                for output, length in zip(outputs, lengths)]
+        out: list[bytes] = []
+        for first in range(0, len(lengths), rows):
+            part = lengths[first:first + rows]
+            joined = _joined(blobs[first:first + rows], part, width)
+            self._xor(layout, np.ndarray((len(part), 1), f"V{_NONCE_LEN}",
+                                         joined, 0, (width, _NONCE_LEN)),
+                      b"\xff" in joined[8::width], joined, _NONCE_LEN, width)
+            outputs = layout.outputs[:len(part)].tolist()
+            if part.count(width) == len(part):
+                out += outputs
+            else:
+                out += [output[:length - _OVERHEAD]
+                        for output, length in zip(outputs, part)]
+        return out
 
-    def _layout(self, rows: int, longest: int) -> _Layout | None:
+    def _layout_for(self, longest: int) -> _Layout | None:
+        """The views for bodies of at most ``longest`` bytes (``None``
+        when that is none); one body longer than the buffer grows it."""
         blocks = (longest + _BLOCK - 1) // _BLOCK
         if blocks <= 0:
             return None
-        layout = self._layouts.get((rows, blocks))
-        if layout is None:
-            size = rows * (blocks * _BLOCK + _NONCE_LEN)
-            if len(self._buffer) < size or len(self._layouts) >= _LAYOUTS:
-                # Every kept layout views (and so keeps) the old buffer.
-                self._layouts.clear()
-                if len(self._buffer) < size:
-                    self._buffer = bytearray(size)
-            layout = _Layout(self._ecb, self._buffer, rows, blocks)
-            self._layouts[rows, blocks] = layout
-        return layout
+        if blocks != self._layout.blocks:
+            if blocks * _BLOCK > len(self._ecb.buffer):
+                self._ecb = AesEcb(self._key, blocks * _BLOCK)
+            self._layout = _Layout(self._ecb.buffer, blocks)
+        return self._layout
 
-    def _xor(self, layout: _Layout, nonces: NDArray[np.void], carries: bool,
-             inputs: bytes, head: int, width: int) -> None:
-        """Counters from ``nonces`` (``carries``: some low word may wrap),
-        keystream, then the bodies of ``inputs`` — rows of ``width``
-        bytes, each body ``head`` bytes in — XOR-ed into it."""
-        layout.counters[...] = nonces
-        low, steps = layout.low, layout.steps
+    def _xor(self, layout: _Layout, nonces: NDArray[np.void],
+             carries: bool, inputs: bytes, head: int, width: int) -> None:
+        """A row of counters from each of ``nonces`` (``carries``: some
+        low word may wrap), keystream, then the bodies of ``inputs`` —
+        rows of ``width`` bytes, each body ``head`` bytes in — XOR-ed
+        into it."""
+        rows = len(nonces)
+        layout.counters[:rows] = nonces
+        low, steps = layout.low[:rows], layout.steps
         np.add(low, steps, out=low)
         # A low word can wrap only from a top byte of 0xff (a row has far
         # fewer than 2**56 blocks); where one did, carry into the high word.
         if carries:
-            layout.high += low < steps
-        if layout.encrypt() != 1:
-            raise RuntimeError("EVP_EncryptUpdate failed")
-        keystream = layout.keystream
+            layout.high[:rows] += low < steps
+        self._ecb.encrypt(rows * layout.stride)
+        keystream = layout.keystream[:rows]
         np.bitwise_xor(keystream, np.ndarray(
             keystream.shape, np.uint64, inputs, head, (width, 8)),
             out=keystream)

@@ -7,14 +7,17 @@ extension's own file returns the handle the import already holds, and a
 symbol looked up through it resolves in the libcrypto the extension
 links: no library name is guessed, no subprocess runs, and no new shared
 object is mapped (``tests/test_package_surface.py`` checks the last).
+That needs a ``_hashlib`` that is a shared object linking libcrypto
+dynamically with its ``EVP_*`` symbols visible, as CPython's builds on
+Linux are; elsewhere importing this module raises one
+:class:`ImportError` that says so.
 
 This is the package's one foreign-function file: oblint OBL305 flags a
 ``ctypes`` import anywhere else under ``repro/``.  Two entry points:
 
 * :class:`AesEcb`, the value cipher's kernel (:mod:`repro.crypto.aead`):
-  one OpenSSL context a key, made once, whose prepared calls each
-  encrypt a whole batch of counter blocks in place in one
-  ``EVP_EncryptUpdate``;
+  one OpenSSL context a key, made once, that encrypts a prefix of its
+  own work buffer in place in one ``EVP_EncryptUpdate``;
 * :func:`aes256_ctr`, OpenSSL's own counter mode with a fresh context a
   message — the per-object reference
   (:class:`repro.testing.reference.ScalarCipher`) the kernel's counter
@@ -26,53 +29,55 @@ with every other Python thread.
 
 from __future__ import annotations
 
-import _hashlib
 import ctypes
-from ctypes import POINTER, c_int, c_void_p
+from ctypes import c_int, c_void_p
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 __all__ = ["AesEcb", "aes256_ctr"]
 
 _KEY_LEN = 32
 
-_LIB = ctypes.PyDLL(_hashlib.__file__)
 
-_CTX_NEW = _LIB.EVP_CIPHER_CTX_new
+def _symbols() -> tuple[Any, ...]:
+    """The libcrypto functions this module calls, looked up through
+    ``_hashlib``'s own handle."""
+    try:
+        import _hashlib
+
+        lib = ctypes.PyDLL(_hashlib.__file__)
+        return tuple(getattr(lib, name) for name in (
+            "EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free",
+            "EVP_CIPHER_CTX_set_padding", "EVP_aes_256_ecb",
+            "EVP_aes_256_ctr", "EVP_EncryptInit_ex", "EVP_EncryptUpdate"))
+    except (ImportError, AttributeError, OSError) as error:
+        raise ImportError(
+            "repro.crypto takes AES from the OpenSSL libcrypto that the "
+            "standard library's _hashlib links: it needs _hashlib built as "
+            "a shared object that links libcrypto dynamically with its "
+            f"EVP symbols visible (CPython on Linux): {error}") from error
+
+
+(_CTX_NEW, _CTX_FREE, _SET_PADDING, _ECB, _CTR, _INIT,
+ _UPDATE) = _symbols()
+
 _CTX_NEW.argtypes = ()
 _CTX_NEW.restype = c_void_p
-
-_CTX_FREE = _LIB.EVP_CIPHER_CTX_free
 _CTX_FREE.argtypes = (c_void_p,)
 _CTX_FREE.restype = None
-
-_SET_PADDING = _LIB.EVP_CIPHER_CTX_set_padding
 _SET_PADDING.argtypes = (c_void_p, c_int)
 _SET_PADDING.restype = c_int
-
-_ECB = _LIB.EVP_aes_256_ecb
 _ECB.argtypes = ()
 _ECB.restype = c_void_p
-
-_CTR = _LIB.EVP_aes_256_ctr
 _CTR.argtypes = ()
 _CTR.restype = c_void_p
-
 # EVP_EncryptInit_ex(ctx, cipher, engine, key, iv)
-_INIT = _LIB.EVP_EncryptInit_ex
 _INIT.argtypes = (c_void_p, c_void_p, c_void_p, c_void_p, c_void_p)
 _INIT.restype = c_int
-
-# EVP_EncryptUpdate(ctx, out, &outl, in, inl); in-place when out == in.
-_UPDATE = _LIB.EVP_EncryptUpdate
-_UPDATE.argtypes = (c_void_p, c_void_p, POINTER(c_int), c_void_p, c_int)
+# EVP_EncryptUpdate(ctx, out, &outl, in, inl); in place when out == in.
+# No argtypes: every caller passes ctypes objects (int, pointer, int), so
+# a call converts nothing — a third of what checking them would cost.
 _UPDATE.restype = c_int
-
-# The same function again (item lookup makes a new pointer object), with
-# no argtypes: AesEcb.encryptor binds ctypes objects to every argument
-# once, so a call converts nothing.
-_UPDATE_BOUND = _LIB["EVP_EncryptUpdate"]
-_UPDATE_BOUND.restype = c_int
 
 
 def _new_context(cipher: int | None, key: bytes, iv: bytes | None) -> int:
@@ -87,48 +92,37 @@ def _new_context(cipher: int | None, key: bytes, iv: bytes | None) -> int:
     return ctx
 
 
-class _Context(c_void_p):
-    """An ``EVP_CIPHER_CTX *`` argument that keeps the object that frees
-    the context alive for as long as a bound call holds it."""
-
-    owner: AesEcb | None = None
-
-
 class AesEcb:
-    """AES-256-ECB encryption under one key, in place.
+    """AES-256-ECB encryption under one key, in place in ``buffer``.
 
     Every call hands OpenSSL whole 16-byte blocks with padding off, so
     the context never carries a partial block from one call to the next
     and is reused for the object's lifetime (the key schedule is made
     once); it is freed, and its key schedule cleansed, with the object.
+    ``buffer`` is ``size`` bytes, made with the object and exported to
+    OpenSSL for its lifetime (so it cannot be resized).
     """
 
-    __slots__ = ("_ctx",)
+    __slots__ = ("_ctx", "buffer", "_update")
 
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: bytes, size: int) -> None:
         self._ctx: int | None = None
         self._ctx = _new_context(_ECB(), key, None)
         _SET_PADDING(self._ctx, 0)
+        self.buffer = bytearray(size)
+        blocks = (ctypes.c_char * size).from_buffer(self.buffer)
+        self._update: Callable[[c_int], int] = partial(
+            _UPDATE, c_void_p(self._ctx), blocks, ctypes.byref(c_int()),
+            blocks)
 
-    def encryptor(self, buffer: bytearray, size: int) -> Callable[[], int]:
-        """A call that replaces every 16-byte block of ``buffer``'s first
-        ``size`` bytes by its encryption and returns 1, OpenSSL's success.
-
-        Its arguments are ctypes objects bound here, once, so a call
-        costs a third of what converting them would.  It holds
-        ``buffer`` as an exported view (the buffer cannot be resized
-        under it) and this object (the context outlives it).
-        """
-        if size % 16 or not 0 < size <= len(buffer):
+    def encrypt(self, size: int) -> None:
+        """Replace every 16-byte block of ``buffer``'s first ``size``
+        bytes by its encryption."""
+        if size % 16 or not 0 < size <= len(self.buffer):
             raise ValueError("AES-ECB takes whole 16-byte blocks of the "
                              "buffer")
-        ctx = _Context(self._ctx)
-        ctx.owner = self
-        # Typed by the buffer's length, not by ``size``: ctypes keeps every
-        # array type it makes, and a buffer's length rarely changes.
-        blocks = (ctypes.c_char * len(buffer)).from_buffer(buffer)
-        return partial(_UPDATE_BOUND, ctx, blocks, ctypes.byref(c_int()),
-                       blocks, c_int(size))
+        if self._update(c_int(size)) != 1:
+            raise RuntimeError("EVP_EncryptUpdate failed")
 
     def __del__(self) -> None:
         if self._ctx:
@@ -146,8 +140,8 @@ def aes256_ctr(key: bytes, counter: bytes, data: bytes) -> bytes:
     ctx = _new_context(_CTR(), key, counter)
     try:
         out = ctypes.create_string_buffer(len(data))
-        written = c_int()
-        if _UPDATE(ctx, out, ctypes.byref(written), data, len(data)) != 1:
+        if _UPDATE(c_void_p(ctx), out, ctypes.byref(c_int()), data,
+                   c_int(len(data))) != 1:
             raise RuntimeError("EVP_EncryptUpdate failed")
     finally:
         _CTX_FREE(ctx)

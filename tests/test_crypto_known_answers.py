@@ -104,13 +104,14 @@ class TestAesCtrKnownAnswers:
         call, alone and as the second row of a batch with a longer and a
         shorter neighbour."""
         ctr = BatchCtr(self.KEY)
-        (alone,) = ctr.seal(self.COUNTER, [self.PLAINTEXT])
-        assert bytes(alone) == self.CIPHERTEXT
+        (alone,) = map(bytes, ctr.seal(self.COUNTER, [self.PLAINTEXT]))
+        assert alone == self.CIPHERTEXT
         nonces = bytes(16) + self.COUNTER + b"\xff" * 16
-        rows = ctr.seal(nonces, [bytes(100), self.PLAINTEXT, b"x"])
-        assert bytes(rows[1]) == self.CIPHERTEXT
+        rows = list(map(bytes, ctr.seal(nonces,
+                                        [bytes(100), self.PLAINTEXT, b"x"])))
+        assert rows[1] == self.CIPHERTEXT
         assert [len(row) for row in rows] == [100, 64, 1]
-        blobs = [nonce + bytes(row) + bytes(32) for nonce, row in
+        blobs = [nonce + row + bytes(32) for nonce, row in
                  zip((bytes(16), self.COUNTER, b"\xff" * 16), rows)]
         assert ctr.open(blobs)[1] == self.PLAINTEXT
 
@@ -119,8 +120,8 @@ class TestAesCtrKnownAnswers:
         zeros = bytes(48)
         wrapped = aes256_ctr(self.KEY, b"\xff" * 16, zeros)
         assert wrapped[16:] == aes256_ctr(self.KEY, bytes(16), zeros[16:])
-        (kernel,) = BatchCtr(self.KEY).seal(b"\xff" * 16, [zeros])
-        assert bytes(kernel) == wrapped
+        (kernel,) = map(bytes, BatchCtr(self.KEY).seal(b"\xff" * 16, [zeros]))
+        assert kernel == wrapped
 
 
 class TestScalarBatchedEquivalence:

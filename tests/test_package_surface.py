@@ -211,6 +211,31 @@ class TestPackageSurface:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split("\n")[:2] == ["[]", "[]"], result.stdout
 
+    def test_a_libcrypto_out_of_reach_is_one_import_error(self):
+        """Where ``_hashlib`` cannot hand over libcrypto's EVP symbols
+        (here: an extension file that does not exist), importing the
+        binding raises one :class:`ImportError` that names what the
+        cipher needs, not an ``OSError`` from ``ctypes``."""
+        import os
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = (
+            "import sys, types, hashlib, hmac\n"
+            "fake = types.ModuleType('_hashlib')\n"
+            "fake.__file__ = '/nonexistent/_hashlib.so'\n"
+            "sys.modules['_hashlib'] = fake\n"
+            "try:\n"
+            "    import repro.crypto.libcrypto\n"
+            "except ImportError as error:\n"
+            "    print(type(error).__name__, '_hashlib' in str(error))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ImportError True"
+
     def test_analysis_needs_no_scipy(self):
         """scipy is a dev extra: the χ² tail is the standard library's
         ``math.lgamma``, so importing the analysis, core and serving
