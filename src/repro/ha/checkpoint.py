@@ -87,7 +87,12 @@ def restore_proxy(blob: bytes, store: StorageBackend) -> WaffleProxy:
     PRF outputs) are not in the blob; they are derived again here.  It
     is an instance of the captured proxy's class.
     """
-    cls, state = pickle.loads(blob)
+    loaded = pickle.loads(blob)
+    if not (isinstance(loaded, tuple) and len(loaded) == 2
+            and isinstance(loaded[1], dict)):
+        raise ProtocolError("not a checkpoint of this format: a (proxy "
+                            "class, state) pair")
+    cls, state = loaded
     if not (isinstance(cls, type) and issubclass(cls, WaffleProxy)):
         raise ProtocolError(f"checkpoint of a {cls!r}, not a WaffleProxy")
     proxy = cls.__new__(cls)

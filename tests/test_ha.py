@@ -14,6 +14,7 @@ from repro.crypto.keys import KeyChain
 from repro.errors import (BackendUnavailableError, ConfigurationError,
                           ProtocolError)
 from repro.ha import ReplicatedProxy, capture_proxy, restore_proxy
+from repro.ha.checkpoint import _STATE_ATTRIBUTES
 from repro.storage.recording import RecordingStore
 from repro.storage.redis_sim import RedisSim
 from repro.storage import PassthroughStore
@@ -150,11 +151,23 @@ class TestCheckpoint:
             [r.storage_id for r in twin_store.records]
         twin.proxy.check_invariants()
 
-    def test_restore_refuses_a_blob_of_another_class(self):
+    @pytest.mark.parametrize("loaded", [
+        (dict, {}),
+        # The earlier format: the state dict alone, with every attribute
+        # or (unpacked as a pair, it would yield two keys) with two.
+        dict.fromkeys(_STATE_ATTRIBUTES),
+        {"config": None, "ts": 0},
+        (WaffleProxy, [("ts", 0)]),
+        (WaffleProxy, {}, None),
+        [WaffleProxy, {}],
+        None,
+    ], ids=["another-class", "state-dict", "two-key-dict", "state-list",
+            "triple", "list", "none"])
+    def test_restore_refuses_a_blob_of_another_class(self, loaded):
         import pickle
 
         with pytest.raises(ProtocolError):
-            restore_proxy(pickle.dumps((dict, {})), RedisSim())
+            restore_proxy(pickle.dumps(loaded), RedisSim())
 
     def test_indexes_pickled_mid_run_keep_selecting_identically(self):
         """Both timestamp indexes survive a pickle round trip mid-epoch:
