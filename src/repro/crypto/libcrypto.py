@@ -30,9 +30,8 @@ with every other Python thread.
 from __future__ import annotations
 
 import ctypes
-from ctypes import c_int, c_void_p
-from functools import partial
-from typing import Any, Callable
+from ctypes import POINTER, c_int, c_void_p
+from typing import Any
 
 __all__ = ["AesEcb", "aes256_ctr"]
 
@@ -75,8 +74,7 @@ _CTR.restype = c_void_p
 _INIT.argtypes = (c_void_p, c_void_p, c_void_p, c_void_p, c_void_p)
 _INIT.restype = c_int
 # EVP_EncryptUpdate(ctx, out, &outl, in, inl); in place when out == in.
-# No argtypes: every caller passes ctypes objects (int, pointer, int), so
-# a call converts nothing — a third of what checking them would cost.
+_UPDATE.argtypes = (c_void_p, c_void_p, POINTER(c_int), c_void_p, c_int)
 _UPDATE.restype = c_int
 
 
@@ -103,17 +101,16 @@ class AesEcb:
     OpenSSL for its lifetime (so it cannot be resized).
     """
 
-    __slots__ = ("_ctx", "buffer", "_update")
+    __slots__ = ("_ctx", "buffer", "_blocks", "_written")
 
     def __init__(self, key: bytes, size: int) -> None:
         self._ctx: int | None = None
         self._ctx = _new_context(_ECB(), key, None)
         _SET_PADDING(self._ctx, 0)
         self.buffer = bytearray(size)
-        blocks = (ctypes.c_char * size).from_buffer(self.buffer)
-        self._update: Callable[[c_int], int] = partial(
-            _UPDATE, c_void_p(self._ctx), blocks, ctypes.byref(c_int()),
-            blocks)
+        # Holds the buffer's export: OpenSSL writes through its address.
+        self._blocks = (ctypes.c_char * size).from_buffer(self.buffer)
+        self._written = ctypes.byref(c_int())
 
     def encrypt(self, size: int) -> None:
         """Replace every 16-byte block of ``buffer``'s first ``size``
@@ -121,7 +118,8 @@ class AesEcb:
         if size % 16 or not 0 < size <= len(self.buffer):
             raise ValueError("AES-ECB takes whole 16-byte blocks of the "
                              "buffer")
-        if self._update(c_int(size)) != 1:
+        if _UPDATE(self._ctx, self._blocks, self._written, self._blocks,
+                   size) != 1:
             raise RuntimeError("EVP_EncryptUpdate failed")
 
     def __del__(self) -> None:
@@ -140,8 +138,7 @@ def aes256_ctr(key: bytes, counter: bytes, data: bytes) -> bytes:
     ctx = _new_context(_CTR(), key, counter)
     try:
         out = ctypes.create_string_buffer(len(data))
-        if _UPDATE(c_void_p(ctx), out, ctypes.byref(c_int()), data,
-                   c_int(len(data))) != 1:
+        if _UPDATE(ctx, out, ctypes.byref(c_int()), data, len(data)) != 1:
             raise RuntimeError("EVP_EncryptUpdate failed")
     finally:
         _CTX_FREE(ctx)
