@@ -120,13 +120,12 @@ class BatchCtr:
     """AES-256-CTR over a batch: one ECB call makes a slice's keystream.
 
     Row ``i``'s counter blocks are ``nonce_i + j mod 2**128`` for ``j``
-    below the longest body's block count, big-endian, written by one
+    below the longest body's block count, big-endian, written by two
     numpy passes (the nonce into every block, then ``j`` onto the low
     words), then a carry into the high word only where a low word
-    wrapped.  The inputs are joined,
-    each zero-padded to a whole row, and one XOR adds their bodies to
-    the keystream in place.  One caller at a time, from a call to its
-    last read of what it returned.
+    wrapped.  The inputs are joined, each zero-padded to a whole row,
+    and one XOR adds their bodies to the keystream in place.  One caller
+    at a time, from a call to its last read of what it returned.
 
     A slice is as many whole values as ``_SLICE`` bytes hold (at least
     one), so a batch of small values is one AES call and the work buffer

@@ -101,15 +101,17 @@ class AesEcb:
     OpenSSL for its lifetime (so it cannot be resized).
     """
 
-    __slots__ = ("_ctx", "buffer", "_blocks", "_written")
+    __slots__ = ("_ctx", "buffer", "_blocks", "_address", "_written")
 
     def __init__(self, key: bytes, size: int) -> None:
         self._ctx: int | None = None
         self._ctx = _new_context(_ECB(), key, None)
         _SET_PADDING(self._ctx, 0)
         self.buffer = bytearray(size)
-        # Holds the buffer's export: OpenSSL writes through its address.
+        # Holds the buffer's export: OpenSSL writes through its address,
+        # passed as a plain int (ctypes converts one faster than the array).
         self._blocks = (ctypes.c_char * size).from_buffer(self.buffer)
+        self._address = ctypes.addressof(self._blocks)
         self._written = ctypes.byref(c_int())
 
     def encrypt(self, size: int) -> None:
@@ -118,7 +120,7 @@ class AesEcb:
         if size % 16 or not 0 < size <= len(self.buffer):
             raise ValueError("AES-ECB takes whole 16-byte blocks of the "
                              "buffer")
-        if _UPDATE(self._ctx, self._blocks, self._written, self._blocks,
+        if _UPDATE(self._ctx, self._address, self._written, self._address,
                    size) != 1:
             raise RuntimeError("EVP_EncryptUpdate failed")
 
